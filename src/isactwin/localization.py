@@ -245,6 +245,8 @@ def load_db(path) -> FingerprintDB:
     if raw[: len(_MAGIC)] != _MAGIC:
         raise DatabaseError(f"{path}: not a fingerprint database")
     off = len(_MAGIC)
+    if len(raw) < off + 4:
+        raise DatabaseError(f"{path}: truncated before the header length")
     (hlen,) = struct.unpack_from("<I", raw, off)
     off += 4
     try:
@@ -257,6 +259,12 @@ def load_db(path) -> FingerprintDB:
     n_points = header["n_points"]
     num_bins = header["num_bins"]
     ap_ids = list(header["ap_ids"])
+    expected = off + 8 * n_points * (3 + len(ap_ids) * num_bins)
+    if len(raw) != expected:
+        raise DatabaseError(
+            f"{path}: {len(raw)} bytes, but its header describes {expected} "
+            "(truncated or corrupt file)"
+        )
     positions = np.frombuffer(raw, dtype="<f8", count=n_points * 3, offset=off).reshape(n_points, 3)
     off += n_points * 3 * 8
     bins = np.frombuffer(raw, dtype="<f8", count=n_points * len(ap_ids) * num_bins, offset=off)

@@ -1,11 +1,20 @@
 """Image-method multipath solver.
 
-Specular reflections only: candidate paths are enumerated as ordered surface
-sequences up to a maximum reflection order, unfolded by mirroring the source,
-back-traced to concrete reflection points, and validated for polygon
-containment and occlusion. Each surviving path carries a complex gain, a
-delay, a Doppler shift, and departure/arrival angles expressed in the local
-frame of its terminal.
+Specular reflections only: candidate paths are the ordered surface sequences
+up to a maximum reflection order with no surface repeated back to back (the
+image method of Allen & Berkley, JASA 1979). Each scene caches, once, its
+planes, reflection coefficients, per-surface edge planes, and the (M_k, k)
+table of surface indices of every order k.
+
+A trace makes one array pass per reflection order over all M_k sequences of
+that order (Sionna RT evaluates candidates the same way, arXiv 2303.11103):
+the source is mirrored through the k planes into an (M_k, 3) image chain,
+back-traced from the receiver to the reflection points, checked for polygon
+containment against the edge planes, and every one of the k + 1 segments is
+tested for occlusion against all S planes as (M_k, S) masks. Each surviving
+path carries a complex gain, a delay, a Doppler shift, and departure/arrival
+angles expressed in the local frame of its terminal, all computed on the same
+arrays with one rotation matrix per terminal.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -35,6 +44,10 @@ GAIN_PRUNE_THRESHOLD = 1e-9
 # Occlusion hits closer than this to a segment endpoint are numerical
 # artifacts of the reflection points lying on their own surfaces.
 _ENDPOINT_GUARD = 1e-9
+
+# A point this far outside a polygon edge still counts as inside, so a
+# reflection on the edge shared by two surfaces is kept.
+_CONTAINS_TOL = 1e-9
 
 
 def wrap_angle(angle: float) -> float:
@@ -78,10 +91,6 @@ class Pose:
         ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
         rx = np.array([[1.0, 0.0, 0.0], [0.0, cg, -sg], [0.0, sg, cg]])
         return rz @ ry @ rx
-
-    def to_local(self, vec: np.ndarray) -> np.ndarray:
-        """Rotate a global-frame vector into this pose's local frame."""
-        return self.rotation().T @ np.asarray(vec, dtype=float)
 
 
 @dataclass(eq=False)
@@ -130,34 +139,40 @@ def mirror_across_surface(point: np.ndarray, surface: Surface) -> np.ndarray:
     return p - 2.0 * ((p - surface.vertices[0]) @ n) * n
 
 
-def path_gain(path_length: float, reflection_coeffs, carrier_freq: float) -> complex:
+def path_gain(path_length, reflection_coeffs, carrier_freq: float):
     """Free-space amplitude with reflection losses and propagation phase.
 
     b = (lambda / (4 pi d)) * prod(coeffs) * exp(-j 2 pi d / lambda)
+
+    Takes one path (a length and a list of coefficients) or M paths at once
+    (lengths of shape (M,) and coefficients of shape (M, k)); the
+    coefficients multiply in sequence order.
     """
-    if path_length <= 0.0:
+    d = np.asarray(path_length, dtype=float)
+    if np.any(d <= 0.0):
         raise ValueError(f"path_length must be > 0, got {path_length}")
+    coeffs = np.asarray(reflection_coeffs, dtype=float)
     lam = SPEED_OF_LIGHT / carrier_freq
-    amp = lam / (4.0 * math.pi * path_length)
-    for c in reflection_coeffs:
-        amp *= c
-    phase = -2.0 * math.pi * path_length / lam
-    return amp * complex(math.cos(phase), math.sin(phase))
+    amp = lam / (4.0 * math.pi * d)
+    for j in range(coeffs.shape[-1]):
+        amp = amp * coeffs[..., j]
+    phase = -2.0 * math.pi * d / lam
+    return amp * (np.cos(phase) + 1j * np.sin(phase))
 
 
-def doppler_shift(path_points: np.ndarray, tx_velocity, rx_velocity, carrier_freq: float) -> float:
+def doppler_shift(path_points, tx_velocity, rx_velocity, carrier_freq: float):
     """Doppler from the first/last segment directions of a path polyline (tx..rx).
 
     nu = (f_c / c) * (v_tx . u_dep + v_rx . (-u_arr)), where u_dep leaves the
     transmitter along the first segment and u_arr arrives at the receiver
-    along the last segment.
+    along the last segment. Takes one polyline (n, 3) or M of them (M, n, 3).
     """
     pts = np.asarray(path_points, dtype=float)
-    u_dep = _unit(pts[1] - pts[0])
-    u_arr = _unit(pts[-1] - pts[-2])
+    u_dep = _unit(pts[..., 1, :] - pts[..., 0, :])
+    u_arr = _unit(pts[..., -1, :] - pts[..., -2, :])
     v_tx = np.asarray(tx_velocity, dtype=float)
     v_rx = np.asarray(rx_velocity, dtype=float)
-    return carrier_freq / SPEED_OF_LIGHT * float(v_tx @ u_dep - v_rx @ u_arr)
+    return carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, v_tx) - np.vecdot(u_arr, v_rx))
 
 
 def trace_paths(
@@ -173,6 +188,9 @@ def trace_paths(
     LoS is order 0. Delays are total polyline length over c; angles are
     rotated into each terminal's local frame; gains follow path_gain with the
     per-bounce material coefficients and are clamped to unit magnitude.
+    Paths are built order by order, each order in sequence-table order, so
+    the PathSet's stable delay sort orders equal delays the same way on
+    every call.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -181,36 +199,29 @@ def trace_paths(
         raise ValueError("coincident endpoints")
 
     accel = _accel_for(scene)
+    rot_tx, rot_rx = tx.rotation(), rx.rotation()
     paths = []
-    for seq in _surface_sequences(scene.surfaces, max_order):
-        pts = _unfold(seq, tx.position, rx.position)
-        if pts is None:
-            continue
-        if _blocked(accel, pts, seq):
-            continue
-        seg = np.diff(pts, axis=0)
-        seg_lengths = np.linalg.norm(seg, axis=1)
-        if np.any(seg_lengths < 1e-9):
-            continue
-        total = float(seg_lengths.sum())
-        coeffs = [s.material.reflection_coeff for s in seq]
-        gain = path_gain(total, coeffs, carrier_freq)
-        amp = abs(gain)
-        if amp < prune_gain:
-            continue
-        if amp > 1.0:
-            gain /= amp
-        paths.append(
-            PropagationPath(
-                gain=gain,
-                delay=total / SPEED_OF_LIGHT,
-                doppler=doppler_shift(pts, tx.velocity, rx.velocity, carrier_freq),
-                aoa=_direction_angles(rx, pts[-2] - pts[-1]),
-                aod=_direction_angles(tx, pts[1] - pts[0]),
-                reflection_points=pts[1:-1],
-                order=len(seq),
-            )
-        )
+    for order in range(max_order + 1):
+        seqs = accel.sequences(order)
+        pts, seqs = _unfold(accel, seqs, tx.position, rx.position)
+        seg_lengths = np.linalg.norm(np.diff(pts, axis=1), axis=2)
+        keep = ~_occluded(accel, pts, seqs) & np.all(seg_lengths >= 1e-9, axis=1)
+        pts, seqs, total = pts[keep], seqs[keep], seg_lengths[keep].sum(axis=1)
+        gain = path_gain(total, accel.coeffs[seqs], carrier_freq)
+        amp = np.abs(gain)
+        keep = amp >= prune_gain
+        clamp = amp > 1.0
+        gain[clamp] /= amp[clamp]
+        pts, total, gain = pts[keep], total[keep], gain[keep]
+        doppler = doppler_shift(pts, tx.velocity, rx.velocity, carrier_freq)
+        aoa = _direction_angles(rot_rx, pts[:, -2] - pts[:, -1])
+        aod = _direction_angles(rot_tx, pts[:, 1] - pts[:, 0])
+        for g, delay, nu, a_in, a_out, refl in zip(
+            gain.tolist(), (total / SPEED_OF_LIGHT).tolist(), doppler.tolist(),
+            aoa.tolist(), aod.tolist(), pts[:, 1:-1],
+        ):
+            paths.append(PropagationPath(gain=g, delay=delay, doppler=nu, aoa=tuple(a_in),
+                                         aod=tuple(a_out), reflection_points=refl, order=order))
     return PathSet(paths=paths, tx_pose=tx, rx_pose=rx, carrier_freq=carrier_freq)
 
 
@@ -305,9 +316,30 @@ def pathset_from_record(rec: dict) -> PathSet:
 
 @dataclass(eq=False)
 class _Accel:
-    surfaces: list
-    normals: np.ndarray   # (S, 3)
-    offsets: np.ndarray   # (S,), n . x = offset
+    """Per-scene tables of the usable (planar) surfaces, S of them."""
+
+    normals: np.ndarray       # (S, 3)
+    offsets: np.ndarray       # (S,), n . x = offset
+    coeffs: np.ndarray        # (S,) reflection coefficients
+    edge_normals: np.ndarray  # (S, V, 3) in-plane edge normals n x edge, zero-padded to V
+    edge_offsets: np.ndarray  # (S, V), inside is edge_normal . x >= edge_offset
+    tables: list              # tables[k]: (M_k, k) surface indices of every order-k sequence
+
+    def sequences(self, order: int) -> np.ndarray:
+        """Surface sequences of one order, no surface twice in a row, lexicographic.
+
+        Row order is the enumeration order of a breadth-first walk: each
+        order-(k-1) sequence in turn, extended by every surface in scene order.
+        """
+        num = len(self.offsets)
+        while len(self.tables) <= order:
+            prev = self.tables[-1]
+            last = np.tile(np.arange(num), len(prev))
+            table = np.column_stack([np.repeat(prev, num, axis=0), last])
+            if prev.shape[1]:
+                table = table[table[:, -2] != last]
+            self.tables.append(table)
+        return self.tables[order]
 
 
 _ACCEL_CACHE: "weakref.WeakKeyDictionary[Scene, _Accel]" = weakref.WeakKeyDictionary()
@@ -317,104 +349,105 @@ def _accel_for(scene: Scene) -> _Accel:
     accel = _ACCEL_CACHE.get(scene)
     if accel is None:
         usable = [s for s in scene.surfaces if s.unit_normal is not None]
-        if usable:
-            normals = np.array([s.unit_normal for s in usable])
-            offsets = np.array([s.plane_offset for s in usable])
-        else:
-            normals = np.zeros((0, 3))
-            offsets = np.zeros(0)
-        accel = _Accel(surfaces=usable, normals=normals, offsets=offsets)
+        num_edges = max((len(s.vertices) for s in usable), default=0)
+        edge_normals = np.zeros((len(usable), num_edges, 3))
+        edge_offsets = np.zeros((len(usable), num_edges))
+        for i, s in enumerate(usable):
+            v = s.vertices
+            m = np.cross(s.unit_normal, np.roll(v, -1, axis=0) - v)
+            edge_normals[i, : len(v)] = m
+            edge_offsets[i, : len(v)] = np.vecdot(m, v)
+        accel = _Accel(
+            normals=np.array([s.unit_normal for s in usable]).reshape(-1, 3),
+            offsets=np.array([s.plane_offset for s in usable]),
+            coeffs=np.array([s.material.reflection_coeff for s in usable]),
+            edge_normals=edge_normals,
+            edge_offsets=edge_offsets,
+            tables=[np.zeros((1, 0), dtype=np.intp)],
+        )
         _ACCEL_CACHE[scene] = accel
     return accel
 
 
-def _surface_sequences(surfaces, max_order):
-    """Ordered reflection-surface sequences, LoS first, no consecutive repeats."""
-    yield ()
-    frontier = [()]
-    for _ in range(max_order):
-        new_frontier = []
-        for seq in frontier:
-            for s in surfaces:
-                if s.unit_normal is None or (seq and s is seq[-1]):
-                    continue
-                ext = seq + (s,)
-                new_frontier.append(ext)
-                yield ext
-        frontier = new_frontier
+def _inside(edge_normals, edge_offsets, points):
+    """Polygon containment of points on their surfaces' planes (edges included).
+
+    edge_normals (..., V, 3) and edge_offsets (..., V) describe one surface
+    per point of points (..., 3); zero padding is always inside.
+    """
+    dist = np.vecdot(edge_normals, points[..., None, :]) - edge_offsets
+    return ~np.any(dist < -_CONTAINS_TOL, axis=-1)
 
 
-def _unfold(seq, tx_point, rx_point):
-    """Back-trace a surface sequence into concrete path points (tx..rx) or None."""
-    if not seq:
-        return np.vstack([tx_point, rx_point])
-    images = [np.asarray(tx_point, dtype=float)]
-    for s in seq:
-        n = s.unit_normal
-        p = images[-1]
-        images.append(p - 2.0 * ((p @ n) - s.plane_offset) * n)
-    pts = [np.asarray(rx_point, dtype=float)]
-    cur = pts[0]
-    for i in range(len(seq), 0, -1):
-        s = seq[i - 1]
-        hit = _plane_segment_hit(cur, images[i], s)
-        if hit is None or not s.contains(hit):
-            return None
-        pts.append(hit)
-        cur = hit
-    pts.append(np.asarray(tx_point, dtype=float))
-    return np.array(pts[::-1])
+@np.errstate(divide="ignore", invalid="ignore")
+def _unfold(accel: _Accel, seqs: np.ndarray, tx_point, rx_point):
+    """Back-trace (M, k) surface sequences into (M', k + 2, 3) path points (tx..rx).
+
+    Returns the points and the M' sequences whose every bounce lands inside
+    its polygon, strictly between the previous point and the image.
+    """
+    m, k = seqs.shape
+    normals, offsets = accel.normals[seqs], accel.offsets[seqs]   # (M, k, 3), (M, k)
+    images = [np.broadcast_to(np.asarray(tx_point, dtype=float), (m, 3))]
+    for j in range(k):
+        p, n = images[-1], normals[:, j]
+        images.append(p - (2.0 * (np.vecdot(p, n) - offsets[:, j]))[:, None] * n)
+    cur = np.broadcast_to(np.asarray(rx_point, dtype=float), (m, 3))
+    pts = [cur]
+    ok = np.ones(m, dtype=bool)
+    for i in range(k, 0, -1):
+        n, s = normals[:, i - 1], seqs[:, i - 1]
+        ab = images[i] - cur
+        denom = np.vecdot(ab, n)
+        t = (offsets[:, i - 1] - np.vecdot(cur, n)) / denom
+        cur = cur + t[:, None] * ab
+        ok &= (np.abs(denom) >= 1e-15) & (t > 1e-12) & (t < 1.0 - 1e-12)
+        ok &= _inside(accel.edge_normals[s], accel.edge_offsets[s], cur)
+        pts.append(cur)
+    pts.append(images[0])
+    return np.stack(pts[::-1], axis=1)[ok], seqs[ok]
 
 
-def _plane_segment_hit(a, b, surface):
-    n = surface.unit_normal
-    denom = (b - a) @ n
-    if abs(denom) < 1e-15:
-        return None
-    t = (surface.plane_offset - a @ n) / denom
-    if not (1e-12 < t < 1.0 - 1e-12):
-        return None
-    return a + t * (b - a)
+@np.errstate(divide="ignore", invalid="ignore")
+def _occluded(accel: _Accel, pts: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """(M,) mask: some segment crosses a surface it does not reflect on.
 
-
-def _blocked(accel: _Accel, pts: np.ndarray, seq) -> bool:
-    """True if any segment of the path is occluded by a surface it does not reflect on."""
-    n_seg = len(pts) - 1
-    for i in range(n_seg):
-        p0, p1 = pts[i], pts[i + 1]
-        start_surf = seq[i - 1] if i >= 1 else None
-        end_surf = seq[i] if i < len(seq) else None
-        d = p1 - p0
-        denom = accel.normals @ d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (accel.offsets - accel.normals @ p0) / denom
-        candidates = np.nonzero((np.abs(denom) > 1e-15) & (t > 0.0) & (t < 1.0))[0]
-        if candidates.size == 0:
+    Each of the k + 1 segments is intersected with all S planes at once; a
+    segment's own start and end surfaces, and hits within the endpoint
+    guard of either end, do not occlude.
+    """
+    m, k = seqs.shape
+    surface_ids = np.arange(len(accel.offsets))
+    blocked = np.zeros(m, dtype=bool)
+    for i in range(k + 1):
+        p0 = pts[:, i]
+        d = pts[:, i + 1] - p0
+        denom = d @ accel.normals.T                                  # (M, S)
+        t = (accel.offsets - p0 @ accel.normals.T) / denom
+        seg_len = np.sqrt(np.vecdot(d, d))[:, None]
+        hits = (np.abs(denom) > 1e-15) & (t > 0.0) & (t < 1.0)
+        # hits within the endpoint guard are the path's own touch points
+        hits &= (t * seg_len >= _ENDPOINT_GUARD) & ((1.0 - t) * seg_len >= _ENDPOINT_GUARD)
+        if i >= 1:
+            hits &= surface_ids != seqs[:, i - 1, None]
+        if i < k:
+            hits &= surface_ids != seqs[:, i, None]
+        if not hits.any():
             continue
-        seg_len = np.linalg.norm(d)
-        for idx in candidates:
-            surf = accel.surfaces[idx]
-            if surf is start_surf or surf is end_surf:
-                continue
-            ti = t[idx]
-            # hits within the endpoint guard are the path's own touch points
-            if ti * seg_len < _ENDPOINT_GUARD or (1.0 - ti) * seg_len < _ENDPOINT_GUARD:
-                continue
-            if surf.contains(p0 + ti * d):
-                return True
-    return False
+        points = p0[:, None, :] + t[..., None] * d[:, None, :]     # (M, S, 3)
+        blocked |= np.any(hits & _inside(accel.edge_normals, accel.edge_offsets, points), axis=1)
+    return blocked
 
 
-def _direction_angles(pose: Pose, direction: np.ndarray) -> tuple:
-    d = pose.to_local(_unit(direction))
-    az = math.atan2(d[1], d[0])
-    el = math.asin(min(1.0, max(-1.0, float(d[2]))))
-    return (az, el)
+def _direction_angles(rotation: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """(M, 2) local (azimuth, elevation) of global directions (M, 3) under a local-to-global rotation."""
+    d = _unit(directions) @ rotation
+    return np.column_stack([np.arctan2(d[:, 1], d[:, 0]), np.arcsin(np.clip(d[:, 2], -1.0, 1.0))])
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
+    """Unit vectors along the last axis."""
+    norm = np.sqrt(np.vecdot(v, v))
+    if np.any(norm == 0.0):
         raise ValueError("zero-length direction")
-    return v / n
+    return v / norm[..., None]

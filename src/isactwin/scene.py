@@ -97,18 +97,6 @@ class Surface:
                 return False
         return True
 
-    def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
-        """True if a point on the surface plane lies inside the polygon (edges included)."""
-        n = self.unit_normal
-        if n is None:
-            return False
-        v = self.vertices
-        for i in range(len(v)):
-            edge = v[(i + 1) % len(v)] - v[i]
-            if np.cross(edge, point - v[i]) @ n < -tol:
-                return False
-        return True
-
 
 @dataclass(eq=False)
 class Scene:

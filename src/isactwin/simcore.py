@@ -36,7 +36,8 @@ Scenario file schema (JSON; paths are resolved relative to the file)::
 
 Trace CSV columns, in order: step, time_s, agent_id, true_x, true_y,
 true_yaw, est_x, est_y, loc_score, v_cmd, w_cmd, then one rate_<v>_<q>
-column per communication link.
+column per communication link. Agent ids may not contain "_", so that the
+receiver v can be read back from the column name.
 """
 
 from __future__ import annotations
@@ -435,6 +436,9 @@ def validate_scenario(config: ScenarioConfig) -> list:
     if not config.agents:
         problems.append("no agents configured")
     for spec in config.agents:
+        if "_" in spec.id:
+            # trace columns are rate_<agent>_<transmitter>, split at the first "_"
+            problems.append(f"agent id {spec.id!r} must not contain '_'")
         if spec.id not in node_ids:
             problems.append(f"agent {spec.id!r} has no matching network node")
         if len(spec.waypoints) == 0:
@@ -483,18 +487,45 @@ def _static_aps(config: ScenarioConfig, graph) -> list:
 
 
 def db_signature(config: ScenarioConfig, graph) -> str:
-    """Hash of everything that shapes the ray-traced fingerprints except the scene."""
+    """Hash of everything that shapes the fingerprint database except the scene.
+
+    Two parts joined by ":". The network part covers the static APs, the
+    carrier and the reflection order. The grid part covers the db.build
+    settings (spacing, bin width, bin count, ROI and effective height); it is
+    empty for a scenario without build instructions, which can only say which
+    network its database must come from.
+    """
     aps = [
         {"id": ap_id, "position": pose.position.tolist(), "yaw": pose.yaw}
         for ap_id, pose in _static_aps(config, graph)
     ]
-    payload = {
+    network = {
         "aps": aps,
         "carrier_hz": config.ofdm.carrier_freq,
         "max_order": config.max_order,
     }
+    build = config.db.build
+    if build is None:
+        return f"{_digest(network)}:"
+    grid = {
+        "spacing_m": build.spacing,
+        "bin_width_s": build.bin_width,
+        "num_bins": build.num_bins,
+        "roi_m": None if build.roi is None else list(build.roi),
+        "height_m": _db_height(config),
+    }
+    return f"{_digest(network)}:{_digest(grid)}"
+
+
+def _digest(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _db_height(config: ScenarioConfig) -> float:
+    """Height of the fingerprint grid: db.build.height_m, else the first agent's z."""
+    height = config.db.build.height
+    return height if height is not None else float(config.agents[0].initial_pose.position[2])
 
 
 def build_db_for_scenario(config: ScenarioConfig, out=None):
@@ -507,8 +538,7 @@ def build_db_for_scenario(config: ScenarioConfig, out=None):
     aps = _static_aps(config, graph)
     if not aps:
         raise ConfigError("no static transmitter nodes to fingerprint")
-    height = build.height if build.height is not None else float(config.agents[0].initial_pose.position[2])
-    grid = floor_grid(scene, build.spacing, height)
+    grid = floor_grid(scene, build.spacing, _db_height(config))
     if build.roi is not None:
         xmin, ymin, xmax, ymax = build.roi
         keep = (
@@ -542,10 +572,18 @@ def ensure_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
             raise loc_mod.DatabaseError(
                 f"database {config.db.path} was built for a different scene"
             )
-        if db.network_hash and db.network_hash != db_signature(config, graph):
-            raise loc_mod.DatabaseError(
-                f"database {config.db.path} was built for a different network setup"
-            )
+        if db.network_hash:
+            stored_network, _, stored_grid = db.network_hash.partition(":")
+            network, _, grid = db_signature(config, graph).partition(":")
+            if stored_network != network:
+                raise loc_mod.DatabaseError(
+                    f"database {config.db.path} was built for a different network setup"
+                )
+            if grid and stored_grid != grid:
+                raise loc_mod.DatabaseError(
+                    f"database {config.db.path} was built with different db.build settings "
+                    "(spacing, bins, ROI or height); rebuild it"
+                )
         return db
     db, _ = build_db_for_scenario(config)
     return db

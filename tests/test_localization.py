@@ -159,6 +159,23 @@ class TestFingerprintDB:
         with pytest.raises(DatabaseError, match="not a fingerprint database"):
             load_db(p)
 
+    @pytest.mark.parametrize("cut", [10, 200, -8])
+    def test_truncated_file_rejected(self, small_db, tmp_path, cut):
+        db, _, _ = small_db
+        p = save_db(db, tmp_path / "db.fpdb")
+        p.write_bytes(p.read_bytes()[:cut])
+        with pytest.raises(DatabaseError) as err:
+            load_db(p)
+        assert str(err.value).startswith(f"{p}: ")
+        assert "truncated" in str(err.value) or "corrupt header" in str(err.value)
+
+    def test_trailing_bytes_rejected(self, small_db, tmp_path):
+        db, _, _ = small_db
+        p = save_db(db, tmp_path / "db.fpdb")
+        p.write_bytes(p.read_bytes() + b"\x00" * 8)
+        with pytest.raises(DatabaseError, match="header describes"):
+            load_db(p)
+
     def test_empty_grid_rejected(self, small_db):
         _, scene, aps = small_db
         with pytest.raises(ValueError, match="empty grid"):

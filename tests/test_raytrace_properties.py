@@ -1,0 +1,167 @@
+"""The array tracer against the scalar oracle, and invariants any tracer must keep.
+
+Scenes are random shoeboxes (the conftest room) with a free-standing panel,
+turned about z, inside them: the panel casts shadows, so the occlusion masks
+fire, and its normal is not axis-aligned.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from isactwin.raytrace import SPEED_OF_LIGHT as C, Pose, trace_paths
+from isactwin.scene import load_scene
+from conftest import box_scene_doc
+from raytrace_oracle import contains, trace_paths_scalar
+
+FC = 2.4e9
+
+
+@st.composite
+def rooms(draw):
+    lx, ly = draw(st.floats(1.0, 6.0)), draw(st.floats(1.0, 6.0))
+    lz = draw(st.floats(1.0, 3.0))
+    doc = box_scene_doc(lx, ly, lz, coeff=draw(st.floats(0.3, 0.95)))
+    cx, cy = lx * draw(st.floats(0.3, 0.7)), ly * draw(st.floats(0.3, 0.7))
+    half = min(lx, ly) * draw(st.floats(0.05, 0.25))
+    theta = draw(st.floats(-math.pi, math.pi))
+    z0, z1 = lz * draw(st.floats(0.0, 0.3)), lz * draw(st.floats(0.5, 1.0))
+    ux, uy = half * math.cos(theta), half * math.sin(theta)
+    doc["materials"].append({"name": "panel", "reflection_coeff": draw(st.floats(0.2, 0.9))})
+    doc["surfaces"].append({
+        "vertices": [[cx - ux, cy - uy, z0], [cx + ux, cy + uy, z0],
+                     [cx + ux, cy + uy, z1], [cx - ux, cy - uy, z1]],
+        "material": "panel",
+    })
+    return load_scene(doc)
+
+
+@st.composite
+def poses(draw, scene):
+    lo, hi = scene.bounds_min, scene.bounds_max
+    frac = [draw(st.floats(0.05, 0.95)) for _ in range(3)]
+    position = lo + (hi - lo) * np.array(frac)
+    angle = st.floats(-math.pi, math.pi)
+    velocity = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+    return Pose.at(*position, yaw=draw(angle), pitch=draw(angle) / 4, roll=draw(angle) / 4,
+                   velocity=velocity)
+
+
+@st.composite
+def links(draw):
+    scene = draw(rooms())
+    tx, rx = draw(poses(scene)), draw(poses(scene))
+    assume(np.linalg.norm(tx.position - rx.position) > 1e-3)
+    return scene, tx, rx
+
+
+def angles_close(a, b, atol):
+    """(azimuth, elevation) pairs equal; azimuth modulo 2 pi, weighted by cos(elevation)."""
+    d_az = abs(math.remainder(a[0] - b[0], 2.0 * math.pi)) * math.cos(b[1])
+    return d_az <= atol and abs(a[1] - b[1]) <= atol
+
+
+def panel_room(lz):
+    """4 m x 3 m room with a panel in the plane x = 2, y in [1, 2], z in [0.5, 2]."""
+    doc = box_scene_doc(4.0, 3.0, lz)
+    doc["surfaces"].append({"vertices": [[2, 1, 0.5], [2, 2, 0.5], [2, 2, 2], [2, 1, 2]],
+                            "material": "wall"})
+    return load_scene(doc)
+
+
+def assert_same_paths(got, ref):
+    assert [p.order for p in got] == [p.order for p in ref]
+    for p, q in zip(got, ref):
+        assert p.delay == pytest.approx(q.delay, rel=1e-12, abs=0.0)
+        assert abs(p.gain - q.gain) <= 1e-12 * abs(q.gain)
+        assert p.doppler == pytest.approx(q.doppler, rel=0.0, abs=1e-12)
+        assert angles_close(p.aoa, q.aoa, 1e-12)
+        assert angles_close(p.aod, q.aod, 1e-12)
+        assert np.allclose(p.reflection_points, q.reflection_points, rtol=0.0, atol=1e-12)
+
+
+class TestAgainstScalarOracle:
+    @given(links(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_same_paths_as_scalar_tracer(self, link, max_order):
+        scene, tx, rx = link
+        assert_same_paths(trace_paths(scene, tx, rx, max_order, FC),
+                          trace_paths_scalar(scene, tx, rx, max_order, FC))
+
+    def test_same_paths_behind_a_panel(self):
+        # the panel stands across the line of sight
+        scene = panel_room(2.5)
+        tx, rx = Pose.at(1.0, 1.5, 1.2, yaw=0.3), Pose.at(3.0, 1.4, 1.3, velocity=(0.5, 0, 0))
+        got = trace_paths(scene, tx, rx, 3, FC)
+        assert_same_paths(got, trace_paths_scalar(scene, tx, rx, 3, FC))
+        assert min(p.order for p in got) == 1
+
+    @pytest.mark.parametrize("overshoot,reflects", [(-1e-4, True), (1e-4, False)])
+    def test_grazing_the_panel_edge(self, overshoot, reflects):
+        # tx and rx mirror each other 1 m in front of the panel (x = 2), so the
+        # specular point sits midway, just inside or just above its top edge z = 2;
+        # the line of sight runs at the same height past the edge
+        scene = panel_room(3.0)
+        z = 2.0 + overshoot
+        tx, rx = Pose.at(1.0, 1.2, z), Pose.at(1.0, 1.8, z)
+        behind = Pose.at(3.0, 1.5, z)
+        for a, b in ((tx, rx), (tx, behind)):
+            got = trace_paths(scene, a, b, 1, FC)
+            assert_same_paths(got, trace_paths_scalar(scene, a, b, 1, FC))
+        on_panel = [p for p in trace_paths(scene, tx, rx, 1, FC)
+                    if p.order == 1 and abs(p.reflection_points[0, 0] - 2.0) < 1e-12]
+        assert len(on_panel) == int(reflects)
+        assert len(trace_paths(scene, tx, behind, 0, FC)) == int(not reflects)
+
+
+class TestInvariants:
+    @given(links(), st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_reciprocity(self, link, max_order):
+        scene, tx, rx = link
+        fwd = trace_paths(scene, tx, rx, max_order, FC)
+        rev = list(trace_paths(scene, rx, tx, max_order, FC))
+        assert len(fwd) == len(rev)
+        for p in fwd:
+            flipped = p.reflection_points[::-1]
+            j = next(i for i, q in enumerate(rev) if q.order == p.order
+                     and np.max(np.abs(q.reflection_points - flipped), initial=0.0) <= 1e-9)
+            q = rev.pop(j)
+            assert q.delay == pytest.approx(p.delay, rel=1e-12, abs=0.0)
+            assert abs(q.gain - p.gain) <= 1e-12 * abs(p.gain)
+            assert q.doppler == pytest.approx(p.doppler, rel=0.0, abs=1e-9)
+            assert angles_close(q.aoa, p.aod, 1e-9)
+            assert angles_close(q.aod, p.aoa, 1e-9)
+
+    @given(links())
+    @settings(max_examples=20, deadline=None)
+    def test_raising_max_order_only_adds_paths(self, link):
+        scene, tx, rx = link
+        lower = None
+        for order in range(4):
+            ps = trace_paths(scene, tx, rx, order, FC)
+            if lower is not None:
+                assert len(ps) >= len(lower)
+                kept = [(p.order, p.delay, p.gain) for p in ps if p.order < order]
+                assert kept == [(p.order, p.delay, p.gain) for p in lower]
+            lower = ps
+
+    @given(links(), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_reflection_points_lie_on_a_surface(self, link, max_order):
+        scene, tx, rx = link
+        for p in trace_paths(scene, tx, rx, max_order, FC):
+            for point in p.reflection_points:
+                assert any(abs(s.unit_normal @ point - s.plane_offset) <= 1e-9 and contains(s, point)
+                           for s in scene.surfaces)
+
+    @given(links(), st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_no_delay_below_line_of_sight(self, link, max_order):
+        scene, tx, rx = link
+        los = np.linalg.norm(rx.position - tx.position) / C
+        for p in trace_paths(scene, tx, rx, max_order, FC):
+            assert p.delay >= los * (1.0 - 1e-12)

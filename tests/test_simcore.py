@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isactwin import metrics
-from isactwin.localization import DatabaseError, compute_mdp, load_db
+from isactwin.localization import DatabaseError, compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
 from isactwin.scene import load_scene
 from isactwin.simcore import (
@@ -99,6 +99,16 @@ class TestScenarioConfig:
         problems = validate_scenario(ScenarioConfig.from_file(p))
         text = "; ".join(problems)
         assert "max_steps" in text and "dt_s" in text and "ghost" in text
+
+    def test_agent_id_with_underscore_rejected(self, tmp_path):
+        # rate_<agent>_<tx> columns split at the first "_": robot_1 + ap_a would
+        # read back as ("robot", "1_ap_a")
+        doc = json.loads(json.dumps(tiny_scenario_doc()).replace('"robot"', '"robot_1"'))
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        problems = validate_scenario(ScenarioConfig.from_file(p))
+        assert problems == ["agent id 'robot_1' must not contain '_'"]
 
     def test_missing_scene_file_flagged(self, tmp_path):
         doc = tiny_scenario_doc()
@@ -236,6 +246,54 @@ class TestSimulationLoop:
         config2 = ScenarioConfig.from_file(p2)
         with pytest.raises((DatabaseError, ConfigError), match="different network"):
             run_simulation(config2)
+
+    @pytest.mark.parametrize("key,value", [
+        ("spacing_m", 0.05),
+        ("bin_width_s", 2e-9),
+        ("num_bins", 32),
+        ("roi_m", [0.3, 0.25, 0.85, 0.75]),
+        ("height_m", 0.2),
+    ])
+    def test_changed_build_settings_make_database_stale(self, tmp_path, key, value):
+        doc = tiny_scenario_doc()
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        build_db_for_scenario(ScenarioConfig.from_file(p))
+        init_world(ScenarioConfig.from_file(p))   # the same settings reuse the file
+        doc2 = copy.deepcopy(doc)
+        doc2["db"]["build"][key] = value
+        p2 = tmp_path / "s2.json"
+        p2.write_text(json.dumps(doc2))
+        with pytest.raises(DatabaseError, match="different db.build settings"):
+            init_world(ScenarioConfig.from_file(p2))
+
+    def test_database_signed_without_build_settings_is_stale(self, tmp_path):
+        # files whose signature covers only the network predate the grid part
+        doc = tiny_scenario_doc()
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        db, path = build_db_for_scenario(ScenarioConfig.from_file(p))
+        db.network_hash = db.network_hash.partition(":")[0]
+        save_db(db, path)
+        with pytest.raises(DatabaseError, match="different db.build settings"):
+            init_world(ScenarioConfig.from_file(p))
+
+    def test_scenario_without_build_reuses_a_database_of_its_network(self, tmp_path):
+        doc = tiny_scenario_doc()
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        db, _ = build_db_for_scenario(ScenarioConfig.from_file(p))
+        del doc["db"]["build"]
+        p.write_text(json.dumps(doc))
+        world = init_world(ScenarioConfig.from_file(p))
+        assert np.array_equal(world.db.bins, db.bins)
+        doc["network"]["nodes"][0]["pose"]["position"] = [0.3, 0.1, 0.7]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DatabaseError, match="different network"):
+            init_world(ScenarioConfig.from_file(p))
 
     def test_invalid_config_rejected_at_run(self, tmp_path):
         doc = tiny_scenario_doc()
