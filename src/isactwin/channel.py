@@ -10,6 +10,13 @@ conjugate transpose). Transmit vectors are x = alpha * sqrt(p) * w * d and the
 receive side sums over incoming edges and adds circularly-symmetric Gaussian
 noise. Everything here is per-resource-element frequency domain; no waveform
 simulation.
+
+The rate kernels are array code over all L paths of a link at once: one
+steering matrix per terminal, and for the (sub-carrier, symbol) grid one BLAS
+matmul of an (N, L) sub-carrier phase table, factored into per-block and
+within-block exponentials, with an (L, N_R * K) right-hand side. The per-path
+forms and the einsum they replaced live on as the test oracle in
+tests/channel_oracle.py.
 """
 
 from __future__ import annotations
@@ -44,21 +51,22 @@ class OfdmParams:
         return SPEED_OF_LIGHT / self.carrier_freq
 
 
-def steering_vector(array: ArrayConfig, azimuth: float, elevation: float,
-                    carrier_freq: float) -> np.ndarray:
+def steering_vector(array: ArrayConfig, azimuth, elevation, carrier_freq: float) -> np.ndarray:
     """ULA response, element m = exp(j 2 pi (m d / lambda) sin(az) cos(el)).
 
     Phase reference at element 0; angles are given in the array's own frame
-    (the array lies along the local x-axis).
+    (the array lies along the local x-axis). Scalar angles give the
+    (elements,) vector; (L,) angle arrays give the (elements, L) matrix of L
+    directions, one column each.
     """
     lam = SPEED_OF_LIGHT / carrier_freq
     m = np.arange(array.num_elements)
-    phase = 2.0 * math.pi * (array.spacing / lam) * math.sin(azimuth) * math.cos(elevation)
-    return np.exp(1j * phase * m)
+    phase = 2.0 * math.pi * (array.spacing / lam) * np.sin(azimuth) * np.cos(elevation)
+    return np.exp(1j * np.multiply.outer(m, phase))
 
 
-def phase_shift(n: int, k: int, nu: float, tau: float, params: OfdmParams) -> float:
-    """omega_nk = k nu T_s - n tau df (dimensionless)."""
+def phase_shift(n, k, nu, tau, params: OfdmParams):
+    """omega_nk = k nu T_s - n tau df (dimensionless); elementwise over arrays."""
     return k * nu * params.symbol_duration - n * tau * params.delta_f
 
 
@@ -71,12 +79,8 @@ def synthesize_channel(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayCon
     zero matrix. Summation order is fixed (path order, ascending delay).
     """
     _check_frame(paths, params)
-    h = np.zeros((rx_array.num_elements, tx_array.num_elements), dtype=complex)
-    if not paths.paths:
-        return h
-    a_r, a_t, gains = _path_responses(paths, tx_array, rx_array, params)
-    omega = np.array([phase_shift(n, k, p.doppler, p.delay, params) for p in paths.paths])
-    coeff = gains * np.exp(2j * math.pi * omega)
+    a_r, a_t, gains, taus, nus = _path_responses(paths, tx_array, rx_array, params)
+    coeff = gains * np.exp(2j * math.pi * phase_shift(n, k, nus, taus, params))
     return (a_r * coeff) @ a_t.T
 
 
@@ -85,37 +89,63 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
                      subcarriers: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """|H_nk w|^2 over a whole (subcarrier, symbol) grid in one shot.
 
-    Exploits the separable phase exp(j 2 pi (k nu T_s - n tau df)); identical
-    (to float accumulation) to calling synthesize_channel per element.
-    Returns an array of shape (len(subcarriers), len(symbols)).
+    The phase exp(j 2 pi (k nu T_s - n tau df)) separates into a sub-carrier
+    factor and a symbol factor, so with c_rl = a_R[r, l] b_l (a_T^T w)_l,
+
+        (H_nk w)_r = sum_l  S[n, l] * (c_rl exp(j 2 pi k nu_l T_s)),
+
+    one BLAS matmul of the (N, L) sub-carrier table S with an (L, R*K)
+    right-hand side. S comes from a factored table (_subcarrier_phases).
+    Equal to calling synthesize_channel per element up to float
+    accumulation order; the three-operand einsum it replaced is kept as the
+    test oracle in tests/channel_oracle.py. subcarriers must be integer
+    indices. Returns an array of shape (len(subcarriers), len(symbols)).
     """
     _check_frame(paths, params)
-    ns = np.asarray(subcarriers, dtype=float)
     ks = np.asarray(symbols, dtype=float)
-    if not paths.paths:
-        return np.zeros((len(ns), len(ks)))
-    a_r, a_t, gains = _path_responses(paths, tx_array, rx_array, params)
-    g = gains * (a_t.T @ np.asarray(w, dtype=complex))      # (L,), per-path b_l (a_T^T w)
-    taus = np.array([p.delay for p in paths.paths])
-    nus = np.array([p.doppler for p in paths.paths])
-    sub_phase = np.exp(-2j * math.pi * np.outer(taus * params.delta_f, ns))        # (L, N)
+    a_r, a_t, gains, taus, nus = _path_responses(paths, tx_array, rx_array, params)
+    c = a_r * (gains * (a_t.T @ np.asarray(w, dtype=complex)))             # (R, L)
     sym_phase = np.exp(2j * math.pi * np.outer(nus * params.symbol_duration, ks))  # (L, K)
-    hw = np.einsum("rl,ln,lk->nkr", a_r * g, sub_phase, sym_phase)
-    return np.sum(np.abs(hw) ** 2, axis=-1)
+    n_r, n_k = len(c), len(ks)
+    rhs = (c.T[:, :, None] * sym_phase[:, None, :]).reshape(len(taus), n_r * n_k)
+    sub_phase = _subcarrier_phases(taus, params.delta_f, subcarriers)      # (N, L)
+    hw = (sub_phase @ rhs).reshape(len(sub_phase), n_r, n_k)
+    return np.sum(hw.real ** 2 + hw.imag ** 2, axis=1)
+
+
+# Sub-carrier n = _PHASE_BLOCK * hi + lo: exp(-j 2 pi tau df n) is the product
+# of a per-block factor and a within-block factor.
+_PHASE_BLOCK = 32
+
+
+def _subcarrier_phases(taus: np.ndarray, delta_f: float, subcarriers) -> np.ndarray:
+    """(N, L) table exp(-j 2 pi tau_l df n) over the sub-carrier indices n.
+
+    Costs (distinct blocks + _PHASE_BLOCK) complex exponentials per path
+    instead of N, plus one gather and one multiply.
+    """
+    n = np.asarray(subcarriers)
+    idx = n.astype(np.int64)
+    if np.any(idx != n):
+        raise ValueError("subcarrier indices must be integers")
+    hi, lo = np.divmod(idx, _PHASE_BLOCK)
+    blocks, block_of = np.unique(hi, return_inverse=True)
+    rate = -2.0 * math.pi * delta_f * taus                                 # (L,)
+    per_block = np.exp(1j * np.outer(blocks * _PHASE_BLOCK, rate))         # (B, L)
+    in_block = np.exp(1j * np.outer(np.arange(_PHASE_BLOCK), rate))        # (32, L)
+    return per_block[block_of] * in_block[lo]
 
 
 def _path_responses(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig,
                     params: OfdmParams):
-    a_r = np.column_stack([
-        steering_vector(rx_array, p.aoa[0] - rx_array.boresight, p.aoa[1], params.carrier_freq)
-        for p in paths.paths
-    ])
-    a_t = np.column_stack([
-        steering_vector(tx_array, p.aod[0] - tx_array.boresight, p.aod[1], params.carrier_freq)
-        for p in paths.paths
-    ])
-    gains = np.array([p.gain for p in paths.paths])
-    return a_r, a_t, gains
+    """Steering matrices a_R (N_R, L) and a_T (N_T, L), then gains, delays, Dopplers (L,)."""
+    gains = np.array([p.gain for p in paths.paths], dtype=complex)
+    cols = np.array([(p.delay, p.doppler, *p.aoa, *p.aod) for p in paths.paths],
+                    dtype=float).reshape(-1, 6)
+    taus, nus, aoa_az, aoa_el, aod_az, aod_el = cols.T
+    a_r = steering_vector(rx_array, aoa_az - rx_array.boresight, aoa_el, params.carrier_freq)
+    a_t = steering_vector(tx_array, aod_az - tx_array.boresight, aod_el, params.carrier_freq)
+    return a_r, a_t, gains, taus, nus
 
 
 def _check_frame(paths: PathSet, params: OfdmParams):

@@ -74,6 +74,11 @@ def _dispatch(args) -> int:
         db, path = simcore.build_db_for_scenario(config, out=args.out)
         where = path if path is not None else "(not persisted: no db path configured)"
         print(f"built fingerprint database: {len(db.positions)} points x {len(db.ap_ids)} APs -> {where}")
+        if db.overflow:
+            print(f"warning: {db.overflow} traced paths arrived after the {db.num_bins} x "
+                  f"{db.bin_width * 1e9:g} ns = {db.num_bins * db.bin_width * 1e9:g} ns bin window "
+                  "and were dropped; raise db.build num_bins or bin_width_s to keep them",
+                  file=sys.stderr)
         return 0
 
     if args.command == "run":

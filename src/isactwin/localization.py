@@ -101,6 +101,7 @@ class FingerprintDB:
     bin_width: float
     scene_hash: str = ""
     network_hash: str = ""
+    overflow: int = 0           # paths dropped past the bin window while building; not saved
     _aligned: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -151,7 +152,9 @@ def build_fingerprint_db(
 
     aps is a list of (ap_id, Pose) or (ap_id, Pose, ArrayConfig) tuples; the
     array config does not enter the delay profile and is accepted only for
-    interface symmetry. Deterministic: same inputs, same database.
+    interface symmetry. Deterministic: same inputs, same database. Paths
+    whose delay falls past the num_bins * bin_width window are dropped; the
+    database's ``overflow`` counts them over the whole grid.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1, 3)
     if len(grid) == 0:
@@ -160,11 +163,14 @@ def build_fingerprint_db(
     if not ap_list:
         raise ValueError("no APs")
     bins = np.zeros((len(grid), len(ap_list), num_bins))
+    overflow = 0
     for pi, point in enumerate(grid):
         rx = Pose(position=point)
         for ai, (ap_id, ap_pose) in enumerate(ap_list):
             paths = trace_paths(scene, ap_pose, rx, max_order=max_order, carrier_freq=carrier_freq)
-            bins[pi, ai] = compute_mdp(paths, bin_width, num_bins, ap_id=ap_id).bins
+            mdp = compute_mdp(paths, bin_width, num_bins, ap_id=ap_id)
+            bins[pi, ai] = mdp.bins
+            overflow += mdp.overflow
     return FingerprintDB(
         positions=grid,
         spacing=spacing,
@@ -173,6 +179,7 @@ def build_fingerprint_db(
         bin_width=bin_width,
         scene_hash=scene_hash,
         network_hash=network_hash,
+        overflow=overflow,
     )
 
 

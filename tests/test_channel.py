@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isactwin.channel import (
@@ -19,6 +19,7 @@ from isactwin.channel import (
 )
 from isactwin.network import ArrayConfig, Node, build_network
 from isactwin.raytrace import SPEED_OF_LIGHT as C, PathSet, Pose, PropagationPath
+import channel_oracle
 
 
 FC = 2.4e9
@@ -158,6 +159,59 @@ class TestBeamformedGains:
                 h = synthesize_channel(ps, tx, rx, n, k, p)
                 direct = np.linalg.norm(h @ w) ** 2
                 assert gains[n - 1, k - 1] == pytest.approx(direct, rel=1e-10)
+
+
+_ANGLES = st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi / 2, math.pi / 2))
+_PATH = st.tuples(st.complex_numbers(max_magnitude=0.1, allow_nan=False, allow_infinity=False),
+                  st.floats(1e-9, 1e-7), st.floats(-500.0, 500.0), _ANGLES, _ANGLES)
+_ARRAY = st.builds(ArrayConfig, st.integers(1, 32), st.floats(0.3, 0.7).map(lambda f: f * LAM),
+                   st.floats(0.05, math.pi) | st.floats(-math.pi, -0.05))
+# gapped sorted index sets that always hold 0 and one index >= 2048, so the
+# sub-carrier phase table spans several blocks; or a single index
+_SUBCARRIERS = (
+    st.integers(0, 4200).map(lambda n: [n])
+    | st.tuples(st.integers(2048, 4200), st.sets(st.integers(0, 4200), max_size=60))
+    .map(lambda t: sorted({0, t[0]} | t[1]))
+)
+_SYMBOLS = st.sets(st.integers(0, 14), min_size=1, max_size=14).map(sorted)
+
+
+class TestRateKernelsAgainstOracle:
+    """The array rate kernels against the per-path and einsum forms in channel_oracle."""
+
+    @given(entries=st.lists(_PATH, max_size=40), tx=_ARRAY, rx=_ARRAY, subs=_SUBCARRIERS,
+           syms=_SYMBOLS, df=st.floats(1.5e4, 3e5), w_seed=st.integers(0, 2**32 - 1))
+    @example(entries=[], tx=ArrayConfig(4, LAM / 2, 0.3), rx=ArrayConfig(2, LAM / 2, -0.7),
+             subs=[0, 2048], syms=[1, 2], df=78125.0, w_seed=0)
+    @example(entries=[(0.05 - 0.02j, 3e-8, 120.0, (0.4, 0.1), (-1.1, 0.2)),
+                      (0.01 + 0.03j, 7e-8, -80.0, (2.5, -0.3), (0.6, 0.0))],
+             tx=ArrayConfig(8, LAM / 2, 0.25), rx=ArrayConfig(3, 0.6 * LAM, -1.0),
+             subs=[2049], syms=[7], df=78125.0, w_seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, entries, tx, rx, subs, syms, df, w_seed):
+        ps = make_pathset(entries)
+        p = params(df=df)
+        rng = np.random.default_rng(w_seed)
+        w = rng.normal(size=tx.num_elements) + 1j * rng.normal(size=tx.num_elements)
+        w /= np.linalg.norm(w)
+        subs, syms = np.array(subs), np.array(syms)
+
+        fast = beamformed_gains(ps, tx, rx, w, p, subs, syms)
+        slow = channel_oracle.beamformed_gains(ps, tx, rx, w, p, subs, syms)
+        assert fast.shape == (len(subs), len(syms))
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12 * np.max(slow))
+
+        for n in {int(subs[0]), int(subs[-1])}:
+            for k in {int(syms[0]), int(syms[-1])}:
+                h = synthesize_channel(ps, tx, rx, n, k, p)
+                ref = channel_oracle.synthesize_channel(ps, tx, rx, n, k, p)
+                assert np.max(np.abs(h - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_fractional_subcarrier_rejected(self):
+        ps = make_pathset([(0.1, 1e-8, 0.0, (0.0, 0.0), (0.0, 0.0))])
+        arr = ArrayConfig(1, LAM / 2)
+        with pytest.raises(ValueError, match="integers"):
+            beamformed_gains(ps, arr, arr, np.ones(1), params(), np.array([1.5]), np.array([1]))
 
 
 class TestTxSignal:

@@ -1,8 +1,14 @@
 import json
+import re
 
 import pytest
 
+from conftest import TINY_SCENE, tiny_scenario_doc
 from isactwin.cli import main
+from isactwin.localization import compute_mdp, load_db
+from isactwin.raytrace import Pose, trace_paths
+from isactwin.scene import load_scene
+from isactwin.simcore import ScenarioConfig
 
 
 @pytest.fixture
@@ -38,6 +44,31 @@ class TestBuildDb:
     def test_default_path(self, scenario, tiny_scenario, capsys):
         assert main(["build-db", scenario]) == 0
         assert (tiny_scenario.parent / "artifacts" / "tiny.fpdb").is_file()
+        assert "warning" not in capsys.readouterr().err
+
+    def test_paths_past_the_bin_window_are_reported(self, tmp_path, capsys):
+        doc = tiny_scenario_doc()
+        doc["db"]["build"]["num_bins"] = 4       # a 4 ns window: ~1.2 m of path
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(TINY_SCENE))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["build-db", str(path)]) == 0
+        err = capsys.readouterr().err
+        match = re.search(r"warning: (\d+) traced paths .* 4 x 1 ns = 4 ns bin window", err)
+        assert match, err
+
+        config = ScenarioConfig.from_file(path)
+        scene, db = load_scene(config.scene_path), load_db(config.db.path)
+        aps = {n.id: n.pose for n in config.nodes if n.pose is not None}
+        dropped = sum(
+            compute_mdp(trace_paths(scene, aps[ap], Pose(position=point),
+                                    max_order=config.max_order,
+                                    carrier_freq=config.ofdm.carrier_freq),
+                        db.bin_width, db.num_bins).overflow
+            for point in db.positions for ap in db.ap_ids
+        )
+        assert dropped > 0
+        assert int(match.group(1)) == dropped
 
 
 class TestRun:

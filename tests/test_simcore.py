@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from isactwin import metrics
+from isactwin.channel import mrt_beamformer, synthesize_channel
 from isactwin.localization import DatabaseError, compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
 from isactwin.scene import load_scene
@@ -387,3 +388,67 @@ class TestModelError:
         records = run_simulation(ScenarioConfig.from_file(p))
         summary = metrics.summarize_run(records)
         assert summary.max_model_err_m == pytest.approx(0.05, rel=1e-9)
+
+
+class TestInterference:
+    """Rates of links whose allocations overlap: the per-grid interference sum of
+    sim_step against achievable_rate evaluated one resource element at a time."""
+
+    STEPS = 3
+
+    def _run(self, tmp_path, name, ap_b_subcarriers):
+        doc = tiny_scenario_doc()
+        doc["network"]["resources"]["users"][1]["subcarriers"] = ap_b_subcarriers
+        doc["sim"]["max_steps"] = self.STEPS
+        root = tmp_path / name
+        root.mkdir()
+        (root / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        (root / "s.json").write_text(json.dumps(doc))
+        world = init_world(ScenarioConfig.from_file(root / "s.json"))
+        channels = world.bus.subscribe("sim/channel/*")
+        runs = []
+        for t in range(self.STEPS):
+            record = sim_step(world, t)
+            paths = {tuple(m.topic.split("/")[2:]): m.payload for m in channels.drain()}
+            runs.append((record, paths))
+        return world, runs
+
+    @staticmethod
+    def _oracle_rates(world, paths):
+        cfg = world.config
+        rx = world.graph.nodes["robot"].array
+        arrays = {q: world.graph.nodes[q].array for _, q in paths}
+        allocs = {q: world.allocation.users[q] for _, q in paths}
+        beams = {}
+        for (_, q), ps in paths.items():
+            subs, syms = sorted(allocs[q].subcarriers), sorted(allocs[q].symbols)
+            h = synthesize_channel(ps, arrays[q], rx, subs[len(subs) // 2], syms[0], cfg.ofdm)
+            beams[q] = mrt_beamformer(h)
+        rates = {}
+        for (v, q), ps in paths.items():
+            per_element = []
+            for n in sorted(allocs[q].subcarriers):
+                for k in sorted(allocs[q].symbols):
+                    interference = 0.0
+                    for (_, qq), other in paths.items():
+                        if qq != q and n in allocs[qq].subcarriers and k in allocs[qq].symbols:
+                            h_other = synthesize_channel(other, arrays[qq], rx, n, k, cfg.ofdm)
+                            interference += (allocs[qq].power(n, k)
+                                             * np.linalg.norm(h_other @ beams[qq]) ** 2)
+                    h = synthesize_channel(ps, arrays[q], rx, n, k, cfg.ofdm)
+                    per_element.append(metrics.achievable_rate(
+                        h, beams[q], allocs[q].power(n, k), cfg.noise.noise_power_w,
+                        interference_power=interference))
+            rates[(v, q)] = float(np.mean(per_element))
+        return rates
+
+    def test_overlapping_allocations_match_per_element_oracle(self, tmp_path):
+        # ap_a keeps sub-carriers 1-16; ap_b moves from 17-32 to 9-24, half on top of ap_a
+        world, overlap = self._run(tmp_path, "overlap", {"from": 9, "to": 24})
+        _, disjoint = self._run(tmp_path, "disjoint", {"from": 17, "to": 32})
+        for (record, paths), (alone, _) in zip(overlap, disjoint):
+            assert set(paths) == {("robot", "ap_a"), ("robot", "ap_b")}
+            expected = self._oracle_rates(world, paths)
+            for link, rate in expected.items():
+                assert record.rates[link] == pytest.approx(rate, rel=1e-12)
+            assert record.rates[("robot", "ap_a")] < alone.rates[("robot", "ap_a")]
