@@ -3,16 +3,16 @@
 Submodules:
     scene         room geometry and materials
     raytrace      image-method multipath solver
-    network       graph topology and resource allocation
-    channel       beamspace MIMO-OFDM synthesis and link simulation
+    network       graph topology and uniform-power resource allocation
+    channel       beamspace MIMO-OFDM synthesis and beamformed link gains
     agent         differential-drive dynamics and waypoint control
-    localization  fingerprint database and matching
+    localization  MDP fingerprint database and matching (the twin's sensing)
     simcore       the per-step simulation loop, bus, and trace recording
     metrics       positioning/modeling errors and achievable rates
 """
 
 from .agent import AgentState, Control, Observation, ProcessNoise
-from .channel import NoiseModel, OfdmParams, TxSignal
+from .channel import OfdmParams, TxSignal
 from .localization import FingerprintDB, Mdp
 from .network import ArrayConfig, NetworkGraph, ResourceAllocation
 from .raytrace import PathSet, Pose, PropagationPath
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentState", "ArrayConfig", "Bus", "Control", "FingerprintDB", "Material",
-    "Mdp", "NetworkGraph", "NoiseModel", "Observation", "OfdmParams", "PathSet",
-    "Pose", "ProcessNoise", "PropagationPath", "ResourceAllocation", "Scene",
+    "Mdp", "NetworkGraph", "Observation", "OfdmParams", "PathSet", "Pose",
+    "ProcessNoise", "PropagationPath", "ResourceAllocation", "Scene",
     "ScenarioConfig", "Surface", "TraceRecord", "TxSignal", "run_simulation",
     "__version__",
 ]

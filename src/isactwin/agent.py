@@ -1,9 +1,9 @@
 """Differential-drive agent dynamics, observation model, and waypoint control.
 
 State evolution is the unicycle model with exact arc integration (no Euler
-drift), plus optional additive Gaussian noise on the planar pose. The
-noiseless forward integration of the command history doubles as the odometry
-ground truth for evaluation.
+drift), plus optional additive Gaussian noise on the planar pose. Integrating
+the same commands without noise gives the odometry heading that the waypoint
+controller steers with.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .raytrace import Pose, wrap_angle
 class AgentState:
     pose: Pose
     t: int = 0
-    beamformer: np.ndarray | None = None
-    power_alloc: object = None
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,7 @@ def step_state(s_prev: AgentState, u_prev: Control, noise: ProcessNoise, dt: flo
         orientation=(wrap_angle(pose.yaw + eps[2]), pose.orientation[1], pose.orientation[2]),
         velocity=pose.velocity,
     )
-    return AgentState(pose=noisy, t=s_prev.t + 1,
-                      beamformer=s_prev.beamformer, power_alloc=s_prev.power_alloc)
+    return AgentState(pose=noisy, t=s_prev.t + 1)
 
 
 def observe(s: AgentState, m, noise: ProcessNoise, g=None, expected_len=None) -> Observation:
@@ -162,17 +159,6 @@ def waypoint_control(
     return Control(v, omega), PathProgress(index=i, done=False)
 
 
-def odometry_track(initial_pose: Pose, controls, dt: float) -> list:
-    """Noiseless forward integration of a command history (the ground truth)."""
-    controls = list(controls)
-    if not controls:
-        raise ValueError("empty control history")
-    track = [initial_pose]
-    for u in controls:
-        track.append(diff_drive_step(track[-1], u, dt))
-    return track
-
-
 def circle_waypoints(center, radius: float, count: int, start_angle: float = 0.0) -> np.ndarray:
     """Closed circular path: `count` waypoints ending back at the start angle."""
     if count < 1:
@@ -180,8 +166,3 @@ def circle_waypoints(center, radius: float, count: int, start_angle: float = 0.0
     cx, cy = float(center[0]), float(center[1])
     angles = start_angle + 2.0 * math.pi * np.arange(1, count + 1) / count
     return np.column_stack([cx + radius * np.cos(angles), cy + radius * np.sin(angles)])
-
-
-def trajectory_xy(poses) -> np.ndarray:
-    """(N, 2) planar positions from a pose sequence."""
-    return np.array([[p.position[0], p.position[1]] for p in poses])

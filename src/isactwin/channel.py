@@ -1,4 +1,4 @@
-"""Beamspace MIMO-OFDM channel synthesis and link-level signal simulation.
+"""Beamspace MIMO-OFDM channel synthesis and beamformed link gains.
 
 Per resource element (n, k) the channel of a link is a sum over resolvable
 paths::
@@ -6,10 +6,11 @@ paths::
     H = sum_l  b_l * exp(j 2 pi (k nu_l T_s - n tau_l df)) * a_R(theta_l) a_T(psi_l)^T
 
 with unit-modulus ULA steering vectors at both ends (note the transpose, not
-conjugate transpose). Transmit vectors are x = alpha * sqrt(p) * w * d and the
-receive side sums over incoming edges and adds circularly-symmetric Gaussian
-noise. Everything here is per-resource-element frequency domain; no waveform
-simulation.
+conjugate transpose). The rate model needs only the beamformed gain |H w|^2
+of each element; no receive vector or receive noise sample is built, since
+noise enters the rates as a power. Transmit vectors x = alpha * sqrt(p) * w * d
+are available for one element at a time. Everything here is
+per-resource-element frequency domain; no waveform simulation.
 
 The rate kernels are array code over all L paths of a link at once: one
 steering matrix per terminal, and for the (sub-carrier, symbol) grid one BLAS
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ArrayConfig, NetworkGraph, incoming_edges
+from .network import ArrayConfig
 from .raytrace import SPEED_OF_LIGHT, PathSet
 
 
@@ -36,15 +37,15 @@ class OfdmParams:
     n_symbols: int
     delta_f: float          # subcarrier spacing, Hz
     carrier_freq: float     # Hz
-    symbol_duration: float = None  # seconds; defaults to 1/delta_f (no CP modeled)
 
     def __post_init__(self):
         if self.delta_f <= 0.0:
             raise ValueError("delta_f must be > 0")
-        if self.symbol_duration is None:
-            object.__setattr__(self, "symbol_duration", 1.0 / self.delta_f)
-        if self.symbol_duration <= 0.0:
-            raise ValueError("symbol_duration must be > 0")
+
+    @property
+    def symbol_duration(self) -> float:
+        """T_s = 1/delta_f seconds; no cyclic prefix is modeled."""
+        return 1.0 / self.delta_f
 
     @property
     def wavelength(self) -> float:
@@ -177,81 +178,6 @@ def build_tx_signal(d: complex, w: np.ndarray, p: float, alpha: int) -> TxSignal
         raise ValueError("occupancy must be 0 or 1")
     x = alpha * math.sqrt(p) * w * d
     return TxSignal(symbol=d, beamformer=w, power=p, occupancy=alpha, vector=x)
-
-
-@dataclass(eq=False)
-class NoiseModel:
-    """Circularly-symmetric Gaussian receive noise with a seeded generator.
-
-    Either white (sigma2 per antenna) or with an explicit Hermitian PSD
-    covariance. Sampling is deterministic given the seed.
-    """
-
-    sigma2: float = 0.0
-    covariance: np.ndarray | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.covariance is not None:
-            c = np.asarray(self.covariance, dtype=complex)
-            if c.ndim != 2 or c.shape[0] != c.shape[1]:
-                raise ValueError("covariance must be square")
-            if not np.allclose(c, c.conj().T, atol=1e-12):
-                raise ValueError("covariance must be Hermitian")
-            eig = np.linalg.eigvalsh(c)
-            if np.min(eig) < -1e-12:
-                raise ValueError("covariance must be positive semidefinite")
-            self.covariance = c
-        elif self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
-
-    def factor(self, n: int) -> np.ndarray:
-        if self.covariance is not None:
-            if self.covariance.shape[0] != n:
-                raise ValueError(f"covariance is {self.covariance.shape[0]}-dim, need {n}")
-            eigval, eigvec = np.linalg.eigh(self.covariance)
-            return eigvec @ np.diag(np.sqrt(np.clip(eigval, 0.0, None)))
-        return math.sqrt(self.sigma2) * np.eye(n)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        white = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-        return self.factor(n) @ white
-
-
-def propagate(graph: NetworkGraph, channels, signals, noise: NoiseModel) -> dict:
-    """Receive vectors y_vnk = sum_{q in E_v} H_vqnk x_qnk + z for every receiver.
-
-    channels maps (v, q, n, k) -> H; signals maps (q, n, k) -> TxSignal.
-    Output covers every receiver at every (n, k) present in signals. Noise is
-    drawn in a fixed (receiver, n, k) order from the model's seed, so results
-    are bit-reproducible.
-    """
-    rng = np.random.default_rng(noise.seed)
-    elements = sorted({(n, k) for (_, n, k) in signals})
-    out = {}
-    for v in sorted(graph.receivers):
-        node = graph.nodes[v]
-        if node.array is None:
-            raise ValueError(f"receiver {v!r} has no array config")
-        n_r = node.array.num_elements
-        ev = sorted(incoming_edges(graph, v))
-        for (n, k) in elements:
-            y = np.zeros(n_r, dtype=complex)
-            for q in ev:
-                sig = signals.get((q, n, k))
-                if sig is None:
-                    continue
-                h = channels.get((v, q, n, k))
-                if h is None:
-                    raise ValueError(f"missing channel for edge ({v!r}, {q!r}) at ({n}, {k})")
-                h = np.asarray(h, dtype=complex)
-                if h.shape != (n_r, len(sig.vector)):
-                    raise ValueError(
-                        f"channel shape {h.shape} inconsistent with ({n_r}, {len(sig.vector)})"
-                    )
-                y = y + h @ sig.vector
-            out[(v, n, k)] = y + noise.sample(rng, n_r)
-    return out
 
 
 def mrt_beamformer(h: np.ndarray) -> np.ndarray:

@@ -73,16 +73,8 @@ def compute_mdp(paths: PathSet, bin_width: float, num_bins: int, ap_id: str = ""
     return Mdp(bins=bins, bin_width=bin_width, ap_id=ap_id, overflow=overflow)
 
 
-def mdp_distance(a: Mdp, b: Mdp) -> float:
-    """Delay-aligned RMS difference of power-normalized profiles."""
-    if a.num_bins != b.num_bins or abs(a.bin_width - b.bin_width) > 1e-18:
-        raise DatabaseError("bin parameters mismatch")
-    pa = _aligned_unit(a.bins)
-    pb = _aligned_unit(b.bins)
-    return float(np.sqrt(np.mean((pa - pb) ** 2)))
-
-
 def _aligned_unit(bins: np.ndarray) -> np.ndarray:
+    """One profile shifted so its first nonzero bin is bin 0, over its total power."""
     total = bins.sum()
     if total <= 0.0:
         return np.zeros_like(bins)
@@ -150,16 +142,14 @@ def build_fingerprint_db(
 ) -> FingerprintDB:
     """Trace every (grid point, AP) pair and bin the result.
 
-    aps is a list of (ap_id, Pose) or (ap_id, Pose, ArrayConfig) tuples; the
-    array config does not enter the delay profile and is accepted only for
-    interface symmetry. Deterministic: same inputs, same database. Paths
-    whose delay falls past the num_bins * bin_width window are dropped; the
-    database's ``overflow`` counts them over the whole grid.
+    aps is a list of (ap_id, Pose) pairs. Deterministic: same inputs, same
+    database. Paths whose delay falls past the num_bins * bin_width window
+    are dropped; the database's ``overflow`` counts them over the whole grid.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1, 3)
     if len(grid) == 0:
         raise ValueError("empty grid")
-    ap_list = [(a[0], a[1]) for a in aps]
+    ap_list = list(aps)
     if not ap_list:
         raise ValueError("no APs")
     bins = np.zeros((len(grid), len(ap_list), num_bins))

@@ -36,21 +36,6 @@ class ErrorSeries:
         return float(np.sqrt(np.mean(self.errors ** 2)))
 
 
-@dataclass(eq=False)
-class RateSeries:
-    link: tuple  # (receiver id, transmitter id)
-    rates: np.ndarray
-
-    def __post_init__(self):
-        self.rates = np.atleast_1d(np.asarray(self.rates, dtype=float))
-        if np.any(self.rates < 0.0):
-            raise ValueError("rates must be nonnegative")
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.rates))
-
-
 def positioning_error(estimated, ground_truth) -> ErrorSeries:
     """Per-step planar distance between estimates and the ground truth track."""
     return ErrorSeries(errors=_planar_distances(estimated, ground_truth))
@@ -98,18 +83,6 @@ class RunSummary:
             "mean_rate_bps_hz": dict(self.mean_rate_bps_hz),
             "steps": self.steps,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunSummary":
-        return cls(
-            max_pos_err_m=d["max_pos_err_m"],
-            rmse_pos_err_m=d["rmse_pos_err_m"],
-            mean_pos_err_m=d["mean_pos_err_m"],
-            max_model_err_m=d["max_model_err_m"],
-            rmse_model_err_m=d["rmse_model_err_m"],
-            mean_rate_bps_hz=dict(d["mean_rate_bps_hz"]),
-            steps=d["steps"],
-        )
 
     def format_table(self) -> str:
         lines = [

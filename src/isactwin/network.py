@@ -3,7 +3,7 @@
 The topology is an undirected graph without self-loops over transmitter and
 receiver nodes. Resource allocation assigns each transmitting user a set of
 subcarriers and symbols (1-based indices, matching the usual resource-grid
-numbering) plus per-element power factors under a total power budget.
+numbering) and splits the user's power budget uniformly over that set.
 Overlapping user allocations are allowed; interference handling is the
 receiver's problem.
 """
@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .raytrace import Pose
-from .scene import Material
 
 
 class NetworkError(ValueError):
@@ -42,26 +39,16 @@ class Node:
     id: str
     is_tx: bool = False
     is_rx: bool = False
-    virtual_scatterer: bool = False
     array: ArrayConfig | None = None
     pose: Pose | None = None
-    reflection_coeff: float | None = None  # set for virtual scatterers
 
 
 @dataclass(eq=False)
 class NetworkGraph:
-    """Immutable after construction; mutating operations return new graphs."""
+    """Nodes by id and undirected edges; not changed after construction."""
 
     nodes: dict
     edges: frozenset  # canonical (min, max) id pairs
-
-    @property
-    def transmitters(self) -> set:
-        return {n.id for n in self.nodes.values() if n.is_tx}
-
-    @property
-    def receivers(self) -> set:
-        return {n.id for n in self.nodes.values() if n.is_rx}
 
     def neighbors(self, node_id: str) -> set:
         if node_id not in self.nodes:
@@ -73,9 +60,6 @@ class NetworkGraph:
             elif b == node_id:
                 out.add(a)
         return out
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
 
 
 def build_network(nodes, edges) -> NetworkGraph:
@@ -101,59 +85,14 @@ def incoming_edges(graph: NetworkGraph, v: str) -> set:
     return {q for q in graph.neighbors(v) if graph.nodes[q].is_tx}
 
 
-def add_virtual_scatterer(
-    graph: NetworkGraph,
-    position,
-    reflection_profile: Material,
-    receivers,
-    node_id: str | None = None,
-    bounds: tuple | None = None,
-) -> NetworkGraph:
-    """New graph with a dummy transmitter that echoes impinging waveforms.
-
-    The scatterer node is flagged virtual_scatterer and linked to the given
-    receivers; it re-emits what it hears, scaled by the reflection profile,
-    instead of sending data of its own. If scene bounds are supplied the
-    position must lie inside them.
-    """
-    pos = np.asarray(position, dtype=float).reshape(3)
-    if bounds is not None:
-        lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-        if np.any(pos < lo - 1e-9) or np.any(pos > hi + 1e-9):
-            raise NetworkError(f"scatterer position {pos.tolist()} outside scene bounds")
-    if node_id is None:
-        k = 0
-        while f"scatterer{k}" in graph.nodes:
-            k += 1
-        node_id = f"scatterer{k}"
-    elif node_id in graph.nodes:
-        raise NetworkError(f"duplicate node id {node_id!r}")
-    node = Node(
-        id=node_id,
-        is_tx=True,
-        virtual_scatterer=True,
-        pose=Pose(position=pos),
-        reflection_coeff=reflection_profile.reflection_coeff,
-    )
-    nodes = dict(graph.nodes)
-    nodes[node_id] = node
-    edge_set = set(graph.edges)
-    for r in receivers:
-        if r not in nodes:
-            raise NetworkError(f"unknown receiver {r!r}")
-        edge_set.add((min(node_id, r), max(node_id, r)))
-    return NetworkGraph(nodes=nodes, edges=frozenset(edge_set))
-
-
 @dataclass(frozen=True)
 class ResourceRequest:
-    """One user's ask: subcarrier/symbol sets, a power budget, optional explicit powers."""
+    """One user's ask: subcarrier/symbol sets and a power budget."""
 
     user: str
     subcarriers: frozenset
     symbols: frozenset
     power_budget: float
-    power: dict | None = None  # {(n, k): watts}; None means uniform split
 
 
 @dataclass(eq=False)
@@ -162,27 +101,20 @@ class UserAllocation:
     subcarriers: frozenset
     symbols: frozenset
     power_budget: float
-    uniform_power: float = 0.0
-    explicit_power: dict | None = None
+    uniform_power: float  # watts on each occupied resource element
 
     def occupies(self, n: int, k: int) -> bool:
         return n in self.subcarriers and k in self.symbols
 
     def power(self, n: int, k: int) -> float:
         """Power factor p_qnk; zero off the user's resource set."""
-        if not self.occupies(n, k):
-            return 0.0
-        if self.explicit_power is not None:
-            return self.explicit_power.get((n, k), 0.0)
-        return self.uniform_power
+        return self.uniform_power if self.occupies(n, k) else 0.0
 
     @property
     def resource_count(self) -> int:
         return len(self.subcarriers) * len(self.symbols)
 
     def total_power(self) -> float:
-        if self.explicit_power is not None:
-            return float(sum(self.explicit_power.values()))
         return self.uniform_power * self.resource_count
 
 
@@ -194,11 +126,10 @@ class ResourceAllocation:
 
 
 def allocate_resources(requests, n_subcarriers: int, n_symbols: int) -> ResourceAllocation:
-    """Validate requests against the grid and the power budgets.
+    """Validate requests against the grid and split each budget uniformly.
 
-    Default power policy splits the budget uniformly over the user's resource
-    set. Explicit per-element powers must stay within the budget and on the
-    user's own resource elements. User resource sets may overlap.
+    Every resource element of a user gets budget / (subcarriers x symbols).
+    User resource sets may overlap.
     """
     if n_subcarriers < 1 or n_symbols < 1:
         raise NetworkError("grid must have at least one subcarrier and one symbol")
@@ -218,25 +149,11 @@ def allocate_resources(requests, n_subcarriers: int, n_symbols: int) -> Resource
             raise NetworkError(f"user {req.user!r}: symbol {min(bad_k)} outside 1..{n_symbols}")
         if req.power_budget < 0.0:
             raise NetworkError(f"user {req.user!r}: negative power budget")
-        alloc = UserAllocation(
+        users[req.user] = UserAllocation(
             user=req.user,
             subcarriers=subs,
             symbols=syms,
             power_budget=req.power_budget,
+            uniform_power=req.power_budget / (len(subs) * len(syms)),
         )
-        if req.power is None:
-            alloc.uniform_power = req.power_budget / (len(subs) * len(syms))
-        else:
-            for (n, k), p in req.power.items():
-                if n not in subs or k not in syms:
-                    raise NetworkError(f"user {req.user!r}: power assigned off-allocation at ({n}, {k})")
-                if p < 0.0:
-                    raise NetworkError(f"user {req.user!r}: negative power at ({n}, {k})")
-            total = sum(req.power.values())
-            if total > req.power_budget * (1.0 + 1e-9):
-                raise NetworkError(
-                    f"user {req.user!r}: total power {total} exceeds budget {req.power_budget}"
-                )
-            alloc.explicit_power = dict(req.power)
-        users[req.user] = alloc
     return ResourceAllocation(n_subcarriers=n_subcarriers, n_symbols=n_symbols, users=users)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene, Surface
+from .scene import Scene
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -130,15 +130,6 @@ class PathSet:
         return iter(self.paths)
 
 
-def mirror_across_surface(point: np.ndarray, surface: Surface) -> np.ndarray:
-    """Reflect a point across the surface's plane (an involution)."""
-    if surface.unit_normal is None:
-        raise ValueError("surface has no well-defined plane")
-    p = np.asarray(point, dtype=float)
-    n = surface.unit_normal
-    return p - 2.0 * ((p - surface.vertices[0]) @ n) * n
-
-
 def path_gain(path_length, reflection_coeffs, carrier_freq: float):
     """Free-space amplitude with reflection losses and propagation phase.
 
@@ -175,19 +166,14 @@ def doppler_shift(path_points, tx_velocity, rx_velocity, carrier_freq: float):
     return carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, v_tx) - np.vecdot(u_arr, v_rx))
 
 
-def trace_paths(
-    scene: Scene,
-    tx: Pose,
-    rx: Pose,
-    max_order: int = 2,
-    carrier_freq: float = 2.4e9,
-    prune_gain: float = GAIN_PRUNE_THRESHOLD,
-) -> PathSet:
+def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
+                carrier_freq: float = 2.4e9) -> PathSet:
     """All unoccluded specular paths of reflection order <= max_order.
 
     LoS is order 0. Delays are total polyline length over c; angles are
     rotated into each terminal's local frame; gains follow path_gain with the
     per-bounce material coefficients and are clamped to unit magnitude.
+    Paths weaker than GAIN_PRUNE_THRESHOLD in amplitude are dropped.
     Paths are built order by order, each order in sequence-table order, so
     the PathSet's stable delay sort orders equal delays the same way on
     every call.
@@ -209,7 +195,7 @@ def trace_paths(
         pts, seqs, total = pts[keep], seqs[keep], seg_lengths[keep].sum(axis=1)
         gain = path_gain(total, accel.coeffs[seqs], carrier_freq)
         amp = np.abs(gain)
-        keep = amp >= prune_gain
+        keep = amp >= GAIN_PRUNE_THRESHOLD
         clamp = amp > 1.0
         gain[clamp] /= amp[clamp]
         pts, total, gain = pts[keep], total[keep], gain[keep]
@@ -223,92 +209,6 @@ def trace_paths(
             paths.append(PropagationPath(gain=g, delay=delay, doppler=nu, aoa=tuple(a_in),
                                          aod=tuple(a_out), reflection_points=refl, order=order))
     return PathSet(paths=paths, tx_pose=tx, rx_pose=rx, carrier_freq=carrier_freq)
-
-
-def relay_paths(inbound: PathSet, outbound: PathSet, reflection_coeff: float,
-                prune_gain: float = GAIN_PRUNE_THRESHOLD) -> PathSet:
-    """Compose paths through a regenerative scatterer with zero processing delay.
-
-    The scatterer re-emits whatever impinges on it, scaled by its reflection
-    coefficient: delays and Dopplers add, gains multiply. Used for the
-    monostatic-sensing workaround where a dummy transmitter echoes at an
-    object position.
-    """
-    if abs(inbound.carrier_freq - outbound.carrier_freq) > 1e-6:
-        raise ValueError("carrier frequency mismatch between path legs")
-    joint = inbound.rx_pose.position
-    if np.linalg.norm(joint - outbound.tx_pose.position) > 1e-9:
-        raise ValueError("inbound rx and outbound tx must coincide at the scatterer")
-    composed = []
-    for a in inbound.paths:
-        for b in outbound.paths:
-            gain = a.gain * b.gain * reflection_coeff
-            amp = abs(gain)
-            if amp < prune_gain:
-                continue
-            if amp > 1.0:
-                gain /= amp
-            pts = np.vstack([a.reflection_points, joint[None, :], b.reflection_points])
-            composed.append(
-                PropagationPath(
-                    gain=gain,
-                    delay=a.delay + b.delay,
-                    doppler=a.doppler + b.doppler,
-                    aoa=b.aoa,
-                    aod=a.aod,
-                    reflection_points=pts,
-                    order=a.order + b.order + 1,
-                )
-            )
-    return PathSet(paths=composed, tx_pose=inbound.tx_pose, rx_pose=outbound.rx_pose,
-                   carrier_freq=inbound.carrier_freq)
-
-
-def pathset_to_record(ps: PathSet) -> dict:
-    """JSON-able record of a path set: the per-path parameter vectors plus endpoints.
-
-    Arrays are ordered by ascending delay; complex gains are split into
-    re/im. The fingerprint database stores binned delay profiles instead (see
-    the localization module), but this record format keeps the raw solver
-    output exportable per grid point.
-    """
-    return {
-        "carrier_hz": ps.carrier_freq,
-        "tx_position": ps.tx_pose.position.tolist(),
-        "rx_position": ps.rx_pose.position.tolist(),
-        "gain_re": [p.gain.real for p in ps.paths],
-        "gain_im": [p.gain.imag for p in ps.paths],
-        "delay_s": [p.delay for p in ps.paths],
-        "doppler_hz": [p.doppler for p in ps.paths],
-        "aoa_rad": [list(p.aoa) for p in ps.paths],
-        "aod_rad": [list(p.aod) for p in ps.paths],
-        "order": [p.order for p in ps.paths],
-        "reflection_points": [p.reflection_points.tolist() for p in ps.paths],
-    }
-
-
-def pathset_from_record(rec: dict) -> PathSet:
-    paths = [
-        PropagationPath(
-            gain=complex(re, im),
-            delay=d,
-            doppler=nu,
-            aoa=tuple(aoa),
-            aod=tuple(aod),
-            reflection_points=np.asarray(pts, dtype=float).reshape(-1, 3),
-            order=order,
-        )
-        for re, im, d, nu, aoa, aod, order, pts in zip(
-            rec["gain_re"], rec["gain_im"], rec["delay_s"], rec["doppler_hz"],
-            rec["aoa_rad"], rec["aod_rad"], rec["order"], rec["reflection_points"],
-        )
-    ]
-    return PathSet(
-        paths=paths,
-        tx_pose=Pose(position=rec["tx_position"]),
-        rx_pose=Pose(position=rec["rx_position"]),
-        carrier_freq=rec["carrier_hz"],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,9 @@ Scenario file schema (JSON; paths are resolved relative to the file)::
 Trace CSV columns, in order: step, time_s, agent_id, true_x, true_y,
 true_yaw, est_x, est_y, loc_score, v_cmd, w_cmd, then one rate_<v>_<q>
 column per communication link. Agent ids may not contain "_", so that the
-receiver v can be read back from the column name.
+receiver v can be read back from the column name. Node ids are bus topic
+segments (agent/<id>/state, sim/channel/<v>/<q>), so they may not contain
+whitespace, "/", or the wildcard characters "*", "?" and "[".
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 
 from . import agent as agent_mod
 from . import localization as loc_mod
-from .channel import OfdmParams, beamformed_gains, build_tx_signal, mrt_beamformer, synthesize_channel
+from .channel import OfdmParams, beamformed_gains, mrt_beamformer, synthesize_channel
 from .network import (
     ArrayConfig,
     NetworkError,
@@ -65,7 +67,7 @@ from .network import (
     build_network,
     incoming_edges,
 )
-from .raytrace import Pose, relay_paths, trace_paths
+from .raytrace import Pose, trace_paths
 from .scene import SceneError, floor_grid, load_scene, scene_hash
 
 
@@ -420,6 +422,9 @@ def validate_scenario(config: ScenarioConfig) -> list:
             problems.append(f"scene invalid: {exc}")
 
     node_ids = {n.id for n in config.nodes}
+    for node in config.nodes:
+        if any(c.isspace() or c in "/*?[" for c in node.id):
+            problems.append(f"node id {node.id!r} must not contain whitespace, '/', '*', '?' or '['")
     try:
         _build_graph(config)
     except NetworkError as exc:
@@ -481,7 +486,7 @@ def _static_aps(config: ScenarioConfig, graph) -> list:
     aps = []
     for node_id in sorted(graph.nodes):
         node = graph.nodes[node_id]
-        if node.is_tx and not node.virtual_scatterer and node_id not in agent_ids:
+        if node.is_tx and node_id not in agent_ids:
             aps.append((node_id, node.pose))
     return aps
 
@@ -616,20 +621,7 @@ class World:
 
     def comm_links(self) -> list:
         """(receiver agent, transmitter) pairs carrying data, sorted for determinism."""
-        links = []
-        for v in sorted(self.agents):
-            for q in sorted(incoming_edges(self.graph, v)):
-                if not self.graph.nodes[q].virtual_scatterer:
-                    links.append((v, q))
-        return links
-
-    def sensing_links(self) -> list:
-        links = []
-        for v in sorted(self.agents):
-            for q in sorted(incoming_edges(self.graph, v)):
-                if self.graph.nodes[q].virtual_scatterer:
-                    links.append((v, q))
-        return links
+        return [(v, q) for v in sorted(self.agents) for q in sorted(incoming_edges(self.graph, v))]
 
 
 def init_world(config: ScenarioConfig, bus: Bus | None = None) -> World:
@@ -690,19 +682,10 @@ def sim_step(world: World, t: int) -> TraceRecord:
                 max_order=cfg.max_order, carrier_freq=cfg.ofdm.carrier_freq,
             )
             bus.publish(f"sim/channel/{v}/{q}", pathsets[(v, q)], step=t, publisher="sim")
-        for v, s in world.sensing_links():
-            node = world.graph.nodes[s]
-            agent_pose = world.agents[v].state.pose
-            inbound = trace_paths(world.scene, agent_pose, node.pose,
-                                  max_order=cfg.max_order, carrier_freq=cfg.ofdm.carrier_freq)
-            outbound = trace_paths(world.scene, node.pose, agent_pose,
-                                   max_order=cfg.max_order, carrier_freq=cfg.ofdm.carrier_freq)
-            pathsets[(v, s)] = relay_paths(inbound, outbound, node.reflection_coeff)
-            bus.publish(f"sim/channel/{v}/{s}", pathsets[(v, s)], step=t, publisher="sim")
     except ValueError as exc:
         raise RuntimeError(f"step {t} raytrace phase failed: {exc}") from exc
 
-    # phase 3: MIMO-OFDM signal generation and per-link rates
+    # phase 3: signal generation: MRT beamformers and per-link rates
     rates = {}
     beamformers = {}
     try:
@@ -717,9 +700,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
             n_rep, k_rep = subs[len(subs) // 2], syms[0]
             h_rep = synthesize_channel(paths, world.graph.nodes[q].array,
                                        world.graph.nodes[v].array, n_rep, k_rep, cfg.ofdm)
-            w = mrt_beamformer(h_rep)
-            beamformers[(v, q)] = w
-            build_tx_signal(1.0 + 0.0j, w, alloc.power(n_rep, k_rep), 1)
+            beamformers[(v, q)] = mrt_beamformer(h_rep)
         for v, q in world.comm_links():
             alloc = world.allocation.users.get(q)
             if alloc is None or (v, q) not in beamformers:
@@ -732,9 +713,8 @@ def sim_step(world: World, t: int) -> TraceRecord:
                 pathsets[(v, q)], world.graph.nodes[q].array, world.graph.nodes[v].array,
                 beamformers[(v, q)], cfg.ofdm, subs, syms,
             )
-            powers = _power_grid(alloc, subs, syms)
             interference = _interference_grid(world, v, q, subs, syms, pathsets, beamformers)
-            snr = powers * gains / (cfg.noise.noise_power_w + interference)
+            snr = alloc.uniform_power * gains / (cfg.noise.noise_power_w + interference)
             rates[(v, q)] = float(np.mean(np.log2(1.0 + snr)))
             bus.publish(f"metrics/rate/{v}/{q}", rates[(v, q)], step=t, publisher="sim")
     except ValueError as exc:
@@ -812,16 +792,6 @@ def sim_step(world: World, t: int) -> TraceRecord:
     return record
 
 
-def _power_grid(alloc, subs: np.ndarray, syms: np.ndarray) -> np.ndarray:
-    if alloc.explicit_power is None:
-        return np.full((len(subs), len(syms)), alloc.uniform_power)
-    grid = np.zeros((len(subs), len(syms)))
-    for i, n in enumerate(subs):
-        for j, k in enumerate(syms):
-            grid[i, j] = alloc.power(int(n), int(k))
-    return grid
-
-
 def _interference_grid(world, v, q, subs, syms, pathsets, beamformers) -> np.ndarray:
     """Received power from other transmitters overlapping (n, k) cells of link (v, q)."""
     total = np.zeros((len(subs), len(syms)))
@@ -839,8 +809,7 @@ def _interference_grid(world, v, q, subs, syms, pathsets, beamformers) -> np.nda
             pathsets[(vv, qq)], world.graph.nodes[qq].array, world.graph.nodes[vv].array,
             w, world.config.ofdm, subs, syms,
         )
-        powers = _power_grid(other, subs, syms) * np.outer(ov_n, ov_k)
-        total += powers * gains
+        total += other.uniform_power * np.outer(ov_n, ov_k) * gains
     return total
 
 
@@ -914,20 +883,6 @@ class TraceWriter:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def record_trace(records, sink) -> Path:
-    """Persist a list of TraceRecords to a CSV file path."""
-    if not records:
-        raise ValueError("no records to persist")
-    links = sorted({link for rec in records for link in rec.rates})
-    with TraceWriter(sink, links) as writer:
-        for rec in records:
-            try:
-                writer.write_record(rec)
-            except OSError as exc:
-                raise OSError(f"trace write failed at step {rec.step}: {exc}") from exc
-    return Path(sink)
 
 
 def read_trace_csv(path) -> list:

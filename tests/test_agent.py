@@ -12,9 +12,7 @@ from isactwin.agent import (
     circle_waypoints,
     diff_drive_step,
     observe,
-    odometry_track,
     step_state,
-    trajectory_xy,
     waypoint_control,
 )
 from isactwin.raytrace import Pose
@@ -177,29 +175,32 @@ class TestWaypointControl:
 
 
 class TestOdometryTrack:
+    """Noiseless integration of a command history, the loop's odometry."""
+
+    @staticmethod
+    def track_xy(pose, controls, dt):
+        xy = [pose.position[:2]]
+        for u in controls:
+            pose = diff_drive_step(pose, u, dt)
+            xy.append(pose.position[:2])
+        return np.array(xy)
+
     def test_zero_controls_constant(self):
-        track = odometry_track(Pose.at(1, 2, 0, yaw=0.5), [Control(0, 0)] * 5, 0.1)
-        xy = trajectory_xy(track)
+        xy = self.track_xy(Pose.at(1, 2, 0, yaw=0.5), [Control(0, 0)] * 5, 0.1)
         assert np.allclose(xy, xy[0], atol=1e-15)
 
     def test_straight_history_collinear(self):
-        track = odometry_track(Pose.at(0, 0, 0, yaw=0.7), [Control(0.1, 0)] * 10, 0.5)
-        xy = trajectory_xy(track)
+        xy = self.track_xy(Pose.at(0, 0, 0, yaw=0.7), [Control(0.1, 0)] * 10, 0.5)
         d = xy[1:] - xy[:-1]
         cross = d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]
         assert np.max(np.abs(cross)) < 1e-12
 
     def test_circle_radius(self):
         v, om = 0.2, 0.4
-        track = odometry_track(Pose.at(0, 0, 0, yaw=0), [Control(v, om)] * 100, 0.1)
-        xy = trajectory_xy(track)
+        xy = self.track_xy(Pose.at(0, 0, 0, yaw=0), [Control(v, om)] * 100, 0.1)
         center = np.array([0.0, v / om])  # start at origin heading +x
         radii = np.linalg.norm(xy - center, axis=1)
         assert np.max(np.abs(radii - v / om)) < 1e-9
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            odometry_track(Pose.at(0, 0, 0), [], 0.1)
 
 
 class TestCircleWaypoints:

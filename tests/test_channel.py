@@ -7,17 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isactwin.channel import (
-    NoiseModel,
     OfdmParams,
     beamformed_gains,
     build_tx_signal,
     mrt_beamformer,
     phase_shift,
-    propagate,
     steering_vector,
     synthesize_channel,
 )
-from isactwin.network import ArrayConfig, Node, build_network
+from isactwin.network import ArrayConfig
 from isactwin.raytrace import SPEED_OF_LIGHT as C, PathSet, Pose, PropagationPath
 import channel_oracle
 
@@ -240,89 +238,6 @@ class TestTxSignal:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match="power"):
             build_tx_signal(1.0, np.array([1.0, 0.0]), -1.0, 1)
-
-
-class TestNoiseModel:
-    def test_non_hermitian_covariance_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            NoiseModel(covariance=np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_indefinite_covariance_rejected(self):
-        with pytest.raises(ValueError, match="semidefinite"):
-            NoiseModel(covariance=np.array([[1.0, 0.0], [0.0, -0.5]]))
-
-    def test_seeded_sampling_reproducible(self):
-        nm = NoiseModel(sigma2=0.5, seed=9)
-        a = nm.sample(np.random.default_rng(9), 4)
-        b = nm.sample(np.random.default_rng(9), 4)
-        assert np.array_equal(a, b)
-
-
-def line_graph():
-    nodes = [
-        Node(id="tx1", is_tx=True, array=ArrayConfig(3, LAM / 2)),
-        Node(id="tx2", is_tx=True, array=ArrayConfig(3, LAM / 2)),
-        Node(id="rx", is_rx=True, array=ArrayConfig(2, LAM / 2)),
-        Node(id="loner", is_rx=True, array=ArrayConfig(2, LAM / 2)),
-    ]
-    return build_network(nodes, [("tx1", "rx"), ("tx2", "rx")])
-
-
-class TestPropagate:
-    def setup_method(self):
-        rng = np.random.default_rng(0)
-        self.h1 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-        self.h2 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-        w = rng.normal(size=3) + 1j * rng.normal(size=3)
-        self.sig1 = build_tx_signal(1.0, w / np.linalg.norm(w), 2.0, 1)
-        self.sig2 = build_tx_signal(1j, np.array([1.0, 0, 0]), 1.0, 1)
-
-    def test_noiseless_single_edge(self):
-        g = build_network(
-            [Node(id="tx1", is_tx=True, array=ArrayConfig(3, LAM / 2)),
-             Node(id="rx", is_rx=True, array=ArrayConfig(2, LAM / 2))],
-            [("tx1", "rx")],
-        )
-        out = propagate(g, {("rx", "tx1", 1, 1): self.h1}, {("tx1", 1, 1): self.sig1},
-                        NoiseModel(sigma2=0.0))
-        assert np.allclose(out[("rx", 1, 1)], self.h1 @ self.sig1.vector, rtol=1e-15)
-
-    def test_two_edges_sum(self):
-        out = propagate(line_graph(),
-                        {("rx", "tx1", 1, 1): self.h1, ("rx", "tx2", 1, 1): self.h2},
-                        {("tx1", 1, 1): self.sig1, ("tx2", 1, 1): self.sig2},
-                        NoiseModel(sigma2=0.0))
-        oracle = self.h1 @ self.sig1.vector + self.h2 @ self.sig2.vector
-        assert np.allclose(out[("rx", 1, 1)], oracle, rtol=1e-15)
-
-    def test_isolated_receiver_gets_pure_noise(self):
-        out = propagate(line_graph(),
-                        {("rx", "tx1", 1, 1): self.h1, ("rx", "tx2", 1, 1): self.h2},
-                        {("tx1", 1, 1): self.sig1, ("tx2", 1, 1): self.sig2},
-                        NoiseModel(sigma2=0.25, seed=3))
-        y = out[("loner", 1, 1)]
-        assert y.shape == (2,)
-        assert np.all(y != 0)
-
-    def test_missing_channel_rejected(self):
-        with pytest.raises(ValueError, match="missing channel"):
-            propagate(line_graph(), {("rx", "tx1", 1, 1): self.h1},
-                      {("tx1", 1, 1): self.sig1, ("tx2", 1, 1): self.sig2},
-                      NoiseModel(sigma2=0.0))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            propagate(line_graph(), {("rx", "tx1", 1, 1): np.zeros((3, 3))},
-                      {("tx1", 1, 1): self.sig1}, NoiseModel(sigma2=0.0))
-
-    def test_bit_reproducible_with_seed(self):
-        args = (line_graph(),
-                {("rx", "tx1", 1, 1): self.h1, ("rx", "tx2", 1, 1): self.h2},
-                {("tx1", 1, 1): self.sig1, ("tx2", 1, 1): self.sig2})
-        out1 = propagate(*args, NoiseModel(sigma2=0.1, seed=77))
-        out2 = propagate(*args, NoiseModel(sigma2=0.1, seed=77))
-        for key in out1:
-            assert np.array_equal(out1[key], out2[key])
 
 
 class TestMrtBeamformer:

@@ -14,12 +14,12 @@ from isactwin.localization import (
     compute_mdp,
     load_db,
     localize,
-    mdp_distance,
     save_db,
 )
 from isactwin.raytrace import PathSet, Pose, PropagationPath, trace_paths
 from isactwin.scene import load_scene, floor_grid
 from conftest import box_scene_doc
+from localization_oracle import mdp_distance
 
 
 def pathset(entries, fc=2.4e9):
@@ -64,46 +64,62 @@ class TestComputeMdp:
             compute_mdp(pathset([]), 1e-9, 0)
 
 
+def match(query, *stored, bw=12.5e-9):
+    """localize's (grid index, score) for one profile against a one-AP database
+    whose point i (at x = i) holds stored[i]."""
+    db = FingerprintDB(positions=[[float(i), 0.0, 0.0] for i in range(len(stored))], spacing=1.0,
+                       ap_ids=["ap"], bins=[[s] for s in stored], bin_width=bw)
+    est, score = localize({"ap": mdp_from(query)}, db)
+    return int(est[0]), score
+
+
 class TestMdpDistance:
+    """The profile distance, seen through localize's score on two-point databases."""
+
+    DECOY = [0.25, 0.25, 0.25, 0.25]
+
     def test_identical_profiles_zero(self):
-        a = mdp_from([0.0, 1.0, 0.5, 0.0])
-        assert mdp_distance(a, a) == 0.0
+        assert match([0.0, 1.0, 0.5, 0.0], self.DECOY, [0.0, 1.0, 0.5, 0.0]) == (1, 0.0)
 
     def test_scale_invariance(self):
-        a = mdp_from([0.0, 1.0, 0.5, 0.0])
-        b = mdp_from([0.0, 10.0, 5.0, 0.0])
-        assert mdp_distance(a, b) == pytest.approx(0.0, abs=1e-15)
+        idx, score = match([0.0, 10.0, 5.0, 0.0], self.DECOY, [0.0, 1.0, 0.5, 0.0])
+        assert idx == 1
+        assert score == pytest.approx(0.0, abs=1e-15)
 
     def test_alignment_removes_common_shift(self):
-        a = mdp_from([1.0, 0.5, 0.0, 0.0])
-        b = mdp_from([0.0, 0.0, 1.0, 0.5])
-        assert mdp_distance(a, b) == pytest.approx(0.0, abs=1e-15)
+        idx, score = match([0.0, 0.0, 1.0, 0.5], self.DECOY, [1.0, 0.5, 0.0, 0.0])
+        assert idx == 1
+        assert score == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_case_split_spike(self):
         # unit spike at bin 0 vs half/half at bins 0-1, 8 bins:
-        # normalized diff = (0.5, -0.5, 0...), RMS = sqrt(0.5/8)
-        a = mdp_from([1.0] + [0.0] * 7)
-        b = mdp_from([0.5, 0.5] + [0.0] * 6)
-        assert mdp_distance(a, b) == pytest.approx(math.sqrt(0.5 / 8), rel=1e-12)
+        # normalized diff = (0.5, -0.5, 0...), RMS = sqrt(0.5/8); the flat
+        # quarter profile over bins 0-3 lies farther, at sqrt(0.75/8)
+        idx, score = match([1.0] + [0.0] * 7, [0.25] * 4 + [0.0] * 4, [0.5, 0.5] + [0.0] * 6)
+        assert idx == 1
+        assert score == pytest.approx(math.sqrt(0.5 / 8), rel=1e-12)
 
     def test_all_zero_profiles_stay_zero(self):
-        a = mdp_from([0.0] * 8)
-        b = mdp_from([1.0] + [0.0] * 7)
-        assert mdp_distance(a, a) == 0.0
-        assert mdp_distance(a, b) > 0
+        zero, spike = [0.0] * 8, [1.0] + [0.0] * 7
+        assert match(zero, spike, zero) == (1, 0.0)
+        idx, score = match(spike, zero, zero)
+        assert idx == 0 and score > 0
 
     def test_bin_mismatch_rejected(self):
-        with pytest.raises(DatabaseError, match="mismatch"):
-            mdp_distance(mdp_from([1.0, 0.0]), mdp_from([1.0, 0.0, 0.0]))
-        with pytest.raises(DatabaseError, match="mismatch"):
-            mdp_distance(mdp_from([1.0, 0.0], bw=1e-9), mdp_from([1.0, 0.0], bw=2e-9))
+        db = FingerprintDB(positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], spacing=1.0, ap_ids=["ap"],
+                           bins=[[[1.0, 0.0]], [[0.0, 1.0]]], bin_width=1e-9)
+        with pytest.raises(DatabaseError, match="bin parameters"):
+            localize({"ap": mdp_from([1.0, 0.0, 0.0], bw=1e-9)}, db)
+        with pytest.raises(DatabaseError, match="bin parameters"):
+            localize({"ap": mdp_from([1.0, 0.0], bw=2e-9)}, db)
 
     @given(st.lists(st.floats(0.0, 10.0), min_size=4, max_size=4),
            st.lists(st.floats(0.0, 10.0), min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_symmetric_and_nonnegative(self, xs, ys):
-        a, b = mdp_from(xs), mdp_from(ys)
-        d_ab, d_ba = mdp_distance(a, b), mdp_distance(b, a)
+        # both points hold the other profile, so the score is the distance itself
+        _, d_ab = match(xs, ys, ys)
+        _, d_ba = match(ys, xs, xs)
         assert d_ab >= 0.0
         assert d_ab == pytest.approx(d_ba, abs=1e-15)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from isactwin.channel import OfdmParams, mrt_beamformer, synthesize_channel
 from isactwin.metrics import (
     ErrorSeries,
-    RateSeries,
     RunSummary,
     achievable_rate,
     modeling_error,
@@ -139,10 +138,6 @@ class TestSeriesInvariants:
         with pytest.raises(ValueError):
             ErrorSeries(errors=np.array([-0.1]))
 
-    def test_negative_rates_rejected(self):
-        with pytest.raises(ValueError):
-            RateSeries(link=("v", "q"), rates=np.array([-1.0]))
-
 
 class TestRunSummary:
     def test_dict_round_trip(self):
@@ -151,7 +146,7 @@ class TestRunSummary:
             max_model_err_m=0.02, rmse_model_err_m=0.02,
             mean_rate_bps_hz={"robot:ap1": 12.5, "robot:ap2": 3.25}, steps=100,
         )
-        again = RunSummary.from_dict(summary.to_dict())
+        again = RunSummary(**summary.to_dict())
         assert again.to_dict() == summary.to_dict()
         table = summary.format_table()
         assert "max pos error" in table and "robot:ap1" in table

@@ -11,11 +11,7 @@ from isactwin.raytrace import (
     Pose,
     PropagationPath,
     doppler_shift,
-    mirror_across_surface,
     path_gain,
-    pathset_from_record,
-    pathset_to_record,
-    relay_paths,
     trace_paths,
     wrap_angle,
 )
@@ -51,41 +47,6 @@ class TestWrapAngle:
         assert -math.pi < w <= math.pi
         assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-9)
         assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-9)
-
-
-class TestMirror:
-    def test_plane_z0_flips_z(self):
-        s = make_surface([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-        assert np.allclose(mirror_across_surface(np.array([1.0, 1.0, 1.0]), s), [1, 1, -1])
-
-    def test_point_on_plane_is_fixed(self):
-        s = make_surface([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-        p = np.array([0.3, 0.7, 0.0])
-        assert np.allclose(mirror_across_surface(p, s), p)
-
-    def test_oblique_plane_fixed_point(self):
-        # plane x + y = 2 spanned vertically; (1, 1, 0) lies on it
-        s = make_surface([[2, 0, 0], [0, 2, 0], [0, 2, 1], [2, 0, 1]])
-        p = np.array([1.0, 1.0, 0.0])
-        q = make_q = s.vertices[0]
-        n = s.unit_normal
-        oracle = p - 2 * ((p - make_q) @ n) * n
-        assert np.allclose(mirror_across_surface(p, s), oracle)
-        assert np.allclose(oracle, p, atol=1e-12)
-
-    @given(
-        px=st.floats(-5, 5), py=st.floats(-5, 5), pz=st.floats(-5, 5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_involution_and_distance(self, px, py, pz):
-        s = make_surface([[2, 0, 0], [0, 2, 0], [0, 2, 3], [2, 0, 3]])
-        p = np.array([px, py, pz])
-        m = mirror_across_surface(p, s)
-        assert np.allclose(mirror_across_surface(m, s), p, atol=1e-9)
-        n = s.unit_normal
-        d_p = abs((p - s.vertices[0]) @ n)
-        d_m = abs((m - s.vertices[0]) @ n)
-        assert d_p == pytest.approx(d_m, abs=1e-9)
 
 
 class TestPathGain:
@@ -207,50 +168,6 @@ class TestTracePaths:
         assert aoa_el == pytest.approx(0.0, abs=1e-12)
         aod_az, aod_el = ps.paths[0].aod
         assert aod_az == pytest.approx(0.0, abs=1e-12)
-
-
-class TestRelayPaths:
-    def test_monostatic_round_trip_delay(self):
-        scene = empty_scene()
-        robot = Pose.at(0, 0, 1)
-        scatter = Pose.at(2, 2, 1)
-        inbound = trace_paths(scene, robot, scatter, 0, 2.4e9)
-        outbound = trace_paths(scene, scatter, robot, 0, 2.4e9)
-        echo = relay_paths(inbound, outbound, 0.8)
-        d = np.linalg.norm(scatter.position - robot.position)
-        assert len(echo) == 1
-        assert echo.paths[0].delay == pytest.approx(2 * d / C, rel=1e-12)
-        assert echo.paths[0].order == 1
-
-    def test_zero_coefficient_scatterer_contributes_nothing(self):
-        scene = empty_scene()
-        inbound = trace_paths(scene, Pose.at(0, 0, 1), Pose.at(2, 2, 1), 0, 2.4e9)
-        outbound = trace_paths(scene, Pose.at(2, 2, 1), Pose.at(0, 0, 1), 0, 2.4e9)
-        echo = relay_paths(inbound, outbound, 0.0)
-        assert len(echo) == 0
-
-    def test_leg_mismatch_rejected(self):
-        scene = empty_scene()
-        inbound = trace_paths(scene, Pose.at(0, 0, 1), Pose.at(2, 2, 1), 0, 2.4e9)
-        outbound = trace_paths(scene, Pose.at(2, 2.5, 1), Pose.at(0, 0, 1), 0, 2.4e9)
-        with pytest.raises(ValueError, match="coincide"):
-            relay_paths(inbound, outbound, 0.5)
-
-
-class TestPathSetRecord:
-    def test_json_round_trip(self, box_scene):
-        import json
-        ps = trace_paths(box_scene, Pose.at(1.2, 0.7, 1.3), Pose.at(2.9, 2.1, 1.0), 2, 2.4e9)
-        rec = json.loads(json.dumps(pathset_to_record(ps)))
-        back = pathset_from_record(rec)
-        assert len(back) == len(ps)
-        for a, b in zip(ps.paths, back.paths):
-            assert a.gain == b.gain
-            assert a.delay == b.delay
-            assert a.doppler == b.doppler
-            assert a.aoa == b.aoa and a.aod == b.aod
-            assert a.order == b.order
-            assert np.array_equal(a.reflection_points, b.reflection_points)
 
 
 class TestPropagationPathInvariants:

@@ -17,7 +17,6 @@ from isactwin.simcore import (
     build_db_for_scenario,
     init_world,
     read_trace_csv,
-    record_trace,
     run_simulation,
     sim_step,
     validate_scenario,
@@ -110,6 +109,23 @@ class TestScenarioConfig:
         p.write_text(json.dumps(doc))
         problems = validate_scenario(ScenarioConfig.from_file(p))
         assert problems == ["agent id 'robot_1' must not contain '_'"]
+
+    @pytest.mark.parametrize("old,new", [
+        ("robot", "r b"),
+        ("robot", "r\tb"),
+        ("robot", "r?"),
+        ("ap_a", "ap/a"),
+        ("ap_a", "ap*"),
+        ("ap_b", "ap[b]"),
+    ], ids=["space", "tab", "question-mark", "slash", "star", "bracket"])
+    def test_node_id_that_cannot_be_a_topic_segment_rejected(self, tmp_path, old, new):
+        # node ids become bus topic segments: agent/<id>/state, sim/channel/<v>/<q>
+        doc = json.loads(json.dumps(tiny_scenario_doc()).replace(json.dumps(old), json.dumps(new)))
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        problems = validate_scenario(ScenarioConfig.from_file(p))
+        assert problems == [f"node id {new!r} must not contain whitespace, '/', '*', '?' or '['"]
 
     def test_missing_scene_file_flagged(self, tmp_path):
         doc = tiny_scenario_doc()
@@ -356,14 +372,17 @@ class TestTraceCsv:
         assert s_mem.rmse_pos_err_m == s_csv.rmse_pos_err_m
         assert s_mem.mean_rate_bps_hz == s_csv.mean_rate_bps_hz
 
-    def test_record_trace_round_trip(self, tiny_run, tmp_path):
-        _, records, _ = tiny_run
-        out = record_trace(records, tmp_path / "again.csv")
-        back = read_trace_csv(out)
+    def test_record_trace_round_trip(self, tiny_run):
+        # the CSV that TraceWriter streamed during the run reads back field for field
+        config, records, _ = tiny_run
+        back = read_trace_csv(config.trace_csv)
         assert len(back) == len(records)
-        a = records[3].agents["robot"]
-        b = back[3].agents["robot"]
-        assert (a.true_x, a.true_y, a.est_x, a.est_y) == (b.true_x, b.true_y, b.est_x, b.est_y)
+        fields = ("true_x", "true_y", "true_yaw", "est_x", "est_y", "loc_score", "v_cmd", "w_cmd")
+        for rec, again in zip(records, back):
+            assert (again.step, again.time_s, again.rates) == (rec.step, rec.time_s, rec.rates)
+            assert again.agents.keys() == rec.agents.keys()
+            for aid, ag in rec.agents.items():
+                assert [getattr(again.agents[aid], f) for f in fields] == [getattr(ag, f) for f in fields]
 
     def test_crash_safe_prefix(self, tiny_run):
         config, _, _ = tiny_run
