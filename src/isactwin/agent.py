@@ -29,10 +29,6 @@ class Control:
     v: float = 0.0
     omega: float = 0.0
 
-    @property
-    def u(self) -> np.ndarray:
-        return np.array([self.v, self.omega])
-
 
 @dataclass(eq=False)
 class Observation:
@@ -64,10 +60,6 @@ class ProcessNoise:
     @classmethod
     def seeded(cls, seed, state_var=0.0, obs_var=0.0) -> "ProcessNoise":
         return cls(state_var=state_var, obs_var=obs_var, rng=np.random.default_rng(seed))
-
-    @classmethod
-    def zero(cls) -> "ProcessNoise":
-        return cls.seeded(0)
 
 
 def diff_drive_step(pose: Pose, u: Control, dt: float) -> Pose:

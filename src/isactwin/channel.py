@@ -41,6 +41,8 @@ class OfdmParams:
     def __post_init__(self):
         if self.delta_f <= 0.0:
             raise ValueError("delta_f must be > 0")
+        if self.carrier_freq <= 0.0:
+            raise ValueError("carrier_freq must be > 0")
 
     @property
     def symbol_duration(self) -> float:
@@ -80,8 +82,8 @@ def synthesize_channel(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayCon
     zero matrix. Summation order is fixed (path order, ascending delay).
     """
     _check_frame(paths, params)
-    a_r, a_t, gains, taus, nus = _path_responses(paths, tx_array, rx_array, params)
-    coeff = gains * np.exp(2j * math.pi * phase_shift(n, k, nus, taus, params))
+    a_r, a_t = _path_responses(paths, tx_array, rx_array, params.carrier_freq)
+    coeff = paths.gain * np.exp(2j * math.pi * phase_shift(n, k, paths.doppler, paths.delay, params))
     return (a_r * coeff) @ a_t.T
 
 
@@ -104,12 +106,12 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
     """
     _check_frame(paths, params)
     ks = np.asarray(symbols, dtype=float)
-    a_r, a_t, gains, taus, nus = _path_responses(paths, tx_array, rx_array, params)
-    c = a_r * (gains * (a_t.T @ np.asarray(w, dtype=complex)))             # (R, L)
-    sym_phase = np.exp(2j * math.pi * np.outer(nus * params.symbol_duration, ks))  # (L, K)
+    a_r, a_t = _path_responses(paths, tx_array, rx_array, params.carrier_freq)
+    c = a_r * (paths.gain * (a_t.T @ np.asarray(w, dtype=complex)))        # (R, L)
+    sym_phase = np.exp(2j * math.pi * np.outer(paths.doppler * params.symbol_duration, ks))  # (L, K)
     n_r, n_k = len(c), len(ks)
-    rhs = (c.T[:, :, None] * sym_phase[:, None, :]).reshape(len(taus), n_r * n_k)
-    sub_phase = _subcarrier_phases(taus, params.delta_f, subcarriers)      # (N, L)
+    rhs = (c.T[:, :, None] * sym_phase[:, None, :]).reshape(len(paths), n_r * n_k)
+    sub_phase = _subcarrier_phases(paths.delay, params.delta_f, subcarriers)  # (N, L)
     hw = (sub_phase @ rhs).reshape(len(sub_phase), n_r, n_k)
     return np.sum(hw.real ** 2 + hw.imag ** 2, axis=1)
 
@@ -137,16 +139,11 @@ def _subcarrier_phases(taus: np.ndarray, delta_f: float, subcarriers) -> np.ndar
     return per_block[block_of] * in_block[lo]
 
 
-def _path_responses(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig,
-                    params: OfdmParams):
-    """Steering matrices a_R (N_R, L) and a_T (N_T, L), then gains, delays, Dopplers (L,)."""
-    gains = np.array([p.gain for p in paths.paths], dtype=complex)
-    cols = np.array([(p.delay, p.doppler, *p.aoa, *p.aod) for p in paths.paths],
-                    dtype=float).reshape(-1, 6)
-    taus, nus, aoa_az, aoa_el, aod_az, aod_el = cols.T
-    a_r = steering_vector(rx_array, aoa_az - rx_array.boresight, aoa_el, params.carrier_freq)
-    a_t = steering_vector(tx_array, aod_az - tx_array.boresight, aod_el, params.carrier_freq)
-    return a_r, a_t, gains, taus, nus
+def _path_responses(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig, fc: float):
+    """Steering matrices a_R (N_R, L) and a_T (N_T, L) of the paths' arrival and departure angles."""
+    a_r = steering_vector(rx_array, paths.aoa[:, 0] - rx_array.boresight, paths.aoa[:, 1], fc)
+    a_t = steering_vector(tx_array, paths.aod[:, 0] - tx_array.boresight, paths.aod[:, 1], fc)
+    return a_r, a_t
 
 
 def _check_frame(paths: PathSet, params: OfdmParams):

@@ -1,11 +1,12 @@
 """Fingerprint localization from multipath delay profiles (MDPs).
 
-Offline, every floor-grid point gets one binned delay-power profile per
-access point; online, a measured profile is matched against the database by a
-delay-aligned, power-normalized RMS distance summed over APs. The matching
-metric is intentionally simple: circular-shift both profiles so the first
-nonzero bin sits at index 0 (kills the unknown absolute sync offset), scale
-each to unit total power, and take the RMS bin difference.
+Offline, every floor-grid point gets one delay-power profile per access
+point, binned from a PathSet's columns with one bincount; online, measured
+profiles are matched by a delay-aligned, power-normalized RMS distance summed
+over APs: circular-shift each profile so its first nonzero bin is bin 0
+(kills the unknown absolute sync offset), scale it to unit total power, and
+take the RMS bin difference. One alignment over the last axis serves the
+cached database and the query, and every grid point and AP scores at once.
 
 Database file layout (version 1, little-endian, deterministic bytes):
 
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,24 +64,22 @@ def compute_mdp(paths: PathSet, bin_width: float, num_bins: int, ap_id: str = ""
     """Bin path powers by delay: bin[i] = sum |b_l|^2 over floor(tau_l / width) == i."""
     if bin_width <= 0.0 or num_bins < 1:
         raise ValueError("invalid bin parameters")
-    bins = np.zeros(num_bins)
-    overflow = 0
-    for p in paths:
-        idx = int(np.floor(p.delay / bin_width))
-        if idx >= num_bins:
-            overflow += 1
-            continue
-        bins[idx] += abs(p.gain) ** 2
-    return Mdp(bins=bins, bin_width=bin_width, ap_id=ap_id, overflow=overflow)
+    idx = np.floor(paths.delay / bin_width)
+    inside = idx < num_bins
+    # hypot, then libm pow, round exactly as abs(complex) ** 2 does per path
+    power = np.float_power(np.hypot(paths.gain.real, paths.gain.imag), 2.0)
+    bins = np.bincount(idx[inside].astype(np.intp), weights=power[inside], minlength=num_bins)
+    return Mdp(bins=bins, bin_width=bin_width, ap_id=ap_id, overflow=int(np.count_nonzero(~inside)))
 
 
 def _aligned_unit(bins: np.ndarray) -> np.ndarray:
-    """One profile shifted so its first nonzero bin is bin 0, over its total power."""
-    total = bins.sum()
-    if total <= 0.0:
-        return np.zeros_like(bins)
-    nz = np.nonzero(bins)[0]
-    return np.roll(bins, -int(nz[0])) / total
+    """Profiles along the last axis, each shifted so its first nonzero bin is bin 0
+    and divided by its total power; an all-zero profile stays all zero."""
+    n = bins.shape[-1]
+    first = np.argmax(bins > 0.0, axis=-1)
+    rolled = np.take_along_axis(bins, (np.arange(n) + first[..., None]) % n, axis=-1)
+    totals = bins.sum(axis=-1, keepdims=True)
+    return np.where(totals > 0.0, rolled / np.where(totals > 0.0, totals, 1.0), 0.0)
 
 
 @dataclass(eq=False)
@@ -94,7 +94,6 @@ class FingerprintDB:
     scene_hash: str = ""
     network_hash: str = ""
     overflow: int = 0           # paths dropped past the bin window while building; not saved
-    _aligned: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
@@ -116,16 +115,10 @@ class FingerprintDB:
         except ValueError:
             raise DatabaseError(f"AP {ap_id!r} not in database") from None
 
+    @cached_property
     def aligned_unit(self) -> np.ndarray:
-        """Cached aligned+normalized profiles, shape (P, A, num_bins)."""
-        if self._aligned is None:
-            b = self.bins
-            first = np.argmax(b > 0.0, axis=-1)                       # 0 for all-zero rows
-            cols = (np.arange(b.shape[-1])[None, None, :] + first[..., None]) % b.shape[-1]
-            rolled = np.take_along_axis(b, cols, axis=-1)
-            totals = b.sum(axis=-1, keepdims=True)
-            self._aligned = np.where(totals > 0.0, rolled / np.where(totals > 0.0, totals, 1.0), 0.0)
-        return self._aligned
+        """Aligned+normalized profiles, shape (P, A, num_bins), computed on first use."""
+        return _aligned_unit(self.bins)
 
 
 def build_fingerprint_db(
@@ -181,14 +174,13 @@ def localize(measured, db: FingerprintDB) -> tuple:
     """
     if not measured:
         raise DatabaseError("no measured fingerprints")
-    scores = np.zeros(len(db.positions))
-    aligned = db.aligned_unit()
+    columns = [db._ap_index(ap_id) for ap_id in sorted(measured)]
     for ap_id, mdp in sorted(measured.items()):
-        a = db._ap_index(ap_id)
         if mdp.num_bins != db.num_bins or abs(mdp.bin_width - db.bin_width) > 1e-18:
             raise DatabaseError(f"bin parameters of AP {ap_id!r} do not match database")
-        q = _aligned_unit(mdp.bins)
-        scores += np.sqrt(np.mean((aligned[:, a, :] - q[None, :]) ** 2, axis=-1))
+    query = _aligned_unit(np.stack([mdp.bins for _, mdp in sorted(measured.items())]))
+    diff = db.aligned_unit[:, columns, :] - query                             # (P, A', num_bins)
+    scores = np.sqrt(np.mean(diff ** 2, axis=-1)).sum(axis=-1)
     best = int(np.argmin(scores))
     return db.positions[best].copy(), float(scores[best])
 

@@ -11,10 +11,10 @@ that order (Sionna RT evaluates candidates the same way, arXiv 2303.11103):
 the source is mirrored through the k planes into an (M_k, 3) image chain,
 back-traced from the receiver to the reflection points, checked for polygon
 containment against the edge planes, and every one of the k + 1 segments is
-tested for occlusion against all S planes as (M_k, S) masks. Each surviving
-path carries a complex gain, a delay, a Doppler shift, and departure/arrival
-angles expressed in the local frame of its terminal, all computed on the same
-arrays with one rotation matrix per terminal.
+tested for occlusion against all S planes as (M_k, S) masks. The survivors'
+complex gains, delays, Doppler shifts and local departure/arrival angles are
+computed on the same arrays (one rotation matrix per terminal) and become the
+columns of the link's PathSet, one stable sort by delay; no per-path object.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -111,20 +111,50 @@ class PropagationPath:
             raise ValueError("delay must be positive")
 
 
-@dataclass(eq=False)
 class PathSet:
-    """All resolvable paths of one link, sorted ascending by delay."""
+    """All resolvable paths of one link as columns, stably sorted by delay.
 
-    paths: list
-    tx_pose: Pose
-    rx_pose: Pose
-    carrier_freq: float
+    gain (L,) complex; delay, doppler and order (L,); aoa and aod (L, 2), the
+    local (azimuth, elevation) at the receiver and the transmitter; and
+    reflection_points, L arrays of shape (order, 3). Iteration and ``paths``
+    give the paths back as PropagationPaths.
+    """
 
-    def __post_init__(self):
-        self.paths = sorted(self.paths, key=lambda p: p.delay)
+    def __init__(self, paths, tx_pose: Pose, rx_pose: Pose, carrier_freq: float):
+        paths = list(paths)
+        self._set_sorted(tx_pose, rx_pose, carrier_freq,
+                         np.array([p.gain for p in paths], dtype=complex),
+                         np.array([p.delay for p in paths], dtype=float),
+                         np.array([p.doppler for p in paths], dtype=float),
+                         np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2),
+                         np.array([p.aod for p in paths], dtype=float).reshape(-1, 2),
+                         np.array([p.order for p in paths], dtype=int),
+                         [p.reflection_points for p in paths])
+
+    @classmethod
+    def _from_columns(cls, *args) -> "PathSet":
+        """trace_paths' route in, with _set_sorted's arguments: no PropagationPath is built."""
+        ps = cls.__new__(cls)
+        ps._set_sorted(*args)
+        return ps
+
+    def _set_sorted(self, tx_pose, rx_pose, carrier_freq, gain, delay, doppler, aoa, aod, order,
+                    reflection_points):
+        idx = np.argsort(delay, kind="stable")
+        self.tx_pose, self.rx_pose, self.carrier_freq = tx_pose, rx_pose, carrier_freq
+        self.gain, self.delay, self.doppler = gain[idx], delay[idx], doppler[idx]
+        self.aoa, self.aod, self.order = aoa[idx], aod[idx], order[idx]
+        self.reflection_points = [reflection_points[i] for i in idx]
+
+    @property
+    def paths(self) -> list:
+        rows = zip(self.gain.tolist(), self.delay.tolist(), self.doppler.tolist(), self.aoa.tolist(),
+                   self.aod.tolist(), self.reflection_points, self.order.tolist())
+        return [PropagationPath(g, d, nu, tuple(aoa), tuple(aod), refl, k)
+                for g, d, nu, aoa, aod, refl, k in rows]
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.delay)
 
     def __iter__(self):
         return iter(self.paths)
@@ -174,9 +204,9 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     rotated into each terminal's local frame; gains follow path_gain with the
     per-bounce material coefficients and are clamped to unit magnitude.
     Paths weaker than GAIN_PRUNE_THRESHOLD in amplitude are dropped.
-    Paths are built order by order, each order in sequence-table order, so
-    the PathSet's stable delay sort orders equal delays the same way on
-    every call.
+    The columns are built order by order, each order in sequence-table
+    order, so the PathSet's stable delay sort orders equal delays the same
+    way on every call.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -186,7 +216,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
 
     accel = _accel_for(scene)
     rot_tx, rot_rx = tx.rotation(), rx.rotation()
-    paths = []
+    columns, points = [], []
     for order in range(max_order + 1):
         seqs = accel.sequences(order)
         pts, seqs = _unfold(accel, seqs, tx.position, rx.position)
@@ -202,13 +232,10 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
         doppler = doppler_shift(pts, tx.velocity, rx.velocity, carrier_freq)
         aoa = _direction_angles(rot_rx, pts[:, -2] - pts[:, -1])
         aod = _direction_angles(rot_tx, pts[:, 1] - pts[:, 0])
-        for g, delay, nu, a_in, a_out, refl in zip(
-            gain.tolist(), (total / SPEED_OF_LIGHT).tolist(), doppler.tolist(),
-            aoa.tolist(), aod.tolist(), pts[:, 1:-1],
-        ):
-            paths.append(PropagationPath(gain=g, delay=delay, doppler=nu, aoa=tuple(a_in),
-                                         aod=tuple(a_out), reflection_points=refl, order=order))
-    return PathSet(paths=paths, tx_pose=tx, rx_pose=rx, carrier_freq=carrier_freq)
+        columns.append((gain, total / SPEED_OF_LIGHT, doppler, aoa, aod, np.full(len(pts), order)))
+        points.extend(pts[:, 1:-1])
+    return PathSet._from_columns(tx, rx, carrier_freq,
+                                 *(np.concatenate(c) for c in zip(*columns)), points)
 
 
 # ---------------------------------------------------------------------------

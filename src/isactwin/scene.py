@@ -76,27 +76,6 @@ class Surface:
             return np.inf
         return float(np.max(np.abs((self.vertices - v0) @ (n / nn))))
 
-    def has_collinear_run(self, tol: float = 1e-12) -> bool:
-        v = self.vertices
-        if len(v) < 3:
-            return True
-        for i in range(len(v)):
-            a, b, c = v[i - 1], v[i], v[(i + 1) % len(v)]
-            if np.linalg.norm(np.cross(b - a, c - b)) <= tol:
-                return True
-        return False
-
-    def is_convex(self) -> bool:
-        if self.unit_normal is None or len(self.vertices) < 3:
-            return False
-        v = self.vertices
-        for i in range(len(v)):
-            e1 = v[(i + 1) % len(v)] - v[i]
-            e2 = v[(i + 2) % len(v)] - v[(i + 1) % len(v)]
-            if np.cross(e1, e2) @ self.unit_normal < -1e-12:
-                return False
-        return True
-
 
 @dataclass(eq=False)
 class Scene:
@@ -209,9 +188,11 @@ def validate_scene(scene: Scene) -> list[str]:
             continue
         if surf.planarity_error() > PLANARITY_TOL:
             violations.append(f"{label}: vertices not coplanar within {PLANARITY_TOL} m")
-        if surf.has_collinear_run():
+        v = surf.vertices
+        turns = np.cross(v - np.roll(v, 1, axis=0), np.roll(v, -1, axis=0) - v)  # (n, 3), one per vertex
+        if np.any(np.linalg.norm(turns, axis=1) <= 1e-12):
             violations.append(f"{label}: consecutive vertices collinear")
-        elif not surf.is_convex():
+        elif surf.unit_normal is None or np.any(turns @ surf.unit_normal < -1e-12):
             violations.append(f"{label}: polygon not convex")
         if surf.material.name not in scene.materials:
             violations.append(f"{label}: material {surf.material.name!r} not in scene materials")

@@ -422,13 +422,23 @@ def validate_scenario(config: ScenarioConfig) -> list:
             problems.append(f"scene invalid: {exc}")
 
     node_ids = {n.id for n in config.nodes}
+    agent_ids = {a.id for a in config.agents}
     for node in config.nodes:
         if any(c.isspace() or c in "/*?[" for c in node.id):
             problems.append(f"node id {node.id!r} must not contain whitespace, '/', '*', '?' or '['")
+        if node.role not in ("tx", "rx", "txrx"):
+            problems.append(f"node {node.id!r}: role {node.role!r} is not tx, rx or txrx")
+        elif node.role != "rx" and node.id not in agent_ids and node.pose is None:
+            problems.append(f"transmitter {node.id!r} has no pose")
     try:
-        _build_graph(config)
+        graph = _build_graph(config)
     except NetworkError as exc:
         problems.append(f"network invalid: {exc}")
+    else:
+        # every communication link runs from a transmitter into an agent
+        ends = {e for v in agent_ids & node_ids for q in incoming_edges(graph, v) for e in (v, q)}
+        for end in sorted(e for e in ends if graph.nodes[e].array is None):
+            problems.append(f"node {end!r} ends a communication link but has no array")
 
     for req in config.requests:
         if req.user not in node_ids:
@@ -667,7 +677,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
             rt.state = agent_mod.step_state(rt.state, rt.control, rt.noise, cfg.dt)
             rt.odom = agent_mod.diff_drive_step(rt.odom, rt.control, cfg.dt)
         except ValueError as exc:
-            raise RuntimeError(f"step {t} state phase failed for {aid!r}: {exc}") from exc
+            raise ValueError(f"step {t} state phase failed for {aid!r}: {exc}") from exc
         bus.publish(f"agent/{aid}/state", rt.state, step=t, publisher=aid)
 
     # phase 2: refresh propagation parameters for all links
@@ -683,7 +693,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
             )
             bus.publish(f"sim/channel/{v}/{q}", pathsets[(v, q)], step=t, publisher="sim")
     except ValueError as exc:
-        raise RuntimeError(f"step {t} raytrace phase failed: {exc}") from exc
+        raise ValueError(f"step {t} raytrace phase failed: {exc}") from exc
 
     # phase 3: signal generation: MRT beamformers and per-link rates
     rates = {}
@@ -718,7 +728,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
             rates[(v, q)] = float(np.mean(np.log2(1.0 + snr)))
             bus.publish(f"metrics/rate/{v}/{q}", rates[(v, q)], step=t, publisher="sim")
     except ValueError as exc:
-        raise RuntimeError(f"step {t} signal phase failed: {exc}") from exc
+        raise ValueError(f"step {t} signal phase failed: {exc}") from exc
 
     # phases 4-6 per agent: observation, estimation, control
     agent_traces = {}
@@ -747,13 +757,13 @@ def sim_step(world: World, t: int) -> TraceRecord:
             obs = agent_mod.observe(rt.state, measurement, rt.noise)
             bus.publish(f"agent/{aid}/obs", obs, step=t, publisher=aid)
         except ValueError as exc:
-            raise RuntimeError(f"step {t} observation phase failed for {aid!r}: {exc}") from exc
+            raise ValueError(f"step {t} observation phase failed for {aid!r}: {exc}") from exc
 
         # phase 5: state estimation by fingerprint matching
         try:
             est, score = loc_mod.localize(mdps, world.db)
         except loc_mod.DatabaseError as exc:
-            raise RuntimeError(f"step {t} estimation phase failed for {aid!r}: {exc}") from exc
+            raise ValueError(f"step {t} estimation phase failed for {aid!r}: {exc}") from exc
         bus.publish(f"agent/{aid}/estimate", (est, score), step=t, publisher=aid)
 
         # phase 6: next control command toward the active waypoint

@@ -1,10 +1,12 @@
-"""Pairwise MDP distance: the reference for ``localization.localize``'s scores.
+"""Reference forms of the fingerprint layer's array code.
 
 ``localize`` scores every grid point at once against the database's cached
-aligned profiles. This is the same metric for one pair of profiles, written
-out directly: circular-shift each profile so its first nonzero bin is bin 0,
-divide by its total power, and take the RMS bin difference. Tests compare
-``localize`` against it; nothing in ``src/`` imports it.
+aligned profiles. ``mdp_distance`` is the same metric for one pair of
+profiles, written out directly: circular-shift each profile so its first
+nonzero bin is bin 0, divide by its total power, and take the RMS bin
+difference. ``compute_mdp_per_path`` is the per-path binning loop that
+``compute_mdp`` replaced with one ``np.bincount``. Tests compare the package
+against both; nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from isactwin.localization import DatabaseError, Mdp
+from isactwin.raytrace import PathSet
 
 
 def mdp_distance(a: Mdp, b: Mdp) -> float:
@@ -27,3 +30,16 @@ def _aligned_unit(bins: np.ndarray) -> np.ndarray:
         return np.zeros_like(bins)
     first = int(np.nonzero(bins)[0][0])
     return np.roll(bins, -first) / total
+
+
+def compute_mdp_per_path(paths: PathSet, bin_width: float, num_bins: int) -> Mdp:
+    """Bin path powers by delay, one path at a time, in path order."""
+    bins = np.zeros(num_bins)
+    overflow = 0
+    for p in paths:
+        idx = int(np.floor(p.delay / bin_width))
+        if idx >= num_bins:
+            overflow += 1
+            continue
+        bins[idx] += abs(p.gain) ** 2
+    return Mdp(bins=bins, bin_width=bin_width, overflow=overflow)

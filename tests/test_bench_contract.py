@@ -1,15 +1,24 @@
-"""The benchmark's span list must name functions that exist.
+"""The benchmark's span list and call counts must hold.
 
 ``perfbench --trace 1`` wraps every entry of ``perfbench/spans.py``'s
 ``TARGETS`` and stops with "span list is stale" when one is missing, so a
 change that deletes or renames a listed function breaks the traced benchmark.
-This test finds that in the unit suite. It reads ``spans.py`` by path and
-compiles it in memory, so nothing under ``perfbench/`` is imported as a
+Its self-check then fails the run unless the call counts match what the
+workload implies: one ``trace_paths`` and one ``compute_mdp`` call per
+(grid point, AP) while building the database, and per step two traces (four
+with a map offset) and two ``beamformed_gains`` calls. These tests find both
+in the unit suite, on the tiny scenario. They read ``spans.py`` by path and
+compile it in memory, so nothing under ``perfbench/`` is imported as a
 package or written.
 """
 
+import json
 import types
 from pathlib import Path
+
+import pytest
+
+from isactwin import simcore
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -31,3 +40,40 @@ def test_every_span_target_resolves():
         except (AttributeError, ImportError) as exc:
             missing.append(f"{name}: {exc}")
     assert not missing, "\n".join(missing)
+
+
+def traced(fn, *args, **kwargs):
+    """Call fn under the benchmark's span wrappers; returns (result, tracer)."""
+    tracer = load_spans().Tracer()
+    with tracer:
+        result = fn(*args, **kwargs)
+    return result, tracer
+
+
+def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario):
+    config = simcore.ScenarioConfig.from_file(tiny_scenario)
+    (db, _), tracer = traced(simcore.build_db_for_scenario, config)
+    fingerprints = len(db.positions) * len(db.ap_ids)
+    assert fingerprints == 70          # 35 grid points x 2 APs
+    assert tracer.calls("localization.build_fingerprint_db") == 1
+    assert tracer.calls("raytrace.trace_paths") == fingerprints
+    assert tracer.calls("localization.compute_mdp") == fingerprints
+    assert tracer.calls("channel.beamformed_gains") == 0
+
+
+@pytest.mark.parametrize("map_offset,traces_per_step", [(None, 2), ([0.0, -0.05], 4)],
+                         ids=["clean", "map-offset"])
+def test_run_call_counts_per_step(tiny_scenario, map_offset, traces_per_step):
+    doc = json.loads(tiny_scenario.read_text())
+    doc["noise"]["map_offset_m"] = map_offset
+    tiny_scenario.write_text(json.dumps(doc))
+    config = simcore.ScenarioConfig.from_file(tiny_scenario)
+    simcore.build_db_for_scenario(config)
+    records, tracer = traced(simcore.run_simulation, config, max_steps=6)
+    steps = len(records)
+    assert steps == 6
+    assert tracer.calls("simcore.sim_step") == steps
+    assert tracer.calls("raytrace.trace_paths") == traces_per_step * steps
+    assert tracer.calls("channel.beamformed_gains") == 2 * steps
+    assert tracer.calls("localization.localize") == steps
+    assert tracer.calls("localization.build_fingerprint_db") == 0

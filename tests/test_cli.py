@@ -90,6 +90,21 @@ class TestRun:
         assert main(["run", scenario, "--seed", "2", "--max-steps", "5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failing_step_is_one_error_line(self, tmp_path, capsys):
+        # ap_b sits exactly where the robot starts, so step 0 cannot trace that
+        # link; the ROI keeps the database grid clear of it
+        doc = tiny_scenario_doc()
+        doc["network"]["nodes"][1]["pose"]["position"] = [0.7, 0.5, 0.1]
+        doc["db"]["build"]["roi_m"] = [0.3, 0.25, 0.6, 0.75]
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(TINY_SCENE))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: step 0 raytrace phase failed: coincident endpoints\n"
+
 
 class TestEval:
     def test_eval_prints_table_and_json(self, scenario, tmp_path, capsys):

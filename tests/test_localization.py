@@ -19,7 +19,7 @@ from isactwin.localization import (
 from isactwin.raytrace import PathSet, Pose, PropagationPath, trace_paths
 from isactwin.scene import load_scene, floor_grid
 from conftest import box_scene_doc
-from localization_oracle import mdp_distance
+from localization_oracle import compute_mdp_per_path, mdp_distance
 
 
 def pathset(entries, fc=2.4e9):
@@ -62,6 +62,24 @@ class TestComputeMdp:
             compute_mdp(pathset([]), 0.0, 64)
         with pytest.raises(ValueError):
             compute_mdp(pathset([]), 1e-9, 0)
+
+    @pytest.mark.parametrize("bin_width,num_bins", [(5e-10, 64), (1e-9, 8), (2e-10, 3), (1e-8, 1)])
+    def test_matches_per_path_oracle_on_traced_paths(self, bin_width, num_bins):
+        scene = load_scene(box_scene_doc(2.0, 1.6, 1.2, coeff=0.8))
+        rng = np.random.default_rng(17)
+        overflowed = 0
+        for _ in range(12):
+            tx = Pose(position=rng.uniform([0.1, 0.1, 0.1], [1.9, 1.5, 1.1]))
+            rx = Pose(position=rng.uniform([0.1, 0.1, 0.1], [1.9, 1.5, 1.1]))
+            paths = trace_paths(scene, tx, rx, max_order=2, carrier_freq=2.4e9)
+            got = compute_mdp(paths, bin_width, num_bins)
+            want = compute_mdp_per_path(paths, bin_width, num_bins)
+            # same libm hypot and pow, same accumulation order: equal bit for bit
+            np.testing.assert_array_equal(got.bins, want.bins)
+            assert got.overflow == want.overflow
+            overflowed += got.overflow
+        if num_bins * bin_width < 20e-9:       # shorter than most order-2 paths in this room
+            assert overflowed > 0
 
 
 def match(query, *stored, bw=12.5e-9):
@@ -257,6 +275,32 @@ class TestLocalize:
         ])
         assert score == pytest.approx(sums.min(), rel=1e-12)
         assert np.array_equal(est, db.positions[int(np.argmin(sums))])
+
+    def test_ties_resolve_to_lowest_index(self):
+        profile, other = [0.0, 1.0, 0.5, 0.0], [1.0, 0.0, 0.0, 1.0]
+        assert match(profile, other, profile, profile, other) == (1, 0.0)
+
+    @pytest.mark.parametrize("ap_ids", [["ap2"], ["ap1"], ["ap2", "ap1"]])
+    def test_scores_only_the_measured_aps(self, small_db, ap_ids):
+        db, scene, aps = small_db
+        p = Pose.at(1.13, 0.71, 0.2)
+        measured = {
+            ap_id: compute_mdp(trace_paths(scene, pose, p, 2, 2.4e9), db.bin_width, db.num_bins)
+            for ap_id, pose in aps if ap_id in ap_ids
+        }
+        est, score = localize(measured, db)
+        sums = np.array([
+            sum(mdp_distance(measured[ap], db.entry(i, ap)) for ap in sorted(ap_ids))
+            for i in range(len(db.positions))
+        ])
+        assert score == pytest.approx(sums.min(), rel=1e-12)
+        assert np.array_equal(est, db.positions[int(np.argmin(sums))])
+
+    def test_unknown_ap_among_known_rejected(self, small_db):
+        db, _, _ = small_db
+        known = db.entry(0, "ap1")
+        with pytest.raises(DatabaseError, match="zzz"):
+            localize({"ap1": known, "zzz": known}, db)
 
 
 class TestFingerprintNoise:

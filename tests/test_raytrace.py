@@ -184,6 +184,85 @@ class TestPropagationPathInvariants:
         assert [p.delay for p in ps] == [1e-9, 2e-9, 3e-9]
 
 
+def columns_of(ps):
+    return (ps.gain, ps.delay, ps.doppler, ps.aoa, ps.aod, ps.order)
+
+
+class TestPathSetColumns:
+    """PathSet stores columns; PropagationPaths go in and come back out unchanged."""
+
+    TX = Pose.at(1.23, 0.74, 1.31, yaw=0.4, velocity=(0.3, -0.2, 0.0))
+    RX = Pose.at(2.86, 2.11, 0.97, yaw=-1.1, velocity=(-0.1, 0.5, 0.0))
+
+    def test_column_shapes_and_types(self, box_scene):
+        ps = trace_paths(box_scene, self.TX, self.RX, 2, 2.4e9)
+        n = len(ps)
+        assert n > 20
+        assert ps.gain.shape == ps.delay.shape == ps.doppler.shape == ps.order.shape == (n,)
+        assert ps.aoa.shape == ps.aod.shape == (n, 2)
+        assert ps.gain.dtype == complex and ps.delay.dtype == float
+        assert np.all(np.diff(ps.delay) >= 0.0)
+        assert [len(r) for r in ps.reflection_points] == ps.order.tolist()
+
+    def test_shuffled_paths_rebuild_the_traced_columns(self, box_scene):
+        traced = trace_paths(box_scene, self.TX, self.RX, 2, 2.4e9)
+        assert len(np.unique(traced.delay)) == len(traced)   # no ties, so the order is forced
+        paths = traced.paths
+        np.random.default_rng(5).shuffle(paths)
+        rebuilt = PathSet(paths=paths, tx_pose=self.TX, rx_pose=self.RX, carrier_freq=2.4e9)
+        for got, want in zip(columns_of(rebuilt), columns_of(traced)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        for got, want in zip(rebuilt.reflection_points, traced.reflection_points):
+            assert np.array_equal(got, want)
+
+    def test_paths_view_gives_back_every_field(self):
+        rng = np.random.default_rng(11)
+        given_paths = []
+        for k in range(12):
+            order = int(rng.integers(0, 4))
+            given_paths.append(PropagationPath(
+                gain=complex(rng.normal(), rng.normal()), delay=float(rng.uniform(1e-9, 1e-7)),
+                doppler=float(rng.normal()), aoa=tuple(rng.uniform(-1.5, 1.5, 2).tolist()),
+                aod=tuple(rng.uniform(-1.5, 1.5, 2).tolist()),
+                reflection_points=rng.normal(size=(order, 3)), order=order))
+        ps = PathSet(paths=given_paths, tx_pose=self.TX, rx_pose=self.RX, carrier_freq=2.4e9)
+        back = ps.paths
+        assert [p.delay for p in back] == sorted(p.delay for p in given_paths)
+        for p in back:
+            q = next(q for q in given_paths if q.delay == p.delay)
+            assert (p.gain, p.delay, p.doppler, p.aoa, p.aod, p.order) == \
+                (q.gain, q.delay, q.doppler, q.aoa, q.aod, q.order)
+            assert type(p.gain) is complex and type(p.delay) is float and type(p.order) is int
+            assert type(p.aoa) is tuple and type(p.aod) is tuple
+            assert np.array_equal(p.reflection_points, q.reflection_points)
+        assert [p.delay for p in ps] == [p.delay for p in back]
+
+    def test_traced_paths_view_matches_columns(self, box_scene):
+        ps = trace_paths(box_scene, self.TX, self.RX, 2, 2.4e9)
+        back = ps.paths
+        assert [p.gain for p in back] == ps.gain.tolist()
+        assert [p.delay for p in back] == ps.delay.tolist()
+        assert [p.doppler for p in back] == ps.doppler.tolist()
+        assert [list(p.aoa) for p in back] == ps.aoa.tolist()
+        assert [list(p.aod) for p in back] == ps.aod.tolist()
+        assert [p.order for p in back] == ps.order.tolist()
+
+    def test_equal_delays_keep_input_order(self):
+        def mk(delay, tag):
+            return PropagationPath(gain=0.1, delay=delay, doppler=tag, aoa=(0, 0), aod=(0, 0),
+                                   reflection_points=np.zeros((0, 3)), order=0)
+        ps = PathSet(paths=[mk(2e-9, 1.0), mk(3e-9, 2.0), mk(2e-9, 3.0), mk(1e-9, 4.0), mk(2e-9, 5.0)],
+                     tx_pose=Pose.at(0, 0, 0), rx_pose=Pose.at(1, 0, 0), carrier_freq=2.4e9)
+        assert ps.doppler.tolist() == [4.0, 1.0, 3.0, 5.0, 2.0]
+
+    def test_empty_path_set(self):
+        ps = PathSet(paths=[], tx_pose=Pose.at(0, 0, 0), rx_pose=Pose.at(1, 0, 0), carrier_freq=2.4e9)
+        assert len(ps) == 0 and ps.paths == [] and list(ps) == []
+        assert ps.aoa.shape == ps.aod.shape == (0, 2)
+        assert ps.gain.dtype == complex
+
+
 def box_image_lengths(lx, ly, lz, t, r, max_order):
     """Independent axis-aligned mirrored-source enumeration for an empty box."""
     planes = [(0, 0.0), (0, lx), (1, 0.0), (1, ly), (2, 0.0), (2, lz)]

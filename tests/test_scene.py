@@ -99,6 +99,18 @@ class TestValidateScene:
         )
         assert any("dart" in v and "convex" in v for v in validate_scene(box_scene))
 
+    def test_collinear_vertices_flagged(self, box_scene):
+        # a square with an extra vertex at the midpoint of one edge: the turn there is zero
+        box_scene.surfaces.append(
+            Surface(
+                vertices=[[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 2, 0], [0, 2, 0]],
+                material=Material("wall", 0.7),
+                name="notched",
+            )
+        )
+        flagged = [v for v in validate_scene(box_scene) if "notched" in v]
+        assert flagged == ["notched: consecutive vertices collinear"]
+
     @given(
         coeff=st.floats(min_value=-0.5, max_value=1.5, allow_nan=False),
         # keep clear of the 1e-9 planarity threshold itself: the oracle below

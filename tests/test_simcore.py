@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from isactwin import metrics
+from isactwin.cli import main
 from isactwin.channel import mrt_beamformer, synthesize_channel
 from isactwin.localization import DatabaseError, compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
@@ -126,6 +127,27 @@ class TestScenarioConfig:
         p.write_text(json.dumps(doc))
         problems = validate_scenario(ScenarioConfig.from_file(p))
         assert problems == [f"node id {new!r} must not contain whitespace, '/', '*', '?' or '['"]
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["network"]["nodes"][0].update(role="TX"),
+         "node 'ap_a': role 'TX' is not tx, rx or txrx"),
+        (lambda doc: doc["network"]["nodes"][2].pop("array"),
+         "node 'robot' ends a communication link but has no array"),
+        (lambda doc: doc["network"]["nodes"][1].pop("pose"),
+         "transmitter 'ap_b' has no pose"),
+        (lambda doc: doc["ofdm"].update(carrier_hz=0.0),
+         "malformed scenario document: carrier_freq must be > 0"),
+    ], ids=["role-case", "link-end-without-array", "transmitter-without-pose", "zero-carrier"])
+    def test_scenario_that_would_fail_in_run_rejected(self, tmp_path, capsys, edit, message):
+        doc = tiny_scenario_doc()
+        edit(doc)
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["run", str(p), "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_scene_file_flagged(self, tmp_path):
         doc = tiny_scenario_doc()
