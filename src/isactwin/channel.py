@@ -13,10 +13,11 @@ are available for one element at a time. Everything here is
 per-resource-element frequency domain; no waveform simulation.
 
 The rate kernels are array code over all L paths of a link at once: one
-steering matrix per terminal, and for the (sub-carrier, symbol) grid one BLAS
-matmul of an (N, L) sub-carrier phase table, factored into per-block and
-within-block exponentials, with an (L, N_R * K) right-hand side. The per-path
-forms and the einsum they replaced live on as the test oracle in
+steering matrix per terminal, and for the (sub-carrier, symbol) grid one
+small BLAS matmul per 32-wide block of sub-carriers, of a (32, L) table of
+within-block phases with an (L, N_R * K) right-hand side scaled by the
+block's own phase. No (N, L) table over all sub-carriers is built. The
+per-path forms and the einsum they replaced live on as the test oracle in
 tests/channel_oracle.py.
 """
 
@@ -87,56 +88,62 @@ def synthesize_channel(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayCon
     return (a_r * coeff) @ a_t.T
 
 
+# Sub-carrier n = _PHASE_BLOCK * h + m: exp(-j 2 pi tau df n) is the product
+# of a per-block factor and a within-block factor, so a grid of N sub-carriers
+# costs (distinct blocks + _PHASE_BLOCK) complex exponentials per path, not N.
+_PHASE_BLOCK = 32
+
+
 def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig,
                      w: np.ndarray, params: OfdmParams,
                      subcarriers: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """|H_nk w|^2 over a whole (subcarrier, symbol) grid in one shot.
+    """|H_nk w|^2 over a whole (subcarrier, symbol) grid.
 
     The phase exp(j 2 pi (k nu T_s - n tau df)) separates into a sub-carrier
     factor and a symbol factor, so with c_rl = a_R[r, l] b_l (a_T^T w)_l,
 
-        (H_nk w)_r = sum_l  S[n, l] * (c_rl exp(j 2 pi k nu_l T_s)),
+        (H_nk w)_r = sum_l  exp(-j 2 pi n tau_l df) * (c_rl exp(j 2 pi k nu_l T_s)).
 
-    one BLAS matmul of the (N, L) sub-carrier table S with an (L, R*K)
-    right-hand side. S comes from a factored table (_subcarrier_phases).
-    Equal to calling synthesize_channel per element up to float
-    accumulation order; the three-operand einsum it replaced is kept as the
-    test oracle in tests/channel_oracle.py. subcarriers must be integer
-    indices. Returns an array of shape (len(subcarriers), len(symbols)).
+    Writing n = 32 h + m splits the sub-carrier factor once more, into a
+    per-block factor P[h, l] and a within-block factor Q[m, l]. The rows of
+    one block h are then one BLAS matmul, Q[m] @ (P[h][:, None] * rhs), with
+    an (L, R*K) right-hand side. No (N, L) sub-carrier table is built: the
+    largest array is the (N, R*K) result. Equal to calling synthesize_channel
+    per element up to float accumulation order; the three-operand einsum
+    this replaced is kept as the test oracle in tests/channel_oracle.py.
+    subcarriers must be integer indices, in any order and with repeats.
+    Returns an array of shape (len(subcarriers), len(symbols)) whose row i
+    belongs to subcarriers[i].
     """
     _check_frame(paths, params)
+    n = np.asarray(subcarriers)
+    idx = n.astype(np.int64)
+    if np.any(idx != n):
+        raise ValueError("subcarrier indices must be integers")
     ks = np.asarray(symbols, dtype=float)
     a_r, a_t = _path_responses(paths, tx_array, rx_array, params.carrier_freq)
     c = a_r * (paths.gain * (a_t.T @ np.asarray(w, dtype=complex)))        # (R, L)
     sym_phase = np.exp(2j * math.pi * np.outer(paths.doppler * params.symbol_duration, ks))  # (L, K)
     n_r, n_k = len(c), len(ks)
     rhs = (c.T[:, :, None] * sym_phase[:, None, :]).reshape(len(paths), n_r * n_k)
-    sub_phase = _subcarrier_phases(paths.delay, params.delta_f, subcarriers)  # (N, L)
-    hw = (sub_phase @ rhs).reshape(len(sub_phase), n_r, n_k)
-    return np.sum(hw.real ** 2 + hw.imag ** 2, axis=1)
 
-
-# Sub-carrier n = _PHASE_BLOCK * hi + lo: exp(-j 2 pi tau df n) is the product
-# of a per-block factor and a within-block factor.
-_PHASE_BLOCK = 32
-
-
-def _subcarrier_phases(taus: np.ndarray, delta_f: float, subcarriers) -> np.ndarray:
-    """(N, L) table exp(-j 2 pi tau_l df n) over the sub-carrier indices n.
-
-    Costs (distinct blocks + _PHASE_BLOCK) complex exponentials per path
-    instead of N, plus one gather and one multiply.
-    """
-    n = np.asarray(subcarriers)
-    idx = n.astype(np.int64)
-    if np.any(idx != n):
-        raise ValueError("subcarrier indices must be integers")
-    hi, lo = np.divmod(idx, _PHASE_BLOCK)
-    blocks, block_of = np.unique(hi, return_inverse=True)
-    rate = -2.0 * math.pi * delta_f * taus                                 # (L,)
+    # rows sorted by sub-carrier, so that each block's rows are one slice
+    order = np.argsort(idx, kind="stable")
+    hi, lo = np.divmod(idx[order], _PHASE_BLOCK)
+    blocks, starts = np.unique(hi, return_index=True)
+    ends = np.append(starts[1:], len(idx))
+    rate = -2.0 * math.pi * params.delta_f * paths.delay                   # (L,)
     per_block = np.exp(1j * np.outer(blocks * _PHASE_BLOCK, rate))         # (B, L)
     in_block = np.exp(1j * np.outer(np.arange(_PHASE_BLOCK), rate))        # (32, L)
-    return per_block[block_of] * in_block[lo]
+    hw = np.empty((len(idx), n_r * n_k), dtype=complex)
+    for factor, s, e in zip(per_block, starts, ends):
+        np.matmul(in_block[lo[s:e]], factor[:, None] * rhs, out=hw[s:e])
+    power = hw.real ** 2                   # += keeps one float (N, R*K) array fewer alive
+    power += hw.imag ** 2
+    power = np.sum(power.reshape(len(idx), n_r, n_k), axis=1)
+    gains = np.empty_like(power)
+    gains[order] = power
+    return gains
 
 
 def _path_responses(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig, fc: float):

@@ -49,7 +49,7 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -244,6 +244,8 @@ class ScenarioConfig:
     max_order: int
     db: DbSpec
     trace_csv: Path
+    # (key, scene, graph, allocation) that validate_scenario built, for init_world
+    _validated_parts: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -399,7 +401,12 @@ def _parse_path(spec) -> np.ndarray:
 
 
 def validate_scenario(config: ScenarioConfig) -> list:
-    """Total validation pass; returns human-readable violation strings."""
+    """Total validation pass; returns human-readable violation strings.
+
+    The scene, network graph and resource allocation it builds on the way are
+    kept on the config, so that the next init_world of it need not build them
+    again.
+    """
     problems = []
     if config.dt <= 0.0:
         problems.append(f"sim.dt_s must be > 0, got {config.dt}")
@@ -412,7 +419,7 @@ def validate_scenario(config: ScenarioConfig) -> list:
     if config.max_order < 0:
         problems.append("raytrace.max_order must be >= 0")
 
-    scene = None
+    scene = graph = allocation = None
     if not config.scene_path.is_file():
         problems.append(f"scene file not found: {config.scene_path}")
     else:
@@ -444,7 +451,7 @@ def validate_scenario(config: ScenarioConfig) -> list:
         if req.user not in node_ids:
             problems.append(f"resources reference unknown node {req.user!r}")
     try:
-        allocate_resources(config.requests, config.ofdm.n_subcarriers, config.ofdm.n_symbols)
+        allocation = allocate_resources(config.requests, config.ofdm.n_subcarriers, config.ofdm.n_symbols)
     except NetworkError as exc:
         problems.append(f"resource allocation invalid: {exc}")
 
@@ -468,7 +475,34 @@ def validate_scenario(config: ScenarioConfig) -> list:
     if config.db.path is not None and not config.db.path.is_file() and config.db.build is None:
         problems.append(f"database file not found and no build instructions: {config.db.path}")
 
+    if scene is not None and graph is not None and allocation is not None:
+        config._validated_parts = (_parts_key(config), scene, graph, allocation)
     return problems
+
+
+def _parts_key(config: ScenarioConfig) -> tuple:
+    """Everything the scene, graph and allocation are built from: the scene
+    file's path, size and mtime, and the config fields the builders read.
+    Poses are frozen and compare by identity, so a replaced pose is a change."""
+    stat = config.scene_path.stat()
+    return (
+        config.scene_path, stat.st_size, stat.st_mtime_ns, config.ofdm,
+        tuple((n.id, n.role, n.array, n.pose) for n in config.nodes),
+        tuple(config.edges), tuple(config.requests),
+        tuple((a.id, a.initial_pose) for a in config.agents),
+    )
+
+
+def _world_parts(config: ScenarioConfig) -> tuple:
+    """(scene, graph, allocation) of a config: the ones validate_scenario
+    built, if nothing they depend on has changed since, else built afresh."""
+    handed, config._validated_parts = config._validated_parts, None
+    if handed is not None and handed[0] == _parts_key(config):
+        return handed[1:]
+    scene = load_scene(config.scene_path)
+    graph = _build_graph(config)
+    allocation = allocate_resources(config.requests, config.ofdm.n_subcarriers, config.ofdm.n_symbols)
+    return scene, graph, allocation
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +661,7 @@ class World:
     bus: Bus
     agents: dict
     fp_rng: np.random.Generator
+    rate_plan: dict       # (receiver, transmitter) -> _LinkPlan, or None without resources
     finished: bool = False
 
     def comm_links(self) -> list:
@@ -634,10 +669,49 @@ class World:
         return [(v, q) for v in sorted(self.agents) for q in sorted(incoming_edges(self.graph, v))]
 
 
+@dataclass(eq=False)
+class _LinkPlan:
+    """What phase 3 needs of one link that does not change after init_world."""
+
+    subcarriers: np.ndarray   # the transmitter's sub-carriers, sorted
+    symbols: np.ndarray       # its symbols, sorted
+    rep: tuple                # (n, k) at which the MRT beamformer is computed
+    power: float              # the transmitter's uniform_power
+    interferers: list         # (other transmitter into the same receiver, power x (N, K) overlap mask)
+
+
+def _rate_plan(links: list, allocation) -> dict:
+    """One _LinkPlan per communication link, None for a transmitter without resources.
+
+    Interferers keep the order of `links`. A pair whose sub-carrier or symbol
+    sets are disjoint overlaps nowhere and is left out.
+    """
+    plan = {}
+    for v, q in links:
+        alloc = allocation.users.get(q)
+        if alloc is None:
+            plan[(v, q)] = None
+            continue
+        subs, syms = sorted(alloc.subcarriers), sorted(alloc.symbols)
+        interferers = []
+        for vv, qq in links:
+            other = allocation.users.get(qq)
+            if (vv != v or qq == q or other is None or alloc.subcarriers.isdisjoint(other.subcarriers)
+                    or alloc.symbols.isdisjoint(other.symbols)):
+                continue
+            ov_n = np.isin(subs, sorted(other.subcarriers))
+            ov_k = np.isin(syms, sorted(other.symbols))
+            interferers.append((qq, other.uniform_power * np.outer(ov_n, ov_k)))
+        plan[(v, q)] = _LinkPlan(
+            subcarriers=np.array(subs), symbols=np.array(syms),
+            rep=(subs[len(subs) // 2], syms[0]), power=alloc.uniform_power,
+            interferers=interferers,
+        )
+    return plan
+
+
 def init_world(config: ScenarioConfig, bus: Bus | None = None) -> World:
-    scene = load_scene(config.scene_path)
-    graph = _build_graph(config)
-    allocation = allocate_resources(config.requests, config.ofdm.n_subcarriers, config.ofdm.n_symbols)
+    scene, graph, allocation = _world_parts(config)
     db = ensure_db(config, scene, graph)
     agents = {}
     for idx, spec in enumerate(sorted(config.agents, key=lambda a: a.id)):
@@ -653,7 +727,7 @@ def init_world(config: ScenarioConfig, bus: Bus | None = None) -> World:
             ),
             progress=agent_mod.PathProgress(index=0, done=False),
         )
-    return World(
+    world = World(
         config=config,
         scene=scene,
         graph=graph,
@@ -662,7 +736,10 @@ def init_world(config: ScenarioConfig, bus: Bus | None = None) -> World:
         bus=bus if bus is not None else Bus(),
         agents=agents,
         fp_rng=np.random.default_rng([config.seed, 13]),
+        rate_plan={},
     )
+    world.rate_plan = _rate_plan(world.comm_links(), allocation)
+    return world
 
 
 def sim_step(world: World, t: int) -> TraceRecord:
@@ -695,36 +772,30 @@ def sim_step(world: World, t: int) -> TraceRecord:
     except ValueError as exc:
         raise ValueError(f"step {t} raytrace phase failed: {exc}") from exc
 
-    # phase 3: signal generation: MRT beamformers and per-link rates
+    # phase 3: signal generation: MRT beamformers and per-link rates, with the
+    # allocation-fixed parts (index arrays, overlap masks) read from the plan
     rates = {}
     beamformers = {}
     try:
         # first pass: every link's beamformer, so interference sums see them all
-        for v, q in world.comm_links():
-            alloc = world.allocation.users.get(q)
+        for (v, q), plan in world.rate_plan.items():
             paths = pathsets[(v, q)]
-            if alloc is None or len(paths) == 0:
+            if plan is None or len(paths) == 0:
                 continue
-            subs = sorted(alloc.subcarriers)
-            syms = sorted(alloc.symbols)
-            n_rep, k_rep = subs[len(subs) // 2], syms[0]
             h_rep = synthesize_channel(paths, world.graph.nodes[q].array,
-                                       world.graph.nodes[v].array, n_rep, k_rep, cfg.ofdm)
+                                       world.graph.nodes[v].array, *plan.rep, cfg.ofdm)
             beamformers[(v, q)] = mrt_beamformer(h_rep)
-        for v, q in world.comm_links():
-            alloc = world.allocation.users.get(q)
-            if alloc is None or (v, q) not in beamformers:
+        for (v, q), plan in world.rate_plan.items():
+            if (v, q) not in beamformers:
                 rates[(v, q)] = 0.0
                 bus.publish(f"metrics/rate/{v}/{q}", 0.0, step=t, publisher="sim")
                 continue
-            subs = np.array(sorted(alloc.subcarriers))
-            syms = np.array(sorted(alloc.symbols))
             gains = beamformed_gains(
                 pathsets[(v, q)], world.graph.nodes[q].array, world.graph.nodes[v].array,
-                beamformers[(v, q)], cfg.ofdm, subs, syms,
+                beamformers[(v, q)], cfg.ofdm, plan.subcarriers, plan.symbols,
             )
-            interference = _interference_grid(world, v, q, subs, syms, pathsets, beamformers)
-            snr = alloc.uniform_power * gains / (cfg.noise.noise_power_w + interference)
+            interference = _interference_grid(world, v, plan, pathsets, beamformers)
+            snr = plan.power * gains / (cfg.noise.noise_power_w + interference)
             rates[(v, q)] = float(np.mean(np.log2(1.0 + snr)))
             bus.publish(f"metrics/rate/{v}/{q}", rates[(v, q)], step=t, publisher="sim")
     except ValueError as exc:
@@ -802,24 +873,18 @@ def sim_step(world: World, t: int) -> TraceRecord:
     return record
 
 
-def _interference_grid(world, v, q, subs, syms, pathsets, beamformers) -> np.ndarray:
-    """Received power from other transmitters overlapping (n, k) cells of link (v, q)."""
-    total = np.zeros((len(subs), len(syms)))
-    for (vv, qq), w in beamformers.items():
-        if vv != v or qq == q:
-            continue
-        other = world.allocation.users.get(qq)
-        if other is None:
-            continue
-        ov_n = np.isin(subs, sorted(other.subcarriers))
-        ov_k = np.isin(syms, sorted(other.symbols))
-        if not (ov_n.any() and ov_k.any()):
+def _interference_grid(world, v, plan, pathsets, beamformers) -> np.ndarray:
+    """Received power from other transmitters overlapping (n, k) cells of a link into v."""
+    total = np.zeros((len(plan.subcarriers), len(plan.symbols)))
+    for qq, mask in plan.interferers:
+        w = beamformers.get((v, qq))
+        if w is None:
             continue
         gains = beamformed_gains(
-            pathsets[(vv, qq)], world.graph.nodes[qq].array, world.graph.nodes[vv].array,
-            w, world.config.ofdm, subs, syms,
+            pathsets[(v, qq)], world.graph.nodes[qq].array, world.graph.nodes[v].array,
+            w, world.config.ofdm, plan.subcarriers, plan.symbols,
         )
-        total += other.uniform_power * np.outer(ov_n, ov_k) * gains
+        total += mask * gains
     return total
 
 

@@ -6,9 +6,11 @@ change that deletes or renames a listed function breaks the traced benchmark.
 Its self-check then fails the run unless the call counts match what the
 workload implies: one ``trace_paths`` and one ``compute_mdp`` call per
 (grid point, AP) while building the database, and per step two traces (four
-with a map offset) and two ``beamformed_gains`` calls. These tests find both
-in the unit suite, on the tiny scenario. They read ``spans.py`` by path and
-compile it in memory, so nothing under ``perfbench/`` is imported as a
+with a map offset) and two ``beamformed_gains`` calls. Its multiply-
+accumulate count reads ``beamformed_gains``' arguments by position, and its
+set-up time assumes the world is built once per run. These tests find all of
+these in the unit suite, on the tiny scenario. They read ``spans.py`` by path
+and compile it in memory, so nothing under ``perfbench/`` is imported as a
 package or written.
 """
 
@@ -77,3 +79,35 @@ def test_run_call_counts_per_step(tiny_scenario, map_offset, traces_per_step):
     assert tracer.calls("channel.beamformed_gains") == 2 * steps
     assert tracer.calls("localization.localize") == steps
     assert tracer.calls("localization.build_fingerprint_db") == 0
+    # L * N * K * N_R per link and step, with L from an untraced run of the same config
+    world, paths_per_step = link_path_counts(config, steps)
+    cmac = 0
+    for paths in paths_per_step:
+        for (v, q), n_paths in paths.items():
+            alloc = world.allocation.users[q]
+            cmac += (n_paths * len(alloc.subcarriers) * len(alloc.symbols)
+                     * world.graph.nodes[v].array.num_elements)
+    assert cmac > 0
+    assert tracer.counts["channel.cmac"] == cmac
+
+
+def link_path_counts(config, steps):
+    """(world, [{link: paths traced} per step]) of an untraced run of config."""
+    world = simcore.init_world(config)
+    channels = world.bus.subscribe("sim/channel/*")
+    counts = []
+    for t in range(steps):
+        simcore.sim_step(world, t)
+        counts.append({tuple(m.topic.split("/")[2:]): len(m.payload) for m in channels.drain()})
+    return world, counts
+
+
+def test_run_loads_the_scene_once(tiny_scenario):
+    config = simcore.ScenarioConfig.from_file(tiny_scenario)
+    simcore.build_db_for_scenario(config)
+    _, tracer = traced(simcore.run_simulation, config, max_steps=2)
+    assert tracer.calls("simcore.validate_scenario") == 1
+    assert tracer.calls("simcore.init_world") == 1
+    assert tracer.calls("scene.load_scene") == 1
+    assert tracer.calls("network.build_network") == 1
+    assert tracer.calls("network.allocate_resources") == 1

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,13 +166,21 @@ _PATH = st.tuples(st.complex_numbers(max_magnitude=0.1, allow_nan=False, allow_i
 _ARRAY = st.builds(ArrayConfig, st.integers(1, 32), st.floats(0.3, 0.7).map(lambda f: f * LAM),
                    st.floats(0.05, math.pi) | st.floats(-math.pi, -0.05))
 # gapped sorted index sets that always hold 0 and one index >= 2048, so the
-# sub-carrier phase table spans several blocks; or a single index
+# sub-carriers span many 32-wide phase blocks; or a single index; or indices
+# in any order and with repeats, whose gains must come back in input order
 _SUBCARRIERS = (
     st.integers(0, 4200).map(lambda n: [n])
     | st.tuples(st.integers(2048, 4200), st.sets(st.integers(0, 4200), max_size=60))
     .map(lambda t: sorted({0, t[0]} | t[1]))
+    | st.lists(st.integers(0, 4200), min_size=2, max_size=80)
 )
 _SYMBOLS = st.sets(st.integers(0, 14), min_size=1, max_size=14).map(sorted)
+
+
+# two paths whose delays turn the sub-carrier phase by a different, non-trivial
+# amount per block, so a row placed in the wrong block cannot match
+_EDGE_PATHS = [(0.05 - 0.02j, 3.1e-8, 120.0, (0.4, 0.1), (-1.1, 0.2)),
+               (0.01 + 0.03j, 7.3e-8, -80.0, (2.5, -0.3), (0.6, 0.0))]
 
 
 class TestRateKernelsAgainstOracle:
@@ -185,7 +194,18 @@ class TestRateKernelsAgainstOracle:
                       (0.01 + 0.03j, 7e-8, -80.0, (2.5, -0.3), (0.6, 0.0))],
              tx=ArrayConfig(8, LAM / 2, 0.25), rx=ArrayConfig(3, 0.6 * LAM, -1.0),
              subs=[2049], syms=[7], df=78125.0, w_seed=1)
-    @settings(max_examples=80, deadline=None)
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(8, LAM / 2, 0.25), rx=ArrayConfig(2, LAM / 2),
+             subs=[31, 32, 63, 64], syms=[1, 14], df=78125.0, w_seed=2)       # block edges
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(8, LAM / 2, 0.25), rx=ArrayConfig(2, LAM / 2),
+             subs=[64, 31, 63, 32], syms=[3], df=78125.0, w_seed=3)           # edges, shuffled
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(8, LAM / 2, 0.25), rx=ArrayConfig(3, LAM / 2),
+             subs=[100, 7, 2047, 7, 100, 100], syms=[2, 5], df=78125.0, w_seed=4)  # repeats
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
+             subs=[4100, 0, 167, 288], syms=[1, 2, 3], df=78125.0, w_seed=5)  # one index per block
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
+             subs=np.random.default_rng(6).permutation(np.arange(1, 513)).tolist(), syms=[1, 14],
+             df=78125.0, w_seed=6)                                            # shuffled grid
+    @settings(max_examples=120, deadline=None)
     def test_matches_oracle(self, entries, tx, rx, subs, syms, df, w_seed):
         ps = make_pathset(entries)
         p = params(df=df)
@@ -210,6 +230,32 @@ class TestRateKernelsAgainstOracle:
         arr = ArrayConfig(1, LAM / 2)
         with pytest.raises(ValueError, match="integers"):
             beamformed_gains(ps, arr, arr, np.ones(1), params(), np.array([1.5]), np.array([1]))
+
+
+def test_beamformed_gains_builds_no_subcarrier_by_path_table():
+    # the shipped link's size: 63 paths, 32 transmit and 2 receive elements,
+    # a 512 x 14 grid. One (N, L) complex table alone is N * L * 16 bytes, so
+    # a peak under (N * R * K + N * L) * 16 bytes leaves no room for the
+    # table beside the (N, R * K) result and its squares.
+    rng = np.random.default_rng(12)
+    n_paths, n_sub, n_sym = 63, 512, 14
+    entries = [((rng.normal() + 1j * rng.normal()) * 0.01, rng.uniform(1e-9, 8e-8), rng.uniform(-50, 50),
+                (rng.uniform(-1, 1), rng.uniform(-1, 1)), (rng.uniform(-1, 1), rng.uniform(-1, 1)))
+               for _ in range(n_paths)]
+    ps = make_pathset(entries)
+    tx, rx = ArrayConfig(32, LAM / 2), ArrayConfig(2, LAM / 2)
+    w = rng.normal(size=32) + 1j * rng.normal(size=32)
+    w /= np.linalg.norm(w)
+    p = params(n=1024, k=n_sym)
+    subs, syms = np.arange(1, n_sub + 1), np.arange(1, n_sym + 1)
+    beamformed_gains(ps, tx, rx, w, p, subs, syms)      # warm up imports and caches
+    tracemalloc.start()
+    try:
+        beamformed_gains(ps, tx, rx, w, p, subs, syms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n_sub * rx.num_elements * n_sym + n_sub * n_paths) * 16
 
 
 class TestTxSignal:

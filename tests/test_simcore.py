@@ -1,12 +1,14 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from isactwin import metrics
+from isactwin import metrics, simcore
 from isactwin.cli import main
 from isactwin.channel import mrt_beamformer, synthesize_channel
+from isactwin.network import ArrayConfig, NetworkError
 from isactwin.localization import DatabaseError, compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
 from isactwin.scene import load_scene
@@ -344,6 +346,56 @@ class TestSimulationLoop:
             run_simulation(ScenarioConfig.from_file(p))
 
 
+class TestSetUpOnce:
+    """validate_scenario hands the scene, graph and allocation it built to the
+    next init_world of the same config, unless something they depend on changed."""
+
+    @pytest.fixture
+    def config(self, tiny_scenario, monkeypatch):
+        loads = []
+        load = simcore.load_scene
+        monkeypatch.setattr(simcore, "load_scene", lambda path: loads.append(path) or load(path))
+        config = ScenarioConfig.from_file(tiny_scenario)
+        build_db_for_scenario(config)
+        loads.clear()
+        return config, loads
+
+    def test_init_world_takes_what_validation_built(self, config):
+        config, loads = config
+        assert validate_scenario(config) == []
+        world = init_world(config)
+        assert len(loads) == 1
+        second = init_world(config)       # the hand-over is used once
+        assert len(loads) == 2
+        assert second.scene is not world.scene
+
+    def test_changed_config_is_built_afresh(self, config):
+        config, loads = config
+        assert validate_scenario(config) == []
+        config.requests = [r for r in config.requests if r.user != "ap_b"]
+        config.nodes[0].array = ArrayConfig(2, config.nodes[0].array.spacing)
+        world = init_world(config)
+        assert len(loads) == 2
+        assert set(world.allocation.users) == {"ap_a"}
+        assert world.graph.nodes["ap_a"].array.num_elements == 2
+
+    def test_rewritten_scene_file_is_loaded_again(self, config):
+        config, loads = config
+        assert validate_scenario(config) == []
+        doc = json.loads(config.scene_path.read_text())
+        config.scene_path.write_text(json.dumps(doc, indent=2))
+        init_world(config)
+        assert len(loads) == 2
+
+    def test_invalid_allocation_still_fails_in_init_world(self, config):
+        config, _ = config
+        assert validate_scenario(config) == []
+        config.requests[0] = dataclasses.replace(config.requests[0], subcarriers=frozenset({99}))
+        assert any("resource allocation" in p for p in validate_scenario(config))
+        with pytest.raises(NetworkError, match="outside"):
+            init_world(config)
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_traces(self, tmp_path):
         doc = tiny_scenario_doc()
@@ -437,9 +489,14 @@ class TestInterference:
 
     STEPS = 3
 
-    def _run(self, tmp_path, name, ap_b_subcarriers):
+    def _run(self, tmp_path, name, ap_b_subcarriers, symbols=None, drop=None):
+        """symbols: (ap_a's, ap_b's) symbol sets; drop: a user whose resource entry is removed."""
         doc = tiny_scenario_doc()
-        doc["network"]["resources"]["users"][1]["subcarriers"] = ap_b_subcarriers
+        users = doc["network"]["resources"]["users"]
+        users[1]["subcarriers"] = ap_b_subcarriers
+        if symbols is not None:
+            users[0]["symbols"], users[1]["symbols"] = symbols
+        users[:] = [u for u in users if u["id"] != drop]
         doc["sim"]["max_steps"] = self.STEPS
         root = tmp_path / name
         root.mkdir()
@@ -493,3 +550,24 @@ class TestInterference:
             for link, rate in expected.items():
                 assert record.rates[link] == pytest.approx(rate, rel=1e-12)
             assert record.rates[("robot", "ap_a")] < alone.rates[("robot", "ap_a")]
+
+    def test_disjoint_symbols_add_no_interference(self, tmp_path):
+        # ap_b sends on sub-carriers 9-16 of ap_a too, but on the other symbols
+        symbols = ({"from": 1, "to": 2}, {"from": 3, "to": 4})
+        world, overlap = self._run(tmp_path, "overlap", {"from": 9, "to": 24}, symbols)
+        _, disjoint = self._run(tmp_path, "disjoint", {"from": 17, "to": 32}, symbols)
+        _, ap_b_alone = self._run(tmp_path, "alone", {"from": 9, "to": 24}, symbols, drop="ap_a")
+        assert all(not plan.interferers for plan in world.rate_plan.values())
+        for (record, paths), (other_b, _), (alone, _) in zip(overlap, disjoint, ap_b_alone):
+            assert set(paths) == {("robot", "ap_a"), ("robot", "ap_b")}
+            assert record.rates[("robot", "ap_a")] == other_b.rates[("robot", "ap_a")]
+            assert record.rates[("robot", "ap_b")] == alone.rates[("robot", "ap_b")]
+
+    def test_transmitter_without_resources_has_zero_rate_and_no_interference(self, tmp_path):
+        world, runs = self._run(tmp_path, "no-entry", {"from": 17, "to": 32}, drop="ap_b")
+        _, with_b = self._run(tmp_path, "with-entry", {"from": 17, "to": 32})
+        assert world.rate_plan[("robot", "ap_b")] is None
+        for (record, paths), (reference, _) in zip(runs, with_b):
+            assert ("robot", "ap_b") in paths          # the link is still traced
+            assert record.rates[("robot", "ap_b")] == 0.0
+            assert record.rates[("robot", "ap_a")] == reference.rates[("robot", "ap_a")]
