@@ -11,7 +11,7 @@ Submodules:
     metrics       positioning/modeling errors and achievable rates
 """
 
-from .agent import AgentState, Control, Observation, ProcessNoise
+from .agent import Control, ProcessNoise
 from .channel import OfdmParams, TxSignal
 from .localization import FingerprintDB, Mdp
 from .network import ArrayConfig, NetworkGraph, ResourceAllocation
@@ -22,8 +22,8 @@ from .simcore import Bus, ScenarioConfig, TraceRecord, run_simulation
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState", "ArrayConfig", "Bus", "Control", "FingerprintDB", "Material",
-    "Mdp", "NetworkGraph", "Observation", "OfdmParams", "PathSet", "Pose",
+    "ArrayConfig", "Bus", "Control", "FingerprintDB", "Material", "Mdp",
+    "NetworkGraph", "OfdmParams", "PathSet", "Pose",
     "ProcessNoise", "PropagationPath", "ResourceAllocation", "Scene",
     "ScenarioConfig", "Surface", "TraceRecord", "TxSignal", "run_simulation",
     "__version__",

@@ -16,12 +16,6 @@ import numpy as np
 from .raytrace import Pose, wrap_angle
 
 
-@dataclass(eq=False)
-class AgentState:
-    pose: Pose
-    t: int = 0
-
-
 @dataclass(frozen=True)
 class Control:
     """Unicycle command: linear and angular velocity."""
@@ -31,18 +25,8 @@ class Control:
 
 
 @dataclass(eq=False)
-class Observation:
-    o: np.ndarray
-    m: np.ndarray
-
-    def __post_init__(self):
-        self.o = np.atleast_1d(np.asarray(self.o, dtype=float))
-        self.m = np.atleast_1d(np.asarray(self.m))
-
-
-@dataclass(eq=False)
 class ProcessNoise:
-    """Zero-mean Gaussian state/observation noise with a seeded generator.
+    """Zero-mean Gaussian state/observation noise drawn from the agent's own generator.
 
     state_var holds per-component variances for (x, y, yaw); obs_var is a
     scalar variance applied per observation component.
@@ -56,10 +40,6 @@ class ProcessNoise:
         self.state_var = np.broadcast_to(np.asarray(self.state_var, dtype=float), (3,)).copy()
         if np.any(self.state_var < 0.0) or self.obs_var < 0.0:
             raise ValueError("noise variances must be nonnegative")
-
-    @classmethod
-    def seeded(cls, seed, state_var=0.0, obs_var=0.0) -> "ProcessNoise":
-        return cls(state_var=state_var, obs_var=obs_var, rng=np.random.default_rng(seed))
 
 
 def diff_drive_step(pose: Pose, u: Control, dt: float) -> Pose:
@@ -83,30 +63,22 @@ def diff_drive_step(pose: Pose, u: Control, dt: float) -> Pose:
     )
 
 
-def step_state(s_prev: AgentState, u_prev: Control, noise: ProcessNoise, dt: float) -> AgentState:
+def step_state(pose: Pose, u: Control, noise: ProcessNoise, dt: float) -> Pose:
     """One state-transition step: exact kinematics plus additive pose noise."""
-    pose = diff_drive_step(s_prev.pose, u_prev, dt)
+    pose = diff_drive_step(pose, u, dt)
     eps = noise.rng.normal(0.0, np.sqrt(noise.state_var))
     x, y, z = pose.position
-    noisy = Pose(
+    return Pose(
         position=(x + eps[0], y + eps[1], z),
         orientation=(wrap_angle(pose.yaw + eps[2]), pose.orientation[1], pose.orientation[2]),
         velocity=pose.velocity,
     )
-    return AgentState(pose=noisy, t=s_prev.t + 1)
 
 
-def observe(s: AgentState, m, noise: ProcessNoise, g=None, expected_len=None) -> Observation:
-    """o = g(s, m) + eps. The default g passes the measurement through as reals."""
-    m = np.atleast_1d(np.asarray(m))
-    if expected_len is not None and len(m) != expected_len:
-        raise ValueError(f"measurement length {len(m)} != declared {expected_len}")
-    if g is None:
-        raw = np.real(m).astype(float)
-    else:
-        raw = np.atleast_1d(np.asarray(g(s, m), dtype=float))
-    eps = noise.rng.normal(0.0, math.sqrt(noise.obs_var), size=raw.shape)
-    return Observation(o=raw + eps, m=m)
+def observe(m, noise: ProcessNoise) -> np.ndarray:
+    """The measurement as a real vector plus N(0, obs_var) noise on each component."""
+    raw = np.real(np.atleast_1d(np.asarray(m))).astype(float)
+    return raw + noise.rng.normal(0.0, math.sqrt(noise.obs_var), size=raw.shape)
 
 
 @dataclass(frozen=True)

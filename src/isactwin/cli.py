@@ -7,6 +7,7 @@ Exit code 0 on success; on failure a single machine-parseable line
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -98,7 +99,7 @@ def _dispatch(args) -> int:
         records = simcore.read_trace_csv(args.trace)
         summary = metrics.summarize_run(records)
         print(summary.format_table())
-        doc = json.dumps(summary.to_dict(), sort_keys=True)
+        doc = json.dumps(dataclasses.asdict(summary), sort_keys=True)
         if args.out:
             Path(args.out).write_text(doc + "\n")
         else:

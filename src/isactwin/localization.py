@@ -45,7 +45,6 @@ class Mdp:
 
     bins: np.ndarray
     bin_width: float
-    ap_id: str = ""
     overflow: int = 0  # paths whose delay fell beyond the binning window
 
     def __post_init__(self):
@@ -60,7 +59,7 @@ class Mdp:
         return len(self.bins)
 
 
-def compute_mdp(paths: PathSet, bin_width: float, num_bins: int, ap_id: str = "") -> Mdp:
+def compute_mdp(paths: PathSet, bin_width: float, num_bins: int) -> Mdp:
     """Bin path powers by delay: bin[i] = sum |b_l|^2 over floor(tau_l / width) == i."""
     if bin_width <= 0.0 or num_bins < 1:
         raise ValueError("invalid bin parameters")
@@ -69,7 +68,7 @@ def compute_mdp(paths: PathSet, bin_width: float, num_bins: int, ap_id: str = ""
     # hypot, then libm pow, round exactly as abs(complex) ** 2 does per path
     power = np.float_power(np.hypot(paths.gain.real, paths.gain.imag), 2.0)
     bins = np.bincount(idx[inside].astype(np.intp), weights=power[inside], minlength=num_bins)
-    return Mdp(bins=bins, bin_width=bin_width, ap_id=ap_id, overflow=int(np.count_nonzero(~inside)))
+    return Mdp(bins=bins, bin_width=bin_width, overflow=int(np.count_nonzero(~inside)))
 
 
 def _aligned_unit(bins: np.ndarray) -> np.ndarray:
@@ -107,7 +106,7 @@ class FingerprintDB:
 
     def entry(self, point_index: int, ap_id: str) -> Mdp:
         a = self._ap_index(ap_id)
-        return Mdp(bins=self.bins[point_index, a].copy(), bin_width=self.bin_width, ap_id=ap_id)
+        return Mdp(bins=self.bins[point_index, a].copy(), bin_width=self.bin_width)
 
     def _ap_index(self, ap_id: str) -> int:
         try:
@@ -151,7 +150,7 @@ def build_fingerprint_db(
         rx = Pose(position=point)
         for ai, (ap_id, ap_pose) in enumerate(ap_list):
             paths = trace_paths(scene, ap_pose, rx, max_order=max_order, carrier_freq=carrier_freq)
-            mdp = compute_mdp(paths, bin_width, num_bins, ap_id=ap_id)
+            mdp = compute_mdp(paths, bin_width, num_bins)
             bins[pi, ai] = mdp.bins
             overflow += mdp.overflow
     return FingerprintDB(
@@ -196,12 +195,11 @@ def add_fingerprint_noise(mdp: Mdp, snr_db: float, rng: np.random.Generator) -> 
     """
     occupied = mdp.bins > 0.0
     if not np.any(occupied):
-        return Mdp(bins=mdp.bins.copy(), bin_width=mdp.bin_width, ap_id=mdp.ap_id,
-                   overflow=mdp.overflow)
+        return Mdp(bins=mdp.bins.copy(), bin_width=mdp.bin_width, overflow=mdp.overflow)
     sigma = np.sqrt(np.mean(mdp.bins[occupied] ** 2) / 10.0 ** (snr_db / 10.0))
     noisy = mdp.bins.copy()
     noisy[occupied] = np.clip(noisy[occupied] + rng.normal(0.0, sigma, int(occupied.sum())), 0.0, None)
-    return Mdp(bins=noisy, bin_width=mdp.bin_width, ap_id=mdp.ap_id, overflow=mdp.overflow)
+    return Mdp(bins=noisy, bin_width=mdp.bin_width, overflow=mdp.overflow)
 
 
 def save_db(db: FingerprintDB, path) -> Path:

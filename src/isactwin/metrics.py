@@ -36,22 +36,14 @@ class ErrorSeries:
         return float(np.sqrt(np.mean(self.errors ** 2)))
 
 
-def positioning_error(estimated, ground_truth) -> ErrorSeries:
-    """Per-step planar distance between estimates and the ground truth track."""
-    return ErrorSeries(errors=_planar_distances(estimated, ground_truth))
-
-
-def modeling_error(sim_positions, ground_truth) -> ErrorSeries:
-    """Per-step planar distance between the twin's pose and the ground truth."""
-    return ErrorSeries(errors=_planar_distances(sim_positions, ground_truth))
-
-
-def _planar_distances(a, b) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(a, dtype=float))[:, :2]
-    b = np.atleast_2d(np.asarray(b, dtype=float))[:, :2]
+def planar_error(positions, ground_truth) -> ErrorSeries:
+    """Per-step planar distance between a track (estimates, or the twin's pose)
+    and the ground truth track."""
+    a = np.atleast_2d(np.asarray(positions, dtype=float))[:, :2]
+    b = np.atleast_2d(np.asarray(ground_truth, dtype=float))[:, :2]
     if len(a) != len(b):
         raise ValueError(f"trajectory lengths differ: {len(a)} vs {len(b)}")
-    return np.linalg.norm(a - b, axis=1)
+    return ErrorSeries(errors=np.linalg.norm(a - b, axis=1))
 
 
 def achievable_rate(h: np.ndarray, w: np.ndarray, p: float, noise_power: float,
@@ -72,17 +64,6 @@ class RunSummary:
     rmse_model_err_m: float
     mean_rate_bps_hz: dict  # "v:q" -> mean rate
     steps: int
-
-    def to_dict(self) -> dict:
-        return {
-            "max_pos_err_m": self.max_pos_err_m,
-            "rmse_pos_err_m": self.rmse_pos_err_m,
-            "mean_pos_err_m": self.mean_pos_err_m,
-            "max_model_err_m": self.max_model_err_m,
-            "rmse_model_err_m": self.rmse_model_err_m,
-            "mean_rate_bps_hz": dict(self.mean_rate_bps_hz),
-            "steps": self.steps,
-        }
 
     def format_table(self) -> str:
         lines = [
@@ -114,8 +95,8 @@ def summarize_run(records) -> RunSummary:
                 model.append((agent.true_x, agent.true_y))
         for link, rate in rec.rates.items():
             rate_acc.setdefault(link, []).append(rate)
-    pos = positioning_error(est, true)
-    model_err = modeling_error(model, true)
+    pos = planar_error(est, true)
+    model_err = planar_error(model, true)
     return RunSummary(
         max_pos_err_m=pos.max,
         rmse_pos_err_m=pos.rmse,

@@ -38,7 +38,6 @@ class ArrayConfig:
 class Node:
     id: str
     is_tx: bool = False
-    is_rx: bool = False
     array: ArrayConfig | None = None
     pose: Pose | None = None
 
@@ -97,31 +96,17 @@ class ResourceRequest:
 
 @dataclass(eq=False)
 class UserAllocation:
-    user: str
     subcarriers: frozenset
     symbols: frozenset
     power_budget: float
     uniform_power: float  # watts on each occupied resource element
 
-    def occupies(self, n: int, k: int) -> bool:
-        return n in self.subcarriers and k in self.symbols
-
-    def power(self, n: int, k: int) -> float:
-        """Power factor p_qnk; zero off the user's resource set."""
-        return self.uniform_power if self.occupies(n, k) else 0.0
-
-    @property
-    def resource_count(self) -> int:
-        return len(self.subcarriers) * len(self.symbols)
-
     def total_power(self) -> float:
-        return self.uniform_power * self.resource_count
+        return self.uniform_power * len(self.subcarriers) * len(self.symbols)
 
 
 @dataclass(eq=False)
 class ResourceAllocation:
-    n_subcarriers: int
-    n_symbols: int
     users: dict  # user id -> UserAllocation
 
 
@@ -150,10 +135,9 @@ def allocate_resources(requests, n_subcarriers: int, n_symbols: int) -> Resource
         if req.power_budget < 0.0:
             raise NetworkError(f"user {req.user!r}: negative power budget")
         users[req.user] = UserAllocation(
-            user=req.user,
             subcarriers=subs,
             symbols=syms,
             power_budget=req.power_budget,
             uniform_power=req.power_budget / (len(subs) * len(syms)),
         )
-    return ResourceAllocation(n_subcarriers=n_subcarriers, n_symbols=n_symbols, users=users)
+    return ResourceAllocation(users=users)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,11 +92,12 @@ class Scene:
 
 
 def load_scene(source) -> Scene:
-    """Load and validate a scene from a JSON file path, JSON text, or parsed mapping.
+    """Load and validate a scene from a JSON file path (str or Path) or a parsed dict.
 
-    Raises SceneError on parse failure, unknown material references, or any
-    type-invariant violation (non-planar surfaces, out-of-range coefficients,
-    surfaces outside bounds, empty scenes).
+    Raises SceneError on a missing file, parse failure, a NaN or infinite
+    number, unknown material references, or any type-invariant violation
+    (non-planar surfaces, out-of-range coefficients, surfaces outside bounds,
+    empty scenes).
     """
     doc = _read_document(source)
     scene = _scene_from_document(doc)
@@ -107,18 +109,36 @@ def load_scene(source) -> Scene:
 
 def _read_document(source) -> dict:
     if isinstance(source, dict):
-        return source
-    if isinstance(source, Path) or (isinstance(source, str) and Path(source).is_file()):
-        text = Path(source).read_text()
+        doc = source
     else:
-        text = str(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneError(f"scene document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SceneError("scene document must be a JSON object")
+        try:
+            text = Path(source).read_text()
+        except FileNotFoundError:
+            raise SceneError(f"scene file not found: {source}") from None
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SceneError(f"scene document is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise SceneError("scene document must be a JSON object")
+    where = nonfinite_field(doc)
+    if where is not None:
+        raise SceneError(f"scene document has a non-finite number at {where}")
     return doc
+
+
+def nonfinite_field(doc) -> str | None:
+    """The jq-style path of the first NaN or infinite number in a parsed JSON
+    document (``.sim.dt_s``, ``.surfaces[0].vertices[1][2]``), or None.
+    Python's json reads NaN, Infinity and 1e999 as floats, past every range check."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else ""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, (list, tuple)) else ()
+    for key, value in items:
+        found = nonfinite_field(value)
+        if found is not None:   # the path is built only on the way back from a hit
+            return (f".{key}" if isinstance(doc, dict) else f"[{key}]") + found
+    return None
 
 
 def _scene_from_document(doc: dict) -> Scene:

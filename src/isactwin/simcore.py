@@ -68,7 +68,7 @@ from .network import (
     incoming_edges,
 )
 from .raytrace import Pose, trace_paths
-from .scene import SceneError, floor_grid, load_scene, scene_hash
+from .scene import SceneError, floor_grid, load_scene, nonfinite_field, scene_hash
 
 
 class ConfigError(ValueError):
@@ -166,7 +166,6 @@ class TraceRecord:
     time_s: float
     agents: dict          # agent id -> AgentTrace
     rates: dict           # (receiver id, transmitter id) -> bits/s/Hz
-    rng_digest: str = ""
 
 
 TRACE_BASE_COLUMNS = [
@@ -230,7 +229,6 @@ class DbSpec:
 
 @dataclass(eq=False)
 class ScenarioConfig:
-    base_dir: Path
     scene_path: Path
     nodes: list
     edges: list
@@ -261,11 +259,12 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, doc: dict, base_dir=Path(".")) -> "ScenarioConfig":
         base_dir = Path(base_dir)
+        where = nonfinite_field(doc)
+        if where is not None:
+            raise ConfigError(f"scenario document has a non-finite number at {where}")
         try:
             return cls._parse(doc, base_dir)
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"malformed scenario document: {exc}") from exc
 
     @classmethod
@@ -357,7 +356,6 @@ class ScenarioConfig:
         )
 
         return cls(
-            base_dir=base_dir,
             scene_path=base_dir / doc["scene"],
             nodes=nodes,
             edges=edges,
@@ -419,10 +417,11 @@ def validate_scenario(config: ScenarioConfig) -> list:
     if config.max_order < 0:
         problems.append("raytrace.max_order must be >= 0")
 
-    scene = graph = allocation = None
+    scene = graph = allocation = key = None
     if not config.scene_path.is_file():
         problems.append(f"scene file not found: {config.scene_path}")
     else:
+        key = _parts_key(config)   # before the load: a later rewrite makes init_world reload
         try:
             scene = load_scene(config.scene_path)
         except SceneError as exc:
@@ -474,19 +473,28 @@ def validate_scenario(config: ScenarioConfig) -> list:
         problems.append("db section needs a path or build instructions")
     if config.db.path is not None and not config.db.path.is_file() and config.db.build is None:
         problems.append(f"database file not found and no build instructions: {config.db.path}")
+    build = config.db.build
+    if build is not None:
+        if build.spacing <= 0.0:
+            problems.append(f"db.build.spacing_m must be > 0, got {build.spacing}")
+        if build.bin_width <= 0.0 or build.num_bins < 1:
+            problems.append("db.build needs bin_width_s > 0 and num_bins >= 1")
+        if scene is not None and config.agents:
+            height = _db_height(config)
+            if not scene.bounds_min[2] - 1e-9 <= height <= scene.bounds_max[2] + 1e-9:
+                problems.append(f"db.build height {height} outside the scene's z bounds")
 
     if scene is not None and graph is not None and allocation is not None:
-        config._validated_parts = (_parts_key(config), scene, graph, allocation)
+        config._validated_parts = (key, scene, graph, allocation)
     return problems
 
 
 def _parts_key(config: ScenarioConfig) -> tuple:
     """Everything the scene, graph and allocation are built from: the scene
-    file's path, size and mtime, and the config fields the builders read.
+    file's path and bytes, and the config fields the builders read.
     Poses are frozen and compare by identity, so a replaced pose is a change."""
-    stat = config.scene_path.stat()
     return (
-        config.scene_path, stat.st_size, stat.st_mtime_ns, config.ofdm,
+        config.scene_path, config.scene_path.read_bytes(), config.ofdm,
         tuple((n.id, n.role, n.array, n.pose) for n in config.nodes),
         tuple(config.edges), tuple(config.requests),
         tuple((a.id, a.initial_pose) for a in config.agents),
@@ -517,7 +525,6 @@ def _build_graph(config: ScenarioConfig):
             Node(
                 id=spec.id,
                 is_tx=spec.role in ("tx", "txrx"),
-                is_rx=spec.role in ("rx", "txrx"),
                 array=spec.array,
                 pose=pose,
             )
@@ -644,7 +651,7 @@ def ensure_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
 @dataclass(eq=False)
 class _AgentRuntime:
     spec: AgentSpec
-    state: agent_mod.AgentState
+    pose: Pose
     odom: Pose
     control: agent_mod.Control
     noise: agent_mod.ProcessNoise
@@ -661,12 +668,9 @@ class World:
     bus: Bus
     agents: dict
     fp_rng: np.random.Generator
-    rate_plan: dict       # (receiver, transmitter) -> _LinkPlan, or None without resources
+    links: list           # (receiver agent, transmitter) pairs carrying data, sorted
+    rate_plan: dict       # link -> _LinkPlan, or None without resources
     finished: bool = False
-
-    def comm_links(self) -> list:
-        """(receiver agent, transmitter) pairs carrying data, sorted for determinism."""
-        return [(v, q) for v in sorted(self.agents) for q in sorted(incoming_edges(self.graph, v))]
 
 
 @dataclass(eq=False)
@@ -717,7 +721,7 @@ def init_world(config: ScenarioConfig, bus: Bus | None = None) -> World:
     for idx, spec in enumerate(sorted(config.agents, key=lambda a: a.id)):
         agents[spec.id] = _AgentRuntime(
             spec=spec,
-            state=agent_mod.AgentState(pose=spec.initial_pose, t=0),
+            pose=spec.initial_pose,
             odom=spec.initial_pose,
             control=agent_mod.Control(0.0, 0.0),
             noise=agent_mod.ProcessNoise(
@@ -727,7 +731,8 @@ def init_world(config: ScenarioConfig, bus: Bus | None = None) -> World:
             ),
             progress=agent_mod.PathProgress(index=0, done=False),
         )
-    world = World(
+    links = [(v, q) for v in sorted(agents) for q in sorted(incoming_edges(graph, v))]
+    return World(
         config=config,
         scene=scene,
         graph=graph,
@@ -736,10 +741,9 @@ def init_world(config: ScenarioConfig, bus: Bus | None = None) -> World:
         bus=bus if bus is not None else Bus(),
         agents=agents,
         fp_rng=np.random.default_rng([config.seed, 13]),
-        rate_plan={},
+        links=links,
+        rate_plan=_rate_plan(links, allocation),
     )
-    world.rate_plan = _rate_plan(world.comm_links(), allocation)
-    return world
 
 
 def sim_step(world: World, t: int) -> TraceRecord:
@@ -751,19 +755,18 @@ def sim_step(world: World, t: int) -> TraceRecord:
     for aid in sorted(world.agents):
         rt = world.agents[aid]
         try:
-            rt.state = agent_mod.step_state(rt.state, rt.control, rt.noise, cfg.dt)
+            rt.pose = agent_mod.step_state(rt.pose, rt.control, rt.noise, cfg.dt)
             rt.odom = agent_mod.diff_drive_step(rt.odom, rt.control, cfg.dt)
         except ValueError as exc:
             raise ValueError(f"step {t} state phase failed for {aid!r}: {exc}") from exc
-        bus.publish(f"agent/{aid}/state", rt.state, step=t, publisher=aid)
+        bus.publish(f"agent/{aid}/state", rt.pose, step=t, publisher=aid)
 
     # phase 2: refresh propagation parameters for all links
     pathsets = {}
     try:
-        for v, q in world.comm_links():
-            tx_node = world.graph.nodes[q]
-            tx_pose = world.agents[q].state.pose if q in world.agents else tx_node.pose
-            rx_pose = world.agents[v].state.pose
+        for v, q in world.links:
+            tx_pose = world.agents[q].pose if q in world.agents else world.graph.nodes[q].pose
+            rx_pose = world.agents[v].pose
             pathsets[(v, q)] = trace_paths(
                 world.scene, tx_pose, rx_pose,
                 max_order=cfg.max_order, carrier_freq=cfg.ofdm.carrier_freq,
@@ -807,7 +810,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
     has_offset = bool(np.any(offset != 0.0))
     for aid in sorted(world.agents):
         rt = world.agents[aid]
-        pose = rt.state.pose
+        pose = rt.pose
 
         # phase 4: measurement = fresh fingerprints at the twin's pose
         try:
@@ -820,12 +823,12 @@ def sim_step(world: World, t: int) -> TraceRecord:
                                         max_order=cfg.max_order, carrier_freq=cfg.ofdm.carrier_freq)
                 else:
                     paths = pathsets[(aid, ap_id)]
-                mdp = loc_mod.compute_mdp(paths, world.db.bin_width, world.db.num_bins, ap_id=ap_id)
+                mdp = loc_mod.compute_mdp(paths, world.db.bin_width, world.db.num_bins)
                 if cfg.noise.fingerprint_snr_db is not None:
                     mdp = loc_mod.add_fingerprint_noise(mdp, cfg.noise.fingerprint_snr_db, world.fp_rng)
                 mdps[ap_id] = mdp
             measurement = np.concatenate([mdps[a].bins for a in world.db.ap_ids])
-            obs = agent_mod.observe(rt.state, measurement, rt.noise)
+            obs = agent_mod.observe(measurement, rt.noise)
             bus.publish(f"agent/{aid}/obs", obs, step=t, publisher=aid)
         except ValueError as exc:
             raise ValueError(f"step {t} observation phase failed for {aid!r}: {exc}") from exc
@@ -862,13 +865,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
         )
 
     world.finished = all(rt.progress.done for rt in world.agents.values())
-    record = TraceRecord(
-        step=t,
-        time_s=t * cfg.dt,
-        agents=agent_traces,
-        rates=rates,
-        rng_digest=_rng_digest(world),
-    )
+    record = TraceRecord(step=t, time_s=t * cfg.dt, agents=agent_traces, rates=rates)
     bus.publish("sim/trace", record, step=t, publisher="sim")
     return record
 
@@ -888,15 +885,6 @@ def _interference_grid(world, v, plan, pathsets, beamformers) -> np.ndarray:
     return total
 
 
-def _rng_digest(world: World) -> str:
-    h = hashlib.sha256()
-    for aid in sorted(world.agents):
-        state = world.agents[aid].noise.rng.bit_generator.state
-        h.update(json.dumps(state, sort_keys=True, default=int).encode())
-    h.update(json.dumps(world.fp_rng.bit_generator.state, sort_keys=True, default=int).encode())
-    return h.hexdigest()[:16]
-
-
 def run_simulation(config: ScenarioConfig, trace_path=None, max_steps=None) -> list:
     """Run until every agent reaches its terminal waypoint or max steps elapse.
 
@@ -911,7 +899,7 @@ def run_simulation(config: ScenarioConfig, trace_path=None, max_steps=None) -> l
     out_path = Path(trace_path) if trace_path is not None else config.trace_csv
     steps = config.max_steps if max_steps is None else int(max_steps)
     records = []
-    with TraceWriter(out_path, world.comm_links()) as writer:
+    with TraceWriter(out_path, world.links) as writer:
         for t in range(steps):
             record = sim_step(world, t)
             writer.write_record(record)

@@ -32,8 +32,8 @@ def pathset(entries, fc=2.4e9):
                    carrier_freq=fc)
 
 
-def mdp_from(bins, bw=12.5e-9, ap="ap"):
-    return Mdp(bins=np.asarray(bins, float), bin_width=bw, ap_id=ap)
+def mdp_from(bins, bw=12.5e-9):
+    return Mdp(bins=np.asarray(bins, float), bin_width=bw)
 
 
 class TestComputeMdp:
@@ -232,19 +232,19 @@ class TestLocalize:
         bins[1, 0, 4] = 1.0
         db = FingerprintDB(positions=np.array([[0, 0, 0], [1, 0, 0]], float), spacing=1.0,
                            ap_ids=["a"], bins=bins, bin_width=1e-9)
-        q = Mdp(bins=bins[0, 0] * 7.0, bin_width=1e-9, ap_id="a")
+        q = Mdp(bins=bins[0, 0] * 7.0, bin_width=1e-9)
         est, score = localize({"a": q}, db)
         assert np.array_equal(est, [0, 0, 0])
 
     def test_unknown_ap_rejected(self, small_db):
         db, _, _ = small_db
-        q = Mdp(bins=np.zeros(64), bin_width=5e-10, ap_id="nope")
+        q = Mdp(bins=np.zeros(64), bin_width=5e-10)
         with pytest.raises(DatabaseError, match="nope"):
             localize({"nope": q}, db)
 
     def test_bin_mismatch_rejected(self, small_db):
         db, _, _ = small_db
-        q = Mdp(bins=np.zeros(32), bin_width=5e-10, ap_id="ap1")
+        q = Mdp(bins=np.zeros(32), bin_width=5e-10)
         with pytest.raises(DatabaseError, match="bin"):
             localize({"ap1": q}, db)
 
@@ -256,7 +256,7 @@ class TestLocalize:
             measured = {}
             for ap_id, pose in aps:
                 ps = trace_paths(scene, pose, Pose(position=p), 2, 2.4e9)
-                measured[ap_id] = compute_mdp(ps, db.bin_width, db.num_bins, ap_id=ap_id)
+                measured[ap_id] = compute_mdp(ps, db.bin_width, db.num_bins)
             est, _ = localize(measured, db)
             assert any(np.array_equal(est, g) for g in db.positions)
 
@@ -267,7 +267,7 @@ class TestLocalize:
         measured = {}
         for ap_id, pose in aps:
             ps = trace_paths(scene, pose, Pose(position=p), 2, 2.4e9)
-            measured[ap_id] = compute_mdp(ps, db.bin_width, db.num_bins, ap_id=ap_id)
+            measured[ap_id] = compute_mdp(ps, db.bin_width, db.num_bins)
         est, score = localize(measured, db)
         sums = np.array([
             sum(mdp_distance(measured[ap], db.entry(i, ap)) for ap in db.ap_ids)
@@ -331,7 +331,7 @@ class TestFingerprintNoise:
             measured = {}
             for ap_id, pose in aps:
                 ps = trace_paths(scene, pose, Pose(position=p), 2, 2.4e9)
-                measured[ap_id] = compute_mdp(ps, db.bin_width, db.num_bins, ap_id=ap_id)
+                measured[ap_id] = compute_mdp(ps, db.bin_width, db.num_bins)
             queries.append((p, measured))
 
         def mean_error(snr_db, trials):

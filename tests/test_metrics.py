@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,7 @@ from isactwin.metrics import (
     ErrorSeries,
     RunSummary,
     achievable_rate,
-    modeling_error,
-    positioning_error,
+    planar_error,
 )
 from isactwin.network import ArrayConfig
 from isactwin.raytrace import SPEED_OF_LIGHT as C, Pose, Scene, trace_paths
@@ -22,39 +22,41 @@ LAM = C / FC
 
 
 class TestPositioningError:
+    # planar_error of the estimates against the ground truth
     def test_identical_trajectories(self):
         xy = np.array([[0, 0], [1, 1], [2, 0]])
-        series = positioning_error(xy, xy)
+        series = planar_error(xy, xy)
         assert np.all(series.errors == 0)
         assert series.max == series.mean == series.rmse == 0.0
 
     def test_constant_offset(self):
         truth = np.array([[0, 0], [1, 0], [2, 0]])
         est = truth + np.array([0.1, 0.0])
-        series = positioning_error(est, truth)
+        series = planar_error(est, truth)
         assert np.allclose(series.errors, 0.1)
         assert series.rmse == pytest.approx(0.1, rel=1e-12)
         assert series.max == pytest.approx(0.1, rel=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
-            positioning_error(np.zeros((3, 2)), np.zeros((4, 2)))
+            planar_error(np.zeros((3, 2)), np.zeros((4, 2)))
 
     def test_planar_only(self):
         est = np.array([[0.0, 0.0, 5.0]])
         truth = np.array([[0.0, 0.0, 0.0]])
-        assert positioning_error(est, truth).max == 0.0
+        assert planar_error(est, truth).max == 0.0
 
 
 class TestModelingError:
+    # planar_error of the twin's pose against the ground truth
     def test_self_consistency_zero(self):
         xy = np.array([[0, 0], [0.5, 0.2]])
-        assert modeling_error(xy, xy).max == 0.0
+        assert planar_error(xy, xy).max == 0.0
 
     def test_injected_map_offset(self):
         truth = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
         sim = truth + np.array([0.05, 0.0])
-        series = modeling_error(sim, truth)
+        series = planar_error(sim, truth)
         assert np.allclose(series.errors, 0.05)
 
 
@@ -146,7 +148,7 @@ class TestRunSummary:
             max_model_err_m=0.02, rmse_model_err_m=0.02,
             mean_rate_bps_hz={"robot:ap1": 12.5, "robot:ap2": 3.25}, steps=100,
         )
-        again = RunSummary(**summary.to_dict())
-        assert again.to_dict() == summary.to_dict()
+        again = RunSummary(**dataclasses.asdict(summary))
+        assert dataclasses.asdict(again) == dataclasses.asdict(summary)
         table = summary.format_table()
         assert "max pos error" in table and "robot:ap1" in table

@@ -18,7 +18,7 @@ def two_ap_graph():
     nodes = [
         Node(id="ap1", is_tx=True, array=ArrayConfig(32, 0.0625), pose=Pose.at(0, 0, 2)),
         Node(id="ap2", is_tx=True, array=ArrayConfig(1, 0.0625), pose=Pose.at(4, 3, 2)),
-        Node(id="robot", is_rx=True, array=ArrayConfig(2, 0.0625), pose=Pose.at(2, 1, 0.1)),
+        Node(id="robot", array=ArrayConfig(2, 0.0625), pose=Pose.at(2, 1, 0.1)),
     ]
     return build_network(nodes, [("ap1", "robot"), ("ap2", "robot")])
 
@@ -27,11 +27,11 @@ class TestBuildNetwork:
     def test_two_aps_one_robot(self):
         g = two_ap_graph()
         assert {n.id for n in g.nodes.values() if n.is_tx} == {"ap1", "ap2"}
-        assert {n.id for n in g.nodes.values() if n.is_rx} == {"robot"}
+        assert {n.id for n in g.nodes.values() if not n.is_tx} == {"robot"}
         assert g.edges == {("ap1", "robot"), ("ap2", "robot")}
 
     def test_self_loop_rejected(self):
-        nodes = [Node(id="robot", is_rx=True)]
+        nodes = [Node(id="robot")]
         with pytest.raises(NetworkError, match="self-loop"):
             build_network(nodes, [("robot", "robot")])
 
@@ -56,7 +56,7 @@ class TestIncomingEdges:
         assert incoming_edges(two_ap_graph(), "robot") == {"ap1", "ap2"}
 
     def test_isolated_node(self):
-        g = build_network([Node(id="solo", is_rx=True)], [])
+        g = build_network([Node(id="solo")], [])
         assert incoming_edges(g, "solo") == set()
 
     def test_unknown_node(self):
@@ -70,7 +70,7 @@ class TestAllocateResources:
                               symbols=frozenset(range(1, 15)), power_budget=1.0)
         alloc = allocate_resources([req], 1024, 14)
         ua = alloc.users["ap1"]
-        assert ua.power(1, 1) == pytest.approx(1.0 / 14336, rel=1e-15)
+        assert ua.uniform_power == pytest.approx(1.0 / 14336, rel=1e-15)
         assert ua.total_power() == pytest.approx(1.0, rel=1e-12)
 
     def test_out_of_range_subcarrier_rejected(self):
@@ -87,15 +87,15 @@ class TestAllocateResources:
                             power_budget=2.0),
         ]
         alloc = allocate_resources(reqs, 4, 1)
-        assert alloc.users["a"].occupies(2, 1) and alloc.users["b"].occupies(2, 1)
+        a, b = alloc.users["a"], alloc.users["b"]
+        assert 2 in a.subcarriers & b.subcarriers and 1 in a.symbols & b.symbols
 
     def test_occupancy_indicator(self):
         req = ResourceRequest(user="u", subcarriers=frozenset({1, 3}), symbols=frozenset({2}),
                               power_budget=1.0)
         ua = allocate_resources([req], 4, 4).users["u"]
-        assert ua.occupies(1, 2) and ua.occupies(3, 2)
-        assert not ua.occupies(2, 2) and not ua.occupies(1, 1)
-        assert ua.power(2, 2) == 0.0
+        assert ua.subcarriers == {1, 3} and ua.symbols == {2}
+        assert ua.uniform_power == 0.5
 
     @st.composite
     def _requests(draw):
@@ -116,7 +116,8 @@ class TestAllocateResources:
         reqs, n, k = case
         alloc = allocate_resources(reqs, n, k)
         for ua in alloc.users.values():
-            total = sum(ua.power(i, j) for i in range(1, n + 1) for j in range(1, k + 1))
+            total = sum(ua.uniform_power for i in range(1, n + 1) for j in range(1, k + 1)
+                        if i in ua.subcarriers and j in ua.symbols)
             assert total <= ua.power_budget * (1 + 1e-9)
 
     @given(_requests())

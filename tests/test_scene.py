@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -40,9 +41,28 @@ class TestLoadScene:
         with pytest.raises(SceneError, match="coplanar"):
             load_scene(box_doc)
 
-    def test_parse_failure(self):
+    def test_parse_failure(self, tmp_path):
+        p = tmp_path / "bad.scene.json"
+        p.write_text("{not json")
         with pytest.raises(SceneError, match="JSON"):
-            load_scene("{not json")
+            load_scene(str(p))
+
+    @pytest.mark.parametrize("as_str", [True, False], ids=["str", "Path"])
+    def test_missing_file_is_not_found(self, tmp_path, as_str):
+        p = tmp_path / "mistyped.scene.json"
+        with pytest.raises(SceneError, match="scene file not found"):
+            load_scene(str(p) if as_str else p)
+
+    @pytest.mark.parametrize("where,edit", [
+        (".surfaces[0].vertices[1][0]", lambda doc: doc["surfaces"][0]["vertices"][1].__setitem__(0, float("nan"))),
+        (".bounds.max[2]", lambda doc: doc["bounds"]["max"].__setitem__(2, float("inf"))),
+    ], ids=["nan-vertex", "infinite-bound"])
+    def test_non_finite_number_in_file_rejected(self, box_doc, tmp_path, where, edit):
+        edit(box_doc)
+        p = tmp_path / "room.scene.json"
+        p.write_text(json.dumps(box_doc))      # written as NaN / Infinity, which json reads back
+        with pytest.raises(SceneError, match=f"non-finite number at {re.escape(where)}$"):
+            load_scene(str(p))
 
     def test_missing_key(self, box_doc):
         del box_doc["bounds"]
@@ -62,8 +82,8 @@ class TestLoadScene:
     def test_file_round_trip(self, box_doc, tmp_path):
         p = tmp_path / "room.scene.json"
         p.write_text(json.dumps(box_doc))
-        scene = load_scene(p)
-        assert len(scene.surfaces) == 6
+        for source in (p, str(p)):
+            assert len(load_scene(source).surfaces) == 6
 
 
 class TestValidateScene:

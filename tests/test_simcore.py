@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -139,7 +140,12 @@ class TestScenarioConfig:
          "transmitter 'ap_b' has no pose"),
         (lambda doc: doc["ofdm"].update(carrier_hz=0.0),
          "malformed scenario document: carrier_freq must be > 0"),
-    ], ids=["role-case", "link-end-without-array", "transmitter-without-pose", "zero-carrier"])
+        (lambda doc: doc["sim"].update(dt_s=float("nan")),
+         "scenario document has a non-finite number at .sim.dt_s"),
+        (lambda doc: doc["noise"].update(noise_power_w=float("nan")),
+         "scenario document has a non-finite number at .noise.noise_power_w"),
+    ], ids=["role-case", "link-end-without-array", "transmitter-without-pose", "zero-carrier",
+            "nan-dt", "nan-noise-power"])
     def test_scenario_that_would_fail_in_run_rejected(self, tmp_path, capsys, edit, message):
         doc = tiny_scenario_doc()
         edit(doc)
@@ -150,6 +156,41 @@ class TestScenarioConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert main(["run", str(p), "--out", str(tmp_path / "t.csv")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_finite_number_in_a_dict_rejected(self):
+        # json.dumps writes NaN and Infinity, so the file cases above cover the
+        # parser; a dict reaches from_dict without one
+        doc = tiny_scenario_doc()
+        doc["agents"][0]["path"][1][0] = float("-inf")
+        with pytest.raises(ConfigError, match=r"at \.agents\[0\]\.path\[1\]\[0\]$"):
+            ScenarioConfig.from_dict(doc)
+
+    def test_non_finite_number_in_the_scene_file_is_one_error(self, tmp_path, capsys):
+        scene = copy.deepcopy(_tiny_scene())
+        scene["bounds"]["max"][2] = float("inf")
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(scene))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(tiny_scenario_doc()))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == \
+            "error: scene invalid: scene document has a non-finite number at .bounds.max[2]\n"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("spacing_m", 0, "db.build.spacing_m must be > 0, got 0.0"),
+        ("bin_width_s", 0.0, "db.build needs bin_width_s > 0 and num_bins >= 1"),
+        ("num_bins", 0, "db.build needs bin_width_s > 0 and num_bins >= 1"),
+        ("height_m", 5.0, "db.build height 5.0 outside the scene's z bounds"),
+    ], ids=["zero-spacing", "zero-bin-width", "zero-bins", "height-above-scene"])
+    def test_db_build_settings_that_build_db_refuses_rejected(self, tmp_path, capsys, key, value, message):
+        doc = tiny_scenario_doc()
+        doc["db"]["build"][key] = value
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["build-db", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_scene_file_flagged(self, tmp_path):
         doc = tiny_scenario_doc()
@@ -268,7 +309,7 @@ class TestSimulationLoop:
                 ps = trace_paths(scene, ap_pose[ap], Pose(position=point),
                                  max_order=config.max_order,
                                  carrier_freq=config.ofdm.carrier_freq)
-                fresh = compute_mdp(ps, db.bin_width, db.num_bins, ap_id=ap)
+                fresh = compute_mdp(ps, db.bin_width, db.num_bins)
                 stored = db.entry(i, ap)
                 assert np.max(np.abs(fresh.bins - stored.bins)) <= 1e-12 * max(1.0, stored.bins.max())
 
@@ -385,6 +426,20 @@ class TestSetUpOnce:
         doc = json.loads(config.scene_path.read_text())
         config.scene_path.write_text(json.dumps(doc, indent=2))
         init_world(config)
+        assert len(loads) == 2
+
+    def test_same_size_rewrite_under_the_old_mtime_is_loaded_again(self, config):
+        # a size-and-mtime key would hand over the stale scene and skip the DB's scene guard
+        config, loads = config
+        assert validate_scenario(config) == []
+        before = config.scene_path.stat()
+        text = config.scene_path.read_text()
+        config.scene_path.write_text(text.replace('"reflection_coeff": 0.9', '"reflection_coeff": 0.8'))
+        os.utime(config.scene_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = config.scene_path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        with pytest.raises(DatabaseError, match="different scene"):
+            init_world(config)
         assert len(loads) == 2
 
     def test_invalid_allocation_still_fails_in_init_world(self, config):
@@ -531,11 +586,11 @@ class TestInterference:
                     for (_, qq), other in paths.items():
                         if qq != q and n in allocs[qq].subcarriers and k in allocs[qq].symbols:
                             h_other = synthesize_channel(other, arrays[qq], rx, n, k, cfg.ofdm)
-                            interference += (allocs[qq].power(n, k)
+                            interference += (allocs[qq].uniform_power
                                              * np.linalg.norm(h_other @ beams[qq]) ** 2)
                     h = synthesize_channel(ps, arrays[q], rx, n, k, cfg.ofdm)
                     per_element.append(metrics.achievable_rate(
-                        h, beams[q], allocs[q].power(n, k), cfg.noise.noise_power_w,
+                        h, beams[q], allocs[q].uniform_power, cfg.noise.noise_power_w,
                         interference_power=interference))
             rates[(v, q)] = float(np.mean(per_element))
         return rates
