@@ -8,7 +8,7 @@ Submodules:
     agent         differential-drive dynamics and waypoint control
     localization  MDP fingerprint database and matching (the twin's sensing)
     simcore       the per-step simulation loop, bus, and trace recording
-    metrics       positioning/modeling errors and achievable rates
+    metrics       the run report (position error, mean rates) and achievable rate
 """
 
 from .agent import Control, ProcessNoise

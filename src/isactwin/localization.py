@@ -241,11 +241,18 @@ def load_db(path) -> FingerprintDB:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatabaseError(f"{path}: corrupt header") from exc
     off += hlen
+    if not isinstance(header, dict):
+        raise DatabaseError(f"{path}: corrupt header: not a JSON object")
     if header.get("version") != _VERSION:
         raise DatabaseError(f"{path}: unsupported version {header.get('version')}")
-    n_points = header["n_points"]
-    num_bins = header["num_bins"]
-    ap_ids = list(header["ap_ids"])
+    try:
+        n_points, num_bins, ap_ids = header["n_points"], header["num_bins"], list(header["ap_ids"])
+        spacing, bin_width = header["spacing_m"], header["bin_width_s"]
+        scene_hash, network_hash = header["scene_hash"], header["network_hash"]
+    except (KeyError, TypeError) as exc:
+        raise DatabaseError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from exc
+    if not all(type(n) is int and n >= 0 for n in (n_points, num_bins)):
+        raise DatabaseError(f"{path}: corrupt header: n_points {n_points!r}, num_bins {num_bins!r}")
     expected = off + 8 * n_points * (3 + len(ap_ids) * num_bins)
     if len(raw) != expected:
         raise DatabaseError(
@@ -256,12 +263,5 @@ def load_db(path) -> FingerprintDB:
     off += n_points * 3 * 8
     bins = np.frombuffer(raw, dtype="<f8", count=n_points * len(ap_ids) * num_bins, offset=off)
     bins = bins.reshape(n_points, len(ap_ids), num_bins)
-    return FingerprintDB(
-        positions=positions.copy(),
-        spacing=header["spacing_m"],
-        ap_ids=ap_ids,
-        bins=bins.copy(),
-        bin_width=header["bin_width_s"],
-        scene_hash=header["scene_hash"],
-        network_hash=header["network_hash"],
-    )
+    return FingerprintDB(positions=positions.copy(), spacing=spacing, ap_ids=ap_ids, bins=bins.copy(),
+                         bin_width=bin_width, scene_hash=scene_hash, network_hash=network_hash)

@@ -34,10 +34,10 @@ Scenario file schema (JSON; paths are resolved relative to the file)::
 (1-based, inclusive); "path" may be a waypoint list or
 {"circle": {"center", "radius", "waypoints"}}.
 
-Trace CSV columns, in order: step, time_s, agent_id, true_x, true_y,
-true_yaw, est_x, est_y, loc_score, v_cmd, w_cmd, then one rate_<v>_<q>
-column per communication link. Agent ids may not contain "_", so that the
-receiver v can be read back from the column name. Node ids are bus topic
+Trace CSV columns, in order: step, time_s, agent_id, the fields of
+AgentTrace, then one rate_<v>_<q> column per communication link. Agent ids
+may not contain "_", so that the receiver v can be read back from the column
+name. Node ids are bus topic
 segments (agent/<id>/state, sim/channel/<v>/<q>), so they may not contain
 whitespace, "/", or the wildcard characters "*", "?" and "[".
 """
@@ -49,7 +49,7 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -148,6 +148,8 @@ def _check_topic(topic: str, allow_wildcards: bool = False):
 
 @dataclass(eq=False)
 class AgentTrace:
+    """One agent's part of a step; its fields are the trace CSV's agent columns, in order."""
+
     true_x: float
     true_y: float
     true_yaw: float
@@ -156,8 +158,6 @@ class AgentTrace:
     loc_score: float
     v_cmd: float
     w_cmd: float
-    dt_x: float | None = None  # twin pose when a map offset is injected
-    dt_y: float | None = None
 
 
 @dataclass(eq=False)
@@ -168,12 +168,8 @@ class TraceRecord:
     rates: dict           # (receiver id, transmitter id) -> bits/s/Hz
 
 
-TRACE_BASE_COLUMNS = [
-    "step", "time_s", "agent_id",
-    "true_x", "true_y", "true_yaw",
-    "est_x", "est_y", "loc_score",
-    "v_cmd", "w_cmd",
-]
+AGENT_COLUMNS = [f.name for f in fields(AgentTrace)]
+TRACE_BASE_COLUMNS = ["step", "time_s", "agent_id", *AGENT_COLUMNS]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ class ScenarioConfig:
             raise ConfigError(f"scenario document has a non-finite number at {where}")
         try:
             return cls._parse(doc, base_dir)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed scenario document: {exc}") from exc
 
     @classmethod
@@ -475,14 +471,13 @@ def validate_scenario(config: ScenarioConfig) -> list:
         problems.append(f"database file not found and no build instructions: {config.db.path}")
     build = config.db.build
     if build is not None:
-        if build.spacing <= 0.0:
-            problems.append(f"db.build.spacing_m must be > 0, got {build.spacing}")
         if build.bin_width <= 0.0 or build.num_bins < 1:
             problems.append("db.build needs bin_width_s > 0 and num_bins >= 1")
         if scene is not None and config.agents:
-            height = _db_height(config)
-            if not scene.bounds_min[2] - 1e-9 <= height <= scene.bounds_max[2] + 1e-9:
-                problems.append(f"db.build height {height} outside the scene's z bounds")
+            try:
+                _db_grid(config, scene)
+            except ConfigError as exc:
+                problems.append(str(exc))
 
     if scene is not None and graph is not None and allocation is not None:
         config._validated_parts = (key, scene, graph, allocation)
@@ -584,40 +579,52 @@ def _db_height(config: ScenarioConfig) -> float:
     return height if height is not None else float(config.agents[0].initial_pose.position[2])
 
 
+def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
+    """The fingerprint grid of db.build: the floor lattice at the database
+    height, cut to the ROI. Raises ConfigError for settings that give no grid."""
+    build = config.db.build
+    if build.spacing <= 0.0:
+        raise ConfigError(f"db.build.spacing_m must be > 0, got {build.spacing}")
+    height = _db_height(config)
+    if not scene.bounds_min[2] - 1e-9 <= height <= scene.bounds_max[2] + 1e-9:
+        raise ConfigError(f"db.build height {height} outside the scene's z bounds")
+    grid = floor_grid(scene, build.spacing, height)
+    if build.roi is None:
+        return grid
+    if len(build.roi) != 4:
+        raise ConfigError(f"db.build.roi_m must be [xmin, ymin, xmax, ymax], got {list(build.roi)}")
+    xmin, ymin, xmax, ymax = build.roi
+    grid = grid[
+        (grid[:, 0] >= xmin - 1e-9) & (grid[:, 0] <= xmax + 1e-9)
+        & (grid[:, 1] >= ymin - 1e-9) & (grid[:, 1] <= ymax + 1e-9)
+    ]
+    if len(grid) == 0:
+        raise ConfigError(f"db.build.roi_m {list(build.roi)} holds no point of the floor grid")
+    return grid
+
+
 def build_db_for_scenario(config: ScenarioConfig, out=None):
     """Build the fingerprint database of a scenario; returns (db, path or None)."""
-    if config.db.build is None:
-        raise ConfigError("scenario has no db.build instructions")
+    path = Path(out) if out is not None else config.db.path
+    return _build_db(config, load_scene(config.scene_path), _build_graph(config), path), path
+
+
+def _build_db(config: ScenarioConfig, scene, graph, path) -> loc_mod.FingerprintDB:
+    """Fingerprint the db.build grid from every static AP; saved to path unless it is None."""
     build = config.db.build
-    scene = load_scene(config.scene_path)
-    graph = _build_graph(config)
+    if build is None:
+        raise ConfigError("scenario has no db.build instructions")
     aps = _static_aps(config, graph)
     if not aps:
         raise ConfigError("no static transmitter nodes to fingerprint")
-    grid = floor_grid(scene, build.spacing, _db_height(config))
-    if build.roi is not None:
-        xmin, ymin, xmax, ymax = build.roi
-        keep = (
-            (grid[:, 0] >= xmin - 1e-9) & (grid[:, 0] <= xmax + 1e-9)
-            & (grid[:, 1] >= ymin - 1e-9) & (grid[:, 1] <= ymax + 1e-9)
-        )
-        grid = grid[keep]
     db = loc_mod.build_fingerprint_db(
-        scene,
-        aps,
-        grid,
-        bin_width=build.bin_width,
-        num_bins=build.num_bins,
-        spacing=build.spacing,
-        max_order=config.max_order,
-        carrier_freq=config.ofdm.carrier_freq,
-        scene_hash=scene_hash(scene),
-        network_hash=db_signature(config, graph),
+        scene, aps, _db_grid(config, scene), bin_width=build.bin_width, num_bins=build.num_bins,
+        spacing=build.spacing, max_order=config.max_order, carrier_freq=config.ofdm.carrier_freq,
+        scene_hash=scene_hash(scene), network_hash=db_signature(config, graph),
     )
-    path = Path(out) if out is not None else config.db.path
     if path is not None:
         loc_mod.save_db(db, path)
-    return db, path
+    return db
 
 
 def ensure_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
@@ -641,8 +648,7 @@ def ensure_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
                     "(spacing, bins, ROI or height); rebuild it"
                 )
         return db
-    db, _ = build_db_for_scenario(config)
-    return db
+    return _build_db(config, scene, graph, config.db.path)
 
 
 # ---------------------------------------------------------------------------
@@ -860,8 +866,6 @@ def sim_step(world: World, t: int) -> TraceRecord:
             loc_score=score,
             v_cmd=control.v,
             w_cmd=control.omega,
-            dt_x=float(dt_position[0]) if has_offset else None,
-            dt_y=float(dt_position[1]) if has_offset else None,
         )
 
     world.finished = all(rt.progress.done for rt in world.agents.values())
@@ -927,12 +931,8 @@ class TraceWriter:
     def write_record(self, record: TraceRecord):
         for aid in sorted(record.agents):
             ag = record.agents[aid]
-            row = [
-                record.step, repr(float(record.time_s)), aid,
-                repr(float(ag.true_x)), repr(float(ag.true_y)), repr(float(ag.true_yaw)),
-                repr(float(ag.est_x)), repr(float(ag.est_y)), repr(float(ag.loc_score)),
-                repr(float(ag.v_cmd)), repr(float(ag.w_cmd)),
-            ]
+            row = [record.step, repr(float(record.time_s)), aid]
+            row += [repr(float(getattr(ag, c))) for c in AGENT_COLUMNS]
             row += [repr(float(record.rates.get(link, 0.0))) for link in self.links]
             self._writer.writerow(row)
         self._fh.flush()
@@ -967,14 +967,5 @@ def read_trace_csv(path) -> list:
                     rates[(v, q)] = float(row[col])
                 rec = TraceRecord(step=step, time_s=float(row["time_s"]), agents={}, rates=rates)
                 records[step] = rec
-            rec.agents[row["agent_id"]] = AgentTrace(
-                true_x=float(row["true_x"]),
-                true_y=float(row["true_y"]),
-                true_yaw=float(row["true_yaw"]),
-                est_x=float(row["est_x"]),
-                est_y=float(row["est_y"]),
-                loc_score=float(row["loc_score"]),
-                v_cmd=float(row["v_cmd"]),
-                w_cmd=float(row["w_cmd"]),
-            )
+            rec.agents[row["agent_id"]] = AgentTrace(*(float(row[c]) for c in AGENT_COLUMNS))
     return [records[s] for s in sorted(records)]

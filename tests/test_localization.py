@@ -1,4 +1,7 @@
+import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -202,6 +205,21 @@ class TestFingerprintDB:
             load_db(p)
         assert str(err.value).startswith(f"{p}: ")
         assert "truncated" in str(err.value) or "corrupt header" in str(err.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: {"version": 1},
+        lambda header: [1],
+        lambda header: {**header, "n_points": str(header["n_points"])},
+    ], ids=["version-only", "not-an-object", "count-as-string"])
+    def test_malformed_header_rejected(self, small_db, tmp_path, edit):
+        db, _, _ = small_db
+        p = save_db(db, tmp_path / "db.fpdb")
+        raw = p.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        blob = json.dumps(edit(json.loads(raw[12 : 12 + hlen]))).encode()
+        p.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+        with pytest.raises(DatabaseError, match=f"^{re.escape(str(p))}: corrupt header"):
+            load_db(p)
 
     def test_trailing_bytes_rejected(self, small_db, tmp_path):
         db, _, _ = small_db

@@ -7,57 +7,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isactwin.channel import OfdmParams, mrt_beamformer, synthesize_channel
-from isactwin.metrics import (
-    ErrorSeries,
-    RunSummary,
-    achievable_rate,
-    planar_error,
-)
+from isactwin.metrics import RunSummary, achievable_rate, summarize_run
 from isactwin.network import ArrayConfig
 from isactwin.raytrace import SPEED_OF_LIGHT as C, Pose, Scene, trace_paths
+from isactwin.simcore import AgentTrace, TraceRecord
 
 
 FC = 2.4e9
 LAM = C / FC
 
 
+def records(est, truth, yaw=0.0):
+    """One single-agent TraceRecord per (estimate, true position) pair."""
+    return [
+        TraceRecord(step=t, time_s=0.1 * t, rates={("robot", "ap1"): 1.0},
+                    agents={"robot": AgentTrace(true_x=float(tx), true_y=float(ty), true_yaw=yaw,
+                                                est_x=float(ex), est_y=float(ey), loc_score=0.0,
+                                                v_cmd=0.0, w_cmd=0.0)})
+        for t, ((ex, ey), (tx, ty)) in enumerate(zip(est, truth))
+    ]
+
+
 class TestPositioningError:
-    # planar_error of the estimates against the ground truth
+    # summarize_run's planar distance between the estimates and the true track
     def test_identical_trajectories(self):
         xy = np.array([[0, 0], [1, 1], [2, 0]])
-        series = planar_error(xy, xy)
-        assert np.all(series.errors == 0)
-        assert series.max == series.mean == series.rmse == 0.0
+        s = summarize_run(records(xy, xy))
+        assert s.max_pos_err_m == s.mean_pos_err_m == s.rmse_pos_err_m == 0.0
 
     def test_constant_offset(self):
         truth = np.array([[0, 0], [1, 0], [2, 0]])
         est = truth + np.array([0.1, 0.0])
-        series = planar_error(est, truth)
-        assert np.allclose(series.errors, 0.1)
-        assert series.rmse == pytest.approx(0.1, rel=1e-12)
-        assert series.max == pytest.approx(0.1, rel=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="lengths"):
-            planar_error(np.zeros((3, 2)), np.zeros((4, 2)))
+        s = summarize_run(records(est, truth))
+        assert s.rmse_pos_err_m == pytest.approx(0.1, rel=1e-12)
+        assert s.max_pos_err_m == pytest.approx(0.1, rel=1e-12)
+        assert s.mean_pos_err_m == pytest.approx(0.1, rel=1e-12)
 
     def test_planar_only(self):
-        est = np.array([[0.0, 0.0, 5.0]])
-        truth = np.array([[0.0, 0.0, 0.0]])
-        assert planar_error(est, truth).max == 0.0
+        # the trace carries no z, and the heading does not count
+        s = summarize_run(records([[0.3, 0.4]], [[0.0, 0.0]], yaw=2.0))
+        assert s.max_pos_err_m == pytest.approx(0.5, rel=1e-12)
 
-
-class TestModelingError:
-    # planar_error of the twin's pose against the ground truth
-    def test_self_consistency_zero(self):
-        xy = np.array([[0, 0], [0.5, 0.2]])
-        assert planar_error(xy, xy).max == 0.0
-
-    def test_injected_map_offset(self):
-        truth = np.array([[0, 0], [1, 0], [1, 1]], dtype=float)
-        sim = truth + np.array([0.05, 0.0])
-        series = planar_error(sim, truth)
-        assert np.allclose(series.errors, 0.05)
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError, match="empty trace"):
+            summarize_run([])
 
 
 class TestAchievableRate:
@@ -132,20 +125,17 @@ class TestSeriesInvariants:
     @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_rmse_identities(self, errors):
-        s = ErrorSeries(errors=np.array(errors))
-        assert s.max >= s.rmse >= 0.0
-        assert s.rmse ** 2 == pytest.approx(np.mean(np.square(errors)), rel=1e-9, abs=1e-12)
-
-    def test_negative_errors_rejected(self):
-        with pytest.raises(ValueError):
-            ErrorSeries(errors=np.array([-0.1]))
+        est = np.column_stack([errors, np.zeros(len(errors))])
+        s = summarize_run(records(est, np.zeros_like(est)))
+        assert s.max_pos_err_m >= s.rmse_pos_err_m >= 0.0
+        assert s.rmse_pos_err_m ** 2 == pytest.approx(np.mean(np.square(errors)), rel=1e-9, abs=1e-12)
+        assert s.steps == len(errors)
 
 
 class TestRunSummary:
     def test_dict_round_trip(self):
         summary = RunSummary(
             max_pos_err_m=0.1, rmse_pos_err_m=0.05, mean_pos_err_m=0.04,
-            max_model_err_m=0.02, rmse_model_err_m=0.02,
             mean_rate_bps_hz={"robot:ap1": 12.5, "robot:ap2": 3.25}, steps=100,
         )
         again = RunSummary(**dataclasses.asdict(summary))

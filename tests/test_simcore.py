@@ -144,8 +144,12 @@ class TestScenarioConfig:
          "scenario document has a non-finite number at .sim.dt_s"),
         (lambda doc: doc["noise"].update(noise_power_w=float("nan")),
          "scenario document has a non-finite number at .noise.noise_power_w"),
+        (lambda doc: doc["noise"].update(map_offset_m=[0.05]),
+         "malformed scenario document: list index out of range"),
+        (lambda doc: doc["agents"][0]["initial_pose"].update(position=[0.7, 0.5]),
+         "malformed scenario document: list index out of range"),
     ], ids=["role-case", "link-end-without-array", "transmitter-without-pose", "zero-carrier",
-            "nan-dt", "nan-noise-power"])
+            "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position"])
     def test_scenario_that_would_fail_in_run_rejected(self, tmp_path, capsys, edit, message):
         doc = tiny_scenario_doc()
         edit(doc)
@@ -180,7 +184,10 @@ class TestScenarioConfig:
         ("bin_width_s", 0.0, "db.build needs bin_width_s > 0 and num_bins >= 1"),
         ("num_bins", 0, "db.build needs bin_width_s > 0 and num_bins >= 1"),
         ("height_m", 5.0, "db.build height 5.0 outside the scene's z bounds"),
-    ], ids=["zero-spacing", "zero-bin-width", "zero-bins", "height-above-scene"])
+        ("roi_m", [5, 5, 6, 6], "db.build.roi_m [5.0, 5.0, 6.0, 6.0] holds no point of the floor grid"),
+        ("roi_m", [0.1, 0.1, 0.5], "db.build.roi_m must be [xmin, ymin, xmax, ymax], got [0.1, 0.1, 0.5]"),
+    ], ids=["zero-spacing", "zero-bin-width", "zero-bins", "height-above-scene", "roi-off-the-grid",
+            "roi-of-three-numbers"])
     def test_db_build_settings_that_build_db_refuses_rejected(self, tmp_path, capsys, key, value, message):
         doc = tiny_scenario_doc()
         doc["db"]["build"][key] = value
@@ -442,6 +449,21 @@ class TestSetUpOnce:
             init_world(config)
         assert len(loads) == 2
 
+    def test_run_that_builds_its_database_loads_the_scene_once(self, tmp_path, monkeypatch):
+        loads = []
+        load = simcore.load_scene
+        monkeypatch.setattr(simcore, "load_scene", lambda path: loads.append(path) or load(path))
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(tiny_scenario_doc()))
+        config = ScenarioConfig.from_file(p)
+        assert not config.db.path.exists()
+        run_simulation(config, max_steps=1)
+        assert len(loads) == 1
+        # the database built on demand is the one build-db writes
+        _, again = build_db_for_scenario(config, out=tmp_path / "again.fpdb")
+        assert config.db.path.read_bytes() == again.read_bytes()
+
     def test_invalid_allocation_still_fails_in_init_world(self, config):
         config, _ = config
         assert validate_scenario(config) == []
@@ -483,8 +505,11 @@ class TestTraceCsv:
     def test_header_schema(self, tiny_run):
         config, _, _ = tiny_run
         header = config.trace_csv.read_text().splitlines()[0].split(",")
-        assert header[: len(TRACE_BASE_COLUMNS)] == TRACE_BASE_COLUMNS
-        assert header[len(TRACE_BASE_COLUMNS):] == ["rate_robot_ap_a", "rate_robot_ap_b"]
+        assert header == TRACE_BASE_COLUMNS + ["rate_robot_ap_a", "rate_robot_ap_b"]
+        assert TRACE_BASE_COLUMNS == [
+            "step", "time_s", "agent_id", "true_x", "true_y", "true_yaw",
+            "est_x", "est_y", "loc_score", "v_cmd", "w_cmd",
+        ]
 
     def test_row_count(self, tiny_run):
         config, records, _ = tiny_run
@@ -497,21 +522,18 @@ class TestTraceCsv:
         assert len(from_csv) == len(records)
         s_mem = metrics.summarize_run(records)
         s_csv = metrics.summarize_run(from_csv)
-        assert s_mem.max_pos_err_m == s_csv.max_pos_err_m
-        assert s_mem.rmse_pos_err_m == s_csv.rmse_pos_err_m
-        assert s_mem.mean_rate_bps_hz == s_csv.mean_rate_bps_hz
+        assert dataclasses.asdict(s_mem) == dataclasses.asdict(s_csv)
 
     def test_record_trace_round_trip(self, tiny_run):
         # the CSV that TraceWriter streamed during the run reads back field for field
         config, records, _ = tiny_run
         back = read_trace_csv(config.trace_csv)
         assert len(back) == len(records)
-        fields = ("true_x", "true_y", "true_yaw", "est_x", "est_y", "loc_score", "v_cmd", "w_cmd")
         for rec, again in zip(records, back):
             assert (again.step, again.time_s, again.rates) == (rec.step, rec.time_s, rec.rates)
             assert again.agents.keys() == rec.agents.keys()
             for aid, ag in rec.agents.items():
-                assert [getattr(again.agents[aid], f) for f in fields] == [getattr(ag, f) for f in fields]
+                assert dataclasses.asdict(again.agents[aid]) == dataclasses.asdict(ag)
 
     def test_crash_safe_prefix(self, tiny_run):
         config, _, _ = tiny_run
@@ -525,17 +547,22 @@ class TestTraceCsv:
         assert float(rows[0]["true_x"]) == pytest.approx(0.7)
 
 
-class TestModelError:
-    def test_map_offset_recorded(self, tmp_path):
+class TestRunReport:
+    def test_run_and_eval_print_identical_tables(self, tmp_path, capsys):
+        # the report reads only the trace, so a map offset leaves no in-memory extra
         doc = tiny_scenario_doc()
         doc["noise"]["map_offset_m"] = [0.04, 0.03]
         doc["sim"]["max_steps"] = 3
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
-        records = run_simulation(ScenarioConfig.from_file(p))
-        summary = metrics.summarize_run(records)
-        assert summary.max_model_err_m == pytest.approx(0.05, rel=1e-9)
+        trace = tmp_path / "t.csv"
+        assert main(["run", str(p), "--out", str(trace)]) == 0
+        ran = capsys.readouterr().out.splitlines()
+        assert main(["eval", str(trace)]) == 0
+        evaluated = capsys.readouterr().out.splitlines()
+        assert ran[0] == f"ran 3 steps -> {trace}"
+        assert ran[1:] == evaluated[:-1]     # eval's last line is the JSON summary
 
 
 class TestInterference:
