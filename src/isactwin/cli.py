@@ -64,8 +64,7 @@ def _dispatch(args) -> int:
         config = simcore.ScenarioConfig.from_file(args.scenario)
         problems = simcore.validate_scenario(config)
         if problems:
-            print(f"error: {problems[0]}" if len(problems) == 1 else
-                  "error: " + "; ".join(problems), file=sys.stderr)
+            print("error: " + "; ".join(problems), file=sys.stderr)
             return 1
         print(f"ok: {args.scenario}")
         return 0

@@ -57,9 +57,11 @@ def summarize_run(records) -> RunSummary:
     for rec in records:
         for link, rate in rec.rates.items():
             rate_acc.setdefault(link, []).append(rate)
+    max_err = float(np.max(err))
     return RunSummary(
-        max_pos_err_m=float(np.max(err)),
-        rmse_pos_err_m=float(np.sqrt(np.mean(err ** 2))),
+        max_pos_err_m=max_err,
+        # the root of a mean of equal squares can round one ulp above their max
+        rmse_pos_err_m=min(float(np.sqrt(np.mean(err ** 2))), max_err),
         mean_pos_err_m=float(np.mean(err)),
         mean_rate_bps_hz={f"{v}:{q}": float(np.mean(r)) for (v, q), r in sorted(rate_acc.items())},
         steps=len(records),

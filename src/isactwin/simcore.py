@@ -192,14 +192,6 @@ class AgentSpec:
 
 
 @dataclass(eq=False)
-class NodeSpec:
-    id: str
-    role: str
-    array: ArrayConfig | None
-    pose: Pose | None
-
-
-@dataclass(eq=False)
 class NoiseSpec:
     state_var: float = 0.0
     obs_var: float = 0.0
@@ -226,7 +218,7 @@ class DbSpec:
 @dataclass(eq=False)
 class ScenarioConfig:
     scene_path: Path
-    nodes: list
+    nodes: list           # network.Node, in document order
     edges: list
     requests: list
     ofdm: OfdmParams
@@ -238,7 +230,7 @@ class ScenarioConfig:
     max_order: int
     db: DbSpec
     trace_csv: Path
-    # (key, scene, graph, allocation) that validate_scenario built, for init_world
+    # (key, scene, graph, allocation) of a validate_scenario that found no problem, for _world_parts
     _validated_parts: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -260,6 +252,8 @@ class ScenarioConfig:
             raise ConfigError(f"scenario document has a non-finite number at {where}")
         try:
             return cls._parse(doc, base_dir)
+        except ConfigError:
+            raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed scenario document: {exc}") from exc
 
@@ -277,6 +271,9 @@ class ScenarioConfig:
         net = doc["network"]
         nodes = []
         for nd in net["nodes"]:
+            node_id, role = str(nd["id"]), str(nd["role"])
+            if role not in ("tx", "rx", "txrx"):
+                raise ConfigError(f"node {node_id!r}: role {role!r} is not tx, rx or txrx")
             array = None
             if nd.get("array") is not None:
                 arr = nd["array"]
@@ -285,8 +282,8 @@ class ScenarioConfig:
                     spacing=float(arr.get("spacing_wavelengths", 0.5)) * lam,
                     boresight=math.radians(float(arr.get("boresight_deg", 0.0))),
                 )
-            pose = _parse_pose(nd["pose"]) if nd.get("pose") is not None else None
-            nodes.append(NodeSpec(id=str(nd["id"]), role=str(nd["role"]), array=array, pose=pose))
+            pose = _parse_pose(nd["pose"], f"node {node_id!r}: pose") if nd.get("pose") is not None else None
+            nodes.append(Node(id=node_id, is_tx=role != "rx", array=array, pose=pose))
 
         edges = [tuple(e) for e in net["edges"]]
 
@@ -312,17 +309,18 @@ class ScenarioConfig:
                 w_max=float(ctrl.get("w_max", 1.5)),
                 waypoint_tol=float(ctrl.get("waypoint_tol_m", 0.05)),
             )
+            agent_id = str(ag["id"])
             agents.append(
                 AgentSpec(
-                    id=str(ag["id"]),
-                    initial_pose=_parse_pose(ag["initial_pose"]),
+                    id=agent_id,
+                    initial_pose=_parse_pose(ag["initial_pose"], f"agent {agent_id!r}: initial_pose"),
                     waypoints=_parse_path(ag["path"]),
                     gains=gains,
                 )
             )
 
         noise_doc = doc.get("noise", {})
-        offset = noise_doc.get("map_offset_m") or (0.0, 0.0)
+        offset = _numbers(noise_doc.get("map_offset_m") or (0.0, 0.0), 2, "noise.map_offset_m")
         noise = NoiseSpec(
             state_var=float(noise_doc.get("state_var", 0.0)),
             obs_var=float(noise_doc.get("obs_var", 0.0)),
@@ -331,7 +329,7 @@ class ScenarioConfig:
                 None if noise_doc.get("fingerprint_snr_db") is None
                 else float(noise_doc["fingerprint_snr_db"])
             ),
-            map_offset=(float(offset[0]), float(offset[1])),
+            map_offset=tuple(offset),
         )
 
         sim = doc["sim"]
@@ -368,10 +366,16 @@ class ScenarioConfig:
         )
 
 
-def _parse_pose(doc: dict) -> Pose:
-    pos = doc["position"]
-    yaw = math.radians(float(doc.get("yaw_deg", 0.0)))
-    return Pose.at(float(pos[0]), float(pos[1]), float(pos[2]), yaw=yaw)
+def _parse_pose(doc: dict, where: str) -> Pose:
+    x, y, z = _numbers(doc["position"], 3, f"{where}.position")
+    return Pose.at(x, y, z, yaw=math.radians(float(doc.get("yaw_deg", 0.0))))
+
+
+def _numbers(value, count: int, where: str) -> list:
+    """value as a list of count floats; a list of another length is a ConfigError naming it."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ConfigError(f"{where} must hold {count} numbers, got {value!r}")
+    return [float(x) for x in value]
 
 
 def _parse_index_set(spec, upper: int) -> frozenset:
@@ -397,9 +401,9 @@ def _parse_path(spec) -> np.ndarray:
 def validate_scenario(config: ScenarioConfig) -> list:
     """Total validation pass; returns human-readable violation strings.
 
-    The scene, network graph and resource allocation it builds on the way are
-    kept on the config, so that the next init_world of it need not build them
-    again.
+    When it finds no problem, the scene, network graph and resource
+    allocation it built on the way are kept on the config, so that the next
+    init_world or build_db_for_scenario of it need not build them again.
     """
     problems = []
     if config.dt <= 0.0:
@@ -428,12 +432,10 @@ def validate_scenario(config: ScenarioConfig) -> list:
     for node in config.nodes:
         if any(c.isspace() or c in "/*?[" for c in node.id):
             problems.append(f"node id {node.id!r} must not contain whitespace, '/', '*', '?' or '['")
-        if node.role not in ("tx", "rx", "txrx"):
-            problems.append(f"node {node.id!r}: role {node.role!r} is not tx, rx or txrx")
-        elif node.role != "rx" and node.id not in agent_ids and node.pose is None:
+        if node.is_tx and node.id not in agent_ids and node.pose is None:
             problems.append(f"transmitter {node.id!r} has no pose")
     try:
-        graph = _build_graph(config)
+        graph = build_network(config.nodes, config.edges)
     except NetworkError as exc:
         problems.append(f"network invalid: {exc}")
     else:
@@ -479,7 +481,7 @@ def validate_scenario(config: ScenarioConfig) -> list:
             except ConfigError as exc:
                 problems.append(str(exc))
 
-    if scene is not None and graph is not None and allocation is not None:
+    if not problems:
         config._validated_parts = (key, scene, graph, allocation)
     return problems
 
@@ -490,42 +492,29 @@ def _parts_key(config: ScenarioConfig) -> tuple:
     Poses are frozen and compare by identity, so a replaced pose is a change."""
     return (
         config.scene_path, config.scene_path.read_bytes(), config.ofdm,
-        tuple((n.id, n.role, n.array, n.pose) for n in config.nodes),
+        tuple((n.id, n.is_tx, n.array, n.pose) for n in config.nodes),
         tuple(config.edges), tuple(config.requests),
-        tuple((a.id, a.initial_pose) for a in config.agents),
     )
 
 
 def _world_parts(config: ScenarioConfig) -> tuple:
-    """(scene, graph, allocation) of a config: the ones validate_scenario
-    built, if nothing they depend on has changed since, else built afresh."""
+    """(scene, graph, allocation) of a valid config.
+
+    These are the parts validate_scenario handed over, if nothing they are
+    built from has changed since; else validate_scenario runs again, and
+    every problem it finds is raised as one ConfigError.
+    """
     handed, config._validated_parts = config._validated_parts, None
-    if handed is not None and handed[0] == _parts_key(config):
-        return handed[1:]
-    scene = load_scene(config.scene_path)
-    graph = _build_graph(config)
-    allocation = allocate_resources(config.requests, config.ofdm.n_subcarriers, config.ofdm.n_symbols)
-    return scene, graph, allocation
+    if handed is None or handed[0] != _parts_key(config):
+        problems = validate_scenario(config)
+        if problems:
+            raise ConfigError("; ".join(problems))
+        handed, config._validated_parts = config._validated_parts, None
+    return handed[1:]
 
 
 # ---------------------------------------------------------------------------
 # fingerprint database plumbing
-
-def _build_graph(config: ScenarioConfig):
-    agent_poses = {a.id: a.initial_pose for a in config.agents}
-    nodes = []
-    for spec in config.nodes:
-        pose = agent_poses.get(spec.id, spec.pose)
-        nodes.append(
-            Node(
-                id=spec.id,
-                is_tx=spec.role in ("tx", "txrx"),
-                array=spec.array,
-                pose=pose,
-            )
-        )
-    return build_network(nodes, config.edges)
-
 
 def _static_aps(config: ScenarioConfig, graph) -> list:
     agent_ids = {a.id for a in config.agents}
@@ -604,9 +593,10 @@ def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
 
 
 def build_db_for_scenario(config: ScenarioConfig, out=None):
-    """Build the fingerprint database of a scenario; returns (db, path or None)."""
+    """Build the fingerprint database of a valid scenario; returns (db, path or None)."""
     path = Path(out) if out is not None else config.db.path
-    return _build_db(config, load_scene(config.scene_path), _build_graph(config), path), path
+    scene, graph, _ = _world_parts(config)
+    return _build_db(config, scene, graph, path), path
 
 
 def _build_db(config: ScenarioConfig, scene, graph, path) -> loc_mod.FingerprintDB:
@@ -720,7 +710,7 @@ def _rate_plan(links: list, allocation) -> dict:
     return plan
 
 
-def init_world(config: ScenarioConfig, bus: Bus | None = None) -> World:
+def init_world(config: ScenarioConfig) -> World:
     scene, graph, allocation = _world_parts(config)
     db = ensure_db(config, scene, graph)
     agents = {}
@@ -744,7 +734,7 @@ def init_world(config: ScenarioConfig, bus: Bus | None = None) -> World:
         graph=graph,
         allocation=allocation,
         db=db,
-        bus=bus if bus is not None else Bus(),
+        bus=Bus(),
         agents=agents,
         fp_rng=np.random.default_rng([config.seed, 13]),
         links=links,
@@ -896,9 +886,6 @@ def run_simulation(config: ScenarioConfig, trace_path=None, max_steps=None) -> l
     every step) and returned as a list of TraceRecords. Bit-reproducible for
     a fixed (config, seed).
     """
-    problems = validate_scenario(config)
-    if problems:
-        raise ConfigError(problems[0] if len(problems) == 1 else "; ".join(problems))
     world = init_world(config)
     out_path = Path(trace_path) if trace_path is not None else config.trace_csv
     steps = config.max_steps if max_steps is None else int(max_steps)
@@ -949,23 +936,31 @@ class TraceWriter:
 
 
 def read_trace_csv(path) -> list:
-    """Parse a trace CSV back into TraceRecords (rates keyed from the header)."""
+    """Parse a trace CSV back into TraceRecords (rates keyed from the header).
+
+    TraceWriter ends every row with a line break, so a row without one, or
+    with another column count than the header, was cut short: ValueError
+    naming the file and the line.
+    """
     path = Path(path)
     records: dict = {}
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or reader.fieldnames[: len(TRACE_BASE_COLUMNS)] != TRACE_BASE_COLUMNS:
-            raise ValueError(f"{path}: unexpected trace columns")
-        rate_cols = [c for c in reader.fieldnames if c.startswith("rate_")]
-        for row in reader:
-            step = int(row["step"])
-            rec = records.get(step)
-            if rec is None:
-                rates = {}
-                for col in rate_cols:
-                    v, q = col[len("rate_"):].split("_", 1)
-                    rates[(v, q)] = float(row[col])
-                rec = TraceRecord(step=step, time_s=float(row["time_s"]), agents={}, rates=rates)
-                records[step] = rec
-            rec.agents[row["agent_id"]] = AgentTrace(*(float(row[c]) for c in AGENT_COLUMNS))
+        lines = fh.read().splitlines(keepends=True)
+    reader = csv.DictReader(lines)
+    if reader.fieldnames is None or reader.fieldnames[: len(TRACE_BASE_COLUMNS)] != TRACE_BASE_COLUMNS:
+        raise ValueError(f"{path}: unexpected trace columns")
+    rate_cols = [c for c in reader.fieldnames if c.startswith("rate_")]
+    for row in reader:
+        if None in row or None in row.values() or not lines[reader.line_num - 1].endswith("\n"):
+            raise ValueError(f"{path}: line {reader.line_num} is not a whole trace row")
+        step = int(row["step"])
+        rec = records.get(step)
+        if rec is None:
+            rates = {}
+            for col in rate_cols:
+                v, q = col[len("rate_"):].split("_", 1)
+                rates[(v, q)] = float(row[col])
+            rec = TraceRecord(step=step, time_s=float(row["time_s"]), agents={}, rates=rates)
+            records[step] = rec
+        rec.agents[row["agent_id"]] = AgentTrace(*(float(row[c]) for c in AGENT_COLUMNS))
     return [records[s] for s in sorted(records)]

@@ -8,10 +8,10 @@ workload implies: one ``trace_paths`` and one ``compute_mdp`` call per
 (grid point, AP) while building the database, and per step two traces (four
 with a map offset) and two ``beamformed_gains`` calls. Its multiply-
 accumulate count reads ``beamformed_gains``' arguments by position, and its
-set-up time assumes the world is built once per run. These tests find all of
-these in the unit suite, on the tiny scenario. They read ``spans.py`` by path
-and compile it in memory, so nothing under ``perfbench/`` is imported as a
-package or written.
+set-up time assumes the world is set up once per run and per database build.
+These tests find all of these in the unit suite, on the tiny scenario. They
+read ``spans.py`` by path and compile it in memory, so nothing under
+``perfbench/`` is imported as a package or written.
 """
 
 import json
@@ -111,3 +111,11 @@ def test_run_loads_the_scene_once(tiny_scenario):
     assert tracer.calls("scene.load_scene") == 1
     assert tracer.calls("network.build_network") == 1
     assert tracer.calls("network.allocate_resources") == 1
+
+
+def test_build_db_sets_up_once(tiny_scenario):
+    config = simcore.ScenarioConfig.from_file(tiny_scenario)
+    _, tracer = traced(simcore.build_db_for_scenario, config)
+    assert tracer.calls("simcore.validate_scenario") == 1
+    assert tracer.calls("scene.load_scene") == 1
+    assert tracer.calls("network.build_network") == 1

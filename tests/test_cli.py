@@ -125,6 +125,25 @@ class TestEval:
         doc = json.loads(summary.read_text())
         assert doc["steps"] == 5
 
+    def test_trace_cut_mid_row_is_one_error_line(self, scenario, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        main(["run", scenario, "--max-steps", "5", "--out", str(trace)])
+        capsys.readouterr()
+        lines = trace.read_bytes().splitlines(keepends=True)
+        cut = tmp_path / "cut.csv"
+        cut.write_bytes(b"".join(lines[:2]) + lines[2][:20])     # header, step 0, part of step 1
+        assert main(["eval", str(cut)]) == 1
+        assert capsys.readouterr().err == f"error: {cut}: line 3 is not a whole trace row\n"
+
+    def test_trace_cut_between_rows_still_parses(self, scenario, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        main(["run", scenario, "--max-steps", "5", "--out", str(trace)])
+        cut = tmp_path / "cut.csv"
+        cut.write_bytes(b"".join(trace.read_bytes().splitlines(keepends=True)[:3]))   # steps 0 and 1
+        capsys.readouterr()
+        assert main(["eval", str(cut), "--out", str(tmp_path / "summary.json")]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["steps"] == 2
+
     def test_eval_missing_trace(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "none.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")

@@ -9,7 +9,7 @@ import pytest
 from isactwin import metrics, simcore
 from isactwin.cli import main
 from isactwin.channel import mrt_beamformer, synthesize_channel
-from isactwin.network import ArrayConfig, NetworkError
+from isactwin.network import ArrayConfig
 from isactwin.localization import DatabaseError, compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
 from isactwin.scene import load_scene
@@ -145,21 +145,25 @@ class TestScenarioConfig:
         (lambda doc: doc["noise"].update(noise_power_w=float("nan")),
          "scenario document has a non-finite number at .noise.noise_power_w"),
         (lambda doc: doc["noise"].update(map_offset_m=[0.05]),
-         "malformed scenario document: list index out of range"),
+         "noise.map_offset_m must hold 2 numbers, got [0.05]"),
         (lambda doc: doc["agents"][0]["initial_pose"].update(position=[0.7, 0.5]),
-         "malformed scenario document: list index out of range"),
+         "agent 'robot': initial_pose.position must hold 3 numbers, got [0.7, 0.5]"),
+        (lambda doc: doc["network"]["nodes"][1]["pose"].update(position=[0.7, 0.5, 0.1, 0.0]),
+         "node 'ap_b': pose.position must hold 3 numbers, got [0.7, 0.5, 0.1, 0.0]"),
     ], ids=["role-case", "link-end-without-array", "transmitter-without-pose", "zero-carrier",
-            "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position"])
+            "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position",
+            "four-number-node-position"])
     def test_scenario_that_would_fail_in_run_rejected(self, tmp_path, capsys, edit, message):
+        # validate, build-db and run all set up through validate_scenario
         doc = tiny_scenario_doc()
         edit(doc)
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
-        assert main(["validate", str(p)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert main(["run", str(p), "--out", str(tmp_path / "t.csv")]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        for argv in (["validate", str(p)], ["build-db", str(p)],
+                     ["run", str(p), "--out", str(tmp_path / "t.csv")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_finite_number_in_a_dict_rejected(self):
         # json.dumps writes NaN and Infinity, so the file cases above cover the
@@ -194,10 +198,10 @@ class TestScenarioConfig:
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
-        assert main(["validate", str(p)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert main(["build-db", str(p)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        for argv in (["validate", str(p)], ["build-db", str(p)],
+                     ["run", str(p), "--out", str(tmp_path / "t.csv")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_scene_file_flagged(self, tmp_path):
         doc = tiny_scenario_doc()
@@ -395,8 +399,9 @@ class TestSimulationLoop:
 
 
 class TestSetUpOnce:
-    """validate_scenario hands the scene, graph and allocation it built to the
-    next init_world of the same config, unless something they depend on changed."""
+    """validate_scenario hands the scene, graph and allocation it built from a
+    valid config to the next init_world of it, unless something they are built
+    from changed; init_world then validates again."""
 
     @pytest.fixture
     def config(self, tiny_scenario, monkeypatch):
@@ -469,7 +474,7 @@ class TestSetUpOnce:
         assert validate_scenario(config) == []
         config.requests[0] = dataclasses.replace(config.requests[0], subcarriers=frozenset({99}))
         assert any("resource allocation" in p for p in validate_scenario(config))
-        with pytest.raises(NetworkError, match="outside"):
+        with pytest.raises(ConfigError, match="outside"):
             init_world(config)
 
 
