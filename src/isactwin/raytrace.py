@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene
+from .scene import CONTAINS_TOL, Scene
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -44,10 +44,6 @@ GAIN_PRUNE_THRESHOLD = 1e-9
 # Occlusion hits closer than this to a segment endpoint are numerical
 # artifacts of the reflection points lying on their own surfaces.
 _ENDPOINT_GUARD = 1e-9
-
-# A point this far outside a polygon edge still counts as inside, so a
-# reflection on the edge shared by two surfaces is kept.
-_CONTAINS_TOL = 1e-9
 
 
 def wrap_angle(angle: float) -> float:
@@ -280,10 +276,8 @@ def _accel_for(scene: Scene) -> _Accel:
         edge_normals = np.zeros((len(usable), num_edges, 3))
         edge_offsets = np.zeros((len(usable), num_edges))
         for i, s in enumerate(usable):
-            v = s.vertices
-            m = np.cross(s.unit_normal, np.roll(v, -1, axis=0) - v)
-            edge_normals[i, : len(v)] = m
-            edge_offsets[i, : len(v)] = np.vecdot(m, v)
+            edge_normals[i, : len(s.vertices)] = s.edge_normals
+            edge_offsets[i, : len(s.vertices)] = s.edge_offsets
         accel = _Accel(
             normals=np.array([s.unit_normal for s in usable]).reshape(-1, 3),
             offsets=np.array([s.plane_offset for s in usable]),
@@ -303,7 +297,7 @@ def _inside(edge_normals, edge_offsets, points):
     per point of points (..., 3); zero padding is always inside.
     """
     dist = np.vecdot(edge_normals, points[..., None, :]) - edge_offsets
-    return ~np.any(dist < -_CONTAINS_TOL, axis=-1)
+    return ~np.any(dist < -CONTAINS_TOL, axis=-1)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -30,6 +30,10 @@ import numpy as np
 # Vertices farther than this from the surface plane make the surface invalid.
 PLANARITY_TOL = 1e-9
 
+# A point this far outside a polygon edge still counts as inside, so a
+# reflection on the edge shared by two surfaces is kept.
+CONTAINS_TOL = 1e-9
+
 
 class SceneError(ValueError):
     """Malformed scene document or invariant violation at load time."""
@@ -47,8 +51,8 @@ class Surface:
 
     Vertices are ordered (either winding); consecutive vertices must not be
     collinear so the normal is well defined. Derived plane quantities are
-    computed defensively: a degenerate vertex list leaves ``unit_normal`` as
-    None instead of raising, so validation can still describe the defect.
+    computed defensively: a degenerate vertex list leaves them None instead
+    of raising, so validation can still describe the defect.
     """
 
     vertices: np.ndarray
@@ -56,6 +60,9 @@ class Surface:
     name: str = ""
     unit_normal: np.ndarray | None = field(init=False, default=None, repr=False)
     plane_offset: float = field(init=False, default=0.0, repr=False)
+    # edge i runs from vertex i to i + 1; x is inside it if edge_normals[i] . x >= edge_offsets[i]
+    edge_normals: np.ndarray | None = field(init=False, default=None, repr=False)  # (V, 3), n x edge
+    edge_offsets: np.ndarray | None = field(init=False, default=None, repr=False)  # (V,)
 
     def __post_init__(self):
         self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
@@ -65,6 +72,8 @@ class Surface:
         if n is not None:
             self.unit_normal = n
             self.plane_offset = float(n @ self.vertices[0])
+            self.edge_normals = np.cross(n, np.roll(self.vertices, -1, axis=0) - self.vertices)
+            self.edge_offsets = np.vecdot(self.edge_normals, self.vertices)
 
     def planarity_error(self) -> float:
         """Max point-to-plane distance against the plane of the first three vertices."""
@@ -208,12 +217,17 @@ def validate_scene(scene: Scene) -> list[str]:
             continue
         if surf.planarity_error() > PLANARITY_TOL:
             violations.append(f"{label}: vertices not coplanar within {PLANARITY_TOL} m")
-        v = surf.vertices
-        turns = np.cross(v - np.roll(v, 1, axis=0), np.roll(v, -1, axis=0) - v)  # (n, 3), one per vertex
-        if np.any(np.linalg.norm(turns, axis=1) <= 1e-12):
-            violations.append(f"{label}: consecutive vertices collinear")
-        elif surf.unit_normal is None or np.any(turns @ surf.unit_normal < -1e-12):
-            violations.append(f"{label}: polygon not convex")
+        if surf.unit_normal is None:
+            violations.append(f"{label}: polygon has zero area")
+        else:
+            # inside[j, i]: how far vertex j lies inside edge i, times the edge's
+            # length; at vertex i + 2 that is the turn at vertex i + 1
+            inside = surf.vertices @ surf.edge_normals.T - surf.edge_offsets
+            if np.any(np.abs(np.diagonal(np.roll(inside, -2, axis=0))) <= 1e-12):
+                violations.append(f"{label}: consecutive vertices collinear")
+            elif np.any(inside < -CONTAINS_TOL):
+                # a turn-sign test alone passes a pentagram, whose tips lie outside other edges
+                violations.append(f"{label}: polygon not convex")
         if surf.material.name not in scene.materials:
             violations.append(f"{label}: material {surf.material.name!r} not in scene materials")
         if not (0.0 <= surf.material.reflection_coeff <= 1.0):

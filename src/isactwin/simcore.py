@@ -412,8 +412,11 @@ def validate_scenario(config: ScenarioConfig) -> list:
         problems.append(f"sim.max_steps must be >= 1, got {config.max_steps}")
     if config.noise.noise_power_w <= 0.0:
         problems.append("noise.noise_power_w must be > 0")
-    if config.noise.state_var < 0.0 or config.noise.obs_var < 0.0:
-        problems.append("noise variances must be nonnegative")
+    if config.noise.state_var < 0.0:
+        problems.append("noise.state_var must be nonnegative")
+    if config.noise.obs_var != 0.0:   # localize matches the raw fingerprints, not the observation
+        problems.append("noise.obs_var must be 0: nothing reads the observed vector; "
+                        "set noise.fingerprint_snr_db for measurement noise")
     if config.max_order < 0:
         problems.append("raytrace.max_order must be >= 0")
 
@@ -677,33 +680,36 @@ class _LinkPlan:
     symbols: np.ndarray       # its symbols, sorted
     rep: tuple                # (n, k) at which the MRT beamformer is computed
     power: float              # the transmitter's uniform_power
-    interferers: list         # (other transmitter into the same receiver, power x (N, K) overlap mask)
+    interferers: list         # (other transmitter into the same receiver, np.ix_ of the shared
+                              #  cells in this link's grid, np.ix_ of them in the other's grid)
 
 
 def _rate_plan(links: list, allocation) -> dict:
     """One _LinkPlan per communication link, None for a transmitter without resources.
 
     Interferers keep the order of `links`. A pair whose sub-carrier or symbol
-    sets are disjoint overlaps nowhere and is left out.
+    sets are disjoint shares no cell and is left out before any array is built.
     """
+    grids = {q: (np.array(sorted(a.subcarriers)), np.array(sorted(a.symbols)))
+             for q, a in allocation.users.items()}
     plan = {}
     for v, q in links:
         alloc = allocation.users.get(q)
         if alloc is None:
             plan[(v, q)] = None
             continue
-        subs, syms = sorted(alloc.subcarriers), sorted(alloc.symbols)
+        subs, syms = grids[q]
         interferers = []
         for vv, qq in links:
             other = allocation.users.get(qq)
             if (vv != v or qq == q or other is None or alloc.subcarriers.isdisjoint(other.subcarriers)
                     or alloc.symbols.isdisjoint(other.symbols)):
                 continue
-            ov_n = np.isin(subs, sorted(other.subcarriers))
-            ov_k = np.isin(syms, sorted(other.symbols))
-            interferers.append((qq, other.uniform_power * np.outer(ov_n, ov_k)))
+            _, here_n, there_n = np.intersect1d(subs, grids[qq][0], assume_unique=True, return_indices=True)
+            _, here_k, there_k = np.intersect1d(syms, grids[qq][1], assume_unique=True, return_indices=True)
+            interferers.append((qq, np.ix_(here_n, here_k), np.ix_(there_n, there_k)))
         plan[(v, q)] = _LinkPlan(
-            subcarriers=np.array(subs), symbols=np.array(syms),
+            subcarriers=subs, symbols=syms,
             rep=(subs[len(subs) // 2], syms[0]), power=alloc.uniform_power,
             interferers=interferers,
         )
@@ -771,31 +777,29 @@ def sim_step(world: World, t: int) -> TraceRecord:
     except ValueError as exc:
         raise ValueError(f"step {t} raytrace phase failed: {exc}") from exc
 
-    # phase 3: signal generation: MRT beamformers and per-link rates, with the
-    # allocation-fixed parts (index arrays, overlap masks) read from the plan
+    # phase 3: signal generation: each link's MRT beamformer and received power
+    # on its own cells, then its rate with the other links' received power on
+    # the cells they share with it as interference; the plan holds those cells
+    received = {}
     rates = {}
-    beamformers = {}
     try:
-        # first pass: every link's beamformer, so interference sums see them all
         for (v, q), plan in world.rate_plan.items():
             paths = pathsets[(v, q)]
             if plan is None or len(paths) == 0:
                 continue
-            h_rep = synthesize_channel(paths, world.graph.nodes[q].array,
-                                       world.graph.nodes[v].array, *plan.rep, cfg.ofdm)
-            beamformers[(v, q)] = mrt_beamformer(h_rep)
+            tx_array, rx_array = world.graph.nodes[q].array, world.graph.nodes[v].array
+            w = mrt_beamformer(synthesize_channel(paths, tx_array, rx_array, *plan.rep, cfg.ofdm))
+            received[(v, q)] = plan.power * beamformed_gains(
+                paths, tx_array, rx_array, w, cfg.ofdm, plan.subcarriers, plan.symbols)
         for (v, q), plan in world.rate_plan.items():
-            if (v, q) not in beamformers:
-                rates[(v, q)] = 0.0
-                bus.publish(f"metrics/rate/{v}/{q}", 0.0, step=t, publisher="sim")
-                continue
-            gains = beamformed_gains(
-                pathsets[(v, q)], world.graph.nodes[q].array, world.graph.nodes[v].array,
-                beamformers[(v, q)], cfg.ofdm, plan.subcarriers, plan.symbols,
-            )
-            interference = _interference_grid(world, v, plan, pathsets, beamformers)
-            snr = plan.power * gains / (cfg.noise.noise_power_w + interference)
-            rates[(v, q)] = float(np.mean(np.log2(1.0 + snr)))
+            rates[(v, q)] = 0.0
+            if (v, q) in received:
+                interference = np.zeros_like(received[(v, q)])
+                for qq, here, there in plan.interferers:
+                    if (v, qq) in received:
+                        interference[here] += received[(v, qq)][there]
+                snr = received[(v, q)] / (cfg.noise.noise_power_w + interference)
+                rates[(v, q)] = float(np.mean(np.log2(1.0 + snr)))
             bus.publish(f"metrics/rate/{v}/{q}", rates[(v, q)], step=t, publisher="sim")
     except ValueError as exc:
         raise ValueError(f"step {t} signal phase failed: {exc}") from exc
@@ -862,21 +866,6 @@ def sim_step(world: World, t: int) -> TraceRecord:
     record = TraceRecord(step=t, time_s=t * cfg.dt, agents=agent_traces, rates=rates)
     bus.publish("sim/trace", record, step=t, publisher="sim")
     return record
-
-
-def _interference_grid(world, v, plan, pathsets, beamformers) -> np.ndarray:
-    """Received power from other transmitters overlapping (n, k) cells of a link into v."""
-    total = np.zeros((len(plan.subcarriers), len(plan.symbols)))
-    for qq, mask in plan.interferers:
-        w = beamformers.get((v, qq))
-        if w is None:
-            continue
-        gains = beamformed_gains(
-            pathsets[(v, qq)], world.graph.nodes[qq].array, world.graph.nodes[v].array,
-            w, world.config.ofdm, plan.subcarriers, plan.symbols,
-        )
-        total += mask * gains
-    return total
 
 
 def run_simulation(config: ScenarioConfig, trace_path=None, max_steps=None) -> list:

@@ -63,11 +63,16 @@ def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario):
     assert tracer.calls("channel.beamformed_gains") == 0
 
 
-@pytest.mark.parametrize("map_offset,traces_per_step", [(None, 2), ([0.0, -0.05], 4)],
-                         ids=["clean", "map-offset"])
-def test_run_call_counts_per_step(tiny_scenario, map_offset, traces_per_step):
+@pytest.mark.parametrize("map_offset,ap_b_subcarriers,traces_per_step", [
+    (None, None, 2),
+    ([0.0, -0.05], None, 4),
+    (None, {"from": 9, "to": 24}, 2),    # ap_b half on top of ap_a's 1-16: gains are still once per link
+], ids=["clean", "map-offset", "overlap"])
+def test_run_call_counts_per_step(tiny_scenario, map_offset, ap_b_subcarriers, traces_per_step):
     doc = json.loads(tiny_scenario.read_text())
     doc["noise"]["map_offset_m"] = map_offset
+    if ap_b_subcarriers is not None:
+        doc["network"]["resources"]["users"][1]["subcarriers"] = ap_b_subcarriers
     tiny_scenario.write_text(json.dumps(doc))
     config = simcore.ScenarioConfig.from_file(tiny_scenario)
     simcore.build_db_for_scenario(config)
@@ -79,7 +84,8 @@ def test_run_call_counts_per_step(tiny_scenario, map_offset, traces_per_step):
     assert tracer.calls("channel.beamformed_gains") == 2 * steps
     assert tracer.calls("localization.localize") == steps
     assert tracer.calls("localization.build_fingerprint_db") == 0
-    # L * N * K * N_R per link and step, with L from an untraced run of the same config
+    # L * N * K * N_R per link and step over the link's own grid, with L from an
+    # untraced run of the same config
     world, paths_per_step = link_path_counts(config, steps)
     cmac = 0
     for paths in paths_per_step:

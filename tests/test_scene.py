@@ -110,14 +110,15 @@ class TestValidateScene:
         assert any("oob" in v and "bounds" in v for v in validate_scene(box_scene))
 
     def test_nonconvex_surface_flagged(self, box_scene):
-        box_scene.surfaces.append(
-            Surface(
-                vertices=[[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 0.5, 0], [0, 2, 0]],
-                material=Material("wall", 0.7),
-                name="dart",
-            )
-        )
-        assert any("dart" in v and "convex" in v for v in validate_scene(box_scene))
+        dart = [[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 0.5, 0], [0, 2, 0]]
+        # a pentagram turns the same way at every vertex; only a half-plane
+        # test finds its tips outside the other edges
+        pentagram = [[1.5 + np.cos(a), 1.5 + np.sin(a), 0.0] for a in np.radians(90.0 + 144.0 * np.arange(5))]
+        for name, vertices in [("dart", dart), ("pentagram", pentagram)]:
+            box_scene.surfaces.append(Surface(vertices=vertices, material=Material("wall", 0.7), name=name))
+        violations = validate_scene(box_scene)
+        assert [v for v in violations if "dart" in v] == ["dart: polygon not convex"]
+        assert [v for v in violations if "pentagram" in v] == ["pentagram: polygon not convex"]
 
     def test_collinear_vertices_flagged(self, box_scene):
         # a square with an extra vertex at the midpoint of one edge: the turn there is zero

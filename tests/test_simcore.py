@@ -97,12 +97,14 @@ class TestScenarioConfig:
         doc["sim"]["max_steps"] = 0
         doc["sim"]["dt_s"] = -0.1
         doc["agents"][0]["id"] = "ghost"
+        doc["noise"]["obs_var"] = 0.3      # localize reads the raw fingerprints, not the observation
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
         problems = validate_scenario(ScenarioConfig.from_file(p))
         text = "; ".join(problems)
         assert "max_steps" in text and "dt_s" in text and "ghost" in text
+        assert any(m.startswith("noise.obs_var must be 0") and "fingerprint_snr_db" in m for m in problems)
 
     def test_agent_id_with_underscore_rejected(self, tmp_path):
         # rate_<agent>_<tx> columns split at the first "_": robot_1 + ap_a would
@@ -426,11 +428,13 @@ class TestSetUpOnce:
         config, loads = config
         assert validate_scenario(config) == []
         config.requests = [r for r in config.requests if r.user != "ap_b"]
-        config.nodes[0].array = ArrayConfig(2, config.nodes[0].array.spacing)
+        handed_over = config.nodes[0]
+        config.nodes[0] = dataclasses.replace(handed_over, array=ArrayConfig(2, handed_over.array.spacing))
         world = init_world(config)
         assert len(loads) == 2
         assert set(world.allocation.users) == {"ap_a"}
-        assert world.graph.nodes["ap_a"].array.num_elements == 2
+        # the graph validation built holds handed_over; only a rebuilt one holds its replacement
+        assert world.graph.nodes["ap_a"] is config.nodes[0]
 
     def test_rewritten_scene_file_is_loaded_again(self, config):
         config, loads = config
