@@ -1,8 +1,11 @@
-"""The array tracer against the scalar oracle, and invariants any tracer must keep.
+"""The array tracer against two oracles, and invariants any tracer must keep.
 
-Scenes are random shoeboxes (the conftest room) with a free-standing panel,
-turned about z, inside them: the panel casts shadows, so the occlusion masks
-fire, and its normal is not axis-aligned.
+The scalar oracle shares the tracer's algorithm. Its scenes are random
+shoeboxes (the conftest room) with a free-standing panel, turned about z,
+inside them: the panel casts shadows, so the occlusion masks fire, and its
+normal is not axis-aligned. The second oracle is independent of the
+algorithm: the closed-form image lattice of an empty box (Allen & Berkley,
+JASA 1979).
 """
 
 import math
@@ -62,6 +65,76 @@ def angles_close(a, b, atol):
     """(azimuth, elevation) pairs equal; azimuth modulo 2 pi, weighted by cos(elevation)."""
     d_az = abs(math.remainder(a[0] - b[0], 2.0 * math.pi)) * math.cos(b[1])
     return d_az <= atol and abs(a[1] - b[1]) <= atol
+
+
+@st.composite
+def shoebox_links(draw):
+    """An empty box with its own reflection coefficient per wall, tx and rx inside it."""
+    size = np.array([draw(st.floats(1.0, 5.0)), draw(st.floats(1.0, 5.0)), draw(st.floats(1.0, 3.0))])
+    coeffs = [draw(st.floats(0.2, 0.95)) for _ in range(6)]
+    doc = box_scene_doc(*size)
+    doc["materials"] = [{"name": f"wall{i}", "reflection_coeff": c} for i, c in enumerate(coeffs)]
+    for i, surface in enumerate(doc["surfaces"]):
+        surface["material"] = f"wall{i}"
+    tx, rx = (size * np.array([draw(st.floats(0.05, 0.95)) for _ in range(3)]) for _ in range(2))
+    assume(np.linalg.norm(tx - rx) > 0.05)
+    return load_scene(doc), size, coeffs, tx, rx
+
+
+def shoebox_images(size, coeffs, tx, max_order):
+    """The Allen & Berkley image lattice of an empty box: (order, image, gain factor) per image.
+
+    Per axis the images of a source at x in [0, L] sit at 2 m L + x (q = 0) and
+    2 m L - x (q = 1) for integer m; such an image has |m - q| hits on the wall at
+    0 and |m| on the wall at L. coeffs are in box_scene_doc's surface order: floor,
+    ceiling, y = 0, y = L_y, x = 0, x = L_x.
+    """
+    low_high = [(coeffs[4], coeffs[5]), (coeffs[2], coeffs[3]), (coeffs[0], coeffs[1])]
+    per_axis = []
+    for ax in range(3):
+        c_low, c_high = low_high[ax]
+        per_axis.append([(abs(m - q) + abs(m), 2 * m * size[ax] + (1 - 2 * q) * tx[ax],
+                          c_low ** abs(m - q) * c_high ** abs(m))
+                         for m in range(-max_order, max_order + 1) for q in (0, 1)
+                         if abs(m - q) + abs(m) <= max_order])
+    return [(hx + hy + hz, np.array([x, y, z]), gx * gy * gz)
+            for hx, x, gx in per_axis[0] for hy, y, gy in per_axis[1] for hz, z, gz in per_axis[2]
+            if hx + hy + hz <= max_order]
+
+
+def wall_crossings(size, rx, image):
+    """Fractions of the way from rx to an image at which the straight line crosses a wall plane."""
+    ts = []
+    for a, b, length in zip(rx, image, size):
+        lo, hi = sorted((a, b))
+        ts += [(k * length - a) / (b - a)
+               for k in range(math.floor(lo / length) + 1, math.ceil(hi / length))]
+    return sorted(ts)
+
+
+class TestShoeboxLattice:
+    @given(shoebox_links(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_paths_are_the_image_lattice(self, link, max_order):
+        scene, size, coeffs, tx, rx = link
+        got = trace_paths(scene, Pose(tx), Pose(rx), max_order, FC)
+        images = shoebox_images(size, coeffs, tx, max_order)
+        lam = C / FC
+        for order in range(max_order + 1):
+            ref = sorted(((np.linalg.norm(img - rx), img, g) for k, img, g in images if k == order),
+                         key=lambda r: r[0])
+            # general position: no path through an edge or corner, no two equal delays
+            assume(all(np.all(np.diff(wall_crossings(size, rx, img)) > 1e-6) for _, img, _ in ref))
+            assume(np.all(np.diff([r[0] for r in ref]) > 1e-9))
+            paths = sorted((p for p in got if p.order == order), key=lambda p: p.delay)
+            assert len(ref) == len(paths) == (4 * order * order + 2 if order else 1)
+            for p, (dist, img, factor) in zip(paths, ref):
+                assert p.delay == pytest.approx(dist / C, rel=1e-12, abs=0.0)
+                gain = lam / (4 * math.pi * dist) * factor * np.exp(-2j * math.pi * dist / lam)
+                assert abs(p.gain - gain) <= 1e-12 * abs(gain)
+                direction = (img - rx) / np.linalg.norm(img - rx)
+                aoa = (math.atan2(direction[1], direction[0]), math.asin(direction[2]))
+                assert angles_close(p.aoa, aoa, 1e-12)
 
 
 def panel_room(lz):
