@@ -1,20 +1,18 @@
 """Image-method multipath solver.
 
 Specular reflections only: candidate paths are the ordered surface sequences
-up to a maximum reflection order with no surface repeated back to back (the
-image method of Allen & Berkley, JASA 1979). Each scene caches, once, its
-planes, reflection coefficients, per-surface edge planes, and the (M_k, k)
-table of surface indices of every order k.
+up to a maximum reflection order K with no surface repeated back to back (the
+image method of Allen & Berkley, JASA 1979). Each scene caches its planes,
+reflection coefficients, per-surface edge planes and, per K, one (M, K) table
+of every sequence of order 0..K, order by order, right-aligned behind -1s.
 
-A trace makes one array pass per reflection order over all M_k sequences of
-that order (Sionna RT evaluates candidates the same way, arXiv 2303.11103):
-the source is mirrored through the k planes into an (M_k, 3) image chain,
-back-traced from the receiver to the reflection points, checked for polygon
-containment against the edge planes, and every one of the k + 1 segments is
-tested for occlusion against all S planes as (M_k, S) masks. The survivors'
-complex gains, delays, Doppler shifts and local departure/arrival angles are
-computed on the same arrays (one rotation matrix per terminal) and become the
-columns of the link's PathSet, one stable sort by delay; no per-path object.
+A trace makes one array pass over all M candidates (as Sionna RT does, arXiv
+2303.11103): the source is mirrored into an (M, 3) image chain, back-traced
+from the receiver to the reflection points, checked for polygon containment,
+and each of the K + 1 segments is tested for occlusion against all S planes
+as (M, S) masks. A -1 mirrors nothing, its point is the source and its
+coefficient 1, so padding adds only zero-length legs. The survivors' gains,
+delays, Doppler shifts and local angles become the columns of the PathSet.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -200,38 +198,36 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     rotated into each terminal's local frame; gains follow path_gain with the
     per-bounce material coefficients and are clamped to unit magnitude.
     Paths weaker than GAIN_PRUNE_THRESHOLD in amplitude are dropped.
-    The columns are built order by order, each order in sequence-table
-    order, so the PathSet's stable delay sort orders equal delays the same
-    way on every call.
+    Every candidate of every order is traced in one pass over the scene's
+    padded candidate table, whose rows run order by order, so the PathSet's
+    stable delay sort orders equal delays the same way on every call.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    sep = np.linalg.norm(rx.position - tx.position)
-    if sep < 1e-12:
+    if np.linalg.norm(rx.position - tx.position) < 1e-12:
         raise ValueError("coincident endpoints")
 
     accel = _accel_for(scene)
-    rot_tx, rot_rx = tx.rotation(), rx.rotation()
-    columns, points = [], []
-    for order in range(max_order + 1):
-        seqs = accel.sequences(order)
-        pts, seqs = _unfold(accel, seqs, tx.position, rx.position)
-        seg_lengths = np.linalg.norm(np.diff(pts, axis=1), axis=2)
-        keep = ~_occluded(accel, pts, seqs) & np.all(seg_lengths >= 1e-9, axis=1)
-        pts, seqs, total = pts[keep], seqs[keep], seg_lengths[keep].sum(axis=1)
-        gain = path_gain(total, accel.coeffs[seqs], carrier_freq)
-        amp = np.abs(gain)
-        keep = amp >= GAIN_PRUNE_THRESHOLD
-        clamp = amp > 1.0
-        gain[clamp] /= amp[clamp]
-        pts, total, gain = pts[keep], total[keep], gain[keep]
-        doppler = doppler_shift(pts, tx.velocity, rx.velocity, carrier_freq)
-        aoa = _direction_angles(rot_rx, pts[:, -2] - pts[:, -1])
-        aod = _direction_angles(rot_tx, pts[:, 1] - pts[:, 0])
-        columns.append((gain, total / SPEED_OF_LIGHT, doppler, aoa, aod, np.full(len(pts), order)))
-        points.extend(pts[:, 1:-1])
-    return PathSet._from_columns(tx, rx, carrier_freq,
-                                 *(np.concatenate(c) for c in zip(*columns)), points)
+    pts, seqs = _unfold(accel, accel.candidates(max_order), tx.position, rx.position)
+    seg_lengths = np.linalg.norm(np.diff(pts, axis=1), axis=2)
+    short = seg_lengths < 1e-9  # a zero-length leg drops the path, unless it is padding
+    short[:, :-1] &= seqs >= 0
+    keep = ~_occluded(accel, pts, seqs) & ~short.any(axis=1)
+    pts, seqs, total = pts[keep], seqs[keep], seg_lengths[keep].sum(axis=1)
+    gain = path_gain(total, np.where(seqs < 0, 1.0, accel.coeffs[seqs]), carrier_freq)
+    amp = np.abs(gain)
+    gain[amp > 1.0] /= amp[amp > 1.0]
+    keep = amp >= GAIN_PRUNE_THRESHOLD
+    pts, seqs, total, gain = pts[keep], seqs[keep], total[keep], gain[keep]
+    order = np.count_nonzero(seqs >= 0, axis=1)
+    first = pts[np.arange(len(pts)), -1 - order]  # the first bounce, or rx for LoS
+    legs = np.stack([pts[:, 0], first, pts[:, -2], pts[:, -1]], axis=1)  # all doppler_shift reads
+    doppler = doppler_shift(legs, tx.velocity, rx.velocity, carrier_freq)
+    aoa = _direction_angles(rx.rotation(), pts[:, -2] - pts[:, -1])
+    aod = _direction_angles(tx.rotation(), first - pts[:, 0])
+    points = [p[-1 - k:-1] for p, k in zip(pts, order.tolist())]
+    return PathSet._from_columns(tx, rx, carrier_freq, gain, total / SPEED_OF_LIGHT, doppler,
+                                 aoa, aod, order, points)
 
 
 # ---------------------------------------------------------------------------
@@ -241,28 +237,29 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
 class _Accel:
     """Per-scene tables of the usable (planar) surfaces, S of them."""
 
+    surfaces: tuple           # the scene's surfaces these tables were built from
     normals: np.ndarray       # (S, 3)
     offsets: np.ndarray       # (S,), n . x = offset
     coeffs: np.ndarray        # (S,) reflection coefficients
     edge_normals: np.ndarray  # (S, V, 3) in-plane edge normals n x edge, zero-padded to V
     edge_offsets: np.ndarray  # (S, V), inside is edge_normal . x >= edge_offset
-    tables: list              # tables[k]: (M_k, k) surface indices of every order-k sequence
+    tables: dict              # max_order K -> its (M, K) candidate table
 
-    def sequences(self, order: int) -> np.ndarray:
-        """Surface sequences of one order, no surface twice in a row, lexicographic.
+    def candidates(self, max_order: int) -> np.ndarray:
+        """(M, K) surface indices of every sequence of order 0..K, no surface twice in a row.
 
-        Row order is the enumeration order of a breadth-first walk: each
-        order-(k-1) sequence in turn, extended by every surface in scene order.
+        An order-k row is right-aligned behind K - k padding columns of -1.
+        Rows are in lexicographic order, which puts the orders in turn.
         """
-        num = len(self.offsets)
-        while len(self.tables) <= order:
-            prev = self.tables[-1]
-            last = np.tile(np.arange(num), len(prev))
-            table = np.column_stack([np.repeat(prev, num, axis=0), last])
-            if prev.shape[1]:
-                table = table[table[:, -2] != last]
-            self.tables.append(table)
-        return self.tables[order]
+        table = self.tables.get(max_order)
+        if table is None:
+            side = len(self.offsets) + 1   # indices -1..S-1, rows in lexicographic order
+            table = np.indices((side,) * max_order).reshape(max_order, side ** max_order).T - 1
+            prev, cur = table[:, :-1], table[:, 1:]
+            table = table[np.all((prev < 0) | ((cur >= 0) & (cur != prev)), axis=1)]
+            # orders no sequence reaches (fewer than two surfaces) leave all-padding columns
+            self.tables[max_order] = table = table[:, np.any(table >= 0, axis=0)]
+        return table
 
 
 _ACCEL_CACHE: "weakref.WeakKeyDictionary[Scene, _Accel]" = weakref.WeakKeyDictionary()
@@ -270,8 +267,10 @@ _ACCEL_CACHE: "weakref.WeakKeyDictionary[Scene, _Accel]" = weakref.WeakKeyDictio
 
 def _accel_for(scene: Scene) -> _Accel:
     accel = _ACCEL_CACHE.get(scene)
-    if accel is None:
-        usable = [s for s in scene.surfaces if s.unit_normal is not None]
+    surfaces = tuple(scene.surfaces)
+    # built afresh when the surface list has changed; Surface compares by identity
+    if accel is None or accel.surfaces != surfaces:
+        usable = [s for s in surfaces if s.unit_normal is not None]
         num_edges = max((len(s.vertices) for s in usable), default=0)
         edge_normals = np.zeros((len(usable), num_edges, 3))
         edge_offsets = np.zeros((len(usable), num_edges))
@@ -279,12 +278,13 @@ def _accel_for(scene: Scene) -> _Accel:
             edge_normals[i, : len(s.vertices)] = s.edge_normals
             edge_offsets[i, : len(s.vertices)] = s.edge_offsets
         accel = _Accel(
+            surfaces=surfaces,
             normals=np.array([s.unit_normal for s in usable]).reshape(-1, 3),
             offsets=np.array([s.plane_offset for s in usable]),
             coeffs=np.array([s.material.reflection_coeff for s in usable]),
             edge_normals=edge_normals,
             edge_offsets=edge_offsets,
-            tables=[np.zeros((1, 0), dtype=np.intp)],
+            tables={},
         )
         _ACCEL_CACHE[scene] = accel
     return accel
@@ -302,17 +302,20 @@ def _inside(edge_normals, edge_offsets, points):
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _unfold(accel: _Accel, seqs: np.ndarray, tx_point, rx_point):
-    """Back-trace (M, k) surface sequences into (M', k + 2, 3) path points (tx..rx).
+    """Back-trace (M, K) padded surface sequences into (M', K + 2, 3) path points (tx..rx).
 
-    Returns the points and the M' sequences whose every bounce lands inside
-    its polygon, strictly between the previous point and the image.
+    Returns the points and the M' sequences whose every real bounce lands inside its
+    polygon, strictly between the previous point and the image. A padding column
+    (they lead, so no bounce is traced back from one) mirrors nothing, has no
+    guards, and its point is tx.
     """
     m, k = seqs.shape
-    normals, offsets = accel.normals[seqs], accel.offsets[seqs]   # (M, k, 3), (M, k)
+    normals, offsets = accel.normals[seqs], accel.offsets[seqs]   # (M, K, 3), (M, K)
     images = [np.broadcast_to(np.asarray(tx_point, dtype=float), (m, 3))]
     for j in range(k):
         p, n = images[-1], normals[:, j]
-        images.append(p - (2.0 * (np.vecdot(p, n) - offsets[:, j]))[:, None] * n)
+        mirrored = p - (2.0 * (np.vecdot(p, n) - offsets[:, j]))[:, None] * n
+        images.append(np.where(seqs[:, j, None] >= 0, mirrored, p))
     cur = np.broadcast_to(np.asarray(rx_point, dtype=float), (m, 3))
     pts = [cur]
     ok = np.ones(m, dtype=bool)
@@ -322,9 +325,9 @@ def _unfold(accel: _Accel, seqs: np.ndarray, tx_point, rx_point):
         denom = np.vecdot(ab, n)
         t = (offsets[:, i - 1] - np.vecdot(cur, n)) / denom
         cur = cur + t[:, None] * ab
-        ok &= (np.abs(denom) >= 1e-15) & (t > 1e-12) & (t < 1.0 - 1e-12)
-        ok &= _inside(accel.edge_normals[s], accel.edge_offsets[s], cur)
-        pts.append(cur)
+        ok &= (s < 0) | ((np.abs(denom) >= 1e-15) & (t > 1e-12) & (t < 1.0 - 1e-12)
+                         & _inside(accel.edge_normals[s], accel.edge_offsets[s], cur))
+        pts.append(np.where(s[:, None] < 0, images[0], cur))
     pts.append(images[0])
     return np.stack(pts[::-1], axis=1)[ok], seqs[ok]
 
@@ -333,9 +336,9 @@ def _unfold(accel: _Accel, seqs: np.ndarray, tx_point, rx_point):
 def _occluded(accel: _Accel, pts: np.ndarray, seqs: np.ndarray) -> np.ndarray:
     """(M,) mask: some segment crosses a surface it does not reflect on.
 
-    Each of the k + 1 segments is intersected with all S planes at once; a
+    Each of the K + 1 segments is intersected with all S planes at once; a
     segment's own start and end surfaces, and hits within the endpoint
-    guard of either end, do not occlude.
+    guard of either end, do not occlude; zero-length padding legs hit nothing.
     """
     m, k = seqs.shape
     surface_ids = np.arange(len(accel.offsets))

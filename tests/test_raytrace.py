@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from isactwin.raytrace import (
     wrap_angle,
 )
 from isactwin.scene import Material, Scene, Surface, load_scene
-from conftest import box_scene_doc
+from conftest import box_scene_doc, repo_scenario_dir
 
 
 def empty_scene():
@@ -168,6 +169,21 @@ class TestTracePaths:
         assert aoa_el == pytest.approx(0.0, abs=1e-12)
         aod_az, aod_el = ps.paths[0].aod
         assert aod_az == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSceneCache:
+    def test_changed_surface_list_is_traced_afresh(self):
+        # the tracer caches per-scene tables; they must follow the scene's surface list
+        doc = json.loads((repo_scenario_dir() / "desk_box.scene.json").read_text())
+        scene, fresh = load_scene(doc), load_scene(doc)
+        tx, rx = Pose.at(0.1, 0.1, 0.5), Pose.at(0.8, 0.6, 0.1)
+        assert len(trace_paths(scene, tx, rx, 2, 2.4e9)) == 25
+        scene.surfaces.pop()
+        fresh.surfaces.pop()
+        got, want = trace_paths(scene, tx, rx, 2, 2.4e9), trace_paths(fresh, tx, rx, 2, 2.4e9)
+        assert len(want) == 18
+        for a, b in zip(columns_of(got), columns_of(want)):
+            assert np.array_equal(a, b)
 
 
 class TestPropagationPathInvariants:

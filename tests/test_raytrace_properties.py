@@ -190,6 +190,39 @@ class TestAgainstScalarOracle:
         assert len(trace_paths(scene, tx, behind, 0, FC)) == int(not reflects)
 
 
+class TestPaddedCandidates:
+    """Cases at the edges of the padded candidate table, against the scalar oracle."""
+
+    @pytest.mark.parametrize("max_order", range(4))
+    @pytest.mark.parametrize("off_wall", [0.0, 1e-10])
+    def test_tx_on_a_wall_plane(self, max_order, off_wall):
+        # a first bounce on the wall x = 0 lands on tx, which the back-trace
+        # guard rejects, or within 1e-10 of it: a real zero-length leg, which
+        # drops the path, where a padding leg tx -> tx does not
+        scene = panel_room(2.5)
+        tx, rx = Pose.at(off_wall, 1.3, 1.2, yaw=0.2), Pose.at(1.7, 2.4, 0.9, velocity=(0, 0.4, 0))
+        got = trace_paths(scene, tx, rx, max_order, FC)
+        assert_same_paths(got, trace_paths_scalar(scene, tx, rx, max_order, FC))
+        assert len(got) > 0
+        assert not any(np.any(p.reflection_points[:1, 0] < 1e-9) for p in got)
+
+    def test_rx_on_the_floor_plane(self):
+        scene = panel_room(2.5)
+        tx, rx = Pose.at(1.0, 1.5, 1.2), Pose.at(3.1, 0.8, 0.0, yaw=-0.5, velocity=(0.3, 0, 0))
+        got = trace_paths(scene, tx, rx, 3, FC)
+        assert_same_paths(got, trace_paths_scalar(scene, tx, rx, 3, FC))
+        assert len(got) > 0
+
+    def test_fourth_order(self):
+        # 1 + 6 + 30 + 150 + 750 = 937 candidates; the box has 4 n^2 + 2 = 66 at order 4
+        scene = load_scene(box_scene_doc())
+        tx = Pose.at(1.23, 0.74, 1.31, yaw=0.4)
+        rx = Pose.at(2.86, 2.11, 0.97, velocity=(0.2, -0.1, 0))
+        got = trace_paths(scene, tx, rx, 4, FC)
+        assert_same_paths(got, trace_paths_scalar(scene, tx, rx, 4, FC))
+        assert np.count_nonzero(got.order == 4) == 66
+
+
 class TestInvariants:
     @given(links(), st.integers(0, 3))
     @settings(max_examples=30, deadline=None)
