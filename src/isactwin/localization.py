@@ -245,14 +245,18 @@ def load_db(path) -> FingerprintDB:
         raise DatabaseError(f"{path}: corrupt header: not a JSON object")
     if header.get("version") != _VERSION:
         raise DatabaseError(f"{path}: unsupported version {header.get('version')}")
-    try:
-        n_points, num_bins, ap_ids = header["n_points"], header["num_bins"], list(header["ap_ids"])
-        spacing, bin_width = header["spacing_m"], header["bin_width_s"]
-        scene_hash, network_hash = header["scene_hash"], header["network_hash"]
-    except (KeyError, TypeError) as exc:
-        raise DatabaseError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from exc
-    if not all(type(n) is int and n >= 0 for n in (n_points, num_bins)):
-        raise DatabaseError(f"{path}: corrupt header: n_points {n_points!r}, num_bins {num_bins!r}")
+    n_points, num_bins, ap_ids = header.get("n_points"), header.get("num_bins"), header.get("ap_ids")
+    spacing, bin_width = header.get("spacing_m"), header.get("bin_width_s")
+    scene_hash, network_hash = header.get("scene_hash"), header.get("network_hash")
+    for field, ok in (("n_points", type(n_points) is int and n_points >= 0),
+                      ("num_bins", type(num_bins) is int and num_bins >= 0),
+                      ("spacing_m", type(spacing) in (int, float) and 0.0 < spacing < np.inf),
+                      ("bin_width_s", type(bin_width) in (int, float) and 0.0 < bin_width < np.inf),
+                      ("scene_hash", type(scene_hash) is str), ("network_hash", type(network_hash) is str),
+                      ("ap_ids", type(ap_ids) is list and all(type(a) is str for a in ap_ids))):
+        if not ok:
+            value = repr(header[field]) if field in header else "missing"
+            raise DatabaseError(f"{path}: corrupt header: {field} {value}")
     expected = off + 8 * n_points * (3 + len(ap_ids) * num_bins)
     if len(raw) != expected:
         raise DatabaseError(

@@ -12,12 +12,14 @@ from the receiver to the reflection points, checked for polygon containment,
 and each of the K + 1 segments is tested for occlusion against all S planes
 as (M, S) masks. A -1 mirrors nothing, its point is the source and its
 coefficient 1, so padding adds only zero-length legs. The survivors' gains,
-delays, Doppler shifts and local angles become the columns of the PathSet.
+delays, Doppler shifts, local angles and bounce points become the columns of
+the PathSet; the bounces keep the padding, as rows equal to the tx position.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
     terminal toward the first/last bounce (or the far terminal for LoS);
   * Euler orientation is Z-Y-X (yaw about z, then pitch about y, roll about x);
+  * Doppler is (f_c / c) (u_dep . v_tx - u_arr . v_rx), u_dep leaving tx and u_arr reaching rx;
   * the per-path amplitude is (lambda / (4 pi d)) * prod(reflection coeffs)
     with phase -2 pi d / lambda, clamped to unit magnitude at sub-wavelength
     ranges.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +67,7 @@ class Pose:
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
         ori = np.zeros(3) if self.orientation is None else np.asarray(self.orientation, dtype=float).reshape(3)
         object.__setattr__(self, "orientation", np.array([wrap_angle(a) for a in ori]))
+        self.orientation.flags.writeable = False  # the cached rotation is built from it
         vel = np.zeros(3) if self.velocity is None else np.asarray(self.velocity, dtype=float).reshape(3)
         object.__setattr__(self, "velocity", vel)
 
@@ -75,8 +79,9 @@ class Pose:
     def yaw(self) -> float:
         return float(self.orientation[0])
 
+    @cached_property
     def rotation(self) -> np.ndarray:
-        """Local-to-global rotation matrix Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+        """Local-to-global rotation matrix Rz(yaw) @ Ry(pitch) @ Rx(roll), built once, read-only."""
         a, b, g = self.orientation
         ca, sa = math.cos(a), math.sin(a)
         cb, sb = math.cos(b), math.sin(b)
@@ -84,7 +89,9 @@ class Pose:
         rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
         ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
         rx = np.array([[1.0, 0.0, 0.0], [0.0, cg, -sg], [0.0, sg, cg]])
-        return rz @ ry @ rx
+        rotation = rz @ ry @ rx
+        rotation.flags.writeable = False
+        return rotation
 
 
 @dataclass(eq=False)
@@ -110,12 +117,14 @@ class PathSet:
 
     gain (L,) complex; delay, doppler and order (L,); aoa and aod (L, 2), the
     local (azimuth, elevation) at the receiver and the transmitter; and
-    reflection_points, L arrays of shape (order, 3). Iteration and ``paths``
-    give the paths back as PropagationPaths.
+    bounces (L, K, 3), each path's reflection points right-aligned behind
+    K - order rows equal to the tx position (a list of paths pads K to its
+    largest order). Iteration and ``paths`` give the paths back as PropagationPaths.
     """
 
     def __init__(self, paths, tx_pose: Pose, rx_pose: Pose, carrier_freq: float):
         paths = list(paths)
+        k = max((p.order for p in paths), default=0)
         self._set_sorted(tx_pose, rx_pose, carrier_freq,
                          np.array([p.gain for p in paths], dtype=complex),
                          np.array([p.delay for p in paths], dtype=float),
@@ -123,7 +132,8 @@ class PathSet:
                          np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2),
                          np.array([p.aod for p in paths], dtype=float).reshape(-1, 2),
                          np.array([p.order for p in paths], dtype=int),
-                         [p.reflection_points for p in paths])
+                         np.array([np.vstack([tx_pose.position] * (k - p.order) + [p.reflection_points])
+                                   for p in paths]).reshape(len(paths), k, 3))
 
     @classmethod
     def _from_columns(cls, *args) -> "PathSet":
@@ -132,20 +142,19 @@ class PathSet:
         ps._set_sorted(*args)
         return ps
 
-    def _set_sorted(self, tx_pose, rx_pose, carrier_freq, gain, delay, doppler, aoa, aod, order,
-                    reflection_points):
+    def _set_sorted(self, tx_pose, rx_pose, carrier_freq, gain, delay, doppler, aoa, aod, order, bounces):
         idx = np.argsort(delay, kind="stable")
         self.tx_pose, self.rx_pose, self.carrier_freq = tx_pose, rx_pose, carrier_freq
         self.gain, self.delay, self.doppler = gain[idx], delay[idx], doppler[idx]
         self.aoa, self.aod, self.order = aoa[idx], aod[idx], order[idx]
-        self.reflection_points = [reflection_points[i] for i in idx]
+        self.bounces = bounces[idx]
 
     @property
     def paths(self) -> list:
         rows = zip(self.gain.tolist(), self.delay.tolist(), self.doppler.tolist(), self.aoa.tolist(),
-                   self.aod.tolist(), self.reflection_points, self.order.tolist())
-        return [PropagationPath(g, d, nu, tuple(aoa), tuple(aod), refl, k)
-                for g, d, nu, aoa, aod, refl, k in rows]
+                   self.aod.tolist(), self.bounces, self.order.tolist())
+        return [PropagationPath(g, d, nu, tuple(aoa), tuple(aod), b[len(b) - n:], n)
+                for g, d, nu, aoa, aod, b, n in rows]
 
     def __len__(self) -> int:
         return len(self.delay)
@@ -173,21 +182,6 @@ def path_gain(path_length, reflection_coeffs, carrier_freq: float):
         amp = amp * coeffs[..., j]
     phase = -2.0 * math.pi * d / lam
     return amp * (np.cos(phase) + 1j * np.sin(phase))
-
-
-def doppler_shift(path_points, tx_velocity, rx_velocity, carrier_freq: float):
-    """Doppler from the first/last segment directions of a path polyline (tx..rx).
-
-    nu = (f_c / c) * (v_tx . u_dep + v_rx . (-u_arr)), where u_dep leaves the
-    transmitter along the first segment and u_arr arrives at the receiver
-    along the last segment. Takes one polyline (n, 3) or M of them (M, n, 3).
-    """
-    pts = np.asarray(path_points, dtype=float)
-    u_dep = _unit(pts[..., 1, :] - pts[..., 0, :])
-    u_arr = _unit(pts[..., -1, :] - pts[..., -2, :])
-    v_tx = np.asarray(tx_velocity, dtype=float)
-    v_rx = np.asarray(rx_velocity, dtype=float)
-    return carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, v_tx) - np.vecdot(u_arr, v_rx))
 
 
 def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
@@ -221,13 +215,13 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     pts, seqs, total, gain = pts[keep], seqs[keep], total[keep], gain[keep]
     order = np.count_nonzero(seqs >= 0, axis=1)
     first = pts[np.arange(len(pts)), -1 - order]  # the first bounce, or rx for LoS
-    legs = np.stack([pts[:, 0], first, pts[:, -2], pts[:, -1]], axis=1)  # all doppler_shift reads
-    doppler = doppler_shift(legs, tx.velocity, rx.velocity, carrier_freq)
-    aoa = _direction_angles(rx.rotation(), pts[:, -2] - pts[:, -1])
-    aod = _direction_angles(tx.rotation(), first - pts[:, 0])
-    points = [p[-1 - k:-1] for p, k in zip(pts, order.tolist())]
+    u_dep = _unit(first - pts[:, 0])              # leaves tx
+    u_arr = _unit(pts[:, -1] - pts[:, -2])        # arrives at rx
+    doppler = carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, tx.velocity) - np.vecdot(u_arr, rx.velocity))
+    aoa = _direction_angles(rx.rotation, -u_arr)
+    aod = _direction_angles(tx.rotation, u_dep)
     return PathSet._from_columns(tx, rx, carrier_freq, gain, total / SPEED_OF_LIGHT, doppler,
-                                 aoa, aod, order, points)
+                                 aoa, aod, order, pts[:, 1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +231,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
 class _Accel:
     """Per-scene tables of the usable (planar) surfaces, S of them."""
 
-    surfaces: tuple           # the scene's surfaces these tables were built from
+    key: tuple                # the scene's (surface, material) pairs these tables were built from
     normals: np.ndarray       # (S, 3)
     offsets: np.ndarray       # (S,), n . x = offset
     coeffs: np.ndarray        # (S,) reflection coefficients
@@ -267,10 +261,10 @@ _ACCEL_CACHE: "weakref.WeakKeyDictionary[Scene, _Accel]" = weakref.WeakKeyDictio
 
 def _accel_for(scene: Scene) -> _Accel:
     accel = _ACCEL_CACHE.get(scene)
-    surfaces = tuple(scene.surfaces)
-    # built afresh when the surface list has changed; Surface compares by identity
-    if accel is None or accel.surfaces != surfaces:
-        usable = [s for s in surfaces if s.unit_normal is not None]
+    key = tuple((s, s.material) for s in scene.surfaces)
+    # rebuilt when a surface (compared by identity) or its frozen material (by value) changes
+    if accel is None or accel.key != key:
+        usable = [s for s in scene.surfaces if s.unit_normal is not None]
         num_edges = max((len(s.vertices) for s in usable), default=0)
         edge_normals = np.zeros((len(usable), num_edges, 3))
         edge_offsets = np.zeros((len(usable), num_edges))
@@ -278,7 +272,7 @@ def _accel_for(scene: Scene) -> _Accel:
             edge_normals[i, : len(s.vertices)] = s.edge_normals
             edge_offsets[i, : len(s.vertices)] = s.edge_offsets
         accel = _Accel(
-            surfaces=surfaces,
+            key=key,
             normals=np.array([s.unit_normal for s in usable]).reshape(-1, 3),
             offsets=np.array([s.plane_offset for s in usable]),
             coeffs=np.array([s.material.reflection_coeff for s in usable]),
@@ -363,9 +357,9 @@ def _occluded(accel: _Accel, pts: np.ndarray, seqs: np.ndarray) -> np.ndarray:
     return blocked
 
 
-def _direction_angles(rotation: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """(M, 2) local (azimuth, elevation) of global directions (M, 3) under a local-to-global rotation."""
-    d = _unit(directions) @ rotation
+def _direction_angles(rotation: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """(M, 2) local (azimuth, elevation) of global unit vectors (M, 3) under a local-to-global rotation."""
+    d = units @ rotation
     return np.column_stack([np.arctan2(d[:, 1], d[:, 0]), np.arcsin(np.clip(d[:, 2], -1.0, 1.0))])
 
 

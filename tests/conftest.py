@@ -1,9 +1,18 @@
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
 from isactwin.scene import load_scene
+
+
+def rewrite_db_header(path, edit):
+    """Replace a fingerprint database file's JSON header with edit(header)."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    blob = json.dumps(edit(json.loads(raw[12 : 12 + hlen]))).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
 
 
 def box_scene_doc(lx=4.0, ly=3.0, lz=2.5, coeff=0.7):

@@ -167,7 +167,7 @@ def _doppler_shift(pts, tx_velocity, rx_velocity, carrier_freq: float) -> float:
 
 
 def _direction_angles(pose: Pose, direction) -> tuple:
-    d = pose.rotation().T @ _unit(direction)
+    d = pose.rotation.T @ _unit(direction)
     return (math.atan2(d[1], d[0]), math.asin(min(1.0, max(-1.0, float(d[2])))))
 
 

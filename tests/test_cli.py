@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from conftest import TINY_SCENE, tiny_scenario_doc
+from conftest import TINY_SCENE, rewrite_db_header, tiny_scenario_doc
 from isactwin.cli import main
 from isactwin.localization import compute_mdp, load_db
 from isactwin.raytrace import Pose, trace_paths
@@ -104,6 +104,14 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err == "error: step 0 raytrace phase failed: coincident endpoints\n"
+
+    def test_mistyped_database_header_is_one_error_line(self, scenario, tiny_scenario, capsys):
+        assert main(["build-db", scenario]) == 0
+        db_path = tiny_scenario.parent / "artifacts" / "tiny.fpdb"
+        rewrite_db_header(db_path, lambda header: {**header, "network_hash": 5})
+        capsys.readouterr()
+        assert main(["run", scenario, "--max-steps", "2", "--out", str(db_path.parent / "t.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {db_path}: corrupt header: network_hash 5\n"
 
 
 class TestEval:

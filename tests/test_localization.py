@@ -1,7 +1,5 @@
-import json
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from isactwin.localization import (
 )
 from isactwin.raytrace import PathSet, Pose, PropagationPath, trace_paths
 from isactwin.scene import load_scene, floor_grid
-from conftest import box_scene_doc
+from conftest import box_scene_doc, rewrite_db_header
 from localization_oracle import compute_mdp_per_path, mdp_distance
 
 
@@ -214,11 +212,20 @@ class TestFingerprintDB:
     def test_malformed_header_rejected(self, small_db, tmp_path, edit):
         db, _, _ = small_db
         p = save_db(db, tmp_path / "db.fpdb")
-        raw = p.read_bytes()
-        (hlen,) = struct.unpack_from("<I", raw, 8)
-        blob = json.dumps(edit(json.loads(raw[12 : 12 + hlen]))).encode()
-        p.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+        rewrite_db_header(p, edit)
         with pytest.raises(DatabaseError, match=f"^{re.escape(str(p))}: corrupt header"):
+            load_db(p)
+
+    @pytest.mark.parametrize("field,value", [
+        ("bin_width_s", "0.8ns"), ("bin_width_s", 0.0), ("bin_width_s", float("nan")),
+        ("spacing_m", -0.2), ("spacing_m", float("inf")), ("spacing_m", True),
+        ("scene_hash", None), ("network_hash", 5), ("ap_ids", "ab"), ("ap_ids", ["ap1", 2]),
+    ])
+    def test_mistyped_header_field_rejected(self, small_db, tmp_path, field, value):
+        db, _, _ = small_db
+        p = save_db(db, tmp_path / "db.fpdb")
+        rewrite_db_header(p, lambda header: {**header, field: value})
+        with pytest.raises(DatabaseError, match=f"^{re.escape(str(p))}: corrupt header: {field} "):
             load_db(p)
 
     def test_trailing_bytes_rejected(self, small_db, tmp_path):

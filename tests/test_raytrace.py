@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isactwin.raytrace as raytrace
 from isactwin.raytrace import (
     SPEED_OF_LIGHT as C,
     PathSet,
     Pose,
     PropagationPath,
-    doppler_shift,
     path_gain,
     trace_paths,
     wrap_angle,
@@ -72,18 +72,21 @@ class TestPathGain:
 
 
 class TestDoppler:
+    @staticmethod
+    def los_doppler(rx_velocity):
+        ps = trace_paths(empty_scene(), Pose.at(0, 0, 0), Pose.at(3, 0, 0, velocity=rx_velocity), 0, 2.4e9)
+        assert len(ps) == 1
+        return ps.doppler[0]
+
     def test_static_is_zero(self):
-        pts = np.array([[0, 0, 0], [3, 0, 0]])
-        assert doppler_shift(pts, [0, 0, 0], [0, 0, 0], 2.4e9) == 0.0
+        assert self.los_doppler((0, 0, 0)) == 0.0
 
     def test_head_on_approach(self):
-        pts = np.array([[0, 0, 0], [3, 0, 0]])
-        nu = doppler_shift(pts, [0, 0, 0], [-1.0, 0, 0], 2.4e9)
+        nu = self.los_doppler((-1.0, 0, 0))
         assert nu == pytest.approx(2.4e9 / C, rel=1e-12)  # ~8.005 Hz
 
     def test_perpendicular_motion(self):
-        pts = np.array([[0, 0, 0], [3, 0, 0]])
-        assert doppler_shift(pts, [0, 0, 0], [0, 1.0, 0], 2.4e9) == pytest.approx(0.0, abs=1e-15)
+        assert self.los_doppler((0, 1.0, 0)) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestTracePaths:
@@ -185,6 +188,19 @@ class TestSceneCache:
         for a, b in zip(columns_of(got), columns_of(want)):
             assert np.array_equal(a, b)
 
+    def test_changed_material_is_traced_afresh(self):
+        # the cached reflection coefficients must follow a material swap on a kept surface
+        doc = json.loads((repo_scenario_dir() / "desk_box.scene.json").read_text())
+        scene, fresh = load_scene(doc), load_scene(doc)
+        tx, rx = Pose.at(0.1, 0.1, 0.5), Pose.at(0.8, 0.6, 0.1)
+        assert len(trace_paths(scene, tx, rx, 2, 2.4e9)) == 25
+        scene.surfaces[0].material = Material("absorber", 0.0)
+        fresh.surfaces[0].material = Material("absorber", 0.0)
+        got, want = trace_paths(scene, tx, rx, 2, 2.4e9), trace_paths(fresh, tx, rx, 2, 2.4e9)
+        assert len(want) == 18
+        for a, b in zip(columns_of(got) + (got.bounces,), columns_of(want) + (want.bounces,)):
+            assert np.array_equal(a, b)
+
 
 class TestPropagationPathInvariants:
     def test_order_must_match_reflection_points(self):
@@ -198,6 +214,63 @@ class TestPropagationPathInvariants:
         ps = PathSet(paths=[mk(3e-9), mk(1e-9), mk(2e-9)],
                      tx_pose=Pose.at(0, 0, 0), rx_pose=Pose.at(1, 0, 0), carrier_freq=2.4e9)
         assert [p.delay for p in ps] == [1e-9, 2e-9, 3e-9]
+
+
+class TestBounces:
+    """PathSet.bounces: (L, K, 3), real bounces right-aligned behind padding rows equal to tx."""
+
+    TX = Pose.at(1.23, 0.74, 1.31, yaw=0.4, velocity=(0.3, -0.2, 0.0))
+    RX = Pose.at(2.86, 2.11, 0.97, yaw=-1.1, velocity=(-0.1, 0.5, 0.0))
+
+    @pytest.mark.parametrize("max_order", [0, 1, 3])
+    def test_traced_layout_and_polyline_length(self, box_scene, max_order):
+        ps = trace_paths(box_scene, self.TX, self.RX, max_order, 2.4e9)
+        assert ps.bounces.shape == (len(ps), max_order, 3)
+        for b, k, delay in zip(ps.bounces, ps.order.tolist(), ps.delay.tolist()):
+            assert np.array_equal(b[: max_order - k], np.tile(self.TX.position, (max_order - k, 1)))
+            polyline = np.vstack([self.TX.position, b, self.RX.position])
+            length = np.linalg.norm(np.diff(polyline, axis=0), axis=1).sum()
+            assert length == pytest.approx(delay * C, rel=1e-12)
+
+    def test_paths_slice_the_real_bounces(self, box_scene):
+        ps = trace_paths(box_scene, self.TX, self.RX, 3, 2.4e9)
+        for p, b in zip(ps.paths, ps.bounces):
+            assert np.array_equal(p.reflection_points, b[3 - p.order:])
+
+    def test_list_route_pads_to_the_largest_order(self):
+        tx = Pose.at(0.5, -1.0, 2.0)
+        mk = lambda d, order: PropagationPath(gain=0.1, delay=d, doppler=0.0, aoa=(0, 0), aod=(0, 0),
+                                              reflection_points=np.full((order, 3), float(order)),
+                                              order=order)
+        ps = PathSet(paths=[mk(3e-9, 2), mk(1e-9, 0), mk(2e-9, 1)], tx_pose=tx,
+                     rx_pose=Pose.at(1, 0, 0), carrier_freq=2.4e9)
+        want = np.array([[tx.position, tx.position], [tx.position, [1.0] * 3], [[2.0] * 3] * 2])
+        assert np.array_equal(ps.bounces, want)
+
+    def test_each_direction_is_normalised_once(self, box_scene, monkeypatch):
+        calls = []
+        unit = raytrace._unit
+
+        def counting_unit(v):
+            calls.append(v.shape)
+            return unit(v)
+
+        monkeypatch.setattr(raytrace, "_unit", counting_unit)
+        for max_order in (0, 2, 3):
+            calls.clear()
+            ps = trace_paths(box_scene, self.TX, self.RX, max_order, 2.4e9)
+            assert calls == [(len(ps), 3)] * 2
+
+
+class TestPoseRotation:
+    def test_built_once_and_read_only(self):
+        pose = Pose.at(0, 0, 0, yaw=0.3, pitch=-0.2, roll=0.1)
+        assert pose.rotation is pose.rotation
+        assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3), atol=1e-15)
+        with pytest.raises(ValueError):
+            pose.rotation[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            pose.orientation[0] = 1.0
 
 
 def columns_of(ps):
@@ -218,7 +291,7 @@ class TestPathSetColumns:
         assert ps.aoa.shape == ps.aod.shape == (n, 2)
         assert ps.gain.dtype == complex and ps.delay.dtype == float
         assert np.all(np.diff(ps.delay) >= 0.0)
-        assert [len(r) for r in ps.reflection_points] == ps.order.tolist()
+        assert [len(p.reflection_points) for p in ps.paths] == ps.order.tolist()
 
     def test_shuffled_paths_rebuild_the_traced_columns(self, box_scene):
         traced = trace_paths(box_scene, self.TX, self.RX, 2, 2.4e9)
@@ -229,8 +302,8 @@ class TestPathSetColumns:
         for got, want in zip(columns_of(rebuilt), columns_of(traced)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-        for got, want in zip(rebuilt.reflection_points, traced.reflection_points):
-            assert np.array_equal(got, want)
+        for got, want in zip(rebuilt.paths, traced.paths):
+            assert np.array_equal(got.reflection_points, want.reflection_points)
 
     def test_paths_view_gives_back_every_field(self):
         rng = np.random.default_rng(11)
