@@ -3,17 +3,19 @@
 Specular reflections only: candidate paths are the ordered surface sequences
 up to a maximum reflection order K with no surface repeated back to back (the
 image method of Allen & Berkley, JASA 1979). Each scene caches its planes,
-reflection coefficients, per-surface edge planes and, per K, one (M, K) table
-of every sequence of order 0..K, order by order, right-aligned behind -1s.
+reflection coefficients, per-surface edge planes and, per K, one plan: the
+(M, K) table of every sequence of order 0..K, order by order, right-aligned
+behind -1s, its planes, edge planes, coefficients and segment-own surfaces
+gathered once, and one (M, K + 1, 3) image chain per read-only tx Pose.
 
 A trace makes one array pass over all M candidates (as Sionna RT does, arXiv
-2303.11103): the source is mirrored into an (M, 3) image chain, back-traced
-from the receiver to the reflection points, checked for polygon containment,
-and each of the K + 1 segments is tested for occlusion against all S planes
-as (M, S) masks. A -1 mirrors nothing, its point is the source and its
-coefficient 1, so padding adds only zero-length legs. The survivors' gains,
-delays, Doppler shifts, local angles and bounce points become the columns of
-the PathSet; the bounces keep the padding, as rows equal to the tx position.
+2303.11103): the receiver is back-traced through the image chain to the
+reflection points, all bounces are checked for polygon containment at once,
+and all (M, K + 1) segments are tested for occlusion against all S planes in
+one pass. A -1 mirrors nothing, its point is the source and its coefficient
+1, so padding adds only zero-length legs. The survivors' gains, delays,
+Doppler shifts, local angles and bounce points become the columns of the
+PathSet; the bounces keep the padding, as rows equal to the tx position.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -64,12 +66,12 @@ class Pose:
     velocity: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
         ori = np.zeros(3) if self.orientation is None else np.asarray(self.orientation, dtype=float).reshape(3)
-        object.__setattr__(self, "orientation", np.array([wrap_angle(a) for a in ori]))
-        self.orientation.flags.writeable = False  # the cached rotation is built from it
-        vel = np.zeros(3) if self.velocity is None else np.asarray(self.velocity, dtype=float).reshape(3)
-        object.__setattr__(self, "velocity", vel)
+        # own read-only copies: the cached rotation and the tracer's image chains are built from them
+        for name, value in (("position", self.position), ("orientation", [wrap_angle(a) for a in ori]),
+                            ("velocity", np.zeros(3) if self.velocity is None else self.velocity)):
+            object.__setattr__(self, name, np.array(value, dtype=float).reshape(3))
+            getattr(self, name).flags.writeable = False
 
     @classmethod
     def at(cls, x, y, z=0.0, yaw=0.0, pitch=0.0, roll=0.0, velocity=(0.0, 0.0, 0.0)) -> "Pose":
@@ -202,18 +204,20 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
         raise ValueError("coincident endpoints")
 
     accel = _accel_for(scene)
-    pts, seqs = _unfold(accel, accel.candidates(max_order), tx.position, rx.position)
-    seg_lengths = np.linalg.norm(np.diff(pts, axis=1), axis=2)
+    plan = accel.plan(max_order)
+    rows, pts = _unfold(plan, tx, rx.position)
+    segs = np.diff(pts, axis=1)
+    seg_lengths = np.linalg.norm(segs, axis=2)
     short = seg_lengths < 1e-9  # a zero-length leg drops the path, unless it is padding
-    short[:, :-1] &= seqs >= 0
-    keep = ~_occluded(accel, pts, seqs) & ~short.any(axis=1)
-    pts, seqs, total = pts[keep], seqs[keep], seg_lengths[keep].sum(axis=1)
-    gain = path_gain(total, np.where(seqs < 0, 1.0, accel.coeffs[seqs]), carrier_freq)
+    short[:, :-1] &= plan.real[rows]
+    keep = ~_occluded(accel, plan.own[rows], pts[:, :-1], segs, seg_lengths) & ~short.any(axis=1)
+    rows, pts, total = rows[keep], pts[keep], seg_lengths[keep].sum(axis=1)
+    gain = path_gain(total, plan.coeffs[rows], carrier_freq)
     amp = np.abs(gain)
     gain[amp > 1.0] /= amp[amp > 1.0]
     keep = amp >= GAIN_PRUNE_THRESHOLD
-    pts, seqs, total, gain = pts[keep], seqs[keep], total[keep], gain[keep]
-    order = np.count_nonzero(seqs >= 0, axis=1)
+    rows, pts, total, gain = rows[keep], pts[keep], total[keep], gain[keep]
+    order = np.count_nonzero(plan.real[rows], axis=1)
     first = pts[np.arange(len(pts)), -1 - order]  # the first bounce, or rx for LoS
     u_dep = _unit(first - pts[:, 0])              # leaves tx
     u_arr = _unit(pts[:, -1] - pts[:, -2])        # arrives at rx
@@ -228,6 +232,21 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
 # internals
 
 @dataclass(eq=False)
+class _Plan:
+    """What a trace over M candidates of order 0..K needs and no receiver changes (_Accel's, gathered)."""
+
+    seqs: np.ndarray          # (M, K) surface indices; an order-k row leads with K - k padding -1s
+    real: np.ndarray          # (M, K) seqs >= 0
+    normals: np.ndarray       # (M, K, 3) each bounce's plane (any plane at padding)
+    offsets: np.ndarray       # (M, K)
+    edge_normals: np.ndarray  # (M, K, V, 3) each bounce's polygon
+    edge_offsets: np.ndarray  # (M, K, V)
+    coeffs: np.ndarray        # (M, K) reflection coefficients, exactly 1.0 at padding
+    own: np.ndarray           # (M, K + 1, S) segment i starts or ends on surface s
+    images: weakref.WeakKeyDictionary  # tx Pose -> its (M, K + 1, 3) image chain, dying with the pose
+
+
+@dataclass(eq=False)
 class _Accel:
     """Per-scene tables of the usable (planar) surfaces, S of them."""
 
@@ -237,23 +256,29 @@ class _Accel:
     coeffs: np.ndarray        # (S,) reflection coefficients
     edge_normals: np.ndarray  # (S, V, 3) in-plane edge normals n x edge, zero-padded to V
     edge_offsets: np.ndarray  # (S, V), inside is edge_normal . x >= edge_offset
-    tables: dict              # max_order K -> its (M, K) candidate table
+    plans: dict               # max_order K -> its _Plan
 
-    def candidates(self, max_order: int) -> np.ndarray:
-        """(M, K) surface indices of every sequence of order 0..K, no surface twice in a row.
+    def plan(self, max_order: int) -> _Plan:
+        """The plan of every sequence of order 0..K with no surface twice in a row, built once per K.
 
         An order-k row is right-aligned behind K - k padding columns of -1.
         Rows are in lexicographic order, which puts the orders in turn.
         """
-        table = self.tables.get(max_order)
-        if table is None:
+        plan = self.plans.get(max_order)
+        if plan is None:
             side = len(self.offsets) + 1   # indices -1..S-1, rows in lexicographic order
-            table = np.indices((side,) * max_order).reshape(max_order, side ** max_order).T - 1
-            prev, cur = table[:, :-1], table[:, 1:]
-            table = table[np.all((prev < 0) | ((cur >= 0) & (cur != prev)), axis=1)]
+            seqs = np.indices((side,) * max_order).reshape(max_order, side ** max_order).T - 1
+            prev, cur = seqs[:, :-1], seqs[:, 1:]
+            seqs = seqs[np.all((prev < 0) | ((cur >= 0) & (cur != prev)), axis=1)]
             # orders no sequence reaches (fewer than two surfaces) leave all-padding columns
-            self.tables[max_order] = table = table[:, np.any(table >= 0, axis=0)]
-        return table
+            seqs = seqs[:, np.any(seqs >= 0, axis=0)]
+            on = seqs[..., None] == np.arange(side - 1)   # (M, K, S) bounce j lies on surface s
+            own = np.pad(on, ((0, 0), (1, 0), (0, 0))) | np.pad(on, ((0, 0), (0, 1), (0, 0)))
+            self.plans[max_order] = plan = _Plan(
+                seqs, seqs >= 0, self.normals[seqs], self.offsets[seqs], self.edge_normals[seqs],
+                self.edge_offsets[seqs], np.where(seqs < 0, 1.0, self.coeffs[seqs]), own,
+                weakref.WeakKeyDictionary())
+        return plan
 
 
 _ACCEL_CACHE: "weakref.WeakKeyDictionary[Scene, _Accel]" = weakref.WeakKeyDictionary()
@@ -278,7 +303,7 @@ def _accel_for(scene: Scene) -> _Accel:
             coeffs=np.array([s.material.reflection_coeff for s in usable]),
             edge_normals=edge_normals,
             edge_offsets=edge_offsets,
-            tables={},
+            plans={},
         )
         _ACCEL_CACHE[scene] = accel
     return accel
@@ -294,67 +319,67 @@ def _inside(edge_normals, edge_offsets, points):
     return ~np.any(dist < -CONTAINS_TOL, axis=-1)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _unfold(accel: _Accel, seqs: np.ndarray, tx_point, rx_point):
-    """Back-trace (M, K) padded surface sequences into (M', K + 2, 3) path points (tx..rx).
-
-    Returns the points and the M' sequences whose every real bounce lands inside its
-    polygon, strictly between the previous point and the image. A padding column
-    (they lead, so no bounce is traced back from one) mirrors nothing, has no
-    guards, and its point is tx.
-    """
-    m, k = seqs.shape
-    normals, offsets = accel.normals[seqs], accel.offsets[seqs]   # (M, K, 3), (M, K)
-    images = [np.broadcast_to(np.asarray(tx_point, dtype=float), (m, 3))]
+def _image_chain(plan: _Plan, tx_point: np.ndarray) -> np.ndarray:
+    """(M, K + 1, 3): column j is tx mirrored through the row's first j planes (padding mirrors nothing)."""
+    m, k = plan.real.shape
+    images = np.empty((m, k + 1, 3))
+    images[:, 0] = tx_point
     for j in range(k):
-        p, n = images[-1], normals[:, j]
-        mirrored = p - (2.0 * (np.vecdot(p, n) - offsets[:, j]))[:, None] * n
-        images.append(np.where(seqs[:, j, None] >= 0, mirrored, p))
-    cur = np.broadcast_to(np.asarray(rx_point, dtype=float), (m, 3))
-    pts = [cur]
+        p, n = images[:, j], plan.normals[:, j]
+        mirrored = p - (2.0 * (np.vecdot(p, n) - plan.offsets[:, j]))[:, None] * n
+        images[:, j + 1] = np.where(plan.real[:, j, None], mirrored, p)
+    return images
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _unfold(plan: _Plan, tx: Pose, rx_point: np.ndarray):
+    """Back-trace the plan's rows from rx; returns M' row indices and their (M', K + 2, 3) points (tx..rx).
+
+    It keeps the M' rows whose every real bounce lands inside its polygon, strictly
+    between the previous point and the image, and tests containment once, after the
+    loop. A padding column (they lead, so no bounce is traced back from one) has no
+    guards, and its point is tx. The image chain is built once per tx pose.
+    """
+    images = plan.images.get(tx)
+    if images is None:
+        images = plan.images[tx] = _image_chain(plan, tx.position)
+    m, k = plan.real.shape
+    pts = np.empty((m, k + 2, 3))
+    pts[:, 0], pts[:, -1] = tx.position, rx_point
+    cur = pts[:, -1]
     ok = np.ones(m, dtype=bool)
     for i in range(k, 0, -1):
-        n, s = normals[:, i - 1], seqs[:, i - 1]
-        ab = images[i] - cur
+        n = plan.normals[:, i - 1]
+        ab = images[:, i] - cur
         denom = np.vecdot(ab, n)
-        t = (offsets[:, i - 1] - np.vecdot(cur, n)) / denom
-        cur = cur + t[:, None] * ab
-        ok &= (s < 0) | ((np.abs(denom) >= 1e-15) & (t > 1e-12) & (t < 1.0 - 1e-12)
-                         & _inside(accel.edge_normals[s], accel.edge_offsets[s], cur))
-        pts.append(np.where(s[:, None] < 0, images[0], cur))
-    pts.append(images[0])
-    return np.stack(pts[::-1], axis=1)[ok], seqs[ok]
+        t = (plan.offsets[:, i - 1] - np.vecdot(cur, n)) / denom
+        cur = pts[:, i] = cur + t[:, None] * ab
+        ok &= ~plan.real[:, i - 1] | ((np.abs(denom) >= 1e-15) & (t > 1e-12) & (t < 1.0 - 1e-12))
+    bounces = pts[:, 1:-1]
+    ok &= np.all(~plan.real | _inside(plan.edge_normals, plan.edge_offsets, bounces), axis=1)
+    bounces[~plan.real] = tx.position
+    return np.flatnonzero(ok), pts[ok]
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _occluded(accel: _Accel, pts: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+def _occluded(accel: _Accel, own, starts, segs, seg_lengths) -> np.ndarray:
     """(M,) mask: some segment crosses a surface it does not reflect on.
 
-    Each of the K + 1 segments is intersected with all S planes at once; a
-    segment's own start and end surfaces, and hits within the endpoint
-    guard of either end, do not occlude; zero-length padding legs hit nothing.
+    All (M, K + 1) segments starts + t segs, 0 < t < 1, meet all S planes at once;
+    the segment's own surfaces (own), and hits within the endpoint guard of either
+    end, do not occlude; zero-length padding legs hit nothing. Only hits are tested for containment.
     """
-    m, k = seqs.shape
-    surface_ids = np.arange(len(accel.offsets))
-    blocked = np.zeros(m, dtype=bool)
-    for i in range(k + 1):
-        p0 = pts[:, i]
-        d = pts[:, i + 1] - p0
-        denom = d @ accel.normals.T                                  # (M, S)
-        t = (accel.offsets - p0 @ accel.normals.T) / denom
-        seg_len = np.sqrt(np.vecdot(d, d))[:, None]
-        hits = (np.abs(denom) > 1e-15) & (t > 0.0) & (t < 1.0)
-        # hits within the endpoint guard are the path's own touch points
-        hits &= (t * seg_len >= _ENDPOINT_GUARD) & ((1.0 - t) * seg_len >= _ENDPOINT_GUARD)
-        if i >= 1:
-            hits &= surface_ids != seqs[:, i - 1, None]
-        if i < k:
-            hits &= surface_ids != seqs[:, i, None]
-        if not hits.any():
-            continue
-        points = p0[:, None, :] + t[..., None] * d[:, None, :]     # (M, S, 3)
-        blocked |= np.any(hits & _inside(accel.edge_normals, accel.edge_offsets, points), axis=1)
-    return blocked
+    shape = segs.shape[:2] + (len(accel.offsets),)   # (M, K + 1, S)
+    denom = (segs.reshape(-1, 3) @ accel.normals.T).reshape(shape)
+    t = (accel.offsets - (starts.reshape(-1, 3) @ accel.normals.T).reshape(shape)) / denom
+    length = seg_lengths[..., None]
+    # hits within the endpoint guard are the path's own touch points
+    hits = (np.abs(denom) > 1e-15) & (t > 0.0) & (t < 1.0) & ~own
+    hits &= (t * length >= _ENDPOINT_GUARD) & ((1.0 - t) * length >= _ENDPOINT_GUARD)
+    row, leg, surface = np.nonzero(hits)
+    points = starts[row, leg] + t[row, leg, surface, None] * segs[row, leg]
+    inside = _inside(accel.edge_normals[surface], accel.edge_offsets[surface], points)
+    return np.bincount(row[inside], minlength=len(segs)) > 0
 
 
 def _direction_angles(rotation: np.ndarray, units: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from isactwin import simcore
+from isactwin import raytrace, simcore
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -52,7 +52,21 @@ def traced(fn, *args, **kwargs):
     return result, tracer
 
 
-def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario):
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """The number of transmitter image chains the tracer builds (it caches one per tx Pose)."""
+    builds = []
+    build = raytrace._image_chain
+
+    def counting(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(raytrace, "_image_chain", counting)
+    return builds
+
+
+def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario, chain_builds):
     config = simcore.ScenarioConfig.from_file(tiny_scenario)
     (db, _), tracer = traced(simcore.build_db_for_scenario, config)
     fingerprints = len(db.positions) * len(db.ap_ids)
@@ -61,6 +75,7 @@ def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario):
     assert tracer.calls("raytrace.trace_paths") == fingerprints
     assert tracer.calls("localization.compute_mdp") == fingerprints
     assert tracer.calls("channel.beamformed_gains") == 0
+    assert len(chain_builds) == 2       # one per AP: the static APs' chains are reused
 
 
 @pytest.mark.parametrize("map_offset,ap_b_subcarriers,traces_per_step", [
@@ -68,7 +83,8 @@ def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario):
     ([0.0, -0.05], None, 4),
     (None, {"from": 9, "to": 24}, 2),    # ap_b half on top of ap_a's 1-16: gains are still once per link
 ], ids=["clean", "map-offset", "overlap"])
-def test_run_call_counts_per_step(tiny_scenario, map_offset, ap_b_subcarriers, traces_per_step):
+def test_run_call_counts_per_step(tiny_scenario, chain_builds, map_offset, ap_b_subcarriers,
+                                  traces_per_step):
     doc = json.loads(tiny_scenario.read_text())
     doc["noise"]["map_offset_m"] = map_offset
     if ap_b_subcarriers is not None:
@@ -76,9 +92,11 @@ def test_run_call_counts_per_step(tiny_scenario, map_offset, ap_b_subcarriers, t
     tiny_scenario.write_text(json.dumps(doc))
     config = simcore.ScenarioConfig.from_file(tiny_scenario)
     simcore.build_db_for_scenario(config)
+    chain_builds.clear()
     records, tracer = traced(simcore.run_simulation, config, max_steps=6)
     steps = len(records)
     assert steps == 6
+    assert len(chain_builds) == 2       # one per AP over every link and fingerprint trace
     assert tracer.calls("simcore.sim_step") == steps
     assert tracer.calls("raytrace.trace_paths") == traces_per_step * steps
     assert tracer.calls("channel.beamformed_gains") == 2 * steps

@@ -272,6 +272,17 @@ class TestPoseRotation:
         with pytest.raises(ValueError):
             pose.orientation[0] = 1.0
 
+    def test_position_and_velocity_are_read_only_copies(self):
+        # the tracer caches image chains per tx pose, so a pose must not follow its caller's array
+        grid, speed = np.array([[0.2, 0.3, 0.08]]), np.array([0.5, 0.0, 0.0])
+        pose = Pose(position=grid[0], velocity=speed)
+        grid[0, 0], speed[1] = 0.9, 1.0
+        assert pose.position.tolist() == [0.2, 0.3, 0.08]
+        assert pose.velocity.tolist() == [0.5, 0.0, 0.0]
+        for column in (pose.position, pose.velocity):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
 
 def columns_of(ps):
     return (ps.gain, ps.delay, ps.doppler, ps.aoa, ps.aod, ps.order)

@@ -8,16 +8,20 @@ algorithm: the closed-form image lattice of an empty box (Allen & Berkley,
 JASA 1979).
 """
 
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from isactwin import raytrace
 from isactwin.raytrace import SPEED_OF_LIGHT as C, Pose, trace_paths
 from isactwin.scene import load_scene
-from conftest import box_scene_doc
+from conftest import box_scene_doc, repo_scenario_dir
 from raytrace_oracle import contains, trace_paths_scalar
 
 FC = 2.4e9
@@ -221,6 +225,43 @@ class TestPaddedCandidates:
         got = trace_paths(scene, tx, rx, 4, FC)
         assert_same_paths(got, trace_paths_scalar(scene, tx, rx, 4, FC))
         assert np.count_nonzero(got.order == 4) == 66
+
+
+def desk_box():
+    return load_scene(json.loads((repo_scenario_dir() / "desk_box.scene.json").read_text()))
+
+
+class TestReusedTransmitter:
+    """One tx Pose traced to many receivers: later traces reuse its cached image chain."""
+
+    @pytest.mark.parametrize("make_scene,tx", [
+        (desk_box, Pose.at(0.1, 0.1, 0.5, yaw=0.7, velocity=(0.1, 0, 0))),
+        (lambda: panel_room(2.5), Pose.at(1.0, 1.5, 1.2, yaw=0.3)),
+    ], ids=["desk-box", "panel"])
+    def test_cache_hits_match_the_scalar_oracle(self, make_scene, tx):
+        scene = make_scene()
+        rng = np.random.default_rng(3)
+        lo, hi = scene.bounds_min, scene.bounds_max
+        for max_order in (3, 1, 3, 0, 2, 1, 0, 2, 3, 3, 1, 2):
+            rx = Pose.at(*(lo + (hi - lo) * rng.uniform(0.05, 0.95, 3)), yaw=rng.uniform(-3, 3),
+                         velocity=rng.uniform(-1, 1, 3))
+            assert_same_paths(trace_paths(scene, tx, rx, max_order, FC),
+                              trace_paths_scalar(scene, tx, rx, max_order, FC))
+        plans = raytrace._accel_for(scene).plans
+        assert sorted(plans) == [0, 1, 2, 3]
+        assert all(list(plan.images) == [tx] for plan in plans.values())
+
+    def test_image_chain_dies_with_its_pose(self):
+        scene = desk_box()
+        tx, rx = Pose.at(0.1, 0.1, 0.5), Pose.at(0.8, 0.6, 0.1)
+        assert len(trace_paths(scene, tx, rx, 3, FC)) > 0    # the PathSet, which holds tx, is dropped
+        plan = raytrace._accel_for(scene).plan(3)
+        assert list(plan.images) == [tx]
+        ref = weakref.ref(tx)
+        del tx
+        gc.collect()
+        assert ref() is None
+        assert len(plan.images) == 0
 
 
 class TestInvariants:
