@@ -235,8 +235,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
 class _Plan:
     """What a trace over M candidates of order 0..K needs and no receiver changes (_Accel's, gathered)."""
 
-    seqs: np.ndarray          # (M, K) surface indices; an order-k row leads with K - k padding -1s
-    real: np.ndarray          # (M, K) seqs >= 0
+    real: np.ndarray          # (M, K) bounce is a surface; an order-k row leads with K - k padding columns
     normals: np.ndarray       # (M, K, 3) each bounce's plane (any plane at padding)
     offsets: np.ndarray       # (M, K)
     edge_normals: np.ndarray  # (M, K, V, 3) each bounce's polygon
@@ -275,7 +274,7 @@ class _Accel:
             on = seqs[..., None] == np.arange(side - 1)   # (M, K, S) bounce j lies on surface s
             own = np.pad(on, ((0, 0), (1, 0), (0, 0))) | np.pad(on, ((0, 0), (0, 1), (0, 0)))
             self.plans[max_order] = plan = _Plan(
-                seqs, seqs >= 0, self.normals[seqs], self.offsets[seqs], self.edge_normals[seqs],
+                seqs >= 0, self.normals[seqs], self.offsets[seqs], self.edge_normals[seqs],
                 self.edge_offsets[seqs], np.where(seqs < 0, 1.0, self.coeffs[seqs]), own,
                 weakref.WeakKeyDictionary())
         return plan

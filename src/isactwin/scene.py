@@ -2,6 +2,8 @@
 
 The scene is a flat list of convex polygons, each tagged with a material whose
 single amplitude reflection coefficient conditions the multipath solver.
+A surface's plane is its Newell plane (unit_normal . x = plane_offset): the
+tracer reflects in it and validation measures planarity from it.
 Scenes are loaded from a structured JSON document (schema below) and are
 immutable after load.
 
@@ -27,10 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-# Vertices farther than this from the surface plane make the surface invalid.
+# Max distance of any vertex from its surface's Newell plane, the plane the tracer reflects in.
 PLANARITY_TOL = 1e-9
 
-# A point this far outside a polygon edge still counts as inside, so a
+# A point whose distance outside a polygon edge, times that edge's length
+# (the length of n x edge), is at most this still counts as inside, so a
 # reflection on the edge shared by two surfaces is kept.
 CONTAINS_TOL = 1e-9
 
@@ -74,17 +77,6 @@ class Surface:
             self.plane_offset = float(n @ self.vertices[0])
             self.edge_normals = np.cross(n, np.roll(self.vertices, -1, axis=0) - self.vertices)
             self.edge_offsets = np.vecdot(self.edge_normals, self.vertices)
-
-    def planarity_error(self) -> float:
-        """Max point-to-plane distance against the plane of the first three vertices."""
-        if len(self.vertices) < 3:
-            return np.inf
-        v0, v1, v2 = self.vertices[:3]
-        n = np.cross(v1 - v0, v2 - v0)
-        nn = np.linalg.norm(n)
-        if nn == 0.0:
-            return np.inf
-        return float(np.max(np.abs((self.vertices - v0) @ (n / nn))))
 
 
 @dataclass(eq=False)
@@ -215,11 +207,11 @@ def validate_scene(scene: Scene) -> list[str]:
         if len(surf.vertices) < 3:
             violations.append(f"{label}: fewer than 3 vertices")
             continue
-        if surf.planarity_error() > PLANARITY_TOL:
-            violations.append(f"{label}: vertices not coplanar within {PLANARITY_TOL} m")
         if surf.unit_normal is None:
             violations.append(f"{label}: polygon has zero area")
         else:
+            if np.max(np.abs(surf.vertices @ surf.unit_normal - surf.plane_offset)) > PLANARITY_TOL:
+                violations.append(f"{label}: vertices not coplanar within {PLANARITY_TOL} m")
             # inside[j, i]: how far vertex j lies inside edge i, times the edge's
             # length; at vertex i + 2 that is the turn at vertex i + 1
             inside = surf.vertices @ surf.edge_normals.T - surf.edge_offsets
@@ -228,10 +220,8 @@ def validate_scene(scene: Scene) -> list[str]:
             elif np.any(inside < -CONTAINS_TOL):
                 # a turn-sign test alone passes a pentagram, whose tips lie outside other edges
                 violations.append(f"{label}: polygon not convex")
-        if surf.material.name not in scene.materials:
-            violations.append(f"{label}: material {surf.material.name!r} not in scene materials")
-        if not (0.0 <= surf.material.reflection_coeff <= 1.0):
-            violations.append(f"{label}: material coefficient outside [0, 1]")
+        if scene.materials.get(surf.material.name) != surf.material:   # by value: name and coefficient
+            violations.append(f"{label}: {surf.material} not in scene materials")
         lo = scene.bounds_min - 1e-9
         hi = scene.bounds_max + 1e-9
         if np.any(surf.vertices < lo) or np.any(surf.vertices > hi):

@@ -621,25 +621,24 @@ def _build_db(config: ScenarioConfig, scene, graph, path) -> loc_mod.Fingerprint
 
 
 def ensure_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
-    """Load the scenario database, or build it if absent; guard against staleness."""
+    """Load the scenario database, or build it if absent; a file whose stamps differ or are empty is stale."""
     if config.db.path is not None and config.db.path.is_file():
         db = loc_mod.load_db(config.db.path)
-        if db.scene_hash and db.scene_hash != scene_hash(scene):
+        if db.scene_hash != scene_hash(scene):
             raise loc_mod.DatabaseError(
                 f"database {config.db.path} was built for a different scene"
             )
-        if db.network_hash:
-            stored_network, _, stored_grid = db.network_hash.partition(":")
-            network, _, grid = db_signature(config, graph).partition(":")
-            if stored_network != network:
-                raise loc_mod.DatabaseError(
-                    f"database {config.db.path} was built for a different network setup"
-                )
-            if grid and stored_grid != grid:
-                raise loc_mod.DatabaseError(
-                    f"database {config.db.path} was built with different db.build settings "
-                    "(spacing, bins, ROI or height); rebuild it"
-                )
+        stored_network, _, stored_grid = db.network_hash.partition(":")
+        network, _, grid = db_signature(config, graph).partition(":")
+        if stored_network != network:
+            raise loc_mod.DatabaseError(
+                f"database {config.db.path} was built for a different network setup"
+            )
+        if grid and stored_grid != grid:
+            raise loc_mod.DatabaseError(
+                f"database {config.db.path} was built with different db.build settings "
+                "(spacing, bins, ROI or height); rebuild it"
+            )
         return db
     return _build_db(config, scene, graph, config.db.path)
 

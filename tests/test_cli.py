@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -5,10 +6,10 @@ import pytest
 
 from conftest import TINY_SCENE, rewrite_db_header, tiny_scenario_doc
 from isactwin.cli import main
-from isactwin.localization import compute_mdp, load_db
+from isactwin.localization import compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
 from isactwin.scene import load_scene
-from isactwin.simcore import ScenarioConfig
+from isactwin.simcore import ScenarioConfig, build_db_for_scenario
 
 
 @pytest.fixture
@@ -112,6 +113,13 @@ class TestRun:
         capsys.readouterr()
         assert main(["run", scenario, "--max-steps", "2", "--out", str(db_path.parent / "t.csv")]) == 1
         assert capsys.readouterr().err == f"error: {db_path}: corrupt header: network_hash 5\n"
+
+    def test_unstamped_database_is_one_error_line(self, scenario, tiny_scenario, capsys):
+        config = ScenarioConfig.from_file(tiny_scenario)
+        db, path = build_db_for_scenario(config)
+        save_db(dataclasses.replace(db, scene_hash="", network_hash=""), path)
+        assert main(["run", scenario, "--max-steps", "3", "--out", str(path.parent / "t.csv")]) == 1
+        assert capsys.readouterr().err == f"error: database {path} was built for a different scene\n"
 
 
 class TestEval:

@@ -32,12 +32,14 @@ class TestLoadScene:
             load_scene(box_doc)
 
     def test_nonplanar_vertex_rejected(self, box_doc):
-        # 4th floor vertex lifted 1 mm off-plane; oracle: distance of the vertex
-        # to the plane fit of the first three is exactly 1e-3 m >> 1e-9 m
+        # 4th floor vertex lifted h = 1 mm; oracle: the surface's own plane, with
+        # Newell normal (3h, -4h, 24) through vertex 0, passes h / 2 from
+        # vertices 1 and 3 and through vertex 2, so the distance is 5e-4 m >> 1e-9 m
         box_doc["surfaces"][0]["vertices"][3] = [0, 3, 0.001]
         surf = Surface(vertices=box_doc["surfaces"][0]["vertices"],
                        material=Material("wall", 0.7))
-        assert surf.planarity_error() == pytest.approx(1e-3, rel=1e-9)
+        distance = np.max(np.abs(surf.vertices @ surf.unit_normal - surf.plane_offset))
+        assert distance == pytest.approx(5e-4, rel=1e-6)
         with pytest.raises(SceneError, match="coplanar"):
             load_scene(box_doc)
 
@@ -131,6 +133,30 @@ class TestValidateScene:
         )
         flagged = [v for v in validate_scene(box_scene) if "notched" in v]
         assert flagged == ["notched: consecutive vertices collinear"]
+
+    def test_planarity_measured_from_the_reflection_plane(self, box_scene):
+        # a shallow first corner: the plane through the first three vertices
+        # leaves vertex 3 2.5 mm off, the Newell plane every vertex within 2.5e-10 m
+        box_scene.bounds_max[1] = 5.0
+        box_scene.surfaces.append(Surface(
+            vertices=[[0, 0, 0], [1, 0, 0], [2, 1e-6, 5e-10], [2, 5, 0], [0, 5, 0]],
+            material=box_scene.materials["wall"], name="shallow"))
+        assert validate_scene(box_scene) == []
+
+    def test_collinear_first_three_vertices_is_one_violation(self, box_scene):
+        box_scene.surfaces.append(Surface(
+            vertices=[[0, 0, 0], [1, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 0]],
+            material=box_scene.materials["wall"], name="straight"))
+        flagged = [v for v in validate_scene(box_scene) if "straight" in v]
+        assert flagged == ["straight: consecutive vertices collinear"]
+
+    @pytest.mark.parametrize("material", [Material("glass", 1.5), Material("wall", 1.5)],
+                             ids=["foreign-name", "same-name-other-coefficient"])
+    def test_foreign_material_is_one_violation(self, box_scene, material):
+        box_scene.surfaces.append(Surface(vertices=[[0, 0, 0], [2, 0, 0], [2, 1, 0]],
+                                          material=material, name="odd"))
+        flagged = [v for v in validate_scene(box_scene) if "odd" in v]
+        assert flagged == [f"odd: {material} not in scene materials"]
 
     @given(
         coeff=st.floats(min_value=-0.5, max_value=1.5, allow_nan=False),

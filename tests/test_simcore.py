@@ -375,6 +375,24 @@ class TestSimulationLoop:
         with pytest.raises(DatabaseError, match="different db.build settings"):
             init_world(ScenarioConfig.from_file(p))
 
+    def test_unstamped_database_is_stale(self, tmp_path):
+        # build_fingerprint_db stamps nothing unless told to; such a file at
+        # db.path must not stand in for a moved AP and repainted walls
+        doc = tiny_scenario_doc()
+        scene_doc = copy.deepcopy(_tiny_scene())
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(scene_doc))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        db, path = build_db_for_scenario(ScenarioConfig.from_file(p))
+        save_db(dataclasses.replace(db, scene_hash="", network_hash=""), path)
+        doc["network"]["nodes"][0]["pose"]["position"] = [0.3, 0.1, 0.7]
+        p.write_text(json.dumps(doc))
+        for material in scene_doc["materials"]:
+            material["reflection_coeff"] = 0.1
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(scene_doc))
+        with pytest.raises(DatabaseError, match="different scene"):
+            init_world(ScenarioConfig.from_file(p))
+
     def test_scenario_without_build_reuses_a_database_of_its_network(self, tmp_path):
         doc = tiny_scenario_doc()
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
