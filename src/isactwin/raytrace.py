@@ -2,20 +2,21 @@
 
 Specular reflections only: candidate paths are the ordered surface sequences
 up to a maximum reflection order K with no surface repeated back to back (the
-image method of Allen & Berkley, JASA 1979). Each scene caches its planes,
-reflection coefficients, per-surface edge planes and, per K, one plan: the
-(M, K) table of every sequence of order 0..K, order by order, right-aligned
-behind -1s, its planes, edge planes, coefficients and segment-own surfaces
-gathered once, and one (M, K + 1, 3) image chain per read-only tx Pose.
+image method of Allen & Berkley, JASA 1979). Each read-only scene caches its
+planes, reflection coefficients, per-surface edge planes and, per K, one plan:
+the (M, K) table of every sequence of order 0..K, order by order, right-aligned
+behind -1s, its planes, edge planes and coefficients gathered once, and one
+(M, K + 1, 3) image chain per read-only tx Pose.
 
 A trace makes one array pass over all M candidates (as Sionna RT does, arXiv
 2303.11103): the receiver is back-traced through the image chain to the
 reflection points, all bounces are checked for polygon containment at once,
 and all (M, K + 1) segments are tested for occlusion against all S planes in
-one pass. A -1 mirrors nothing, its point is the source and its coefficient
-1, so padding adds only zero-length legs. The survivors' gains, delays,
-Doppler shifts, local angles and bounce points become the columns of the
-PathSet; the bounces keep the padding, as rows equal to the tx position.
+one pass, with the endpoint guard as the only filter for the surfaces a
+segment starts or ends on. A -1 mirrors nothing, its point is the source and
+its coefficient 1, so padding adds only zero-length legs. The survivors'
+gains, delays, Doppler shifts, local angles and bounce points become the
+columns of the PathSet; the bounces keep the padding, as rows equal to tx.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -44,8 +45,8 @@ SPEED_OF_LIGHT = 299_792_458.0
 # measurable effect on delay profiles or channels at indoor ranges.
 GAIN_PRUNE_THRESHOLD = 1e-9
 
-# Occlusion hits closer than this to a segment endpoint are numerical
-# artifacts of the reflection points lying on their own surfaces.
+# Occlusion hits closer than this to a segment endpoint are the segment touching
+# a surface it starts or ends on; this guard is the only filter for such touches.
 _ENDPOINT_GUARD = 1e-9
 
 
@@ -210,7 +211,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     seg_lengths = np.linalg.norm(segs, axis=2)
     short = seg_lengths < 1e-9  # a zero-length leg drops the path, unless it is padding
     short[:, :-1] &= plan.real[rows]
-    keep = ~_occluded(accel, plan.own[rows], pts[:, :-1], segs, seg_lengths) & ~short.any(axis=1)
+    keep = ~_occluded(accel, pts[:, :-1], segs, seg_lengths) & ~short.any(axis=1)
     rows, pts, total = rows[keep], pts[keep], seg_lengths[keep].sum(axis=1)
     gain = path_gain(total, plan.coeffs[rows], carrier_freq)
     amp = np.abs(gain)
@@ -241,7 +242,6 @@ class _Plan:
     edge_normals: np.ndarray  # (M, K, V, 3) each bounce's polygon
     edge_offsets: np.ndarray  # (M, K, V)
     coeffs: np.ndarray        # (M, K) reflection coefficients, exactly 1.0 at padding
-    own: np.ndarray           # (M, K + 1, S) segment i starts or ends on surface s
     images: weakref.WeakKeyDictionary  # tx Pose -> its (M, K + 1, 3) image chain, dying with the pose
 
 
@@ -249,7 +249,6 @@ class _Plan:
 class _Accel:
     """Per-scene tables of the usable (planar) surfaces, S of them."""
 
-    key: tuple                # the scene's (surface, material) pairs these tables were built from
     normals: np.ndarray       # (S, 3)
     offsets: np.ndarray       # (S,), n . x = offset
     coeffs: np.ndarray        # (S,) reflection coefficients
@@ -271,11 +270,9 @@ class _Accel:
             seqs = seqs[np.all((prev < 0) | ((cur >= 0) & (cur != prev)), axis=1)]
             # orders no sequence reaches (fewer than two surfaces) leave all-padding columns
             seqs = seqs[:, np.any(seqs >= 0, axis=0)]
-            on = seqs[..., None] == np.arange(side - 1)   # (M, K, S) bounce j lies on surface s
-            own = np.pad(on, ((0, 0), (1, 0), (0, 0))) | np.pad(on, ((0, 0), (0, 1), (0, 0)))
             self.plans[max_order] = plan = _Plan(
                 seqs >= 0, self.normals[seqs], self.offsets[seqs], self.edge_normals[seqs],
-                self.edge_offsets[seqs], np.where(seqs < 0, 1.0, self.coeffs[seqs]), own,
+                self.edge_offsets[seqs], np.where(seqs < 0, 1.0, self.coeffs[seqs]),
                 weakref.WeakKeyDictionary())
         return plan
 
@@ -285,9 +282,7 @@ _ACCEL_CACHE: "weakref.WeakKeyDictionary[Scene, _Accel]" = weakref.WeakKeyDictio
 
 def _accel_for(scene: Scene) -> _Accel:
     accel = _ACCEL_CACHE.get(scene)
-    key = tuple((s, s.material) for s in scene.surfaces)
-    # rebuilt when a surface (compared by identity) or its frozen material (by value) changes
-    if accel is None or accel.key != key:
+    if accel is None:
         usable = [s for s in scene.surfaces if s.unit_normal is not None]
         num_edges = max((len(s.vertices) for s in usable), default=0)
         edge_normals = np.zeros((len(usable), num_edges, 3))
@@ -295,16 +290,12 @@ def _accel_for(scene: Scene) -> _Accel:
         for i, s in enumerate(usable):
             edge_normals[i, : len(s.vertices)] = s.edge_normals
             edge_offsets[i, : len(s.vertices)] = s.edge_offsets
-        accel = _Accel(
-            key=key,
+        _ACCEL_CACHE[scene] = accel = _Accel(
             normals=np.array([s.unit_normal for s in usable]).reshape(-1, 3),
             offsets=np.array([s.plane_offset for s in usable]),
             coeffs=np.array([s.material.reflection_coeff for s in usable]),
-            edge_normals=edge_normals,
-            edge_offsets=edge_offsets,
-            plans={},
+            edge_normals=edge_normals, edge_offsets=edge_offsets, plans={},
         )
-        _ACCEL_CACHE[scene] = accel
     return accel
 
 
@@ -361,19 +352,20 @@ def _unfold(plan: _Plan, tx: Pose, rx_point: np.ndarray):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _occluded(accel: _Accel, own, starts, segs, seg_lengths) -> np.ndarray:
-    """(M,) mask: some segment crosses a surface it does not reflect on.
+def _occluded(accel: _Accel, starts, segs, seg_lengths) -> np.ndarray:
+    """(M,) mask: some segment crosses a surface between its ends.
 
-    All (M, K + 1) segments starts + t segs, 0 < t < 1, meet all S planes at once;
-    the segment's own surfaces (own), and hits within the endpoint guard of either
-    end, do not occlude; zero-length padding legs hit nothing. Only hits are tested for containment.
+    All (M, K + 1) segments starts + t segs, 0 < t < 1, meet all S planes at once.
+    The endpoint guard is the only filter for the surfaces a segment starts or ends
+    on, whose planes it meets only there; zero-length padding legs hit nothing.
+    Only hits are tested for containment.
     """
     shape = segs.shape[:2] + (len(accel.offsets),)   # (M, K + 1, S)
     denom = (segs.reshape(-1, 3) @ accel.normals.T).reshape(shape)
     t = (accel.offsets - (starts.reshape(-1, 3) @ accel.normals.T).reshape(shape)) / denom
     length = seg_lengths[..., None]
     # hits within the endpoint guard are the path's own touch points
-    hits = (np.abs(denom) > 1e-15) & (t > 0.0) & (t < 1.0) & ~own
+    hits = (np.abs(denom) > 1e-15) & (t > 0.0) & (t < 1.0)
     hits &= (t * length >= _ENDPOINT_GUARD) & ((1.0 - t) * length >= _ENDPOINT_GUARD)
     row, leg, surface = np.nonzero(hits)
     points = starts[row, leg] + t[row, leg, surface, None] * segs[row, leg]

@@ -4,8 +4,9 @@ The scene is a flat list of convex polygons, each tagged with a material whose
 single amplitude reflection coefficient conditions the multipath solver.
 A surface's plane is its Newell plane (unit_normal . x = plane_offset): the
 tracer reflects in it and validation measures planarity from it.
-Scenes are loaded from a structured JSON document (schema below) and are
-immutable after load.
+Scenes are loaded from a structured JSON document (schema below). A loaded
+scene is a value, like a Pose: it, its surfaces, materials and arrays are
+read-only. A changed scene is built with dataclasses.replace.
 
 Scene document schema (field names are part of the contract)::
 
@@ -26,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,7 +50,7 @@ class Material:
     reflection_coeff: float
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Surface:
     """Convex planar polygon with an attached material.
 
@@ -68,28 +70,37 @@ class Surface:
     edge_offsets: np.ndarray | None = field(init=False, default=None, repr=False)  # (V,)
 
     def __post_init__(self):
-        self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+        v = np.atleast_2d(np.array(self.vertices, dtype=float))
+        if v.ndim != 2 or v.shape[1] != 3:
             raise SceneError(f"surface {self.name!r}: vertices must be an (n, 3) array")
-        n = _newell_normal(self.vertices)
+        _set_read_only(self, vertices=v)
+        n = _newell_normal(v)
         if n is not None:
-            self.unit_normal = n
-            self.plane_offset = float(n @ self.vertices[0])
-            self.edge_normals = np.cross(n, np.roll(self.vertices, -1, axis=0) - self.vertices)
-            self.edge_offsets = np.vecdot(self.edge_normals, self.vertices)
+            edges = np.cross(n, np.roll(v, -1, axis=0) - v)
+            _set_read_only(self, unit_normal=n, plane_offset=float(n @ v[0]), edge_normals=edges,
+                           edge_offsets=np.vecdot(edges, v))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scene:
-    surfaces: list[Surface]
-    materials: dict[str, Material]
+    surfaces: tuple[Surface, ...]
+    materials: MappingProxyType   # material name -> Material
     bounds_min: np.ndarray
     bounds_max: np.ndarray
     floor_height: float = 0.0
 
     def __post_init__(self):
-        self.bounds_min = np.asarray(self.bounds_min, dtype=float)
-        self.bounds_max = np.asarray(self.bounds_max, dtype=float)
+        _set_read_only(self, surfaces=tuple(self.surfaces), materials=MappingProxyType(dict(self.materials)),
+                       bounds_min=np.array(self.bounds_min, dtype=float),
+                       bounds_max=np.array(self.bounds_max, dtype=float))
+
+
+def _set_read_only(obj, **values) -> None:
+    """Set a frozen dataclass's fields; each array is the object's own copy and is locked first."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
 
 
 def load_scene(source) -> Scene:

@@ -175,12 +175,8 @@ TRACE_BASE_COLUMNS = ["step", "time_s", "agent_id", *AGENT_COLUMNS]
 # ---------------------------------------------------------------------------
 # scenario configuration
 
-@dataclass(eq=False)
-class ControllerGains:
-    k_ang: float = 2.0
-    v_max: float = 0.2
-    w_max: float = 1.5
-    waypoint_tol: float = 0.05
+# a scenario "controller" key -> the agent.waypoint_control keyword argument it sets
+_CONTROLLER_KEYS = {"k_ang": "k_ang", "v_max": "v_max", "w_max": "w_max", "waypoint_tol_m": "tol"}
 
 
 @dataclass(eq=False)
@@ -188,7 +184,7 @@ class AgentSpec:
     id: str
     initial_pose: Pose
     waypoints: np.ndarray
-    gains: ControllerGains
+    gains: dict   # the agent.waypoint_control keyword arguments the document sets
 
 
 @dataclass(eq=False)
@@ -254,7 +250,7 @@ class ScenarioConfig:
             return cls._parse(doc, base_dir)
         except ConfigError:
             raise
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed scenario document: {exc}") from exc
 
     @classmethod
@@ -302,20 +298,14 @@ class ScenarioConfig:
 
         agents = []
         for ag in doc["agents"]:
-            ctrl = ag.get("controller", {})
-            gains = ControllerGains(
-                k_ang=float(ctrl.get("k_ang", 2.0)),
-                v_max=float(ctrl.get("v_max", 0.2)),
-                w_max=float(ctrl.get("w_max", 1.5)),
-                waypoint_tol=float(ctrl.get("waypoint_tol_m", 0.05)),
-            )
             agent_id = str(ag["id"])
             agents.append(
                 AgentSpec(
                     id=agent_id,
                     initial_pose=_parse_pose(ag["initial_pose"], f"agent {agent_id!r}: initial_pose"),
                     waypoints=_parse_path(ag["path"]),
-                    gains=gains,
+                    gains={_CONTROLLER_KEYS[key]: float(value)
+                           for key, value in ag.get("controller", {}).items() if key in _CONTROLLER_KEYS},
                 )
             )
 
@@ -840,12 +830,8 @@ def sim_step(world: World, t: int) -> TraceRecord:
         bus.publish(f"agent/{aid}/estimate", (est, score), step=t, publisher=aid)
 
         # phase 6: next control command toward the active waypoint
-        gains_cfg = rt.spec.gains
         control, progress = agent_mod.waypoint_control(
-            est, rt.odom.yaw, rt.spec.waypoints, rt.progress.index,
-            k_ang=gains_cfg.k_ang, v_max=gains_cfg.v_max,
-            w_max=gains_cfg.w_max, tol=gains_cfg.waypoint_tol,
-        )
+            est, rt.odom.yaw, rt.spec.waypoints, rt.progress.index, **rt.spec.gains)
         rt.control = control
         rt.progress = progress
         bus.publish(f"agent/{aid}/control", control, step=t, publisher=aid)

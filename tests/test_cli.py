@@ -23,12 +23,15 @@ class TestValidate:
         assert "ok:" in capsys.readouterr().out
 
     def test_invalid_scenario(self, tmp_path, capsys):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"nope": 1}))
-        assert main(["validate", str(p)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert len(err.strip().splitlines()) == 1
+        section_not_an_object = tiny_scenario_doc()
+        section_not_an_object["noise"] = []
+        for doc in ({"nope": 1}, section_not_an_object):
+            p = tmp_path / "bad.json"
+            p.write_text(json.dumps(doc))
+            assert main(["validate", str(p)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert len(err.strip().splitlines()) == 1
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "gone.json")]) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -174,29 +175,44 @@ class TestTracePaths:
         assert aod_az == pytest.approx(0.0, abs=1e-12)
 
 
-class TestSceneCache:
-    def test_changed_surface_list_is_traced_afresh(self):
-        # the tracer caches per-scene tables; they must follow the scene's surface list
-        doc = json.loads((repo_scenario_dir() / "desk_box.scene.json").read_text())
-        scene, fresh = load_scene(doc), load_scene(doc)
-        tx, rx = Pose.at(0.1, 0.1, 0.5), Pose.at(0.8, 0.6, 0.1)
-        assert len(trace_paths(scene, tx, rx, 2, 2.4e9)) == 25
-        scene.surfaces.pop()
-        fresh.surfaces.pop()
-        got, want = trace_paths(scene, tx, rx, 2, 2.4e9), trace_paths(fresh, tx, rx, 2, 2.4e9)
-        assert len(want) == 18
-        for a, b in zip(columns_of(got), columns_of(want)):
-            assert np.array_equal(a, b)
+class TestReadOnlyScene:
+    """The tracer caches per-scene tables keyed by the Scene alone; a scene cannot change under them."""
 
-    def test_changed_material_is_traced_afresh(self):
-        # the cached reflection coefficients must follow a material swap on a kept surface
+    def test_in_place_edits_are_refused(self):
+        scene = load_scene(json.loads((repo_scenario_dir() / "desk_box.scene.json").read_text()))
+        with pytest.raises(AttributeError):
+            scene.surfaces.pop()
+        with pytest.raises(FrozenInstanceError):
+            scene.surfaces[0].material = Material("absorber", 0.0)
+        with pytest.raises(TypeError):
+            scene.materials["absorber"] = Material("absorber", 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            scene.surfaces[0].vertices[0, 2] = 0.05
+        with pytest.raises(ValueError, match="read-only"):
+            scene.surfaces[0].vertices[:, 2] += 0.05
+        with pytest.raises(ValueError, match="read-only"):
+            scene.bounds_max[1] = 5.0
+        arrays = [scene.bounds_min, scene.bounds_max]
+        for s in scene.surfaces:
+            arrays += [s.vertices, s.unit_normal, s.edge_normals, s.edge_offsets]
+        assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("edit", ["drop-last-surface", "absorber-on-surface-0"])
+    def test_replaced_scene_traces_like_a_fresh_load(self, edit):
         doc = json.loads((repo_scenario_dir() / "desk_box.scene.json").read_text())
-        scene, fresh = load_scene(doc), load_scene(doc)
+        scene = load_scene(doc)
         tx, rx = Pose.at(0.1, 0.1, 0.5), Pose.at(0.8, 0.6, 0.1)
-        assert len(trace_paths(scene, tx, rx, 2, 2.4e9)) == 25
-        scene.surfaces[0].material = Material("absorber", 0.0)
-        fresh.surfaces[0].material = Material("absorber", 0.0)
-        got, want = trace_paths(scene, tx, rx, 2, 2.4e9), trace_paths(fresh, tx, rx, 2, 2.4e9)
+        assert len(trace_paths(scene, tx, rx, 2, 2.4e9)) == 25   # caches the original scene's tables
+        if edit == "drop-last-surface":
+            changed = replace(scene, surfaces=scene.surfaces[:-1])
+            doc["surfaces"].pop()
+        else:
+            absorber = Material("absorber", 0.0)
+            surfaces = (replace(scene.surfaces[0], material=absorber), *scene.surfaces[1:])
+            changed = replace(scene, surfaces=surfaces, materials={**scene.materials, "absorber": absorber})
+            doc["materials"].append({"name": "absorber", "reflection_coeff": 0.0})
+            doc["surfaces"][0]["material"] = "absorber"
+        got, want = trace_paths(changed, tx, rx, 2, 2.4e9), trace_paths(load_scene(doc), tx, rx, 2, 2.4e9)
         assert len(want) == 18
         for a, b in zip(columns_of(got) + (got.bounces,), columns_of(want) + (want.bounces,)):
             assert np.array_equal(a, b)

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -93,69 +94,62 @@ class TestValidateScene:
         assert validate_scene(box_scene) == []
 
     def test_out_of_range_coefficient_names_material(self, box_scene):
-        box_scene.materials["bad"] = Material("bad", 1.2)
-        violations = validate_scene(box_scene)
+        scene = replace(box_scene, materials={**box_scene.materials, "bad": Material("bad", 1.2)})
+        violations = validate_scene(scene)
         assert any("bad" in v and "1.2" in v for v in violations)
 
     def test_two_vertex_surface_named(self, box_scene):
-        box_scene.surfaces.append(
-            Surface(vertices=[[0, 0, 0], [1, 0, 0]], material=Material("wall", 0.7), name="stub")
-        )
-        violations = validate_scene(box_scene)
+        scene = replace(box_scene, surfaces=box_scene.surfaces + (
+            Surface(vertices=[[0, 0, 0], [1, 0, 0]], material=Material("wall", 0.7), name="stub"),))
+        violations = validate_scene(scene)
         assert any("stub" in v and "3 vertices" in v for v in violations)
 
     def test_surface_outside_bounds(self, box_scene):
-        box_scene.surfaces.append(
-            Surface(vertices=[[0, 0, 0], [9, 0, 0], [9, 1, 0]], material=Material("wall", 0.7),
-                    name="oob")
-        )
-        assert any("oob" in v and "bounds" in v for v in validate_scene(box_scene))
+        scene = replace(box_scene, surfaces=box_scene.surfaces + (
+            Surface(vertices=[[0, 0, 0], [9, 0, 0], [9, 1, 0]], material=Material("wall", 0.7), name="oob"),))
+        assert any("oob" in v and "bounds" in v for v in validate_scene(scene))
 
     def test_nonconvex_surface_flagged(self, box_scene):
         dart = [[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 0.5, 0], [0, 2, 0]]
         # a pentagram turns the same way at every vertex; only a half-plane
         # test finds its tips outside the other edges
         pentagram = [[1.5 + np.cos(a), 1.5 + np.sin(a), 0.0] for a in np.radians(90.0 + 144.0 * np.arange(5))]
-        for name, vertices in [("dart", dart), ("pentagram", pentagram)]:
-            box_scene.surfaces.append(Surface(vertices=vertices, material=Material("wall", 0.7), name=name))
-        violations = validate_scene(box_scene)
+        scene = replace(box_scene, surfaces=box_scene.surfaces + tuple(
+            Surface(vertices=vertices, material=Material("wall", 0.7), name=name)
+            for name, vertices in [("dart", dart), ("pentagram", pentagram)]))
+        violations = validate_scene(scene)
         assert [v for v in violations if "dart" in v] == ["dart: polygon not convex"]
         assert [v for v in violations if "pentagram" in v] == ["pentagram: polygon not convex"]
 
     def test_collinear_vertices_flagged(self, box_scene):
         # a square with an extra vertex at the midpoint of one edge: the turn there is zero
-        box_scene.surfaces.append(
-            Surface(
-                vertices=[[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 2, 0], [0, 2, 0]],
-                material=Material("wall", 0.7),
-                name="notched",
-            )
-        )
-        flagged = [v for v in validate_scene(box_scene) if "notched" in v]
+        scene = replace(box_scene, surfaces=box_scene.surfaces + (
+            Surface(vertices=[[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 2, 0], [0, 2, 0]],
+                    material=Material("wall", 0.7), name="notched"),))
+        flagged = [v for v in validate_scene(scene) if "notched" in v]
         assert flagged == ["notched: consecutive vertices collinear"]
 
     def test_planarity_measured_from_the_reflection_plane(self, box_scene):
         # a shallow first corner: the plane through the first three vertices
         # leaves vertex 3 2.5 mm off, the Newell plane every vertex within 2.5e-10 m
-        box_scene.bounds_max[1] = 5.0
-        box_scene.surfaces.append(Surface(
+        scene = replace(box_scene, bounds_max=[4.0, 5.0, 2.5], surfaces=box_scene.surfaces + (Surface(
             vertices=[[0, 0, 0], [1, 0, 0], [2, 1e-6, 5e-10], [2, 5, 0], [0, 5, 0]],
-            material=box_scene.materials["wall"], name="shallow"))
-        assert validate_scene(box_scene) == []
+            material=box_scene.materials["wall"], name="shallow"),))
+        assert validate_scene(scene) == []
 
     def test_collinear_first_three_vertices_is_one_violation(self, box_scene):
-        box_scene.surfaces.append(Surface(
+        scene = replace(box_scene, surfaces=box_scene.surfaces + (Surface(
             vertices=[[0, 0, 0], [1, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 0]],
-            material=box_scene.materials["wall"], name="straight"))
-        flagged = [v for v in validate_scene(box_scene) if "straight" in v]
+            material=box_scene.materials["wall"], name="straight"),))
+        flagged = [v for v in validate_scene(scene) if "straight" in v]
         assert flagged == ["straight: consecutive vertices collinear"]
 
     @pytest.mark.parametrize("material", [Material("glass", 1.5), Material("wall", 1.5)],
                              ids=["foreign-name", "same-name-other-coefficient"])
     def test_foreign_material_is_one_violation(self, box_scene, material):
-        box_scene.surfaces.append(Surface(vertices=[[0, 0, 0], [2, 0, 0], [2, 1, 0]],
-                                          material=material, name="odd"))
-        flagged = [v for v in validate_scene(box_scene) if "odd" in v]
+        scene = replace(box_scene, surfaces=box_scene.surfaces + (
+            Surface(vertices=[[0, 0, 0], [2, 0, 0], [2, 1, 0]], material=material, name="odd"),))
+        flagged = [v for v in validate_scene(scene) if "odd" in v]
         assert flagged == [f"odd: {material} not in scene materials"]
 
     @given(
@@ -228,6 +222,5 @@ class TestSerialization:
         assert scene_hash(box_scene) == scene_hash(again)
 
     def test_hash_tracks_content(self, box_scene):
-        h0 = scene_hash(box_scene)
-        box_scene.materials["wall"] = Material("wall", 0.71)
-        assert scene_hash(box_scene) != h0
+        changed = replace(box_scene, materials={"wall": Material("wall", 0.71)})
+        assert scene_hash(changed) != scene_hash(box_scene)

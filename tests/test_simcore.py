@@ -91,6 +91,14 @@ class TestScenarioConfig:
         p.write_text(json.dumps({"scene": "x"}))
         with pytest.raises(ConfigError, match="malformed"):
             ScenarioConfig.from_file(p)
+        # a section that is not a JSON object is malformed too, not an AttributeError
+        for section, value in [("noise", []), ("raytrace", 3), ("db", "x"), ("output", ["a"]),
+                               ("controller", [1]), ("resources", [])]:
+            doc = tiny_scenario_doc()
+            owner = {"controller": doc["agents"][0], "resources": doc["network"]}.get(section, doc)
+            owner[section] = value
+            with pytest.raises(ConfigError, match="malformed"):
+                ScenarioConfig.from_dict(doc)
 
     def test_validation_catches_bad_settings(self, tmp_path):
         doc = tiny_scenario_doc()
@@ -176,7 +184,7 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(doc)
 
     def test_non_finite_number_in_the_scene_file_is_one_error(self, tmp_path, capsys):
-        scene = copy.deepcopy(_tiny_scene())
+        scene = _tiny_scene()
         scene["bounds"]["max"][2] = float("inf")
         (tmp_path / "tiny.scene.json").write_text(json.dumps(scene))
         p = tmp_path / "s.json"
@@ -225,7 +233,7 @@ class TestScenarioConfig:
 
 def _tiny_scene():
     from conftest import TINY_SCENE
-    return TINY_SCENE
+    return copy.deepcopy(TINY_SCENE)
 
 
 @pytest.fixture(scope="module")
@@ -379,7 +387,7 @@ class TestSimulationLoop:
         # build_fingerprint_db stamps nothing unless told to; such a file at
         # db.path must not stand in for a moved AP and repainted walls
         doc = tiny_scenario_doc()
-        scene_doc = copy.deepcopy(_tiny_scene())
+        scene_doc = _tiny_scene()
         (tmp_path / "tiny.scene.json").write_text(json.dumps(scene_doc))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
