@@ -82,11 +82,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "run":
-        config = simcore.ScenarioConfig.from_file(args.scenario)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.max_steps is not None:
-            config.max_steps = args.max_steps
+        overrides = {"seed": args.seed, "max_steps": args.max_steps}
+        config = dataclasses.replace(simcore.ScenarioConfig.from_file(args.scenario),
+                                     **{name: value for name, value in overrides.items() if value is not None})
         trace_path = Path(args.out) if args.out else config.trace_csv
         records = simcore.run_simulation(config, trace_path=trace_path)
         summary = metrics.summarize_run(records)

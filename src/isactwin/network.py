@@ -34,7 +34,7 @@ class ArrayConfig:
             raise NetworkError(f"spacing must be > 0, got {self.spacing}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Node:
     id: str
     is_tx: bool = False

@@ -8,7 +8,7 @@ Scenes are loaded from a structured JSON document (schema below). A loaded
 scene is a value, like a Pose: it, its surfaces, materials and arrays are
 read-only. A changed scene is built with dataclasses.replace.
 
-Scene document schema (field names are part of the contract)::
+Scene document schema (field names are part of the contract; any other key is an error)::
 
     {
       "materials":    [{"name": str, "reflection_coeff": float}, ...],
@@ -38,6 +38,10 @@ PLANARITY_TOL = 1e-9
 # (the length of n x edge), is at most this still counts as inside, so a
 # reflection on the edge shared by two surfaces is kept.
 CONTAINS_TOL = 1e-9
+
+# the keys a scene document accepts, as read_document takes them
+_SCENE_KEYS = {"materials": dict.fromkeys(("name", "reflection_coeff")), "floor_height": None,
+               "surfaces": dict.fromkeys(("vertices", "material")), "bounds": dict.fromkeys(("min", "max"))}
 
 
 class SceneError(ValueError):
@@ -107,11 +111,11 @@ def load_scene(source) -> Scene:
     """Load and validate a scene from a JSON file path (str or Path) or a parsed dict.
 
     Raises SceneError on a missing file, parse failure, a NaN or infinite
-    number, unknown material references, or any type-invariant violation
+    number, an unknown key, unknown material references, or any type-invariant violation
     (non-planar surfaces, out-of-range coefficients, surfaces outside bounds,
     empty scenes).
     """
-    doc = _read_document(source)
+    doc = read_document(source, SceneError, "scene", _SCENE_KEYS)
     scene = _scene_from_document(doc)
     violations = validate_scene(scene)
     if violations:
@@ -119,42 +123,48 @@ def load_scene(source) -> Scene:
     return scene
 
 
-def _read_document(source) -> dict:
-    if isinstance(source, dict):
-        doc = source
-    else:
+def read_document(source, error: type, name: str, keys: dict) -> dict:
+    """The JSON object of a scene or scenario document, given as a file path (str or Path) or parsed.
+    Whatever makes it no such document raises error, naming the document: "scene" or "scenario"."""
+    doc = source
+    if isinstance(source, (str, Path)):
         try:
-            text = Path(source).read_text()
+            doc = json.loads(Path(source).read_text())
         except FileNotFoundError:
-            raise SceneError(f"scene file not found: {source}") from None
-        try:
-            doc = json.loads(text)
+            raise error(f"{name} file not found: {source}") from None
         except json.JSONDecodeError as exc:
-            raise SceneError(f"scene document is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise SceneError("scene document must be a JSON object")
-    where = nonfinite_field(doc)
-    if where is not None:
-        raise SceneError(f"scene document has a non-finite number at {where}")
+            raise error(f"{name} document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{name} document must be a JSON object")
+    bad = _bad_field(doc, keys)
+    if bad is not None:
+        raise error(f"{name} document has {bad[0]} {bad[1]}")
     return doc
 
 
-def nonfinite_field(doc) -> str | None:
-    """The jq-style path of the first NaN or infinite number in a parsed JSON
-    document (``.sim.dt_s``, ``.surfaces[0].vertices[1][2]``), or None.
-    Python's json reads NaN, Infinity and 1e999 as floats, past every range check."""
+def _bad_field(doc, keys: dict | None) -> tuple | None:
+    """(what, jq-style path) of the first NaN or infinite number or unknown key in a parsed JSON
+    document, or None. Python's json reads NaN, Infinity and 1e999 as floats, past every range check.
+    keys maps each accepted key to the keys of its value (None: unchecked); list items take the list's."""
     if isinstance(doc, float):
-        return None if math.isfinite(doc) else ""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, (list, tuple)) else ()
-    for key, value in items:
-        found = nonfinite_field(value)
-        if found is not None:   # the path is built only on the way back from a hit
-            return (f".{key}" if isinstance(doc, dict) else f"[{key}]") + found
+        return None if math.isfinite(doc) else ("a non-finite number at", "")
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if keys is not None and key not in keys:
+                return "an unknown key", f".{key}"
+            found = _bad_field(value, None if keys is None else keys[key])
+            if found is not None:   # the path is built only on the way back from a hit
+                return found[0], f".{key}{found[1]}"
+    elif isinstance(doc, (list, tuple)):
+        for i, item in enumerate(doc):
+            found = _bad_field(item, keys)
+            if found is not None:
+                return found[0], f"[{i}]{found[1]}"
     return None
 
 
 def _scene_from_document(doc: dict) -> Scene:
-    for key in ("materials", "surfaces", "bounds", "floor_height"):
+    for key in _SCENE_KEYS:
         if key not in doc:
             raise SceneError(f"scene document missing key {key!r}")
 

@@ -32,7 +32,9 @@ Scenario file schema (JSON; paths are resolved relative to the file)::
 
 "subcarriers"/"symbols" may be explicit index lists or {"from", "to"}
 (1-based, inclusive); "path" may be a waypoint list or
-{"circle": {"center", "radius", "waypoints"}}.
+{"circle": {"center", "radius", "waypoints", "start_angle_deg"}}. A key the
+schema does not list is an error. A parsed scenario is a value, like a Scene:
+it and its parts are frozen; a changed one is built with dataclasses.replace.
 
 Trace CSV columns, in order: step, time_s, agent_id, the fields of
 AgentTrace, then one rate_<v>_<q> column per communication link. Agent ids
@@ -52,6 +54,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from fnmatch import fnmatchcase
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -68,7 +71,7 @@ from .network import (
     incoming_edges,
 )
 from .raytrace import Pose, trace_paths
-from .scene import SceneError, floor_grid, load_scene, nonfinite_field, scene_hash
+from .scene import SceneError, _set_read_only, floor_grid, load_scene, read_document, scene_hash
 
 
 class ConfigError(ValueError):
@@ -178,47 +181,68 @@ TRACE_BASE_COLUMNS = ["step", "time_s", "agent_id", *AGENT_COLUMNS]
 # a scenario "controller" key -> the agent.waypoint_control keyword argument it sets
 _CONTROLLER_KEYS = {"k_ang": "k_ang", "v_max": "v_max", "w_max": "w_max", "waypoint_tol_m": "tol"}
 
+# the keys a scenario document accepts, as read_document takes them
+_POSE_KEYS, _INDEX_SET_KEYS = dict.fromkeys(("position", "yaw_deg")), dict.fromkeys(("from", "to"))
+_SCENARIO_KEYS = {
+    "scene": None, "raytrace": {"max_order": None}, "output": {"trace_csv": None},
+    "network": {"edges": None,
+                "nodes": {"id": None, "role": None, "pose": _POSE_KEYS,
+                          "array": dict.fromkeys(("elements", "spacing_wavelengths", "boresight_deg"))},
+                "resources": {"users": {"id": None, "subcarriers": _INDEX_SET_KEYS, "symbols": _INDEX_SET_KEYS,
+                                        "power_w": None}}},
+    "ofdm": dict.fromkeys(("n_subcarriers", "delta_f_hz", "n_symbols", "carrier_hz")),
+    "agents": {"id": None, "initial_pose": _POSE_KEYS, "controller": dict.fromkeys(_CONTROLLER_KEYS),
+               "path": {"circle": dict.fromkeys(("center", "radius", "waypoints", "start_angle_deg"))}},
+    "noise": dict.fromkeys(("state_var", "obs_var", "noise_power_w", "fingerprint_snr_db", "map_offset_m")),
+    "sim": dict.fromkeys(("dt_s", "max_steps", "seed")),
+    "db": {"path": None, "build": dict.fromkeys(("spacing_m", "bin_width_s", "num_bins", "roi_m", "height_m"))},
+}
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class AgentSpec:
     id: str
     initial_pose: Pose
-    waypoints: np.ndarray
-    gains: dict   # the agent.waypoint_control keyword arguments the document sets
+    waypoints: np.ndarray         # (n, 2), read-only
+    gains: MappingProxyType       # the agent.waypoint_control keyword arguments the document sets
+
+    def __post_init__(self):
+        _set_read_only(self, waypoints=np.array(self.waypoints, dtype=float),
+                       gains=MappingProxyType(dict(self.gains)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NoiseSpec:
-    state_var: float = 0.0
-    obs_var: float = 0.0
-    noise_power_w: float = 1e-12
-    fingerprint_snr_db: float | None = None
-    map_offset: tuple = (0.0, 0.0)
+    state_var: float
+    obs_var: float
+    noise_power_w: float
+    fingerprint_snr_db: float | None
+    map_offset: tuple
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DbBuildSpec:
-    spacing: float = 0.05
-    bin_width: float = 12.5e-9
-    num_bins: int = 64
-    roi: tuple | None = None     # (xmin, ymin, xmax, ymax)
-    height: float | None = None  # defaults to the first agent's z
+    spacing: float
+    bin_width: float
+    num_bins: int
+    roi: tuple | None       # (xmin, ymin, xmax, ymax)
+    height: float | None    # None: the first agent's z
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DbSpec:
-    path: Path | None = None
-    build: DbBuildSpec | None = None
+    path: Path | None
+    build: DbBuildSpec | None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     scene_path: Path
-    nodes: list           # network.Node, in document order
-    edges: list
-    requests: list
+    nodes: tuple          # network.Node, in document order
+    edges: tuple
+    requests: tuple
     ofdm: OfdmParams
-    agents: list
+    agents: tuple
     noise: NoiseSpec
     dt: float
     max_steps: int
@@ -226,26 +250,20 @@ class ScenarioConfig:
     max_order: int
     db: DbSpec
     trace_csv: Path
-    # (key, scene, graph, allocation) of a validate_scenario that found no problem, for _world_parts
+    # (scene file bytes, scene, graph, allocation) of a problem-free validate_scenario, for _world_parts
     _validated_parts: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"scenario file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc, base_dir=path.parent)
+        return cls._from_document(Path(path), Path(path).parent)
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir=Path(".")) -> "ScenarioConfig":
-        base_dir = Path(base_dir)
-        where = nonfinite_field(doc)
-        if where is not None:
-            raise ConfigError(f"scenario document has a non-finite number at {where}")
+        return cls._from_document(doc, Path(base_dir))
+
+    @classmethod
+    def _from_document(cls, source, base_dir: Path) -> "ScenarioConfig":
+        doc = read_document(source, ConfigError, "scenario", _SCENARIO_KEYS)
         try:
             return cls._parse(doc, base_dir)
         except ConfigError:
@@ -281,7 +299,11 @@ class ScenarioConfig:
             pose = _parse_pose(nd["pose"], f"node {node_id!r}: pose") if nd.get("pose") is not None else None
             nodes.append(Node(id=node_id, is_tx=role != "rx", array=array, pose=pose))
 
-        edges = [tuple(e) for e in net["edges"]]
+        for i, edge in enumerate(net["edges"]):
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 2
+                    and all(isinstance(end, str) for end in edge)):
+                raise ConfigError(f".network.edges[{i}] must be two node ids, got {edge!r}")
+        edges = tuple(tuple(edge) for edge in net["edges"])
 
         requests = []
         for user in net.get("resources", {}).get("users", []):
@@ -303,9 +325,9 @@ class ScenarioConfig:
                 AgentSpec(
                     id=agent_id,
                     initial_pose=_parse_pose(ag["initial_pose"], f"agent {agent_id!r}: initial_pose"),
-                    waypoints=_parse_path(ag["path"]),
+                    waypoints=_parse_path(ag["path"], f"agent {agent_id!r}: path"),
                     gains={_CONTROLLER_KEYS[key]: float(value)
-                           for key, value in ag.get("controller", {}).items() if key in _CONTROLLER_KEYS},
+                           for key, value in ag.get("controller", {}).items()},
                 )
             )
 
@@ -341,11 +363,11 @@ class ScenarioConfig:
 
         return cls(
             scene_path=base_dir / doc["scene"],
-            nodes=nodes,
+            nodes=tuple(nodes),
             edges=edges,
-            requests=requests,
+            requests=tuple(requests),
             ofdm=ofdm,
-            agents=agents,
+            agents=tuple(agents),
             noise=noise,
             dt=float(sim["dt_s"]),
             max_steps=int(sim["max_steps"]),
@@ -376,11 +398,11 @@ def _parse_index_set(spec, upper: int) -> frozenset:
     return frozenset(int(i) for i in spec)
 
 
-def _parse_path(spec) -> np.ndarray:
+def _parse_path(spec, where: str) -> np.ndarray:
     if isinstance(spec, dict) and "circle" in spec:
         c = spec["circle"]
         return agent_mod.circle_waypoints(
-            center=c["center"],
+            center=_numbers(c["center"], 2, f"{where}.circle.center"),
             radius=float(c["radius"]),
             count=int(c.get("waypoints", 16)),
             start_angle=math.radians(float(c.get("start_angle_deg", 0.0))),
@@ -410,11 +432,11 @@ def validate_scenario(config: ScenarioConfig) -> list:
     if config.max_order < 0:
         problems.append("raytrace.max_order must be >= 0")
 
-    scene = graph = allocation = key = None
+    scene = graph = allocation = scene_bytes = None
     if not config.scene_path.is_file():
         problems.append(f"scene file not found: {config.scene_path}")
     else:
-        key = _parts_key(config)   # before the load: a later rewrite makes init_world reload
+        scene_bytes = config.scene_path.read_bytes()   # before the load: a rewrite makes init_world reload
         try:
             scene = load_scene(config.scene_path)
         except SceneError as exc:
@@ -475,34 +497,21 @@ def validate_scenario(config: ScenarioConfig) -> list:
                 problems.append(str(exc))
 
     if not problems:
-        config._validated_parts = (key, scene, graph, allocation)
+        object.__setattr__(config, "_validated_parts", (scene_bytes, scene, graph, allocation))
     return problems
 
 
-def _parts_key(config: ScenarioConfig) -> tuple:
-    """Everything the scene, graph and allocation are built from: the scene
-    file's path and bytes, and the config fields the builders read.
-    Poses are frozen and compare by identity, so a replaced pose is a change."""
-    return (
-        config.scene_path, config.scene_path.read_bytes(), config.ofdm,
-        tuple((n.id, n.is_tx, n.array, n.pose) for n in config.nodes),
-        tuple(config.edges), tuple(config.requests),
-    )
-
-
 def _world_parts(config: ScenarioConfig) -> tuple:
-    """(scene, graph, allocation) of a valid config.
-
-    These are the parts validate_scenario handed over, if nothing they are
-    built from has changed since; else validate_scenario runs again, and
-    every problem it finds is raised as one ConfigError.
-    """
-    handed, config._validated_parts = config._validated_parts, None
-    if handed is None or handed[0] != _parts_key(config):
+    """(scene, graph, allocation) of a valid config: the parts validate_scenario
+    handed over if the scene file's bytes are unchanged since, else those of a
+    new validate_scenario, whose problems are raised as one ConfigError."""
+    handed = config._validated_parts
+    if handed is None or handed[0] != config.scene_path.read_bytes():
         problems = validate_scenario(config)
         if problems:
             raise ConfigError("; ".join(problems))
-        handed, config._validated_parts = config._validated_parts, None
+        handed = config._validated_parts
+    object.__setattr__(config, "_validated_parts", None)   # the hand-over is used once
     return handed[1:]
 
 
@@ -853,7 +862,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
     return record
 
 
-def run_simulation(config: ScenarioConfig, trace_path=None, max_steps=None) -> list:
+def run_simulation(config: ScenarioConfig, trace_path=None) -> list:
     """Run until every agent reaches its terminal waypoint or max steps elapse.
 
     The trace is streamed to CSV as it is produced (the file is valid after
@@ -862,10 +871,9 @@ def run_simulation(config: ScenarioConfig, trace_path=None, max_steps=None) -> l
     """
     world = init_world(config)
     out_path = Path(trace_path) if trace_path is not None else config.trace_csv
-    steps = config.max_steps if max_steps is None else int(max_steps)
     records = []
     with TraceWriter(out_path, world.links) as writer:
-        for t in range(steps):
+        for t in range(config.max_steps):
             record = sim_step(world, t)
             writer.write_record(record)
             records.append(record)

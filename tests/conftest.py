@@ -1,10 +1,21 @@
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import pytest
 
 from isactwin.scene import load_scene
+
+# Hypothesis writes a failing example's patch with libcst where that is installed, and
+# importing libcst warns (DeprecationWarning, from mypy_extensions). Under -W error that
+# made a failing @given test a pytest INTERNALERROR; only this one import is exempted.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def rewrite_db_header(path, edit):

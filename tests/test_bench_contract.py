@@ -14,6 +14,7 @@ read ``spans.py`` by path and compile it in memory, so nothing under
 ``perfbench/`` is imported as a package or written.
 """
 
+import dataclasses
 import json
 import types
 from pathlib import Path
@@ -93,7 +94,7 @@ def test_run_call_counts_per_step(tiny_scenario, chain_builds, map_offset, ap_b_
     config = simcore.ScenarioConfig.from_file(tiny_scenario)
     simcore.build_db_for_scenario(config)
     chain_builds.clear()
-    records, tracer = traced(simcore.run_simulation, config, max_steps=6)
+    records, tracer = traced(simcore.run_simulation, dataclasses.replace(config, max_steps=6))
     steps = len(records)
     assert steps == 6
     assert len(chain_builds) == 2       # one per AP over every link and fingerprint trace
@@ -129,7 +130,7 @@ def link_path_counts(config, steps):
 def test_run_loads_the_scene_once(tiny_scenario):
     config = simcore.ScenarioConfig.from_file(tiny_scenario)
     simcore.build_db_for_scenario(config)
-    _, tracer = traced(simcore.run_simulation, config, max_steps=2)
+    _, tracer = traced(simcore.run_simulation, dataclasses.replace(config, max_steps=2))
     assert tracer.calls("simcore.validate_scenario") == 1
     assert tracer.calls("simcore.init_world") == 1
     assert tracer.calls("scene.load_scene") == 1

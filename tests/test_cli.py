@@ -9,7 +9,7 @@ from isactwin.cli import main
 from isactwin.localization import compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
 from isactwin.scene import load_scene
-from isactwin.simcore import ScenarioConfig, build_db_for_scenario
+from isactwin.simcore import ScenarioConfig, build_db_for_scenario, run_simulation
 
 
 @pytest.fixture
@@ -93,6 +93,22 @@ class TestRun:
         assert main(["run", scenario, "--seed", "1", "--max-steps", "5", "--out", str(a)]) == 0
         assert main(["run", scenario, "--seed", "2", "--max-steps", "5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overrides_run_a_replaced_config(self, tmp_path):
+        # noisy, so that the seed shows in the trace
+        doc = tiny_scenario_doc()
+        doc["noise"].update(state_var=1e-4, fingerprint_snr_db=25.0)
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(TINY_SCENE))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "cli.csv"
+        assert main(["run", str(path), "--seed", "7", "--max-steps", "3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4  # header + 3 rows
+        config, api = ScenarioConfig.from_file(path), tmp_path / "api.csv"
+        run_simulation(dataclasses.replace(config, seed=7, max_steps=3), trace_path=api)
+        assert out.read_bytes() == api.read_bytes()
+        run_simulation(dataclasses.replace(config, max_steps=3), trace_path=api)   # the file's seed, 3
+        assert out.read_bytes() != api.read_bytes()
 
     def test_failing_step_is_one_error_line(self, tmp_path, capsys):
         # ap_b sits exactly where the robot starts, so step 0 cannot trace that

@@ -82,6 +82,24 @@ class TestScenarioConfig:
         assert config.agents[0].waypoints.shape == (2, 2)
         assert validate_scenario(config) == []
 
+    def test_in_place_edits_are_refused(self, tiny_scenario):
+        # a parsed scenario is a value, like a Scene: a changed one is built with dataclasses.replace
+        config = ScenarioConfig.from_file(tiny_scenario)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = 7
+        with pytest.raises(TypeError):
+            config.nodes[0] = config.nodes[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.nodes[0].array = ArrayConfig(2, 0.0625)
+        with pytest.raises(AttributeError):
+            config.requests.append(config.requests[0])
+        with pytest.raises(ValueError, match="read-only"):
+            config.agents[0].waypoints[0, 0] = 0.9
+        with pytest.raises(TypeError):
+            config.agents[0].gains["v_max"] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.noise.state_var = 1e-4
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             ScenarioConfig.from_file(tmp_path / "nope.json")
@@ -160,9 +178,18 @@ class TestScenarioConfig:
          "agent 'robot': initial_pose.position must hold 3 numbers, got [0.7, 0.5]"),
         (lambda doc: doc["network"]["nodes"][1]["pose"].update(position=[0.7, 0.5, 0.1, 0.0]),
          "node 'ap_b': pose.position must hold 3 numbers, got [0.7, 0.5, 0.1, 0.0]"),
+        (lambda doc: doc["network"].update(edges=[["ap_a", ["robot"]]]),
+         ".network.edges[0] must be two node ids, got ['ap_a', ['robot']]"),
+        (lambda doc: doc["network"].update(edges=[["ap_a", "robot"], ["ap_b", "robot", "x"]]),
+         ".network.edges[1] must be two node ids, got ['ap_b', 'robot', 'x']"),
+        (lambda doc: doc["network"].update(edges=["ap_a"]),
+         ".network.edges[0] must be two node ids, got 'ap_a'"),
+        (lambda doc: doc["agents"][0].update(path={"circle": {"center": [0.6], "radius": 0.1}}),
+         "agent 'robot': path.circle.center must hold 2 numbers, got [0.6]"),
     ], ids=["role-case", "link-end-without-array", "transmitter-without-pose", "zero-carrier",
             "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position",
-            "four-number-node-position"])
+            "four-number-node-position", "list-as-edge-end", "three-node-edge", "id-as-edge",
+            "one-number-circle-center"])
     def test_scenario_that_would_fail_in_run_rejected(self, tmp_path, capsys, edit, message):
         # validate, build-db and run all set up through validate_scenario
         doc = tiny_scenario_doc()
@@ -174,6 +201,58 @@ class TestScenarioConfig:
                      ["run", str(p), "--out", str(tmp_path / "t.csv")]):
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit,where", [
+        (lambda doc: doc.update(nosie={}), ".nosie"),
+        (lambda doc: doc["network"].update(node=[]), ".network.node"),
+        (lambda doc: doc["network"]["nodes"][0]["array"].update(element=4), ".network.nodes[0].array.element"),
+        (lambda doc: doc["network"]["nodes"][1]["pose"].update(yaw=225.0), ".network.nodes[1].pose.yaw"),
+        (lambda doc: doc["network"]["nodes"][2].update(roll="rx"), ".network.nodes[2].roll"),
+        (lambda doc: doc["network"]["resources"].update(user=[]), ".network.resources.user"),
+        (lambda doc: doc["network"]["resources"]["users"][1].update(power=0.5),
+         ".network.resources.users[1].power"),
+        (lambda doc: doc["network"]["resources"]["users"][0]["symbols"].update(until=4),
+         ".network.resources.users[0].symbols.until"),
+        (lambda doc: doc["ofdm"].update(carrier=2.4e9), ".ofdm.carrier"),
+        (lambda doc: doc["agents"][0].update(controler={}), ".agents[0].controler"),
+        (lambda doc: doc["agents"][0]["initial_pose"].update(yaw=180.0), ".agents[0].initial_pose.yaw"),
+        (lambda doc: doc["agents"][0].update(path={"circel": {}}), ".agents[0].path.circel"),
+        (lambda doc: doc["agents"][0].update(path={"circle": {"center": [0.6, 0.5], "radius_m": 0.1}}),
+         ".agents[0].path.circle.radius_m"),
+        (lambda doc: doc["agents"][0]["controller"].update(vmax=5.0), ".agents[0].controller.vmax"),
+        (lambda doc: doc["noise"].update(fingerprint_snr=20.0), ".noise.fingerprint_snr"),
+        (lambda doc: doc["sim"].update(seeds=4), ".sim.seeds"),
+        (lambda doc: doc["raytrace"].update(maxorder=3), ".raytrace.maxorder"),
+        (lambda doc: doc["db"].update(file="x.fpdb"), ".db.file"),
+        (lambda doc: doc["db"]["build"].update(spacing=0.2), ".db.build.spacing"),
+        (lambda doc: doc["output"].update(trace="t.csv"), ".output.trace"),
+    ], ids=["top-level", "network", "array", "node-pose", "node", "resources", "user", "index-set",
+            "ofdm", "agent", "initial-pose", "path-form", "circle", "controller", "noise", "sim",
+            "raytrace", "db", "db-build", "output"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, edit, where):
+        # a misspelled key would otherwise run with the default it was meant to replace
+        doc = tiny_scenario_doc()
+        edit(doc)
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: scenario document has an unknown key {where}\n"
+
+    @pytest.mark.parametrize("edit,where", [
+        (lambda scene: scene["materials"][1].update(coeff=0.6), ".materials[1].coeff"),
+        (lambda scene: scene["surfaces"][0].update(materal="metal"), ".surfaces[0].materal"),
+        (lambda scene: scene["bounds"].update(mid=[0.6, 0.5, 0.4]), ".bounds.mid"),
+        (lambda scene: scene.update(floor=0.0), ".floor"),
+    ], ids=["material", "surface", "bounds", "top-level"])
+    def test_unknown_key_in_the_scene_rejected(self, tmp_path, capsys, edit, where):
+        scene = _tiny_scene()
+        edit(scene)
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(scene))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(tiny_scenario_doc()))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: scene invalid: scene document has an unknown key {where}\n"
 
     def test_non_finite_number_in_a_dict_rejected(self):
         # json.dumps writes NaN and Infinity, so the file cases above cover the
@@ -428,8 +507,9 @@ class TestSimulationLoop:
 
 class TestSetUpOnce:
     """validate_scenario hands the scene, graph and allocation it built from a
-    valid config to the next init_world of it, unless something they are built
-    from changed; init_world then validates again."""
+    valid config to the next init_world of it, unless the scene file changed;
+    init_world then validates again. A changed config is a new object, built
+    with dataclasses.replace, and has nothing handed over."""
 
     @pytest.fixture
     def config(self, tiny_scenario, monkeypatch):
@@ -453,9 +533,11 @@ class TestSetUpOnce:
     def test_changed_config_is_built_afresh(self, config):
         config, loads = config
         assert validate_scenario(config) == []
-        config.requests = [r for r in config.requests if r.user != "ap_b"]
         handed_over = config.nodes[0]
-        config.nodes[0] = dataclasses.replace(handed_over, array=ArrayConfig(2, handed_over.array.spacing))
+        config = dataclasses.replace(
+            config, requests=tuple(r for r in config.requests if r.user != "ap_b"),
+            nodes=(dataclasses.replace(handed_over, array=ArrayConfig(2, handed_over.array.spacing)),
+                   *config.nodes[1:]))
         world = init_world(config)
         assert len(loads) == 2
         assert set(world.allocation.users) == {"ap_a"}
@@ -493,7 +575,7 @@ class TestSetUpOnce:
         p.write_text(json.dumps(tiny_scenario_doc()))
         config = ScenarioConfig.from_file(p)
         assert not config.db.path.exists()
-        run_simulation(config, max_steps=1)
+        run_simulation(dataclasses.replace(config, max_steps=1))
         assert len(loads) == 1
         # the database built on demand is the one build-db writes
         _, again = build_db_for_scenario(config, out=tmp_path / "again.fpdb")
@@ -502,7 +584,8 @@ class TestSetUpOnce:
     def test_invalid_allocation_still_fails_in_init_world(self, config):
         config, _ = config
         assert validate_scenario(config) == []
-        config.requests[0] = dataclasses.replace(config.requests[0], subcarriers=frozenset({99}))
+        config = dataclasses.replace(config, requests=(
+            dataclasses.replace(config.requests[0], subcarriers=frozenset({99})), *config.requests[1:]))
         assert any("resource allocation" in p for p in validate_scenario(config))
         with pytest.raises(ConfigError, match="outside"):
             init_world(config)
@@ -531,8 +614,7 @@ class TestDeterminism:
         p.write_text(json.dumps(doc))
         config = ScenarioConfig.from_file(p)
         run_simulation(config, trace_path=tmp_path / "a.csv")
-        config.seed = 99
-        run_simulation(config, trace_path=tmp_path / "b.csv")
+        run_simulation(dataclasses.replace(config, seed=99), trace_path=tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
 
