@@ -12,18 +12,21 @@ noise enters the rates as a power. Transmit vectors x = alpha * sqrt(p) * w * d
 are available for one element at a time. Everything here is
 per-resource-element frequency domain; no waveform simulation.
 
-The rate kernels are array code over all L paths of a link at once: one
-steering matrix per terminal, and for the (sub-carrier, symbol) grid one
-small BLAS matmul per 32-wide block of sub-carriers, of a (32, L) table of
-within-block phases with an (L, N_R * K) right-hand side scaled by the
-block's own phase. No (N, L) table over all sub-carriers is built. The
-per-path forms and the einsum they replaced live on as the test oracle in
-tests/channel_oracle.py.
+The rate kernels are array code over all L paths of a link at once. The
+steering matrices of a path set are computed once per array pair and shared
+by synthesize_channel and beamformed_gains while the path set lives. Over
+the (sub-carrier, symbol) grid, beamformed_gains fills up to 128 distinct
+sub-carriers at a time: a (rows, L) table of per-sub-carrier phases, built
+from a per-block and a within-block factor, times one (L, N_R * K)
+right-hand side in one BLAS matmul. No (N, L) table over all sub-carriers
+is built. The per-path forms and the einsum they replaced live on as the
+test oracle in tests/channel_oracle.py.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +69,16 @@ def steering_vector(array: ArrayConfig, azimuth, elevation, carrier_freq: float)
     lam = SPEED_OF_LIGHT / carrier_freq
     m = np.arange(array.num_elements)
     phase = 2.0 * math.pi * (array.spacing / lam) * np.sin(azimuth) * np.cos(elevation)
-    return np.exp(1j * np.multiply.outer(m, phase))
+    return _cis(np.multiply.outer(m, phase))
+
+
+def _cis(x) -> np.ndarray:
+    """exp(j x) of real x from one cos and one sin: half the time of numpy's complex exp."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
 def phase_shift(n, k, nu, tau, params: OfdmParams):
@@ -84,7 +96,7 @@ def synthesize_channel(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayCon
     """
     _check_frame(paths, params)
     a_r, a_t = _path_responses(paths, tx_array, rx_array, params.carrier_freq)
-    coeff = paths.gain * np.exp(2j * math.pi * phase_shift(n, k, paths.doppler, paths.delay, params))
+    coeff = paths.gain * _cis(2.0 * math.pi * phase_shift(n, k, paths.doppler, paths.delay, params))
     return (a_r * coeff) @ a_t.T
 
 
@@ -92,6 +104,9 @@ def synthesize_channel(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayCon
 # of a per-block factor and a within-block factor, so a grid of N sub-carriers
 # costs (distinct blocks + _PHASE_BLOCK) complex exponentials per path, not N.
 _PHASE_BLOCK = 32
+# beamformed_gains builds its phase table over this many distinct blocks at a
+# time, so the table never exceeds (_CHUNK_BLOCKS * _PHASE_BLOCK, L)
+_CHUNK_BLOCKS = 4
 
 
 def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig,
@@ -104,16 +119,18 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
 
         (H_nk w)_r = sum_l  exp(-j 2 pi n tau_l df) * (c_rl exp(j 2 pi k nu_l T_s)).
 
-    Writing n = 32 h + m splits the sub-carrier factor once more, into a
-    per-block factor P[h, l] and a within-block factor Q[m, l]. The rows of
-    one block h are then one BLAS matmul, Q[m] @ (P[h][:, None] * rhs), with
-    an (L, R*K) right-hand side. No (N, L) sub-carrier table is built: the
-    largest array is the (N, R*K) result. Equal to calling synthesize_channel
-    per element up to float accumulation order; the three-operand einsum
-    this replaced is kept as the test oracle in tests/channel_oracle.py.
-    subcarriers must be integer indices, in any order and with repeats.
-    Returns an array of shape (len(subcarriers), len(symbols)) whose row i
-    belongs to subcarriers[i].
+    The sub-carrier factor of n = 32 h + m is a per-block factor P[h, l]
+    times a within-block factor Q[m, l]. The distinct sub-carriers are
+    taken four blocks (at most 128 rows) at a time: their (rows, L) table
+    P[h] * Q[m] is built in one buffer, by one broadcast product when the
+    rows are whole blocks, and times the (L, R*K) right-hand side in one
+    BLAS matmul. No (N, L) sub-carrier table is built: the largest array is
+    the (N, R*K) result. Equal to calling synthesize_channel per element up
+    to float accumulation order; the three-operand einsum this replaced is
+    kept as the test oracle in tests/channel_oracle.py. subcarriers must be
+    integer indices, in any order and with repeats. Returns an array of
+    shape (len(subcarriers), len(symbols)) whose row i belongs to
+    subcarriers[i].
     """
     _check_frame(paths, params)
     n = np.asarray(subcarriers)
@@ -123,34 +140,61 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
     ks = np.asarray(symbols, dtype=float)
     a_r, a_t = _path_responses(paths, tx_array, rx_array, params.carrier_freq)
     c = a_r * (paths.gain * (a_t.T @ np.asarray(w, dtype=complex)))        # (R, L)
-    sym_phase = np.exp(2j * math.pi * np.outer(paths.doppler * params.symbol_duration, ks))  # (L, K)
-    n_r, n_k = len(c), len(ks)
-    rhs = (c.T[:, :, None] * sym_phase[:, None, :]).reshape(len(paths), n_r * n_k)
+    sym_phase = _cis(2.0 * math.pi * np.outer(paths.doppler * params.symbol_duration, ks))  # (L, K)
+    n_l, n_r, n_k = len(paths), len(c), len(ks)
+    rhs = (c.T[:, :, None] * sym_phase[:, None, :]).reshape(n_l, n_r * n_k)
 
-    # rows sorted by sub-carrier, so that each block's rows are one slice
-    order = np.argsort(idx, kind="stable")
-    hi, lo = np.divmod(idx[order], _PHASE_BLOCK)
-    blocks, starts = np.unique(hi, return_index=True)
-    ends = np.append(starts[1:], len(idx))
+    # rows are the distinct sub-carriers in ascending order, so each block's rows are one slice
+    uniq, inverse = np.unique(idx, return_inverse=True)
+    hi, lo = np.divmod(uniq, _PHASE_BLOCK)
+    opens = np.diff(hi, prepend=hi[:1] - 1) != 0                           # row starts a block
+    row_block = np.cumsum(opens) - 1
+    bounds = np.append(np.flatnonzero(opens)[::_CHUNK_BLOCKS], len(uniq))
     rate = -2.0 * math.pi * params.delta_f * paths.delay                   # (L,)
-    per_block = np.exp(1j * np.outer(blocks * _PHASE_BLOCK, rate))         # (B, L)
-    in_block = np.exp(1j * np.outer(np.arange(_PHASE_BLOCK), rate))        # (32, L)
-    hw = np.empty((len(idx), n_r * n_k), dtype=complex)
-    for factor, s, e in zip(per_block, starts, ends):
-        np.matmul(in_block[lo[s:e]], factor[:, None] * rhs, out=hw[s:e])
-    power = hw.real ** 2                   # += keeps one float (N, R*K) array fewer alive
-    power += hw.imag ** 2
-    power = np.sum(power.reshape(len(idx), n_r, n_k), axis=1)
-    gains = np.empty_like(power)
-    gains[order] = power
-    return gains
+    per_block = _cis(np.outer(hi[opens] * _PHASE_BLOCK, rate))             # (B, L)
+    in_block = _cis(np.outer(np.arange(_PHASE_BLOCK), rate))               # (32, L)
+    table = np.empty((min(len(uniq), _CHUNK_BLOCKS * _PHASE_BLOCK), n_l), dtype=complex)
+    hw = np.empty((len(uniq), n_r * n_k), dtype=complex)
+    for b, s, e in zip(range(0, len(per_block), _CHUNK_BLOCKS), bounds[:-1], bounds[1:]):
+        rows = table[:e - s]
+        whole = min(_CHUNK_BLOCKS, len(per_block) - b)
+        # an in-place product keeps one broadcast or gathered (rows, L) temporary, not two
+        if e - s == whole * _PHASE_BLOCK:                                  # whole blocks
+            blocks = rows.reshape(whole, _PHASE_BLOCK, n_l)
+            blocks[...] = in_block
+            blocks *= per_block[b:b + whole, None]
+        else:
+            np.take(per_block, row_block[s:e], axis=0, out=rows)
+            rows *= in_block[lo[s:e]]
+        np.matmul(rows, rhs, out=hw[s:e])
+    # |.|^2 in place on the (re, im) pairs: no second (N, R*K) array. The sum over
+    # the receive antennas is a loop of slice adds; a strided np.sum is several times slower.
+    parts = hw.view(float)
+    np.square(parts, out=parts)
+    parts = parts.reshape(len(uniq), n_r, n_k, 2)
+    np.add(parts[..., 0], parts[..., 1], out=parts[..., 0])
+    power = parts[:, 0, :, 0].copy()
+    for r in range(1, n_r):
+        power += parts[:, r, :, 0]
+    return power[inverse]
+
+
+# PathSet -> {(tx_array, rx_array, carrier_freq): (a_r, a_t)}, dying with the path set;
+# its columns are read-only, so the steering stays valid while it lives
+_STEERING: "weakref.WeakKeyDictionary[PathSet, dict]" = weakref.WeakKeyDictionary()
 
 
 def _path_responses(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig, fc: float):
-    """Steering matrices a_R (N_R, L) and a_T (N_T, L) of the paths' arrival and departure angles."""
-    a_r = steering_vector(rx_array, paths.aoa[:, 0] - rx_array.boresight, paths.aoa[:, 1], fc)
-    a_t = steering_vector(tx_array, paths.aod[:, 0] - tx_array.boresight, paths.aod[:, 1], fc)
-    return a_r, a_t
+    """Read-only steering matrices a_R (N_R, L) and a_T (N_T, L) of the paths' arrival and
+    departure angles, computed once per path set and array pair."""
+    memo = _STEERING.setdefault(paths, {})
+    pair = memo.get((tx_array, rx_array, fc))
+    if pair is None:
+        a_r = steering_vector(rx_array, paths.aoa[:, 0] - rx_array.boresight, paths.aoa[:, 1], fc)
+        a_t = steering_vector(tx_array, paths.aod[:, 0] - tx_array.boresight, paths.aod[:, 1], fc)
+        a_r.flags.writeable = a_t.flags.writeable = False
+        pair = memo[(tx_array, rx_array, fc)] = (a_r, a_t)
+    return pair
 
 
 def _check_frame(paths: PathSet, params: OfdmParams):

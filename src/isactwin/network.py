@@ -122,16 +122,13 @@ def allocate_resources(requests, n_subcarriers: int, n_symbols: int) -> Resource
     for req in requests:
         if req.user in users:
             raise NetworkError(f"duplicate user {req.user!r}")
-        subs = frozenset(int(n) for n in req.subcarriers)
-        syms = frozenset(int(k) for k in req.symbols)
+        subs, syms = frozenset(req.subcarriers), frozenset(req.symbols)
         if not subs or not syms:
             raise NetworkError(f"user {req.user!r}: empty resource set")
-        bad_n = [n for n in subs if not 1 <= n <= n_subcarriers]
-        bad_k = [k for k in syms if not 1 <= k <= n_symbols]
-        if bad_n:
-            raise NetworkError(f"user {req.user!r}: subcarrier {min(bad_n)} outside 1..{n_subcarriers}")
-        if bad_k:
-            raise NetworkError(f"user {req.user!r}: symbol {min(bad_k)} outside 1..{n_symbols}")
+        for name, indices, size in (("subcarrier", subs, n_subcarriers), ("symbol", syms, n_symbols)):
+            if min(indices) < 1 or max(indices) > size:
+                bad = min(i for i in indices if not 1 <= i <= size)
+                raise NetworkError(f"user {req.user!r}: {name} {bad} outside 1..{size}")
         if req.power_budget < 0.0:
             raise NetworkError(f"user {req.user!r}: negative power budget")
         users[req.user] = UserAllocation(

@@ -151,6 +151,9 @@ class PathSet:
         self.gain, self.delay, self.doppler = gain[idx], delay[idx], doppler[idx]
         self.aoa, self.aod, self.order = aoa[idx], aod[idx], order[idx]
         self.bounces = bounces[idx]
+        # read-only like Pose's arrays: the channel layer keeps steering computed from them
+        for column in (self.gain, self.delay, self.doppler, self.aoa, self.aod, self.order, self.bounces):
+            column.flags.writeable = False
 
     @property
     def paths(self) -> list:

@@ -777,7 +777,8 @@ def sim_step(world: World, t: int) -> TraceRecord:
 
     # phase 3: signal generation: each link's MRT beamformer and received power
     # on its own cells, then its rate with the other links' received power on
-    # the cells they share with it as interference; the plan holds those cells
+    # the cells they share with it as interference; the plan holds those cells.
+    # The beamformer and the gains share the step's steering of the link's paths.
     received = {}
     rates = {}
     try:

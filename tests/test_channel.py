@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from isactwin.channel import (
     OfdmParams,
+    _path_responses,
     beamformed_gains,
     build_tx_signal,
     mrt_beamformer,
@@ -205,6 +206,14 @@ class TestRateKernelsAgainstOracle:
     @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
              subs=np.random.default_rng(6).permutation(np.arange(1, 513)).tolist(), syms=[1, 14],
              df=78125.0, w_seed=6)                                            # shuffled grid
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(32, LAM / 2), rx=ArrayConfig(2, LAM / 2),
+             subs=list(range(513, 1025)), syms=[1, 14], df=78125.0, w_seed=7)  # shipped ap2 grid
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
+             subs=list(range(200)), syms=[2, 9], df=78125.0, w_seed=8)        # partial last chunk
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(3, LAM / 2),
+             subs=list(range(224)), syms=[4], df=78125.0, w_seed=9)           # 3 whole blocks last
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
+             subs=list(range(45, 345)), syms=[1, 2], df=78125.0, w_seed=10)   # starts mid-block
     @settings(max_examples=120, deadline=None)
     def test_matches_oracle(self, entries, tx, rx, subs, syms, df, w_seed):
         ps = make_pathset(entries)
@@ -232,6 +241,19 @@ class TestRateKernelsAgainstOracle:
             beamformed_gains(ps, arr, arr, np.ones(1), params(), np.array([1.5]), np.array([1]))
 
 
+def test_path_responses_are_kept_per_path_set_and_array_pair():
+    ps = make_pathset(_EDGE_PATHS)
+    pairs = [(ArrayConfig(8, LAM / 2, 0.25), ArrayConfig(2, LAM / 2)),
+             (ArrayConfig(4, 0.6 * LAM, -0.4), ArrayConfig(3, LAM / 2, 1.1))]
+    kept = [_path_responses(ps, tx, rx, FC) for tx, rx in pairs]
+    for (tx, rx), (a_r, a_t) in zip(pairs, kept):
+        again = _path_responses(ps, tx, rx, FC)
+        assert again[0] is a_r and again[1] is a_t
+        np.testing.assert_array_equal(a_r, steering_vector(rx, ps.aoa[:, 0] - rx.boresight, ps.aoa[:, 1], FC))
+        np.testing.assert_array_equal(a_t, steering_vector(tx, ps.aod[:, 0] - tx.boresight, ps.aod[:, 1], FC))
+        assert not a_r.flags.writeable and not a_t.flags.writeable
+
+
 def test_beamformed_gains_builds_no_subcarrier_by_path_table():
     # the shipped link's size: 63 paths, 32 transmit and 2 receive elements,
     # a 512 x 14 grid. One (N, L) complex table alone is N * L * 16 bytes, so
@@ -242,20 +264,22 @@ def test_beamformed_gains_builds_no_subcarrier_by_path_table():
     entries = [((rng.normal() + 1j * rng.normal()) * 0.01, rng.uniform(1e-9, 8e-8), rng.uniform(-50, 50),
                 (rng.uniform(-1, 1), rng.uniform(-1, 1)), (rng.uniform(-1, 1), rng.uniform(-1, 1)))
                for _ in range(n_paths)]
-    ps = make_pathset(entries)
     tx, rx = ArrayConfig(32, LAM / 2), ArrayConfig(2, LAM / 2)
     w = rng.normal(size=32) + 1j * rng.normal(size=32)
     w /= np.linalg.norm(w)
     p = params(n=1024, k=n_sym)
-    subs, syms = np.arange(1, n_sub + 1), np.arange(1, n_sym + 1)
-    beamformed_gains(ps, tx, rx, w, p, subs, syms)      # warm up imports and caches
-    tracemalloc.start()
-    try:
-        beamformed_gains(ps, tx, rx, w, p, subs, syms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (n_sub * rx.num_elements * n_sym + n_sub * n_paths) * 16
+    syms = np.arange(1, n_sym + 1)
+    for first in (1, 513):                              # the shipped scenario's two grids
+        subs = np.arange(first, first + n_sub)
+        beamformed_gains(make_pathset(entries), tx, rx, w, p, subs, syms)   # warm up imports
+        ps = make_pathset(entries)                      # a path set whose steering is not kept yet
+        tracemalloc.start()
+        try:
+            beamformed_gains(ps, tx, rx, w, p, subs, syms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_sub * rx.num_elements * n_sym + n_sub * n_paths) * 16, first
 
 
 class TestTxSignal:

@@ -79,6 +79,16 @@ class TestAllocateResources:
         with pytest.raises(NetworkError, match="1025"):
             allocate_resources([req], 1024, 14)
 
+    def test_out_of_range_message_names_the_smallest_bad_index(self):
+        req = ResourceRequest(user="u", subcarriers=frozenset({1025, 7, 0}),
+                              symbols=frozenset({1}), power_budget=1.0)
+        with pytest.raises(NetworkError, match=r"^user 'u': subcarrier 0 outside 1\.\.1024$"):
+            allocate_resources([req], 1024, 14)
+        req = ResourceRequest(user="u", subcarriers=frozenset({1}),
+                              symbols=frozenset({15, 3, -2}), power_budget=1.0)
+        with pytest.raises(NetworkError, match=r"^user 'u': symbol -2 outside 1\.\.14$"):
+            allocate_resources([req], 1024, 14)
+
     def test_overlapping_allocations_representable(self):
         reqs = [
             ResourceRequest(user="a", subcarriers=frozenset({1, 2}), symbols=frozenset({1}),

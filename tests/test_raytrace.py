@@ -372,6 +372,15 @@ class TestPathSetColumns:
                      tx_pose=Pose.at(0, 0, 0), rx_pose=Pose.at(1, 0, 0), carrier_freq=2.4e9)
         assert ps.doppler.tolist() == [4.0, 1.0, 3.0, 5.0, 2.0]
 
+    def test_columns_are_read_only(self, box_scene):
+        # the channel layer keeps steering computed from a path set's angles
+        traced = trace_paths(box_scene, self.TX, self.RX, 2, 2.4e9)
+        built = PathSet(paths=traced.paths, tx_pose=self.TX, rx_pose=self.RX, carrier_freq=2.4e9)
+        for ps in (traced, built):
+            for column in columns_of(ps) + (ps.bounces,):
+                with pytest.raises(ValueError):
+                    column[0] = column[1]
+
     def test_empty_path_set(self):
         ps = PathSet(paths=[], tx_pose=Pose.at(0, 0, 0), rx_pose=Pose.at(1, 0, 0), carrier_freq=2.4e9)
         assert len(ps) == 0 and ps.paths == [] and list(ps) == []

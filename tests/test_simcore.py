@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from isactwin import metrics, simcore
+from isactwin import channel, metrics, simcore
 from isactwin.cli import main
 from isactwin.channel import mrt_beamformer, synthesize_channel
 from isactwin.network import ArrayConfig
@@ -770,3 +770,17 @@ class TestInterference:
             assert ("robot", "ap_b") in paths          # the link is still traced
             assert record.rates[("robot", "ap_b")] == 0.0
             assert record.rates[("robot", "ap_a")] == reference.rates[("robot", "ap_a")]
+
+
+def test_phase_three_steers_each_array_once_per_link(case_study_dir, monkeypatch):
+    # the MRT beamformer and beamformed_gains share one steering pair per link and step
+    world = init_world(ScenarioConfig.from_file(case_study_dir / "desk_two_ap.json"))
+    steer, steered = channel.steering_vector, []
+    monkeypatch.setattr(channel, "steering_vector",
+                        lambda array, *args: steered.append(array) or steer(array, *args))
+    for t in range(2):
+        steered.clear()
+        sim_step(world, t)
+        links = [link for link, plan in world.rate_plan.items() if plan is not None]
+        assert len(links) == 2
+        assert steered == [world.graph.nodes[end].array for v, q in links for end in (v, q)]
