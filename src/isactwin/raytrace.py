@@ -15,8 +15,11 @@ and all (M, K + 1) segments are tested for occlusion against all S planes in
 one pass, with the endpoint guard as the only filter for the surfaces a
 segment starts or ends on. A -1 mirrors nothing, its point is the source and
 its coefficient 1, so padding adds only zero-length legs. The survivors'
-gains, delays, Doppler shifts, local angles and bounce points become the
-columns of the PathSet; the bounces keep the padding, as rows equal to tx.
+gains and delays become the PathSet's columns at trace time; it keeps their
+polylines, and the first read of a Doppler shift, local angle, order or
+bounce point builds all five of those columns from them at once. A
+fingerprint, which reads gains and delays only, never builds them. The
+bounces keep the padding, as rows equal to tx.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -118,42 +121,63 @@ class PropagationPath:
 class PathSet:
     """All resolvable paths of one link as columns, stably sorted by delay.
 
-    gain (L,) complex; delay, doppler and order (L,); aoa and aod (L, 2), the
-    local (azimuth, elevation) at the receiver and the transmitter; and
-    bounces (L, K, 3), each path's reflection points right-aligned behind
-    K - order rows equal to the tx position (a list of paths pads K to its
-    largest order). Iteration and ``paths`` give the paths back as PropagationPaths.
+    gain (L,) complex and delay (L,) exist from the start. doppler and order
+    (L,); aoa and aod (L, 2), the local (azimuth, elevation) at the receiver
+    and the transmitter; and bounces (L, K, 3), each path's reflection points
+    right-aligned behind K - order rows equal to the tx position (a list of
+    paths pads K to its largest order): a traced PathSet builds these five at
+    once on the first read of any of them, from the unsorted polylines it
+    keeps until then, and a list of paths sets them directly. Every column is
+    read-only. Iteration and ``paths`` give the paths back as PropagationPaths.
     """
 
     def __init__(self, paths, tx_pose: Pose, rx_pose: Pose, carrier_freq: float):
         paths = list(paths)
         k = max((p.order for p in paths), default=0)
-        self._set_sorted(tx_pose, rx_pose, carrier_freq,
-                         np.array([p.gain for p in paths], dtype=complex),
-                         np.array([p.delay for p in paths], dtype=float),
-                         np.array([p.doppler for p in paths], dtype=float),
-                         np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2),
-                         np.array([p.aod for p in paths], dtype=float).reshape(-1, 2),
-                         np.array([p.order for p in paths], dtype=int),
-                         np.array([np.vstack([tx_pose.position] * (k - p.order) + [p.reflection_points])
-                                   for p in paths]).reshape(len(paths), k, 3))
+        self._set_head(tx_pose, rx_pose, carrier_freq,
+                       np.array([p.gain for p in paths], dtype=complex),
+                       np.array([p.delay for p in paths], dtype=float))
+        self._set_tail(np.array([p.doppler for p in paths], dtype=float),
+                       np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2),
+                       np.array([p.aod for p in paths], dtype=float).reshape(-1, 2),
+                       np.array([p.order for p in paths], dtype=int),
+                       np.array([np.vstack([tx_pose.position] * (k - p.order) + [p.reflection_points])
+                                 for p in paths]).reshape(len(paths), k, 3))
 
     @classmethod
-    def _from_columns(cls, *args) -> "PathSet":
-        """trace_paths' route in, with _set_sorted's arguments: no PropagationPath is built."""
+    def _traced(cls, tx_pose, rx_pose, carrier_freq, gain, delay, order, pts) -> "PathSet":
+        """trace_paths' route in: the survivors' unsorted order (M',) and polylines (M', K + 2, 3)
+        wait for the first read of the tail; no PropagationPath is built."""
         ps = cls.__new__(cls)
-        ps._set_sorted(*args)
+        ps._set_head(tx_pose, rx_pose, carrier_freq, gain, delay)
+        ps._polylines = (order, pts)
         return ps
 
-    def _set_sorted(self, tx_pose, rx_pose, carrier_freq, gain, delay, doppler, aoa, aod, order, bounces):
-        idx = np.argsort(delay, kind="stable")
+    def _set_head(self, tx_pose, rx_pose, carrier_freq, gain, delay):
+        self._sort = idx = np.argsort(delay, kind="stable")
         self.tx_pose, self.rx_pose, self.carrier_freq = tx_pose, rx_pose, carrier_freq
-        self.gain, self.delay, self.doppler = gain[idx], delay[idx], doppler[idx]
-        self.aoa, self.aod, self.order = aoa[idx], aod[idx], order[idx]
-        self.bounces = bounces[idx]
+        self.gain, self.delay = gain[idx], delay[idx]
+        self.gain.flags.writeable = self.delay.flags.writeable = False
+        self._tail = None
+
+    def _set_tail(self, *columns):
+        """Sort the unsorted (doppler, aoa, aod, order, bounces) like the head and freeze them."""
         # read-only like Pose's arrays: the channel layer keeps steering computed from them
-        for column in (self.gain, self.delay, self.doppler, self.aoa, self.aod, self.order, self.bounces):
+        self._tail = tuple(column[self._sort] for column in columns)
+        for column in self._tail:
             column.flags.writeable = False
+        self._sort = self._polylines = None
+
+    def _read_tail(self) -> tuple:
+        if self._tail is None:
+            self._set_tail(*_trace_tail(self.tx_pose, self.rx_pose, self.carrier_freq, *self._polylines))
+        return self._tail
+
+    doppler = property(lambda self: self._read_tail()[0])
+    aoa = property(lambda self: self._read_tail()[1])
+    aod = property(lambda self: self._read_tail()[2])
+    order = property(lambda self: self._read_tail()[3])
+    bounces = property(lambda self: self._read_tail()[4])
 
     @property
     def paths(self) -> list:
@@ -201,6 +225,8 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     Every candidate of every order is traced in one pass over the scene's
     padded candidate table, whose rows run order by order, so the PathSet's
     stable delay sort orders equal delays the same way on every call.
+    The returned PathSet holds gains and delays; its Doppler shifts, angles,
+    orders and bounces are built by _trace_tail on their first read.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -222,14 +248,22 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     keep = amp >= GAIN_PRUNE_THRESHOLD
     rows, pts, total, gain = rows[keep], pts[keep], total[keep], gain[keep]
     order = np.count_nonzero(plan.real[rows], axis=1)
+    return PathSet._traced(tx, rx, carrier_freq, gain, total / SPEED_OF_LIGHT, order, pts)
+
+
+def _trace_tail(tx: Pose, rx: Pose, carrier_freq: float, order, pts) -> tuple:
+    """A trace's (doppler, aoa, aod, order, bounces), unsorted, from its (M', K + 2, 3) polylines.
+
+    Each direction is normalised once. Legs under 1e-9 m are dropped at trace
+    time, so _unit's zero-length raise cannot fire on a traced PathSet.
+    """
     first = pts[np.arange(len(pts)), -1 - order]  # the first bounce, or rx for LoS
     u_dep = _unit(first - pts[:, 0])              # leaves tx
     u_arr = _unit(pts[:, -1] - pts[:, -2])        # arrives at rx
     doppler = carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, tx.velocity) - np.vecdot(u_arr, rx.velocity))
     aoa = _direction_angles(rx.rotation, -u_arr)
     aod = _direction_angles(tx.rotation, u_dep)
-    return PathSet._from_columns(tx, rx, carrier_freq, gain, total / SPEED_OF_LIGHT, doppler,
-                                 aoa, aod, order, pts[:, 1:-1])
+    return doppler, aoa, aod, order, pts[:, 1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +413,10 @@ def _occluded(accel: _Accel, starts, segs, seg_lengths) -> np.ndarray:
 def _direction_angles(rotation: np.ndarray, units: np.ndarray) -> np.ndarray:
     """(M, 2) local (azimuth, elevation) of global unit vectors (M, 3) under a local-to-global rotation."""
     d = units @ rotation
-    return np.column_stack([np.arctan2(d[:, 1], d[:, 0]), np.arcsin(np.clip(d[:, 2], -1.0, 1.0))])
+    angles = np.empty((len(d), 2))
+    np.arctan2(d[:, 1], d[:, 0], out=angles[:, 0])
+    np.arcsin(np.clip(d[:, 2], -1.0, 1.0, out=angles[:, 1]), out=angles[:, 1])
+    return angles
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

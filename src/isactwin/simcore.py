@@ -811,14 +811,15 @@ def sim_step(world: World, t: int) -> TraceRecord:
         rt = world.agents[aid]
         pose = rt.pose
 
-        # phase 4: measurement = fresh fingerprints at the twin's pose
+        # phase 4: measurement = fresh fingerprints at the twin's pose, one receiver for every AP
         try:
-            dt_position = pose.position + offset
+            dt_pose = None
             mdps = {}
             for ap_id in world.db.ap_ids:
                 if has_offset or (aid, ap_id) not in pathsets:
+                    dt_pose = dt_pose or Pose(position=pose.position + offset)
                     ap_pose = world.graph.nodes[ap_id].pose
-                    paths = trace_paths(world.scene, ap_pose, Pose(position=dt_position),
+                    paths = trace_paths(world.scene, ap_pose, dt_pose,
                                         max_order=cfg.max_order, carrier_freq=cfg.ofdm.carrier_freq)
                 else:
                     paths = pathsets[(aid, ap_id)]

@@ -9,6 +9,7 @@ workload implies: one ``trace_paths`` and one ``compute_mdp`` call per
 with a map offset) and two ``beamformed_gains`` calls. Its multiply-
 accumulate count reads ``beamformed_gains``' arguments by position, and its
 set-up time assumes the world is set up once per run and per database build.
+Only link traces build their paths' angles; fingerprint traces do not.
 These tests find all of these in the unit suite, on the tiny scenario. They
 read ``spans.py`` by path and compile it in memory, so nothing under
 ``perfbench/`` is imported as a package or written.
@@ -114,6 +115,42 @@ def test_run_call_counts_per_step(tiny_scenario, chain_builds, map_offset, ap_b_
                      * world.graph.nodes[v].array.num_elements)
     assert cmac > 0
     assert tracer.counts["channel.cmac"] == cmac
+
+
+@pytest.fixture
+def angle_calls(monkeypatch):
+    """Calls of raytrace._direction_angles: a traced PathSet makes two (aoa, aod) on its
+    first read of a geometry column, and none if only its gains and delays are read."""
+    calls = []
+    angles = raytrace._direction_angles
+
+    def counting(*args):
+        calls.append(1)
+        return angles(*args)
+
+    monkeypatch.setattr(raytrace, "_direction_angles", counting)
+    return calls
+
+
+def test_fingerprint_traces_build_no_path_geometry(tiny_scenario, angle_calls):
+    config = simcore.ScenarioConfig.from_file(tiny_scenario)
+    db, _ = simcore.build_db_for_scenario(config)
+    assert len(db.positions) * len(db.ap_ids) == 70
+    assert len(angle_calls) == 0
+
+
+@pytest.mark.parametrize("map_offset", [None, [0.0, -0.05]], ids=["clean", "map-offset"])
+def test_only_link_traces_build_path_geometry(tiny_scenario, angle_calls, map_offset):
+    doc = json.loads(tiny_scenario.read_text())
+    doc["noise"]["map_offset_m"] = map_offset
+    tiny_scenario.write_text(json.dumps(doc))
+    config = simcore.ScenarioConfig.from_file(tiny_scenario)
+    simcore.build_db_for_scenario(config)
+    angle_calls.clear()
+    records = simcore.run_simulation(dataclasses.replace(config, max_steps=6))
+    assert len(records) == 6
+    # 2 per link trace and step; the map offset's 2 fingerprint traces per step add none
+    assert len(angle_calls) == 4 * len(records)
 
 
 def link_path_counts(config, steps):

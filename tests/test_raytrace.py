@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import FrozenInstanceError, replace
@@ -19,6 +20,10 @@ from isactwin.raytrace import (
 )
 from isactwin.scene import Material, Scene, Surface, load_scene
 from conftest import box_scene_doc, repo_scenario_dir
+
+
+# the PathSet columns a trace builds on the first read of any of them
+GEOMETRY = ("doppler", "aoa", "aod", "order", "bounces")
 
 
 def empty_scene():
@@ -264,6 +269,7 @@ class TestBounces:
         assert np.array_equal(ps.bounces, want)
 
     def test_each_direction_is_normalised_once(self, box_scene, monkeypatch):
+        # not by the trace: on the first read of any geometry column, and never again
         calls = []
         unit = raytrace._unit
 
@@ -272,9 +278,15 @@ class TestBounces:
             return unit(v)
 
         monkeypatch.setattr(raytrace, "_unit", counting_unit)
-        for max_order in (0, 2, 3):
+        for max_order, first_read in itertools.product((0, 2, 3), GEOMETRY):
             calls.clear()
             ps = trace_paths(box_scene, self.TX, self.RX, max_order, 2.4e9)
+            assert len(ps) > 0 and ps.gain.shape == ps.delay.shape == (len(ps),)
+            assert calls == []             # all a fingerprint reads
+            getattr(ps, first_read)
+            assert calls == [(len(ps), 3)] * 2
+            for name in GEOMETRY + ("paths",):
+                getattr(ps, name)
             assert calls == [(len(ps), 3)] * 2
 
 

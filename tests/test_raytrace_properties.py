@@ -8,6 +8,7 @@ algorithm: the closed-form image lattice of an empty box (Allen & Berkley,
 JASA 1979).
 """
 
+import functools
 import gc
 import json
 import math
@@ -276,6 +277,38 @@ class TestReusedTransmitter:
         gc.collect()
         assert ref() is None
         assert len(plan.images) == 0
+
+
+@functools.cache
+def fixed_rooms():
+    return desk_box(), panel_room(2.5)
+
+
+@st.composite
+def fixed_room_links(draw):
+    """Links in the desk box or the panel room, with random velocities and orientations."""
+    scene = draw(st.sampled_from(fixed_rooms()))
+    tx, rx = draw(poses(scene)), draw(poses(scene))
+    assume(np.linalg.norm(tx.position - rx.position) > 1e-3)
+    return scene, tx, rx
+
+
+class TestDeferredGeometry:
+    """A traced PathSet builds doppler, aoa, aod, order and bounces on the first read of any of them."""
+
+    @given(fixed_room_links(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_first_read_does_not_change_a_column(self, link, max_order):
+        scene, tx, rx = link
+        by_bounces = trace_paths(scene, tx, rx, max_order, FC)
+        by_aoa = trace_paths(scene, tx, rx, max_order, FC)
+        by_bounces.bounces
+        by_aoa.aoa
+        for name in ("gain", "delay", "doppler", "aoa", "aod", "order", "bounces"):
+            got, want = getattr(by_aoa, name), getattr(by_bounces, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable and not want.flags.writeable
 
 
 class TestInvariants:
