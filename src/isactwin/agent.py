@@ -56,11 +56,7 @@ def diff_drive_step(pose: Pose, u: Control, dt: float) -> Pose:
         x += (v / om) * (math.sin(yaw + om * dt) - math.sin(yaw))
         y -= (v / om) * (math.cos(yaw + om * dt) - math.cos(yaw))
     new_yaw = wrap_angle(yaw + om * dt)
-    return Pose(
-        position=(x, y, z),
-        orientation=(new_yaw, pose.orientation[1], pose.orientation[2]),
-        velocity=(v * math.cos(new_yaw), v * math.sin(new_yaw), 0.0),
-    )
+    return Pose(position=(x, y, z), yaw=new_yaw, velocity=(v * math.cos(new_yaw), v * math.sin(new_yaw), 0.0))
 
 
 def step_state(pose: Pose, u: Control, noise: ProcessNoise, dt: float) -> Pose:
@@ -68,11 +64,7 @@ def step_state(pose: Pose, u: Control, noise: ProcessNoise, dt: float) -> Pose:
     pose = diff_drive_step(pose, u, dt)
     eps = noise.rng.normal(0.0, np.sqrt(noise.state_var))
     x, y, z = pose.position
-    return Pose(
-        position=(x + eps[0], y + eps[1], z),
-        orientation=(wrap_angle(pose.yaw + eps[2]), pose.orientation[1], pose.orientation[2]),
-        velocity=pose.velocity,
-    )
+    return Pose(position=(x + eps[0], y + eps[1], z), yaw=wrap_angle(pose.yaw + eps[2]), velocity=pose.velocity)
 
 
 def observe(m, noise: ProcessNoise) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Specular reflections only: candidate paths are the ordered surface sequences
 up to a maximum reflection order K with no surface repeated back to back (the
-image method of Allen & Berkley, JASA 1979). Each read-only scene caches its
-planes, reflection coefficients, per-surface edge planes and, per K, one plan:
-the (M, K) table of every sequence of order 0..K, order by order, right-aligned
+image method of Allen & Berkley, JASA 1979). There is one plan per read-only
+scene and K: the planes and edge planes of the scene's planar surfaces, the
+(M, K) table of every sequence of order 0..K, order by order, right-aligned
 behind -1s, its planes, edge planes and coefficients gathered once, and one
 (M, K + 1, 3) image chain per read-only tx Pose.
 
@@ -24,7 +24,7 @@ bounces keep the padding, as rows equal to tx.
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
     terminal toward the first/last bounce (or the far terminal for LoS);
-  * Euler orientation is Z-Y-X (yaw about z, then pitch about y, roll about x);
+  * a terminal's local frame is the global frame turned by yaw about z;
   * Doppler is (f_c / c) (u_dep . v_tx - u_arr . v_rx), u_dep leaving tx and u_arr reaching rx;
   * the per-path amplitude is (lambda / (4 pi d)) * prod(reflection coeffs)
     with phase -2 pi d / lambda, clamped to unit magnitude at sub-wavelength
@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scene import CONTAINS_TOL, Scene
+from .scene import CONTAINS_TOL, Scene, _set_read_only
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -63,39 +63,30 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """Position, Z-Y-X Euler orientation, and velocity of a terminal."""
+    """Position, yaw and velocity of a terminal; its local frame is the global frame turned by yaw about z.
+
+    Position and velocity are the pose's own read-only copies and yaw is
+    wrapped to (-pi, pi]: the cached rotation and the tracer's image chains
+    are built from them.
+    """
 
     position: np.ndarray
-    orientation: np.ndarray = None
-    velocity: np.ndarray = None
+    yaw: float = 0.0
+    velocity: np.ndarray = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        ori = np.zeros(3) if self.orientation is None else np.asarray(self.orientation, dtype=float).reshape(3)
-        # own read-only copies: the cached rotation and the tracer's image chains are built from them
-        for name, value in (("position", self.position), ("orientation", [wrap_angle(a) for a in ori]),
-                            ("velocity", np.zeros(3) if self.velocity is None else self.velocity)):
-            object.__setattr__(self, name, np.array(value, dtype=float).reshape(3))
-            getattr(self, name).flags.writeable = False
+        _set_read_only(self, position=np.array(self.position, dtype=float).reshape(3),
+                       yaw=wrap_angle(self.yaw), velocity=np.array(self.velocity, dtype=float).reshape(3))
 
     @classmethod
-    def at(cls, x, y, z=0.0, yaw=0.0, pitch=0.0, roll=0.0, velocity=(0.0, 0.0, 0.0)) -> "Pose":
-        return cls(position=(x, y, z), orientation=(yaw, pitch, roll), velocity=velocity)
-
-    @property
-    def yaw(self) -> float:
-        return float(self.orientation[0])
+    def at(cls, x, y, z=0.0, yaw=0.0, velocity=(0.0, 0.0, 0.0)) -> "Pose":
+        return cls(position=(x, y, z), yaw=yaw, velocity=velocity)
 
     @cached_property
     def rotation(self) -> np.ndarray:
-        """Local-to-global rotation matrix Rz(yaw) @ Ry(pitch) @ Rx(roll), built once, read-only."""
-        a, b, g = self.orientation
-        ca, sa = math.cos(a), math.sin(a)
-        cb, sb = math.cos(b), math.sin(b)
-        cg, sg = math.cos(g), math.sin(g)
-        rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-        ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-        rx = np.array([[1.0, 0.0, 0.0], [0.0, cg, -sg], [0.0, sg, cg]])
-        rotation = rz @ ry @ rx
+        """Local-to-global rotation matrix Rz(yaw), built once, read-only."""
+        c, s = math.cos(self.yaw), math.sin(self.yaw)
+        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         rotation.flags.writeable = False
         return rotation
 
@@ -233,14 +224,13 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     if np.linalg.norm(rx.position - tx.position) < 1e-12:
         raise ValueError("coincident endpoints")
 
-    accel = _accel_for(scene)
-    plan = accel.plan(max_order)
+    plan = _plan_for(scene, max_order)
     rows, pts = _unfold(plan, tx, rx.position)
     segs = np.diff(pts, axis=1)
     seg_lengths = np.linalg.norm(segs, axis=2)
     short = seg_lengths < 1e-9  # a zero-length leg drops the path, unless it is padding
     short[:, :-1] &= plan.real[rows]
-    keep = ~_occluded(accel, pts[:, :-1], segs, seg_lengths) & ~short.any(axis=1)
+    keep = ~_occluded(plan, pts[:, :-1], segs, seg_lengths) & ~short.any(axis=1)
     rows, pts, total = rows[keep], pts[keep], seg_lengths[keep].sum(axis=1)
     gain = path_gain(total, plan.coeffs[rows], carrier_freq)
     amp = np.abs(gain)
@@ -271,8 +261,16 @@ def _trace_tail(tx: Pose, rx: Pose, carrier_freq: float, order, pts) -> tuple:
 
 @dataclass(eq=False)
 class _Plan:
-    """What a trace over M candidates of order 0..K needs and no receiver changes (_Accel's, gathered)."""
+    """What a trace over M candidates of order 0..K needs and no receiver changes, one per (scene, K).
 
+    Occlusion reads the tables of the scene's S usable (planar) surfaces; the
+    (M, K) tables gather them over every sequence of order 0..K.
+    """
+
+    surface_normals: np.ndarray       # (S, 3)
+    surface_offsets: np.ndarray       # (S,), n . x = offset
+    surface_edge_normals: np.ndarray  # (S, V, 3) in-plane edge normals n x edge, zero-padded to V
+    surface_edge_offsets: np.ndarray  # (S, V), inside is edge_normal . x >= edge_offset
     real: np.ndarray          # (M, K) bounce is a surface; an order-k row leads with K - k padding columns
     normals: np.ndarray       # (M, K, 3) each bounce's plane (any plane at padding)
     offsets: np.ndarray       # (M, K)
@@ -282,44 +280,19 @@ class _Plan:
     images: weakref.WeakKeyDictionary  # tx Pose -> its (M, K + 1, 3) image chain, dying with the pose
 
 
-@dataclass(eq=False)
-class _Accel:
-    """Per-scene tables of the usable (planar) surfaces, S of them."""
-
-    normals: np.ndarray       # (S, 3)
-    offsets: np.ndarray       # (S,), n . x = offset
-    coeffs: np.ndarray        # (S,) reflection coefficients
-    edge_normals: np.ndarray  # (S, V, 3) in-plane edge normals n x edge, zero-padded to V
-    edge_offsets: np.ndarray  # (S, V), inside is edge_normal . x >= edge_offset
-    plans: dict               # max_order K -> its _Plan
-
-    def plan(self, max_order: int) -> _Plan:
-        """The plan of every sequence of order 0..K with no surface twice in a row, built once per K.
-
-        An order-k row is right-aligned behind K - k padding columns of -1.
-        Rows are in lexicographic order, which puts the orders in turn.
-        """
-        plan = self.plans.get(max_order)
-        if plan is None:
-            side = len(self.offsets) + 1   # indices -1..S-1, rows in lexicographic order
-            seqs = np.indices((side,) * max_order).reshape(max_order, side ** max_order).T - 1
-            prev, cur = seqs[:, :-1], seqs[:, 1:]
-            seqs = seqs[np.all((prev < 0) | ((cur >= 0) & (cur != prev)), axis=1)]
-            # orders no sequence reaches (fewer than two surfaces) leave all-padding columns
-            seqs = seqs[:, np.any(seqs >= 0, axis=0)]
-            self.plans[max_order] = plan = _Plan(
-                seqs >= 0, self.normals[seqs], self.offsets[seqs], self.edge_normals[seqs],
-                self.edge_offsets[seqs], np.where(seqs < 0, 1.0, self.coeffs[seqs]),
-                weakref.WeakKeyDictionary())
-        return plan
+_PLANS: "weakref.WeakKeyDictionary[Scene, dict]" = weakref.WeakKeyDictionary()  # scene -> {K: _Plan}
 
 
-_ACCEL_CACHE: "weakref.WeakKeyDictionary[Scene, _Accel]" = weakref.WeakKeyDictionary()
+def _plan_for(scene: Scene, max_order: int) -> _Plan:
+    """The scene's plan for order K, built once per (scene, K); it dies with the scene.
 
-
-def _accel_for(scene: Scene) -> _Accel:
-    accel = _ACCEL_CACHE.get(scene)
-    if accel is None:
+    Its rows are every sequence of order 0..K with no surface twice in a row,
+    an order-k row right-aligned behind K - k padding columns of -1. Rows are
+    in lexicographic order, which puts the orders in turn.
+    """
+    plans = _PLANS.setdefault(scene, {})
+    plan = plans.get(max_order)
+    if plan is None:
         usable = [s for s in scene.surfaces if s.unit_normal is not None]
         num_edges = max((len(s.vertices) for s in usable), default=0)
         edge_normals = np.zeros((len(usable), num_edges, 3))
@@ -327,13 +300,20 @@ def _accel_for(scene: Scene) -> _Accel:
         for i, s in enumerate(usable):
             edge_normals[i, : len(s.vertices)] = s.edge_normals
             edge_offsets[i, : len(s.vertices)] = s.edge_offsets
-        _ACCEL_CACHE[scene] = accel = _Accel(
-            normals=np.array([s.unit_normal for s in usable]).reshape(-1, 3),
-            offsets=np.array([s.plane_offset for s in usable]),
-            coeffs=np.array([s.material.reflection_coeff for s in usable]),
-            edge_normals=edge_normals, edge_offsets=edge_offsets, plans={},
-        )
-    return accel
+        normals = np.array([s.unit_normal for s in usable]).reshape(-1, 3)
+        offsets = np.array([s.plane_offset for s in usable])
+        coeffs = np.array([s.material.reflection_coeff for s in usable])
+        side = len(usable) + 1   # indices -1..S-1, rows in lexicographic order
+        seqs = np.indices((side,) * max_order).reshape(max_order, side ** max_order).T - 1
+        prev, cur = seqs[:, :-1], seqs[:, 1:]
+        seqs = seqs[np.all((prev < 0) | ((cur >= 0) & (cur != prev)), axis=1)]
+        # orders no sequence reaches (fewer than two surfaces) leave all-padding columns
+        seqs = seqs[:, np.any(seqs >= 0, axis=0)]
+        plans[max_order] = plan = _Plan(
+            normals, offsets, edge_normals, edge_offsets, seqs >= 0, normals[seqs], offsets[seqs],
+            edge_normals[seqs], edge_offsets[seqs], np.where(seqs < 0, 1.0, coeffs[seqs]),
+            weakref.WeakKeyDictionary())
+    return plan
 
 
 def _inside(edge_normals, edge_offsets, points):
@@ -389,7 +369,7 @@ def _unfold(plan: _Plan, tx: Pose, rx_point: np.ndarray):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _occluded(accel: _Accel, starts, segs, seg_lengths) -> np.ndarray:
+def _occluded(plan: _Plan, starts, segs, seg_lengths) -> np.ndarray:
     """(M,) mask: some segment crosses a surface between its ends.
 
     All (M, K + 1) segments starts + t segs, 0 < t < 1, meet all S planes at once.
@@ -397,16 +377,16 @@ def _occluded(accel: _Accel, starts, segs, seg_lengths) -> np.ndarray:
     on, whose planes it meets only there; zero-length padding legs hit nothing.
     Only hits are tested for containment.
     """
-    shape = segs.shape[:2] + (len(accel.offsets),)   # (M, K + 1, S)
-    denom = (segs.reshape(-1, 3) @ accel.normals.T).reshape(shape)
-    t = (accel.offsets - (starts.reshape(-1, 3) @ accel.normals.T).reshape(shape)) / denom
+    shape = segs.shape[:2] + (len(plan.surface_offsets),)   # (M, K + 1, S)
+    denom = (segs.reshape(-1, 3) @ plan.surface_normals.T).reshape(shape)
+    t = (plan.surface_offsets - (starts.reshape(-1, 3) @ plan.surface_normals.T).reshape(shape)) / denom
     length = seg_lengths[..., None]
     # hits within the endpoint guard are the path's own touch points
     hits = (np.abs(denom) > 1e-15) & (t > 0.0) & (t < 1.0)
     hits &= (t * length >= _ENDPOINT_GUARD) & ((1.0 - t) * length >= _ENDPOINT_GUARD)
     row, leg, surface = np.nonzero(hits)
     points = starts[row, leg] + t[row, leg, surface, None] * segs[row, leg]
-    inside = _inside(accel.edge_normals[surface], accel.edge_offsets[surface], points)
+    inside = _inside(plan.surface_edge_normals[surface], plan.surface_edge_offsets[surface], points)
     return np.bincount(row[inside], minlength=len(segs)) > 0
 
 

@@ -80,7 +80,7 @@ class Surface:
         _set_read_only(self, vertices=v)
         n = _newell_normal(v)
         if n is not None:
-            edges = np.cross(n, np.roll(v, -1, axis=0) - v)
+            edges = np.cross(n, np.concatenate((v[1:], v[:1])) - v)
             _set_read_only(self, unit_normal=n, plane_offset=float(n @ v[0]), edge_normals=edges,
                            edge_offsets=np.vecdot(edges, v))
 
@@ -236,7 +236,7 @@ def validate_scene(scene: Scene) -> list[str]:
             # inside[j, i]: how far vertex j lies inside edge i, times the edge's
             # length; at vertex i + 2 that is the turn at vertex i + 1
             inside = surf.vertices @ surf.edge_normals.T - surf.edge_offsets
-            if np.any(np.abs(np.diagonal(np.roll(inside, -2, axis=0))) <= 1e-12):
+            if np.any(np.abs(np.diagonal(np.concatenate((inside[2:], inside[:2])))) <= 1e-12):
                 violations.append(f"{label}: consecutive vertices collinear")
             elif np.any(inside < -CONTAINS_TOL):
                 # a turn-sign test alone passes a pentagram, whose tips lie outside other edges
@@ -294,15 +294,19 @@ def serialize_scene(scene: Scene) -> dict:
 
 def scene_hash(scene: Scene) -> str:
     """Deterministic content hash, used as a stale-database guard."""
-    canon = json.dumps(serialize_scene(scene), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return json_digest(serialize_scene(scene))
+
+
+def json_digest(payload) -> str:
+    """sha256 of canonical JSON (sorted keys, no spaces): the rule for every database stamp."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def _newell_normal(vertices: np.ndarray) -> np.ndarray | None:
     if len(vertices) < 3:
         return None
     v = vertices
-    rolled = np.roll(v, -1, axis=0)
+    rolled = np.concatenate((v[1:], v[:1]))
     n = np.array([
         np.sum((v[:, 1] - rolled[:, 1]) * (v[:, 2] + rolled[:, 2])),
         np.sum((v[:, 2] - rolled[:, 2]) * (v[:, 0] + rolled[:, 0])),

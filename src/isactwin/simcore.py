@@ -47,8 +47,6 @@ whitespace, "/", or the wildcard characters "*", "?" and "[".
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -71,7 +69,7 @@ from .network import (
     incoming_edges,
 )
 from .raytrace import Pose, trace_paths
-from .scene import SceneError, _set_read_only, floor_grid, load_scene, read_document, scene_hash
+from .scene import SceneError, _set_read_only, floor_grid, json_digest, load_scene, read_document, scene_hash
 
 
 class ConfigError(ValueError):
@@ -548,7 +546,7 @@ def db_signature(config: ScenarioConfig, graph) -> str:
     }
     build = config.db.build
     if build is None:
-        return f"{_digest(network)}:"
+        return f"{json_digest(network)}:"
     grid = {
         "spacing_m": build.spacing,
         "bin_width_s": build.bin_width,
@@ -556,12 +554,7 @@ def db_signature(config: ScenarioConfig, graph) -> str:
         "roi_m": None if build.roi is None else list(build.roi),
         "height_m": _db_height(config),
     }
-    return f"{_digest(network)}:{_digest(grid)}"
-
-
-def _digest(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return f"{json_digest(network)}:{json_digest(grid)}"
 
 
 def _db_height(config: ScenarioConfig) -> float:

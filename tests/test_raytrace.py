@@ -292,13 +292,18 @@ class TestBounces:
 
 class TestPoseRotation:
     def test_built_once_and_read_only(self):
-        pose = Pose.at(0, 0, 0, yaw=0.3, pitch=-0.2, roll=0.1)
+        pose = Pose.at(0, 0, 0, yaw=0.3)
         assert pose.rotation is pose.rotation
-        assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3), atol=1e-15)
+        c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+        np.testing.assert_array_equal(pose.rotation, [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError):
             pose.rotation[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            pose.orientation[0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            pose.yaw = 1.0
+
+    def test_yaw_is_wrapped(self):
+        assert Pose.at(0, 0, 0, yaw=3.0 * math.pi / 2.0).yaw == pytest.approx(-math.pi / 2.0, abs=1e-15)
+        assert Pose.at(0, 0, 0, yaw=-math.pi).yaw == pytest.approx(math.pi, abs=1e-15)
 
     def test_position_and_velocity_are_read_only_copies(self):
         # the tracer caches image chains per tx pose, so a pose must not follow its caller's array

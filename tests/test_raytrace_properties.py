@@ -54,8 +54,7 @@ def poses(draw, scene):
     position = lo + (hi - lo) * np.array(frac)
     angle = st.floats(-math.pi, math.pi)
     velocity = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
-    return Pose.at(*position, yaw=draw(angle), pitch=draw(angle) / 4, roll=draw(angle) / 4,
-                   velocity=velocity)
+    return Pose.at(*position, yaw=draw(angle), velocity=velocity)
 
 
 @st.composite
@@ -80,7 +79,7 @@ def near_wall_links(draw):
     gap = 10.0 ** -draw(st.floats(5.0, 12.0))
     height = wall.unit_normal @ near.position - wall.plane_offset
     near = Pose(near.position - (height - math.copysign(gap, height)) * wall.unit_normal,
-                near.orientation, near.velocity)
+                near.yaw, near.velocity)
     return (scene, near, far) if draw(st.booleans()) else (scene, far, near)
 
 
@@ -262,7 +261,7 @@ class TestReusedTransmitter:
                          velocity=rng.uniform(-1, 1, 3))
             assert_same_paths(trace_paths(scene, tx, rx, max_order, FC),
                               trace_paths_scalar(scene, tx, rx, max_order, FC))
-        plans = raytrace._accel_for(scene).plans
+        plans = raytrace._PLANS[scene]
         assert sorted(plans) == [0, 1, 2, 3]
         assert all(list(plan.images) == [tx] for plan in plans.values())
 
@@ -270,13 +269,24 @@ class TestReusedTransmitter:
         scene = desk_box()
         tx, rx = Pose.at(0.1, 0.1, 0.5), Pose.at(0.8, 0.6, 0.1)
         assert len(trace_paths(scene, tx, rx, 3, FC)) > 0    # the PathSet, which holds tx, is dropped
-        plan = raytrace._accel_for(scene).plan(3)
+        plan = raytrace._PLANS[scene][3]
         assert list(plan.images) == [tx]
         ref = weakref.ref(tx)
         del tx
         gc.collect()
         assert ref() is None
         assert len(plan.images) == 0
+
+    def test_plans_die_with_their_scene(self):
+        gc.collect()
+        scene = desk_box()
+        paths = trace_paths(scene, Pose.at(0.1, 0.1, 0.5), Pose.at(0.8, 0.6, 0.1), 2, FC)
+        assert list(raytrace._PLANS[scene]) == [2]
+        cached, ref = len(raytrace._PLANS), weakref.ref(scene)
+        del scene, paths
+        gc.collect()
+        assert ref() is None
+        assert len(raytrace._PLANS) == cached - 1
 
 
 @functools.cache
@@ -286,7 +296,7 @@ def fixed_rooms():
 
 @st.composite
 def fixed_room_links(draw):
-    """Links in the desk box or the panel room, with random velocities and orientations."""
+    """Links in the desk box or the panel room, with random velocities and yaws."""
     scene = draw(st.sampled_from(fixed_rooms()))
     tx, rx = draw(poses(scene)), draw(poses(scene))
     assume(np.linalg.norm(tx.position - rx.position) > 1e-3)
