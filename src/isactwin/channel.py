@@ -16,15 +16,18 @@ The rate kernels are array code over all L paths of a link at once. The
 steering matrices of a path set are computed once per array pair and shared
 by synthesize_channel and beamformed_gains while the path set lives. Over
 the (sub-carrier, symbol) grid, beamformed_gains fills up to 128 distinct
-sub-carriers at a time: a (rows, L) table of per-sub-carrier phases, built
+sub-carriers (four 32-wide blocks, anchored at the grid's first
+sub-carrier) at a time: a (rows, L) table of per-sub-carrier phases, built
 from a per-block and a within-block factor, times one (L, N_R * K)
-right-hand side in one BLAS matmul. No (N, L) table over all sub-carriers
-is built. The per-path forms and the einsum they replaced live on as the
-test oracle in tests/channel_oracle.py.
+right-hand side in one BLAS matmul. How a grid splits into blocks and
+chunks is worked out once per grid, not once per call. No (N, L) table
+over all sub-carriers is built. The per-path forms and the einsum they
+replaced live on as the test oracle in tests/channel_oracle.py.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -100,13 +103,50 @@ def synthesize_channel(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayCon
     return (a_r * coeff) @ a_t.T
 
 
-# Sub-carrier n = _PHASE_BLOCK * h + m: exp(-j 2 pi tau df n) is the product
-# of a per-block factor and a within-block factor, so a grid of N sub-carriers
-# costs (distinct blocks + _PHASE_BLOCK) complex exponentials per path, not N.
+# Sub-carrier n = n0 + _PHASE_BLOCK * h + m, with n0 the grid's smallest:
+# exp(-j 2 pi tau df n) is the product of a per-block factor and a within-block
+# factor, so a grid of N sub-carriers costs (distinct blocks + _PHASE_BLOCK)
+# complex exponentials per path, not N.
 _PHASE_BLOCK = 32
 # beamformed_gains builds its phase table over this many distinct blocks at a
 # time, so the table never exceeds (_CHUNK_BLOCKS * _PHASE_BLOCK, L)
 _CHUNK_BLOCKS = 4
+
+
+@dataclass(frozen=True, eq=False)
+class _GridLayout:
+    """How beamformed_gains walks one sub-carrier grid; its arrays are read-only."""
+
+    rows: int            # distinct sub-carriers
+    starts: np.ndarray   # (B,) first sub-carrier n0 + 32 h of each distinct block
+    chunks: tuple        # (first block, end block, first row, end row, and None for whole
+                         #  blocks or (block of each row, offset in its block) for partial ones)
+    select: object       # the rows in input order: a slice, or an index array for repeats
+                         # and unsorted input
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_layout(key: bytes) -> _GridLayout:
+    """The layout of the int64 sub-carrier indices whose bytes are key: worked out
+    once per grid, since a link's grid does not change between steps."""
+    idx = np.frombuffer(key, dtype=np.int64)
+    # rows are the distinct sub-carriers in ascending order, so each block's rows are one slice
+    uniq, inverse = np.unique(idx, return_inverse=True)
+    n0 = uniq[:1].sum()                                                    # 0 for an empty grid
+    hi, lo = np.divmod(uniq - n0, _PHASE_BLOCK)
+    opens = np.diff(hi, prepend=hi[:1] - 1) != 0                           # row starts a block
+    row_block = np.cumsum(opens) - 1
+    starts = (n0 + _PHASE_BLOCK * hi[opens]).astype(float)
+    for a in (inverse, lo, row_block, starts):
+        a.flags.writeable = False
+    bounds = np.append(np.flatnonzero(opens)[::_CHUNK_BLOCKS], len(uniq))
+    chunks = []
+    for b, s, e in zip(range(0, len(starts), _CHUNK_BLOCKS), bounds[:-1], bounds[1:]):
+        b_end = min(b + _CHUNK_BLOCKS, len(starts))
+        whole = e - s == (b_end - b) * _PHASE_BLOCK
+        chunks.append((b, b_end, int(s), int(e), None if whole else (row_block[s:e], lo[s:e])))
+    select = slice(None) if np.array_equal(uniq, idx) else inverse
+    return _GridLayout(rows=len(uniq), starts=starts, chunks=tuple(chunks), select=select)
 
 
 def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig,
@@ -119,24 +159,30 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
 
         (H_nk w)_r = sum_l  exp(-j 2 pi n tau_l df) * (c_rl exp(j 2 pi k nu_l T_s)).
 
-    The sub-carrier factor of n = 32 h + m is a per-block factor P[h, l]
-    times a within-block factor Q[m, l]. The distinct sub-carriers are
-    taken four blocks (at most 128 rows) at a time: their (rows, L) table
-    P[h] * Q[m] is built in one buffer, by one broadcast product when the
-    rows are whole blocks, and times the (L, R*K) right-hand side in one
-    BLAS matmul. No (N, L) sub-carrier table is built: the largest array is
-    the (N, R*K) result. Equal to calling synthesize_channel per element up
-    to float accumulation order; the three-operand einsum this replaced is
-    kept as the test oracle in tests/channel_oracle.py. subcarriers must be
-    integer indices, in any order and with repeats. Returns an array of
-    shape (len(subcarriers), len(symbols)) whose row i belongs to
-    subcarriers[i].
+    Blocks are anchored at the grid's smallest sub-carrier n0: the sub-carrier
+    factor of n = n0 + 32 h + m is a per-block factor P[h, l] times a
+    within-block factor Q[m, l], so a contiguous grid is all whole blocks.
+    The distinct sub-carriers are taken four blocks (at most 128 rows) at a
+    time: their (rows, L) table P[h] * Q[m] is built in one buffer, by one
+    broadcast product when the rows are whole blocks and row by row when
+    they are not, and times the (L, R*K) right-hand side in one BLAS matmul.
+    A grid's blocks, chunks and output order are worked out on its first
+    call and kept (_grid_layout). No (N, L) sub-carrier table is built: the
+    largest arrays are the (N, R*K) result and the (B, L) table of the B
+    distinct blocks' factors, which has N / 32 rows on a contiguous grid
+    and up to N on a sparse one. Equal to calling synthesize_channel per
+    element up to float accumulation order; the three-operand einsum this
+    replaced is kept as the test oracle in tests/channel_oracle.py.
+    subcarriers must be integer indices, in any order and with repeats.
+    Returns an array of shape (len(subcarriers), len(symbols)) whose row i
+    belongs to subcarriers[i].
     """
     _check_frame(paths, params)
     n = np.asarray(subcarriers)
     idx = n.astype(np.int64)
     if np.any(idx != n):
         raise ValueError("subcarrier indices must be integers")
+    layout = _grid_layout(idx.tobytes())
     ks = np.asarray(symbols, dtype=float)
     a_r, a_t = _path_responses(paths, tx_array, rx_array, params.carrier_freq)
     c = a_r * (paths.gain * (a_t.T @ np.asarray(w, dtype=complex)))        # (R, L)
@@ -144,39 +190,32 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
     n_l, n_r, n_k = len(paths), len(c), len(ks)
     rhs = (c.T[:, :, None] * sym_phase[:, None, :]).reshape(n_l, n_r * n_k)
 
-    # rows are the distinct sub-carriers in ascending order, so each block's rows are one slice
-    uniq, inverse = np.unique(idx, return_inverse=True)
-    hi, lo = np.divmod(uniq, _PHASE_BLOCK)
-    opens = np.diff(hi, prepend=hi[:1] - 1) != 0                           # row starts a block
-    row_block = np.cumsum(opens) - 1
-    bounds = np.append(np.flatnonzero(opens)[::_CHUNK_BLOCKS], len(uniq))
     rate = -2.0 * math.pi * params.delta_f * paths.delay                   # (L,)
-    per_block = _cis(np.outer(hi[opens] * _PHASE_BLOCK, rate))             # (B, L)
+    per_block = _cis(np.outer(layout.starts, rate))                        # (B, L)
     in_block = _cis(np.outer(np.arange(_PHASE_BLOCK), rate))               # (32, L)
-    table = np.empty((min(len(uniq), _CHUNK_BLOCKS * _PHASE_BLOCK), n_l), dtype=complex)
-    hw = np.empty((len(uniq), n_r * n_k), dtype=complex)
-    for b, s, e in zip(range(0, len(per_block), _CHUNK_BLOCKS), bounds[:-1], bounds[1:]):
+    table = np.empty((min(layout.rows, _CHUNK_BLOCKS * _PHASE_BLOCK), n_l), dtype=complex)
+    hw = np.empty((layout.rows, n_r * n_k), dtype=complex)
+    for b, b_end, s, e, partial in layout.chunks:
         rows = table[:e - s]
-        whole = min(_CHUNK_BLOCKS, len(per_block) - b)
         # an in-place product keeps one broadcast or gathered (rows, L) temporary, not two
-        if e - s == whole * _PHASE_BLOCK:                                  # whole blocks
-            blocks = rows.reshape(whole, _PHASE_BLOCK, n_l)
+        if partial is None:
+            blocks = rows.reshape(b_end - b, _PHASE_BLOCK, n_l)
             blocks[...] = in_block
-            blocks *= per_block[b:b + whole, None]
+            blocks *= per_block[b:b_end, None]
         else:
-            np.take(per_block, row_block[s:e], axis=0, out=rows)
-            rows *= in_block[lo[s:e]]
+            np.take(per_block, partial[0], axis=0, out=rows)
+            rows *= in_block[partial[1]]
         np.matmul(rows, rhs, out=hw[s:e])
     # |.|^2 in place on the (re, im) pairs: no second (N, R*K) array. The sum over
     # the receive antennas is a loop of slice adds; a strided np.sum is several times slower.
     parts = hw.view(float)
     np.square(parts, out=parts)
-    parts = parts.reshape(len(uniq), n_r, n_k, 2)
+    parts = parts.reshape(layout.rows, n_r, n_k, 2)
     np.add(parts[..., 0], parts[..., 1], out=parts[..., 0])
     power = parts[:, 0, :, 0].copy()
     for r in range(1, n_r):
         power += parts[:, r, :, 0]
-    return power[inverse]
+    return power[layout.select]
 
 
 # PathSet -> {(tx_array, rx_array, carrier_freq): (a_r, a_t)}, dying with the path set;

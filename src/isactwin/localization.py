@@ -178,8 +178,10 @@ def localize(measured, db: FingerprintDB) -> tuple:
         if mdp.num_bins != db.num_bins or abs(mdp.bin_width - db.bin_width) > 1e-18:
             raise DatabaseError(f"bin parameters of AP {ap_id!r} do not match database")
     query = _aligned_unit(np.stack([mdp.bins for _, mdp in sorted(measured.items())]))
-    diff = db.aligned_unit[:, columns, :] - query                             # (P, A', num_bins)
-    scores = np.sqrt(np.mean(diff ** 2, axis=-1)).sum(axis=-1)
+    # every AP in database order, as each step measures them, needs no copy of the table
+    table = db.aligned_unit if columns == list(range(len(db.ap_ids))) else db.aligned_unit[:, columns, :]
+    diff = table - query                                                      # (P, A', num_bins)
+    scores = np.sqrt(np.mean(np.square(diff, out=diff), axis=-1)).sum(axis=-1)
     best = int(np.argmin(scores))
     return db.positions[best].copy(), float(scores[best])
 

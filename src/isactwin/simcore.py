@@ -343,6 +343,9 @@ class ScenarioConfig:
         )
 
         sim = doc["sim"]
+        seed = sim.get("seed", 0)
+        if _seed_problem(seed):
+            raise ConfigError(_seed_problem(seed))
         db_doc = doc.get("db", {})
         build = None
         if db_doc.get("build") is not None:
@@ -369,11 +372,19 @@ class ScenarioConfig:
             noise=noise,
             dt=float(sim["dt_s"]),
             max_steps=int(sim["max_steps"]),
-            seed=int(sim.get("seed", 0)),
+            seed=int(seed),
             max_order=int(doc.get("raytrace", {}).get("max_order", 2)),
             db=db,
             trace_csv=base_dir / doc.get("output", {}).get("trace_csv", "trace.csv"),
         )
+
+
+def _seed_problem(seed) -> str | None:
+    """The message for a seed numpy's generators would refuse or int() would round
+    (JSON true and 1.5 are not seeds), or None for a good one."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        return f"sim.seed must be a non-negative integer, got {seed!r}"
+    return None
 
 
 def _parse_pose(doc: dict, where: str) -> Pose:
@@ -420,6 +431,9 @@ def validate_scenario(config: ScenarioConfig) -> list:
         problems.append(f"sim.dt_s must be > 0, got {config.dt}")
     if config.max_steps < 1:
         problems.append(f"sim.max_steps must be >= 1, got {config.max_steps}")
+    seed_problem = _seed_problem(config.seed)      # a run --seed override is not parsed
+    if seed_problem:
+        problems.append(seed_problem)
     if config.noise.noise_power_w <= 0.0:
         problems.append("noise.noise_power_w must be > 0")
     if config.noise.state_var < 0.0:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from isactwin.channel import (
     OfdmParams,
+    _grid_layout,
     _path_responses,
     beamformed_gains,
     build_tx_signal,
@@ -19,6 +21,7 @@ from isactwin.channel import (
 )
 from isactwin.network import ArrayConfig
 from isactwin.raytrace import SPEED_OF_LIGHT as C, PathSet, Pose, PropagationPath
+from isactwin.simcore import ScenarioConfig, run_simulation
 import channel_oracle
 
 
@@ -214,6 +217,14 @@ class TestRateKernelsAgainstOracle:
              subs=list(range(224)), syms=[4], df=78125.0, w_seed=9)           # 3 whole blocks last
     @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
              subs=list(range(45, 345)), syms=[1, 2], df=78125.0, w_seed=10)   # starts mid-block
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(32, LAM / 2), rx=ArrayConfig(2, LAM / 2),
+             subs=list(range(1, 513)), syms=[1, 14], df=78125.0, w_seed=11)   # shipped ap1 grid
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(3, LAM / 2),
+             subs=list(range(45, 45 + 32 * 5 + 1)), syms=[2, 3], df=78125.0, w_seed=12)  # 32k + 1
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
+             subs=list(range(0, 16384, 32)), syms=[1, 5], df=15000.0, w_seed=13)  # one per block
+    @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
+             subs=[], syms=[1, 2, 3], df=78125.0, w_seed=14)                  # no sub-carriers
     @settings(max_examples=120, deadline=None)
     def test_matches_oracle(self, entries, tx, rx, subs, syms, df, w_seed):
         ps = make_pathset(entries)
@@ -226,9 +237,9 @@ class TestRateKernelsAgainstOracle:
         fast = beamformed_gains(ps, tx, rx, w, p, subs, syms)
         slow = channel_oracle.beamformed_gains(ps, tx, rx, w, p, subs, syms)
         assert fast.shape == (len(subs), len(syms))
-        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12 * np.max(slow))
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12 * np.max(slow, initial=0.0))
 
-        for n in {int(subs[0]), int(subs[-1])}:
+        for n in set(subs[:1].tolist() + subs[-1:].tolist()):
             for k in {int(syms[0]), int(syms[-1])}:
                 h = synthesize_channel(ps, tx, rx, n, k, p)
                 ref = channel_oracle.synthesize_channel(ps, tx, rx, n, k, p)
@@ -280,6 +291,49 @@ def test_beamformed_gains_builds_no_subcarrier_by_path_table():
         finally:
             tracemalloc.stop()
         assert peak < (n_sub * rx.num_elements * n_sym + n_sub * n_paths) * 16, first
+
+
+def test_beamformed_gains_on_a_sparse_grid_builds_no_subcarrier_by_path_table():
+    # one sub-carrier in every 32-wide block, so each opens a block of its own
+    # and the per-block factor table is (N, L) too. The rows of partial blocks
+    # are filled one by one: padding them to whole blocks would make the
+    # result 32 times longer, about 7 MB here, far past this bound of 1.3 MB.
+    rng = np.random.default_rng(13)
+    n_paths, n_sym = 63, 14
+    entries = [((rng.normal() + 1j * rng.normal()) * 0.01, rng.uniform(1e-9, 8e-8), rng.uniform(-50, 50),
+                (rng.uniform(-1, 1), rng.uniform(-1, 1)), (rng.uniform(-1, 1), rng.uniform(-1, 1)))
+               for _ in range(n_paths)]
+    tx, rx = ArrayConfig(32, LAM / 2), ArrayConfig(2, LAM / 2)
+    w = np.ones(32) / math.sqrt(32)
+    p, syms = params(n=16384, k=n_sym), np.arange(1, n_sym + 1)
+    for first in (0, 5):
+        subs = np.arange(first, 16384, 32)
+        beamformed_gains(make_pathset(entries), tx, rx, w, p, subs, syms)   # warm up imports and layout
+        ps = make_pathset(entries)
+        tracemalloc.start()
+        try:
+            beamformed_gains(ps, tx, rx, w, p, subs, syms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (len(subs) * rx.num_elements * n_sym + 2 * len(subs) * n_paths) * 16, first
+
+
+def test_grid_layout_is_worked_out_once_per_link(tiny_scenario):
+    config = dataclasses.replace(ScenarioConfig.from_file(tiny_scenario), max_steps=6)
+    _grid_layout.cache_clear()
+    records = run_simulation(config)
+    assert len(records) == 6
+    info = _grid_layout.cache_info()
+    assert (info.misses, info.hits) == (2, 10)          # two links, each with its own grid
+
+    # a cached layout is shared by every later call, so none of its arrays may be written
+    for subs in (np.arange(1, 17), np.arange(45, 45 + 32 * 5 + 1), np.array([70, 3, 3, 40])):
+        layout = _grid_layout(subs.astype(np.int64).tobytes())
+        arrays = [layout.starts] + [a for *_, partial in layout.chunks for a in partial or ()]
+        if not isinstance(layout.select, slice):
+            arrays.append(layout.select)
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 class TestTxSignal:

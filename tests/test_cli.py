@@ -94,6 +94,12 @@ class TestRun:
         assert main(["run", scenario, "--seed", "2", "--max-steps", "5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_override_is_one_error_line(self, scenario, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["run", scenario, "--seed", "-1", "--max-steps", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sim.seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_overrides_run_a_replaced_config(self, tmp_path):
         # noisy, so that the seed shows in the trace
         doc = tiny_scenario_doc()

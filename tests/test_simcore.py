@@ -186,10 +186,13 @@ class TestScenarioConfig:
          ".network.edges[0] must be two node ids, got 'ap_a'"),
         (lambda doc: doc["agents"][0].update(path={"circle": {"center": [0.6], "radius": 0.1}}),
          "agent 'robot': path.circle.center must hold 2 numbers, got [0.6]"),
+        (lambda doc: doc["sim"].update(seed=-1), "sim.seed must be a non-negative integer, got -1"),
+        (lambda doc: doc["sim"].update(seed=1.5), "sim.seed must be a non-negative integer, got 1.5"),
+        (lambda doc: doc["sim"].update(seed=True), "sim.seed must be a non-negative integer, got True"),
     ], ids=["role-case", "link-end-without-array", "transmitter-without-pose", "zero-carrier",
             "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position",
             "four-number-node-position", "list-as-edge-end", "three-node-edge", "id-as-edge",
-            "one-number-circle-center"])
+            "one-number-circle-center", "negative-seed", "fractional-seed", "boolean-seed"])
     def test_scenario_that_would_fail_in_run_rejected(self, tmp_path, capsys, edit, message):
         # validate, build-db and run all set up through validate_scenario
         doc = tiny_scenario_doc()
