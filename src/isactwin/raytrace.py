@@ -10,16 +10,16 @@ behind -1s, its planes, edge planes and coefficients gathered once, and one
 
 A trace makes one array pass over all M candidates (as Sionna RT does, arXiv
 2303.11103): the receiver is back-traced through the image chain to the
-reflection points, all bounces are checked for polygon containment at once,
-and all (M, K + 1) segments are tested for occlusion against all S planes in
-one pass, with the endpoint guard as the only filter for the surfaces a
-segment starts or ends on. A -1 mirrors nothing, its point is the source and
-its coefficient 1, so padding adds only zero-length legs. The survivors'
-gains and delays become the PathSet's columns at trace time; it keeps their
-polylines, and the first read of a Doppler shift, local angle, order or
-bounce point builds all five of those columns from them at once. A
-fingerprint, which reads gains and delays only, never builds them. The
-bounces keep the padding, as rows equal to tx.
+reflection points, the plane guards run in one pass over the (M, K) bounces
+and polygon containment only on the rows that pass them, and the survivors'
+(M', K + 1) segments meet all S planes in one occlusion pass, with the
+endpoint guard as the only filter for the surfaces a segment starts or ends
+on. A -1 mirrors nothing, its point is the source and its coefficient 1, so
+padding adds only zero-length legs. The survivors' gains and delays become
+the PathSet's columns at trace time; it keeps their polylines, and the first
+read of a Doppler shift, local angle, order or bounce point builds all five
+of those columns from them at once. A fingerprint, which reads gains and
+delays only, never builds them. The bounces keep the padding, as rows equal to tx.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -230,15 +230,14 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     seg_lengths = np.linalg.norm(segs, axis=2)
     short = seg_lengths < 1e-9  # a zero-length leg drops the path, unless it is padding
     short[:, :-1] &= plan.real[rows]
-    keep = ~_occluded(plan, pts[:, :-1], segs, seg_lengths) & ~short.any(axis=1)
-    rows, pts, total = rows[keep], pts[keep], seg_lengths[keep].sum(axis=1)
+    total = seg_lengths.sum(axis=1)
     gain = path_gain(total, plan.coeffs[rows], carrier_freq)
     amp = np.abs(gain)
     gain[amp > 1.0] /= amp[amp > 1.0]
-    keep = amp >= GAIN_PRUNE_THRESHOLD
-    rows, pts, total, gain = rows[keep], pts[keep], total[keep], gain[keep]
-    order = np.count_nonzero(plan.real[rows], axis=1)
-    return PathSet._traced(tx, rx, carrier_freq, gain, total / SPEED_OF_LIGHT, order, pts)
+    keep = np.flatnonzero(~_occluded(plan, pts[:, :-1], segs, seg_lengths) & ~short.any(axis=1)
+                          & (amp >= GAIN_PRUNE_THRESHOLD))
+    order = np.count_nonzero(plan.real[rows[keep]], axis=1)
+    return PathSet._traced(tx, rx, carrier_freq, gain[keep], total[keep] / SPEED_OF_LIGHT, order, pts[keep])
 
 
 def _trace_tail(tx: Pose, rx: Pose, carrier_freq: float, order, pts) -> tuple:
@@ -342,10 +341,10 @@ def _image_chain(plan: _Plan, tx_point: np.ndarray) -> np.ndarray:
 def _unfold(plan: _Plan, tx: Pose, rx_point: np.ndarray):
     """Back-trace the plan's rows from rx; returns M' row indices and their (M', K + 2, 3) points (tx..rx).
 
-    It keeps the M' rows whose every real bounce lands inside its polygon, strictly
-    between the previous point and the image, and tests containment once, after the
-    loop. A padding column (they lead, so no bounce is traced back from one) has no
-    guards, and its point is tx. The image chain is built once per tx pose.
+    The loop computes only points and (M, K) denominators and line parameters; the guards
+    (each real bounce strictly between the previous point and the image) run in one pass
+    over those, then containment on the rows that pass. A padding column (they lead, so no
+    bounce is traced back from one) has no guards; its point is tx. Images are per tx pose.
     """
     images = plan.images.get(tx)
     if images is None:
@@ -353,38 +352,39 @@ def _unfold(plan: _Plan, tx: Pose, rx_point: np.ndarray):
     m, k = plan.real.shape
     pts = np.empty((m, k + 2, 3))
     pts[:, 0], pts[:, -1] = tx.position, rx_point
+    denom, t = np.empty((m, k)), np.empty((m, k))
     cur = pts[:, -1]
-    ok = np.ones(m, dtype=bool)
-    for i in range(k, 0, -1):
-        n = plan.normals[:, i - 1]
-        ab = images[:, i] - cur
-        denom = np.vecdot(ab, n)
-        t = (plan.offsets[:, i - 1] - np.vecdot(cur, n)) / denom
-        cur = pts[:, i] = cur + t[:, None] * ab
-        ok &= ~plan.real[:, i - 1] | ((np.abs(denom) >= 1e-15) & (t > 1e-12) & (t < 1.0 - 1e-12))
-    bounces = pts[:, 1:-1]
-    ok &= np.all(~plan.real | _inside(plan.edge_normals, plan.edge_offsets, bounces), axis=1)
-    bounces[~plan.real] = tx.position
-    return np.flatnonzero(ok), pts[ok]
+    for i in range(k - 1, -1, -1):
+        n = plan.normals[:, i]
+        ab = images[:, i + 1] - cur
+        denom[:, i] = np.vecdot(ab, n)
+        t[:, i] = (plan.offsets[:, i] - np.vecdot(cur, n)) / denom[:, i]
+        cur = pts[:, i + 1] = cur + t[:, i, None] * ab
+    guarded = (np.abs(denom) >= 1e-15) & (t > 1e-12) & (t < 1.0 - 1e-12)
+    rows = np.flatnonzero(np.all(guarded | ~plan.real, axis=1))
+    real, pts = plan.real[rows], pts[rows]
+    keep = np.all(~real | _inside(plan.edge_normals[rows], plan.edge_offsets[rows], pts[:, 1:-1]), axis=1)
+    pts[:, 1:-1][~real] = tx.position
+    return rows[keep], pts[keep]
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _occluded(plan: _Plan, starts, segs, seg_lengths) -> np.ndarray:
     """(M,) mask: some segment crosses a surface between its ends.
 
-    All (M, K + 1) segments starts + t segs, 0 < t < 1, meet all S planes at once.
-    The endpoint guard is the only filter for the surfaces a segment starts or ends
-    on, whose planes it meets only there; zero-length padding legs hit nothing.
-    Only hits are tested for containment.
+    All (M, K + 1) segments starts + t segs meet all S planes at once. The endpoint guard,
+    t L and (1 - t) L >= 1e-9 (so 0 < t < 1), is the only filter for the surfaces a segment
+    starts or ends on, whose planes it meets only there; zero-length padding legs hit nothing.
+    Only hits are tested for containment; with none (as in a convex room) the pass stops.
     """
     shape = segs.shape[:2] + (len(plan.surface_offsets),)   # (M, K + 1, S)
     denom = (segs.reshape(-1, 3) @ plan.surface_normals.T).reshape(shape)
     t = (plan.surface_offsets - (starts.reshape(-1, 3) @ plan.surface_normals.T).reshape(shape)) / denom
     length = seg_lengths[..., None]
-    # hits within the endpoint guard are the path's own touch points
-    hits = (np.abs(denom) > 1e-15) & (t > 0.0) & (t < 1.0)
-    hits &= (t * length >= _ENDPOINT_GUARD) & ((1.0 - t) * length >= _ENDPOINT_GUARD)
+    hits = (np.abs(denom) > 1e-15) & (t * length >= _ENDPOINT_GUARD) & ((1.0 - t) * length >= _ENDPOINT_GUARD)
     row, leg, surface = np.nonzero(hits)
+    if not len(row):
+        return np.zeros(len(segs), dtype=bool)
     points = starts[row, leg] + t[row, leg, surface, None] * segs[row, leg]
     inside = _inside(plan.surface_edge_normals[surface], plan.surface_edge_offsets[surface], points)
     return np.bincount(row[inside], minlength=len(segs)) > 0

@@ -273,8 +273,8 @@ class ScenarioConfig:
     def _parse(cls, doc: dict, base_dir: Path) -> "ScenarioConfig":
         ofdm_doc = doc["ofdm"]
         ofdm = OfdmParams(
-            n_subcarriers=int(ofdm_doc["n_subcarriers"]),
-            n_symbols=int(ofdm_doc["n_symbols"]),
+            n_subcarriers=_integer(ofdm_doc["n_subcarriers"], "ofdm.n_subcarriers"),
+            n_symbols=_integer(ofdm_doc["n_symbols"], "ofdm.n_symbols"),
             delta_f=float(ofdm_doc["delta_f_hz"]),
             carrier_freq=float(ofdm_doc["carrier_hz"]),
         )
@@ -290,7 +290,7 @@ class ScenarioConfig:
             if nd.get("array") is not None:
                 arr = nd["array"]
                 array = ArrayConfig(
-                    num_elements=int(arr["elements"]),
+                    num_elements=_integer(arr["elements"], f"node {node_id!r}: array.elements"),
                     spacing=float(arr.get("spacing_wavelengths", 0.5)) * lam,
                     boresight=math.radians(float(arr.get("boresight_deg", 0.0))),
                 )
@@ -304,9 +304,10 @@ class ScenarioConfig:
         edges = tuple(tuple(edge) for edge in net["edges"])
 
         requests = []
-        for user in net.get("resources", {}).get("users", []):
-            subs = _parse_index_set(user.get("subcarriers"), ofdm.n_subcarriers)
-            syms = _parse_index_set(user.get("symbols"), ofdm.n_symbols)
+        for i, user in enumerate(net.get("resources", {}).get("users", [])):
+            where = f"network.resources.users[{i}]"
+            subs = _parse_index_set(user.get("subcarriers"), ofdm.n_subcarriers, f"{where}.subcarriers")
+            syms = _parse_index_set(user.get("symbols"), ofdm.n_symbols, f"{where}.symbols")
             requests.append(
                 ResourceRequest(
                     user=str(user["id"]),
@@ -343,9 +344,6 @@ class ScenarioConfig:
         )
 
         sim = doc["sim"]
-        seed = sim.get("seed", 0)
-        if _seed_problem(seed):
-            raise ConfigError(_seed_problem(seed))
         db_doc = doc.get("db", {})
         build = None
         if db_doc.get("build") is not None:
@@ -353,7 +351,7 @@ class ScenarioConfig:
             build = DbBuildSpec(
                 spacing=float(b.get("spacing_m", 0.05)),
                 bin_width=float(b.get("bin_width_s", 12.5e-9)),
-                num_bins=int(b.get("num_bins", 64)),
+                num_bins=_integer(b.get("num_bins", 64), "db.build.num_bins"),
                 roi=tuple(float(x) for x in b["roi_m"]) if b.get("roi_m") else None,
                 height=float(b["height_m"]) if b.get("height_m") is not None else None,
             )
@@ -371,20 +369,22 @@ class ScenarioConfig:
             agents=tuple(agents),
             noise=noise,
             dt=float(sim["dt_s"]),
-            max_steps=int(sim["max_steps"]),
-            seed=int(seed),
-            max_order=int(doc.get("raytrace", {}).get("max_order", 2)),
+            max_steps=_integer(sim["max_steps"], "sim.max_steps"),
+            seed=_integer(sim.get("seed", 0), "sim.seed", non_negative=True),
+            max_order=_integer(doc.get("raytrace", {}).get("max_order", 2), "raytrace.max_order"),
             db=db,
             trace_csv=base_dir / doc.get("output", {}).get("trace_csv", "trace.csv"),
         )
 
 
-def _seed_problem(seed) -> str | None:
-    """The message for a seed numpy's generators would refuse or int() would round
-    (JSON true and 1.5 are not seeds), or None for a good one."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        return f"sim.seed must be a non-negative integer, got {seed!r}"
-    return None
+def _integer(value, where: str, non_negative: bool = False) -> int:
+    """value as an int, else a ConfigError naming where. Only a JSON integer passes: int() would
+    truncate 2.5 and read true as 1, and 64.0 is refused with them. non_negative is the seed's
+    rule, which numpy's generators need."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (non_negative and value < 0):
+        kind = "a non-negative integer" if non_negative else "an integer"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def _parse_pose(doc: dict, where: str) -> Pose:
@@ -399,12 +399,13 @@ def _numbers(value, count: int, where: str) -> list:
     return [float(x) for x in value]
 
 
-def _parse_index_set(spec, upper: int) -> frozenset:
+def _parse_index_set(spec, upper: int, where: str) -> frozenset:
     if spec is None:
         return frozenset(range(1, upper + 1))
     if isinstance(spec, dict):
-        return frozenset(range(int(spec["from"]), int(spec["to"]) + 1))
-    return frozenset(int(i) for i in spec)
+        first, last = _integer(spec["from"], f"{where}.from"), _integer(spec["to"], f"{where}.to")
+        return frozenset(range(first, last + 1))
+    return frozenset(_integer(x, f"{where}[{j}]") for j, x in enumerate(spec))
 
 
 def _parse_path(spec, where: str) -> np.ndarray:
@@ -413,7 +414,7 @@ def _parse_path(spec, where: str) -> np.ndarray:
         return agent_mod.circle_waypoints(
             center=_numbers(c["center"], 2, f"{where}.circle.center"),
             radius=float(c["radius"]),
-            count=int(c.get("waypoints", 16)),
+            count=_integer(c.get("waypoints", 16), f"{where}.circle.waypoints"),
             start_angle=math.radians(float(c.get("start_angle_deg", 0.0))),
         )
     return np.asarray(spec, dtype=float).reshape(-1, 2)
@@ -431,9 +432,10 @@ def validate_scenario(config: ScenarioConfig) -> list:
         problems.append(f"sim.dt_s must be > 0, got {config.dt}")
     if config.max_steps < 1:
         problems.append(f"sim.max_steps must be >= 1, got {config.max_steps}")
-    seed_problem = _seed_problem(config.seed)      # a run --seed override is not parsed
-    if seed_problem:
-        problems.append(seed_problem)
+    try:
+        _integer(config.seed, "sim.seed", non_negative=True)      # a run --seed override is not parsed
+    except ConfigError as exc:
+        problems.append(str(exc))
     if config.noise.noise_power_w <= 0.0:
         problems.append("noise.noise_power_w must be > 0")
     if config.noise.state_var < 0.0:

@@ -95,7 +95,32 @@ class TestDoppler:
         assert self.los_doppler((0, 1.0, 0)) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.fixture
+def inside_rows(monkeypatch):
+    """The number of points each raytrace._inside call tests for containment."""
+    rows = []
+    inside = raytrace._inside
+
+    def counting(edge_normals, edge_offsets, points):
+        rows.append(len(points))
+        return inside(edge_normals, edge_offsets, points)
+
+    monkeypatch.setattr(raytrace, "_inside", counting)
+    return rows
+
+
 class TestTracePaths:
+    def test_containment_runs_once_on_the_guard_survivors(self, box_scene, inside_rows):
+        # in a shoebox every candidate that passes the plane guards is a path, and no leg
+        # meets a plane between its ends, so occlusion has no hit to test for containment
+        tx = Pose.at(1.23, 0.74, 1.31)
+        for rx in np.random.default_rng(5).uniform(0.1, [3.9, 2.9, 2.4], size=(5, 3)):
+            inside_rows.clear()
+            ps = trace_paths(box_scene, tx, Pose(rx), 3, 2.4e9)
+            assert len(ps) == 63
+            assert inside_rows == [63]
+        assert len(raytrace._PLANS[box_scene][3].real) == 187
+
     def test_los_delay_three_meters(self):
         ps = trace_paths(empty_scene(), Pose.at(0, 0, 1), Pose.at(3, 0, 1), 0, 2.4e9)
         assert len(ps) == 1

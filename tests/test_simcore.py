@@ -25,7 +25,7 @@ from isactwin.simcore import (
     sim_step,
     validate_scenario,
 )
-from conftest import tiny_scenario_doc
+from conftest import repo_scenario_dir, tiny_scenario_doc
 
 
 class TestBus:
@@ -204,6 +204,31 @@ class TestScenarioConfig:
                      ["run", str(p), "--out", str(tmp_path / "t.csv")]):
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit,where,value", [
+        (lambda doc, v: doc["sim"].update(max_steps=v), "sim.max_steps", 2.5),
+        (lambda doc, v: doc["ofdm"].update(n_symbols=v), "ofdm.n_symbols", 14.7),
+        (lambda doc, v: doc["raytrace"].update(max_order=v), "raytrace.max_order", True),
+        (lambda doc, v: doc["db"]["build"].update(num_bins=v), "db.build.num_bins", 64.9),
+        (lambda doc, v: doc["network"]["nodes"][0]["array"].update(elements=v),
+         "node 'ap1': array.elements", 32.5),
+        (lambda doc, v: doc["agents"][0]["path"]["circle"].update(waypoints=v),
+         "agent 'robot': path.circle.waypoints", 12.5),
+        (lambda doc, v: doc["network"]["resources"]["users"][0]["subcarriers"].update(to=v),
+         "network.resources.users[0].subcarriers.to", 512.5),
+        (lambda doc, v: doc["db"]["build"].update(num_bins=v), "db.build.num_bins", 64.0),
+    ], ids=["max-steps", "n-symbols", "max-order", "num-bins", "elements", "waypoints",
+            "subcarriers-to", "integral-float"])
+    def test_integer_field_is_not_truncated(self, tmp_path, capsys, edit, where, value):
+        # int() would read 2.5 as 2 and true as 1; each field is one the shipped scenario sets
+        src = repo_scenario_dir()
+        doc = json.loads((src / "desk_two_ap.json").read_text())
+        edit(doc, value)
+        (tmp_path / "desk_box.scene.json").write_text((src / "desk_box.scene.json").read_text())
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {where} must be an integer, got {value!r}\n"
 
     @pytest.mark.parametrize("edit,where", [
         (lambda doc: doc.update(nosie={}), ".nosie"),
