@@ -51,7 +51,7 @@ class Mdp:
         self.bins = np.asarray(self.bins, dtype=float)
         if self.bin_width <= 0.0:
             raise ValueError("bin_width must be positive")
-        if np.any(self.bins < 0.0):
+        if (self.bins < 0.0).any():
             raise ValueError("bins must be nonnegative")
 
     @property

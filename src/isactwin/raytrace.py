@@ -3,16 +3,18 @@
 Specular reflections only: candidate paths are the ordered surface sequences
 up to a maximum reflection order K with no surface repeated back to back (the
 image method of Allen & Berkley, JASA 1979). There is one plan per read-only
-scene and K: the planes and edge planes of the scene's planar surfaces, the
-(M, K) table of every sequence of order 0..K, order by order, right-aligned
-behind -1s, its planes, edge planes and coefficients gathered once, and one
-(M, K + 1, 3) image chain per read-only tx Pose.
+scene and K: the planes and edge planes of the scene's planar surfaces, and
+level-major (K, M) tables of the planes, edge planes and coefficients of every
+sequence of order 0..K, order by order, right-aligned behind -1s, so level i
+is real exactly from row first[i] on. Each read-only tx Pose has one
+(K + 1, M, 3) image chain and one (K + 2, M, 3) point template filled with tx.
 
 A trace makes one array pass over all M candidates (as Sionna RT does, arXiv
-2303.11103): the receiver is back-traced through the image chain to the
-reflection points, the plane guards run in one pass over the (M, K) bounces
-and polygon containment only on the rows that pass them, and the survivors'
-(M', K + 1) segments meet all S planes in one occlusion pass, with the
+2303.11103): the receiver is back-traced through the image chain, on each
+level's real rows only, into a copy of the template; the plane guards run in
+one pass over the (K, M) bounces and polygon containment only on the rows
+that pass them, which padding passes by construction; and the survivors'
+(K + 1, M') segments meet all S planes in one occlusion pass, with the
 endpoint guard as the only filter for the surfaces a segment starts or ends
 on. A -1 mirrors nothing, its point is the source and its coefficient 1, so
 padding adds only zero-length legs. The survivors' gains and delays become
@@ -137,7 +139,7 @@ class PathSet:
 
     @classmethod
     def _traced(cls, tx_pose, rx_pose, carrier_freq, gain, delay, order, pts) -> "PathSet":
-        """trace_paths' route in: the survivors' unsorted order (M',) and polylines (M', K + 2, 3)
+        """trace_paths' route in: the survivors' unsorted order (M',) and polylines (K + 2, M', 3)
         wait for the first read of the tail; no PropagationPath is built."""
         ps = cls.__new__(cls)
         ps._set_head(tx_pose, rx_pose, carrier_freq, gain, delay)
@@ -194,7 +196,7 @@ def path_gain(path_length, reflection_coeffs, carrier_freq: float):
     coefficients multiply in sequence order.
     """
     d = np.asarray(path_length, dtype=float)
-    if np.any(d <= 0.0):
+    if (d <= 0.0).any():
         raise ValueError(f"path_length must be > 0, got {path_length}")
     coeffs = np.asarray(reflection_coeffs, dtype=float)
     lam = SPEED_OF_LIGHT / carrier_freq
@@ -202,7 +204,11 @@ def path_gain(path_length, reflection_coeffs, carrier_freq: float):
     for j in range(coeffs.shape[-1]):
         amp = amp * coeffs[..., j]
     phase = -2.0 * math.pi * d / lam
-    return amp * (np.cos(phase) + 1j * np.sin(phase))
+    gain = np.empty(d.shape, dtype=complex)
+    np.cos(phase, out=gain.real)
+    np.sin(phase, out=gain.imag)
+    gain *= amp   # (amp cos, amp sin) for a real amp
+    return gain[()]
 
 
 def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
@@ -221,38 +227,38 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    if np.linalg.norm(rx.position - tx.position) < 1e-12:
+    if math.dist(rx.position, tx.position) < 1e-12:
         raise ValueError("coincident endpoints")
 
     plan = _plan_for(scene, max_order)
     rows, pts = _unfold(plan, tx, rx.position)
-    segs = np.diff(pts, axis=1)
-    seg_lengths = np.linalg.norm(segs, axis=2)
+    segs = pts[1:] - pts[:-1]
+    seg_lengths = np.sqrt(np.add.reduce(segs * segs, axis=2))   # np.linalg.norm(segs, axis=2)
     short = seg_lengths < 1e-9  # a zero-length leg drops the path, unless it is padding
-    short[:, :-1] &= plan.real[rows]
-    total = seg_lengths.sum(axis=1)
-    gain = path_gain(total, plan.coeffs[rows], carrier_freq)
-    amp = np.abs(gain)
-    gain[amp > 1.0] /= amp[amp > 1.0]
-    keep = np.flatnonzero(~_occluded(plan, pts[:, :-1], segs, seg_lengths) & ~short.any(axis=1)
-                          & (amp >= GAIN_PRUNE_THRESHOLD))
-    order = np.count_nonzero(plan.real[rows[keep]], axis=1)
-    return PathSet._traced(tx, rx, carrier_freq, gain[keep], total[keep] / SPEED_OF_LIGHT, order, pts[keep])
+    short[:-1] &= np.less_equal.outer(plan.first, rows)
+    total = seg_lengths.sum(axis=0)
+    gain = path_gain(total, plan.coeffs.take(rows, axis=1).T, carrier_freq)
+    amp = abs(gain)
+    np.divide(gain, amp, out=gain, where=amp > 1.0)
+    keep = (~_occluded(plan, pts[:-1], segs, seg_lengths) & ~short.any(axis=0)
+            & (amp >= GAIN_PRUNE_THRESHOLD)).nonzero()[0]
+    return PathSet._traced(tx, rx, carrier_freq, gain[keep], total[keep] / SPEED_OF_LIGHT,
+                           plan.order[rows[keep]], pts.take(keep, axis=1))
 
 
 def _trace_tail(tx: Pose, rx: Pose, carrier_freq: float, order, pts) -> tuple:
-    """A trace's (doppler, aoa, aod, order, bounces), unsorted, from its (M', K + 2, 3) polylines.
+    """A trace's (doppler, aoa, aod, order, bounces), unsorted, from its (K + 2, M', 3) polylines.
 
     Each direction is normalised once. Legs under 1e-9 m are dropped at trace
     time, so _unit's zero-length raise cannot fire on a traced PathSet.
     """
-    first = pts[np.arange(len(pts)), -1 - order]  # the first bounce, or rx for LoS
-    u_dep = _unit(first - pts[:, 0])              # leaves tx
-    u_arr = _unit(pts[:, -1] - pts[:, -2])        # arrives at rx
+    first = pts[-1 - order, np.arange(pts.shape[1])]  # the first bounce, or rx for LoS
+    u_dep = _unit(first - pts[0])                     # leaves tx
+    u_arr = _unit(pts[-1] - pts[-2])                  # arrives at rx
     doppler = carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, tx.velocity) - np.vecdot(u_arr, rx.velocity))
     aoa = _direction_angles(rx.rotation, -u_arr)
     aod = _direction_angles(tx.rotation, u_dep)
-    return doppler, aoa, aod, order, pts[:, 1:-1]
+    return doppler, aoa, aod, order, pts[1:-1].transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +268,27 @@ def _trace_tail(tx: Pose, rx: Pose, carrier_freq: float, order, pts) -> tuple:
 class _Plan:
     """What a trace over M candidates of order 0..K needs and no receiver changes, one per (scene, K).
 
-    Occlusion reads the tables of the scene's S usable (planar) surfaces; the
-    (M, K) tables gather them over every sequence of order 0..K.
+    Occlusion reads the tables of the scene's S usable (planar) surfaces, whose zero
+    edge row S is what a padding -1 gathers. The bounce tables are level-major, and
+    level i is a real bounce exactly on rows first[i]:. Every array is read-only.
     """
 
     surface_normals: np.ndarray       # (S, 3)
     surface_offsets: np.ndarray       # (S,), n . x = offset
-    surface_edge_normals: np.ndarray  # (S, V, 3) in-plane edge normals n x edge, zero-padded to V
-    surface_edge_offsets: np.ndarray  # (S, V), inside is edge_normal . x >= edge_offset
-    real: np.ndarray          # (M, K) bounce is a surface; an order-k row leads with K - k padding columns
-    normals: np.ndarray       # (M, K, 3) each bounce's plane (any plane at padding)
-    offsets: np.ndarray       # (M, K)
-    edge_normals: np.ndarray  # (M, K, V, 3) each bounce's polygon
-    edge_offsets: np.ndarray  # (M, K, V)
-    coeffs: np.ndarray        # (M, K) reflection coefficients, exactly 1.0 at padding
-    images: weakref.WeakKeyDictionary  # tx Pose -> its (M, K + 1, 3) image chain, dying with the pose
+    surface_edge_normals: np.ndarray  # (S + 1, V, 3) in-plane edge normals n x edge, zero-padded to V
+    surface_edge_offsets: np.ndarray  # (S + 1, V), inside is edge_normal . x >= edge_offset
+    order: np.ndarray         # (M,) each row's reflection order, non-decreasing
+    first: np.ndarray         # (K,) each level's first real row
+    normals: np.ndarray       # (K, M, 3) each bounce's plane (any plane at padding)
+    offsets: np.ndarray       # (K, M)
+    edge_normals: np.ndarray  # (K, M, V, 3) each bounce's polygon, zero (so always inside) at padding
+    edge_offsets: np.ndarray  # (K, M, V)
+    coeffs: np.ndarray        # (K, M) reflection coefficients, exactly 1.0 at padding
+    guards: np.ndarray        # (2, K, M) denominator 1 and line parameter 0.5, which pass the plane guards
+    images: weakref.WeakKeyDictionary  # tx Pose -> its image chain and point template, dying with the pose
+
+    def __post_init__(self):
+        _set_read_only(self, **vars(self))
 
 
 _PLANS: "weakref.WeakKeyDictionary[Scene, dict]" = weakref.WeakKeyDictionary()  # scene -> {K: _Plan}
@@ -286,7 +298,8 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
     """The scene's plan for order K, built once per (scene, K); it dies with the scene.
 
     Its rows are every sequence of order 0..K with no surface twice in a row,
-    an order-k row right-aligned behind K - k padding columns of -1. Rows are
+    an order-k row right-aligned behind K - k padding levels of -1, which
+    gather row S of the edge tables (zero) and a coefficient of 1.0. Rows are
     in lexicographic order, which puts the orders in turn.
     """
     plans = _PLANS.setdefault(scene, {})
@@ -294,24 +307,25 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
     if plan is None:
         usable = [s for s in scene.surfaces if s.unit_normal is not None]
         num_edges = max((len(s.vertices) for s in usable), default=0)
-        edge_normals = np.zeros((len(usable), num_edges, 3))
-        edge_offsets = np.zeros((len(usable), num_edges))
+        edge_normals = np.zeros((len(usable) + 1, num_edges, 3))
+        edge_offsets = np.zeros((len(usable) + 1, num_edges))
         for i, s in enumerate(usable):
             edge_normals[i, : len(s.vertices)] = s.edge_normals
             edge_offsets[i, : len(s.vertices)] = s.edge_offsets
         normals = np.array([s.unit_normal for s in usable]).reshape(-1, 3)
         offsets = np.array([s.plane_offset for s in usable])
-        coeffs = np.array([s.material.reflection_coeff for s in usable])
-        side = len(usable) + 1   # indices -1..S-1, rows in lexicographic order
-        seqs = np.indices((side,) * max_order).reshape(max_order, side ** max_order).T - 1
-        prev, cur = seqs[:, :-1], seqs[:, 1:]
-        seqs = seqs[np.all((prev < 0) | ((cur >= 0) & (cur != prev)), axis=1)]
-        # orders no sequence reaches (fewer than two surfaces) leave all-padding columns
-        seqs = seqs[:, np.any(seqs >= 0, axis=0)]
+        coeffs = np.array([s.material.reflection_coeff for s in usable] + [1.0])
+        side = len(usable) + 1   # indices -1..S-1, columns in lexicographic order
+        seqs = np.indices((side,) * max_order).reshape(max_order, side ** max_order) - 1
+        prev, cur = seqs[:-1], seqs[1:]
+        seqs = seqs[:, ((prev < 0) | ((cur >= 0) & (cur != prev))).all(axis=0)]
+        # orders no sequence reaches (fewer than two surfaces) leave all-padding levels
+        seqs = seqs[(seqs >= 0).any(axis=1)]
+        real = seqs >= 0
         plans[max_order] = plan = _Plan(
-            normals, offsets, edge_normals, edge_offsets, seqs >= 0, normals[seqs], offsets[seqs],
-            edge_normals[seqs], edge_offsets[seqs], np.where(seqs < 0, 1.0, coeffs[seqs]),
-            weakref.WeakKeyDictionary())
+            normals, offsets, edge_normals, edge_offsets, real.sum(axis=0), (~real).sum(axis=1),
+            normals[seqs], offsets[seqs], edge_normals[seqs], edge_offsets[seqs], coeffs[seqs],
+            np.stack((np.ones(seqs.shape), np.full(seqs.shape, 0.5))), weakref.WeakKeyDictionary())
     return plan
 
 
@@ -322,72 +336,74 @@ def _inside(edge_normals, edge_offsets, points):
     per point of points (..., 3); zero padding is always inside.
     """
     dist = np.vecdot(edge_normals, points[..., None, :]) - edge_offsets
-    return ~np.any(dist < -CONTAINS_TOL, axis=-1)
+    return ~(dist < -CONTAINS_TOL).any(axis=-1)
 
 
-def _image_chain(plan: _Plan, tx_point: np.ndarray) -> np.ndarray:
-    """(M, K + 1, 3): column j is tx mirrored through the row's first j planes (padding mirrors nothing)."""
-    m, k = plan.real.shape
-    images = np.empty((m, k + 1, 3))
-    images[:, 0] = tx_point
-    for j in range(k):
-        p, n = images[:, j], plan.normals[:, j]
-        mirrored = p - (2.0 * (np.vecdot(p, n) - plan.offsets[:, j]))[:, None] * n
-        images[:, j + 1] = np.where(plan.real[:, j, None], mirrored, p)
-    return images
+def _image_chain(plan: _Plan, tx_point: np.ndarray) -> tuple:
+    """One tx's read-only (K + 1, M, 3) image chain and its (K + 2, M, 3) point template, all tx.
+
+    Level j of the chain is tx mirrored through the row's first j planes, so
+    only the rows first[j]: of level j + 1 mirror; padding mirrors nothing.
+    """
+    k, m = plan.offsets.shape
+    images, template = np.full((k + 1, m, 3), tx_point), np.full((k + 2, m, 3), tx_point)
+    for j, f in enumerate(plan.first):
+        p, n = images[j, f:], plan.normals[j, f:]
+        images[j + 1, f:] = p - (2.0 * (np.vecdot(p, n) - plan.offsets[j, f:]))[:, None] * n
+    images.flags.writeable = template.flags.writeable = False
+    return images, template
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _unfold(plan: _Plan, tx: Pose, rx_point: np.ndarray):
-    """Back-trace the plan's rows from rx; returns M' row indices and their (M', K + 2, 3) points (tx..rx).
+    """Back-trace the plan's rows from rx; returns M' row indices and their (K + 2, M', 3) points (tx..rx).
 
-    The loop computes only points and (M, K) denominators and line parameters; the guards
-    (each real bounce strictly between the previous point and the image) run in one pass
-    over those, then containment on the rows that pass. A padding column (they lead, so no
-    bounce is traced back from one) has no guards; its point is tx. Images are per tx pose.
+    Level i is traced on its real rows first[i]: only, into a copy of the tx's point template
+    and of the plan's guard template, whose padding entries (tx, and a denominator and line
+    parameter that pass) are never written. The guards (each real bounce strictly between the
+    previous point and the image) then run in one pass over the (K, M) denominators and line
+    parameters, and containment on the rows that pass. Images are per tx pose.
     """
-    images = plan.images.get(tx)
-    if images is None:
-        images = plan.images[tx] = _image_chain(plan, tx.position)
-    m, k = plan.real.shape
-    pts = np.empty((m, k + 2, 3))
-    pts[:, 0], pts[:, -1] = tx.position, rx_point
-    denom, t = np.empty((m, k)), np.empty((m, k))
-    cur = pts[:, -1]
-    for i in range(k - 1, -1, -1):
-        n = plan.normals[:, i]
-        ab = images[:, i + 1] - cur
-        denom[:, i] = np.vecdot(ab, n)
-        t[:, i] = (plan.offsets[:, i] - np.vecdot(cur, n)) / denom[:, i]
-        cur = pts[:, i + 1] = cur + t[:, i, None] * ab
-    guarded = (np.abs(denom) >= 1e-15) & (t > 1e-12) & (t < 1.0 - 1e-12)
-    rows = np.flatnonzero(np.all(guarded | ~plan.real, axis=1))
-    real, pts = plan.real[rows], pts[rows]
-    keep = np.all(~real | _inside(plan.edge_normals[rows], plan.edge_offsets[rows], pts[:, 1:-1]), axis=1)
-    pts[:, 1:-1][~real] = tx.position
-    return rows[keep], pts[keep]
+    entry = plan.images.get(tx)
+    if entry is None:
+        entry = plan.images[tx] = _image_chain(plan, tx.position)
+    images, pts = entry[0], entry[1].copy()
+    pts[-1] = rx_point
+    denom, t = plan.guards.copy()
+    for i in range(len(plan.first) - 1, -1, -1):
+        f = plan.first[i]
+        cur, n, d = pts[i + 2, f:], plan.normals[i, f:], denom[i, f:]
+        ab = images[i + 1, f:] - cur
+        np.vecdot(ab, n, out=d)
+        np.divide(plan.offsets[i, f:] - np.vecdot(cur, n), d, out=t[i, f:])
+        np.add(cur, t[i, f:, None] * ab, out=pts[i + 1, f:])
+    rows = ((abs(denom) >= 1e-15) & (t > 1e-12) & (t < 1.0 - 1e-12)).all(axis=0).nonzero()[0]
+    pts = pts.take(rows, axis=1)   # take: 2-3x faster than fancy indexing on axis 1
+    keep = _inside(plan.edge_normals.take(rows, axis=1), plan.edge_offsets.take(rows, axis=1),
+                   pts[1:-1]).all(axis=0)
+    return rows[keep], pts.compress(keep, axis=1)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _occluded(plan: _Plan, starts, segs, seg_lengths) -> np.ndarray:
     """(M,) mask: some segment crosses a surface between its ends.
 
-    All (M, K + 1) segments starts + t segs meet all S planes at once. The endpoint guard,
+    All (K + 1, M) segments starts + t segs meet all S planes at once. The endpoint guard,
     t L and (1 - t) L >= 1e-9 (so 0 < t < 1), is the only filter for the surfaces a segment
     starts or ends on, whose planes it meets only there; zero-length padding legs hit nothing.
     Only hits are tested for containment; with none (as in a convex room) the pass stops.
     """
-    shape = segs.shape[:2] + (len(plan.surface_offsets),)   # (M, K + 1, S)
+    shape = segs.shape[:2] + (len(plan.surface_offsets),)   # (K + 1, M, S)
     denom = (segs.reshape(-1, 3) @ plan.surface_normals.T).reshape(shape)
     t = (plan.surface_offsets - (starts.reshape(-1, 3) @ plan.surface_normals.T).reshape(shape)) / denom
     length = seg_lengths[..., None]
-    hits = (np.abs(denom) > 1e-15) & (t * length >= _ENDPOINT_GUARD) & ((1.0 - t) * length >= _ENDPOINT_GUARD)
-    row, leg, surface = np.nonzero(hits)
-    if not len(row):
-        return np.zeros(len(segs), dtype=bool)
-    points = starts[row, leg] + t[row, leg, surface, None] * segs[row, leg]
+    hits = (abs(denom) > 1e-15) & (t * length >= _ENDPOINT_GUARD) & ((1.0 - t) * length >= _ENDPOINT_GUARD)
+    if not hits.any():
+        return np.zeros(segs.shape[1], dtype=bool)
+    leg, row, surface = hits.nonzero()
+    points = starts[leg, row] + t[leg, row, surface, None] * segs[leg, row]
     inside = _inside(plan.surface_edge_normals[surface], plan.surface_edge_offsets[surface], points)
-    return np.bincount(row[inside], minlength=len(segs)) > 0
+    return np.bincount(row[inside], minlength=segs.shape[1]) > 0
 
 
 def _direction_angles(rotation: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -402,6 +418,6 @@ def _direction_angles(rotation: np.ndarray, units: np.ndarray) -> np.ndarray:
 def _unit(v: np.ndarray) -> np.ndarray:
     """Unit vectors along the last axis."""
     norm = np.sqrt(np.vecdot(v, v))
-    if np.any(norm == 0.0):
+    if (norm == 0.0).any():
         raise ValueError("zero-length direction")
     return v / norm[..., None]

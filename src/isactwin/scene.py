@@ -80,7 +80,9 @@ class Surface:
         _set_read_only(self, vertices=v)
         n = _newell_normal(v)
         if n is not None:
-            edges = np.cross(n, np.concatenate((v[1:], v[:1])) - v)
+            x, y, z = (np.concatenate((v[1:], v[:1])) - v).T
+            n0, n1, n2 = n.tolist()   # n x edge, with np.cross's products in its order
+            edges = np.column_stack((n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x))
             _set_read_only(self, unit_normal=n, plane_offset=float(n @ v[0]), edge_normals=edges,
                            edge_offsets=np.vecdot(edges, v))
 

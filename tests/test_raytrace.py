@@ -97,12 +97,12 @@ class TestDoppler:
 
 @pytest.fixture
 def inside_rows(monkeypatch):
-    """The number of points each raytrace._inside call tests for containment."""
+    """The number of candidate rows each raytrace._inside call tests for containment."""
     rows = []
     inside = raytrace._inside
 
     def counting(edge_normals, edge_offsets, points):
-        rows.append(len(points))
+        rows.append(points.shape[-2])   # (K, M', 3) bounces, or (N, 3) occlusion hits
         return inside(edge_normals, edge_offsets, points)
 
     monkeypatch.setattr(raytrace, "_inside", counting)
@@ -119,7 +119,7 @@ class TestTracePaths:
             ps = trace_paths(box_scene, tx, Pose(rx), 3, 2.4e9)
             assert len(ps) == 63
             assert inside_rows == [63]
-        assert len(raytrace._PLANS[box_scene][3].real) == 187
+        assert len(raytrace._PLANS[box_scene][3].order) == 187
 
     def test_los_delay_three_meters(self):
         ps = trace_paths(empty_scene(), Pose.at(0, 0, 1), Pose.at(3, 0, 1), 0, 2.4e9)

@@ -265,6 +265,30 @@ class TestReusedTransmitter:
         assert sorted(plans) == [0, 1, 2, 3]
         assert all(list(plan.images) == [tx] for plan in plans.values())
 
+    def test_cached_arrays_are_read_only(self):
+        # a trace that wrote into the plan, the image chain or the point template in place
+        # would corrupt every later trace of the scene or of that transmitter; it raises instead
+        scene, tx = desk_box(), Pose.at(0.1, 0.1, 0.5)
+        trace_paths(scene, tx, Pose.at(0.8, 0.6, 0.1), 3, FC)
+        plan = raytrace._PLANS[scene][3]
+        cached = [a for a in vars(plan).values() if isinstance(a, np.ndarray)] + list(plan.images[tx])
+        assert len(cached) == 14
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_cache_hits_give_a_fresh_poses_bits(self):
+        scene = desk_box()
+        ap = Pose.at(0.07, 0.07, 0.6, yaw=0.8, velocity=(0.1, 0.0, 0.0))
+        rng = np.random.default_rng(11)
+        for point in rng.uniform([0.02, 0.02, 0.02], [0.98, 0.78, 0.68], size=(20, 3)):
+            rx = Pose(point, rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0, 3))
+            hit = trace_paths(scene, ap, rx, 3, FC)
+            miss = trace_paths(scene, Pose(ap.position, ap.yaw, ap.velocity), rx, 3, FC)
+            for name in ("gain", "delay", "doppler", "aoa", "aod", "order", "bounces"):
+                assert np.array_equal(getattr(hit, name), getattr(miss, name))
+        assert ap in raytrace._PLANS[scene][3].images
+
     def test_image_chain_dies_with_its_pose(self):
         scene = desk_box()
         tx, rx = Pose.at(0.1, 0.1, 0.5), Pose.at(0.8, 0.6, 0.1)
@@ -287,6 +311,33 @@ class TestReusedTransmitter:
         gc.collect()
         assert ref() is None
         assert len(raytrace._PLANS) == cached - 1
+
+
+def assert_level_major(plan, num_surfaces, max_order):
+    """Rows run order by order, level i is real exactly from row first[i] on, and padding is inert."""
+    k, m = plan.offsets.shape
+    assert k == max_order == len(plan.first)
+    assert m == 1 + sum(num_surfaces * (num_surfaces - 1) ** (j - 1) for j in range(1, k + 1))
+    assert plan.order[0] == 0 and (np.diff(plan.order) >= 0).all()
+    for i, first in enumerate(plan.first):
+        real = np.arange(m) >= first
+        assert np.array_equal(real, plan.order >= k - i)   # bounces are right-aligned
+        assert plan.edge_normals[i, real].any(axis=(1, 2)).all()
+        assert not plan.edge_normals[i, ~real].any() and not plan.edge_offsets[i, ~real].any()
+        assert (plan.coeffs[i, ~real] == 1.0).all()
+    assert plan.guards.shape == (2, k, m)
+    assert (plan.guards[0] == 1.0).all() and (plan.guards[1] == 0.5).all()
+
+
+class TestPlanLayout:
+    @given(rooms(), st.integers(0, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_panel_rooms(self, scene, max_order):
+        assert_level_major(raytrace._plan_for(scene, max_order), len(scene.surfaces), max_order)
+
+    @pytest.mark.parametrize("max_order", range(5))
+    def test_desk_box(self, max_order):
+        assert_level_major(raytrace._plan_for(desk_box(), max_order), 6, max_order)
 
 
 @functools.cache

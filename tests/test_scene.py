@@ -18,7 +18,7 @@ from isactwin.scene import (
     serialize_scene,
     validate_scene,
 )
-from conftest import box_scene_doc
+from conftest import box_scene_doc, repo_scenario_dir
 
 
 class TestLoadScene:
@@ -175,6 +175,29 @@ class TestValidateScene:
             assert validate_scene(scene) == []
         else:
             assert scene is None
+
+
+class TestSurfacePlanes:
+    def test_edge_planes_match_np_cross(self):
+        # np.cross is the oracle for the component form Surface.__post_init__ computes n x edge with
+        rng = np.random.default_rng(7)
+        polygons = []
+        for _ in range(2000):   # random convex polygons: sorted angles on a circle, turned and moved
+            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 9)))
+            ring = np.column_stack((np.cos(angles), np.sin(angles), np.zeros(len(angles))))
+            basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            vertices = rng.uniform(0.1, 5.0) * ring @ basis + rng.uniform(-5.0, 5.0, 3)
+            polygons.append(Surface(vertices=vertices, material=Material("wall", 0.5)))
+        shipped = load_scene(repo_scenario_dir() / "desk_box.scene.json").surfaces
+        checked = 0
+        for s in shipped + tuple(polygons):
+            if s.unit_normal is None:
+                continue
+            edges = np.cross(s.unit_normal, np.concatenate((s.vertices[1:], s.vertices[:1])) - s.vertices)
+            assert np.array_equal(s.edge_normals, edges)
+            assert np.array_equal(s.edge_offsets, np.vecdot(edges, s.vertices))
+            checked += 1
+        assert checked >= 1990
 
 
 class TestFloorGrid:
