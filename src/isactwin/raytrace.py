@@ -3,25 +3,31 @@
 Specular reflections only: candidate paths are the ordered surface sequences
 up to a maximum reflection order K with no surface repeated back to back (the
 image method of Allen & Berkley, JASA 1979). There is one plan per read-only
-scene and K: the planes and edge planes of the scene's planar surfaces, and
-level-major (K, M) tables of the planes, edge planes and coefficients of every
-sequence of order 0..K, order by order, right-aligned behind -1s, so level i
-is real exactly from row first[i] on. Each read-only tx Pose has one
-(K + 1, M, 3) image chain and one (K + 2, M, 3) point template filled with tx.
+scene and K: the planes and edge planes of the scene's planar surfaces and of
+its occluders, the planes of its walls, and level-major (K, M) tables of the
+planes, edge planes and coefficients of every sequence of order 0..K, order
+by order, right-aligned behind -1s, so level i is real exactly from row
+first[i] on. Each read-only tx Pose has one (K + 1, M, 3) image chain and one
+(K + 2, M, 3) point template filled with tx.
 
 A trace makes one array pass over all M candidates (as Sionna RT does, arXiv
 2303.11103): the receiver is back-traced through the image chain, on each
 level's real rows only, into a copy of the template; the plane guards run in
 one pass over the (K, M) bounces and polygon containment only on the rows
 that pass them, which padding passes by construction; and the survivors'
-(K + 1, M') segments meet all S planes in one occlusion pass, with the
-endpoint guard as the only filter for the surfaces a segment starts or ends
-on. A -1 mirrors nothing, its point is the source and its coefficient 1, so
-padding adds only zero-length legs. The survivors' gains and delays become
-the PathSet's columns at trace time; it keeps their polylines, and the first
-read of a Doppler shift, local angle, order or bounce point builds all five
-of those columns from them at once. A fingerprint, which reads gains and
-delays only, never builds them. The bounces keep the padding, as rows equal to tx.
+(K + 1, M') segments meet the occluders' planes in one occlusion pass, with
+the endpoint guard as the only filter for the surfaces a segment starts or
+ends on. A wall has every vertex of the scene on one closed side of its
+plane, so a segment between two points on that side cannot cross it (as in
+beam tracing's convex cells, Funkhouser et al., SIGGRAPH 1998): the occluders
+are the other surfaces, or all S when tx or rx is behind a wall, and a closed
+room of walls alone, like the desk box, skips the pass. A -1 mirrors nothing,
+its point is the source and its coefficient 1, so padding adds only
+zero-length legs. The survivors' gains and delays become the PathSet's
+columns at trace time; it keeps their polylines, and the first read of a
+Doppler shift, local angle, order or bounce point builds all five of those
+columns from them at once. A fingerprint, which reads gains and delays only,
+never builds them. The bounces keep the padding, as rows equal to tx.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -39,6 +45,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -240,7 +247,8 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     gain = path_gain(total, plan.coeffs.take(rows, axis=1).T, carrier_freq)
     amp = abs(gain)
     np.divide(gain, amp, out=gain, where=amp > 1.0)
-    keep = (~_occluded(plan, pts[:-1], segs, seg_lengths) & ~short.any(axis=0)
+    keep = (~_occluded(plan.occluders_for(tx.position, rx.position), pts[:-1], segs, seg_lengths)
+            & ~short.any(axis=0)
             & (amp >= GAIN_PRUNE_THRESHOLD)).nonzero()[0]
     return PathSet._traced(tx, rx, carrier_freq, gain[keep], total[keep] / SPEED_OF_LIGHT,
                            plan.order[rows[keep]], pts.take(keep, axis=1))
@@ -264,19 +272,29 @@ def _trace_tail(tx: Pose, rx: Pose, carrier_freq: float, order, pts) -> tuple:
 # ---------------------------------------------------------------------------
 # internals
 
+class _Surfaces(NamedTuple):
+    """The occlusion tables of some of a scene's usable (planar) surfaces."""
+
+    normals: np.ndarray       # (S, 3)
+    offsets: np.ndarray       # (S,), n . x = offset
+    edge_normals: np.ndarray  # (S, V, 3) in-plane edge normals n x edge, zero-padded to V
+    edge_offsets: np.ndarray  # (S, V), inside is edge_normal . x >= edge_offset
+
+
 @dataclass(eq=False)
 class _Plan:
     """What a trace over M candidates of order 0..K needs and no receiver changes, one per (scene, K).
 
-    Occlusion reads the tables of the scene's S usable (planar) surfaces, whose zero
-    edge row S is what a padding -1 gathers. The bounce tables are level-major, and
-    level i is a real bounce exactly on rows first[i]:. Every array is read-only.
+    No segment between two points on a wall's scene side crosses the wall inside its ends,
+    so occlusion reads the occluders' tables when tx and rx are both on the scene side of
+    every wall, and all S surfaces' tables otherwise. The bounce tables are level-major,
+    and level i is a real bounce exactly on rows first[i]:. Every array is read-only.
     """
 
-    surface_normals: np.ndarray       # (S, 3)
-    surface_offsets: np.ndarray       # (S,), n . x = offset
-    surface_edge_normals: np.ndarray  # (S + 1, V, 3) in-plane edge normals n x edge, zero-padded to V
-    surface_edge_offsets: np.ndarray  # (S + 1, V), inside is edge_normal . x >= edge_offset
+    surfaces: _Surfaces       # all S usable surfaces
+    occluders: _Surfaces      # the usable surfaces that are not walls
+    wall_normals: np.ndarray  # (W, 3) the walls' planes, turned so the scene side is n . x >= offset
+    wall_offsets: np.ndarray  # (W,)
     order: np.ndarray         # (M,) each row's reflection order, non-decreasing
     first: np.ndarray         # (K,) each level's first real row
     normals: np.ndarray       # (K, M, 3) each bounce's plane (any plane at padding)
@@ -289,6 +307,14 @@ class _Plan:
 
     def __post_init__(self):
         _set_read_only(self, **vars(self))
+        for table in self.surfaces + self.occluders:
+            table.flags.writeable = False
+
+    def occluders_for(self, tx_point, rx_point) -> _Surfaces:
+        """The surfaces that can occlude a path from tx_point to rx_point: the occluders when
+        both lie on the scene side of every wall, else all S."""
+        behind = np.array((tx_point, rx_point)) @ self.wall_normals.T < self.wall_offsets
+        return self.surfaces if behind.any() else self.occluders
 
 
 _PLANS: "weakref.WeakKeyDictionary[Scene, dict]" = weakref.WeakKeyDictionary()  # scene -> {K: _Plan}
@@ -299,8 +325,10 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
 
     Its rows are every sequence of order 0..K with no surface twice in a row,
     an order-k row right-aligned behind K - k padding levels of -1, which
-    gather row S of the edge tables (zero) and a coefficient of 1.0. Rows are
-    in lexicographic order, which puts the orders in turn.
+    gather a zero row of edge planes and a coefficient of 1.0. Rows are in
+    lexicographic order, which puts the orders in turn. A surface is a wall
+    when the computed heights of all vertices over its plane are >= 0, or all
+    <= 0: zero tolerance, so a surface that any vertex pierces stays an occluder.
     """
     plans = _PLANS.setdefault(scene, {})
     plan = plans.get(max_order)
@@ -314,6 +342,12 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
             edge_offsets[i, : len(s.vertices)] = s.edge_offsets
         normals = np.array([s.unit_normal for s in usable]).reshape(-1, 3)
         offsets = np.array([s.plane_offset for s in usable])
+        surfaces = _Surfaces(normals, offsets, edge_normals[:-1], edge_offsets[:-1])
+        vertices = np.array([v for s in usable for v in s.vertices]).reshape(-1, 3)
+        heights = normals @ vertices.T - offsets[:, None]   # (S, all vertices)
+        ahead = (heights >= 0.0).all(axis=1)
+        walls = ahead | (heights <= 0.0).all(axis=1)
+        facing = np.where(ahead, 1.0, -1.0)[walls]
         coeffs = np.array([s.material.reflection_coeff for s in usable] + [1.0])
         side = len(usable) + 1   # indices -1..S-1, columns in lexicographic order
         seqs = np.indices((side,) * max_order).reshape(max_order, side ** max_order) - 1
@@ -323,7 +357,8 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
         seqs = seqs[(seqs >= 0).any(axis=1)]
         real = seqs >= 0
         plans[max_order] = plan = _Plan(
-            normals, offsets, edge_normals, edge_offsets, real.sum(axis=0), (~real).sum(axis=1),
+            surfaces, _Surfaces(*(table[~walls] for table in surfaces)),
+            normals[walls] * facing[:, None], offsets[walls] * facing, real.sum(axis=0), (~real).sum(axis=1),
             normals[seqs], offsets[seqs], edge_normals[seqs], edge_offsets[seqs], coeffs[seqs],
             np.stack((np.ones(seqs.shape), np.full(seqs.shape, 0.5))), weakref.WeakKeyDictionary())
     return plan
@@ -385,25 +420,31 @@ def _unfold(plan: _Plan, tx: Pose, rx_point: np.ndarray):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _occluded(plan: _Plan, starts, segs, seg_lengths) -> np.ndarray:
-    """(M,) mask: some segment crosses a surface between its ends.
+def _occluded(surfaces: _Surfaces, starts, segs, seg_lengths) -> np.ndarray:
+    """(M,) mask: some segment crosses one of the given surfaces between its ends.
 
-    All (K + 1, M) segments starts + t segs meet all S planes at once. The endpoint guard,
-    t L and (1 - t) L >= 1e-9 (so 0 < t < 1), is the only filter for the surfaces a segment
-    starts or ends on, whose planes it meets only there; zero-length padding legs hit nothing.
-    Only hits are tested for containment; with none (as in a convex room) the pass stops.
+    All (K + 1, M) segments starts + t segs meet the surfaces' planes at once. The endpoint
+    guard, t L and (1 - t) L >= 1e-9 (so 0 < t < 1), is the only filter for the surfaces a
+    segment starts or ends on, whose planes it meets only there; zero-length padding legs hit
+    nothing. Only hits are tested for containment. With no surface (a trace of a convex room,
+    whose surfaces are all walls) or no hit the pass stops.
     """
-    shape = segs.shape[:2] + (len(plan.surface_offsets),)   # (K + 1, M, S)
-    denom = (segs.reshape(-1, 3) @ plan.surface_normals.T).reshape(shape)
-    t = (plan.surface_offsets - (starts.reshape(-1, 3) @ plan.surface_normals.T).reshape(shape)) / denom
+    occluded = np.zeros(segs.shape[1], dtype=bool)
+    normals, offsets, edge_normals, edge_offsets = surfaces
+    if not len(offsets):
+        return occluded
+    shape = segs.shape[:2] + (len(offsets),)   # (K + 1, M, S)
+    denom = (segs.reshape(-1, 3) @ normals.T).reshape(shape)
+    t = (offsets - (starts.reshape(-1, 3) @ normals.T).reshape(shape)) / denom
     length = seg_lengths[..., None]
     hits = (abs(denom) > 1e-15) & (t * length >= _ENDPOINT_GUARD) & ((1.0 - t) * length >= _ENDPOINT_GUARD)
     if not hits.any():
-        return np.zeros(segs.shape[1], dtype=bool)
+        return occluded
     leg, row, surface = hits.nonzero()
     points = starts[leg, row] + t[leg, row, surface, None] * segs[leg, row]
-    inside = _inside(plan.surface_edge_normals[surface], plan.surface_edge_offsets[surface], points)
-    return np.bincount(row[inside], minlength=segs.shape[1]) > 0
+    inside = _inside(edge_normals[surface], edge_offsets[surface], points)
+    occluded[row[inside]] = True
+    return occluded
 
 
 def _direction_angles(rotation: np.ndarray, units: np.ndarray) -> np.ndarray:

@@ -420,6 +420,11 @@ def _parse_path(spec, where: str) -> np.ndarray:
     return np.asarray(spec, dtype=float).reshape(-1, 2)
 
 
+def _outside(scene, position) -> bool:
+    """True if a point lies more than 1e-9 m outside the scene's bounds."""
+    return bool(np.any(position < scene.bounds_min - 1e-9) or np.any(position > scene.bounds_max + 1e-9))
+
+
 def validate_scenario(config: ScenarioConfig) -> list:
     """Total validation pass; returns human-readable violation strings.
 
@@ -461,8 +466,11 @@ def validate_scenario(config: ScenarioConfig) -> list:
     for node in config.nodes:
         if any(c.isspace() or c in "/*?[" for c in node.id):
             problems.append(f"node id {node.id!r} must not contain whitespace, '/', '*', '?' or '['")
-        if node.is_tx and node.id not in agent_ids and node.pose is None:
-            problems.append(f"transmitter {node.id!r} has no pose")
+        if node.is_tx and node.id not in agent_ids:
+            if node.pose is None:
+                problems.append(f"transmitter {node.id!r} has no pose")
+            elif scene is not None and _outside(scene, node.pose.position):
+                problems.append(f"transmitter {node.id!r} is outside the scene bounds")
     try:
         graph = build_network(config.nodes, config.edges)
     except NetworkError as exc:
@@ -491,10 +499,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
             problems.append(f"agent {spec.id!r} has no matching network node")
         if len(spec.waypoints) == 0:
             problems.append(f"agent {spec.id!r} has an empty path")
-        if scene is not None:
-            pos = spec.initial_pose.position
-            if np.any(pos < scene.bounds_min - 1e-9) or np.any(pos > scene.bounds_max + 1e-9):
-                problems.append(f"agent {spec.id!r} starts outside the scene bounds")
+        if scene is not None and _outside(scene, spec.initial_pose.position):
+            problems.append(f"agent {spec.id!r} starts outside the scene bounds")
 
     if config.db.path is None and config.db.build is None:
         problems.append("db section needs a path or build instructions")

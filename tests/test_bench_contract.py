@@ -9,7 +9,8 @@ workload implies: one ``trace_paths`` and one ``compute_mdp`` call per
 with a map offset) and two ``beamformed_gains`` calls. Its multiply-
 accumulate count reads ``beamformed_gains``' arguments by position, and its
 set-up time assumes the world is set up once per run and per database build.
-Only link traces build their paths' angles; fingerprint traces do not.
+Only link traces build their paths' angles; fingerprint traces do not. The
+tiny scene is a closed box, all walls, so no trace's occlusion pass meets a plane.
 These tests find all of these in the unit suite, on the tiny scenario. They
 read ``spans.py`` by path and compile it in memory, so nothing under
 ``perfbench/`` is imported as a package or written.
@@ -68,7 +69,23 @@ def chain_builds(monkeypatch):
     return builds
 
 
-def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario, chain_builds):
+@pytest.fixture
+def plane_passes(monkeypatch):
+    """The number of occlusion passes that meet at least one surface's plane: none while
+    both ends of every trace are in front of every wall, as in a closed room with no panel."""
+    passes = []
+    occluded = raytrace._occluded
+
+    def counting(surfaces, *args):
+        if len(surfaces.offsets):
+            passes.append(1)
+        return occluded(surfaces, *args)
+
+    monkeypatch.setattr(raytrace, "_occluded", counting)
+    return passes
+
+
+def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario, chain_builds, plane_passes):
     config = simcore.ScenarioConfig.from_file(tiny_scenario)
     (db, _), tracer = traced(simcore.build_db_for_scenario, config)
     fingerprints = len(db.positions) * len(db.ap_ids)
@@ -78,6 +95,7 @@ def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario, chain_bui
     assert tracer.calls("localization.compute_mdp") == fingerprints
     assert tracer.calls("channel.beamformed_gains") == 0
     assert len(chain_builds) == 2       # one per AP: the static APs' chains are reused
+    assert len(plane_passes) == 0       # the tiny scene is a closed box: six walls, no occluder
 
 
 @pytest.mark.parametrize("map_offset,ap_b_subcarriers,traces_per_step", [
@@ -85,8 +103,8 @@ def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario, chain_bui
     ([0.0, -0.05], None, 4),
     (None, {"from": 9, "to": 24}, 2),    # ap_b half on top of ap_a's 1-16: gains are still once per link
 ], ids=["clean", "map-offset", "overlap"])
-def test_run_call_counts_per_step(tiny_scenario, chain_builds, map_offset, ap_b_subcarriers,
-                                  traces_per_step):
+def test_run_call_counts_per_step(tiny_scenario, chain_builds, plane_passes, map_offset,
+                                  ap_b_subcarriers, traces_per_step):
     doc = json.loads(tiny_scenario.read_text())
     doc["noise"]["map_offset_m"] = map_offset
     if ap_b_subcarriers is not None:
@@ -99,6 +117,7 @@ def test_run_call_counts_per_step(tiny_scenario, chain_builds, map_offset, ap_b_
     steps = len(records)
     assert steps == 6
     assert len(chain_builds) == 2       # one per AP over every link and fingerprint trace
+    assert len(plane_passes) == 0
     assert tracer.calls("simcore.sim_step") == steps
     assert tracer.calls("raytrace.trace_paths") == traces_per_step * steps
     assert tracer.calls("channel.beamformed_gains") == 2 * steps

@@ -245,6 +245,45 @@ class TestPaddedCandidates:
         assert np.count_nonzero(got.order == 4) == 66
 
 
+def occlusion_masks(scene, tx, rx, max_order):
+    """_occluded's masks for one trace's candidates, over the plan's occluders and over all S surfaces."""
+    plan = raytrace._plan_for(scene, max_order)
+    _, pts = raytrace._unfold(plan, tx, rx.position)
+    segs = pts[1:] - pts[:-1]
+    seg_lengths = np.linalg.norm(segs, axis=2)
+    return tuple(raytrace._occluded(surfaces, pts[:-1], segs, seg_lengths)
+                 for surfaces in (plan.occluders, plan.surfaces))
+
+
+class TestWalls:
+    """A wall has the whole scene on one side of its plane, so it cannot occlude a segment
+    between two points in front of it; occlusion reads only the other surfaces then."""
+
+    @given(st.one_of(links(), near_wall_links()), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_occluders_alone_give_every_mask(self, link, max_order):
+        scene, tx, rx = link
+        plan = raytrace._plan_for(scene, max_order)
+        assert plan.occluders_for(tx.position, rx.position) is plan.occluders   # both ends in the room
+        fast, full = occlusion_masks(scene, tx, rx, max_order)
+        assert np.array_equal(fast, full)
+
+    @pytest.mark.parametrize("max_order", range(4))
+    @pytest.mark.parametrize("make_scene,tx,rx", [
+        (desk_box, Pose.at(0.3, 0.4, 0.2, yaw=0.5), Pose.at(1.05, 0.5, 0.3, velocity=(0.2, 0, 0))),
+        (lambda: panel_room(2.5), Pose.at(-0.05, 1.3, 1.2), Pose.at(3.0, 2.6, 1.3, yaw=-0.4)),
+    ], ids=["rx-behind-desk-wall", "tx-behind-panel-room-wall"])
+    def test_an_end_behind_a_wall_reads_every_surface(self, make_scene, tx, rx, max_order):
+        # every path crosses the wall the end stands behind; the occluders alone would keep some
+        scene = make_scene()
+        assert_same_paths(trace_paths(scene, tx, rx, max_order, FC),
+                          trace_paths_scalar(scene, tx, rx, max_order, FC))
+        plan = raytrace._plan_for(scene, max_order)
+        assert plan.occluders_for(tx.position, rx.position) is plan.surfaces
+        fast, full = occlusion_masks(scene, tx, rx, max_order)
+        assert full.all() and not fast.all()
+
+
 class TestReusedTransmitter:
     """One tx Pose traced to many receivers: later traces reuse its cached image chain."""
 
@@ -271,8 +310,9 @@ class TestReusedTransmitter:
         scene, tx = desk_box(), Pose.at(0.1, 0.1, 0.5)
         trace_paths(scene, tx, Pose.at(0.8, 0.6, 0.1), 3, FC)
         plan = raytrace._PLANS[scene][3]
-        cached = [a for a in vars(plan).values() if isinstance(a, np.ndarray)] + list(plan.images[tx])
-        assert len(cached) == 14
+        cached = ([a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+                  + list(plan.surfaces) + list(plan.occluders) + list(plan.images[tx]))
+        assert len(cached) == 20
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -329,15 +369,34 @@ def assert_level_major(plan, num_surfaces, max_order):
     assert (plan.guards[0] == 1.0).all() and (plan.guards[1] == 0.5).all()
 
 
+def assert_walls(plan, scene, num_walls):
+    """The first num_walls surfaces are walls, facing the scene; the rest are the occluders."""
+    vertices = np.concatenate([s.vertices for s in scene.surfaces])
+    assert len(plan.wall_offsets) == num_walls
+    assert (vertices @ plan.wall_normals.T >= plan.wall_offsets).all()
+    assert np.array_equal(abs(plan.wall_normals), abs(plan.surfaces.normals[:num_walls]))
+    for occluder, table in zip(plan.occluders, plan.surfaces):
+        assert np.array_equal(occluder, table[num_walls:])
+
+
 class TestPlanLayout:
     @given(rooms(), st.integers(0, 4))
     @settings(max_examples=15, deadline=None)
     def test_panel_rooms(self, scene, max_order):
-        assert_level_major(raytrace._plan_for(scene, max_order), len(scene.surfaces), max_order)
+        plan = raytrace._plan_for(scene, max_order)
+        assert_level_major(plan, len(scene.surfaces), max_order)
+        assert_walls(plan, scene, 6)   # the box faces; the panel is the one occluder
 
     @pytest.mark.parametrize("max_order", range(5))
     def test_desk_box(self, max_order):
-        assert_level_major(raytrace._plan_for(desk_box(), max_order), 6, max_order)
+        scene = desk_box()
+        plan = raytrace._plan_for(scene, max_order)
+        assert_level_major(plan, 6, max_order)
+        assert_walls(plan, scene, 6)   # and no occluder
+
+    def test_panel_room(self):
+        scene = panel_room(2.5)
+        assert_walls(raytrace._plan_for(scene, 3), scene, 6)
 
 
 @functools.cache

@@ -166,6 +166,8 @@ class TestScenarioConfig:
          "node 'robot' ends a communication link but has no array"),
         (lambda doc: doc["network"]["nodes"][1].pop("pose"),
          "transmitter 'ap_b' has no pose"),
+        (lambda doc: doc["network"]["nodes"][1]["pose"].update(position=[1.5, 0.07, 0.6]),
+         "transmitter 'ap_b' is outside the scene bounds"),
         (lambda doc: doc["ofdm"].update(carrier_hz=0.0),
          "malformed scenario document: carrier_freq must be > 0"),
         (lambda doc: doc["sim"].update(dt_s=float("nan")),
@@ -189,7 +191,8 @@ class TestScenarioConfig:
         (lambda doc: doc["sim"].update(seed=-1), "sim.seed must be a non-negative integer, got -1"),
         (lambda doc: doc["sim"].update(seed=1.5), "sim.seed must be a non-negative integer, got 1.5"),
         (lambda doc: doc["sim"].update(seed=True), "sim.seed must be a non-negative integer, got True"),
-    ], ids=["role-case", "link-end-without-array", "transmitter-without-pose", "zero-carrier",
+    ], ids=["role-case", "link-end-without-array", "transmitter-without-pose",
+            "transmitter-outside-bounds", "zero-carrier",
             "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position",
             "four-number-node-position", "list-as-edge-end", "three-node-edge", "id-as-edge",
             "one-number-circle-center", "negative-seed", "fractional-seed", "boolean-seed"])
