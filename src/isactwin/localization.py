@@ -29,10 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .raytrace import PathSet, Pose, trace_paths
-from .scene import Scene
+from .scene import Scene, _bad_field
 
 _MAGIC = b"ITFPDB01"
 _VERSION = 1
+# the header's schema, in the shapes of scene.read_document
+_DB_HEADER = {"version": int, "scene_hash": str, "network_hash": str, "spacing_m": float,
+              "bin_width_s": float, "num_bins": int, "ap_ids": [str], "n_points": int}
 
 
 class DatabaseError(ValueError):
@@ -247,18 +250,16 @@ def load_db(path) -> FingerprintDB:
         raise DatabaseError(f"{path}: corrupt header: not a JSON object")
     if header.get("version") != _VERSION:
         raise DatabaseError(f"{path}: unsupported version {header.get('version')}")
-    n_points, num_bins, ap_ids = header.get("n_points"), header.get("num_bins"), header.get("ap_ids")
-    spacing, bin_width = header.get("spacing_m"), header.get("bin_width_s")
-    scene_hash, network_hash = header.get("scene_hash"), header.get("network_hash")
-    for field, ok in (("n_points", type(n_points) is int and n_points >= 0),
-                      ("num_bins", type(num_bins) is int and num_bins >= 0),
-                      ("spacing_m", type(spacing) in (int, float) and 0.0 < spacing < np.inf),
-                      ("bin_width_s", type(bin_width) in (int, float) and 0.0 < bin_width < np.inf),
-                      ("scene_hash", type(scene_hash) is str), ("network_hash", type(network_hash) is str),
-                      ("ap_ids", type(ap_ids) is list and all(type(a) is str for a in ap_ids))):
+    bad = _bad_field(header, _DB_HEADER)
+    if bad is not None:
+        raise DatabaseError(f"{path}: corrupt header: {bad[0]} {bad[1]}{bad[2]}")
+    n_points, num_bins, ap_ids = header["n_points"], header["num_bins"], header["ap_ids"]
+    spacing, bin_width = header["spacing_m"], header["bin_width_s"]
+    scene_hash, network_hash = header["scene_hash"], header["network_hash"]
+    for key, ok, rule in (("n_points", n_points >= 0, ">= 0"), ("num_bins", num_bins >= 0, ">= 0"),
+                          ("spacing_m", spacing > 0, "> 0"), ("bin_width_s", bin_width > 0, "> 0")):
         if not ok:
-            value = repr(header[field]) if field in header else "missing"
-            raise DatabaseError(f"{path}: corrupt header: {field} {value}")
+            raise DatabaseError(f"{path}: corrupt header: has {header[key]!r} at .{key}, which must be {rule}")
     expected = off + 8 * n_points * (3 + len(ap_ids) * num_bins)
     if len(raw) != expected:
         raise DatabaseError(

@@ -8,16 +8,17 @@ Scenes are loaded from a structured JSON document (schema below). A loaded
 scene is a value, like a Pose: it, its surfaces, materials and arrays are
 read-only. A changed scene is built with dataclasses.replace.
 
-Scene document schema (field names are part of the contract; any other key is an error)::
+Scene document schema (every key is required; any other key is an error)::
 
     {
-      "materials":    [{"name": str, "reflection_coeff": float}, ...],
-      "surfaces":     [{"vertices": [[x, y, z], ...], "material": str}, ...],
+      "materials":    [{"name": string, "reflection_coeff": number}, ...],
+      "surfaces":     [{"vertices": [[x, y, z], ...], "material": string}, ...],
       "bounds":       {"min": [x, y, z], "max": [x, y, z]},
-      "floor_height": float
+      "floor_height": number
     }
 
-All coordinates are in meters.
+x, y and z are numbers, all coordinates in meters. A number is finite and
+not a boolean.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +41,22 @@ PLANARITY_TOL = 1e-9
 # reflection on the edge shared by two surfaces is kept.
 CONTAINS_TOL = 1e-9
 
-# the keys a scene document accepts, as read_document takes them
-_SCENE_KEYS = {"materials": dict.fromkeys(("name", "reflection_coeff")), "floor_height": None,
-               "surfaces": dict.fromkeys(("vertices", "material")), "bounds": dict.fromkeys(("min", "max"))}
+
+class Optional(NamedTuple):
+    """A key that an object may leave out or set to null; either way it takes its default."""
+    shape: object
+
+
+class Either(NamedTuple):
+    """A list of items or an object of fields, chosen by the value's JSON kind."""
+    items: list
+    fields: dict
+
+
+# the scene document's schema, in the shapes read_document checks
+_XYZ = (float, float, float)
+_SCENE_KEYS = {"materials": [{"name": str, "reflection_coeff": float}], "floor_height": float,
+               "surfaces": [{"vertices": [_XYZ], "material": str}], "bounds": {"min": _XYZ, "max": _XYZ}}
 
 
 class SceneError(ValueError):
@@ -112,8 +127,8 @@ def _set_read_only(obj, **values) -> None:
 def load_scene(source) -> Scene:
     """Load and validate a scene from a JSON file path (str or Path) or a parsed dict.
 
-    Raises SceneError on a missing file, parse failure, a NaN or infinite
-    number, an unknown key, unknown material references, or any type-invariant violation
+    Raises SceneError on a missing file, parse failure, a value that does not
+    fit _SCENE_KEYS, unknown material references, or any type-invariant violation
     (non-planar surfaces, out-of-range coefficients, surfaces outside bounds,
     empty scenes).
     """
@@ -125,7 +140,7 @@ def load_scene(source) -> Scene:
     return scene
 
 
-def read_document(source, error: type, name: str, keys: dict) -> dict:
+def read_document(source, error: type, name: str, shape: dict) -> dict:
     """The JSON object of a scene or scenario document, given as a file path (str or Path) or parsed.
     Whatever makes it no such document raises error, naming the document: "scene" or "scenario"."""
     doc = source
@@ -138,73 +153,76 @@ def read_document(source, error: type, name: str, keys: dict) -> dict:
             raise error(f"{name} document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{name} document must be a JSON object")
-    bad = _bad_field(doc, keys)
+    bad = _bad_field(doc, shape)
     if bad is not None:
-        raise error(f"{name} document has {bad[0]} {bad[1]}")
+        raise error(f"{name} document {bad[0]} {bad[1]}{bad[2]}")
     return doc
 
 
-def _bad_field(doc, keys: dict | None) -> tuple | None:
-    """(what, jq-style path) of the first NaN or infinite number or unknown key in a parsed JSON
-    document, or None. Python's json reads NaN, Infinity and 1e999 as floats, past every range check.
-    keys maps each accepted key to the keys of its value (None: unchecked); list items take the list's."""
-    if isinstance(doc, float):
-        return None if math.isfinite(doc) else ("a non-finite number at", "")
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            if keys is not None and key not in keys:
-                return "an unknown key", f".{key}"
-            found = _bad_field(value, None if keys is None else keys[key])
-            if found is not None:   # the path is built only on the way back from a hit
-                return found[0], f".{key}{found[1]}"
-    elif isinstance(doc, (list, tuple)):
+# what a value of each kind of shape must be
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", tuple: "a list",
+          dict: "an object", Either: "a list or an object"}
+
+
+def _bad_field(doc, shape) -> tuple | None:
+    """(fault, jq-style path, rest) of the first value of a parsed JSON document that does not fit
+    shape, or None. A shape is int (an integer: not a bool, nor an integral float such as 64.0),
+    float (a finite number, not a bool), str, a tuple of shapes (a list of exactly those), [shape]
+    (a list of any length), {key: shape} (an object: its keys are required unless Optional) or an
+    Either. Python's json reads NaN, Infinity and 1e999 as floats, past every range check."""
+    kind = type(shape)
+    if kind is Either and isinstance(doc, (dict, list, tuple)):
+        shape = shape.fields if type(doc) is dict else shape.items
+        kind = type(shape)
+    if kind is type:
+        if shape is float and isinstance(doc, float):
+            return None if math.isfinite(doc) else ("has a non-finite number at", "", "")
+        if type(doc) is shape or shape is float and type(doc) is int:
+            return None
+    elif kind is dict:
+        if type(doc) is dict:
+            if not doc.keys() <= shape.keys():
+                return "has an unknown key", "." + next(key for key in doc if key not in shape), ""
+            for key, sub in shape.items():
+                value = doc.get(key)
+                if type(sub) is Optional:
+                    if value is None:
+                        continue
+                    sub = sub.shape
+                elif key not in doc:
+                    return "is missing", f".{key}", ""
+                found = _bad_field(value, sub)
+                if found is not None:   # the path is built only on the way back from a hit
+                    return found[0], f".{key}{found[1]}", found[2]
+            return None
+    elif isinstance(doc, (list, tuple)) and (kind is list or len(doc) == len(shape)):
         for i, item in enumerate(doc):
-            found = _bad_field(item, keys)
+            found = _bad_field(item, shape[i] if kind is tuple else shape[0])
             if found is not None:
-                return found[0], f"[{i}]{found[1]}"
-    return None
+                return found[0], f"[{i}]{found[1]}", found[2]
+        return None
+    what = _KINDS[shape if kind is type else kind]   # doc is of another JSON kind, or length
+    if kind is tuple:   # a tuple's items are leaves
+        what += f" of {len(shape)} {_KINDS[shape[0]].split()[1]}s"
+    return f"has {doc!r} at", "", f", which must be {what}"
 
 
 def _scene_from_document(doc: dict) -> Scene:
-    for key in _SCENE_KEYS:
-        if key not in doc:
-            raise SceneError(f"scene document missing key {key!r}")
-
     materials: dict[str, Material] = {}
     for entry in doc["materials"]:
-        try:
-            mat = Material(name=str(entry["name"]), reflection_coeff=float(entry["reflection_coeff"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SceneError(f"malformed material entry {entry!r}") from exc
+        mat = Material(name=entry["name"], reflection_coeff=float(entry["reflection_coeff"]))
         if mat.name in materials:
             raise SceneError(f"duplicate material name {mat.name!r}")
         materials[mat.name] = mat
 
     surfaces = []
     for i, entry in enumerate(doc["surfaces"]):
-        try:
-            mat_name = entry["material"]
-            vertices = np.asarray(entry["vertices"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SceneError(f"malformed surface entry #{i}") from exc
-        if mat_name not in materials:
-            raise SceneError(f"surface #{i} references unknown material {mat_name!r}")
-        surfaces.append(Surface(vertices=vertices, material=materials[mat_name], name=f"surface#{i}"))
-
-    bounds = doc["bounds"]
-    try:
-        bmin = np.asarray(bounds["min"], dtype=float).reshape(3)
-        bmax = np.asarray(bounds["max"], dtype=float).reshape(3)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SceneError("malformed bounds") from exc
-
-    return Scene(
-        surfaces=surfaces,
-        materials=materials,
-        bounds_min=bmin,
-        bounds_max=bmax,
-        floor_height=float(doc["floor_height"]),
-    )
+        if entry["material"] not in materials:
+            raise SceneError(f"surface #{i} references unknown material {entry['material']!r}")
+        surfaces.append(Surface(vertices=entry["vertices"], material=materials[entry["material"]],
+                                name=f"surface#{i}"))
+    return Scene(surfaces=surfaces, materials=materials, bounds_min=doc["bounds"]["min"],
+                 bounds_max=doc["bounds"]["max"], floor_height=float(doc["floor_height"]))
 
 
 def validate_scene(scene: Scene) -> list[str]:

@@ -137,7 +137,8 @@ class TestRun:
         rewrite_db_header(db_path, lambda header: {**header, "network_hash": 5})
         capsys.readouterr()
         assert main(["run", scenario, "--max-steps", "2", "--out", str(db_path.parent / "t.csv")]) == 1
-        assert capsys.readouterr().err == f"error: {db_path}: corrupt header: network_hash 5\n"
+        assert capsys.readouterr().err == \
+            f"error: {db_path}: corrupt header: has 5 at .network_hash, which must be a string\n"
 
     def test_unstamped_database_is_one_error_line(self, scenario, tiny_scenario, capsys):
         config = ScenarioConfig.from_file(tiny_scenario)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestScenarioConfig:
     def test_malformed_document(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"scene": "x"}))
-        with pytest.raises(ConfigError, match="malformed"):
+        with pytest.raises(ConfigError, match=r"^scenario document is missing \.network$"):
             ScenarioConfig.from_file(p)
         # a section that is not a JSON object is malformed too, not an AttributeError
         for section, value in [("noise", []), ("raytrace", 3), ("db", "x"), ("output", ["a"]),
@@ -115,7 +116,9 @@ class TestScenarioConfig:
             doc = tiny_scenario_doc()
             owner = {"controller": doc["agents"][0], "resources": doc["network"]}.get(section, doc)
             owner[section] = value
-            with pytest.raises(ConfigError, match="malformed"):
+            where = {"controller": ".agents[0].controller",
+                     "resources": ".network.resources"}.get(section, f".{section}")
+            with pytest.raises(ConfigError, match=f" at {re.escape(where)}, which must be an object$"):
                 ScenarioConfig.from_dict(doc)
 
     def test_validation_catches_bad_settings(self, tmp_path):
@@ -175,22 +178,27 @@ class TestScenarioConfig:
         (lambda doc: doc["noise"].update(noise_power_w=float("nan")),
          "scenario document has a non-finite number at .noise.noise_power_w"),
         (lambda doc: doc["noise"].update(map_offset_m=[0.05]),
-         "noise.map_offset_m must hold 2 numbers, got [0.05]"),
+         "scenario document has [0.05] at .noise.map_offset_m, which must be a list of 2 numbers"),
         (lambda doc: doc["agents"][0]["initial_pose"].update(position=[0.7, 0.5]),
-         "agent 'robot': initial_pose.position must hold 3 numbers, got [0.7, 0.5]"),
+         "scenario document has [0.7, 0.5] at .agents[0].initial_pose.position, "
+         "which must be a list of 3 numbers"),
         (lambda doc: doc["network"]["nodes"][1]["pose"].update(position=[0.7, 0.5, 0.1, 0.0]),
-         "node 'ap_b': pose.position must hold 3 numbers, got [0.7, 0.5, 0.1, 0.0]"),
+         "scenario document has [0.7, 0.5, 0.1, 0.0] at .network.nodes[1].pose.position, "
+         "which must be a list of 3 numbers"),
         (lambda doc: doc["network"].update(edges=[["ap_a", ["robot"]]]),
-         ".network.edges[0] must be two node ids, got ['ap_a', ['robot']]"),
+         "scenario document has ['robot'] at .network.edges[0][1], which must be a string"),
         (lambda doc: doc["network"].update(edges=[["ap_a", "robot"], ["ap_b", "robot", "x"]]),
-         ".network.edges[1] must be two node ids, got ['ap_b', 'robot', 'x']"),
+         "scenario document has ['ap_b', 'robot', 'x'] at .network.edges[1], "
+         "which must be a list of 2 strings"),
         (lambda doc: doc["network"].update(edges=["ap_a"]),
-         ".network.edges[0] must be two node ids, got 'ap_a'"),
+         "scenario document has 'ap_a' at .network.edges[0], which must be a list of 2 strings"),
         (lambda doc: doc["agents"][0].update(path={"circle": {"center": [0.6], "radius": 0.1}}),
-         "agent 'robot': path.circle.center must hold 2 numbers, got [0.6]"),
+         "scenario document has [0.6] at .agents[0].path.circle.center, which must be a list of 2 numbers"),
         (lambda doc: doc["sim"].update(seed=-1), "sim.seed must be a non-negative integer, got -1"),
-        (lambda doc: doc["sim"].update(seed=1.5), "sim.seed must be a non-negative integer, got 1.5"),
-        (lambda doc: doc["sim"].update(seed=True), "sim.seed must be a non-negative integer, got True"),
+        (lambda doc: doc["sim"].update(seed=1.5),
+         "scenario document has 1.5 at .sim.seed, which must be an integer"),
+        (lambda doc: doc["sim"].update(seed=True),
+         "scenario document has True at .sim.seed, which must be an integer"),
     ], ids=["role-case", "link-end-without-array", "transmitter-without-pose",
             "transmitter-outside-bounds", "zero-carrier",
             "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position",
@@ -209,17 +217,17 @@ class TestScenarioConfig:
             assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("edit,where,value", [
-        (lambda doc, v: doc["sim"].update(max_steps=v), "sim.max_steps", 2.5),
-        (lambda doc, v: doc["ofdm"].update(n_symbols=v), "ofdm.n_symbols", 14.7),
-        (lambda doc, v: doc["raytrace"].update(max_order=v), "raytrace.max_order", True),
-        (lambda doc, v: doc["db"]["build"].update(num_bins=v), "db.build.num_bins", 64.9),
+        (lambda doc, v: doc["sim"].update(max_steps=v), ".sim.max_steps", 2.5),
+        (lambda doc, v: doc["ofdm"].update(n_symbols=v), ".ofdm.n_symbols", 14.7),
+        (lambda doc, v: doc["raytrace"].update(max_order=v), ".raytrace.max_order", True),
+        (lambda doc, v: doc["db"]["build"].update(num_bins=v), ".db.build.num_bins", 64.9),
         (lambda doc, v: doc["network"]["nodes"][0]["array"].update(elements=v),
-         "node 'ap1': array.elements", 32.5),
+         ".network.nodes[0].array.elements", 32.5),
         (lambda doc, v: doc["agents"][0]["path"]["circle"].update(waypoints=v),
-         "agent 'robot': path.circle.waypoints", 12.5),
+         ".agents[0].path.circle.waypoints", 12.5),
         (lambda doc, v: doc["network"]["resources"]["users"][0]["subcarriers"].update(to=v),
-         "network.resources.users[0].subcarriers.to", 512.5),
-        (lambda doc, v: doc["db"]["build"].update(num_bins=v), "db.build.num_bins", 64.0),
+         ".network.resources.users[0].subcarriers.to", 512.5),
+        (lambda doc, v: doc["db"]["build"].update(num_bins=v), ".db.build.num_bins", 64.0),
     ], ids=["max-steps", "n-symbols", "max-order", "num-bins", "elements", "waypoints",
             "subcarriers-to", "integral-float"])
     def test_integer_field_is_not_truncated(self, tmp_path, capsys, edit, where, value):
@@ -231,7 +239,8 @@ class TestScenarioConfig:
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
         assert main(["validate", str(p)]) == 1
-        assert capsys.readouterr().err == f"error: {where} must be an integer, got {value!r}\n"
+        assert capsys.readouterr().err == \
+            f"error: scenario document has {value!r} at {where}, which must be an integer\n"
 
     @pytest.mark.parametrize("edit,where", [
         (lambda doc: doc.update(nosie={}), ".nosie"),
@@ -309,7 +318,8 @@ class TestScenarioConfig:
         ("num_bins", 0, "db.build needs bin_width_s > 0 and num_bins >= 1"),
         ("height_m", 5.0, "db.build height 5.0 outside the scene's z bounds"),
         ("roi_m", [5, 5, 6, 6], "db.build.roi_m [5.0, 5.0, 6.0, 6.0] holds no point of the floor grid"),
-        ("roi_m", [0.1, 0.1, 0.5], "db.build.roi_m must be [xmin, ymin, xmax, ymax], got [0.1, 0.1, 0.5]"),
+        ("roi_m", [0.1, 0.1, 0.5],
+         "scenario document has [0.1, 0.1, 0.5] at .db.build.roi_m, which must be a list of 4 numbers"),
     ], ids=["zero-spacing", "zero-bin-width", "zero-bins", "height-above-scene", "roi-off-the-grid",
             "roi-of-three-numbers"])
     def test_db_build_settings_that_build_db_refuses_rejected(self, tmp_path, capsys, key, value, message):
