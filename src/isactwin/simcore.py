@@ -1,4 +1,4 @@
-"""Deterministic simulation loop over an in-process publisher/subscriber bus.
+"""Deterministic simulation loop over an in-process topic bus.
 
 Each timestep runs six phases under a barrier, in a fixed total order:
 
@@ -6,9 +6,11 @@ Each timestep runs six phases under a barrier, in a fixed total order:
                  -> state estimation -> control
 
 so no observation at step t can see a stale pose, and identical
-(config, seed) pairs produce byte-identical trace files.
+(config, seed) pairs produce byte-identical trace files. The phases publish
+their results on the world's Bus, where a subscriber is a callable given each
+matching Message(topic, step, payload): it observes the run, never steers it.
 
-Scenario file schema (JSON; paths are resolved relative to the file). Each
+Scenario file schema (JSON; paths name files, relative to the scenario's). Each
 field names its JSON type; "?" marks an optional key, which may also be null::
 
     {
@@ -44,20 +46,20 @@ it and its parts are frozen; a changed one is built with dataclasses.replace.
 Trace CSV columns, in order: step, time_s, agent_id, the fields of
 AgentTrace, then one rate_<v>_<q> column per communication link. Agent ids
 may not contain "_", so that the receiver v can be read back from the column
-name. Node ids are bus topic
-segments (agent/<id>/state, sim/channel/<v>/<q>), so they may not contain
-whitespace, "/", or the wildcard characters "*", "?" and "[".
+name. Node ids are bus topic segments (agent/<id>/state, sim/channel/<v>/<q>),
+so they may not contain whitespace, "/", or the wildcard characters "*", "?"
+and "[": validate_scenario's check of them is the only check of a topic.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass, field, fields
 from fnmatch import fnmatchcase
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,71 +85,31 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# publisher/subscriber bus
+# topic bus
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     topic: str
     step: int
-    publisher: str
     payload: object
 
 
-class Subscription:
-    """Queue of messages whose topics match the subscription pattern."""
-
-    def __init__(self, pattern: str):
-        self.pattern = pattern
-        self._queue: deque = deque()
-
-    def matches(self, topic: str) -> bool:
-        return fnmatchcase(topic, self.pattern)
-
-    def deliver(self, message: Message):
-        self._queue.append(message)
-
-    def pop(self):
-        return self._queue.popleft() if self._queue else None
-
-    def drain(self) -> list:
-        out = list(self._queue)
-        self._queue.clear()
-        return out
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
 class Bus:
-    """In-process topic bus; delivery preserves per-publisher publication order."""
+    """Each publish calls, in subscription order, every subscriber whose fnmatch
+    pattern matches the topic; nothing is queued, so a late subscriber sees no
+    earlier message. A subscriber that wants a queue passes list.append."""
 
     def __init__(self):
-        self._subs: list = []
+        self._subs: list = []   # (fnmatch pattern, deliver callable)
 
-    def subscribe(self, pattern: str) -> Subscription:
-        _check_topic(pattern, allow_wildcards=True)
-        sub = Subscription(pattern)
-        self._subs.append(sub)
-        return sub
+    def subscribe(self, pattern: str, deliver):
+        if not pattern or any(c.isspace() for c in pattern):
+            raise ValueError(f"malformed topic pattern {pattern!r}")
+        self._subs.append((pattern, deliver))
 
-    def publish(self, topic: str, payload: object, step: int = 0, publisher: str = "sim") -> int:
-        _check_topic(topic)
-        msg = Message(topic=topic, step=step, publisher=publisher, payload=payload)
-        count = 0
-        for sub in self._subs:
-            if sub.matches(topic):
-                sub.deliver(msg)
-                count += 1
-        return count
-
-
-def _check_topic(topic: str, allow_wildcards: bool = False):
-    if not isinstance(topic, str) or not topic:
-        raise ValueError("topic must be a nonempty string")
-    if any(c.isspace() for c in topic):
-        raise ValueError(f"malformed topic {topic!r}")
-    if not allow_wildcards and any(c in topic for c in "*?["):
-        raise ValueError(f"malformed topic {topic!r}")
+    def publish(self, topic: str, payload: object, step: int):
+        for pattern, deliver in self._subs:
+            if fnmatchcase(topic, pattern):
+                deliver(Message(topic, step, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +299,7 @@ class ScenarioConfig:
                 height=_number(b, "height_m", None),
             )
         db = DbSpec(
-            path=(base_dir / db_doc["path"]) if db_doc.get("path") else None,
+            path=None if db_doc.get("path") is None else base_dir / db_doc["path"],
             build=build,
         )
 
@@ -472,9 +434,12 @@ def validate_scenario(config: ScenarioConfig) -> list:
         if scene is not None and _outside(scene, spec.initial_pose.position):
             problems.append(f"agent {spec.id!r} starts outside the scene bounds")
 
+    for key, path in (("db.path", config.db.path), ("output.trace_csv", config.trace_csv)):
+        if path is not None and path.is_dir():   # "" resolves to the scenario's own directory
+            problems.append(f"{key} names a directory, not a file")
     if config.db.path is None and config.db.build is None:
         problems.append("db section needs a path or build instructions")
-    if config.db.path is not None and not config.db.path.is_file() and config.db.build is None:
+    if config.db.path is not None and not config.db.path.exists() and config.db.build is None:
         problems.append(f"database file not found and no build instructions: {config.db.path}")
     build = config.db.build
     if build is not None:
@@ -742,7 +707,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
             rt.odom = agent_mod.diff_drive_step(rt.odom, rt.control, cfg.dt)
         except ValueError as exc:
             raise ValueError(f"step {t} state phase failed for {aid!r}: {exc}") from exc
-        bus.publish(f"agent/{aid}/state", rt.pose, step=t, publisher=aid)
+        bus.publish(f"agent/{aid}/state", rt.pose, step=t)
 
     # phase 2: refresh propagation parameters for all links
     pathsets = {}
@@ -754,7 +719,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
                 world.scene, tx_pose, rx_pose,
                 max_order=cfg.max_order, carrier_freq=cfg.ofdm.carrier_freq,
             )
-            bus.publish(f"sim/channel/{v}/{q}", pathsets[(v, q)], step=t, publisher="sim")
+            bus.publish(f"sim/channel/{v}/{q}", pathsets[(v, q)], step=t)
     except ValueError as exc:
         raise ValueError(f"step {t} raytrace phase failed: {exc}") from exc
 
@@ -782,7 +747,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
                         interference[here] += received[(v, qq)][there]
                 snr = received[(v, q)] / (cfg.noise.noise_power_w + interference)
                 rates[(v, q)] = float(np.mean(np.log2(1.0 + snr)))
-            bus.publish(f"metrics/rate/{v}/{q}", rates[(v, q)], step=t, publisher="sim")
+            bus.publish(f"metrics/rate/{v}/{q}", rates[(v, q)], step=t)
     except ValueError as exc:
         raise ValueError(f"step {t} signal phase failed: {exc}") from exc
 
@@ -812,7 +777,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
                 mdps[ap_id] = mdp
             measurement = np.concatenate([mdps[a].bins for a in world.db.ap_ids])
             obs = agent_mod.observe(measurement, rt.noise)
-            bus.publish(f"agent/{aid}/obs", obs, step=t, publisher=aid)
+            bus.publish(f"agent/{aid}/obs", obs, step=t)
         except ValueError as exc:
             raise ValueError(f"step {t} observation phase failed for {aid!r}: {exc}") from exc
 
@@ -821,14 +786,14 @@ def sim_step(world: World, t: int) -> TraceRecord:
             est, score = loc_mod.localize(mdps, world.db)
         except loc_mod.DatabaseError as exc:
             raise ValueError(f"step {t} estimation phase failed for {aid!r}: {exc}") from exc
-        bus.publish(f"agent/{aid}/estimate", (est, score), step=t, publisher=aid)
+        bus.publish(f"agent/{aid}/estimate", (est, score), step=t)
 
         # phase 6: next control command toward the active waypoint
         control, progress = agent_mod.waypoint_control(
             est, rt.odom.yaw, rt.spec.waypoints, rt.progress.index, **rt.spec.gains)
         rt.control = control
         rt.progress = progress
-        bus.publish(f"agent/{aid}/control", control, step=t, publisher=aid)
+        bus.publish(f"agent/{aid}/control", control, step=t)
 
         agent_traces[aid] = AgentTrace(
             true_x=float(pose.position[0]),
@@ -843,7 +808,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
 
     world.finished = all(rt.progress.done for rt in world.agents.values())
     record = TraceRecord(step=t, time_s=t * cfg.dt, agents=agent_traces, rates=rates)
-    bus.publish("sim/trace", record, step=t, publisher="sim")
+    bus.publish("sim/trace", record, step=t)
     return record
 
 

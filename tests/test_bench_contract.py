@@ -175,11 +175,13 @@ def test_only_link_traces_build_path_geometry(tiny_scenario, angle_calls, map_of
 def link_path_counts(config, steps):
     """(world, [{link: paths traced} per step]) of an untraced run of config."""
     world = simcore.init_world(config)
-    channels = world.bus.subscribe("sim/channel/*")
+    channels = []
+    world.bus.subscribe("sim/channel/*", channels.append)
     counts = []
     for t in range(steps):
         simcore.sim_step(world, t)
-        counts.append({tuple(m.topic.split("/")[2:]): len(m.payload) for m in channels.drain()})
+        counts.append({tuple(m.topic.split("/")[2:]): len(m.payload) for m in channels})
+        channels.clear()
     return world, counts
 
 

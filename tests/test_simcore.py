@@ -30,48 +30,43 @@ from conftest import repo_scenario_dir, tiny_scenario_doc
 
 
 class TestBus:
-    def test_publish_without_subscribers(self):
-        bus = Bus()
-        assert bus.publish("agent/0/state", {"x": 1}, step=0) == 0
-
     def test_two_subscribers_both_receive(self):
         bus = Bus()
-        s1 = bus.subscribe("agent/0/state")
-        s2 = bus.subscribe("agent/0/state")
-        count = bus.publish("agent/0/state", "payload", step=3, publisher="a0")
-        assert count == 2
-        m1, m2 = s1.pop(), s2.pop()
-        assert m1.payload == m2.payload == "payload"
-        assert m1.step == 3 and m1.publisher == "a0"
+        s1, s2 = [], []
+        bus.subscribe("agent/0/state", s1.append)
+        bus.subscribe("agent/0/state", s2.append)
+        bus.publish("agent/0/state", "payload", step=3)
+        assert s1 == s2 == [simcore.Message("agent/0/state", 3, "payload")]
 
     def test_no_replay_for_late_subscriber(self):
         bus = Bus()
         bus.publish("t/x", 1, step=0)
-        sub = bus.subscribe("t/x")
+        sink = []
+        bus.subscribe("t/x", sink.append)
         bus.publish("t/x", 2, step=1)
-        msgs = sub.drain()
-        assert [m.payload for m in msgs] == [2]
+        assert [m.payload for m in sink] == [2]
 
-    def test_order_preserved_per_publisher(self):
+    def test_order_preserved(self):
         bus = Bus()
-        sub = bus.subscribe("t/*")
+        sink = []
+        bus.subscribe("t/*", sink.append)
         for i in range(10):
             bus.publish("t/x", i, step=i)
-        assert [m.payload for m in sub.drain()] == list(range(10))
+        assert [(m.step, m.payload) for m in sink] == [(i, i) for i in range(10)]
 
     def test_wildcard_patterns(self):
         bus = Bus()
-        sub = bus.subscribe("agent/*/state")
+        sink = []
+        bus.subscribe("agent/*/state", sink.append)
         bus.publish("agent/7/state", "yes", step=0)
         bus.publish("agent/7/control", "no", step=0)
-        assert [m.payload for m in sub.drain()] == ["yes"]
+        assert [m.payload for m in sink] == ["yes"]
 
-    def test_malformed_topic_rejected(self):
-        bus = Bus()
-        with pytest.raises(ValueError, match="topic"):
-            bus.publish("", 1)
-        with pytest.raises(ValueError, match="malformed"):
-            bus.publish("has space", 1)
+    @pytest.mark.parametrize("pattern", ["", "has space", "tab\there"], ids=["empty", "space", "tab"])
+    def test_malformed_topic_rejected(self, pattern):
+        # at subscribe only: sim_step's topics are built from node ids that validate_scenario checks
+        with pytest.raises(ValueError, match="malformed topic pattern"):
+            Bus().subscribe(pattern, [].append)
 
 
 class TestScenarioConfig:
@@ -199,11 +194,15 @@ class TestScenarioConfig:
          "scenario document has 1.5 at .sim.seed, which must be an integer"),
         (lambda doc: doc["sim"].update(seed=True),
          "scenario document has True at .sim.seed, which must be an integer"),
+        # "" resolves to the scenario's own directory
+        (lambda doc: doc["db"].update(path=""), "db.path names a directory, not a file"),
+        (lambda doc: doc["output"].update(trace_csv=""), "output.trace_csv names a directory, not a file"),
     ], ids=["role-case", "link-end-without-array", "transmitter-without-pose",
             "transmitter-outside-bounds", "zero-carrier",
             "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position",
             "four-number-node-position", "list-as-edge-end", "three-node-edge", "id-as-edge",
-            "one-number-circle-center", "negative-seed", "fractional-seed", "boolean-seed"])
+            "one-number-circle-center", "negative-seed", "fractional-seed", "boolean-seed",
+            "empty-db-path", "empty-trace-path"])
     def test_scenario_that_would_fail_in_run_rejected(self, tmp_path, capsys, edit, message):
         # validate, build-db and run all set up through validate_scenario
         doc = tiny_scenario_doc()
@@ -417,27 +416,25 @@ class TestSimulationLoop:
             assert first.rates == rec.rates
 
     def test_phase_ordering_on_bus(self, tmp_path):
+        # a "*" subscriber sees each step's 9 messages in phase order, and observes without steering
         doc = tiny_scenario_doc()
         doc["sim"]["max_steps"] = 2
+        doc["noise"]["fingerprint_snr_db"] = 20.0   # the loop's RNG is drawn from as well
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
         config = ScenarioConfig.from_file(p)
         world = init_world(config)
-        sub = world.bus.subscribe("*")
-        for t in range(2):
-            sim_step(world, t)
-        phase_rank = {"state": 0, "channel": 1, "rate": 2, "obs": 3, "estimate": 4, "control": 5}
-        by_step = {}
-        for msg in sub.drain():
-            if msg.topic == "sim/trace":
-                continue
-            kind = msg.topic.split("/")[-1] if "channel" not in msg.topic else "channel"
-            if "rate" in msg.topic:
-                kind = "rate"
-            by_step.setdefault(msg.step, []).append(phase_rank[kind])
-        for step, ranks in by_step.items():
-            assert ranks == sorted(ranks), f"phase order violated at step {step}"
+        sink = []
+        world.bus.subscribe("*", sink.append)
+        stepped = [sim_step(world, t) for t in range(2)]
+        topics = ["agent/robot/state", "sim/channel/robot/ap_a", "sim/channel/robot/ap_b",
+                  "metrics/rate/robot/ap_a", "metrics/rate/robot/ap_b",
+                  "agent/robot/obs", "agent/robot/estimate", "agent/robot/control", "sim/trace"]
+        assert [(m.step, m.topic) for m in sink] == [(t, topic) for t in range(2) for topic in topics]
+        assert [m.payload for m in sink if m.topic == "sim/trace"] == stepped
+        assert [dataclasses.asdict(r) for r in stepped] == \
+            [dataclasses.asdict(r) for r in run_simulation(config)]
 
     def test_db_reuse_matches_on_the_fly_tracing(self, tiny_run):
         config, _, _ = tiny_run
@@ -743,11 +740,13 @@ class TestInterference:
         (root / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         (root / "s.json").write_text(json.dumps(doc))
         world = init_world(ScenarioConfig.from_file(root / "s.json"))
-        channels = world.bus.subscribe("sim/channel/*")
+        channels = []
+        world.bus.subscribe("sim/channel/*", channels.append)
         runs = []
         for t in range(self.STEPS):
             record = sim_step(world, t)
-            paths = {tuple(m.topic.split("/")[2:]): m.payload for m in channels.drain()}
+            paths = {tuple(m.topic.split("/")[2:]): m.payload for m in channels}
+            channels.clear()
             runs.append((record, paths))
         return world, runs
 
