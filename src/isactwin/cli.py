@@ -71,7 +71,9 @@ def _dispatch(args) -> int:
 
     if args.command == "build-db":
         config = simcore.ScenarioConfig.from_file(args.scenario)
-        db, path = simcore.build_db_for_scenario(config, out=args.out)
+        if args.out is not None:
+            config = dataclasses.replace(config, db=dataclasses.replace(config.db, path=Path(args.out)))
+        db, path = simcore.build_db_for_scenario(config)
         where = path if path is not None else "(not persisted: no db path configured)"
         print(f"built fingerprint database: {len(db.positions)} points x {len(db.ap_ids)} APs -> {where}")
         if db.overflow:
@@ -82,13 +84,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "run":
-        overrides = {"seed": args.seed, "max_steps": args.max_steps}
+        overrides = {"seed": args.seed, "max_steps": args.max_steps,
+                     "trace_csv": None if args.out is None else Path(args.out)}
         config = dataclasses.replace(simcore.ScenarioConfig.from_file(args.scenario),
                                      **{name: value for name, value in overrides.items() if value is not None})
-        trace_path = Path(args.out) if args.out else config.trace_csv
-        records = simcore.run_simulation(config, trace_path=trace_path)
+        records = simcore.run_simulation(config)
         summary = metrics.summarize_run(records)
-        print(f"ran {len(records)} steps -> {trace_path}")
+        print(f"ran {len(records)} steps -> {config.trace_csv}")
         print(summary.format_table())
         return 0
 

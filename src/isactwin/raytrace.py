@@ -3,12 +3,11 @@
 Specular reflections only: candidate paths are the ordered surface sequences
 up to a maximum reflection order K with no surface repeated back to back (the
 image method of Allen & Berkley, JASA 1979). There is one plan per read-only
-scene and K: the planes and edge planes of the scene's planar surfaces and of
-its occluders, the planes of its walls, and level-major (K, M) tables of the
-planes, edge planes and coefficients of every sequence of order 0..K, order
-by order, right-aligned behind -1s, so level i is real exactly from row
-first[i] on. Each read-only tx Pose has one (K + 1, M, 3) image chain and one
-(K + 2, M, 3) point template filled with tx.
+scene and K: the planes and edge planes of the scene's occluders, and
+level-major (K, M) tables of the planes, edge planes and coefficients of
+every sequence of order 0..K, order by order, right-aligned behind -1s, so
+level i is real exactly from row first[i] on. Each read-only tx Pose has one
+(K + 1, M, 3) image chain and one (K + 2, M, 3) point template filled with tx.
 
 A trace makes one array pass over all M candidates (as Sionna RT does, arXiv
 2303.11103): the receiver is back-traced through the image chain, on each
@@ -17,17 +16,18 @@ one pass over the (K, M) bounces and polygon containment only on the rows
 that pass them, which padding passes by construction; and the survivors'
 (K + 1, M') segments meet the occluders' planes in one occlusion pass, with
 the endpoint guard as the only filter for the surfaces a segment starts or
-ends on. A wall has every vertex of the scene on one closed side of its
-plane, so a segment between two points on that side cannot cross it (as in
-beam tracing's convex cells, Funkhouser et al., SIGGRAPH 1998): the occluders
-are the other surfaces, or all S when tx or rx is behind a wall, and a closed
-room of walls alone, like the desk box, skips the pass. A -1 mirrors nothing,
-its point is the source and its coefficient 1, so padding adds only
-zero-length legs. The survivors' gains and delays become the PathSet's
-columns at trace time; it keeps their polylines, and the first read of a
-Doppler shift, local angle, order or bounce point builds all five of those
-columns from them at once. A fingerprint, which reads gains and delays only,
-never builds them. The bounces keep the padding, as rows equal to tx.
+ends on. A wall (Scene.walls) has every vertex of the scene on one closed
+side of its plane, so a segment between two points on that side cannot cross
+it (as in beam tracing's convex cells, Funkhouser et al., SIGGRAPH 1998). A
+trace refuses an end strictly behind a wall, so the occluders are the other
+surfaces, and a closed room of walls alone, like the desk box, skips the
+pass. A -1 mirrors nothing, its point is the source and its coefficient 1,
+so padding adds only zero-length legs. The survivors' gains and delays
+become the PathSet's columns at trace time; it keeps their polylines, and
+the first read of a Doppler shift, local angle, order or bounce point builds
+all five of those columns from them at once. A fingerprint, which reads
+gains and delays only, never builds them. The bounces keep the padding, as
+rows equal to tx.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -59,6 +59,8 @@ GAIN_PRUNE_THRESHOLD = 1e-9
 
 # Occlusion hits closer than this to a segment endpoint are the segment touching
 # a surface it starts or ends on; this guard is the only filter for such touches.
+# It is sound because no trace has an end behind a wall: a leg from there could
+# meet a wall's plane only at its far end, on a seam, and pass the guard.
 _ENDPOINT_GUARD = 1e-9
 
 
@@ -226,6 +228,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     rotated into each terminal's local frame; gains follow path_gain with the
     per-bounce material coefficients and are clamped to unit magnitude.
     Paths weaker than GAIN_PRUNE_THRESHOLD in amplitude are dropped.
+    An end strictly behind a wall of the scene (Scene.walls) raises ValueError.
     Every candidate of every order is traced in one pass over the scene's
     padded candidate table, whose rows run order by order, so the PathSet's
     stable delay sort orders equal delays the same way on every call.
@@ -236,6 +239,10 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
         raise ValueError("max_order must be >= 0")
     if math.dist(rx.position, tx.position) < 1e-12:
         raise ValueError("coincident endpoints")
+    behind = scene.walls.behind(np.array((tx.position, rx.position)))
+    if behind.any():
+        end, pose = ("tx", tx) if behind[0] else ("rx", rx)
+        raise ValueError(f"{end} at {tuple(pose.position.tolist())} is behind a wall of the scene")
 
     plan = _plan_for(scene, max_order)
     rows, pts = _unfold(plan, tx, rx.position)
@@ -247,7 +254,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     gain = path_gain(total, plan.coeffs.take(rows, axis=1).T, carrier_freq)
     amp = abs(gain)
     np.divide(gain, amp, out=gain, where=amp > 1.0)
-    keep = (~_occluded(plan.occluders_for(tx.position, rx.position), pts[:-1], segs, seg_lengths)
+    keep = (~_occluded(plan.occluders, pts[:-1], segs, seg_lengths)
             & ~short.any(axis=0)
             & (amp >= GAIN_PRUNE_THRESHOLD)).nonzero()[0]
     return PathSet._traced(tx, rx, carrier_freq, gain[keep], total[keep] / SPEED_OF_LIGHT,
@@ -273,7 +280,7 @@ def _trace_tail(tx: Pose, rx: Pose, carrier_freq: float, order, pts) -> tuple:
 # internals
 
 class _Surfaces(NamedTuple):
-    """The occlusion tables of some of a scene's usable (planar) surfaces."""
+    """The occlusion tables of a scene's occluders: its planar surfaces that are not walls."""
 
     normals: np.ndarray       # (S, 3)
     offsets: np.ndarray       # (S,), n . x = offset
@@ -285,16 +292,12 @@ class _Surfaces(NamedTuple):
 class _Plan:
     """What a trace over M candidates of order 0..K needs and no receiver changes, one per (scene, K).
 
-    No segment between two points on a wall's scene side crosses the wall inside its ends,
-    so occlusion reads the occluders' tables when tx and rx are both on the scene side of
-    every wall, and all S surfaces' tables otherwise. The bounce tables are level-major,
-    and level i is a real bounce exactly on rows first[i]:. Every array is read-only.
+    Both ends of a trace are on the scene side of every wall, where no segment crosses a wall
+    inside its ends, so occlusion reads the occluders' tables alone. The bounce tables are
+    level-major, and level i is a real bounce exactly on rows first[i]:. Every array is read-only.
     """
 
-    surfaces: _Surfaces       # all S usable surfaces
     occluders: _Surfaces      # the usable surfaces that are not walls
-    wall_normals: np.ndarray  # (W, 3) the walls' planes, turned so the scene side is n . x >= offset
-    wall_offsets: np.ndarray  # (W,)
     order: np.ndarray         # (M,) each row's reflection order, non-decreasing
     first: np.ndarray         # (K,) each level's first real row
     normals: np.ndarray       # (K, M, 3) each bounce's plane (any plane at padding)
@@ -307,14 +310,8 @@ class _Plan:
 
     def __post_init__(self):
         _set_read_only(self, **vars(self))
-        for table in self.surfaces + self.occluders:
+        for table in self.occluders:
             table.flags.writeable = False
-
-    def occluders_for(self, tx_point, rx_point) -> _Surfaces:
-        """The surfaces that can occlude a path from tx_point to rx_point: the occluders when
-        both lie on the scene side of every wall, else all S."""
-        behind = np.array((tx_point, rx_point)) @ self.wall_normals.T < self.wall_offsets
-        return self.surfaces if behind.any() else self.occluders
 
 
 _PLANS: "weakref.WeakKeyDictionary[Scene, dict]" = weakref.WeakKeyDictionary()  # scene -> {K: _Plan}
@@ -326,9 +323,8 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
     Its rows are every sequence of order 0..K with no surface twice in a row,
     an order-k row right-aligned behind K - k padding levels of -1, which
     gather a zero row of edge planes and a coefficient of 1.0. Rows are in
-    lexicographic order, which puts the orders in turn. A surface is a wall
-    when the computed heights of all vertices over its plane are >= 0, or all
-    <= 0: zero tolerance, so a surface that any vertex pierces stays an occluder.
+    lexicographic order, which puts the orders in turn. The occluders are the
+    usable surfaces that Scene.walls does not name.
     """
     plans = _PLANS.setdefault(scene, {})
     plan = plans.get(max_order)
@@ -342,12 +338,7 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
             edge_offsets[i, : len(s.vertices)] = s.edge_offsets
         normals = np.array([s.unit_normal for s in usable]).reshape(-1, 3)
         offsets = np.array([s.plane_offset for s in usable])
-        surfaces = _Surfaces(normals, offsets, edge_normals[:-1], edge_offsets[:-1])
-        vertices = np.array([v for s in usable for v in s.vertices]).reshape(-1, 3)
-        heights = normals @ vertices.T - offsets[:, None]   # (S, all vertices)
-        ahead = (heights >= 0.0).all(axis=1)
-        walls = ahead | (heights <= 0.0).all(axis=1)
-        facing = np.where(ahead, 1.0, -1.0)[walls]
+        occluders = ~scene.walls.mask
         coeffs = np.array([s.material.reflection_coeff for s in usable] + [1.0])
         side = len(usable) + 1   # indices -1..S-1, columns in lexicographic order
         seqs = np.indices((side,) * max_order).reshape(max_order, side ** max_order) - 1
@@ -357,8 +348,8 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
         seqs = seqs[(seqs >= 0).any(axis=1)]
         real = seqs >= 0
         plans[max_order] = plan = _Plan(
-            surfaces, _Surfaces(*(table[~walls] for table in surfaces)),
-            normals[walls] * facing[:, None], offsets[walls] * facing, real.sum(axis=0), (~real).sum(axis=1),
+            _Surfaces(normals[occluders], offsets[occluders], edge_normals[:-1][occluders],
+                      edge_offsets[:-1][occluders]), real.sum(axis=0), (~real).sum(axis=1),
             normals[seqs], offsets[seqs], edge_normals[seqs], edge_offsets[seqs], coeffs[seqs],
             np.stack((np.ones(seqs.shape), np.full(seqs.shape, 0.5))), weakref.WeakKeyDictionary())
     return plan

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -57,6 +58,20 @@ class Either(NamedTuple):
 _XYZ = (float, float, float)
 _SCENE_KEYS = {"materials": [{"name": str, "reflection_coeff": float}], "floor_height": float,
                "surfaces": [{"vertices": [_XYZ], "material": str}], "bounds": {"min": _XYZ, "max": _XYZ}}
+
+
+class Walls(NamedTuple):
+    """The planar surfaces whose plane has every vertex of the scene on one closed side, the scene
+    side, and not all on it. No segment between two points on that side crosses a wall inside its
+    ends (beam tracing's convex cells, Funkhouser et al., SIGGRAPH 1998)."""
+
+    normals: np.ndarray   # (W, 3) the walls' planes, turned so the scene side is n . x >= offset
+    offsets: np.ndarray   # (W,)
+    mask: np.ndarray      # (S,) which planar surfaces, in scene order, are walls
+
+    def behind(self, points: np.ndarray) -> np.ndarray:
+        """(P,) mask of the points (P, 3) strictly behind a wall; one on a wall's plane is not."""
+        return (points @ self.normals.T < self.offsets).any(axis=1)
 
 
 class SceneError(ValueError):
@@ -114,6 +129,23 @@ class Scene:
         _set_read_only(self, surfaces=tuple(self.surfaces), materials=MappingProxyType(dict(self.materials)),
                        bounds_min=np.array(self.bounds_min, dtype=float),
                        bounds_max=np.array(self.bounds_max, dtype=float))
+
+    @cached_property
+    def walls(self) -> Walls:
+        """The walls, found once with zero tolerance on the computed vertex heights, read-only. A plane
+        that holds every vertex makes no wall: a flat scene has no side."""
+        usable = [s for s in self.surfaces if s.unit_normal is not None]
+        normals = np.array([s.unit_normal for s in usable]).reshape(-1, 3)
+        offsets = np.array([s.plane_offset for s in usable])
+        vertices = np.concatenate([np.empty((0, 3)), *(s.vertices for s in usable)])
+        heights = normals @ vertices.T - offsets[:, None]   # (S, all vertices)
+        ahead = (heights >= 0.0).all(axis=1)
+        mask = ahead != (heights <= 0.0).all(axis=1)
+        facing = np.where(ahead, 1.0, -1.0)[mask]
+        walls = Walls(normals[mask] * facing[:, None], offsets[mask] * facing, mask)
+        for table in walls:
+            table.flags.writeable = False
+        return walls
 
 
 def _set_read_only(obj, **values) -> None:
@@ -278,7 +310,8 @@ def floor_grid(scene: Scene, spacing: float, height: float) -> np.ndarray:
     """Row-major lattice over the floor footprint of the scene bounds.
 
     Points are ordered with x varying fastest; per axis the count is
-    floor(extent / spacing) + 1 (a small slack absorbs float division dust).
+    floor(extent / spacing) + 1 (a small slack absorbs float division dust),
+    and no point passes the bounds, where a wall may stand (0.1 * 12 is 1.2 + 2e-16).
     """
     if spacing <= 0.0:
         raise ValueError(f"spacing must be > 0, got {spacing}")
@@ -289,8 +322,8 @@ def floor_grid(scene: Scene, spacing: float, height: float) -> np.ndarray:
     ly = scene.bounds_max[1] - y0
     nx = int(np.floor(lx / spacing + 1e-9)) + 1
     ny = int(np.floor(ly / spacing + 1e-9)) + 1
-    xs = x0 + spacing * np.arange(nx)
-    ys = y0 + spacing * np.arange(ny)
+    xs = np.minimum(x0 + spacing * np.arange(nx), scene.bounds_max[0])
+    ys = np.minimum(y0 + spacing * np.arange(ny), scene.bounds_max[1])
     gx, gy = np.meshgrid(xs, ys)  # rows indexed by y, x fastest within a row
     points = np.column_stack([gx.ravel(), gy.ravel(), np.full(nx * ny, float(height))])
     return points

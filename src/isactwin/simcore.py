@@ -354,9 +354,12 @@ def _parse_path(spec) -> np.ndarray:
     return np.asarray(spec, dtype=float).reshape(-1, 2)
 
 
-def _outside(scene, position) -> bool:
-    """True if a point lies more than 1e-9 m outside the scene's bounds."""
-    return bool(np.any(position < scene.bounds_min - 1e-9) or np.any(position > scene.bounds_max + 1e-9))
+def _misplaced(scene, position) -> str | None:
+    """Why a point cannot end a trace: it lies more than 1e-9 m outside the scene's bounds, or
+    strictly behind a wall (the test trace_paths makes); None if it can."""
+    if np.any(position < scene.bounds_min - 1e-9) or np.any(position > scene.bounds_max + 1e-9):
+        return "outside the scene bounds"
+    return "behind a wall of the scene" if scene.walls.behind(position[None])[0] else None
 
 
 def validate_scenario(config: ScenarioConfig) -> list:
@@ -401,8 +404,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
         if node.is_tx and node.id not in agent_ids:
             if node.pose is None:
                 problems.append(f"transmitter {node.id!r} has no pose")
-            elif scene is not None and _outside(scene, node.pose.position):
-                problems.append(f"transmitter {node.id!r} is outside the scene bounds")
+            elif scene is not None and (where := _misplaced(scene, node.pose.position)):
+                problems.append(f"transmitter {node.id!r} is {where}")
     try:
         graph = build_network(config.nodes, config.edges)
     except NetworkError as exc:
@@ -431,12 +434,12 @@ def validate_scenario(config: ScenarioConfig) -> list:
             problems.append(f"agent {spec.id!r} has no matching network node")
         if len(spec.waypoints) == 0:
             problems.append(f"agent {spec.id!r} has an empty path")
-        if scene is not None and _outside(scene, spec.initial_pose.position):
-            problems.append(f"agent {spec.id!r} starts outside the scene bounds")
+        if scene is not None and (where := _misplaced(scene, spec.initial_pose.position)):
+            problems.append(f"agent {spec.id!r} starts {where}")
 
     for key, path in (("db.path", config.db.path), ("output.trace_csv", config.trace_csv)):
         if path is not None and path.is_dir():   # "" resolves to the scenario's own directory
-            problems.append(f"{key} names a directory, not a file")
+            problems.append(f"{key} names a directory, not a file: {path}")
     if config.db.path is None and config.db.build is None:
         problems.append("db section needs a path or build instructions")
     if config.db.path is not None and not config.db.path.exists() and config.db.build is None:
@@ -447,9 +450,14 @@ def validate_scenario(config: ScenarioConfig) -> list:
             problems.append("db.build needs bin_width_s > 0 and num_bins >= 1")
         if scene is not None and config.agents:
             try:
-                _db_grid(config, scene)
+                grid = _db_grid(config, scene)
             except ConfigError as exc:
                 problems.append(str(exc))
+            else:
+                behind = scene.walls.behind(grid)
+                if behind.any():
+                    problems.append(f"db.build grid point {tuple(grid[behind.argmax()].tolist())} is behind "
+                                    f"a wall of the scene ({behind.sum()} of its {len(grid)} points are)")
 
     if not problems:
         object.__setattr__(config, "_validated_parts", (scene_bytes, scene, graph, allocation))
@@ -542,15 +550,14 @@ def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
     return grid
 
 
-def build_db_for_scenario(config: ScenarioConfig, out=None):
-    """Build the fingerprint database of a valid scenario; returns (db, path or None)."""
-    path = Path(out) if out is not None else config.db.path
+def build_db_for_scenario(config: ScenarioConfig):
+    """Build the fingerprint database of a valid scenario, saved to db.path if set; returns (db, db.path)."""
     scene, graph, _ = _world_parts(config)
-    return _build_db(config, scene, graph, path), path
+    return _build_db(config, scene, graph), config.db.path
 
 
-def _build_db(config: ScenarioConfig, scene, graph, path) -> loc_mod.FingerprintDB:
-    """Fingerprint the db.build grid from every static AP; saved to path unless it is None."""
+def _build_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
+    """Fingerprint the db.build grid from every static AP; saved to db.path unless it is None."""
     build = config.db.build
     if build is None:
         raise ConfigError("scenario has no db.build instructions")
@@ -562,8 +569,8 @@ def _build_db(config: ScenarioConfig, scene, graph, path) -> loc_mod.Fingerprint
         spacing=build.spacing, max_order=config.max_order, carrier_freq=config.ofdm.carrier_freq,
         scene_hash=scene_hash(scene), network_hash=db_signature(config, graph),
     )
-    if path is not None:
-        loc_mod.save_db(db, path)
+    if config.db.path is not None:
+        loc_mod.save_db(db, config.db.path)
     return db
 
 
@@ -587,7 +594,7 @@ def ensure_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
                 "(spacing, bins, ROI or height); rebuild it"
             )
         return db
-    return _build_db(config, scene, graph, config.db.path)
+    return _build_db(config, scene, graph)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,20 @@ class TestRun:
         run_simulation(dataclasses.replace(config, max_steps=3), trace_path=api)   # the file's seed, 3
         assert out.read_bytes() != api.read_bytes()
 
+    @pytest.mark.parametrize("command,key", [
+        (["build-db"], "db.path"),
+        (["run", "--max-steps", "2"], "output.trace_csv"),
+    ], ids=["build-db", "run"])
+    def test_out_directory_is_refused_before_any_work(self, scenario, tiny_scenario, tmp_path, capsys,
+                                                       command, key):
+        # --out replaces the config's path, so validation's directory check refuses it before set-up
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        assert main([command[0], scenario, *command[1:], "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: {key} names a directory, not a file: {outdir}\n"
+        assert not (tiny_scenario.parent / "artifacts").exists()
+        assert not any(outdir.iterdir())
+
     def test_failing_step_is_one_error_line(self, tmp_path, capsys):
         # ap_b sits exactly where the robot starts, so step 0 cannot trace that
         # link; the ROI keeps the database grid clear of it

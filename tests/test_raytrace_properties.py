@@ -12,6 +12,7 @@ import functools
 import gc
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isactwin import raytrace
+from isactwin import raytrace, simcore
 from isactwin.raytrace import SPEED_OF_LIGHT as C, Pose, trace_paths
 from isactwin.scene import load_scene
+from isactwin.simcore import ScenarioConfig
 from conftest import box_scene_doc, repo_scenario_dir
 from raytrace_oracle import contains, trace_paths_scalar
 
@@ -245,6 +247,19 @@ class TestPaddedCandidates:
         assert np.count_nonzero(got.order == 4) == 66
 
 
+def all_surfaces(scene):
+    """The occlusion tables of every planar surface of the scene, walls included, laid out as the
+    plan lays out its occluders'."""
+    usable = [s for s in scene.surfaces if s.unit_normal is not None]
+    num_edges = max(len(s.vertices) for s in usable)
+    edge_normals, edge_offsets = np.zeros((len(usable), num_edges, 3)), np.zeros((len(usable), num_edges))
+    for i, s in enumerate(usable):
+        edge_normals[i, : len(s.vertices)] = s.edge_normals
+        edge_offsets[i, : len(s.vertices)] = s.edge_offsets
+    return raytrace._Surfaces(np.array([s.unit_normal for s in usable]),
+                              np.array([s.plane_offset for s in usable]), edge_normals, edge_offsets)
+
+
 def occlusion_masks(scene, tx, rx, max_order):
     """_occluded's masks for one trace's candidates, over the plan's occluders and over all S surfaces."""
     plan = raytrace._plan_for(scene, max_order)
@@ -252,36 +267,71 @@ def occlusion_masks(scene, tx, rx, max_order):
     segs = pts[1:] - pts[:-1]
     seg_lengths = np.linalg.norm(segs, axis=2)
     return tuple(raytrace._occluded(surfaces, pts[:-1], segs, seg_lengths)
-                 for surfaces in (plan.occluders, plan.surfaces))
+                 for surfaces in (plan.occluders, all_surfaces(scene)))
+
+
+@st.composite
+def ends_across_a_wall(draw):
+    """A box room of random size, one point in front of every wall and one 1e-9 to 1 m behind exactly one."""
+    size = np.array([draw(st.floats(1.0, 6.0)), draw(st.floats(1.0, 6.0)), draw(st.floats(1.0, 3.0))])
+    scene = load_scene(box_scene_doc(*size))
+    inside, other = (size * np.array([draw(st.floats(0.05, 0.95)) for _ in range(3)]) for _ in range(2))
+    wall = scene.surfaces[draw(st.integers(0, len(scene.surfaces) - 1))]
+    gap = 10.0 ** -draw(st.floats(0.0, 9.0))
+    height = wall.unit_normal @ other - wall.plane_offset   # its sign is the room's side
+    behind = other - (height + math.copysign(gap, height)) * wall.unit_normal
+    assert np.count_nonzero((behind < 0.0) | (behind > size)) == 1
+    return scene, inside, behind
 
 
 class TestWalls:
     """A wall has the whole scene on one side of its plane, so it cannot occlude a segment
-    between two points in front of it; occlusion reads only the other surfaces then."""
+    between two points in front of it. A trace refuses an end behind a wall, so occlusion
+    reads only the other surfaces."""
 
     @given(st.one_of(links(), near_wall_links()), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_occluders_alone_give_every_mask(self, link, max_order):
         scene, tx, rx = link
-        plan = raytrace._plan_for(scene, max_order)
-        assert plan.occluders_for(tx.position, rx.position) is plan.occluders   # both ends in the room
+        assert not scene.walls.behind(np.array((tx.position, rx.position))).any()   # both ends in the room
         fast, full = occlusion_masks(scene, tx, rx, max_order)
         assert np.array_equal(fast, full)
 
+    @pytest.mark.parametrize("position", [
+        (0.5, 0.5, 1.3), (-0.2, 0.3, 0.4), (0.3, -0.1, 0.3), (1.5, 0.07, 0.6),
+    ], ids=["above-the-ceiling", "behind-x0", "behind-y0", "behind-x1"])
+    def test_transmitters_outside_the_desk_box_are_refused_at_every_grid_point(self, position):
+        # paths from these once leaked in through wall seams, at 39, 9, 12 and 1 of the points
+        config = ScenarioConfig.from_file(repo_scenario_dir() / "desk_two_ap.json")
+        scene = desk_box()
+        grid = simcore._db_grid(config, scene)
+        assert len(grid) == 195
+        tx = Pose.at(*position)
+        for point in grid:
+            with pytest.raises(ValueError, match=r"^tx at .* is behind a wall of the scene$"):
+                trace_paths(scene, tx, Pose(point), config.max_order, FC)
+
+    @given(ends_across_a_wall(), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_a_trace_across_a_wall_raises(self, ends, max_order):
+        scene, inside, behind = ends
+        for tx, rx in ((inside, behind), (behind, inside)):
+            with pytest.raises(ValueError, match="is behind a wall of the scene$"):
+                trace_paths(scene, Pose(tx), Pose(rx), max_order, FC)
+
     @pytest.mark.parametrize("max_order", range(4))
-    @pytest.mark.parametrize("make_scene,tx,rx", [
+    @pytest.mark.parametrize("make_scene,inside,behind", [
         (desk_box, Pose.at(0.3, 0.4, 0.2, yaw=0.5), Pose.at(1.05, 0.5, 0.3, velocity=(0.2, 0, 0))),
-        (lambda: panel_room(2.5), Pose.at(-0.05, 1.3, 1.2), Pose.at(3.0, 2.6, 1.3, yaw=-0.4)),
-    ], ids=["rx-behind-desk-wall", "tx-behind-panel-room-wall"])
-    def test_an_end_behind_a_wall_reads_every_surface(self, make_scene, tx, rx, max_order):
-        # every path crosses the wall the end stands behind; the occluders alone would keep some
+        (lambda: panel_room(2.5), Pose.at(3.0, 2.6, 1.3, yaw=-0.4), Pose.at(-0.05, 1.3, 1.2)),
+    ], ids=["behind-desk-wall", "behind-panel-room-wall"])
+    def test_an_end_behind_a_wall_is_refused(self, make_scene, inside, behind, max_order):
+        # every path crosses the wall the end stands behind, and occlusion reads no wall
         scene = make_scene()
-        assert_same_paths(trace_paths(scene, tx, rx, max_order, FC),
-                          trace_paths_scalar(scene, tx, rx, max_order, FC))
-        plan = raytrace._plan_for(scene, max_order)
-        assert plan.occluders_for(tx.position, rx.position) is plan.surfaces
-        fast, full = occlusion_masks(scene, tx, rx, max_order)
-        assert full.all() and not fast.all()
+        where = re.escape(str(tuple(behind.position.tolist())))
+        with pytest.raises(ValueError, match=f"^tx at {where} is behind a wall of the scene$"):
+            trace_paths(scene, behind, inside, max_order, FC)
+        with pytest.raises(ValueError, match=f"^rx at {where} is behind a wall of the scene$"):
+            trace_paths(scene, inside, behind, max_order, FC)
 
 
 class TestReusedTransmitter:
@@ -311,8 +361,8 @@ class TestReusedTransmitter:
         trace_paths(scene, tx, Pose.at(0.8, 0.6, 0.1), 3, FC)
         plan = raytrace._PLANS[scene][3]
         cached = ([a for a in vars(plan).values() if isinstance(a, np.ndarray)]
-                  + list(plan.surfaces) + list(plan.occluders) + list(plan.images[tx]))
-        assert len(cached) == 20
+                  + list(plan.occluders) + list(plan.images[tx]) + list(scene.walls))
+        assert len(cached) == 17
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -370,12 +420,13 @@ def assert_level_major(plan, num_surfaces, max_order):
 
 
 def assert_walls(plan, scene, num_walls):
-    """The first num_walls surfaces are walls, facing the scene; the rest are the occluders."""
+    """The first num_walls surfaces are walls, facing the scene; the rest are the plan's occluders."""
     vertices = np.concatenate([s.vertices for s in scene.surfaces])
-    assert len(plan.wall_offsets) == num_walls
-    assert (vertices @ plan.wall_normals.T >= plan.wall_offsets).all()
-    assert np.array_equal(abs(plan.wall_normals), abs(plan.surfaces.normals[:num_walls]))
-    for occluder, table in zip(plan.occluders, plan.surfaces):
+    walls, every = scene.walls, all_surfaces(scene)
+    assert walls.mask.tolist() == [True] * num_walls + [False] * (len(scene.surfaces) - num_walls)
+    assert (vertices @ walls.normals.T >= walls.offsets).all()
+    assert np.array_equal(abs(walls.normals), abs(every.normals[:num_walls]))
+    for occluder, table in zip(plan.occluders, every):
         assert np.array_equal(occluder, table[num_walls:])
 
 
@@ -397,6 +448,14 @@ class TestPlanLayout:
     def test_panel_room(self):
         scene = panel_room(2.5)
         assert_walls(raytrace._plan_for(scene, 3), scene, 6)
+
+    def test_a_flat_scene_has_no_wall(self):
+        # a lone panel's plane holds the whole scene, which is then on both of its sides
+        doc = box_scene_doc(4.0, 3.0, 2.5)
+        doc["surfaces"] = [{"vertices": [[2, 1, 0.5], [2, 2, 0.5], [2, 2, 2], [2, 1, 2]], "material": "wall"}]
+        scene = load_scene(doc)
+        assert_walls(raytrace._plan_for(scene, 2), scene, 0)
+        assert len(trace_paths(scene, Pose.at(1.0, 1.5, 1.2), Pose.at(3.0, 1.5, 1.2), 2, FC)) == 0
 
 
 @functools.cache

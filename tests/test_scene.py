@@ -235,6 +235,12 @@ class TestFloorGrid:
         ny = int(Fraction(k, lx)) + 1
         assert len(pts) == (k + 1) * ny
 
+    @pytest.mark.parametrize("width,spacing", [(1.2, 0.1), (0.7, 0.1), (1.0, 0.05)])
+    def test_no_point_passes_the_bounds(self, width, spacing):
+        # 0.1 * 12 is 1.2000000000000002: that point would stand behind a wall on the bound
+        pts = floor_grid(load_scene(box_scene_doc(width, width, 1.0)), spacing, 0.0)
+        assert pts[:, 0].max() == pts[:, 1].max() == width
+
 
 class TestSerialization:
     def test_round_trip_identity(self, box_scene):

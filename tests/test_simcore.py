@@ -195,8 +195,9 @@ class TestScenarioConfig:
         (lambda doc: doc["sim"].update(seed=True),
          "scenario document has True at .sim.seed, which must be an integer"),
         # "" resolves to the scenario's own directory
-        (lambda doc: doc["db"].update(path=""), "db.path names a directory, not a file"),
-        (lambda doc: doc["output"].update(trace_csv=""), "output.trace_csv names a directory, not a file"),
+        (lambda doc: doc["db"].update(path=""), "db.path names a directory, not a file: <dir>"),
+        (lambda doc: doc["output"].update(trace_csv=""),
+         "output.trace_csv names a directory, not a file: <dir>"),
     ], ids=["role-case", "link-end-without-array", "transmitter-without-pose",
             "transmitter-outside-bounds", "zero-carrier",
             "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position",
@@ -210,10 +211,46 @@ class TestScenarioConfig:
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
-        for argv in (["validate", str(p)], ["build-db", str(p)],
-                     ["run", str(p), "--out", str(tmp_path / "t.csv")]):
+        for argv in (["validate", str(p)], ["build-db", str(p)], ["run", str(p)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message.replace('<dir>', str(tmp_path))}\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["network"]["nodes"][1]["pose"].update(position=[1.3, 0.5, 0.4]),
+         "transmitter 'ap_b' is behind a wall of the scene"),
+        (lambda doc: doc["agents"][0]["initial_pose"].update(position=[0.5, -0.2, 0.1]),
+         "agent 'robot' starts behind a wall of the scene"),
+        # -0.5 + 17 x 0.1 lands 2e-16 m past the wall x = 1.2, and the test has zero tolerance
+        (lambda doc: doc["db"]["build"].update(roi_m=[0.3, 0.25, 1.25, 0.75]),
+         "db.build grid point (1.2000000000000002, 0.30000000000000004, 0.1) is behind a wall of the scene "
+         "(5 of its 50 points are)"),
+    ], ids=["transmitter", "agent-start", "db-grid-point"])
+    def test_end_behind_a_wall_rejected(self, tmp_path, capsys, edit, message):
+        # the scene's bounds reach 0.5 m past its walls, so the bounds check passes each of these;
+        # trace_paths would refuse them, so validate, build-db and run do before any work
+        scene = _tiny_scene()
+        scene["bounds"] = {"min": [-0.5, -0.5, 0.0], "max": [1.7, 1.5, 0.8]}
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(scene))
+        doc = tiny_scenario_doc()
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert validate_scenario(ScenarioConfig.from_file(p)) == []
+        edit(doc)
+        p.write_text(json.dumps(doc))
+        for argv in (["validate", str(p)], ["build-db", str(p)], ["run", str(p)]):
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_grid_on_the_walls_is_not_behind_them(self, tmp_path, capsys):
+        # without an ROI the 0.1 m grid of the 1.2 m tiny room reaches its wall x = 1.2, where
+        # 0.1 * 12 would put 11 points 2e-16 m behind it
+        doc = tiny_scenario_doc()
+        doc["db"]["build"]["roi_m"] = None
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 0
 
     @pytest.mark.parametrize("edit,where,value", [
         (lambda doc, v: doc["sim"].update(max_steps=v), ".sim.max_steps", 2.5),
@@ -414,6 +451,33 @@ class TestSimulationLoop:
             a, b = first.agents["robot"], rec.agents["robot"]
             assert (a.true_x, a.true_y, a.est_x, a.est_y) == (b.true_x, b.true_y, b.est_x, b.est_y)
             assert first.rates == rec.rates
+
+    @pytest.mark.parametrize("path,map_offset,phase", [
+        ([[1.6, 0.5]], None, "raytrace phase failed"),
+        ([[1.1, 0.5]], [0.45, 0.0], "observation phase failed for 'robot'"),
+    ], ids=["agent", "map-offset-pose"])
+    def test_crossing_a_wall_fails_the_step(self, tmp_path, capsys, path, map_offset, phase):
+        # the robot drives toward +x in a room whose bounds reach past its wall x = 1.2: either the
+        # robot or its offset pose crosses it, and the trace of that step refuses the end behind it
+        scene = _tiny_scene()
+        scene["bounds"] = {"min": [-0.5, -0.5, 0.0], "max": [1.7, 1.5, 0.8]}
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(scene))
+        doc = tiny_scenario_doc()
+        doc["agents"][0]["path"] = path
+        doc["agents"][0]["initial_pose"]["yaw_deg"] = 0.0
+        doc["agents"][0]["controller"]["v_max"] = 1.0
+        doc["noise"]["map_offset_m"] = map_offset
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "t.csv"
+        assert main(["run", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        failed = re.fullmatch(rf"error: step (\d+) {re.escape(phase)}: rx at \((.+)\) is behind a wall "
+                              r"of the scene\n", err)
+        assert failed, err
+        step, x = int(failed.group(1)), float(failed.group(2).split(",")[0])
+        assert step > 0 and x > 1.2
+        assert [r.step for r in read_trace_csv(out)] == list(range(step))
 
     def test_phase_ordering_on_bus(self, tmp_path):
         # a "*" subscriber sees each step's 9 messages in phase order, and observes without steering
@@ -616,7 +680,8 @@ class TestSetUpOnce:
         run_simulation(dataclasses.replace(config, max_steps=1))
         assert len(loads) == 1
         # the database built on demand is the one build-db writes
-        _, again = build_db_for_scenario(config, out=tmp_path / "again.fpdb")
+        _, again = build_db_for_scenario(
+            dataclasses.replace(config, db=dataclasses.replace(config.db, path=tmp_path / "again.fpdb")))
         assert config.db.path.read_bytes() == again.read_bytes()
 
     def test_invalid_allocation_still_fails_in_init_world(self, config):
