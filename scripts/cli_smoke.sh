@@ -61,6 +61,15 @@ isactwin validate "$case/desk_two_ap.json"
 edited 's["bounds"]["max"][0] = 2.0; d["network"]["nodes"][0]["pose"]["position"] = [1.5, 0.07, 0.6]'
 refused validate "$case/desk_two_ap.json"
 
+# a free-standing panel is an occluder, not a wall: every trace maps its bounces back to the real
+# frame for the occlusion pass, which no benchmark workload runs; build-db writes the scenario's
+# database, and run loads it
+edited 's["surfaces"].append({"vertices": [[0.77, 0.3, 0.05], [0.77, 0.5, 0.05], [0.77, 0.5, 0.45],
+                                           [0.77, 0.3, 0.45]], "material": "aluminum"})'
+isactwin validate "$case/desk_two_ap.json"
+isactwin build-db "$case/desk_two_ap.json"
+isactwin run "$case/desk_two_ap.json" --max-steps 5 --out "$tmp/panel.csv"
+
 # an --out that names a directory is refused before any work: no database is built or written
 edited ''
 mkdir "$tmp/outdir"

@@ -2,32 +2,30 @@
 
 Specular reflections only: candidate paths are the ordered surface sequences
 up to a maximum reflection order K with no surface repeated back to back (the
-image method of Allen & Berkley, JASA 1979). There is one plan per read-only
-scene and K: the planes and edge planes of the scene's occluders, and
-level-major (K, M) tables of the planes, edge planes and coefficients of
-every sequence of order 0..K, order by order, right-aligned behind -1s, so
-level i is real exactly from row first[i] on. Each read-only tx Pose has one
-(K + 1, M, 3) image chain and one (K + 2, M, 3) point template filled with tx.
+image method of Allen & Berkley, JASA 1979). Unfolded through its bounces, a
+path is the straight line from rx to the last image I of tx, and it meets each
+bounce's plane mirrored through the row's later bounces (Borish, JASA 1984),
+which depend on neither end. One plan per read-only scene and K holds the
+occluders' planes and, for every sequence of order 0..K, its mirrored planes
+and edge planes, its coefficient product and its maps back to the real frame
+(_Plan); each read-only tx Pose has its images and their products with those
+planes. A trace is one array pass over all M candidates (as Sionna RT does,
+arXiv 2303.11103): one (K M, 3) @ rx product and one division place each
+bounce on its line, one leg rule drops the rows whose bounces are out of order
+or land on an end (_unfold), containment runs on the survivors only, and
+|I - rx| and the coefficient product give the gain.
 
-A trace makes one array pass over all M candidates (as Sionna RT does, arXiv
-2303.11103): the receiver is back-traced through the image chain, on each
-level's real rows only, into a copy of the template; the plane guards run in
-one pass over the (K, M) bounces and polygon containment only on the rows
-that pass them, which padding passes by construction; and the survivors'
-(K + 1, M') segments meet the occluders' planes in one occlusion pass, with
-the endpoint guard as the only filter for the surfaces a segment starts or
-ends on. A wall (Scene.walls) has every vertex of the scene on one closed
-side of its plane, so a segment between two points on that side cannot cross
-it (as in beam tracing's convex cells, Funkhouser et al., SIGGRAPH 1998). A
-trace refuses an end strictly behind a wall, so the occluders are the other
-surfaces, and a closed room of walls alone, like the desk box, skips the
-pass. A -1 mirrors nothing, its point is the source and its coefficient 1,
-so padding adds only zero-length legs. The survivors' gains and delays
-become the PathSet's columns at trace time; it keeps their polylines, and
-the first read of a Doppler shift, local angle, order or bounce point builds
-all five of those columns from them at once. A fingerprint, which reads
-gains and delays only, never builds them. The bounces keep the padding, as
-rows equal to tx.
+Real bounce points are mapped back only where something reads them: the
+occlusion pass and a link's deferred columns. A wall (Scene.walls) has every
+vertex of the scene on one closed side of its plane, so a segment between two
+points on that side cannot cross it (as in beam tracing's convex cells,
+Funkhouser et al., SIGGRAPH 1998). A trace refuses an end strictly behind a
+wall, so the occluders are the other surfaces, and a closed room of walls
+alone, like the desk box, skips the pass. The PathSet gets the survivors'
+gains and delays at trace time and keeps their unfolded lines; the first read
+of a Doppler shift, local angle, order or bounce point builds all five of
+those columns at once (_trace_tail). A fingerprint, which reads gains and
+delays only, never builds them.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -128,8 +126,8 @@ class PathSet:
     and the transmitter; and bounces (L, K, 3), each path's reflection points
     right-aligned behind K - order rows equal to the tx position (a list of
     paths pads K to its largest order): a traced PathSet builds these five at
-    once on the first read of any of them, from the unsorted polylines it
-    keeps until then, and a list of paths sets them directly. Every column is
+    once on the first read of any of them, from the unsorted unfolded lines
+    it keeps until then, and a list of paths sets them directly. Every column is
     read-only. Iteration and ``paths`` give the paths back as PropagationPaths.
     """
 
@@ -147,12 +145,11 @@ class PathSet:
                                  for p in paths]).reshape(len(paths), k, 3))
 
     @classmethod
-    def _traced(cls, tx_pose, rx_pose, carrier_freq, gain, delay, order, pts) -> "PathSet":
-        """trace_paths' route in: the survivors' unsorted order (M',) and polylines (K + 2, M', 3)
-        wait for the first read of the tail; no PropagationPath is built."""
+    def _traced(cls, tx_pose, rx_pose, carrier_freq, gain, delay, *unfolded) -> "PathSet":
+        """trace_paths' route in: the survivors' unsorted unfolded lines wait for the first read of the tail."""
         ps = cls.__new__(cls)
         ps._set_head(tx_pose, rx_pose, carrier_freq, gain, delay)
-        ps._polylines = (order, pts)
+        ps._unfolded = unfolded
         return ps
 
     def _set_head(self, tx_pose, rx_pose, carrier_freq, gain, delay):
@@ -168,11 +165,11 @@ class PathSet:
         self._tail = tuple(column[self._sort] for column in columns)
         for column in self._tail:
             column.flags.writeable = False
-        self._sort = self._polylines = None
+        self._sort = self._unfolded = None
 
     def _read_tail(self) -> tuple:
         if self._tail is None:
-            self._set_tail(*_trace_tail(self.tx_pose, self.rx_pose, self.carrier_freq, *self._polylines))
+            self._set_tail(*_trace_tail(self.tx_pose, self.rx_pose, self.carrier_freq, *self._unfolded))
         return self._tail
 
     doppler = property(lambda self: self._read_tail()[0])
@@ -245,35 +242,28 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
         raise ValueError(f"{end} at {tuple(pose.position.tolist())} is behind a wall of the scene")
 
     plan = _plan_for(scene, max_order)
-    rows, pts = _unfold(plan, tx, rx.position)
-    segs = pts[1:] - pts[:-1]
-    seg_lengths = np.sqrt(np.add.reduce(segs * segs, axis=2))   # np.linalg.norm(segs, axis=2)
-    short = seg_lengths < 1e-9  # a zero-length leg drops the path, unless it is padding
-    short[:-1] &= np.less_equal.outer(plan.first, rows)
-    total = seg_lengths.sum(axis=0)
-    gain = path_gain(total, plan.coeffs.take(rows, axis=1).T, carrier_freq)
+    rows, s, d, dist = _unfold(plan, tx, rx.position)
+    gain = path_gain(dist, plan.coeffs.take(rows)[:, None], carrier_freq)
     amp = abs(gain)
     np.divide(gain, amp, out=gain, where=amp > 1.0)
-    keep = (~_occluded(plan.occluders, pts[:-1], segs, seg_lengths)
-            & ~short.any(axis=0)
-            & (amp >= GAIN_PRUNE_THRESHOLD)).nonzero()[0]
-    return PathSet._traced(tx, rx, carrier_freq, gain[keep], total[keep] / SPEED_OF_LIGHT,
-                           plan.order[rows[keep]], pts.take(keep, axis=1))
+    keep = amp >= GAIN_PRUNE_THRESHOLD
+    if len(plan.occluders.offsets):
+        keep &= ~_occluded(plan.occluders, _polylines(plan, tx.position, rx.position, rows, s, d))
+    keep = keep.nonzero()[0]
+    return PathSet._traced(tx, rx, carrier_freq, gain[keep], dist[keep] / SPEED_OF_LIGHT,
+                           plan, rows[keep], s[:, keep], d[keep], dist[keep])
 
 
-def _trace_tail(tx: Pose, rx: Pose, carrier_freq: float, order, pts) -> tuple:
-    """A trace's (doppler, aoa, aod, order, bounces), unsorted, from its (K + 2, M', 3) polylines.
-
-    Each direction is normalised once. Legs under 1e-9 m are dropped at trace
-    time, so _unit's zero-length raise cannot fire on a traced PathSet.
-    """
-    first = pts[-1 - order, np.arange(pts.shape[1])]  # the first bounce, or rx for LoS
-    u_dep = _unit(first - pts[0])                     # leaves tx
-    u_arr = _unit(pts[-1] - pts[-2])                  # arrives at rx
+def _trace_tail(tx: Pose, rx: Pose, carrier_freq: float, plan, rows, s, d, dist) -> tuple:
+    """A trace's unsorted (doppler, aoa, aod, order, bounces) from its rows' unfolded lines: each
+    path reaches rx along u_arr = -D / |D| and leaves tx along the row's composed mirror of it."""
+    u_arr = d / -dist[:, None]
+    u_dep = np.vecdot(plan.linear[0].take(rows, axis=0), u_arr[:, None, :])
     doppler = carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, tx.velocity) - np.vecdot(u_arr, rx.velocity))
     aoa = _direction_angles(rx.rotation, -u_arr)
     aod = _direction_angles(tx.rotation, u_dep)
-    return doppler, aoa, aod, order, pts[1:-1].transpose(1, 0, 2)
+    bounces = _polylines(plan, tx.position, rx.position, rows, s, d)[1:-1]
+    return doppler, aoa, aod, plan.order.take(rows), bounces.transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -290,23 +280,26 @@ class _Surfaces(NamedTuple):
 
 @dataclass(eq=False)
 class _Plan:
-    """What a trace over M candidates of order 0..K needs and no receiver changes, one per (scene, K).
+    """What a trace over M candidates of order 0..K needs and no end changes, one per (scene, K).
 
-    Both ends of a trace are on the scene side of every wall, where no segment crosses a wall
-    inside its ends, so occlusion reads the occluders' tables alone. The bounce tables are
-    level-major, and level i is a real bounce exactly on rows first[i]:. Every array is read-only.
+    Occlusion reads the occluders alone: both ends of a trace are on the scene side of every
+    wall, where no segment crosses one. Level i's plane and edge planes are mirrored into the
+    row's unfolded frame, which x -> linear[i + 1] x + shift[i + 1] maps back to the real one
+    (linear[0], shift[0] undo every bounce). Padding levels come first in a row and mirror
+    nothing: a zero normal with offset 1, zero edge planes. Every array is read-only.
     """
 
     occluders: _Surfaces      # the usable surfaces that are not walls
     order: np.ndarray         # (M,) each row's reflection order, non-decreasing
-    first: np.ndarray         # (K,) each level's first real row
-    normals: np.ndarray       # (K, M, 3) each bounce's plane (any plane at padding)
+    padding: np.ndarray       # (K, M) which levels mirror nothing
+    normals: np.ndarray       # (K, M, 3) each bounce's mirrored plane n' . x = o'
     offsets: np.ndarray       # (K, M)
-    edge_normals: np.ndarray  # (K, M, V, 3) each bounce's polygon, zero (so always inside) at padding
-    edge_offsets: np.ndarray  # (K, M, V)
-    coeffs: np.ndarray        # (K, M) reflection coefficients, exactly 1.0 at padding
-    guards: np.ndarray        # (2, K, M) denominator 1 and line parameter 0.5, which pass the plane guards
-    images: weakref.WeakKeyDictionary  # tx Pose -> its image chain and point template, dying with the pose
+    edge_normals: np.ndarray  # (K, V, M, 3) each bounce's mirrored polygon, edge-major
+    edge_offsets: np.ndarray  # (K, V, M)
+    coeffs: np.ndarray        # (M,) each row's product of reflection coefficients, 1.0 for LoS
+    linear: np.ndarray        # (K + 1, M, 3, 3) the maps back to the real frame
+    shift: np.ndarray         # (K + 1, M, 3)
+    images: weakref.WeakKeyDictionary  # tx Pose -> _image_chain's arrays, dying with the pose
 
     def __post_init__(self):
         _set_read_only(self, **vars(self))
@@ -320,10 +313,9 @@ _PLANS: "weakref.WeakKeyDictionary[Scene, dict]" = weakref.WeakKeyDictionary()  
 def _plan_for(scene: Scene, max_order: int) -> _Plan:
     """The scene's plan for order K, built once per (scene, K); it dies with the scene.
 
-    Its rows are every sequence of order 0..K with no surface twice in a row,
-    an order-k row right-aligned behind K - k padding levels of -1, which
-    gather a zero row of edge planes and a coefficient of 1.0. Rows are in
-    lexicographic order, which puts the orders in turn. The occluders are the
+    Its rows are every sequence of order 0..K with no surface twice in a row, right-aligned
+    behind padding levels of -1, in lexicographic order, which puts the orders in turn. Level
+    i's map back mirrors through the row's bounces K - 1 down to i + 1. The occluders are the
     usable surfaces that Scene.walls does not name.
     """
     plans = _PLANS.setdefault(scene, {})
@@ -331,13 +323,12 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
     if plan is None:
         usable = [s for s in scene.surfaces if s.unit_normal is not None]
         num_edges = max((len(s.vertices) for s in usable), default=0)
-        edge_normals = np.zeros((len(usable) + 1, num_edges, 3))
-        edge_offsets = np.zeros((len(usable) + 1, num_edges))
+        normals, offsets = np.zeros((len(usable) + 1, 3)), np.zeros(len(usable) + 1)
+        edge_normals, edge_offsets = np.zeros((len(usable) + 1, num_edges, 3)), np.zeros((len(usable) + 1, num_edges))
         for i, s in enumerate(usable):
+            normals[i], offsets[i] = s.unit_normal, s.plane_offset
             edge_normals[i, : len(s.vertices)] = s.edge_normals
             edge_offsets[i, : len(s.vertices)] = s.edge_offsets
-        normals = np.array([s.unit_normal for s in usable]).reshape(-1, 3)
-        offsets = np.array([s.plane_offset for s in usable])
         occluders = ~scene.walls.mask
         coeffs = np.array([s.material.reflection_coeff for s in usable] + [1.0])
         side = len(usable) + 1   # indices -1..S-1, columns in lexicographic order
@@ -346,94 +337,110 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
         seqs = seqs[:, ((prev < 0) | ((cur >= 0) & (cur != prev))).all(axis=0)]
         # orders no sequence reaches (fewer than two surfaces) leave all-padding levels
         seqs = seqs[(seqs >= 0).any(axis=1)]
-        real = seqs >= 0
+        k, m = seqs.shape
+        n, o = normals[seqs], offsets[seqs]
+        linear, shift = np.empty((k + 1, m, 3, 3)), np.empty((k + 1, m, 3))
+        linear[k], shift[k] = np.eye(3), 0.0
+        for i in range(k - 1, -1, -1):   # mirror x -> x - 2 (n . x - o) n after the map of level i
+            a, b = linear[i + 1], shift[i + 1]
+            linear[i] = a - 2.0 * n[i, :, :, None] * (n[i, :, None, :] @ a)
+            shift[i] = b - 2.0 * (np.vecdot(n[i], b) - o[i])[:, None] * n[i]
+        # a plane n . x = o seen through x -> A x + b is (A^T n) . x = o - n . b
+        e = edge_normals[seqs]
+        mirrored = o - np.vecdot(n, shift[1:])
+        mirrored[seqs < 0] = 1.0
+        edge_major = lambda a: np.ascontiguousarray(np.moveaxis(a, 2, 1))   # (K, M, V, ...) -> (K, V, M, ...)
         plans[max_order] = plan = _Plan(
-            _Surfaces(normals[occluders], offsets[occluders], edge_normals[:-1][occluders],
-                      edge_offsets[:-1][occluders]), real.sum(axis=0), (~real).sum(axis=1),
-            normals[seqs], offsets[seqs], edge_normals[seqs], edge_offsets[seqs], coeffs[seqs],
-            np.stack((np.ones(seqs.shape), np.full(seqs.shape, 0.5))), weakref.WeakKeyDictionary())
+            _Surfaces(normals[:-1][occluders], offsets[:-1][occluders], edge_normals[:-1][occluders],
+                      edge_offsets[:-1][occluders]), (seqs >= 0).sum(axis=0), seqs < 0,
+            (n[..., None, :] @ linear[1:])[..., 0, :], mirrored, edge_major(e @ linear[1:]),
+            edge_major(edge_offsets[seqs] - np.vecdot(e, shift[1:, :, None, :])), coeffs[seqs].prod(axis=0),
+            linear, shift, weakref.WeakKeyDictionary())
     return plan
 
 
-def _inside(edge_normals, edge_offsets, points):
-    """Polygon containment of points on their surfaces' planes (edges included).
-
-    edge_normals (..., V, 3) and edge_offsets (..., V) describe one surface
-    per point of points (..., 3); zero padding is always inside.
-    """
-    dist = np.vecdot(edge_normals, points[..., None, :]) - edge_offsets
-    return ~(dist < -CONTAINS_TOL).any(axis=-1)
+def _inside(heights):
+    """Polygon containment (edges included) of N points from their (E, N) heights over the edge
+    planes of their polygons, edge_normal . x - edge_offset; zero padding is always inside."""
+    return (heights >= -CONTAINS_TOL).all(axis=0)
 
 
 def _image_chain(plan: _Plan, tx_point: np.ndarray) -> tuple:
-    """One tx's read-only (K + 1, M, 3) image chain and its (K + 2, M, 3) point template, all tx.
-
-    Level j of the chain is tx mirrored through the row's first j planes, so
-    only the rows first[j]: of level j + 1 mirror; padding mirrors nothing.
-    """
-    k, m = plan.offsets.shape
-    images, template = np.full((k + 1, m, 3), tx_point), np.full((k + 2, m, 3), tx_point)
-    for j, f in enumerate(plan.first):
-        p, n = images[j, f:], plan.normals[j, f:]
-        images[j + 1, f:] = p - (2.0 * (np.vecdot(p, n) - plan.offsets[j, f:]))[:, None] * n
-    images.flags.writeable = template.flags.writeable = False
-    return images, template
+    """One tx's read-only images I (M, 3), tx mirrored through each row's bounces, with their
+    products n' . I (K, M) with the mirrored planes (1 at padding, which puts it at s = 1) and
+    their heights h(I) (K, V, M) over the mirrored edge planes."""
+    image = ((tx_point - plan.shift[0])[:, None, :] @ plan.linear[0])[:, 0]
+    n_dot_image = np.vecdot(plan.normals, image)
+    n_dot_image[plan.padding] = 1.0
+    heights = np.vecdot(plan.edge_normals, image) - plan.edge_offsets
+    for a in (image, n_dot_image, heights):
+        a.flags.writeable = False
+    return image, n_dot_image, heights
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _unfold(plan: _Plan, tx: Pose, rx_point: np.ndarray):
-    """Back-trace the plan's rows from rx; returns M' row indices and their (K + 2, M', 3) points (tx..rx).
+    """The M' rows with a path, their (K, M') line parameters s, (M', 3) D = I - rx and (M',) |D|.
 
-    Level i is traced on its real rows first[i]: only, into a copy of the tx's point template
-    and of the plan's guard template, whose padding entries (tx, and a denominator and line
-    parameter that pass) are never written. The guards (each real bounce strictly between the
-    previous point and the image) then run in one pass over the (K, M) denominators and line
-    parameters, and containment on the rows that pass. Images are per tx pose.
+    A row's path is rx + s D, and bounce i is at s = (o' - q) / (n' . I - q), q = n' . rx. A row
+    survives when each real leg (s[i - 1] - s[i]) |D|, image to rx, is >= 1e-9 m and each real
+    denominator >= 1e-15 in magnitude; padding, at s = 1, has zero-length legs that are no legs.
+    A height over an edge plane is linear along the line: (1 - s) h(rx) + s h(I) at rx + s D.
     """
-    entry = plan.images.get(tx)
-    if entry is None:
-        entry = plan.images[tx] = _image_chain(plan, tx.position)
-    images, pts = entry[0], entry[1].copy()
-    pts[-1] = rx_point
-    denom, t = plan.guards.copy()
-    for i in range(len(plan.first) - 1, -1, -1):
-        f = plan.first[i]
-        cur, n, d = pts[i + 2, f:], plan.normals[i, f:], denom[i, f:]
-        ab = images[i + 1, f:] - cur
-        np.vecdot(ab, n, out=d)
-        np.divide(plan.offsets[i, f:] - np.vecdot(cur, n), d, out=t[i, f:])
-        np.add(cur, t[i, f:, None] * ab, out=pts[i + 1, f:])
-    rows = ((abs(denom) >= 1e-15) & (t > 1e-12) & (t < 1.0 - 1e-12)).all(axis=0).nonzero()[0]
-    pts = pts.take(rows, axis=1)   # take: 2-3x faster than fancy indexing on axis 1
-    keep = _inside(plan.edge_normals.take(rows, axis=1), plan.edge_offsets.take(rows, axis=1),
-                   pts[1:-1]).all(axis=0)
-    return rows[keep], pts.compress(keep, axis=1)
+    entry = plan.images.get(tx) or plan.images.setdefault(tx, _image_chain(plan, tx.position))
+    image, n_dot_image, image_heights = entry
+    k, v, m = image_heights.shape
+    d = image - rx_point
+    dist = np.sqrt(np.vecdot(d, d))
+    q = (plan.normals.reshape(k * m, 3) @ rx_point).reshape(k, m)
+    denom = n_dot_image - q
+    s = np.empty((k + 2, m))
+    s[0], s[-1] = 1.0, 0.0   # the image and rx
+    np.divide(plan.offsets - q, denom, out=s[1:-1])
+    legs = (s[:-1] - s[1:]) * dist >= 1e-9
+    legs[:-1] |= plan.padding
+    legs[:-1] &= abs(denom) >= 1e-15
+    rows = legs.all(axis=0).nonzero()[0]
+    s = s[1:-1].take(rows, axis=1)   # take: 2-3x faster than fancy indexing on axis 1
+    rx_heights = ((plan.edge_normals.reshape(k * v * m, 3) @ rx_point).reshape(k, v, m)
+                  - plan.edge_offsets).take(rows, axis=2)
+    heights = rx_heights + s[:, None] * (image_heights.take(rows, axis=2) - rx_heights)
+    keep = _inside(heights.reshape(k * v, len(rows)))
+    rows = rows[keep]
+    return rows, s.compress(keep, axis=1), d.take(rows, axis=0), dist.take(rows)
+
+
+def _polylines(plan: _Plan, tx_point, rx_point, rows, s, d) -> np.ndarray:
+    """The rows' real (K + 2, M', 3) polylines: tx, each bounce rx + s D mapped back (tx at padding), rx."""
+    pts = np.empty((len(s) + 2, len(rows), 3))
+    pts[0], pts[-1] = tx_point, rx_point
+    unfolded = rx_point + s[..., None] * d
+    np.add(np.vecdot(plan.linear[1:].take(rows, axis=1), unfolded[..., None, :]),
+           plan.shift[1:].take(rows, axis=1), out=pts[1:-1])
+    np.copyto(pts[1:-1], tx_point, where=plan.padding.take(rows, axis=1)[..., None])
+    return pts
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _occluded(surfaces: _Surfaces, starts, segs, seg_lengths) -> np.ndarray:
-    """(M,) mask: some segment crosses one of the given surfaces between its ends.
+def _occluded(surfaces: _Surfaces, pts) -> np.ndarray:
+    """(M,) mask: a segment of the (K + 2, M, 3) polylines crosses one of the surfaces between its ends.
 
-    All (K + 1, M) segments starts + t segs meet the surfaces' planes at once. The endpoint
-    guard, t L and (1 - t) L >= 1e-9 (so 0 < t < 1), is the only filter for the surfaces a
-    segment starts or ends on, whose planes it meets only there; zero-length padding legs hit
-    nothing. Only hits are tested for containment. With no surface (a trace of a convex room,
-    whose surfaces are all walls) or no hit the pass stops.
+    The endpoint guard, t L and (1 - t) L >= 1e-9, is the only filter for the surfaces a segment
+    starts or ends on, whose planes it meets only there; zero-length padding legs hit nothing.
     """
-    occluded = np.zeros(segs.shape[1], dtype=bool)
+    occluded = np.zeros(pts.shape[1], dtype=bool)
     normals, offsets, edge_normals, edge_offsets = surfaces
-    if not len(offsets):
-        return occluded
+    starts, segs = pts[:-1], pts[1:] - pts[:-1]
     shape = segs.shape[:2] + (len(offsets),)   # (K + 1, M, S)
     denom = (segs.reshape(-1, 3) @ normals.T).reshape(shape)
     t = (offsets - (starts.reshape(-1, 3) @ normals.T).reshape(shape)) / denom
-    length = seg_lengths[..., None]
+    length = np.sqrt(np.vecdot(segs, segs))[..., None]
     hits = (abs(denom) > 1e-15) & (t * length >= _ENDPOINT_GUARD) & ((1.0 - t) * length >= _ENDPOINT_GUARD)
     if not hits.any():
         return occluded
     leg, row, surface = hits.nonzero()
     points = starts[leg, row] + t[leg, row, surface, None] * segs[leg, row]
-    inside = _inside(edge_normals[surface], edge_offsets[surface], points)
+    inside = _inside((np.vecdot(edge_normals[surface], points[:, None, :]) - edge_offsets[surface]).T)
     occluded[row[inside]] = True
     return occluded
 
@@ -446,10 +453,3 @@ def _direction_angles(rotation: np.ndarray, units: np.ndarray) -> np.ndarray:
     np.arcsin(np.clip(d[:, 2], -1.0, 1.0, out=angles[:, 1]), out=angles[:, 1])
     return angles
 
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    """Unit vectors along the last axis."""
-    norm = np.sqrt(np.vecdot(v, v))
-    if (norm == 0.0).any():
-        raise ValueError("zero-length direction")
-    return v / norm[..., None]

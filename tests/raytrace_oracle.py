@@ -3,8 +3,10 @@
 This is the tracer the package shipped before ``trace_paths`` became array
 passes over the surface-sequence table. It walks one candidate surface
 sequence at a time with numpy calls on single 3-vectors, so it is slow but
-easy to check by eye. Tests compare the array tracer against it; nothing in
-``src/`` imports it.
+easy to check by eye. A path's directions come from the images of its ends:
+it leaves tx toward rx mirrored through the sequence in reverse, and reaches
+rx from the last image of tx. Tests compare the array tracer against it;
+nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -48,13 +50,17 @@ def trace_paths_scalar(scene, tx: Pose, rx: Pose, max_order: int = 2, carrier_fr
             continue
         if amp > 1.0:
             gain /= amp
+        # the path leaves tx toward rx's last image and reaches rx from tx's last image: a
+        # difference of two path points would cancel to a few digits on a 1e-9 m leg
+        u_dep = _unit(mirror_chain(rx.position, seq[::-1]) - tx.position)
+        u_arr = _unit(rx.position - mirror_chain(tx.position, seq))
         paths.append(
             PropagationPath(
                 gain=gain,
                 delay=total / SPEED_OF_LIGHT,
-                doppler=_doppler_shift(pts, tx.velocity, rx.velocity, carrier_freq),
-                aoa=_direction_angles(rx, pts[-2] - pts[-1]),
-                aod=_direction_angles(tx, pts[1] - pts[0]),
+                doppler=carrier_freq / SPEED_OF_LIGHT * float(tx.velocity @ u_dep - rx.velocity @ u_arr),
+                aoa=_direction_angles(rx, -u_arr),
+                aod=_direction_angles(tx, u_dep),
                 reflection_points=pts[1:-1],
                 order=len(seq),
             )
@@ -91,15 +97,21 @@ def contains(surface, point, tol: float = _CONTAINS_TOL) -> bool:
     return True
 
 
+def mirror_chain(point, seq):
+    """A point mirrored through each surface of seq in turn."""
+    image = np.asarray(point, dtype=float)
+    for s in seq:
+        image = image - 2.0 * ((image @ s.unit_normal) - s.plane_offset) * s.unit_normal
+    return image
+
+
 def unfold(seq, tx_point, rx_point):
     """Back-trace a surface sequence into concrete path points (tx..rx) or None."""
     if not seq:
         return np.vstack([tx_point, rx_point])
     images = [np.asarray(tx_point, dtype=float)]
     for s in seq:
-        n = s.unit_normal
-        p = images[-1]
-        images.append(p - 2.0 * ((p @ n) - s.plane_offset) * n)
+        images.append(mirror_chain(images[-1], (s,)))
     pts = [np.asarray(rx_point, dtype=float)]
     cur = pts[0]
     for i in range(len(seq), 0, -1):
@@ -158,12 +170,6 @@ def _path_gain(path_length: float, reflection_coeffs, carrier_freq: float) -> co
         amp *= c
     phase = -2.0 * math.pi * path_length / lam
     return amp * complex(math.cos(phase), math.sin(phase))
-
-
-def _doppler_shift(pts, tx_velocity, rx_velocity, carrier_freq: float) -> float:
-    u_dep = _unit(pts[1] - pts[0])
-    u_arr = _unit(pts[-1] - pts[-2])
-    return carrier_freq / SPEED_OF_LIGHT * float(tx_velocity @ u_dep - rx_velocity @ u_arr)
 
 
 def _direction_angles(pose: Pose, direction) -> tuple:

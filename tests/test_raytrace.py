@@ -101,9 +101,9 @@ def inside_rows(monkeypatch):
     rows = []
     inside = raytrace._inside
 
-    def counting(edge_normals, edge_offsets, points):
-        rows.append(points.shape[-2])   # (K, M', 3) bounces, or (N, 3) occlusion hits
-        return inside(edge_normals, edge_offsets, points)
+    def counting(heights):
+        rows.append(heights.shape[-1])   # (K V, M') bounces, or (V, N) occlusion hits
+        return inside(heights)
 
     monkeypatch.setattr(raytrace, "_inside", counting)
     return rows
@@ -293,16 +293,18 @@ class TestBounces:
         want = np.array([[tx.position, tx.position], [tx.position, [1.0] * 3], [[2.0] * 3] * 2])
         assert np.array_equal(ps.bounces, want)
 
-    def test_each_direction_is_normalised_once(self, box_scene, monkeypatch):
-        # not by the trace: on the first read of any geometry column, and never again
+    def test_directions_are_built_once_on_first_read(self, box_scene, monkeypatch):
+        # not by the trace: on the first read of any geometry column, and never again; u_arr is
+        # D / |D| and u_dep its composed mirror, so both are unit vectors with no second norm
         calls = []
-        unit = raytrace._unit
+        angles = raytrace._direction_angles
 
-        def counting_unit(v):
-            calls.append(v.shape)
-            return unit(v)
+        def counting_angles(rotation, units):
+            calls.append(units.shape)
+            assert np.allclose(np.linalg.norm(units, axis=1), 1.0, rtol=0.0, atol=1e-15)
+            return angles(rotation, units)
 
-        monkeypatch.setattr(raytrace, "_unit", counting_unit)
+        monkeypatch.setattr(raytrace, "_direction_angles", counting_angles)
         for max_order, first_read in itertools.product((0, 2, 3), GEOMETRY):
             calls.clear()
             ps = trace_paths(box_scene, self.TX, self.RX, max_order, 2.4e9)

@@ -8,12 +8,15 @@ algorithm: the closed-form image lattice of an empty box (Allen & Berkley,
 JASA 1979).
 """
 
+import dataclasses
 import functools
 import gc
+import itertools
 import json
 import math
 import re
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isactwin import raytrace, simcore
-from isactwin.raytrace import SPEED_OF_LIGHT as C, Pose, trace_paths
+from isactwin.localization import compute_mdp
+from isactwin.raytrace import SPEED_OF_LIGHT as C, Pose, trace_paths, wrap_angle
 from isactwin.scene import load_scene
 from isactwin.simcore import ScenarioConfig
 from conftest import box_scene_doc, repo_scenario_dir
@@ -82,6 +86,23 @@ def near_wall_links(draw):
     height = wall.unit_normal @ near.position - wall.plane_offset
     near = Pose(near.position - (height - math.copysign(gap, height)) * wall.unit_normal,
                 near.yaw, near.velocity)
+    return (scene, near, far) if draw(st.booleans()) else (scene, far, near)
+
+
+@st.composite
+def near_edge_links(draw):
+    """Desk-box links with one end 1e-12 to 1e-5 m inside two adjacent walls at once, near the
+    edge where they meet, so that legs from it to either wall can be shorter than 1e-9 m."""
+    scene = desk_box()
+    near, far = draw(poses(scene)), draw(poses(scene))
+    first = scene.surfaces[draw(st.integers(0, len(scene.surfaces) - 1))]
+    second = draw(st.sampled_from([s for s in scene.surfaces if s.unit_normal @ first.unit_normal == 0.0]))
+    position = near.position
+    for wall in (first, second):   # perpendicular walls: moving to one keeps the gap to the other
+        gap = 10.0 ** -draw(st.floats(5.0, 12.0))
+        height = wall.unit_normal @ position - wall.plane_offset
+        position = position - (height - math.copysign(gap, height)) * wall.unit_normal
+    near = Pose(position, near.yaw, near.velocity)
     return (scene, near, far) if draw(st.booleans()) else (scene, far, near)
 
 
@@ -170,8 +191,18 @@ def panel_room(lz):
 
 
 def assert_same_paths(got, ref):
-    assert [p.order for p in got] == [p.order for p in ref]
-    for p, q in zip(got, ref):
+    """The same paths in the same delay order. Paths whose delays tie within 1e-12 may come in
+    either order: the tracer's path length |I - rx| and the oracle's sum of legs round apart in
+    the last bits, which decides a stable sort between mathematically equal delays."""
+    got, ref = list(got), list(ref)
+    assert len(got) == len(ref)
+    unmatched = list(range(len(ref)))
+    for i, p in enumerate(got):
+        j = next(j for j in unmatched if ref[j].order == p.order and np.allclose(
+            p.reflection_points, ref[j].reflection_points, rtol=0.0, atol=1e-12))
+        unmatched.remove(j)
+        q = ref[j]
+        assert q.delay == pytest.approx(ref[i].delay, rel=1e-12, abs=0.0)   # i and j tie
         assert p.delay == pytest.approx(q.delay, rel=1e-12, abs=0.0)
         assert abs(p.gain - q.gain) <= 1e-12 * abs(q.gain)
         assert p.doppler == pytest.approx(q.doppler, rel=0.0, abs=1e-12)
@@ -187,6 +218,32 @@ class TestAgainstScalarOracle:
         scene, tx, rx = link
         assert_same_paths(trace_paths(scene, tx, rx, max_order, FC),
                           trace_paths_scalar(scene, tx, rx, max_order, FC))
+
+    @given(near_edge_links(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_same_paths_near_an_edge(self, link, max_order):
+        # the leg rule alone drops each candidate whose bounce lands within 1e-9 m of the end
+        scene, tx, rx = link
+        assert_same_paths(trace_paths(scene, tx, rx, max_order, FC),
+                          trace_paths_scalar(scene, tx, rx, max_order, FC))
+
+    def test_shipped_grid_fingerprints(self):
+        # every 5th of the 195 desk grid points from both APs; symmetric paths tie in delay
+        # there, so the fingerprints' bins are compared, not the order of paths within a bin
+        config = ScenarioConfig.from_file(repo_scenario_dir() / "desk_two_ap.json")
+        config = dataclasses.replace(config, db=dataclasses.replace(config.db, path=None))
+        db, _ = simcore.build_db_for_scenario(config)
+        scene, graph, _ = simcore._world_parts(config)
+        aps = simcore._static_aps(config, graph)
+        build = config.db.build
+        assert len(db.positions) == 195 and [ap_id for ap_id, _ in aps] == list(db.ap_ids)
+        for i in range(0, len(db.positions), 5):
+            for j, (_, ap) in enumerate(aps):
+                paths = trace_paths_scalar(scene, ap, Pose(db.positions[i]), config.max_order,
+                                           config.ofdm.carrier_freq)
+                want = compute_mdp(paths, build.bin_width, build.num_bins).bins
+                assert np.array_equal(db.bins[i, j] != 0.0, want != 0.0)
+                assert np.allclose(db.bins[i, j], want, rtol=1e-12, atol=0.0)
 
     def test_same_paths_behind_a_panel(self):
         # the panel stands across the line of sight
@@ -214,21 +271,67 @@ class TestAgainstScalarOracle:
         assert len(trace_paths(scene, tx, behind, 0, FC)) == int(not reflects)
 
 
+class TestExactDirections:
+    """Near a wall a leg can be 1e-9 m long, and a direction taken as the difference of its two
+    points keeps few digits. In the desk box, whose walls are axis-aligned, mirroring is exact in
+    rational arithmetic: the path leaves tx toward rx's last image and reaches rx from tx's."""
+
+    @given(st.one_of(near_wall_links(), near_edge_links()), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_angles_from_exact_images(self, link, max_order):
+        scene, tx, rx = link
+        axes = [int(np.flatnonzero(s.unit_normal)[0]) for s in scene.surfaces]
+        walls = [(axis, Fraction(float(s.vertices[0][axis]))) for axis, s in zip(axes, scene.surfaces)]
+
+        def image(point, seq):
+            point = [Fraction(float(x)) for x in point]
+            for axis, at in (walls[w] for w in seq):
+                point[axis] = 2 * at - point[axis]
+            return point
+
+        def angles(v, yaw):
+            norm = math.sqrt(sum(x * x for x in v))
+            return wrap_angle(math.atan2(v[1], v[0]) - yaw), math.asin(v[2] / norm)
+
+        for p in trace_paths(scene, tx, rx, max_order, FC):
+            # the walls each bounce lies on; on a seam, the sequence whose length is the path's
+            on = [[w for w, (axis, at) in enumerate(walls) if abs(b[axis] - at) <= 1e-9] for b in p.reflection_points]
+            lengths = {seq: sum((a - b) ** 2 for a, b in zip(image(tx.position, seq), rx.position))
+                       for seq in itertools.product(*on)}
+            seq = min(lengths, key=lambda seq: abs(float(lengths[seq]) - (p.delay * C) ** 2))
+            dep = [float(a - b) for a, b in zip(image(rx.position, seq[::-1]), image(tx.position, ()))]
+            arr = [float(a - b) for a, b in zip(image(tx.position, seq), image(rx.position, ()))]
+            assert angles_close(p.aod, angles(dep, tx.yaw), 1e-12)
+            assert angles_close(p.aoa, angles(arr, rx.yaw), 1e-12)
+
+
 class TestPaddedCandidates:
     """Cases at the edges of the padded candidate table, against the scalar oracle."""
 
     @pytest.mark.parametrize("max_order", range(4))
     @pytest.mark.parametrize("off_wall", [0.0, 1e-10])
     def test_tx_on_a_wall_plane(self, max_order, off_wall):
-        # a first bounce on the wall x = 0 lands on tx, which the back-trace
-        # guard rejects, or within 1e-10 of it: a real zero-length leg, which
-        # drops the path, where a padding leg tx -> tx does not
+        # a first bounce on the wall x = 0 lands on tx, or within 1e-10 of it: a
+        # real leg under 1e-9 m, which the leg rule drops, where the zero-length
+        # legs of padding are no legs
         scene = panel_room(2.5)
         tx, rx = Pose.at(off_wall, 1.3, 1.2, yaw=0.2), Pose.at(1.7, 2.4, 0.9, velocity=(0, 0.4, 0))
         got = trace_paths(scene, tx, rx, max_order, FC)
         assert_same_paths(got, trace_paths_scalar(scene, tx, rx, max_order, FC))
         assert len(got) > 0
         assert not any(np.any(p.reflection_points[:1, 0] < 1e-9) for p in got)
+
+    @pytest.mark.parametrize("max_order", range(4))
+    @pytest.mark.parametrize("off_walls", [0.0, 1e-10])
+    def test_tx_on_two_wall_planes(self, max_order, off_walls):
+        # tx on the desk box's edge x = 0, y = 0, or 1e-10 m inside both walls: a first
+        # bounce on either wall lands within 1e-9 m of tx, which the leg rule drops
+        scene = desk_box()
+        tx, rx = Pose.at(off_walls, off_walls, 0.3, yaw=0.2), Pose.at(0.6, 0.45, 0.1, velocity=(0, 0.3, 0))
+        got = trace_paths(scene, tx, rx, max_order, FC)
+        assert_same_paths(got, trace_paths_scalar(scene, tx, rx, max_order, FC))
+        assert len(got) > 0
+        assert not any(np.any(p.reflection_points[:1, :2] < 1e-9) for p in got)
 
     def test_rx_on_the_floor_plane(self):
         scene = panel_room(2.5)
@@ -261,13 +364,12 @@ def all_surfaces(scene):
 
 
 def occlusion_masks(scene, tx, rx, max_order):
-    """_occluded's masks for one trace's candidates, over the plan's occluders and over all S surfaces."""
+    """_occluded's masks for one trace's candidates, over the plan's occluders and over all S surfaces,
+    on the real polylines mapped back from the candidates' unfolded lines."""
     plan = raytrace._plan_for(scene, max_order)
-    _, pts = raytrace._unfold(plan, tx, rx.position)
-    segs = pts[1:] - pts[:-1]
-    seg_lengths = np.linalg.norm(segs, axis=2)
-    return tuple(raytrace._occluded(surfaces, pts[:-1], segs, seg_lengths)
-                 for surfaces in (plan.occluders, all_surfaces(scene)))
+    rows, s, d, _ = raytrace._unfold(plan, tx, rx.position)
+    pts = raytrace._polylines(plan, tx.position, rx.position, rows, s, d)
+    return tuple(raytrace._occluded(surfaces, pts) for surfaces in (plan.occluders, all_surfaces(scene)))
 
 
 @st.composite
@@ -355,14 +457,14 @@ class TestReusedTransmitter:
         assert all(list(plan.images) == [tx] for plan in plans.values())
 
     def test_cached_arrays_are_read_only(self):
-        # a trace that wrote into the plan, the image chain or the point template in place
+        # a trace that wrote into the plan or the transmitter's images in place
         # would corrupt every later trace of the scene or of that transmitter; it raises instead
         scene, tx = desk_box(), Pose.at(0.1, 0.1, 0.5)
         trace_paths(scene, tx, Pose.at(0.8, 0.6, 0.1), 3, FC)
         plan = raytrace._PLANS[scene][3]
         cached = ([a for a in vars(plan).values() if isinstance(a, np.ndarray)]
                   + list(plan.occluders) + list(plan.images[tx]) + list(scene.walls))
-        assert len(cached) == 17
+        assert len(cached) == 19
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -403,20 +505,47 @@ class TestReusedTransmitter:
         assert len(raytrace._PLANS) == cached - 1
 
 
-def assert_level_major(plan, num_surfaces, max_order):
-    """Rows run order by order, level i is real exactly from row first[i] on, and padding is inert."""
+def plan_sequences(num_surfaces, max_order):
+    """The plan's rows as a (K, M) table: every surface sequence of order 0..K with no surface twice
+    in a row, right-aligned behind -1s, in lexicographic order."""
+    rows = [seq for seq in itertools.product(range(-1, num_surfaces), repeat=max_order)
+            if all(a < 0 or (b >= 0 and b != a) for a, b in zip(seq, seq[1:]))]
+    return np.array(rows, dtype=int).reshape(len(rows), max_order).T
+
+
+def assert_plan_layout(plan, scene, max_order):
+    """Rows run order by order with padding first. Mirroring each bounce's mirrored plane and edge
+    planes back through its level's map gives its surface's own; padding is zero planes (offset 1)
+    and mirrors nothing; each row's coefficient product is its bounces', 1 for LoS."""
+    usable = [s for s in scene.surfaces if s.unit_normal is not None]
+    seqs = plan_sequences(len(usable), max_order)
     k, m = plan.offsets.shape
-    assert k == max_order == len(plan.first)
-    assert m == 1 + sum(num_surfaces * (num_surfaces - 1) ** (j - 1) for j in range(1, k + 1))
+    assert (k, m) == seqs.shape and k == max_order
+    assert m == 1 + sum(len(usable) * (len(usable) - 1) ** (j - 1) for j in range(1, k + 1))
+    real = seqs >= 0
+    assert np.array_equal(plan.padding, ~real)
+    assert np.array_equal(plan.order, real.sum(axis=0))
     assert plan.order[0] == 0 and (np.diff(plan.order) >= 0).all()
-    for i, first in enumerate(plan.first):
-        real = np.arange(m) >= first
-        assert np.array_equal(real, plan.order >= k - i)   # bounces are right-aligned
-        assert plan.edge_normals[i, real].any(axis=(1, 2)).all()
-        assert not plan.edge_normals[i, ~real].any() and not plan.edge_offsets[i, ~real].any()
-        assert (plan.coeffs[i, ~real] == 1.0).all()
-    assert plan.guards.shape == (2, k, m)
-    assert (plan.guards[0] == 1.0).all() and (plan.guards[1] == 0.5).all()
+    linear, shift = plan.linear[1:], plan.shift[1:]
+    normals = np.vecdot(linear, plan.normals[..., None, :])
+    offsets = plan.offsets + np.vecdot(normals, shift)
+    edge_normals = np.vecdot(linear[:, :, None], np.moveaxis(plan.edge_normals, 1, 2)[..., None, :])
+    edge_offsets = np.moveaxis(plan.edge_offsets, 1, 2) + np.vecdot(edge_normals, shift[:, :, None])
+    every, own = all_surfaces(scene), seqs[real]
+    for got, want in zip((normals, offsets, edge_normals, edge_offsets), every):
+        assert np.allclose(got[real], want[own], rtol=0.0, atol=1e-12)
+    assert not plan.normals[~real].any() and (plan.offsets[~real] == 1.0).all()
+    padding = plan.padding[:, None, :].repeat(plan.edge_offsets.shape[1], axis=1)
+    assert not plan.edge_normals[padding].any() and not plan.edge_offsets[padding].any()
+    coeffs = np.array([s.material.reflection_coeff for s in usable])
+    assert np.allclose(plan.coeffs, np.where(real, coeffs[seqs], 1.0).prod(axis=0), rtol=1e-15, atol=0.0)
+    assert (plan.coeffs[plan.order == 0] == 1.0).all()
+    # every map back is an isometry; a padding level mirrors nothing, so its map is the next level's
+    assert np.allclose(plan.linear @ plan.linear.swapaxes(-1, -2), np.eye(3), rtol=0.0, atol=1e-12)
+    assert np.array_equal(plan.linear[:-1][~real], plan.linear[1:][~real])
+    assert np.array_equal(plan.shift[:-1][~real], plan.shift[1:][~real])
+    assert np.array_equal(plan.linear[-1], np.broadcast_to(np.eye(3), (m, 3, 3)))
+    assert not plan.shift[-1].any()
 
 
 def assert_walls(plan, scene, num_walls):
@@ -435,14 +564,14 @@ class TestPlanLayout:
     @settings(max_examples=15, deadline=None)
     def test_panel_rooms(self, scene, max_order):
         plan = raytrace._plan_for(scene, max_order)
-        assert_level_major(plan, len(scene.surfaces), max_order)
+        assert_plan_layout(plan, scene, max_order)
         assert_walls(plan, scene, 6)   # the box faces; the panel is the one occluder
 
     @pytest.mark.parametrize("max_order", range(5))
     def test_desk_box(self, max_order):
         scene = desk_box()
         plan = raytrace._plan_for(scene, max_order)
-        assert_level_major(plan, 6, max_order)
+        assert_plan_layout(plan, scene, max_order)
         assert_walls(plan, scene, 6)   # and no occluder
 
     def test_panel_room(self):
