@@ -52,6 +52,14 @@ refused validate "$case/desk_two_ap.json"
 # and an empty db path, which names the scenario's own directory
 edited 'd["db"]["path"] = ""'
 refused validate "$case/desk_two_ap.json"
+# and a pose on the robot's node, which would be ignored: the agent drives the node
+edited 'd["network"]["nodes"][2]["pose"] = {"position": [0.2, 0.2, 0.08]}'
+refused validate "$case/desk_two_ap.json"
+refused run "$case/desk_two_ap.json" --max-steps 2 --out "$tmp/agent_pose.csv"
+if [ -e "$case/artifacts" ] || [ -e "$tmp/agent_pose.csv" ]; then
+    echo "cli_smoke: a refused agent-node pose left files behind" >&2
+    exit 1
+fi
 # and a static transmitter outside the room, whose paths would enter through a wall
 edited 'd["network"]["nodes"][0]["pose"]["position"] = [1.5, 0.07, 0.6]'
 refused validate "$case/desk_two_ap.json"

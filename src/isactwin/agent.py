@@ -1,9 +1,10 @@
-"""Differential-drive agent dynamics, observation model, and waypoint control.
+"""Differential-drive agent dynamics, measurement model, and waypoint control.
 
 State evolution is the unicycle model with exact arc integration (no Euler
 drift), plus optional additive Gaussian noise on the planar pose. Integrating
 the same commands without noise gives the odometry heading that the waypoint
-controller steers with.
+controller steers with. The agent measures each AP's multipath delay profile
+(MDP) with fingerprint noise; localization matches that measurement.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .localization import add_fingerprint_noise
 from .raytrace import Pose, wrap_angle
 
 
@@ -22,24 +24,6 @@ class Control:
 
     v: float = 0.0
     omega: float = 0.0
-
-
-@dataclass(eq=False)
-class ProcessNoise:
-    """Zero-mean Gaussian state/observation noise drawn from the agent's own generator.
-
-    state_var holds per-component variances for (x, y, yaw); obs_var is a
-    scalar variance applied per observation component.
-    """
-
-    state_var: np.ndarray
-    obs_var: float
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        self.state_var = np.broadcast_to(np.asarray(self.state_var, dtype=float), (3,)).copy()
-        if np.any(self.state_var < 0.0) or self.obs_var < 0.0:
-            raise ValueError("noise variances must be nonnegative")
 
 
 def diff_drive_step(pose: Pose, u: Control, dt: float) -> Pose:
@@ -59,18 +43,22 @@ def diff_drive_step(pose: Pose, u: Control, dt: float) -> Pose:
     return Pose(position=(x, y, z), yaw=new_yaw, velocity=(v * math.cos(new_yaw), v * math.sin(new_yaw), 0.0))
 
 
-def step_state(pose: Pose, u: Control, noise: ProcessNoise, dt: float) -> Pose:
-    """One state-transition step: exact kinematics plus additive pose noise."""
+def step_state(pose: Pose, u: Control, state_var: float, rng: np.random.Generator, dt: float) -> Pose:
+    """One state step: exact kinematics plus N(0, state_var) noise on x, y and yaw, three normals."""
+    if state_var < 0.0:
+        raise ValueError("state variance must be nonnegative")
     pose = diff_drive_step(pose, u, dt)
-    eps = noise.rng.normal(0.0, np.sqrt(noise.state_var))
+    eps = rng.normal(0.0, math.sqrt(state_var), size=3)
     x, y, z = pose.position
     return Pose(position=(x + eps[0], y + eps[1], z), yaw=wrap_angle(pose.yaw + eps[2]), velocity=pose.velocity)
 
 
-def observe(m, noise: ProcessNoise) -> np.ndarray:
-    """The measurement as a real vector plus N(0, obs_var) noise on each component."""
-    raw = np.real(np.atleast_1d(np.asarray(m))).astype(float)
-    return raw + noise.rng.normal(0.0, math.sqrt(noise.obs_var), size=raw.shape)
+def observe(mdps: dict, snr_db: float | None, rng: np.random.Generator) -> dict:
+    """The measured MDPs: each AP's profile with fingerprint noise at snr_db, drawn from rng in
+    the dict's order; the profiles unchanged when snr_db is None."""
+    if snr_db is None:
+        return mdps
+    return {ap_id: add_fingerprint_noise(mdp, snr_db, rng) for ap_id, mdp in mdps.items()}
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ Each timestep runs six phases under a barrier, in a fixed total order:
                  -> state estimation -> control
 
 so no observation at step t can see a stale pose, and identical
-(config, seed) pairs produce byte-identical trace files. The phases publish
+(config, seed) pairs produce byte-identical trace files. Estimation localizes
+exactly the observation, agent.observe's noisy MDPs. The phases publish
 their results on the world's Bus, where a subscriber is a callable given each
 matching Message(topic, step, payload): it observes the run, never steers it.
 
@@ -35,6 +36,7 @@ field names its JSON type; "?" marks an optional key, which may also be null::
       "output"?: {"trace_csv"?: string}
     }
 
+A node's pose is for static transmitters: an agent drives its own node.
 Coordinates are numbers. indices (1-based) is a list of integers or
 {"from": integer, "to": integer}, inclusive; path is a waypoint list
 [[x, y], ...] or {"circle": {"center": [x, y], "radius": number,
@@ -380,8 +382,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
         problems.append("noise.noise_power_w must be > 0")
     if config.noise.state_var < 0.0:
         problems.append("noise.state_var must be nonnegative")
-    if config.noise.obs_var != 0.0:   # localize matches the raw fingerprints, not the observation
-        problems.append("noise.obs_var must be 0: nothing reads the observed vector; "
+    if config.noise.obs_var != 0.0:
+        problems.append("noise.obs_var must be 0: the observation is the fingerprint measurement; "
                         "set noise.fingerprint_snr_db for measurement noise")
     if config.max_order < 0:
         problems.append("raytrace.max_order must be >= 0")
@@ -401,6 +403,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
     for node in config.nodes:
         if any(c.isspace() or c in "/*?[" for c in node.id):
             problems.append(f"node id {node.id!r} must not contain whitespace, '/', '*', '?' or '['")
+        if node.id in agent_ids and node.pose is not None:   # its agent's pose is the one that is read
+            problems.append(f"node {node.id!r} is driven by its agent: pose is for static transmitters only")
         if node.is_tx and node.id not in agent_ids:
             if node.pose is None:
                 problems.append(f"transmitter {node.id!r} has no pose")
@@ -606,7 +610,7 @@ class _AgentRuntime:
     pose: Pose
     odom: Pose
     control: agent_mod.Control
-    noise: agent_mod.ProcessNoise
+    rng: np.random.Generator    # the state noise's generator
     progress: agent_mod.PathProgress
 
 
@@ -679,11 +683,7 @@ def init_world(config: ScenarioConfig) -> World:
             pose=spec.initial_pose,
             odom=spec.initial_pose,
             control=agent_mod.Control(0.0, 0.0),
-            noise=agent_mod.ProcessNoise(
-                state_var=config.noise.state_var,
-                obs_var=config.noise.obs_var,
-                rng=np.random.default_rng([config.seed, 11, idx]),
-            ),
+            rng=np.random.default_rng([config.seed, 11, idx]),
             progress=agent_mod.PathProgress(index=0, done=False),
         )
     links = [(v, q) for v in sorted(agents) for q in sorted(incoming_edges(graph, v))]
@@ -710,7 +710,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
     for aid in sorted(world.agents):
         rt = world.agents[aid]
         try:
-            rt.pose = agent_mod.step_state(rt.pose, rt.control, rt.noise, cfg.dt)
+            rt.pose = agent_mod.step_state(rt.pose, rt.control, cfg.noise.state_var, rt.rng, cfg.dt)
             rt.odom = agent_mod.diff_drive_step(rt.odom, rt.control, cfg.dt)
         except ValueError as exc:
             raise ValueError(f"step {t} state phase failed for {aid!r}: {exc}") from exc
@@ -760,37 +760,31 @@ def sim_step(world: World, t: int) -> TraceRecord:
 
     # phases 4-6 per agent: observation, estimation, control
     agent_traces = {}
-    offset = np.array([cfg.noise.map_offset[0], cfg.noise.map_offset[1], 0.0])
-    has_offset = bool(np.any(offset != 0.0))
+    dx, dy = cfg.noise.map_offset
+    has_offset = dx != 0.0 or dy != 0.0
     for aid in sorted(world.agents):
         rt = world.agents[aid]
         pose = rt.pose
 
-        # phase 4: measurement = fresh fingerprints at the twin's pose, one receiver for every AP
+        # phase 4: observation: the MDP of every AP at the fingerprint pose, the agent's own or its
+        # map-offset copy; a link trace ends at the agent's own pose, so it is reused without offset
+        fp_pose = Pose(position=pose.position + (dx, dy, 0.0)) if has_offset else pose
         try:
-            dt_pose = None
             mdps = {}
             for ap_id in world.db.ap_ids:
-                if has_offset or (aid, ap_id) not in pathsets:
-                    dt_pose = dt_pose or Pose(position=pose.position + offset)
-                    ap_pose = world.graph.nodes[ap_id].pose
-                    paths = trace_paths(world.scene, ap_pose, dt_pose,
+                paths = None if has_offset else pathsets.get((aid, ap_id))
+                if paths is None:
+                    paths = trace_paths(world.scene, world.graph.nodes[ap_id].pose, fp_pose,
                                         max_order=cfg.max_order, carrier_freq=cfg.ofdm.carrier_freq)
-                else:
-                    paths = pathsets[(aid, ap_id)]
-                mdp = loc_mod.compute_mdp(paths, world.db.bin_width, world.db.num_bins)
-                if cfg.noise.fingerprint_snr_db is not None:
-                    mdp = loc_mod.add_fingerprint_noise(mdp, cfg.noise.fingerprint_snr_db, world.fp_rng)
-                mdps[ap_id] = mdp
-            measurement = np.concatenate([mdps[a].bins for a in world.db.ap_ids])
-            obs = agent_mod.observe(measurement, rt.noise)
+                mdps[ap_id] = loc_mod.compute_mdp(paths, world.db.bin_width, world.db.num_bins)
+            obs = agent_mod.observe(mdps, cfg.noise.fingerprint_snr_db, world.fp_rng)
             bus.publish(f"agent/{aid}/obs", obs, step=t)
         except ValueError as exc:
             raise ValueError(f"step {t} observation phase failed for {aid!r}: {exc}") from exc
 
         # phase 5: state estimation by fingerprint matching
         try:
-            est, score = loc_mod.localize(mdps, world.db)
+            est, score = loc_mod.localize(obs, world.db)
         except loc_mod.DatabaseError as exc:
             raise ValueError(f"step {t} estimation phase failed for {aid!r}: {exc}") from exc
         bus.publish(f"agent/{aid}/estimate", (est, score), step=t)

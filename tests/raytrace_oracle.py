@@ -90,11 +90,8 @@ def contains(surface, point, tol: float = _CONTAINS_TOL) -> bool:
     if n is None:
         return False
     v = surface.vertices
-    for i in range(len(v)):
-        edge = v[(i + 1) % len(v)] - v[i]
-        if np.cross(edge, point - v[i]) @ n < -tol:
-            return False
-    return True
+    # edge i runs from v[i] to v[i + 1]: the same value per edge as one cross product each
+    return not np.any(np.cross(np.roll(v, -1, axis=0) - v, point - v) @ n < -tol)
 
 
 def mirror_chain(point, seq):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from isactwin.agent import (
     Control,
-    ProcessNoise,
     circle_waypoints,
     diff_drive_step,
     observe,
     step_state,
     waypoint_control,
 )
+from isactwin.localization import Mdp, add_fingerprint_noise
 from isactwin.raytrace import Pose
 
 
@@ -51,15 +51,11 @@ class TestDiffDriveStep:
         assert -math.pi < p.yaw <= math.pi
 
 
-def seeded_noise(seed, state_var=0.0, obs_var=0.0):
-    return ProcessNoise(state_var=state_var, obs_var=obs_var, rng=np.random.default_rng(seed))
-
-
 class TestStepState:
     def test_zero_noise_equals_kinematics(self):
         p0 = Pose.at(1, 1, 0.1, yaw=0.4)
         u = Control(0.2, 0.3)
-        p1 = step_state(p0, u, seeded_noise(0), 0.1)
+        p1 = step_state(p0, u, 0.0, np.random.default_rng(0), 0.1)
         ref = diff_drive_step(p0, u, 0.1)
         assert np.array_equal(p1.position, ref.position)
         assert p1.yaw == ref.yaw
@@ -67,10 +63,10 @@ class TestStepState:
     def test_seeded_runs_identical(self):
         def run(seed):
             pose = Pose.at(0, 0, 0)
-            noise = seeded_noise(seed, state_var=1e-4)
+            rng = np.random.default_rng(seed)
             out = []
             for _ in range(20):
-                pose = step_state(pose, Control(0.1, 0.2), noise, 0.1)
+                pose = step_state(pose, Control(0.1, 0.2), 1e-4, rng, 0.1)
                 out.append(pose.position.copy())
             return np.array(out)
 
@@ -79,38 +75,56 @@ class TestStepState:
 
     def test_one_step_variance_matches_configured(self):
         var = 0.01
-        noise = seeded_noise(123, state_var=[var, 0.0, 0.0])
+        rng = np.random.default_rng(123)
         p0 = Pose.at(0, 0, 0)
         xs = np.array([
-            step_state(p0, Control(0.0, 0.0), noise, 1.0).position[0]
+            step_state(p0, Control(0.0, 0.0), var, rng, 1.0).position[0]
             for _ in range(100_000)
         ])
         assert np.var(xs) == pytest.approx(var, rel=0.05)
 
+    def test_draws_three_normals_per_step(self):
+        # x, y and yaw noise: the agent generator moves by exactly one size-3 draw, variance 0 included
+        for var in (0.0, 1e-6):
+            p0, u = Pose.at(0.5, 0.5, 0.0), Control(0.1, 0.0)
+            rng = np.random.default_rng(4)
+            p1 = step_state(p0, u, var, rng, 0.1)
+            ref = np.random.default_rng(4)
+            eps = ref.normal(0.0, math.sqrt(var), size=3)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(p1.position, diff_drive_step(p0, u, 0.1).position + [eps[0], eps[1], 0.0])
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
-            seeded_noise(0, state_var=-1.0)
+            step_state(Pose.at(0, 0, 0), Control(0.0, 0.0), -1.0, np.random.default_rng(0), 1.0)
+
+
+def _mdps():
+    return {"ap_a": Mdp(bins=np.array([0.0, 2.0, 0.5, 0.0]), bin_width=1e-9),
+            "ap_b": Mdp(bins=np.array([1.0, 0.0, 0.0, 3.0]), bin_width=1e-9)}
 
 
 class TestObserve:
-    def test_identity_passthrough(self):
-        m = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(observe(m, seeded_noise(0)), m)
+    def test_unset_snr_returns_the_profiles(self):
+        mdps = _mdps()
+        rng = np.random.default_rng(0)
+        assert observe(mdps, None, rng) is mdps
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
-    def test_seeded_reproducibility(self):
-        m = np.arange(4.0)
-        a = observe(m, seeded_noise(5, obs_var=0.1))
-        b = observe(m, seeded_noise(5, obs_var=0.1))
-        assert np.array_equal(a, b)
-
-    def test_draws_one_normal_per_component_from_the_agent_rng(self):
-        # traces with observation noise stay byte-identical only if this draw does not move
-        m = np.array([1.0 + 2.0j, 3.0, 4.0])
-        noise = seeded_noise(9, obs_var=0.25)
-        o = observe(m, noise)
-        ref = np.random.default_rng(9)
-        assert np.array_equal(o, np.real(m) + ref.normal(0.0, 0.5, size=3))
-        assert noise.rng.bit_generator.state == ref.bit_generator.state
+    def test_fingerprint_noise_in_ap_order(self):
+        # the world's fingerprint generator is drawn AP by AP, as add_fingerprint_noise draws it
+        mdps = _mdps()
+        rng = np.random.default_rng(21)
+        obs = observe(mdps, 20.0, rng)
+        ref = np.random.default_rng(21)
+        expected = {ap_id: add_fingerprint_noise(mdp, 20.0, ref) for ap_id, mdp in mdps.items()}
+        assert list(obs) == list(expected)
+        for ap_id in expected:
+            assert np.array_equal(obs[ap_id].bins, expected[ap_id].bins)
+            assert obs[ap_id].bin_width == expected[ap_id].bin_width
+            assert obs[ap_id].overflow == expected[ap_id].overflow
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert not np.array_equal(obs["ap_a"].bins, mdps["ap_a"].bins)
 
 
 class TestWaypointControl:

@@ -11,7 +11,7 @@ from isactwin import channel, metrics, simcore
 from isactwin.cli import main
 from isactwin.channel import mrt_beamformer, synthesize_channel
 from isactwin.network import ArrayConfig
-from isactwin.localization import DatabaseError, compute_mdp, load_db, save_db
+from isactwin.localization import DatabaseError, compute_mdp, load_db, localize, save_db
 from isactwin.raytrace import Pose, trace_paths
 from isactwin.scene import load_scene
 from isactwin.simcore import (
@@ -121,7 +121,7 @@ class TestScenarioConfig:
         doc["sim"]["max_steps"] = 0
         doc["sim"]["dt_s"] = -0.1
         doc["agents"][0]["id"] = "ghost"
-        doc["noise"]["obs_var"] = 0.3      # localize reads the raw fingerprints, not the observation
+        doc["noise"]["obs_var"] = 0.3      # the observation is the fingerprint measurement
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
@@ -240,6 +240,19 @@ class TestScenarioConfig:
         for argv in (["validate", str(p)], ["build-db", str(p)], ["run", str(p)]):
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_pose_on_an_agent_node_rejected(self, tmp_path, capsys):
+        # the loop reads the agent's pose, never its node's, so a pose there would be ignored
+        doc = tiny_scenario_doc()
+        doc["network"]["nodes"][2]["pose"] = {"position": [0.2, 0.2, 0.08]}
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        for argv in (["validate", str(p)], ["build-db", str(p)], ["run", str(p)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == \
+                "error: node 'robot' is driven by its agent: pose is for static transmitters only\n"
         assert not (tmp_path / "artifacts").exists()
 
     def test_grid_on_the_walls_is_not_behind_them(self, tmp_path, capsys):
@@ -499,6 +512,46 @@ class TestSimulationLoop:
         assert [m.payload for m in sink if m.topic == "sim/trace"] == stepped
         assert [dataclasses.asdict(r) for r in stepped] == \
             [dataclasses.asdict(r) for r in run_simulation(config)]
+
+    def test_estimate_localizes_the_observation(self, tmp_path):
+        # phase 5 matches exactly the noisy MDPs that phase 4 publishes as the agent's observation
+        doc = tiny_scenario_doc()
+        doc["noise"]["fingerprint_snr_db"] = 15.0
+        doc["sim"]["max_steps"] = 6
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        world = init_world(ScenarioConfig.from_file(p))
+        obs, estimates = [], []
+        world.bus.subscribe("agent/robot/obs", obs.append)
+        world.bus.subscribe("agent/robot/estimate", estimates.append)
+        for t in range(6):
+            sim_step(world, t)
+        assert len(obs) == len(estimates) == 6
+        for o, e in zip(obs, estimates):
+            assert list(o.payload) == world.db.ap_ids
+            est, score = localize(o.payload, world.db)
+            assert np.array_equal(est, e.payload[0]) and score == e.payload[1]
+        pose = world.agents["robot"].pose
+        clean = compute_mdp(trace_paths(world.scene, world.graph.nodes["ap_a"].pose, pose,
+                                        max_order=2, carrier_freq=2.4e9), world.db.bin_width, world.db.num_bins)
+        assert not np.array_equal(obs[-1].payload["ap_a"].bins, clean.bins)
+
+    def test_state_noise_draws_three_normals_per_step(self, tmp_path):
+        # the agent generator, seeded [seed, 11, agent index], feeds only the x, y and yaw noise
+        doc = tiny_scenario_doc()
+        doc["noise"]["state_var"] = 1e-6
+        doc["noise"]["fingerprint_snr_db"] = 20.0
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        world = init_world(ScenarioConfig.from_file(p))
+        for t in range(5):
+            sim_step(world, t)
+        ref = np.random.default_rng([3, 11, 0])
+        for _ in range(5):
+            ref.normal(0.0, 1e-3, size=3)
+        assert world.agents["robot"].rng.bit_generator.state == ref.bit_generator.state
 
     def test_db_reuse_matches_on_the_fly_tracing(self, tiny_run):
         config, _, _ = tiny_run
