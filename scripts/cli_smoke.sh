@@ -1,6 +1,7 @@
 #!/bin/sh
 # Smoke checks of the isactwin console script on the shipped scenario: the four commands run end
-# to end, and validate, build-db and run refuse a bad scenario or output path with exit 1.
+# to end, and validate, build-db and run refuse a bad scenario or output path, and run a stale
+# database, with exit 1.
 #
 #   scripts/cli_smoke.sh [scratch dir]
 #
@@ -15,12 +16,10 @@ isactwin build-db scenarios/desk_two_ap.json --out "$tmp/desk.fpdb"
 isactwin run scenarios/desk_two_ap.json --max-steps 5 --out "$tmp/t.csv"
 isactwin eval "$tmp/t.csv"
 
-# edited STATEMENTS: a fresh copy of the shipped scenario (d) and scene (s) in $tmp/case, edited
+# edit STATEMENTS: run the statements on the scenario (d) and scene (s) in $tmp/case
+# edited STATEMENTS: a fresh copy of the shipped scenario and scene in $tmp/case, edited
 case=$tmp/case
-edited() {
-    rm -rf "$case"
-    mkdir "$case"
-    cp scenarios/desk_two_ap.json scenarios/desk_box.scene.json "$case/"
+edit() {
     python3 -c '
 import json, sys
 paths = [sys.argv[1] + "/desk_two_ap.json", sys.argv[1] + "/desk_box.scene.json"]
@@ -29,6 +28,12 @@ exec(sys.argv[2])
 for p, doc in zip(paths, (d, s)):
     json.dump(doc, open(p, "w"))
 ' "$case" "$1"
+}
+edited() {
+    rm -rf "$case"
+    mkdir "$case"
+    cp scenarios/desk_two_ap.json scenarios/desk_box.scene.json "$case/"
+    edit "$1"
 }
 refused() {
     if isactwin "$@"; then
@@ -60,6 +65,11 @@ if [ -e "$case/artifacts" ] || [ -e "$tmp/agent_pose.csv" ]; then
     echo "cli_smoke: a refused agent-node pose left files behind" >&2
     exit 1
 fi
+# and a receiver that no agent drives, which the run would ignore
+edited 'd["network"]["nodes"].append({"id": "probe", "role": "rx", "array": {"elements": 2},
+                                     "pose": {"position": [0.3, 0.3, 0.08]}})
+d["network"]["edges"].append(["ap1", "probe"])'
+refused validate "$case/desk_two_ap.json"
 # and a static transmitter outside the room, whose paths would enter through a wall
 edited 'd["network"]["nodes"][0]["pose"]["position"] = [1.5, 0.07, 0.6]'
 refused validate "$case/desk_two_ap.json"
@@ -77,6 +87,17 @@ edited 's["surfaces"].append({"vertices": [[0.77, 0.3, 0.05], [0.77, 0.5, 0.05],
 isactwin validate "$case/desk_two_ap.json"
 isactwin build-db "$case/desk_two_ap.json"
 isactwin run "$case/desk_two_ap.json" --max-steps 5 --out "$tmp/panel.csv"
+
+# a database whose grid db.build no longer gives is refused before the run writes a trace
+edited ''
+isactwin build-db "$case/desk_two_ap.json"
+edit 'd["db"]["build"]["roi_m"][0] = 0.2'
+refused run "$case/desk_two_ap.json" --max-steps 2 --out "$tmp/stale.csv" 2> "$tmp/stale.err"
+if ! grep -q "different db.build settings" "$tmp/stale.err" || [ -e "$tmp/stale.csv" ]; then
+    echo "cli_smoke: a run on a stale database was not refused as one, or wrote a trace:" >&2
+    cat "$tmp/stale.err" >&2
+    exit 1
+fi
 
 # an --out that names a directory is refused before any work: no database is built or written
 edited ''

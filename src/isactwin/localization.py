@@ -8,7 +8,7 @@ over APs: circular-shift each profile so its first nonzero bin is bin 0
 take the RMS bin difference. One alignment over the last axis serves the
 cached database and the query, and every grid point and AP scores at once.
 
-Database file layout (version 1, little-endian, deterministic bytes):
+Database file layout (version 2, little-endian, deterministic bytes):
 
     magic   b"ITFPDB01"
     u32     header length in bytes
@@ -16,6 +16,11 @@ Database file layout (version 1, little-endian, deterministic bytes):
             bin_width_s, num_bins, ap_ids, n_points}
     f64     positions, (n_points, 3), C order
     f64     bins, (n_points, n_aps, num_bins), C order
+
+A scenario stamps scene_hash with scene.scene_hash and network_hash with
+simcore.db_signature, which covers the static APs, the carrier and the
+reflection order; the grid is not hashed, since the file holds it. Version 1
+files, whose network_hash also covered the db.build settings, are refused.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .raytrace import PathSet, Pose, trace_paths
 from .scene import Scene, _bad_field
 
 _MAGIC = b"ITFPDB01"
-_VERSION = 1
+_VERSION = 2
 # the header's schema, in the shapes of scene.read_document
 _DB_HEADER = {"version": int, "scene_hash": str, "network_hash": str, "spacing_m": float,
               "bin_width_s": float, "num_bins": int, "ap_ids": [str], "n_points": int}

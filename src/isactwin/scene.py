@@ -13,8 +13,7 @@ Scene document schema (every key is required; any other key is an error)::
     {
       "materials":    [{"name": string, "reflection_coeff": number}, ...],
       "surfaces":     [{"vertices": [[x, y, z], ...], "material": string}, ...],
-      "bounds":       {"min": [x, y, z], "max": [x, y, z]},
-      "floor_height": number
+      "bounds":       {"min": [x, y, z], "max": [x, y, z]}
     }
 
 x, y and z are numbers, all coordinates in meters. A number is finite and
@@ -56,7 +55,7 @@ class Either(NamedTuple):
 
 # the scene document's schema, in the shapes read_document checks
 _XYZ = (float, float, float)
-_SCENE_KEYS = {"materials": [{"name": str, "reflection_coeff": float}], "floor_height": float,
+_SCENE_KEYS = {"materials": [{"name": str, "reflection_coeff": float}],
                "surfaces": [{"vertices": [_XYZ], "material": str}], "bounds": {"min": _XYZ, "max": _XYZ}}
 
 
@@ -123,7 +122,6 @@ class Scene:
     materials: MappingProxyType   # material name -> Material
     bounds_min: np.ndarray
     bounds_max: np.ndarray
-    floor_height: float = 0.0
 
     def __post_init__(self):
         _set_read_only(self, surfaces=tuple(self.surfaces), materials=MappingProxyType(dict(self.materials)),
@@ -254,7 +252,7 @@ def _scene_from_document(doc: dict) -> Scene:
         surfaces.append(Surface(vertices=entry["vertices"], material=materials[entry["material"]],
                                 name=f"surface#{i}"))
     return Scene(surfaces=surfaces, materials=materials, bounds_min=doc["bounds"]["min"],
-                 bounds_max=doc["bounds"]["max"], floor_height=float(doc["floor_height"]))
+                 bounds_max=doc["bounds"]["max"])
 
 
 def validate_scene(scene: Scene) -> list[str]:
@@ -300,9 +298,6 @@ def validate_scene(scene: Scene) -> list[str]:
         if np.any(surf.vertices < lo) or np.any(surf.vertices > hi):
             violations.append(f"{label}: vertices outside scene bounds")
 
-    if not (scene.bounds_min[2] - 1e-9 <= scene.floor_height <= scene.bounds_max[2] + 1e-9):
-        violations.append("floor_height outside bounds")
-
     return violations
 
 
@@ -341,7 +336,6 @@ def serialize_scene(scene: Scene) -> dict:
             for s in scene.surfaces
         ],
         "bounds": {"min": scene.bounds_min.tolist(), "max": scene.bounds_max.tolist()},
-        "floor_height": scene.floor_height,
     }
 
 

@@ -27,7 +27,7 @@ field names its JSON type; "?" marks an optional key, which may also be null::
       "ofdm":   {"n_subcarriers": integer, "delta_f_hz": number, "n_symbols": integer, "carrier_hz": number},
       "agents": [{"id": string, "initial_pose": {"position": [x, y, z], "yaw_deg"?: number}, "path": path,
                   "controller"?: {"k_ang"?, "v_max"?, "w_max"?, "waypoint_tol_m"?: number}}, ...],
-      "noise"?: {"state_var"?, "obs_var"?, "noise_power_w"?, "fingerprint_snr_db"?: number,
+      "noise"?: {"state_var"?, "noise_power_w"?, "fingerprint_snr_db"?: number,
                  "map_offset_m"?: [dx, dy]},
       "sim":    {"dt_s": number, "max_steps": integer, "seed"?: integer},
       "raytrace"?: {"max_order"?: integer},
@@ -36,14 +36,16 @@ field names its JSON type; "?" marks an optional key, which may also be null::
       "output"?: {"trace_csv"?: string}
     }
 
-A node's pose is for static transmitters: an agent drives its own node.
-Coordinates are numbers. indices (1-based) is a list of integers or
-{"from": integer, "to": integer}, inclusive; path is a waypoint list
-[[x, y], ...] or {"circle": {"center": [x, y], "radius": number,
-"waypoints"?: integer, "start_angle_deg"?: number}}. A number is finite and
-not a boolean; an integer is not a boolean nor a float such as 64.0. A key
-the schema does not list is an error. A parsed scenario is a value, like a Scene:
-it and its parts are frozen; a changed one is built with dataclasses.replace.
+A node's pose is for static transmitters: an agent drives its own node. A run
+links only into agents and reads only transmitters' resources, so an rx node is
+an agent's and a resources user is a transmitter. Coordinates are numbers.
+indices (1-based) is a list of integers or {"from": integer, "to": integer},
+inclusive; path is a waypoint list [[x, y], ...] or {"circle": {"center":
+[x, y], "radius": number, "waypoints"?: integer, "start_angle_deg"?: number}}.
+A number is finite and not a boolean; an integer is not a boolean nor a float
+such as 64.0. A key the schema does not list is an error. A parsed scenario is
+a value, like a Scene: it and its parts are frozen; a changed one is built with
+dataclasses.replace.
 
 Trace CSV columns, in order: step, time_s, agent_id, the fields of
 AgentTrace, then one rate_<v>_<q> column per communication link. Agent ids
@@ -163,7 +165,7 @@ _SCENARIO_KEYS = {
     "ofdm": {"n_subcarriers": int, "delta_f_hz": float, "n_symbols": int, "carrier_hz": float},
     "agents": [{"id": str, "initial_pose": _POSE, "path": Either([(float, float)], {"circle": _CIRCLE}),
                 "controller": Optional(dict.fromkeys(_CONTROLLER_KEYS, Optional(float)))}],
-    "noise": Optional({**dict.fromkeys(("state_var", "obs_var", "noise_power_w", "fingerprint_snr_db"),
+    "noise": Optional({**dict.fromkeys(("state_var", "noise_power_w", "fingerprint_snr_db"),
                                        Optional(float)), "map_offset_m": Optional((float, float))}),
     "sim": {"dt_s": float, "max_steps": int, "seed": Optional(int)},
     "raytrace": Optional({"max_order": Optional(int)}),
@@ -189,7 +191,6 @@ class AgentSpec:
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
     state_var: float
-    obs_var: float
     noise_power_w: float
     fingerprint_snr_db: float | None
     map_offset: tuple
@@ -225,7 +226,8 @@ class ScenarioConfig:
     max_order: int
     db: DbSpec
     trace_csv: Path
-    # (scene file bytes, scene, graph, allocation) of a problem-free validate_scenario, for _world_parts
+    # (scene file bytes, scene, graph, allocation, db.build grid) of a problem-free validate_scenario,
+    # for _world_parts
     _validated_parts: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -282,7 +284,6 @@ class ScenarioConfig:
         noise_doc = _get(doc, "noise", {})
         noise = NoiseSpec(
             state_var=_number(noise_doc, "state_var", 0.0),
-            obs_var=_number(noise_doc, "obs_var", 0.0),
             noise_power_w=_number(noise_doc, "noise_power_w", 1e-12),
             fingerprint_snr_db=_number(noise_doc, "fingerprint_snr_db", None),
             map_offset=tuple(float(x) for x in _get(noise_doc, "map_offset_m", (0.0, 0.0))),
@@ -367,9 +368,10 @@ def _misplaced(scene, position) -> str | None:
 def validate_scenario(config: ScenarioConfig) -> list:
     """Total validation pass; returns human-readable violation strings.
 
-    When it finds no problem, the scene, network graph and resource
-    allocation it built on the way are kept on the config, so that the next
-    init_world or build_db_for_scenario of it need not build them again.
+    When it finds no problem, the scene, network graph, resource allocation
+    and db.build grid (None without db.build) it built on the way are kept on
+    the config, so that the next init_world or build_db_for_scenario of it
+    need not build them again.
     """
     problems = []
     if config.dt <= 0.0:
@@ -382,13 +384,10 @@ def validate_scenario(config: ScenarioConfig) -> list:
         problems.append("noise.noise_power_w must be > 0")
     if config.noise.state_var < 0.0:
         problems.append("noise.state_var must be nonnegative")
-    if config.noise.obs_var != 0.0:
-        problems.append("noise.obs_var must be 0: the observation is the fingerprint measurement; "
-                        "set noise.fingerprint_snr_db for measurement noise")
     if config.max_order < 0:
         problems.append("raytrace.max_order must be >= 0")
 
-    scene = graph = allocation = scene_bytes = None
+    scene = graph = allocation = scene_bytes = grid = None
     if not config.scene_path.is_file():
         problems.append(f"scene file not found: {config.scene_path}")
     else:
@@ -398,31 +397,35 @@ def validate_scenario(config: ScenarioConfig) -> list:
         except SceneError as exc:
             problems.append(f"scene invalid: {exc}")
 
-    node_ids = {n.id for n in config.nodes}
+    nodes = {n.id: n for n in config.nodes}
     agent_ids = {a.id for a in config.agents}
     for node in config.nodes:
         if any(c.isspace() or c in "/*?[" for c in node.id):
             problems.append(f"node id {node.id!r} must not contain whitespace, '/', '*', '?' or '['")
-        if node.id in agent_ids and node.pose is not None:   # its agent's pose is the one that is read
-            problems.append(f"node {node.id!r} is driven by its agent: pose is for static transmitters only")
-        if node.is_tx and node.id not in agent_ids:
-            if node.pose is None:
-                problems.append(f"transmitter {node.id!r} has no pose")
-            elif scene is not None and (where := _misplaced(scene, node.pose.position)):
-                problems.append(f"transmitter {node.id!r} is {where}")
+        if node.id in agent_ids:
+            if node.pose is not None:   # its agent's pose is the one that is read
+                problems.append(f"node {node.id!r} is driven by its agent: pose is for static transmitters only")
+        elif not node.is_tx:   # the loop builds links only into agents
+            problems.append(f"receiver {node.id!r} is driven by no agent: a run would ignore it")
+        elif node.pose is None:
+            problems.append(f"transmitter {node.id!r} has no pose")
+        elif scene is not None and (where := _misplaced(scene, node.pose.position)):
+            problems.append(f"transmitter {node.id!r} is {where}")
     try:
         graph = build_network(config.nodes, config.edges)
     except NetworkError as exc:
         problems.append(f"network invalid: {exc}")
     else:
         # every communication link runs from a transmitter into an agent
-        ends = {e for v in agent_ids & node_ids for q in incoming_edges(graph, v) for e in (v, q)}
+        ends = {e for v in agent_ids & nodes.keys() for q in incoming_edges(graph, v) for e in (v, q)}
         for end in sorted(e for e in ends if graph.nodes[e].array is None):
             problems.append(f"node {end!r} ends a communication link but has no array")
 
     for req in config.requests:
-        if req.user not in node_ids:
+        if req.user not in nodes:
             problems.append(f"resources reference unknown node {req.user!r}")
+        elif not nodes[req.user].is_tx:   # a link's resources are its transmitter's
+            problems.append(f"resources user {req.user!r} is not a transmitter: a run would ignore it")
     try:
         allocation = allocate_resources(config.requests, config.ofdm.n_subcarriers, config.ofdm.n_symbols)
     except NetworkError as exc:
@@ -434,7 +437,7 @@ def validate_scenario(config: ScenarioConfig) -> list:
         if "_" in spec.id:
             # trace columns are rate_<agent>_<transmitter>, split at the first "_"
             problems.append(f"agent id {spec.id!r} must not contain '_'")
-        if spec.id not in node_ids:
+        if spec.id not in nodes:
             problems.append(f"agent {spec.id!r} has no matching network node")
         if len(spec.waypoints) == 0:
             problems.append(f"agent {spec.id!r} has an empty path")
@@ -464,12 +467,12 @@ def validate_scenario(config: ScenarioConfig) -> list:
                                     f"a wall of the scene ({behind.sum()} of its {len(grid)} points are)")
 
     if not problems:
-        object.__setattr__(config, "_validated_parts", (scene_bytes, scene, graph, allocation))
+        object.__setattr__(config, "_validated_parts", (scene_bytes, scene, graph, allocation, grid))
     return problems
 
 
 def _world_parts(config: ScenarioConfig) -> tuple:
-    """(scene, graph, allocation) of a valid config: the parts validate_scenario
+    """(scene, graph, allocation, grid) of a valid config: the parts validate_scenario
     handed over if the scene file's bytes are unchanged since, else those of a
     new validate_scenario, whose problems are raised as one ConfigError."""
     handed = config._validated_parts
@@ -496,49 +499,21 @@ def _static_aps(config: ScenarioConfig, graph) -> list:
 
 
 def db_signature(config: ScenarioConfig, graph) -> str:
-    """Hash of everything that shapes the fingerprint database except the scene.
-
-    Two parts joined by ":". The network part covers the static APs, the
-    carrier and the reflection order. The grid part covers the db.build
-    settings (spacing, bin width, bin count, ROI and effective height); it is
-    empty for a scenario without build instructions, which can only say which
-    network its database must come from.
-    """
-    aps = [
-        {"id": ap_id, "position": pose.position.tolist(), "yaw": pose.yaw}
-        for ap_id, pose in _static_aps(config, graph)
-    ]
-    network = {
-        "aps": aps,
-        "carrier_hz": config.ofdm.carrier_freq,
-        "max_order": config.max_order,
-    }
-    build = config.db.build
-    if build is None:
-        return f"{json_digest(network)}:"
-    grid = {
-        "spacing_m": build.spacing,
-        "bin_width_s": build.bin_width,
-        "num_bins": build.num_bins,
-        "roi_m": None if build.roi is None else list(build.roi),
-        "height_m": _db_height(config),
-    }
-    return f"{json_digest(network)}:{json_digest(grid)}"
-
-
-def _db_height(config: ScenarioConfig) -> float:
-    """Height of the fingerprint grid: db.build.height_m, else the first agent's z."""
-    height = config.db.build.height
-    return height if height is not None else float(config.agents[0].initial_pose.position[2])
+    """Digest of the network that shapes the fingerprint database: the static
+    APs (id, position, yaw), the carrier and the reflection order. The scene
+    has its own stamp, and ensure_db checks the grid by value."""
+    aps = [{"id": ap_id, "position": pose.position.tolist(), "yaw": pose.yaw}
+           for ap_id, pose in _static_aps(config, graph)]
+    return json_digest({"aps": aps, "carrier_hz": config.ofdm.carrier_freq, "max_order": config.max_order})
 
 
 def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
-    """The fingerprint grid of db.build: the floor lattice at the database
-    height, cut to the ROI. Raises ConfigError for settings that give no grid."""
+    """The fingerprint grid of db.build: the floor lattice at db.build.height_m, else the
+    first agent's z, cut to the ROI. Raises ConfigError for settings that give no grid."""
     build = config.db.build
     if build.spacing <= 0.0:
         raise ConfigError(f"db.build.spacing_m must be > 0, got {build.spacing}")
-    height = _db_height(config)
+    height = build.height if build.height is not None else float(config.agents[0].initial_pose.position[2])
     if not scene.bounds_min[2] - 1e-9 <= height <= scene.bounds_max[2] + 1e-9:
         raise ConfigError(f"db.build height {height} outside the scene's z bounds")
     grid = floor_grid(scene, build.spacing, height)
@@ -556,7 +531,7 @@ def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
 
 def build_db_for_scenario(config: ScenarioConfig):
     """Build the fingerprint database of a valid scenario, saved to db.path if set; returns (db, db.path)."""
-    scene, graph, _ = _world_parts(config)
+    scene, graph = _world_parts(config)[:2]
     return _build_db(config, scene, graph), config.db.path
 
 
@@ -578,27 +553,27 @@ def _build_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
     return db
 
 
-def ensure_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
-    """Load the scenario database, or build it if absent; a file whose stamps differ or are empty is stale."""
-    if config.db.path is not None and config.db.path.is_file():
-        db = loc_mod.load_db(config.db.path)
-        if db.scene_hash != scene_hash(scene):
-            raise loc_mod.DatabaseError(
-                f"database {config.db.path} was built for a different scene"
-            )
-        stored_network, _, stored_grid = db.network_hash.partition(":")
-        network, _, grid = db_signature(config, graph).partition(":")
-        if stored_network != network:
-            raise loc_mod.DatabaseError(
-                f"database {config.db.path} was built for a different network setup"
-            )
-        if grid and stored_grid != grid:
-            raise loc_mod.DatabaseError(
-                f"database {config.db.path} was built with different db.build settings "
-                "(spacing, bins, ROI or height); rebuild it"
-            )
-        return db
-    return _build_db(config, scene, graph)
+def ensure_db(config: ScenarioConfig, scene, graph, grid) -> loc_mod.FingerprintDB:
+    """Load the scenario database, or build it if absent. A file is stale when its scene or
+    network stamp differs from the scenario's (an empty one matches none) or, with db.build,
+    when its bin width, bin count or positions differ from db.build's. grid is db.build's
+    _db_grid, as validate_scenario built it; None without db.build."""
+    path = config.db.path
+    if path is None or not path.is_file():
+        return _build_db(config, scene, graph)
+    db = loc_mod.load_db(path)
+    if db.scene_hash != scene_hash(scene):
+        raise loc_mod.DatabaseError(f"database {path} was built for a different scene")
+    if db.network_hash != db_signature(config, graph):
+        raise loc_mod.DatabaseError(f"database {path} was built for a different network setup")
+    build = config.db.build
+    if build is not None and not (db.bin_width == build.bin_width and db.num_bins == build.num_bins
+                                  and np.array_equal(db.positions, grid)):
+        raise loc_mod.DatabaseError(
+            f"database {path} was built with different db.build settings "
+            "(spacing, bins, ROI or height); rebuild it"
+        )
+    return db
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +649,8 @@ def _rate_plan(links: list, allocation) -> dict:
 
 
 def init_world(config: ScenarioConfig) -> World:
-    scene, graph, allocation = _world_parts(config)
-    db = ensure_db(config, scene, graph)
+    scene, graph, allocation, grid = _world_parts(config)
+    db = ensure_db(config, scene, graph, grid)
     agents = {}
     for idx, spec in enumerate(sorted(config.agents, key=lambda a: a.id)):
         agents[spec.id] = _AgentRuntime(

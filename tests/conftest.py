@@ -39,7 +39,6 @@ def box_scene_doc(lx=4.0, ly=3.0, lz=2.5, coeff=0.7):
             {"vertices": [[lx, 0, 0], [lx, ly, 0], [lx, ly, lz], [lx, 0, lz]], "material": "wall"},
         ],
         "bounds": {"min": [0, 0, 0], "max": [lx, ly, lz]},
-        "floor_height": 0.0,
     }
 
 
@@ -67,7 +66,6 @@ TINY_SCENE = {
         {"vertices": [[1.2, 0, 0], [1.2, 1.0, 0], [1.2, 1.0, 0.8], [1.2, 0, 0.8]], "material": "metal"},
     ],
     "bounds": {"min": [0, 0, 0], "max": [1.2, 1.0, 0.8]},
-    "floor_height": 0.0,
 }
 
 
@@ -104,7 +102,7 @@ def tiny_scenario_doc():
              "path": [[0.55, 0.55], [0.5, 0.45]],
              "controller": {"k_ang": 2.0, "v_max": 0.1, "w_max": 1.5, "waypoint_tol_m": 0.1}},
         ],
-        "noise": {"state_var": 0.0, "obs_var": 0.0, "noise_power_w": 1e-9},
+        "noise": {"state_var": 0.0, "noise_power_w": 1e-9},
         "sim": {"dt_s": 0.1, "max_steps": 40, "seed": 3},
         "raytrace": {"max_order": 2},
         "db": {"path": "artifacts/tiny.fpdb",

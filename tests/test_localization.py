@@ -205,7 +205,7 @@ class TestFingerprintDB:
         assert "truncated" in str(err.value) or "corrupt header" in str(err.value)
 
     @pytest.mark.parametrize("edit", [
-        lambda header: {"version": 1},
+        lambda header: {"version": header["version"]},
         lambda header: [1],
         lambda header: {**header, "n_points": str(header["n_points"])},
     ], ids=["version-only", "not-an-object", "count-as-string"])

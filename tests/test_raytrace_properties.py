@@ -233,7 +233,7 @@ class TestAgainstScalarOracle:
         config = ScenarioConfig.from_file(repo_scenario_dir() / "desk_two_ap.json")
         config = dataclasses.replace(config, db=dataclasses.replace(config.db, path=None))
         db, _ = simcore.build_db_for_scenario(config)
-        scene, graph, _ = simcore._world_parts(config)
+        scene, graph = simcore._world_parts(config)[:2]
         aps = simcore._static_aps(config, graph)
         build = config.db.build
         assert len(db.positions) == 195 and [ap_id for ap_id, _ in aps] == list(db.ap_ids)

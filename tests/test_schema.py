@@ -100,8 +100,7 @@ def test_cases_cover_every_leaf_of_the_scene():
     paths = {case.values[2] for case in _cases() if case.values[0] == "scene"}
     assert {tuple(k for k in p if not isinstance(k, int)) for p in paths} == {
         ("materials",), ("materials", "name"), ("materials", "reflection_coeff"), ("surfaces",),
-        ("surfaces", "vertices"), ("surfaces", "material"), ("bounds", "min"), ("bounds", "max"),
-        ("floor_height",)}
+        ("surfaces", "vertices"), ("surfaces", "material"), ("bounds", "min"), ("bounds", "max")}
 
 
 @pytest.mark.parametrize("document,edit,message", [
@@ -125,8 +124,6 @@ def test_cases_cover_every_leaf_of_the_scene():
      "scene invalid: scene document has '0.95' at .materials[0].reflection_coeff, which must be a number"),
     ("scene", lambda d: d["materials"][0].update(reflection_coeff=True),
      "scene invalid: scene document has True at .materials[0].reflection_coeff, which must be a number"),
-    ("scene", lambda d: d.update(floor_height=False),
-     "scene invalid: scene document has False at .floor_height, which must be a number"),
     ("scene", lambda d: d["surfaces"][0].update(vertices=[["0", "0", "0"], ["1", "0", "0"], ["1", "1", "0"]]),
      "scene invalid: scene document has '0' at .surfaces[0].vertices[0][0], which must be a number"),
     ("scene", lambda d: d["bounds"].update(min=[[0, 0, 0]]),
@@ -137,7 +134,7 @@ def test_cases_cover_every_leaf_of_the_scene():
     ("scene", lambda d: d.pop("bounds"), "scene invalid: scene document is missing .bounds"),
 ], ids=["boolean-carrier", "string-dt", "string-noise-power", "string-v-max", "string-position",
         "boolean-yaw", "boolean-power", "3d-waypoints", "string-reflection-coeff", "boolean-reflection-coeff",
-        "boolean-floor-height", "string-vertices", "nested-bounds", "missing-dt", "missing-node-id",
+        "string-vertices", "nested-bounds", "missing-dt", "missing-node-id",
         "missing-bounds"])
 def test_value_that_a_cast_let_through_is_refused(tmp_path, capsys, document, edit, message):
     # float() read true as 1.0 and "0.1" as 0.1; reshape(-1, 2) read 3-D waypoints as other 2-D ones

@@ -26,7 +26,7 @@ from isactwin.simcore import (
     sim_step,
     validate_scenario,
 )
-from conftest import repo_scenario_dir, tiny_scenario_doc
+from conftest import repo_scenario_dir, rewrite_db_header, tiny_scenario_doc
 
 
 class TestBus:
@@ -121,14 +121,12 @@ class TestScenarioConfig:
         doc["sim"]["max_steps"] = 0
         doc["sim"]["dt_s"] = -0.1
         doc["agents"][0]["id"] = "ghost"
-        doc["noise"]["obs_var"] = 0.3      # the observation is the fingerprint measurement
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
         problems = validate_scenario(ScenarioConfig.from_file(p))
         text = "; ".join(problems)
         assert "max_steps" in text and "dt_s" in text and "ghost" in text
-        assert any(m.startswith("noise.obs_var must be 0") and "fingerprint_snr_db" in m for m in problems)
 
     def test_agent_id_with_underscore_rejected(self, tmp_path):
         # rate_<agent>_<tx> columns split at the first "_": robot_1 + ap_a would
@@ -198,12 +196,19 @@ class TestScenarioConfig:
         (lambda doc: doc["db"].update(path=""), "db.path names a directory, not a file: <dir>"),
         (lambda doc: doc["output"].update(trace_csv=""),
          "output.trace_csv names a directory, not a file: <dir>"),
+        # the loop builds links only into agents and reads only transmitters' resources
+        (lambda doc: (doc["network"]["nodes"].append({"id": "probe", "role": "rx", "array": {"elements": 2},
+                                                      "pose": {"position": [0.3, 0.3, 0.08]}}),
+                      doc["network"]["edges"].append(["ap_a", "probe"])),
+         "receiver 'probe' is driven by no agent: a run would ignore it"),
+        (lambda doc: doc["network"]["resources"]["users"].append({"id": "robot", "power_w": 1.0}),
+         "resources user 'robot' is not a transmitter: a run would ignore it"),
     ], ids=["role-case", "link-end-without-array", "transmitter-without-pose",
             "transmitter-outside-bounds", "zero-carrier",
             "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position",
             "four-number-node-position", "list-as-edge-end", "three-node-edge", "id-as-edge",
             "one-number-circle-center", "negative-seed", "fractional-seed", "boolean-seed",
-            "empty-db-path", "empty-trace-path"])
+            "empty-db-path", "empty-trace-path", "receiver-without-agent", "resources-of-a-receiver"])
     def test_scenario_that_would_fail_in_run_rejected(self, tmp_path, capsys, edit, message):
         # validate, build-db and run all set up through validate_scenario
         doc = tiny_scenario_doc()
@@ -310,13 +315,15 @@ class TestScenarioConfig:
          ".agents[0].path.circle.radius_m"),
         (lambda doc: doc["agents"][0]["controller"].update(vmax=5.0), ".agents[0].controller.vmax"),
         (lambda doc: doc["noise"].update(fingerprint_snr=20.0), ".noise.fingerprint_snr"),
+        # the observation is the fingerprint measurement, whose noise is fingerprint_snr_db
+        (lambda doc: doc["noise"].update(obs_var=0.0), ".noise.obs_var"),
         (lambda doc: doc["sim"].update(seeds=4), ".sim.seeds"),
         (lambda doc: doc["raytrace"].update(maxorder=3), ".raytrace.maxorder"),
         (lambda doc: doc["db"].update(file="x.fpdb"), ".db.file"),
         (lambda doc: doc["db"]["build"].update(spacing=0.2), ".db.build.spacing"),
         (lambda doc: doc["output"].update(trace="t.csv"), ".output.trace"),
     ], ids=["top-level", "network", "array", "node-pose", "node", "resources", "user", "index-set",
-            "ofdm", "agent", "initial-pose", "path-form", "circle", "controller", "noise", "sim",
+            "ofdm", "agent", "initial-pose", "path-form", "circle", "controller", "noise", "obs-var", "sim",
             "raytrace", "db", "db-build", "output"])
     def test_unknown_key_rejected(self, tmp_path, capsys, edit, where):
         # a misspelled key would otherwise run with the default it was meant to replace
@@ -333,7 +340,8 @@ class TestScenarioConfig:
         (lambda scene: scene["surfaces"][0].update(materal="metal"), ".surfaces[0].materal"),
         (lambda scene: scene["bounds"].update(mid=[0.6, 0.5, 0.4]), ".bounds.mid"),
         (lambda scene: scene.update(floor=0.0), ".floor"),
-    ], ids=["material", "surface", "bounds", "top-level"])
+        (lambda scene: scene.update(floor_height=0.0), ".floor_height"),   # nothing read it
+    ], ids=["material", "surface", "bounds", "top-level", "floor-height"])
     def test_unknown_key_in_the_scene_rejected(self, tmp_path, capsys, edit, where):
         scene = _tiny_scene()
         edit(scene)
@@ -605,16 +613,28 @@ class TestSimulationLoop:
         with pytest.raises(DatabaseError, match="different db.build settings"):
             init_world(ScenarioConfig.from_file(p2))
 
-    def test_database_signed_without_build_settings_is_stale(self, tmp_path):
-        # files whose signature covers only the network predate the grid part
+    def test_database_grid_checked_by_value(self, tmp_path):
+        # a file whose stamps match but whose grid is not the one db.build gives is stale
         doc = tiny_scenario_doc()
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
         db, path = build_db_for_scenario(ScenarioConfig.from_file(p))
-        db.network_hash = db.network_hash.partition(":")[0]
+        db.positions[0, 0] += 0.01
         save_db(db, path)
         with pytest.raises(DatabaseError, match="different db.build settings"):
+            init_world(ScenarioConfig.from_file(p))
+
+    def test_version_1_database_refused(self, tmp_path):
+        # version 1 stamped "<network>:<grid settings>"; it is refused for its version, not its network
+        doc = tiny_scenario_doc()
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        _, path = build_db_for_scenario(ScenarioConfig.from_file(p))
+        rewrite_db_header(path, lambda header: {**header, "version": 1,
+                                                "network_hash": header["network_hash"] + ":" + "0" * 64})
+        with pytest.raises(DatabaseError, match=f"^{re.escape(str(path))}: unsupported version 1$"):
             init_world(ScenarioConfig.from_file(p))
 
     def test_unstamped_database_is_stale(self, tmp_path):
