@@ -50,6 +50,9 @@ class OfdmParams:
             raise ValueError("delta_f must be > 0")
         if self.carrier_freq <= 0.0:
             raise ValueError("carrier_freq must be > 0")
+        if not 0.0 < self.wavelength < math.inf:   # a near-zero carrier overflows it
+            raise ValueError(f"carrier_freq {self.carrier_freq!r} Hz gives a wavelength of "
+                             f"{self.wavelength!r} m; it must be finite and > 0")
 
     @property
     def symbol_duration(self) -> float:

@@ -72,11 +72,13 @@ def compute_mdp(paths: PathSet, bin_width: float, num_bins: int) -> Mdp:
     if bin_width <= 0.0 or num_bins < 1:
         raise ValueError("invalid bin parameters")
     idx = np.floor(paths.delay / bin_width)
-    inside = idx < num_bins
     # hypot, then libm pow, round exactly as abs(complex) ** 2 does per path
     power = np.float_power(np.hypot(paths.gain.real, paths.gain.imag), 2.0)
-    bins = np.bincount(idx[inside].astype(np.intp), weights=power[inside], minlength=num_bins)
-    return Mdp(bins=bins, bin_width=bin_width, overflow=int(np.count_nonzero(~inside)))
+    if len(idx) and idx[-1] >= num_bins:   # delays ascend: only the last can tell of an overflow
+        inside = idx < num_bins
+        idx, power = idx[inside], power[inside]
+    bins = np.bincount(idx.astype(np.intp), weights=power, minlength=num_bins)
+    return Mdp(bins=bins, bin_width=bin_width, overflow=len(paths) - len(idx))
 
 
 def _aligned_unit(bins: np.ndarray) -> np.ndarray:
@@ -213,8 +215,13 @@ def add_fingerprint_noise(mdp: Mdp, snr_db: float, rng: np.random.Generator) -> 
 
 
 def save_db(db: FingerprintDB, path) -> Path:
-    """Write the database file (see module docstring for the layout)."""
+    """Write the database file (see module docstring for the layout); refuses non-finite bins."""
     path = Path(path)
+    finite = np.isfinite(db.bins).all(axis=-1)
+    if not finite.all():
+        point, ap = np.argwhere(~finite)[0]
+        raise DatabaseError(f"{path}: not written: the bins of grid point {tuple(db.positions[point].tolist())} "
+                            f"from AP {db.ap_ids[ap]!r} are not finite")
     header = {
         "version": _VERSION,
         "scene_hash": db.scene_hash,

@@ -531,12 +531,13 @@ def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
 
 def build_db_for_scenario(config: ScenarioConfig):
     """Build the fingerprint database of a valid scenario, saved to db.path if set; returns (db, db.path)."""
-    scene, graph = _world_parts(config)[:2]
-    return _build_db(config, scene, graph), config.db.path
+    scene, graph, _, grid = _world_parts(config)
+    return _build_db(config, scene, graph, grid), config.db.path
 
 
-def _build_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
-    """Fingerprint the db.build grid from every static AP; saved to db.path unless it is None."""
+def _build_db(config: ScenarioConfig, scene, graph, grid) -> loc_mod.FingerprintDB:
+    """Fingerprint grid, db.build's _db_grid as validate_scenario built it, from every static AP;
+    saved to db.path unless it is None."""
     build = config.db.build
     if build is None:
         raise ConfigError("scenario has no db.build instructions")
@@ -544,7 +545,7 @@ def _build_db(config: ScenarioConfig, scene, graph) -> loc_mod.FingerprintDB:
     if not aps:
         raise ConfigError("no static transmitter nodes to fingerprint")
     db = loc_mod.build_fingerprint_db(
-        scene, aps, _db_grid(config, scene), bin_width=build.bin_width, num_bins=build.num_bins,
+        scene, aps, grid, bin_width=build.bin_width, num_bins=build.num_bins,
         spacing=build.spacing, max_order=config.max_order, carrier_freq=config.ofdm.carrier_freq,
         scene_hash=scene_hash(scene), network_hash=db_signature(config, graph),
     )
@@ -560,7 +561,7 @@ def ensure_db(config: ScenarioConfig, scene, graph, grid) -> loc_mod.Fingerprint
     _db_grid, as validate_scenario built it; None without db.build."""
     path = config.db.path
     if path is None or not path.is_file():
-        return _build_db(config, scene, graph)
+        return _build_db(config, scene, graph, grid)
     db = loc_mod.load_db(path)
     if db.scene_hash != scene_hash(scene):
         raise loc_mod.DatabaseError(f"database {path} was built for a different scene")

@@ -9,7 +9,9 @@ workload implies: one ``trace_paths`` and one ``compute_mdp`` call per
 with a map offset) and two ``beamformed_gains`` calls. Its multiply-
 accumulate count reads ``beamformed_gains``' arguments by position, and its
 set-up time assumes the world is set up once per run and per database build.
-Only link traces build their paths' angles; fingerprint traces do not. The
+Two traces share each receiver's cached products: a grid point's from both
+APs, and per step the agent's pose (and its map-offset copy). Only link traces
+build their paths' angles; fingerprint traces do not. The
 tiny scene is a closed box, all walls, so no trace's occlusion pass meets a plane.
 These tests find all of these in the unit suite, on the tiny scenario. They
 read ``spans.py`` by path and compile it in memory, so nothing under
@@ -70,6 +72,20 @@ def chain_builds(monkeypatch):
 
 
 @pytest.fixture
+def receiver_builds(monkeypatch):
+    """The number of receiver entries the tracer builds (it caches one per rx Pose)."""
+    builds = []
+    build = raytrace._receiver
+
+    def counting(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(raytrace, "_receiver", counting)
+    return builds
+
+
+@pytest.fixture
 def plane_passes(monkeypatch):
     """The number of occlusion passes that meet at least one surface's plane: none while
     both ends of every trace are in front of every wall, as in a closed room with no panel."""
@@ -85,7 +101,8 @@ def plane_passes(monkeypatch):
     return passes
 
 
-def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario, chain_builds, plane_passes):
+def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario, chain_builds, receiver_builds,
+                                                         plane_passes):
     config = simcore.ScenarioConfig.from_file(tiny_scenario)
     (db, _), tracer = traced(simcore.build_db_for_scenario, config)
     fingerprints = len(db.positions) * len(db.ap_ids)
@@ -95,6 +112,7 @@ def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario, chain_bui
     assert tracer.calls("localization.compute_mdp") == fingerprints
     assert tracer.calls("channel.beamformed_gains") == 0
     assert len(chain_builds) == 2       # one per AP: the static APs' chains are reused
+    assert len(receiver_builds) == 35   # one per grid point, reused by its second AP
     assert len(plane_passes) == 0       # the tiny scene is a closed box: six walls, no occluder
 
 
@@ -103,7 +121,7 @@ def test_build_db_traces_and_bins_once_per_point_and_ap(tiny_scenario, chain_bui
     ([0.0, -0.05], None, 4),
     (None, {"from": 9, "to": 24}, 2),    # ap_b half on top of ap_a's 1-16: gains are still once per link
 ], ids=["clean", "map-offset", "overlap"])
-def test_run_call_counts_per_step(tiny_scenario, chain_builds, plane_passes, map_offset,
+def test_run_call_counts_per_step(tiny_scenario, chain_builds, receiver_builds, plane_passes, map_offset,
                                   ap_b_subcarriers, traces_per_step):
     doc = json.loads(tiny_scenario.read_text())
     doc["noise"]["map_offset_m"] = map_offset
@@ -113,10 +131,13 @@ def test_run_call_counts_per_step(tiny_scenario, chain_builds, plane_passes, map
     config = simcore.ScenarioConfig.from_file(tiny_scenario)
     simcore.build_db_for_scenario(config)
     chain_builds.clear()
+    receiver_builds.clear()
     records, tracer = traced(simcore.run_simulation, dataclasses.replace(config, max_steps=6))
     steps = len(records)
     assert steps == 6
     assert len(chain_builds) == 2       # one per AP over every link and fingerprint trace
+    # the agent's pose ends both link traces, and its map-offset copy both fingerprint traces
+    assert len(receiver_builds) == traces_per_step // 2 * steps
     assert len(plane_passes) == 0
     assert tracer.calls("simcore.sim_step") == steps
     assert tracer.calls("raytrace.trace_paths") == traces_per_step * steps

@@ -136,6 +136,11 @@ class TestSynthesizeChannel:
         h2 = synthesize_channel(ps, tx, rx, 700, 3, params())
         assert np.allclose(h1, h2, rtol=1e-10)
 
+    @pytest.mark.parametrize("carrier", [1e-300, 5e-309, float("inf"), float("nan")])
+    def test_carrier_without_a_finite_wavelength_rejected(self, carrier):
+        with pytest.raises(ValueError, match="carrier_freq"):
+            OfdmParams(n_subcarriers=8, n_symbols=2, delta_f=1e5, carrier_freq=carrier)
+
     def test_carrier_mismatch_rejected(self):
         ps = make_pathset([(0.1, 1e-9, 0.0, (0, 0), (0, 0))])
         bad = OfdmParams(n_subcarriers=8, n_symbols=2, delta_f=1e5, carrier_freq=5.8e9)

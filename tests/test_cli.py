@@ -5,6 +5,7 @@ import re
 import pytest
 
 from conftest import TINY_SCENE, rewrite_db_header, tiny_scenario_doc
+from isactwin import localization
 from isactwin.cli import main
 from isactwin.localization import compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
@@ -73,6 +74,45 @@ class TestBuildDb:
         )
         assert dropped > 0
         assert int(match.group(1)) == dropped
+
+
+    def test_carrier_without_a_finite_wavelength_is_one_error_line(self, tmp_path, capsys):
+        # 299792458 / 1e-300 overflows to an infinite wavelength, which once gave NaN bins
+        doc = tiny_scenario_doc()
+        doc["ofdm"]["carrier_hz"] = 1e-300
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(TINY_SCENE))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "build-db"):
+            assert main([command, str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert re.fullmatch(r"error: .*carrier_freq 1e-300 Hz gives a wavelength of inf m; "
+                                r"it must be finite and > 0\n", err)
+        assert not (tmp_path / "artifacts" / "tiny.fpdb").exists()
+
+    def test_non_finite_bins_are_one_error_line(self, tiny_scenario, capsys, monkeypatch):
+        # whatever makes a profile non-finite, the database is not written
+        calls = []
+        compute = localization.compute_mdp
+
+        def poisoned(*args):
+            calls.append(1)
+            mdp = compute(*args)
+            if len(calls) == 4:           # grid point 1 from the second AP
+                mdp.bins[2] = float("nan")
+            return mdp
+
+        monkeypatch.setattr(localization, "compute_mdp", poisoned)
+        assert main(["build-db", str(tiny_scenario)]) == 1
+        out, err = capsys.readouterr()
+        config = ScenarioConfig.from_file(tiny_scenario)
+        point = build_db_for_scenario(dataclasses.replace(
+            config, db=dataclasses.replace(config.db, path=None)))[0].positions[1]
+        assert out == ""
+        assert err == (f"error: {config.db.path}: not written: the bins of grid point "
+                       f"{tuple(point.tolist())} from AP 'ap_b' are not finite\n")
+        assert not config.db.path.exists()
 
 
 class TestRun:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -234,6 +235,18 @@ class TestFingerprintDB:
         p.write_bytes(p.read_bytes() + b"\x00" * 8)
         with pytest.raises(DatabaseError, match="header describes"):
             load_db(p)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_bins_are_not_written(self, small_db, tmp_path, bad):
+        db = dataclasses.replace(small_db[0], bins=small_db[0].bins.copy())
+        db.bins[3, 1, 5] = bad
+        db.bins[4, 0, 0] = bad    # a later pair: the first one is named
+        p = tmp_path / "db.fpdb"
+        where = re.escape(str(tuple(db.positions[3].tolist())))
+        with pytest.raises(DatabaseError, match=f"^{re.escape(str(p))}: not written: the bins of grid point "
+                                                f"{where} from AP 'ap2' are not finite$"):
+            save_db(db, p)
+        assert not p.exists()
 
     def test_empty_grid_rejected(self, small_db):
         _, scene, aps = small_db

@@ -22,8 +22,9 @@ from isactwin.scene import Material, Scene, Surface, load_scene
 from conftest import box_scene_doc, repo_scenario_dir
 
 
-# the PathSet columns a trace builds on the first read of any of them
-GEOMETRY = ("doppler", "aoa", "aod", "order", "bounces")
+# the PathSet columns a trace builds on first read: each group on the first read of any of its columns
+MOTION = ("doppler", "aoa", "aod")
+GEOMETRY = MOTION + ("order", "bounces")
 
 
 def empty_scene():
@@ -294,27 +295,35 @@ class TestBounces:
         assert np.array_equal(ps.bounces, want)
 
     def test_directions_are_built_once_on_first_read(self, box_scene, monkeypatch):
-        # not by the trace: on the first read of any geometry column, and never again; u_arr is
-        # D / |D| and u_dep its composed mirror, so both are unit vectors with no second norm
-        calls = []
-        angles = raytrace._direction_angles
+        # not by the trace: on the first read of a Doppler shift or an angle, and never again;
+        # an order or a bounce point needs none. u_arr is D / |D| and u_dep its composed
+        # mirror, so both are unit vectors with no second norm
+        calls, polylines = [], []
+        angles, lines = raytrace._direction_angles, raytrace._polylines
 
         def counting_angles(rotation, units):
             calls.append(units.shape)
             assert np.allclose(np.linalg.norm(units, axis=1), 1.0, rtol=0.0, atol=1e-15)
             return angles(rotation, units)
 
+        def counting_lines(*args):
+            polylines.append(1)
+            return lines(*args)
+
         monkeypatch.setattr(raytrace, "_direction_angles", counting_angles)
+        monkeypatch.setattr(raytrace, "_polylines", counting_lines)
         for max_order, first_read in itertools.product((0, 2, 3), GEOMETRY):
             calls.clear()
+            polylines.clear()
             ps = trace_paths(box_scene, self.TX, self.RX, max_order, 2.4e9)
             assert len(ps) > 0 and ps.gain.shape == ps.delay.shape == (len(ps),)
-            assert calls == []             # all a fingerprint reads
+            assert calls == [] and polylines == []   # all a fingerprint reads
             getattr(ps, first_read)
-            assert calls == [(len(ps), 3)] * 2
+            assert calls == [(len(ps), 3)] * 2 * (first_read in MOTION)
+            assert polylines == [1] * (first_read not in MOTION)
             for name in GEOMETRY + ("paths",):
                 getattr(ps, name)
-            assert calls == [(len(ps), 3)] * 2
+            assert calls == [(len(ps), 3)] * 2 and polylines == [1]
 
 
 class TestPoseRotation:

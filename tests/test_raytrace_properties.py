@@ -364,11 +364,13 @@ def all_surfaces(scene):
 
 
 def occlusion_masks(scene, tx, rx, max_order):
-    """_occluded's masks for one trace's candidates, over the plan's occluders and over all S surfaces,
-    on the real polylines mapped back from the candidates' unfolded lines."""
+    """_occluded's masks for one trace's contained candidates, over the plan's occluders and over all
+    S surfaces, on the real polylines mapped back from the candidates' unfolded lines."""
     plan = raytrace._plan_for(scene, max_order)
-    rows, s, d, _ = raytrace._unfold(plan, tx, rx.position)
-    pts = raytrace._polylines(plan, tx.position, rx.position, rows, s, d)
+    tx_entry = raytrace._image_chain(plan, scene.walls, tx.position)
+    rx_entry = raytrace._receiver(plan, scene.walls, rx.position)
+    rows, s, d, _, inside = raytrace._unfold(plan, tx_entry, rx_entry, rx.position)
+    pts = raytrace._polylines(plan, tx.position, rx.position, rows[inside], s[:, inside], d[inside])
     return tuple(raytrace._occluded(surfaces, pts) for surfaces in (plan.occluders, all_surfaces(scene)))
 
 
@@ -457,14 +459,14 @@ class TestReusedTransmitter:
         assert all(list(plan.images) == [tx] for plan in plans.values())
 
     def test_cached_arrays_are_read_only(self):
-        # a trace that wrote into the plan or the transmitter's images in place
-        # would corrupt every later trace of the scene or of that transmitter; it raises instead
-        scene, tx = desk_box(), Pose.at(0.1, 0.1, 0.5)
-        trace_paths(scene, tx, Pose.at(0.8, 0.6, 0.1), 3, FC)
+        # a trace that wrote into the plan or an end's cached products in place would corrupt
+        # every later trace of the scene or of that end; it raises instead
+        scene, tx, rx = desk_box(), Pose.at(0.1, 0.1, 0.5), Pose.at(0.8, 0.6, 0.1)
+        trace_paths(scene, tx, rx, 3, FC)
         plan = raytrace._PLANS[scene][3]
-        cached = ([a for a in vars(plan).values() if isinstance(a, np.ndarray)]
-                  + list(plan.occluders) + list(plan.images[tx]) + list(scene.walls))
-        assert len(cached) == 19
+        cached = [a for a in [*vars(plan).values(), *plan.occluders, *plan.images[tx], *plan.receivers[rx],
+                              *scene.walls] if isinstance(a, np.ndarray)]
+        assert len(cached) == 22
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -503,6 +505,65 @@ class TestReusedTransmitter:
         gc.collect()
         assert ref() is None
         assert len(raytrace._PLANS) == cached - 1
+
+
+def same_columns(got, want):
+    """Every column of two PathSets holds the same bytes."""
+    for name in ("gain", "delay", "doppler", "aoa", "aod", "order", "bounces"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def shared_end_links(draw):
+    """Three distinct poses in the desk box or the panel room, which tests trace between in turn."""
+    scene = draw(st.sampled_from(fixed_rooms()))
+    ends = [draw(poses(scene)) for _ in range(3)]
+    assume(min(np.linalg.norm(a.position - b.position) for a, b in itertools.combinations(ends, 2)) > 1e-3)
+    return scene, ends
+
+
+class TestReusedReceiver:
+    """One rx Pose traced from many transmitters, and a Pose that is tx in one trace and rx in
+    another: later traces reuse the receiver's cached products and each end's wall check."""
+
+    @given(shared_end_links(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_ends_give_a_fresh_poses_bits(self, link, max_order):
+        scene, (a, b, c) = link
+        fresh = lambda pose: Pose(pose.position, pose.yaw, pose.velocity)
+        # c is rx twice, then tx; a is tx, then rx
+        for tx, rx in ((a, c), (b, c), (c, a), (b, a), (c, b)):
+            got = trace_paths(scene, tx, rx, max_order, FC)
+            same_columns(got, trace_paths(scene, fresh(tx), fresh(rx), max_order, FC))
+            assert_same_paths(got, trace_paths_scalar(scene, tx, rx, max_order, FC))
+        plan = raytrace._PLANS[scene][max_order]
+        assert {a, b, c} <= set(plan.receivers) and {a, b, c} <= set(plan.images)
+
+    def test_an_end_behind_a_wall_is_refused_on_every_call(self):
+        scene = desk_box()
+        inside, behind = Pose.at(0.3, 0.4, 0.2), Pose.at(1.05, 0.5, 0.3)
+        also_behind = Pose.at(0.5, -0.1, 0.3)
+        where = lambda pose: re.escape(str(tuple(pose.position.tolist())))
+        for _ in range(3):   # the first call caches each end's wall check, the later ones read it
+            for tx, rx, end in ((inside, behind, "rx"), (behind, inside, "tx"),
+                                (behind, also_behind, "tx"), (also_behind, behind, "tx")):
+                pose = tx if end == "tx" else rx
+                with pytest.raises(ValueError, match=f"^{end} at {where(pose)} is behind a wall of the scene$"):
+                    trace_paths(scene, tx, rx, 2, FC)
+        assert len(trace_paths(scene, inside, Pose.at(0.8, 0.6, 0.1), 2, FC)) > 0
+
+    def test_receiver_entry_dies_with_its_pose(self):
+        scene = desk_box()
+        tx, rx = Pose.at(0.1, 0.1, 0.5), Pose.at(0.8, 0.6, 0.1)
+        assert len(trace_paths(scene, tx, rx, 3, FC)) > 0    # the PathSet, which holds rx, is dropped
+        plan = raytrace._PLANS[scene][3]
+        assert list(plan.receivers) == [rx]
+        ref = weakref.ref(rx)
+        del rx
+        gc.collect()
+        assert ref() is None
+        assert len(plan.receivers) == 0
 
 
 def plan_sequences(num_surfaces, max_order):

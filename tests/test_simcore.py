@@ -757,6 +757,24 @@ class TestSetUpOnce:
             dataclasses.replace(config, db=dataclasses.replace(config.db, path=tmp_path / "again.fpdb")))
         assert config.db.path.read_bytes() == again.read_bytes()
 
+    def test_a_build_makes_the_grid_once(self, tmp_path, monkeypatch):
+        # validate_scenario builds the db.build grid for its wall check and the build takes it over
+        grids = []
+        grid = simcore._db_grid
+        monkeypatch.setattr(simcore, "_db_grid", lambda *args: grids.append(1) or grid(*args))
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(tiny_scenario_doc()))
+        config = ScenarioConfig.from_file(p)
+        db, path = build_db_for_scenario(config)
+        assert len(grids) == 1 and len(db.positions) == 35
+        built = path.read_bytes()
+        path.unlink()
+        grids.clear()
+        init_world(config)                # builds the missing database
+        assert len(grids) == 1
+        assert path.read_bytes() == built
+
     def test_invalid_allocation_still_fails_in_init_world(self, config):
         config, _ = config
         assert validate_scenario(config) == []
