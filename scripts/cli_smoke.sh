@@ -1,7 +1,7 @@
 #!/bin/sh
 # Smoke checks of the isactwin console script on the shipped scenario: the four commands run end
 # to end, and validate, build-db and run refuse a bad scenario or output path, and run a stale
-# database, with exit 1.
+# database, with exit 1 and exactly one stderr line, "error: ...".
 #
 #   scripts/cli_smoke.sh [scratch dir]
 #
@@ -35,11 +35,18 @@ edited() {
     cp scenarios/desk_two_ap.json scenarios/desk_box.scene.json "$case/"
     edit "$1"
 }
+# refused ARGS: isactwin ARGS fails with one stderr line "error: ...", which is passed on to stderr
 refused() {
-    if isactwin "$@"; then
+    if isactwin "$@" 2> "$tmp/refused.err"; then
         echo "cli_smoke: isactwin $* should have failed" >&2
         exit 1
     fi
+    if [ "$(wc -l < "$tmp/refused.err")" -ne 1 ] || ! grep -q '^error: ' "$tmp/refused.err"; then
+        echo "cli_smoke: isactwin $* was not refused with exactly one error: line:" >&2
+        cat "$tmp/refused.err" >&2
+        exit 1
+    fi
+    cat "$tmp/refused.err" >&2
 }
 
 # a misspelled key is an error, not a silent default
@@ -78,6 +85,22 @@ edited 's["bounds"]["max"][0] = 2.0'
 isactwin validate "$case/desk_two_ap.json"
 edited 's["bounds"]["max"][0] = 2.0; d["network"]["nodes"][0]["pose"]["position"] = [1.5, 0.07, 0.6]'
 refused validate "$case/desk_two_ap.json"
+# a db.build grid too large to build is counted, not allocated: terabytes at a spacing of 1e-7 m,
+# more points than numpy can index at 1e-300 m or with bounds out to 1e300 m
+edited 'd["db"]["build"]["spacing_m"] = 1e-7'
+refused validate "$case/desk_two_ap.json"
+edited 'd["db"]["build"]["spacing_m"] = 1e-300'
+refused validate "$case/desk_two_ap.json"
+edited 's["bounds"]["max"][0] = 1e300'
+refused build-db "$case/desk_two_ap.json"
+# a vertex out at 1e300 m overflows its plane; the bounds check reports it, with no warning first
+edited 's["surfaces"][0]["vertices"][0][0] = 1e300'
+refused validate "$case/desk_two_ap.json"
+# and a database build whose only transmitter is the agent has no AP to fingerprint from
+edited 'n = d["network"]; n["nodes"] = [dict(n["nodes"][2], role="txrx")]; n["edges"] = []
+n["resources"]["users"] = []'
+refused validate "$case/desk_two_ap.json"
+refused run "$case/desk_two_ap.json" --max-steps 2 --out "$tmp/no_ap.csv"
 
 # a free-standing panel is an occluder, not a wall: every trace maps its bounces back to the real
 # frame for the occlusion pass, which no benchmark workload runs; build-db writes the scenario's

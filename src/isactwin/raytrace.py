@@ -24,12 +24,13 @@ vertex of the scene on one closed side of its plane, so a segment between two
 points on that side cannot cross it (as in beam tracing's convex cells). A
 trace refuses an end strictly behind a wall, so the occluders are the other
 surfaces, and a closed room of walls alone, like the desk box, skips the pass.
-The PathSet gets the survivors' gains and delays at trace time and keeps their
-unfolded lines; the first read of a Doppler shift or a local angle builds those
-three columns (_path_motion), and the first read of an order or a bounce point
-those two (_path_geometry). A fingerprint, which reads gains and delays only,
-builds neither, and a link, whose channel reads the first three, never maps
-its bounces back.
+The survivors are sorted by delay once. The PathSet gets their gains and
+delays at trace time and keeps their unfolded lines in the same order; the
+first read of a Doppler shift or a local angle builds those three columns, and
+the first read of an order or a bounce point those two (PathSet._motion and
+_geometry, cached properties). A fingerprint, which reads gains and delays
+only, builds neither, and a link, whose channel reads the first three, never
+maps its bounces back.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -127,68 +128,63 @@ class PathSet:
 
     gain (L,) complex and delay (L,) exist from the start. doppler (L,) and aoa
     and aod (L, 2), the local (azimuth, elevation) at the receiver and the
-    transmitter, are one group; order (L,) and bounces (L, K, 3), each path's
-    reflection points right-aligned behind K - order rows equal to the tx
-    position (a list of paths pads K to its largest order), are the other. A
-    traced PathSet builds a group on the first read of any of its columns, from
-    the unsorted unfolded lines it keeps, and a list of paths sets both
-    directly. Every column is read-only. Iteration and ``paths`` give the paths
-    back as PropagationPaths.
+    transmitter, are one group (_motion); order (L,) and bounces (L, K, 3), each
+    path's reflection points right-aligned behind K - order rows equal to the tx
+    position (a list of paths pads K to its largest order), are the other
+    (_geometry). A traced PathSet keeps its paths' unfolded lines, already in
+    delay order, and builds a group on the first read of any of its columns; a
+    list of paths is sorted once and sets both groups directly. Every column is
+    read-only. Iteration and ``paths`` give the paths back as PropagationPaths.
     """
 
     def __init__(self, paths, tx_pose: Pose, rx_pose: Pose, carrier_freq: float):
         paths = list(paths)
+        paths = [paths[i] for i in np.argsort([p.delay for p in paths], kind="stable")]
         k = max((p.order for p in paths), default=0)
-        self._set_head(tx_pose, rx_pose, carrier_freq,
-                       np.array([p.gain for p in paths], dtype=complex),
-                       np.array([p.delay for p in paths], dtype=float))
-        self._motion = self._sorted(np.array([p.doppler for p in paths], dtype=float),
-                                    np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2),
-                                    np.array([p.aod for p in paths], dtype=float).reshape(-1, 2))
-        self._geometry = self._sorted(
+        self.tx_pose, self.rx_pose, self.carrier_freq = tx_pose, rx_pose, carrier_freq
+        self.gain, self.delay = _read_only(np.array([p.gain for p in paths], dtype=complex),
+                                           np.array([p.delay for p in paths], dtype=float))
+        self._motion = _read_only(np.array([p.doppler for p in paths], dtype=float),
+                                  np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2),
+                                  np.array([p.aod for p in paths], dtype=float).reshape(-1, 2))
+        self._geometry = _read_only(
             np.array([p.order for p in paths], dtype=int),
             np.array([np.vstack([tx_pose.position] * (k - p.order) + [p.reflection_points])
                       for p in paths]).reshape(len(paths), k, 3))
 
     @classmethod
     def _traced(cls, tx_pose, rx_pose, carrier_freq, gain, delay, *unfolded) -> "PathSet":
-        """trace_paths' route in: the survivors' unsorted unfolded lines wait for the first read of a group."""
+        """trace_paths' route in: sorted columns, whose unfolded lines (plan, rows, s, D, |D|) wait for
+        the first read of a group."""
         ps = cls.__new__(cls)
-        ps._set_head(tx_pose, rx_pose, carrier_freq, gain, delay)
+        ps.tx_pose, ps.rx_pose, ps.carrier_freq = tx_pose, rx_pose, carrier_freq
+        ps.gain, ps.delay = _read_only(gain, delay)
         ps._unfolded = unfolded
         return ps
 
-    def _set_head(self, tx_pose, rx_pose, carrier_freq, gain, delay):
-        self._sort = idx = np.argsort(delay, kind="stable")
-        self.tx_pose, self.rx_pose, self.carrier_freq = tx_pose, rx_pose, carrier_freq
-        self.gain, self.delay = gain[idx], delay[idx]
-        self.gain.flags.writeable = self.delay.flags.writeable = False
-        self._motion = self._geometry = None
+    @cached_property
+    def _motion(self) -> tuple:
+        """(doppler, aoa, aod) of a trace: each path reaches rx along u_arr = -D / |D| and leaves tx
+        along the row's composed mirror of it."""
+        plan, rows, _, d, dist = self._unfolded
+        tx, rx = self.tx_pose, self.rx_pose
+        u_arr = d / -dist[:, None]
+        u_dep = np.vecdot(plan.linear[0].take(rows, axis=0), u_arr[:, None, :])
+        doppler = self.carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, tx.velocity) - np.vecdot(u_arr, rx.velocity))
+        return _read_only(doppler, _direction_angles(rx.rotation, -u_arr), _direction_angles(tx.rotation, u_dep))
 
-    def _sorted(self, *columns) -> tuple:
-        """The unsorted columns sorted like the head, read-only."""
-        # read-only like Pose's arrays: the channel layer keeps steering computed from them
-        columns = tuple(column[self._sort] for column in columns)
-        for column in columns:
-            column.flags.writeable = False
-        return columns
+    @cached_property
+    def _geometry(self) -> tuple:
+        """(order, bounces) of a trace."""
+        plan, rows, s, d, _ = self._unfolded
+        bounces = _polylines(plan, self.tx_pose.position, self.rx_pose.position, rows, s, d)[1:-1]
+        return _read_only(plan.order.take(rows), bounces.transpose(1, 0, 2))
 
-    def _read_motion(self) -> tuple:
-        if self._motion is None:
-            self._motion = self._sorted(*_path_motion(self.tx_pose, self.rx_pose, self.carrier_freq,
-                                                      *self._unfolded))
-        return self._motion
-
-    def _read_geometry(self) -> tuple:
-        if self._geometry is None:
-            self._geometry = self._sorted(*_path_geometry(self.tx_pose, self.rx_pose, *self._unfolded))
-        return self._geometry
-
-    doppler = property(lambda self: self._read_motion()[0])
-    aoa = property(lambda self: self._read_motion()[1])
-    aod = property(lambda self: self._read_motion()[2])
-    order = property(lambda self: self._read_geometry()[0])
-    bounces = property(lambda self: self._read_geometry()[1])
+    doppler = property(lambda self: self._motion[0])
+    aoa = property(lambda self: self._motion[1])
+    aod = property(lambda self: self._motion[2])
+    order = property(lambda self: self._geometry[0])
+    bounces = property(lambda self: self._geometry[1])
 
     @property
     def paths(self) -> list:
@@ -204,27 +200,19 @@ class PathSet:
         return iter(self.paths)
 
 
-def path_gain(path_length, reflection_coeffs, carrier_freq: float):
-    """Free-space amplitude with reflection losses and propagation phase.
-
-    b = (lambda / (4 pi d)) * prod(coeffs) * exp(-j 2 pi d / lambda)
-
-    Takes one path (a length and a list of coefficients) or M paths at once
-    (lengths of shape (M,) and coefficients of shape (M, k)); the
-    coefficients multiply in sequence order.
-    """
-    d = np.asarray(path_length, dtype=float)
-    if (d <= 0.0).any():
-        raise ValueError(f"path_length must be > 0, got {path_length}")
-    return _gain(d, np.asarray(reflection_coeffs, dtype=float), carrier_freq)[()]
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: the channel layer keeps steering computed from a PathSet's
+    angles, and a plan's entries are shared by every trace of their Pose."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _gain(d: np.ndarray, coeffs: np.ndarray, carrier_freq: float) -> np.ndarray:
-    """path_gain of positive lengths d, without its checks."""
+def _gain(d: np.ndarray, coeff: np.ndarray, carrier_freq: float) -> np.ndarray:
+    """Free-space amplitude with reflection losses and propagation phase of positive lengths d
+    and coefficient products coeff: (lambda / (4 pi d)) coeff exp(-j 2 pi d / lambda)."""
     lam = SPEED_OF_LIGHT / carrier_freq
-    amp = lam / (4.0 * math.pi * d)
-    for j in range(coeffs.shape[-1]):
-        amp = amp * coeffs[..., j]
+    amp = lam / (4.0 * math.pi * d) * coeff
     phase = -2.0 * math.pi * d / lam
     gain = np.empty(d.shape, dtype=complex)
     np.cos(phase, out=gain.real)
@@ -238,17 +226,16 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     """All unoccluded specular paths of reflection order <= max_order.
 
     LoS is order 0. Delays are total polyline length over c; angles are
-    rotated into each terminal's local frame; gains follow path_gain with the
-    per-bounce material coefficients and are clamped to unit magnitude.
-    Paths weaker than GAIN_PRUNE_THRESHOLD in amplitude are dropped.
+    rotated into each terminal's local frame; gains follow _gain with the
+    product of the bounces' material coefficients and are clamped to unit
+    magnitude. Paths weaker than GAIN_PRUNE_THRESHOLD in amplitude are dropped.
     An end strictly behind a wall of the scene (Scene.walls) raises ValueError,
     tx first.
     Every candidate of every order is traced in one pass over the scene's
-    padded candidate table, whose rows run order by order, so the PathSet's
-    stable delay sort orders equal delays the same way on every call.
-    The returned PathSet holds gains and delays; its Doppler shifts and angles
-    (_path_motion), and its orders and bounces (_path_geometry), are built on
-    their first read.
+    padded candidate table, whose rows run order by order, and the survivors
+    are stably sorted by delay once, so equal delays come in the same order on
+    every call. The returned PathSet holds gains and delays; its Doppler shifts
+    and angles, and its orders and bounces, are built on their first read.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -262,7 +249,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
         raise ValueError(f"{end} at {tuple(pose.position.tolist())} is behind a wall of the scene")
 
     rows, s, d, dist, keep = _unfold(plan, tx_entry, rx_entry, rx.position)
-    gain = _gain(dist, plan.coeffs.take(rows)[:, None], carrier_freq)
+    gain = _gain(dist, plan.coeffs.take(rows), carrier_freq)
     amp = abs(gain)
     np.divide(gain, amp, out=gain, where=amp > 1.0)
     keep &= amp >= GAIN_PRUNE_THRESHOLD
@@ -270,24 +257,11 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
         keep[keep] = ~_occluded(plan.occluders, _polylines(plan, tx.position, rx.position, rows[keep],
                                                            s[:, keep], d[keep]))
     keep = keep.nonzero()[0]
-    dist = dist.take(keep)
-    return PathSet._traced(tx, rx, carrier_freq, gain.take(keep), dist / SPEED_OF_LIGHT,
-                           plan, rows.take(keep), s.take(keep, axis=1), d.take(keep, axis=0), dist)
-
-
-def _path_motion(tx: Pose, rx: Pose, carrier_freq: float, plan, rows, s, d, dist) -> tuple:
-    """A trace's unsorted (doppler, aoa, aod) from its rows' unfolded lines: each path
-    reaches rx along u_arr = -D / |D| and leaves tx along the row's composed mirror of it."""
-    u_arr = d / -dist[:, None]
-    u_dep = np.vecdot(plan.linear[0].take(rows, axis=0), u_arr[:, None, :])
-    doppler = carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, tx.velocity) - np.vecdot(u_arr, rx.velocity))
-    return doppler, _direction_angles(rx.rotation, -u_arr), _direction_angles(tx.rotation, u_dep)
-
-
-def _path_geometry(tx: Pose, rx: Pose, plan, rows, s, d, dist) -> tuple:
-    """A trace's unsorted (order, bounces) from its rows' unfolded lines."""
-    bounces = _polylines(plan, tx.position, rx.position, rows, s, d)[1:-1]
-    return plan.order.take(rows), bounces.transpose(1, 0, 2)
+    delay = dist.take(keep) / SPEED_OF_LIGHT
+    by_delay = np.argsort(delay, kind="stable")
+    keep = keep.take(by_delay)
+    return PathSet._traced(tx, rx, carrier_freq, gain.take(keep), delay.take(by_delay),
+                           plan, rows.take(keep), s.take(keep, axis=1), d.take(keep, axis=0), dist.take(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +372,7 @@ def _image_chain(plan: _Plan, walls, tx_point: np.ndarray) -> tuple:
     n_dot_image = np.vecdot(plan.normals, image)
     n_dot_image[plan.padding] = 1.0
     heights = np.vecdot(plan.edge_normals, image) - plan.edge_offsets
-    for a in (image, n_dot_image, heights):
-        a.flags.writeable = False
-    return bool(walls.behind(tx_point[None])[0]), image, n_dot_image, heights
+    return bool(walls.behind(tx_point[None])[0]), *_read_only(image, n_dot_image, heights)
 
 
 def _receiver(plan: _Plan, walls, rx_point: np.ndarray) -> tuple:
@@ -411,9 +383,7 @@ def _receiver(plan: _Plan, walls, rx_point: np.ndarray) -> tuple:
     q = (plan.normals.reshape(k * m, 3) @ rx_point).reshape(k, m)
     numerator = plan.offsets - q
     heights = (plan.edge_normals.reshape(k * v * m, 3) @ rx_point).reshape(k, v, m) - plan.edge_offsets
-    for a in (q, numerator, heights):
-        a.flags.writeable = False
-    return bool(walls.behind(rx_point[None])[0]), q, numerator, heights
+    return bool(walls.behind(rx_point[None])[0]), *_read_only(q, numerator, heights)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

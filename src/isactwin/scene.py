@@ -107,13 +107,16 @@ class Surface:
         if v.ndim != 2 or v.shape[1] != 3:
             raise SceneError(f"surface {self.name!r}: vertices must be an (n, 3) array")
         _set_read_only(self, vertices=v)
-        n = _newell_normal(v)
-        if n is not None:
-            x, y, z = (np.concatenate((v[1:], v[:1])) - v).T
-            n0, n1, n2 = n.tolist()   # n x edge, with np.cross's products in its order
-            edges = np.column_stack((n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x))
-            _set_read_only(self, unit_normal=n, plane_offset=float(n @ v[0]), edge_normals=edges,
-                           edge_offsets=np.vecdot(edges, v))
+        # a vertex near the float limit overflows the plane's products; validate_scene's
+        # bounds check, not a RuntimeWarning, reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = _newell_normal(v)
+            if n is not None:
+                x, y, z = (np.concatenate((v[1:], v[:1])) - v).T
+                n0, n1, n2 = n.tolist()   # n x edge, with np.cross's products in its order
+                edges = np.column_stack((n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x))
+                _set_read_only(self, unit_normal=n, plane_offset=float(n @ v[0]), edge_normals=edges,
+                               edge_offsets=np.vecdot(edges, v))
 
 
 @dataclass(frozen=True, eq=False)

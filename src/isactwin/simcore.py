@@ -455,6 +455,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
     if build is not None:
         if build.bin_width <= 0.0 or build.num_bins < 1:
             problems.append("db.build needs bin_width_s > 0 and num_bins >= 1")
+        if graph is not None and not _static_aps(config, graph):
+            problems.append("no static transmitter nodes to fingerprint")
         if scene is not None and config.agents:
             try:
                 grid = _db_grid(config, scene)
@@ -507,6 +509,10 @@ def db_signature(config: ScenarioConfig, graph) -> str:
     return json_digest({"aps": aps, "carrier_hz": config.ofdm.carrier_freq, "max_order": config.max_order})
 
 
+# about 5 000 times the shipped grid's 195 points; at about 0.2 ms per fingerprint, minutes per AP
+MAX_GRID_POINTS = 10**6
+
+
 def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
     """The fingerprint grid of db.build: the floor lattice at db.build.height_m, else the
     first agent's z, cut to the ROI. Raises ConfigError for settings that give no grid."""
@@ -516,6 +522,11 @@ def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
     height = build.height if build.height is not None else float(config.agents[0].initial_pose.position[2])
     if not scene.bounds_min[2] - 1e-9 <= height <= scene.bounds_max[2] + 1e-9:
         raise ConfigError(f"db.build height {height} outside the scene's z bounds")
+    with np.errstate(over="ignore"):   # floor_grid's count, in floating point before it allocates
+        points = np.prod(np.floor((scene.bounds_max[:2] - scene.bounds_min[:2]) / build.spacing + 1e-9) + 1)
+    if not points <= MAX_GRID_POINTS:
+        raise ConfigError(f"db.build.spacing_m {build.spacing} gives a floor grid of {points:.3g} points over "
+                          f"the scene bounds; at most {MAX_GRID_POINTS} are allowed")
     grid = floor_grid(scene, build.spacing, height)
     if build.roi is None:
         return grid

@@ -14,7 +14,6 @@ from isactwin.raytrace import (
     PathSet,
     Pose,
     PropagationPath,
-    path_gain,
     trace_paths,
     wrap_angle,
 )
@@ -57,25 +56,27 @@ class TestWrapAngle:
         assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-9)
 
 
-class TestPathGain:
+class TestGain:
+    """The amplitude (lambda / (4 pi d)) coeff and phase -2 pi d / lambda of a path of length d."""
+
+    @staticmethod
+    def los_gain(distance, fc=2.4e9):
+        ps = trace_paths(empty_scene(), Pose.at(0, 0, 0), Pose.at(distance, 0, 0), 0, fc)
+        assert len(ps) == 1
+        return complex(ps.gain[0])
+
     def test_unit_amplitude_at_quarter_wavelength_over_pi(self):
         fc = 2.4e9
-        lam = C / fc
-        b = path_gain(lam / (4 * math.pi), [], fc)
+        b = self.los_gain(C / fc / (4 * math.pi), fc)
         assert abs(b) == pytest.approx(1.0, rel=1e-12)
         assert math.atan2(b.imag, b.real) == pytest.approx(-0.5, rel=1e-12)
 
     def test_inverse_distance_law(self):
-        b1 = path_gain(2.0, [], 2.4e9)
-        b2 = path_gain(4.0, [], 2.4e9)
-        assert abs(b1) == pytest.approx(2 * abs(b2), rel=1e-12)
+        assert abs(self.los_gain(2.0)) == pytest.approx(2 * abs(self.los_gain(4.0)), rel=1e-12)
 
     def test_absorber_kills_path(self):
-        assert path_gain(1.0, [0.0], 2.4e9) == 0
-
-    def test_nonpositive_length(self):
-        with pytest.raises(ValueError):
-            path_gain(0.0, [], 2.4e9)
+        gain = raytrace._gain(np.array([1.0, 1.0]), np.array([0.0, 0.5]), 2.4e9)
+        assert gain[0] == 0 and gain[1] == 0.5 * raytrace._gain(np.array([1.0]), 1.0, 2.4e9)[0]
 
 
 class TestDoppler:
@@ -433,6 +434,17 @@ class TestPathSetColumns:
             for column in columns_of(ps) + (ps.bounces,):
                 with pytest.raises(ValueError):
                     column[0] = column[1]
+
+    def test_traced_delays_are_sorted_and_groups_built_once(self, box_scene):
+        # the trace sorts its paths once: delay is in order before any deferred column is read,
+        # and each group is one cached tuple of arrays
+        for max_order in (0, 2, 3):
+            ps = trace_paths(box_scene, self.TX, self.RX, max_order, 2.4e9)
+            assert "_motion" not in vars(ps) and "_geometry" not in vars(ps)
+            assert np.all(np.diff(ps.delay) >= 0.0)
+            for names in (MOTION, ("order", "bounces")):
+                first = [getattr(ps, name) for name in names]
+                assert all(a is b for a, b in zip(first, [getattr(ps, name) for name in names]))
 
     def test_empty_path_set(self):
         ps = PathSet(paths=[], tx_pose=Pose.at(0, 0, 0), rx_pose=Pose.at(1, 0, 0), carrier_freq=2.4e9)

@@ -109,6 +109,13 @@ class TestValidateScene:
             Surface(vertices=[[0, 0, 0], [9, 0, 0], [9, 1, 0]], material=Material("wall", 0.7), name="oob"),))
         assert any("oob" in v and "bounds" in v for v in validate_scene(scene))
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_out_vertex_is_reported_without_a_warning(self, box_doc):
+        # its plane overflows to inf and NaN; the bounds check, not a RuntimeWarning, reports it
+        box_doc["surfaces"][0]["vertices"][0][0] = 1e300
+        with pytest.raises(SceneError, match="vertices outside scene bounds"):
+            load_scene(box_doc)
+
     def test_nonconvex_surface_flagged(self, box_scene):
         dart = [[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 0.5, 0], [0, 2, 0]]
         # a pentagram turns the same way at every vertex; only a half-plane

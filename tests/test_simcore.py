@@ -69,6 +69,12 @@ class TestBus:
             Bus().subscribe(pattern, [].append)
 
 
+def _agent_is_the_only_transmitter(doc, scene):
+    network = doc["network"]
+    network["nodes"] = [{**network["nodes"][2], "role": "txrx"}]
+    network["edges"], network["resources"]["users"] = [], []
+
+
 class TestScenarioConfig:
     def test_parse_tiny_scenario(self, tiny_scenario):
         config = ScenarioConfig.from_file(tiny_scenario)
@@ -371,18 +377,41 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("key,value,message", [
         ("spacing_m", 0, "db.build.spacing_m must be > 0, got 0.0"),
+        ("spacing_m", 1e-7, "db.build.spacing_m 1e-07 gives a floor grid of 1.2e+14 points over the "
+                            "scene bounds; at most 1000000 are allowed"),
+        ("spacing_m", 1e-300, "db.build.spacing_m 1e-300 gives a floor grid of inf points over the "
+                              "scene bounds; at most 1000000 are allowed"),
         ("bin_width_s", 0.0, "db.build needs bin_width_s > 0 and num_bins >= 1"),
         ("num_bins", 0, "db.build needs bin_width_s > 0 and num_bins >= 1"),
         ("height_m", 5.0, "db.build height 5.0 outside the scene's z bounds"),
         ("roi_m", [5, 5, 6, 6], "db.build.roi_m [5.0, 5.0, 6.0, 6.0] holds no point of the floor grid"),
         ("roi_m", [0.1, 0.1, 0.5],
          "scenario document has [0.1, 0.1, 0.5] at .db.build.roi_m, which must be a list of 4 numbers"),
-    ], ids=["zero-spacing", "zero-bin-width", "zero-bins", "height-above-scene", "roi-off-the-grid",
-            "roi-of-three-numbers"])
+    ], ids=["zero-spacing", "spacing-1e-7", "spacing-1e-300", "zero-bin-width", "zero-bins",
+            "height-above-scene", "roi-off-the-grid", "roi-of-three-numbers"])
     def test_db_build_settings_that_build_db_refuses_rejected(self, tmp_path, capsys, key, value, message):
         doc = tiny_scenario_doc()
         doc["db"]["build"][key] = value
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        for argv in (["validate", str(p)], ["build-db", str(p)],
+                     ["run", str(p), "--out", str(tmp_path / "t.csv")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        # the floor grid is counted before anything is allocated: it would take terabytes, or more
+        # points than numpy can index
+        (lambda doc, scene: scene["bounds"]["max"].__setitem__(0, 1e300),
+         "db.build.spacing_m 0.1 gives a floor grid of 1.1e+302 points over the scene bounds; "
+         "at most 1000000 are allowed"),
+        (_agent_is_the_only_transmitter, "no static transmitter nodes to fingerprint"),
+    ], ids=["bounds-out-to-1e300", "no-static-ap"])
+    def test_scenes_and_networks_that_build_db_refuses_rejected(self, tmp_path, capsys, edit, message):
+        doc, scene = tiny_scenario_doc(), _tiny_scene()
+        edit(doc, scene)
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(scene))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
         for argv in (["validate", str(p)], ["build-db", str(p)],
