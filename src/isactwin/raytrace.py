@@ -11,7 +11,10 @@ and edge planes, its coefficient product and its maps back to the real frame
 (_Plan). As beam tracing reuses a source's work across receivers (Funkhouser
 et al., SIGGRAPH 1998), the plan keeps one entry per read-only end Pose: a tx
 has its images and their products with those planes, an rx its products
-n' . rx and its heights over the edge planes, and each its wall check. A
+n' . rx and its heights over the edge planes, and each its wall check. One
+builder makes the entries of R receivers with one stacked product each
+(_receivers): a trace builds its rx's on a cache miss, and receiver_poses
+builds a batch of grid points' before the fingerprint database traces them. A
 trace is one array pass over all M candidates (as Sionna RT does, arXiv
 2303.11103): one division places each bounce on its line, one leg rule drops
 the rows whose bounces are out of order or land on an end (_unfold), the
@@ -25,12 +28,13 @@ points on that side cannot cross it (as in beam tracing's convex cells). A
 trace refuses an end strictly behind a wall, so the occluders are the other
 surfaces, and a closed room of walls alone, like the desk box, skips the pass.
 The survivors are sorted by delay once. The PathSet gets their gains and
-delays at trace time and keeps their unfolded lines in the same order; the
-first read of a Doppler shift or a local angle builds those three columns, and
-the first read of an order or a bounce point those two (PathSet._motion and
-_geometry, cached properties). A fingerprint, which reads gains and delays
-only, builds neither, and a link, whose channel reads the first three, never
-maps its bounces back.
+delays at trace time, and keeps the unfolded lines of every row that passed
+the leg rule with the delay-order index of the survivors among them; the
+first read of a Doppler shift or a local angle takes the survivors' lines and
+builds those three columns, and the first read of an order or a bounce point
+those two (PathSet._unfolded, _motion and _geometry, cached properties). A
+fingerprint, which reads gains and delays only, takes and builds nothing, and
+a link, whose channel reads the first three, never maps its bounces back.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -131,9 +135,11 @@ class PathSet:
     transmitter, are one group (_motion); order (L,) and bounces (L, K, 3), each
     path's reflection points right-aligned behind K - order rows equal to the tx
     position (a list of paths pads K to its largest order), are the other
-    (_geometry). A traced PathSet keeps its paths' unfolded lines, already in
-    delay order, and builds a group on the first read of any of its columns; a
-    list of paths is sorted once and sets both groups directly. Every column is
+    (_geometry). A traced PathSet keeps the unfolded lines of the rows its trace
+    kept through the leg rule and its paths' indices among them in delay order;
+    the first read of any column of a group takes its paths' lines (_unfolded)
+    and builds the group, so gains and delays alone take nothing. A list of
+    paths is sorted once and sets both groups directly. Every column is
     read-only. Iteration and ``paths`` give the paths back as PropagationPaths.
     """
 
@@ -153,14 +159,21 @@ class PathSet:
                       for p in paths]).reshape(len(paths), k, 3))
 
     @classmethod
-    def _traced(cls, tx_pose, rx_pose, carrier_freq, gain, delay, *unfolded) -> "PathSet":
-        """trace_paths' route in: sorted columns, whose unfolded lines (plan, rows, s, D, |D|) wait for
-        the first read of a group."""
+    def _traced(cls, tx_pose, rx_pose, carrier_freq, gain, delay, *untaken) -> "PathSet":
+        """trace_paths' route in: sorted columns, and (plan, paths, rows, s, D, |D|), the unfolded
+        lines of every row that passed the leg rule with the paths' indices among them in delay
+        order. The paths' own lines are taken from them on the first read of a group."""
         ps = cls.__new__(cls)
         ps.tx_pose, ps.rx_pose, ps.carrier_freq = tx_pose, rx_pose, carrier_freq
         ps.gain, ps.delay = _read_only(gain, delay)
-        ps._unfolded = unfolded
+        ps._untaken = untaken
         return ps
+
+    @cached_property
+    def _unfolded(self) -> tuple:
+        """(plan, rows, s, D, |D|) of a trace's paths, in delay order."""
+        plan, paths, rows, s, d, dist = self._untaken
+        return plan, rows.take(paths), s.take(paths, axis=1), d.take(paths, axis=0), dist.take(paths)
 
     @cached_property
     def _motion(self) -> tuple:
@@ -237,13 +250,11 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     every call. The returned PathSet holds gains and delays; its Doppler shifts
     and angles, and its orders and bounces, are built on their first read.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    plan = _plan_for(scene, max_order)
     if math.dist(rx.position, tx.position) < 1e-12:
         raise ValueError("coincident endpoints")
-    plan = _plan_for(scene, max_order)
     tx_entry = plan.images.get(tx) or plan.images.setdefault(tx, _image_chain(plan, scene.walls, tx.position))
-    rx_entry = plan.receivers.get(rx) or plan.receivers.setdefault(rx, _receiver(plan, scene.walls, rx.position))
+    rx_entry = plan.receivers.get(rx) or _receivers(plan, scene.walls, [rx])[0]
     if tx_entry[0] or rx_entry[0]:
         end, pose = ("tx", tx) if tx_entry[0] else ("rx", rx)
         raise ValueError(f"{end} at {tuple(pose.position.tolist())} is behind a wall of the scene")
@@ -261,7 +272,15 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     by_delay = np.argsort(delay, kind="stable")
     keep = keep.take(by_delay)
     return PathSet._traced(tx, rx, carrier_freq, gain.take(keep), delay.take(by_delay),
-                           plan, rows.take(keep), s.take(keep, axis=1), d.take(keep, axis=0), dist.take(keep))
+                           plan, keep, rows, s, d, dist)
+
+
+def receiver_poses(scene: Scene, points, max_order: int = 2) -> list:
+    """Still Poses at points (R, 3), each with its receiver entry for trace_paths at max_order
+    built: one batch (_receivers) instead of R cache misses, at identical bits."""
+    poses = [Pose(position=point) for point in points]
+    _receivers(_plan_for(scene, max_order), scene.walls, poses)
+    return poses
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +304,9 @@ class _Plan:
     row's unfolded frame, which x -> linear[i + 1] x + shift[i + 1] maps back to the real one
     (linear[0], shift[0] undo every bounce). Padding levels come first in a row and mirror
     nothing: a zero normal with offset 1, zero edge planes. Every array is read-only.
+
+    An end's entry is cached under its Pose. _receivers builds the entries of R rx Poses at once:
+    trace_paths one on a cache miss, receiver_poses a batch of grid points.
     """
 
     occluders: _Surfaces      # the usable surfaces that are not walls
@@ -298,7 +320,7 @@ class _Plan:
     linear: np.ndarray        # (K + 1, M, 3, 3) the maps back to the real frame
     shift: np.ndarray         # (K + 1, M, 3)
     images: weakref.WeakKeyDictionary     # tx Pose -> _image_chain's entry, dying with the pose
-    receivers: weakref.WeakKeyDictionary  # rx Pose -> _receiver's entry, dying with the pose
+    receivers: weakref.WeakKeyDictionary  # rx Pose -> _receivers' entry, dying with the pose
 
     def __post_init__(self):
         _set_read_only(self, **vars(self))
@@ -317,6 +339,8 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
     i's map back mirrors through the row's bounces K - 1 down to i + 1. The occluders are the
     usable surfaces that Scene.walls does not name.
     """
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
     plans = _PLANS.setdefault(scene, {})
     plan = plans.get(max_order)
     if plan is None:
@@ -375,21 +399,31 @@ def _image_chain(plan: _Plan, walls, tx_point: np.ndarray) -> tuple:
     return bool(walls.behind(tx_point[None])[0]), *_read_only(image, n_dot_image, heights)
 
 
-def _receiver(plan: _Plan, walls, rx_point: np.ndarray) -> tuple:
-    """One rx's entry: whether it is behind a wall, and its read-only products q = n' . rx (K, M)
-    with the mirrored planes, the numerators o' - q of its line parameters and its heights h(rx)
-    (K, V, M) over the mirrored edge planes."""
+def _receivers(plan: _Plan, walls, poses) -> list:
+    """The entries of R rx Poses, each stored under its Pose in plan.receivers and returned in order:
+    whether it is behind a wall, and its read-only products q = n' . rx (K, M) with the mirrored
+    planes, the numerators o' - q of its line parameters and its heights h(rx) (K, V, M) over the
+    mirrored edge planes. One stacked (R, 1, 3) x (3, K M) product gives every q, one (R, 1, 3) x
+    (3, K V M) product every height, and one Scene.walls.behind every wall check. A stacked
+    product is one BLAS call per pose, so a pose gets the same bits in any batch; one (R, 3)
+    product does not. An entry's arrays are views of the batch's: they live while one of its
+    Poses does."""
     k, v, m = plan.edge_offsets.shape
-    q = (plan.normals.reshape(k * m, 3) @ rx_point).reshape(k, m)
+    points = np.array([pose.position for pose in poses])[:, None, :]
+    q = (points @ plan.normals.reshape(k * m, 3).T).reshape(len(poses), k, m)
     numerator = plan.offsets - q
-    heights = (plan.edge_normals.reshape(k * v * m, 3) @ rx_point).reshape(k, v, m) - plan.edge_offsets
-    return bool(walls.behind(rx_point[None])[0]), *_read_only(q, numerator, heights)
+    heights = (points @ plan.edge_normals.reshape(k * v * m, 3).T).reshape(len(poses), k, v, m)
+    heights -= plan.edge_offsets
+    _read_only(q, numerator, heights)
+    entries = list(zip(walls.behind(points[:, 0]).tolist(), q, numerator, heights))
+    plan.receivers.update(zip(poses, entries))
+    return entries
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _unfold(plan: _Plan, tx_entry: tuple, rx_entry: tuple, rx_point: np.ndarray):
     """The M' rows that pass the leg rule, their (K, M') line parameters s, (M', 3) D = I - rx,
-    (M',) |D| and (M',) containment mask, from the entries of tx (_image_chain) and rx (_receiver).
+    (M',) |D| and (M',) containment mask, from the entries of tx (_image_chain) and rx (_receivers).
 
     A row's path is rx + s D, and bounce i is at s = (o' - q) / (n' . I - q), q = n' . rx. A row
     passes when each real leg (s[i - 1] - s[i]) |D|, image to rx, is >= 1e-9 m and each real

@@ -276,10 +276,18 @@ def validate_scene(scene: Scene) -> list[str]:
     if np.any(scene.bounds_max < scene.bounds_min):
         violations.append("bounds max < min")
 
+    lo = scene.bounds_min - 1e-9
+    hi = scene.bounds_max + 1e-9
     for surf in scene.surfaces:
         label = surf.name or "surface"
+        if scene.materials.get(surf.material.name) != surf.material:   # by value: name and coefficient
+            violations.append(f"{label}: {surf.material} not in scene materials")
         if len(surf.vertices) < 3:
             violations.append(f"{label}: fewer than 3 vertices")
+            continue
+        if np.any(surf.vertices < lo) or np.any(surf.vertices > hi):
+            # its one report: a vertex near the float limit leaves it no plane to check
+            violations.append(f"{label}: vertices outside scene bounds")
             continue
         if surf.unit_normal is None:
             violations.append(f"{label}: polygon has zero area")
@@ -294,12 +302,6 @@ def validate_scene(scene: Scene) -> list[str]:
             elif np.any(inside < -CONTAINS_TOL):
                 # a turn-sign test alone passes a pentagram, whose tips lie outside other edges
                 violations.append(f"{label}: polygon not convex")
-        if scene.materials.get(surf.material.name) != surf.material:   # by value: name and coefficient
-            violations.append(f"{label}: {surf.material} not in scene materials")
-        lo = scene.bounds_min - 1e-9
-        hi = scene.bounds_max + 1e-9
-        if np.any(surf.vertices < lo) or np.any(surf.vertices > hi):
-            violations.append(f"{label}: vertices outside scene bounds")
 
     return violations
 
@@ -363,6 +365,6 @@ def _newell_normal(vertices: np.ndarray) -> np.ndarray | None:
         np.sum((v[:, 0] - rolled[:, 0]) * (v[:, 1] + rolled[:, 1])),
     ])
     norm = np.linalg.norm(n)
-    if norm < 1e-15:
+    if not 1e-15 <= norm < math.inf:   # zero area, or a vertex near the float limit overflowed it
         return None
     return n / norm

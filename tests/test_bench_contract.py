@@ -10,8 +10,10 @@ with a map offset) and two ``beamformed_gains`` calls. Its multiply-
 accumulate count reads ``beamformed_gains``' arguments by position, and its
 set-up time assumes the world is set up once per run and per database build.
 Two traces share each receiver's cached products: a grid point's from both
-APs, and per step the agent's pose (and its map-offset copy). Only link traces
-build their paths' angles; fingerprint traces do not. The
+APs, and per step the agent's pose (and its map-offset copy); the database
+build makes 16 grid points' at once, still one per point. Only link traces
+build their paths' angles or take their paths' unfolded lines; fingerprint
+traces do neither. The
 tiny scene is a closed box, all walls, so no trace's occlusion pass meets a plane.
 These tests find all of these in the unit suite, on the tiny scenario. They
 read ``spans.py`` by path and compile it in memory, so nothing under
@@ -19,6 +21,7 @@ read ``spans.py`` by path and compile it in memory, so nothing under
 """
 
 import dataclasses
+import functools
 import json
 import types
 from pathlib import Path
@@ -73,15 +76,16 @@ def chain_builds(monkeypatch):
 
 @pytest.fixture
 def receiver_builds(monkeypatch):
-    """The number of receiver entries the tracer builds (it caches one per rx Pose)."""
+    """The receiver entries the tracer builds, one per rx Pose (it caches each under its Pose):
+    trace_paths builds one on a cache miss, receiver_poses a batch of grid points' at once."""
     builds = []
-    build = raytrace._receiver
+    build = raytrace._receivers
 
-    def counting(*args):
-        builds.append(1)
-        return build(*args)
+    def counting(plan, walls, poses):
+        builds.extend([1] * len(poses))
+        return build(plan, walls, poses)
 
-    monkeypatch.setattr(raytrace, "_receiver", counting)
+    monkeypatch.setattr(raytrace, "_receivers", counting)
     return builds
 
 
@@ -158,6 +162,23 @@ def test_run_call_counts_per_step(tiny_scenario, chain_builds, receiver_builds, 
 
 
 @pytest.fixture
+def line_takes(monkeypatch):
+    """Traced PathSets that take their paths' unfolded lines, which a read of a Doppler shift,
+    an angle, an order or a bounce point needs and a read of gains and delays does not."""
+    takes = []
+    unfolded = raytrace.PathSet.__dict__["_unfolded"]
+
+    def counting(paths):
+        takes.append(1)
+        return unfolded.func(paths)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(raytrace.PathSet, "_unfolded")
+    monkeypatch.setattr(raytrace.PathSet, "_unfolded", prop)
+    return takes
+
+
+@pytest.fixture
 def angle_calls(monkeypatch):
     """Calls of raytrace._direction_angles: a traced PathSet makes two (aoa, aod) on its
     first read of a geometry column, and none if only its gains and delays are read."""
@@ -172,15 +193,16 @@ def angle_calls(monkeypatch):
     return calls
 
 
-def test_fingerprint_traces_build_no_path_geometry(tiny_scenario, angle_calls):
+def test_fingerprint_traces_build_no_path_geometry(tiny_scenario, angle_calls, line_takes):
     config = simcore.ScenarioConfig.from_file(tiny_scenario)
     db, _ = simcore.build_db_for_scenario(config)
     assert len(db.positions) * len(db.ap_ids) == 70
     assert len(angle_calls) == 0
+    assert len(line_takes) == 0     # no deferred column is taken
 
 
 @pytest.mark.parametrize("map_offset", [None, [0.0, -0.05]], ids=["clean", "map-offset"])
-def test_only_link_traces_build_path_geometry(tiny_scenario, angle_calls, map_offset):
+def test_only_link_traces_build_path_geometry(tiny_scenario, angle_calls, line_takes, map_offset):
     doc = json.loads(tiny_scenario.read_text())
     doc["noise"]["map_offset_m"] = map_offset
     tiny_scenario.write_text(json.dumps(doc))
@@ -191,6 +213,7 @@ def test_only_link_traces_build_path_geometry(tiny_scenario, angle_calls, map_of
     assert len(records) == 6
     # 2 per link trace and step; the map offset's 2 fingerprint traces per step add none
     assert len(angle_calls) == 4 * len(records)
+    assert len(line_takes) == 2 * len(records)   # once per link trace, for both groups
 
 
 def link_path_counts(config, steps):

@@ -368,7 +368,7 @@ def occlusion_masks(scene, tx, rx, max_order):
     S surfaces, on the real polylines mapped back from the candidates' unfolded lines."""
     plan = raytrace._plan_for(scene, max_order)
     tx_entry = raytrace._image_chain(plan, scene.walls, tx.position)
-    rx_entry = raytrace._receiver(plan, scene.walls, rx.position)
+    rx_entry = raytrace._receivers(plan, scene.walls, [rx])[0]
     rows, s, d, _, inside = raytrace._unfold(plan, tx_entry, rx_entry, rx.position)
     pts = raytrace._polylines(plan, tx.position, rx.position, rows[inside], s[:, inside], d[inside])
     return tuple(raytrace._occluded(surfaces, pts) for surfaces in (plan.occluders, all_surfaces(scene)))
@@ -564,6 +564,54 @@ class TestReusedReceiver:
         gc.collect()
         assert ref() is None
         assert len(plan.receivers) == 0
+
+
+@st.composite
+def receiver_batches(draw):
+    """A tx and 1 to 24 receiver points in the desk box or a turned panel room, each end drawn from a
+    box 15 % larger than the scene's bounds on every side, so that some stand behind a wall."""
+    scene = draw(st.one_of(st.just(desk_box()), rooms()))
+    lo, hi = scene.bounds_min, scene.bounds_max
+
+    def point():
+        return lo + (hi - lo) * np.array([draw(st.floats(-0.15, 1.15)) for _ in range(3)])
+
+    tx = Pose(point(), draw(st.floats(-math.pi, math.pi)), [draw(st.floats(-2.0, 2.0)) for _ in range(3)])
+    points = [point() for _ in range(draw(st.integers(1, 24)))]
+    assume(all(np.linalg.norm(tx.position - p) > 1e-3 for p in points))
+    return scene, tx, points
+
+
+class TestReceiverBatches:
+    """build_fingerprint_db builds 16 grid points' receiver entries in one batch (receiver_poses);
+    trace_paths builds one Pose's on a cache miss. Either way a Pose gets the same entry and the
+    same trace, bit for bit, and an end behind a wall the same refusal, tx first."""
+
+    @given(receiver_batches(), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_a_batch_gives_the_entries_and_traces_of_one_pose_at_a_time(self, batch, max_order):
+        scene, tx, points = batch
+        plan = raytrace._plan_for(scene, max_order)
+        batched = raytrace.receiver_poses(scene, points, max_order)
+        tx_behind = scene.walls.behind(tx.position[None])[0]
+        for rx, alone in zip(batched, (Pose(p) for p in points)):
+            got, want = (traced_or_refused(scene, tx, end, max_order) for end in (rx, alone))
+            (behind, *arrays), (want_behind, *want_arrays) = plan.receivers[rx], plan.receivers[alone]
+            assert type(behind) is bool and behind == want_behind
+            for a, b in zip(arrays, want_arrays):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes() and not a.flags.writeable
+            if tx_behind or behind:
+                end, pose = ("tx", tx) if tx_behind else ("rx", rx)
+                assert got == want == f"{end} at {tuple(pose.position.tolist())} is behind a wall of the scene"
+            else:
+                same_columns(got, want)
+
+
+def traced_or_refused(scene, tx, rx, max_order):
+    try:
+        return trace_paths(scene, tx, rx, max_order, FC)
+    except ValueError as exc:
+        return str(exc)
 
 
 def plan_sequences(num_surfaces, max_order):

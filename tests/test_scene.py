@@ -111,10 +111,14 @@ class TestValidateScene:
 
     @pytest.mark.filterwarnings("error")
     def test_far_out_vertex_is_reported_without_a_warning(self, box_doc):
-        # its plane overflows to inf and NaN; the bounds check, not a RuntimeWarning, reports it
+        # its Newell norm overflows: the surface gets no plane, and the bounds check, not a
+        # RuntimeWarning or a check of a zero plane, reports it
         box_doc["surfaces"][0]["vertices"][0][0] = 1e300
-        with pytest.raises(SceneError, match="vertices outside scene bounds"):
+        with pytest.raises(SceneError) as refused:
             load_scene(box_doc)
+        assert str(refused.value) == "surface#0: vertices outside scene bounds"
+        far = Surface(vertices=box_doc["surfaces"][0]["vertices"], material=Material("wall", 0.7))
+        assert far.unit_normal is None and far.edge_normals is None
 
     def test_nonconvex_surface_flagged(self, box_scene):
         dart = [[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 0.5, 0], [0, 2, 0]]
