@@ -1,9 +1,10 @@
 """Fingerprint localization from multipath delay profiles (MDPs).
 
 Offline, every floor-grid point gets one delay-power profile per access
-point, binned from a PathSet's columns with one bincount; online, measured
-profiles are matched by a delay-aligned, power-normalized RMS distance summed
-over APs: circular-shift each profile so its first nonzero bin is bin 0
+point, binned from a PathSet's power and delay columns with one bincount, so
+building it evaluates no path phase; online, measured profiles are matched
+by a delay-aligned, power-normalized RMS distance summed over APs:
+circular-shift each profile so its first nonzero bin is bin 0
 (kills the unknown absolute sync offset), scale it to unit total power, and
 take the RMS bin difference. One alignment over the last axis serves the
 cached database and the query, and every grid point and AP scores at once.
@@ -63,6 +64,10 @@ class Mdp:
         self.bins = np.asarray(self.bins, dtype=float)
         if self.bin_width <= 0.0:
             raise ValueError("bin_width must be positive")
+        finite = np.isfinite(self.bins)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"bins must be finite: bin {bad} is {self.bins[bad]}")
         if (self.bins < 0.0).any():
             raise ValueError("bins must be nonnegative")
 
@@ -72,12 +77,14 @@ class Mdp:
 
 
 def compute_mdp(paths: PathSet, bin_width: float, num_bins: int) -> Mdp:
-    """Bin path powers by delay: bin[i] = sum |b_l|^2 over floor(tau_l / width) == i."""
+    """Bin path powers by delay: bin[i] = sum |b_l|^2 over floor(tau_l / width) == i.
+
+    Reads the PathSet's power and delay columns only, so a traced set forms no complex gain.
+    """
     if bin_width <= 0.0 or num_bins < 1:
         raise ValueError("invalid bin parameters")
     idx = np.floor(paths.delay / bin_width)
-    # hypot, then libm pow, round exactly as abs(complex) ** 2 does per path
-    power = np.float_power(np.hypot(paths.gain.real, paths.gain.imag), 2.0)
+    power = paths.power
     if len(idx) and idx[-1] >= num_bins:   # delays ascend: only the last can tell of an overflow
         inside = idx < num_bins
         idx, power = idx[inside], power[inside]

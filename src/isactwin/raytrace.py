@@ -17,9 +17,9 @@ builder makes the entries of R receivers with one stacked product each
 builds a batch of grid points' before the fingerprint database traces them. A
 trace is one array pass over all M candidates (as Sionna RT does, arXiv
 2303.11103): one division places each bounce on its line, one leg rule drops
-the rows whose bounces are out of order or land on an end (_unfold), the
-gain and containment run on the survivors only, and one mask of containment,
-the gain floor and occlusion selects the paths.
+the rows whose bounces are out of order or land on an end (_unfold), the real
+amplitude and containment run on the survivors only, and one mask of
+containment, the amplitude floor and occlusion selects the paths.
 
 Real bounce points are mapped back only where something reads them: the
 occlusion pass and a link's deferred columns. A wall (Scene.walls) has every
@@ -27,14 +27,16 @@ vertex of the scene on one closed side of its plane, so a segment between two
 points on that side cannot cross it (as in beam tracing's convex cells). A
 trace refuses an end strictly behind a wall, so the occluders are the other
 surfaces, and a closed room of walls alone, like the desk box, skips the pass.
-The survivors are sorted by delay once. The PathSet gets their gains and
+The survivors are sorted by delay once. The PathSet gets their powers and
 delays at trace time, and keeps the unfolded lines of every row that passed
 the leg rule with the delay-order index of the survivors among them; the
-first read of a Doppler shift or a local angle takes the survivors' lines and
-builds those three columns, and the first read of an order or a bounce point
-those two (PathSet._unfolded, _motion and _geometry, cached properties). A
-fingerprint, which reads gains and delays only, takes and builds nothing, and
-a link, whose channel reads the first three, never maps its bounces back.
+first read of a gain, a Doppler shift or a local angle takes the survivors'
+lines, the gain builds the complex gains and the others those three columns,
+and the first read of an order or a bounce point builds those two
+(PathSet._unfolded, gain, _motion and _geometry, cached properties). A
+fingerprint, which reads powers and delays only, evaluates no phase and takes
+and builds nothing, and a link, whose channel reads the gains and the first
+group, never maps its bounces back.
 
 Conventions:
   * angles are (azimuth, elevation) of the unit direction pointing from the
@@ -43,7 +45,7 @@ Conventions:
   * Doppler is (f_c / c) (u_dep . v_tx - u_arr . v_rx), u_dep leaving tx and u_arr reaching rx;
   * the per-path amplitude is (lambda / (4 pi d)) * prod(reflection coeffs)
     with phase -2 pi d / lambda, clamped to unit magnitude at sub-wavelength
-    ranges.
+    ranges; a path's power is its clamped amplitude squared.
 """
 
 from __future__ import annotations
@@ -130,17 +132,19 @@ class PropagationPath:
 class PathSet:
     """All resolvable paths of one link as columns, stably sorted by delay.
 
-    gain (L,) complex and delay (L,) exist from the start. doppler (L,) and aoa
-    and aod (L, 2), the local (azimuth, elevation) at the receiver and the
-    transmitter, are one group (_motion); order (L,) and bounces (L, K, 3), each
-    path's reflection points right-aligned behind K - order rows equal to the tx
-    position (a list of paths pads K to its largest order), are the other
-    (_geometry). A traced PathSet keeps the unfolded lines of the rows its trace
-    kept through the leg rule and its paths' indices among them in delay order;
-    the first read of any column of a group takes its paths' lines (_unfolded)
-    and builds the group, so gains and delays alone take nothing. A list of
-    paths is sorted once and sets both groups directly. Every column is
-    read-only. Iteration and ``paths`` give the paths back as PropagationPaths.
+    power (L,), |gain|^2, and delay (L,) exist from the start. gain (L,) complex
+    stands alone; doppler (L,) and aoa and aod (L, 2), the local (azimuth,
+    elevation) at the receiver and the transmitter, are one group (_motion);
+    order (L,) and bounces (L, K, 3), each path's reflection points right-aligned
+    behind K - order rows equal to the tx position (a list of paths pads K to its
+    largest order), are the other (_geometry). A traced PathSet keeps the
+    unfolded lines of the rows its trace kept through the leg rule and its
+    paths' indices among them in delay order; the first read of the gain or of
+    any column of a group takes its paths' lines (_unfolded) and builds it, so
+    powers and delays alone take nothing and evaluate no phase. A list of paths
+    is sorted once and sets every column directly, its powers from its gains.
+    Every column is read-only. Iteration and ``paths`` give the paths back as
+    PropagationPaths.
     """
 
     def __init__(self, paths, tx_pose: Pose, rx_pose: Pose, carrier_freq: float):
@@ -148,8 +152,10 @@ class PathSet:
         paths = [paths[i] for i in np.argsort([p.delay for p in paths], kind="stable")]
         k = max((p.order for p in paths), default=0)
         self.tx_pose, self.rx_pose, self.carrier_freq = tx_pose, rx_pose, carrier_freq
-        self.gain, self.delay = _read_only(np.array([p.gain for p in paths], dtype=complex),
-                                           np.array([p.delay for p in paths], dtype=float))
+        gain = np.array([p.gain for p in paths], dtype=complex)
+        # hypot, then libm pow, round exactly as abs(complex) ** 2 does per path
+        self.gain, self.power, self.delay = _read_only(gain, np.float_power(np.hypot(gain.real, gain.imag), 2.0),
+                                                       np.array([p.delay for p in paths], dtype=float))
         self._motion = _read_only(np.array([p.doppler for p in paths], dtype=float),
                                   np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2),
                                   np.array([p.aod for p in paths], dtype=float).reshape(-1, 2))
@@ -159,13 +165,14 @@ class PathSet:
                       for p in paths]).reshape(len(paths), k, 3))
 
     @classmethod
-    def _traced(cls, tx_pose, rx_pose, carrier_freq, gain, delay, *untaken) -> "PathSet":
-        """trace_paths' route in: sorted columns, and (plan, paths, rows, s, D, |D|), the unfolded
-        lines of every row that passed the leg rule with the paths' indices among them in delay
-        order. The paths' own lines are taken from them on the first read of a group."""
+    def _traced(cls, tx_pose, rx_pose, carrier_freq, power, delay, *untaken) -> "PathSet":
+        """trace_paths' route in: the paths' powers and delays in delay order, and (plan, paths,
+        rows, s, D, |D|), the unfolded lines of every row that passed the leg rule with the paths'
+        indices among them in delay order. The paths' own lines are taken from them on the first
+        read of a gain or a group."""
         ps = cls.__new__(cls)
         ps.tx_pose, ps.rx_pose, ps.carrier_freq = tx_pose, rx_pose, carrier_freq
-        ps.gain, ps.delay = _read_only(gain, delay)
+        ps.power, ps.delay = _read_only(power, delay)
         ps._untaken = untaken
         return ps
 
@@ -174,6 +181,15 @@ class PathSet:
         """(plan, rows, s, D, |D|) of a trace's paths, in delay order."""
         plan, paths, rows, s, d, dist = self._untaken
         return plan, rows.take(paths), s.take(paths, axis=1), d.take(paths, axis=0), dist.take(paths)
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """A trace's complex gains (_gain), clamped to unit modulus."""
+        plan, rows, _, _, dist = self._unfolded
+        gain = _gain(dist, plan.coeffs.take(rows), self.carrier_freq)
+        amp = abs(gain)
+        np.divide(gain, amp, out=gain, where=amp > 1.0)
+        return _read_only(gain)[0]
 
     @cached_property
     def _motion(self) -> tuple:
@@ -221,12 +237,16 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
+def _amplitude(d: np.ndarray, coeff: np.ndarray, carrier_freq: float) -> np.ndarray:
+    """Free-space amplitude with reflection losses of positive lengths d and coefficient products
+    coeff: (lambda / (4 pi d)) coeff."""
+    return SPEED_OF_LIGHT / carrier_freq / (4.0 * math.pi * d) * coeff
+
+
 def _gain(d: np.ndarray, coeff: np.ndarray, carrier_freq: float) -> np.ndarray:
-    """Free-space amplitude with reflection losses and propagation phase of positive lengths d
-    and coefficient products coeff: (lambda / (4 pi d)) coeff exp(-j 2 pi d / lambda)."""
-    lam = SPEED_OF_LIGHT / carrier_freq
-    amp = lam / (4.0 * math.pi * d) * coeff
-    phase = -2.0 * math.pi * d / lam
+    """_amplitude with propagation phase: (lambda / (4 pi d)) coeff exp(-j 2 pi d / lambda)."""
+    amp = _amplitude(d, coeff, carrier_freq)
+    phase = -2.0 * math.pi * d / (SPEED_OF_LIGHT / carrier_freq)
     gain = np.empty(d.shape, dtype=complex)
     np.cos(phase, out=gain.real)
     np.sin(phase, out=gain.imag)
@@ -241,14 +261,18 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     LoS is order 0. Delays are total polyline length over c; angles are
     rotated into each terminal's local frame; gains follow _gain with the
     product of the bounces' material coefficients and are clamped to unit
-    magnitude. Paths weaker than GAIN_PRUNE_THRESHOLD in amplitude are dropped.
+    magnitude. Paths whose real amplitude (_amplitude) is below
+    GAIN_PRUNE_THRESHOLD are dropped; a path's power is its amplitude, clamped
+    to 1, squared.
     An end strictly behind a wall of the scene (Scene.walls) raises ValueError,
     tx first.
     Every candidate of every order is traced in one pass over the scene's
     padded candidate table, whose rows run order by order, and the survivors
     are stably sorted by delay once, so equal delays come in the same order on
-    every call. The returned PathSet holds gains and delays; its Doppler shifts
-    and angles, and its orders and bounces, are built on their first read.
+    every call. The returned PathSet holds powers and delays; its complex
+    gains, its Doppler shifts and angles, and its orders and bounces are built
+    on their first read, so a fingerprint, which bins powers by delay,
+    evaluates no phase.
     """
     plan = _plan_for(scene, max_order)
     if math.dist(rx.position, tx.position) < 1e-12:
@@ -260,9 +284,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
         raise ValueError(f"{end} at {tuple(pose.position.tolist())} is behind a wall of the scene")
 
     rows, s, d, dist, keep = _unfold(plan, tx_entry, rx_entry, rx.position)
-    gain = _gain(dist, plan.coeffs.take(rows), carrier_freq)
-    amp = abs(gain)
-    np.divide(gain, amp, out=gain, where=amp > 1.0)
+    amp = _amplitude(dist, plan.coeffs.take(rows), carrier_freq)
     keep &= amp >= GAIN_PRUNE_THRESHOLD
     if len(plan.occluders.offsets):
         keep[keep] = ~_occluded(plan.occluders, _polylines(plan, tx.position, rx.position, rows[keep],
@@ -271,8 +293,8 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     delay = dist.take(keep) / SPEED_OF_LIGHT
     by_delay = np.argsort(delay, kind="stable")
     keep = keep.take(by_delay)
-    return PathSet._traced(tx, rx, carrier_freq, gain.take(keep), delay.take(by_delay),
-                           plan, keep, rows, s, d, dist)
+    power = np.minimum(amp.take(keep), 1.0) ** 2
+    return PathSet._traced(tx, rx, carrier_freq, power, delay.take(by_delay), plan, keep, rows, s, d, dist)
 
 
 def receiver_poses(scene: Scene, points, max_order: int = 2) -> list:

@@ -5,8 +5,10 @@ aligned profiles. ``mdp_distance`` is the same metric for one pair of
 profiles, written out directly: circular-shift each profile so its first
 nonzero bin is bin 0, divide by its total power, and take the RMS bin
 difference. ``compute_mdp_per_path`` is the per-path binning loop that
-``compute_mdp`` replaced with one ``np.bincount``. Tests compare the package
-against both; nothing in ``src/`` imports this module.
+``compute_mdp`` replaced with one ``np.bincount``; both read the PathSet's
+``power`` column, so it checks the binning order and the overflow count.
+Tests compare the package against both; nothing in ``src/`` imports this
+module.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ def compute_mdp_per_path(paths: PathSet, bin_width: float, num_bins: int) -> Mdp
     """Bin path powers by delay, one path at a time, in path order."""
     bins = np.zeros(num_bins)
     overflow = 0
-    for p in paths:
-        idx = int(np.floor(p.delay / bin_width))
+    for i in range(len(paths)):
+        idx = int(np.floor(paths.delay[i] / bin_width))
         if idx >= num_bins:
             overflow += 1
             continue
-        bins[idx] += abs(p.gain) ** 2
+        bins[idx] += paths.power[i]
     return Mdp(bins=bins, bin_width=bin_width, overflow=overflow)

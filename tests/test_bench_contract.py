@@ -12,8 +12,8 @@ set-up time assumes the world is set up once per run and per database build.
 Two traces share each receiver's cached products: a grid point's from both
 APs, and per step the agent's pose (and its map-offset copy); the database
 build makes 16 grid points' at once, still one per point. Only link traces
-build their paths' angles or take their paths' unfolded lines; fingerprint
-traces do neither. The
+build their paths' gains or angles or take their paths' unfolded lines;
+fingerprint traces bin powers and do none of these. The
 tiny scene is a closed box, all walls, so no trace's occlusion pass meets a plane.
 These tests find all of these in the unit suite, on the tiny scenario. They
 read ``spans.py`` by path and compile it in memory, so nothing under
@@ -193,16 +193,33 @@ def angle_calls(monkeypatch):
     return calls
 
 
-def test_fingerprint_traces_build_no_path_geometry(tiny_scenario, angle_calls, line_takes):
+@pytest.fixture
+def gain_builds(monkeypatch):
+    """Calls of raytrace._gain: a traced PathSet makes one on its first read of a gain, and none
+    if only its powers and delays are read."""
+    calls = []
+    gain = raytrace._gain
+
+    def counting(*args):
+        calls.append(1)
+        return gain(*args)
+
+    monkeypatch.setattr(raytrace, "_gain", counting)
+    return calls
+
+
+def test_fingerprint_traces_build_no_path_geometry(tiny_scenario, angle_calls, line_takes, gain_builds):
     config = simcore.ScenarioConfig.from_file(tiny_scenario)
     db, _ = simcore.build_db_for_scenario(config)
     assert len(db.positions) * len(db.ap_ids) == 70
     assert len(angle_calls) == 0
     assert len(line_takes) == 0     # no deferred column is taken
+    assert len(gain_builds) == 0    # the MDPs bin powers: no phase is evaluated
 
 
 @pytest.mark.parametrize("map_offset", [None, [0.0, -0.05]], ids=["clean", "map-offset"])
-def test_only_link_traces_build_path_geometry(tiny_scenario, angle_calls, line_takes, map_offset):
+def test_only_link_traces_build_path_geometry(tiny_scenario, angle_calls, line_takes, gain_builds,
+                                              map_offset):
     doc = json.loads(tiny_scenario.read_text())
     doc["noise"]["map_offset_m"] = map_offset
     tiny_scenario.write_text(json.dumps(doc))
@@ -214,6 +231,7 @@ def test_only_link_traces_build_path_geometry(tiny_scenario, angle_calls, line_t
     # 2 per link trace and step; the map offset's 2 fingerprint traces per step add none
     assert len(angle_calls) == 4 * len(records)
     assert len(line_takes) == 2 * len(records)   # once per link trace, for both groups
+    assert len(gain_builds) == 2 * len(records)  # once per link trace; none per fingerprint trace
 
 
 def link_path_counts(config, steps):

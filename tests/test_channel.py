@@ -20,7 +20,7 @@ from isactwin.channel import (
     synthesize_channel,
 )
 from isactwin.network import ArrayConfig
-from isactwin.raytrace import SPEED_OF_LIGHT as C, PathSet, Pose, PropagationPath
+from isactwin.raytrace import GAIN_PRUNE_THRESHOLD, SPEED_OF_LIGHT as C, PathSet, Pose, PropagationPath
 from isactwin.simcore import ScenarioConfig, run_simulation
 import channel_oracle
 
@@ -170,8 +170,11 @@ class TestBeamformedGains:
 
 
 _ANGLES = st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi / 2, math.pi / 2))
-_PATH = st.tuples(st.complex_numbers(max_magnitude=0.1, allow_nan=False, allow_infinity=False),
-                  st.floats(1e-9, 1e-7), st.floats(-500.0, 500.0), _ANGLES, _ANGLES)
+# gains of modulus 0 or within a trace's range: no trace emits a path weaker than the prune
+# threshold, and a subnormal power would meet an atol that underflows to 0
+_GAIN = st.just(0j) | st.complex_numbers(min_magnitude=GAIN_PRUNE_THRESHOLD, max_magnitude=0.1,
+                                         allow_nan=False, allow_infinity=False)
+_PATH = st.tuples(_GAIN, st.floats(1e-9, 1e-7), st.floats(-500.0, 500.0), _ANGLES, _ANGLES)
 _ARRAY = st.builds(ArrayConfig, st.integers(1, 32), st.floats(0.3, 0.7).map(lambda f: f * LAM),
                    st.floats(0.05, math.pi) | st.floats(-math.pi, -0.05))
 # gapped sorted index sets that always hold 0 and one index >= 2048, so the
@@ -230,6 +233,10 @@ class TestRateKernelsAgainstOracle:
              subs=list(range(0, 16384, 32)), syms=[1, 5], df=15000.0, w_seed=13)  # one per block
     @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
              subs=[], syms=[1, 2, 3], df=78125.0, w_seed=14)                  # no sub-carriers
+    @example(entries=[(0j, 5.960464477539063e-08, 0.0, (0.0, 0.0), (0.0, 0.0)),
+                      (1e-9 + 0j, 1e-09, 0.0, (0.0, 0.0), (0.0, 0.0))],
+             tx=ArrayConfig(1, 0.5 * LAM, 1.0), rx=ArrayConfig(5, 0.5 * LAM, 1.0),
+             subs=[0], syms=[0], df=15000.0, w_seed=0)                       # weakest traced gain
     @settings(max_examples=120, deadline=None)
     def test_matches_oracle(self, entries, tx, rx, subs, syms, df, w_seed):
         ps = make_pathset(entries)

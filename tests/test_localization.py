@@ -76,12 +76,27 @@ class TestComputeMdp:
             paths = trace_paths(scene, tx, rx, max_order=2, carrier_freq=2.4e9)
             got = compute_mdp(paths, bin_width, num_bins)
             want = compute_mdp_per_path(paths, bin_width, num_bins)
-            # same libm hypot and pow, same accumulation order: equal bit for bit
+            # the same powers in the same accumulation order: equal bit for bit
             np.testing.assert_array_equal(got.bins, want.bins)
             assert got.overflow == want.overflow
             overflowed += got.overflow
         if num_bins * bin_width < 20e-9:       # shorter than most order-2 paths in this room
             assert overflowed > 0
+
+
+class TestMdpBins:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_bins_are_refused(self, bad):
+        # NaN passes a bins < 0 check; localize then matched it to grid point 0 with score 0.5
+        with pytest.raises(ValueError, match=f"^bins must be finite: bin 2 is {bad}$"):
+            mdp_from([0.0, 1.0, bad, bad])
+
+    def test_negative_bins_are_refused(self):
+        with pytest.raises(ValueError, match="^bins must be nonnegative$"):
+            mdp_from([0.0, -1.0])
+
+    def test_all_zero_profile_is_accepted(self):
+        assert mdp_from(np.zeros(4)).bins.tolist() == [0.0] * 4
 
 
 def match(query, *stored, bw=12.5e-9):

@@ -607,6 +607,27 @@ class TestReceiverBatches:
                 same_columns(got, want)
 
 
+class TestTracedPowers:
+    """A trace hands each path's power min(amp, 1)^2 to the PathSet and forms its complex gains
+    only on their first read; a fingerprint bins the powers. The two agree with |gain|^2 to the
+    last bits, and an MDP occupies the same bins and overflows by the same count either way."""
+
+    @given(receiver_batches(), st.integers(0, 3), st.sampled_from([(5e-10, 64), (1e-9, 8), (2e-10, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_powers_are_the_gains_squared(self, batch, max_order, bin_layout):
+        scene, tx, points = batch
+        for point in points:
+            paths = traced_or_refused(scene, tx, Pose(point), max_order)
+            if isinstance(paths, str):
+                continue
+            modulus_squared = np.float_power(np.hypot(paths.gain.real, paths.gain.imag), 2.0)
+            np.testing.assert_allclose(paths.power, modulus_squared, rtol=1e-15, atol=0.0)
+            got = compute_mdp(paths, *bin_layout)
+            want = compute_mdp(raytrace.PathSet(paths.paths, paths.tx_pose, paths.rx_pose, FC), *bin_layout)
+            assert np.array_equal(got.bins > 0.0, want.bins > 0.0)
+            assert got.overflow == want.overflow
+
+
 def traced_or_refused(scene, tx, rx, max_order):
     try:
         return trace_paths(scene, tx, rx, max_order, FC)
