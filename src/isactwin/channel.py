@@ -13,9 +13,12 @@ are available for one element at a time. Everything here is
 per-resource-element frequency domain; no waveform simulation.
 
 The rate kernels are array code over all L paths of a link at once. The
-steering matrices of a path set are computed once per array pair and shared
-by synthesize_channel and beamformed_gains while the path set lives. Over
-the (sub-carrier, symbol) grid, beamformed_gains fills up to 128 distinct
+steering matrices of a path set are built from its local unit directions, as
+Sionna RT forms array phases (arXiv 2303.11103), once per array pair, and
+shared by synthesize_channel and beamformed_gains while the path set lives.
+They and beamformed_gains' in-block factor are tables z ** m, built by
+doubling (_powers) from one complex exponential per path. Over the
+(sub-carrier, symbol) grid, beamformed_gains fills up to 128 distinct
 sub-carriers (four 32-wide blocks, anchored at the grid's first
 sub-carrier) at a time: a (rows, L) table of per-sub-carrier phases, built
 from a per-block and a within-block factor, times one (L, N_R * K)
@@ -70,12 +73,28 @@ def steering_vector(array: ArrayConfig, azimuth, elevation, carrier_freq: float)
     Phase reference at element 0; angles are given in the array's own frame
     (the array lies along the local x-axis). Scalar angles give the
     (elements,) vector; (L,) angle arrays give the (elements, L) matrix of L
-    directions, one column each.
+    directions, one column each. Built by _steering, as a path set's steering is.
     """
+    return _steering(array, np.sin(azimuth) * np.cos(elevation), carrier_freq)
+
+
+def _steering(array: ArrayConfig, psi, carrier_freq: float) -> np.ndarray:
+    """ULA response to directions whose sines off broadside are psi: (elements,) + psi.shape,
+    element m = z ** m with z = exp(j 2 pi (d / lambda) psi)."""
     lam = SPEED_OF_LIGHT / carrier_freq
-    m = np.arange(array.num_elements)
-    phase = 2.0 * math.pi * (array.spacing / lam) * np.sin(azimuth) * np.cos(elevation)
-    return _cis(np.multiply.outer(m, phase))
+    return _powers(_cis(2.0 * math.pi * (array.spacing / lam) * psi), array.num_elements)
+
+
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """The (n,) + z.shape table z ** m, m = 0..n-1, by doubling: with rows 0..k filled, rows k+1..2k
+    are rows 1..k times row k, so at most ceil(log2 n) in-place products and no cos or sin."""
+    out = np.empty((n,) + np.shape(z), dtype=complex)
+    out[:1], out[1:2] = 1.0, z
+    k = 1
+    while k < n - 1:
+        np.multiply(out[1:min(k, n - 1 - k) + 1], out[k], out=out[k + 1:2 * k + 1])
+        k *= 2
+    return out
 
 
 def _cis(x) -> np.ndarray:
@@ -96,7 +115,7 @@ def synthesize_channel(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayCon
                        n: int, k: int, params: OfdmParams) -> np.ndarray:
     """Channel matrix H (N_R x N_T) of one link at resource element (n, k).
 
-    Path angles are already in each terminal's local frame; array boresight
+    Path directions are already in each terminal's local frame; array boresight
     offsets rotate them into the array frame. An empty path set yields the
     zero matrix. Summation order is fixed (path order, ascending delay).
     """
@@ -195,7 +214,7 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
 
     rate = -2.0 * math.pi * params.delta_f * paths.delay                   # (L,)
     per_block = _cis(np.outer(layout.starts, rate))                        # (B, L)
-    in_block = _cis(np.outer(np.arange(_PHASE_BLOCK), rate))               # (32, L)
+    in_block = _powers(_cis(rate), _PHASE_BLOCK)                           # (32, L)
     table = np.empty((min(layout.rows, _CHUNK_BLOCKS * _PHASE_BLOCK), n_l), dtype=complex)
     hw = np.empty((layout.rows, n_r * n_k), dtype=complex)
     for b, b_end, s, e, partial in layout.chunks:
@@ -228,12 +247,13 @@ _STEERING: "weakref.WeakKeyDictionary[PathSet, dict]" = weakref.WeakKeyDictionar
 
 def _path_responses(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig, fc: float):
     """Read-only steering matrices a_R (N_R, L) and a_T (N_T, L) of the paths' arrival and
-    departure angles, computed once per path set and array pair."""
+    departure directions, computed once per path set and array pair."""
     memo = _STEERING.setdefault(paths, {})
     pair = memo.get((tx_array, rx_array, fc))
     if pair is None:
-        a_r = steering_vector(rx_array, paths.aoa[:, 0] - rx_array.boresight, paths.aoa[:, 1], fc)
-        a_t = steering_vector(tx_array, paths.aod[:, 0] - tx_array.boresight, paths.aod[:, 1], fc)
+        # a unit direction at (az, el) dotted with (-sin b, cos b, 0) is sin(az - b) cos(el), its sine off broadside
+        a_r, a_t = (_steering(array, dirs @ (-math.sin(array.boresight), math.cos(array.boresight), 0.0), fc)
+                    for array, dirs in ((rx_array, paths.aoa_dir), (tx_array, paths.aod_dir)))
         a_r.flags.writeable = a_t.flags.writeable = False
         pair = memo[(tx_array, rx_array, fc)] = (a_r, a_t)
     return pair

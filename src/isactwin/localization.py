@@ -232,11 +232,7 @@ def add_fingerprint_noise(mdp: Mdp, snr_db: float, rng: np.random.Generator) -> 
 def save_db(db: FingerprintDB, path) -> Path:
     """Write the database file (see module docstring for the layout); refuses non-finite bins."""
     path = Path(path)
-    finite = np.isfinite(db.bins).all(axis=-1)
-    if not finite.all():
-        point, ap = np.argwhere(~finite)[0]
-        raise DatabaseError(f"{path}: not written: the bins of grid point {tuple(db.positions[point].tolist())} "
-                            f"from AP {db.ap_ids[ap]!r} are not finite")
+    _finite(db, f"{path}: not written")
     header = {
         "version": _VERSION,
         "scene_hash": db.scene_hash,
@@ -259,6 +255,7 @@ def save_db(db: FingerprintDB, path) -> Path:
 
 
 def load_db(path) -> FingerprintDB:
+    """Read a database file written by save_db; refuses a corrupt file and non-finite bins."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(_MAGIC)] != _MAGIC:
@@ -297,5 +294,16 @@ def load_db(path) -> FingerprintDB:
     off += n_points * 3 * 8
     bins = np.frombuffer(raw, dtype="<f8", count=n_points * len(ap_ids) * num_bins, offset=off)
     bins = bins.reshape(n_points, len(ap_ids), num_bins)
-    return FingerprintDB(positions=positions.copy(), spacing=spacing, ap_ids=ap_ids, bins=bins.copy(),
-                         bin_width=bin_width, scene_hash=scene_hash, network_hash=network_hash)
+    return _finite(FingerprintDB(positions=positions.copy(), spacing=spacing, ap_ids=ap_ids, bins=bins.copy(),
+                                 bin_width=bin_width, scene_hash=scene_hash, network_hash=network_hash),
+                   f"{path}: not loaded")
+
+
+def _finite(db: FingerprintDB, refusal: str) -> FingerprintDB:
+    """db, refused with a DatabaseError naming the first grid point and AP whose bins are not finite."""
+    finite = np.isfinite(db.bins).all(axis=-1)
+    if not finite.all():
+        point, ap = np.argwhere(~finite)[0]
+        raise DatabaseError(f"{refusal}: the bins of grid point {tuple(db.positions[point].tolist())} "
+                            f"from AP {db.ap_ids[ap]!r} are not finite")
+    return db

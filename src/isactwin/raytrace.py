@@ -27,20 +27,15 @@ vertex of the scene on one closed side of its plane, so a segment between two
 points on that side cannot cross it (as in beam tracing's convex cells). A
 trace refuses an end strictly behind a wall, so the occluders are the other
 surfaces, and a closed room of walls alone, like the desk box, skips the pass.
-The survivors are sorted by delay once. The PathSet gets their powers and
-delays at trace time, and keeps the unfolded lines of every row that passed
-the leg rule with the delay-order index of the survivors among them; the
-first read of a gain, a Doppler shift or a local angle takes the survivors'
-lines, the gain builds the complex gains and the others those three columns,
-and the first read of an order or a bounce point builds those two
-(PathSet._unfolded, gain, _motion and _geometry, cached properties). A
-fingerprint, which reads powers and delays only, evaluates no phase and takes
-and builds nothing, and a link, whose channel reads the gains and the first
-group, never maps its bounces back.
+The survivors are sorted by delay once, and the PathSet builds each column
+but powers and delays on that column's first read (PathSet): a fingerprint
+evaluates no phase, and a link, whose channel reads gains and directions,
+never maps its bounces back or turns a direction into angles.
 
 Conventions:
-  * angles are (azimuth, elevation) of the unit direction pointing from the
-    terminal toward the first/last bounce (or the far terminal for LoS);
+  * a terminal's direction of a path is the local unit vector pointing from it
+    toward the first/last bounce (or the far terminal for LoS), and its angles
+    are that vector's (azimuth, elevation);
   * a terminal's local frame is the global frame turned by yaw about z;
   * Doppler is (f_c / c) (u_dep . v_tx - u_arr . v_rx), u_dep leaving tx and u_arr reaching rx;
   * the per-path amplitude is (lambda / (4 pi d)) * prod(reflection coeffs)
@@ -133,18 +128,19 @@ class PathSet:
     """All resolvable paths of one link as columns, stably sorted by delay.
 
     power (L,), |gain|^2, and delay (L,) exist from the start. gain (L,) complex
-    stands alone; doppler (L,) and aoa and aod (L, 2), the local (azimuth,
-    elevation) at the receiver and the transmitter, are one group (_motion);
-    order (L,) and bounces (L, K, 3), each path's reflection points right-aligned
-    behind K - order rows equal to the tx position (a list of paths pads K to its
-    largest order), are the other (_geometry). A traced PathSet keeps the
-    unfolded lines of the rows its trace kept through the leg rule and its
-    paths' indices among them in delay order; the first read of the gain or of
-    any column of a group takes its paths' lines (_unfolded) and builds it, so
-    powers and delays alone take nothing and evaluate no phase. A list of paths
-    is sorted once and sets every column directly, its powers from its gains.
-    Every column is read-only. Iteration and ``paths`` give the paths back as
-    PropagationPaths.
+    stands alone; doppler (L,) and aoa_dir and aod_dir (L, 3), the local unit
+    directions at the receiver and the transmitter, are one group (_motion), and
+    aoa and aod (L, 2), their (azimuth, elevation), are built from them on first
+    read; order (L,) and bounces (L, K, 3), each path's reflection points
+    right-aligned behind K - order rows equal to the tx position (a list of paths
+    pads K to its largest order), are the other group (_geometry). A traced
+    PathSet keeps the unfolded lines of the rows its trace kept through the leg
+    rule and its paths' indices among them in delay order; the first read of the
+    gain or of any column of a group takes its paths' lines (_unfolded) and
+    builds it, so powers and delays alone take nothing and evaluate no phase. A
+    list of paths is sorted once and sets every column directly, its powers from
+    its gains and its directions from its angles. Every column is read-only.
+    Iteration and ``paths`` give the paths back as PropagationPaths.
     """
 
     def __init__(self, paths, tx_pose: Pose, rx_pose: Pose, carrier_freq: float):
@@ -156,9 +152,10 @@ class PathSet:
         # hypot, then libm pow, round exactly as abs(complex) ** 2 does per path
         self.gain, self.power, self.delay = _read_only(gain, np.float_power(np.hypot(gain.real, gain.imag), 2.0),
                                                        np.array([p.delay for p in paths], dtype=float))
+        self.aoa, self.aod = _read_only(np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2),
+                                        np.array([p.aod for p in paths], dtype=float).reshape(-1, 2))
         self._motion = _read_only(np.array([p.doppler for p in paths], dtype=float),
-                                  np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2),
-                                  np.array([p.aod for p in paths], dtype=float).reshape(-1, 2))
+                                  _unit_directions(self.aoa), _unit_directions(self.aod))
         self._geometry = _read_only(
             np.array([p.order for p in paths], dtype=int),
             np.array([np.vstack([tx_pose.position] * (k - p.order) + [p.reflection_points])
@@ -193,14 +190,14 @@ class PathSet:
 
     @cached_property
     def _motion(self) -> tuple:
-        """(doppler, aoa, aod) of a trace: each path reaches rx along u_arr = -D / |D| and leaves tx
-        along the row's composed mirror of it."""
+        """(doppler, aoa_dir, aod_dir) of a trace: each path reaches rx along u_arr = -D / |D| and leaves
+        tx along u_dep, the row's composed mirror of it; its directions are -u_arr and u_dep in local frames."""
         plan, rows, _, d, dist = self._unfolded
         tx, rx = self.tx_pose, self.rx_pose
         u_arr = d / -dist[:, None]
         u_dep = np.vecdot(plan.linear[0].take(rows, axis=0), u_arr[:, None, :])
         doppler = self.carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, tx.velocity) - np.vecdot(u_arr, rx.velocity))
-        return _read_only(doppler, _direction_angles(rx.rotation, -u_arr), _direction_angles(tx.rotation, u_dep))
+        return _read_only(doppler, -u_arr @ rx.rotation, u_dep @ tx.rotation)
 
     @cached_property
     def _geometry(self) -> tuple:
@@ -210,8 +207,10 @@ class PathSet:
         return _read_only(plan.order.take(rows), bounces.transpose(1, 0, 2))
 
     doppler = property(lambda self: self._motion[0])
-    aoa = property(lambda self: self._motion[1])
-    aod = property(lambda self: self._motion[2])
+    aoa_dir = property(lambda self: self._motion[1])
+    aod_dir = property(lambda self: self._motion[2])
+    aoa = cached_property(lambda self: _direction_angles(self.aoa_dir))
+    aod = cached_property(lambda self: _direction_angles(self.aod_dir))
     order = property(lambda self: self._geometry[0])
     bounces = property(lambda self: self._geometry[1])
 
@@ -231,7 +230,7 @@ class PathSet:
 
 def _read_only(*arrays) -> tuple:
     """The arrays, made read-only: the channel layer keeps steering computed from a PathSet's
-    angles, and a plan's entries are shared by every trace of their Pose."""
+    directions, and a plan's entries are shared by every trace of their Pose."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -258,7 +257,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
                 carrier_freq: float = 2.4e9) -> PathSet:
     """All unoccluded specular paths of reflection order <= max_order.
 
-    LoS is order 0. Delays are total polyline length over c; angles are
+    LoS is order 0. Delays are total polyline length over c; directions are
     rotated into each terminal's local frame; gains follow _gain with the
     product of the bounces' material coefficients and are clamped to unit
     magnitude. Paths whose real amplitude (_amplitude) is below
@@ -270,8 +269,8 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     padded candidate table, whose rows run order by order, and the survivors
     are stably sorted by delay once, so equal delays come in the same order on
     every call. The returned PathSet holds powers and delays; its complex
-    gains, its Doppler shifts and angles, and its orders and bounces are built
-    on their first read, so a fingerprint, which bins powers by delay,
+    gains, its Doppler shifts and directions, and its orders and bounces are
+    built on their first read, so a fingerprint, which bins powers by delay,
     evaluates no phase.
     """
     plan = _plan_for(scene, max_order)
@@ -442,7 +441,7 @@ def _receivers(plan: _Plan, walls, poses) -> list:
     return entries
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _unfold(plan: _Plan, tx_entry: tuple, rx_entry: tuple, rx_point: np.ndarray):
     """The M' rows that pass the leg rule, their (K, M') line parameters s, (M', 3) D = I - rx,
     (M',) |D| and (M',) containment mask, from the entries of tx (_image_chain) and rx (_receivers).
@@ -482,7 +481,7 @@ def _polylines(plan: _Plan, tx_point, rx_point, rows, s, d) -> np.ndarray:
     return pts
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _occluded(surfaces: _Surfaces, pts) -> np.ndarray:
     """(M,) mask: a segment of the (K + 2, M, 3) polylines crosses one of the surfaces between its ends.
 
@@ -506,11 +505,16 @@ def _occluded(surfaces: _Surfaces, pts) -> np.ndarray:
     return occluded
 
 
-def _direction_angles(rotation: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """(M, 2) local (azimuth, elevation) of global unit vectors (M, 3) under a local-to-global rotation."""
-    d = units @ rotation
+def _direction_angles(d: np.ndarray) -> np.ndarray:
+    """Read-only (M, 2) (azimuth, elevation) of unit vectors d (M, 3)."""
     angles = np.empty((len(d), 2))
     np.arctan2(d[:, 1], d[:, 0], out=angles[:, 0])
     np.arcsin(np.clip(d[:, 2], -1.0, 1.0, out=angles[:, 1]), out=angles[:, 1])
-    return angles
+    return _read_only(angles)[0]
+
+
+def _unit_directions(angles: np.ndarray) -> np.ndarray:
+    """(M, 3) unit vectors of (M, 2) (azimuth, elevation), the inverse of _direction_angles."""
+    az, el = angles.T
+    return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
 

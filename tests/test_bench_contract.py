@@ -12,8 +12,9 @@ set-up time assumes the world is set up once per run and per database build.
 Two traces share each receiver's cached products: a grid point's from both
 APs, and per step the agent's pose (and its map-offset copy); the database
 build makes 16 grid points' at once, still one per point. Only link traces
-build their paths' gains or angles or take their paths' unfolded lines;
-fingerprint traces bin powers and do none of these. The
+build their paths' gains or directions or take their paths' unfolded lines;
+fingerprint traces bin powers and do none of these. The channel steers from
+the directions, so no trace of a run turns them into angles. The
 tiny scene is a closed box, all walls, so no trace's occlusion pass meets a plane.
 These tests find all of these in the unit suite, on the tiny scenario. They
 read ``spans.py`` by path and compile it in memory, so nothing under
@@ -180,8 +181,8 @@ def line_takes(monkeypatch):
 
 @pytest.fixture
 def angle_calls(monkeypatch):
-    """Calls of raytrace._direction_angles: a traced PathSet makes two (aoa, aod) on its
-    first read of a geometry column, and none if only its gains and delays are read."""
+    """Calls of raytrace._direction_angles: a traced PathSet makes one on its first read of aoa
+    and one of aod, and none if only its gains, delays and directions are read."""
     calls = []
     angles = raytrace._direction_angles
 
@@ -228,9 +229,9 @@ def test_only_link_traces_build_path_geometry(tiny_scenario, angle_calls, line_t
     angle_calls.clear()
     records = simcore.run_simulation(dataclasses.replace(config, max_steps=6))
     assert len(records) == 6
-    # 2 per link trace and step; the map offset's 2 fingerprint traces per step add none
-    assert len(angle_calls) == 4 * len(records)
-    assert len(line_takes) == 2 * len(records)   # once per link trace, for both groups
+    # the channel steers from the link traces' directions; fingerprint traces read none
+    assert len(angle_calls) == 0
+    assert len(line_takes) == 2 * len(records)   # once per link trace, for the gains and directions
     assert len(gain_builds) == 2 * len(records)  # once per link trace; none per fingerprint trace
 
 

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from isactwin.channel import (
     OfdmParams,
+    _cis,
     _grid_layout,
     _path_responses,
+    _powers,
+    _steering,
     beamformed_gains,
     build_tx_signal,
     mrt_beamformer,
@@ -31,6 +34,12 @@ LAM = C / FC
 
 def params(n=1024, k=14, df=78125.0):
     return OfdmParams(n_subcarriers=n, n_symbols=k, delta_f=df, carrier_freq=FC)
+
+
+def broadside_sines(array, directions):
+    """sin(az - b) cos(el) of local unit directions (L, 3) for an array at boresight b, as the
+    channel forms it."""
+    return directions @ (-math.sin(array.boresight), math.cos(array.boresight), 0.0)
 
 
 def make_pathset(entries):
@@ -59,6 +68,45 @@ class TestSteeringVector:
     def test_unit_modulus(self, az, el, n):
         a = steering_vector(ArrayConfig(n, LAM / 2), az, el, FC)
         assert np.allclose(np.abs(a), 1.0, atol=1e-12)
+
+
+# unit directions, drawn as non-zero vectors and normalized in the test
+_DIRECTION = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-3)
+
+
+class TestPhaseTablesAgainstOracle:
+    """The tables built by doubling powers (_powers) against one complex exponential per entry."""
+
+    @given(n=st.integers(1, 64), spacing=st.floats(0.1, 1.0), boresight=st.floats(-math.pi, math.pi),
+           directions=st.lists(_DIRECTION, max_size=24))
+    @example(n=64, spacing=1.0, boresight=0.0, directions=[(0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)])
+    @example(n=2, spacing=1.0, boresight=0.0, directions=[(0.0, 1.25e-08, 1.0)])
+    @settings(max_examples=100, deadline=None)
+    def test_steering_from_path_directions_matches_the_angle_route(self, n, spacing, boresight, directions):
+        # a path set's steering reads its local unit directions; the oracle builds one path at a
+        # time from the (azimuth, elevation) of the same direction, off the array's boresight.
+        # The elevation is atan2(z, hypot(x, y)): asin(z) of a near-vertical direction loses
+        # cos(el) to about 1e-8, as (0, 1.25e-8, 1) showed
+        array = ArrayConfig(n, spacing * LAM, boresight)
+        u = np.array(directions).reshape(-1, 3)
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        got = _steering(array, broadside_sines(array, u), FC)
+        assert got.shape == (n, len(u))
+        for column, (x, y, z) in zip(got.T, u.tolist()):
+            want = channel_oracle.steering_vector(array, math.atan2(y, x) - boresight,
+                                                  math.atan2(z, math.hypot(x, y)), FC)
+            np.testing.assert_allclose(column, want, rtol=0.0, atol=1e-12)
+
+    # a unit-modulus z has an angle in [-pi, pi], which keeps m angle, and the reference's
+    # rounding of it, within 256 pi
+    @given(angles=st.lists(st.floats(-math.pi, math.pi), max_size=24), n=st.integers(0, 256))
+    @example(angles=[math.pi, -math.pi, 3.1, 0.0, 1e-300], n=256)
+    @settings(max_examples=100, deadline=None)
+    def test_powers_match_the_exponentials_of_multiples(self, angles, n):
+        angle = np.array(angles, dtype=float)
+        got = _powers(_cis(angle), n)
+        assert got.shape == (n, len(angle))
+        np.testing.assert_allclose(got, _cis(np.outer(np.arange(n), angle)), rtol=0.0, atol=1e-13)
 
 
 class TestPhaseShift:
@@ -272,8 +320,8 @@ def test_path_responses_are_kept_per_path_set_and_array_pair():
     for (tx, rx), (a_r, a_t) in zip(pairs, kept):
         again = _path_responses(ps, tx, rx, FC)
         assert again[0] is a_r and again[1] is a_t
-        np.testing.assert_array_equal(a_r, steering_vector(rx, ps.aoa[:, 0] - rx.boresight, ps.aoa[:, 1], FC))
-        np.testing.assert_array_equal(a_t, steering_vector(tx, ps.aod[:, 0] - tx.boresight, ps.aod[:, 1], FC))
+        np.testing.assert_array_equal(a_r, _steering(rx, broadside_sines(rx, ps.aoa_dir), FC))
+        np.testing.assert_array_equal(a_t, _steering(tx, broadside_sines(tx, ps.aod_dir), FC))
         assert not a_r.flags.writeable and not a_t.flags.writeable
 
 

@@ -22,7 +22,7 @@ from conftest import box_scene_doc, repo_scenario_dir
 
 
 # the PathSet columns a trace builds on first read: each group on the first read of any of its columns
-MOTION = ("doppler", "aoa", "aod")
+MOTION = ("doppler", "aoa_dir", "aod_dir", "aoa", "aod")
 GEOMETRY = MOTION + ("order", "bounces")
 
 
@@ -296,16 +296,18 @@ class TestBounces:
         assert np.array_equal(ps.bounces, want)
 
     def test_directions_are_built_once_on_first_read(self, box_scene, monkeypatch):
-        # not by the trace: on the first read of a Doppler shift or an angle, and never again;
-        # an order or a bounce point needs none. u_arr is D / |D| and u_dep its composed
-        # mirror, so both are unit vectors with no second norm
+        # not by the trace: the directions on the first read of a Doppler shift, a direction or
+        # an angle, and never again; each angle column from its direction on its own first read
+        # (the channel steers from the directions and reads none); an order or a bounce point
+        # needs neither. u_arr is D / |D| and u_dep its composed mirror, so both directions are
+        # unit vectors with no second norm
         calls, polylines = [], []
         angles, lines = raytrace._direction_angles, raytrace._polylines
 
-        def counting_angles(rotation, units):
+        def counting_angles(units):
             calls.append(units.shape)
             assert np.allclose(np.linalg.norm(units, axis=1), 1.0, rtol=0.0, atol=1e-15)
-            return angles(rotation, units)
+            return angles(units)
 
         def counting_lines(*args):
             polylines.append(1)
@@ -320,7 +322,8 @@ class TestBounces:
             assert len(ps) > 0 and ps.gain.shape == ps.delay.shape == (len(ps),)
             assert calls == [] and polylines == []   # all a fingerprint reads
             getattr(ps, first_read)
-            assert calls == [(len(ps), 3)] * 2 * (first_read in MOTION)
+            assert ("_motion" in vars(ps)) == (first_read in MOTION)
+            assert calls == [(len(ps), 3)] * (first_read in ("aoa", "aod"))
             assert polylines == [1] * (first_read not in MOTION)
             for name in GEOMETRY + ("paths",):
                 getattr(ps, name)
@@ -427,11 +430,11 @@ class TestPathSetColumns:
         assert ps.doppler.tolist() == [4.0, 1.0, 3.0, 5.0, 2.0]
 
     def test_columns_are_read_only(self, box_scene):
-        # the channel layer keeps steering computed from a path set's angles
+        # the channel layer keeps steering computed from a path set's directions
         traced = trace_paths(box_scene, self.TX, self.RX, 2, 2.4e9)
         built = PathSet(paths=traced.paths, tx_pose=self.TX, rx_pose=self.RX, carrier_freq=2.4e9)
         for ps in (traced, built):
-            for column in columns_of(ps) + (ps.bounces,):
+            for column in columns_of(ps) + (ps.aoa_dir, ps.aod_dir, ps.bounces):
                 with pytest.raises(ValueError):
                     column[0] = column[1]
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isactwin import raytrace, simcore
@@ -73,6 +73,23 @@ def links(draw):
 
 def desk_box():
     return load_scene(json.loads((repo_scenario_dir() / "desk_box.scene.json").read_text()))
+
+
+@functools.cache
+def panel_box(ly):
+    """The smallest room rooms() draws: 1 m x ly x 1 m, every coefficient 0.5, with a 0.5 m wide
+    panel across its middle at y = ly / 2."""
+    doc = box_scene_doc(1.0, ly, 1.0, coeff=0.5)
+    doc["materials"].append({"name": "panel", "reflection_coeff": 0.5})
+    y = ly / 2
+    doc["surfaces"].append({"vertices": [[0.25, y, 0], [0.75, y, 0], [0.75, y, 1], [0.25, y, 1]],
+                            "material": "panel"})
+    return load_scene(doc)
+
+
+# Ends a subnormal distance from a plane, where a leg-rule or occlusion quotient overflows on rows
+# whose tiny denominators those rules drop: each raised an overflow warning, an error under -W error
+_FLOAT_MIN = 2.2250738585072014e-308
 
 
 @st.composite
@@ -509,7 +526,7 @@ class TestReusedTransmitter:
 
 def same_columns(got, want):
     """Every column of two PathSets holds the same bytes."""
-    for name in ("gain", "delay", "doppler", "aoa", "aod", "order", "bounces"):
+    for name in ("gain", "delay", "doppler", "aoa_dir", "aod_dir", "aoa", "aod", "order", "bounces"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -588,6 +605,8 @@ class TestReceiverBatches:
     same trace, bit for bit, and an end behind a wall the same refusal, tx first."""
 
     @given(receiver_batches(), st.integers(0, 3))
+    @example((panel_box(1.0), Pose.at(0.0, 0.0, 1.0), [np.array([0.0, 5e-324, 0.0])]), 0)   # occlusion
+    @example((desk_box(), Pose.at(0.0, 0.0, 0.0), [np.array([0.0, 0.8, 5e-324])]), 3)      # leg rule
     @settings(max_examples=60, deadline=None)
     def test_a_batch_gives_the_entries_and_traces_of_one_pose_at_a_time(self, batch, max_order):
         scene, tx, points = batch
@@ -613,6 +632,9 @@ class TestTracedPowers:
     last bits, and an MDP occupies the same bins and overflows by the same count either way."""
 
     @given(receiver_batches(), st.integers(0, 3), st.sampled_from([(5e-10, 64), (1e-9, 8), (2e-10, 3)]))
+    @example((panel_box(1.0), Pose.at(0.5, _FLOAT_MIN, 0.0), [np.zeros(3)]), 3, (5e-10, 64))   # occlusion
+    @example((panel_box(3.0), Pose.at(0.0, 0.0, 0.0), [np.array([0.0, 1.5, _FLOAT_MIN])]), 3,
+             (5e-10, 64))                                                                    # leg rule
     @settings(max_examples=60, deadline=None)
     def test_powers_are_the_gains_squared(self, batch, max_order, bin_layout):
         scene, tx, points = batch

@@ -666,6 +666,20 @@ class TestSimulationLoop:
         with pytest.raises(DatabaseError, match=f"^{re.escape(str(path))}: unsupported version 1$"):
             init_world(ScenarioConfig.from_file(p))
 
+    def test_shipped_database_with_a_nan_bin_is_not_loaded(self, case_study_dir, tmp_path):
+        # save_db refuses to write such a file, and localize would score its point as an empty profile
+        world = init_world(ScenarioConfig.from_file(case_study_dir / "desk_two_ap.json"))
+        raw, bins = bytearray(world.config.db.path.read_bytes()), world.db.bins
+        point, ap = 17, 1
+        at = len(raw) - 8 * bins.size + 8 * int(np.ravel_multi_index((point, ap, 5), bins.shape))   # bins come last
+        raw[at:at + 8] = np.array(np.nan, dtype="<f8").tobytes()
+        copy = tmp_path / "nan.fpdb"
+        copy.write_bytes(raw)
+        where = re.escape(str(tuple(world.db.positions[point].tolist())))
+        with pytest.raises(DatabaseError, match=f"^{re.escape(str(copy))}: not loaded: the bins of grid point "
+                                                f"{where} from AP {world.db.ap_ids[ap]!r} are not finite$"):
+            load_db(copy)
+
     def test_unstamped_database_is_stale(self, tmp_path):
         # build_fingerprint_db stamps nothing unless told to; such a file at
         # db.path must not stand in for a moved AP and repainted walls
@@ -1000,8 +1014,8 @@ class TestInterference:
 def test_phase_three_steers_each_array_once_per_link(case_study_dir, monkeypatch):
     # the MRT beamformer and beamformed_gains share one steering pair per link and step
     world = init_world(ScenarioConfig.from_file(case_study_dir / "desk_two_ap.json"))
-    steer, steered = channel.steering_vector, []
-    monkeypatch.setattr(channel, "steering_vector",
+    steer, steered = channel._steering, []
+    monkeypatch.setattr(channel, "_steering",
                         lambda array, *args: steered.append(array) or steer(array, *args))
     for t in range(2):
         steered.clear()
