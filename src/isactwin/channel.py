@@ -18,14 +18,14 @@ Sionna RT forms array phases (arXiv 2303.11103), once per array pair, and
 shared by synthesize_channel and beamformed_gains while the path set lives.
 They and beamformed_gains' in-block factor are tables z ** m, built by
 doubling (_powers) from one complex exponential per path. Over the
-(sub-carrier, symbol) grid, beamformed_gains fills up to 128 distinct
-sub-carriers (four 32-wide blocks, anchored at the grid's first
-sub-carrier) at a time: a (rows, L) table of per-sub-carrier phases, built
-from a per-block and a within-block factor, times one (L, N_R * K)
-right-hand side in one BLAS matmul. How a grid splits into blocks and
-chunks is worked out once per grid, not once per call. No (N, L) table
-over all sub-carriers is built. The per-path forms and the einsum they
-replaced live on as the test oracle in tests/channel_oracle.py.
+(sub-carrier, symbol) grid, beamformed_gains fills up to 128 sub-carriers
+(four 32-wide blocks, anchored at the grid's first sub-carrier) at a time:
+a (rows, L) table of per-sub-carrier phases, built from a per-block and a
+within-block factor, times one (L, N_R * K) right-hand side in one BLAS
+matmul. A grid is checked and split into blocks and chunks once, not once
+per call. No (N, L) table over all sub-carriers is built. The per-path
+forms and the einsum they replaced live on as the test oracle in
+tests/channel_oracle.py.
 """
 
 from __future__ import annotations
@@ -65,17 +65,6 @@ class OfdmParams:
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq
-
-
-def steering_vector(array: ArrayConfig, azimuth, elevation, carrier_freq: float) -> np.ndarray:
-    """ULA response, element m = exp(j 2 pi (m d / lambda) sin(az) cos(el)).
-
-    Phase reference at element 0; angles are given in the array's own frame
-    (the array lies along the local x-axis). Scalar angles give the
-    (elements,) vector; (L,) angle arrays give the (elements, L) matrix of L
-    directions, one column each. Built by _steering, as a path set's steering is.
-    """
-    return _steering(array, np.sin(azimuth) * np.cos(elevation), carrier_freq)
 
 
 def _steering(array: ArrayConfig, psi, carrier_freq: float) -> np.ndarray:
@@ -139,36 +128,38 @@ _CHUNK_BLOCKS = 4
 class _GridLayout:
     """How beamformed_gains walks one sub-carrier grid; its arrays are read-only."""
 
-    rows: int            # distinct sub-carriers
+    rows: int            # sub-carriers
     starts: np.ndarray   # (B,) first sub-carrier n0 + 32 h of each distinct block
     chunks: tuple        # (first block, end block, first row, end row, and None for whole
                          #  blocks or (block of each row, offset in its block) for partial ones)
-    select: object       # the rows in input order: a slice, or an index array for repeats
-                         # and unsorted input
 
 
 @functools.lru_cache(maxsize=32)
-def _grid_layout(key: bytes) -> _GridLayout:
-    """The layout of the int64 sub-carrier indices whose bytes are key: worked out
-    once per grid, since a link's grid does not change between steps."""
-    idx = np.frombuffer(key, dtype=np.int64)
-    # rows are the distinct sub-carriers in ascending order, so each block's rows are one slice
-    uniq, inverse = np.unique(idx, return_inverse=True)
-    n0 = uniq[:1].sum()                                                    # 0 for an empty grid
-    hi, lo = np.divmod(uniq - n0, _PHASE_BLOCK)
+def _grid_layout(dtype: str, data: bytes) -> _GridLayout:
+    """The layout of the sub-carrier indices whose dtype string and bytes are given: checked
+    against beamformed_gains' grid contract and worked out once per grid, since a link's
+    grid does not change between steps. A refused grid raises ValueError."""
+    given = np.frombuffer(data, dtype=dtype)
+    idx = given.astype(np.int64)
+    if np.any(idx != given):
+        raise ValueError("subcarrier indices must be integers")
+    if np.any(idx[1:] <= idx[:-1]):
+        raise ValueError("subcarrier indices must be ascending and distinct")
+    # the rows ascend, so each block's rows are one slice
+    n0 = idx[:1].sum()                                                     # 0 for an empty grid
+    hi, lo = np.divmod(idx - n0, _PHASE_BLOCK)
     opens = np.diff(hi, prepend=hi[:1] - 1) != 0                           # row starts a block
     row_block = np.cumsum(opens) - 1
     starts = (n0 + _PHASE_BLOCK * hi[opens]).astype(float)
-    for a in (inverse, lo, row_block, starts):
+    for a in (lo, row_block, starts):
         a.flags.writeable = False
-    bounds = np.append(np.flatnonzero(opens)[::_CHUNK_BLOCKS], len(uniq))
+    bounds = np.append(np.flatnonzero(opens)[::_CHUNK_BLOCKS], len(idx))
     chunks = []
     for b, s, e in zip(range(0, len(starts), _CHUNK_BLOCKS), bounds[:-1], bounds[1:]):
         b_end = min(b + _CHUNK_BLOCKS, len(starts))
         whole = e - s == (b_end - b) * _PHASE_BLOCK
         chunks.append((b, b_end, int(s), int(e), None if whole else (row_block[s:e], lo[s:e])))
-    select = slice(None) if np.array_equal(uniq, idx) else inverse
-    return _GridLayout(rows=len(uniq), starts=starts, chunks=tuple(chunks), select=select)
+    return _GridLayout(rows=len(idx), starts=starts, chunks=tuple(chunks))
 
 
 def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig,
@@ -184,27 +175,25 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
     Blocks are anchored at the grid's smallest sub-carrier n0: the sub-carrier
     factor of n = n0 + 32 h + m is a per-block factor P[h, l] times a
     within-block factor Q[m, l], so a contiguous grid is all whole blocks.
-    The distinct sub-carriers are taken four blocks (at most 128 rows) at a
-    time: their (rows, L) table P[h] * Q[m] is built in one buffer, by one
+    The sub-carriers are taken four blocks (at most 128 rows) at a time:
+    their (rows, L) table P[h] * Q[m] is built in one buffer, by one
     broadcast product when the rows are whole blocks and row by row when
     they are not, and times the (L, R*K) right-hand side in one BLAS matmul.
-    A grid's blocks, chunks and output order are worked out on its first
+    A grid is checked and its blocks and chunks are worked out on its first
     call and kept (_grid_layout). No (N, L) sub-carrier table is built: the
     largest arrays are the (N, R*K) result and the (B, L) table of the B
     distinct blocks' factors, which has N / 32 rows on a contiguous grid
     and up to N on a sparse one. Equal to calling synthesize_channel per
     element up to float accumulation order; the three-operand einsum this
     replaced is kept as the test oracle in tests/channel_oracle.py.
-    subcarriers must be integer indices, in any order and with repeats.
-    Returns an array of shape (len(subcarriers), len(symbols)) whose row i
-    belongs to subcarriers[i].
+    subcarriers must be integer indices, ascending and distinct, as a rate
+    plan holds them; any other grid raises ValueError. Returns an array of
+    shape (len(subcarriers), len(symbols)) whose row i belongs to
+    subcarriers[i].
     """
     _check_frame(paths, params)
     n = np.asarray(subcarriers)
-    idx = n.astype(np.int64)
-    if np.any(idx != n):
-        raise ValueError("subcarrier indices must be integers")
-    layout = _grid_layout(idx.tobytes())
+    layout = _grid_layout(n.dtype.str, n.tobytes())
     ks = np.asarray(symbols, dtype=float)
     a_r, a_t = _path_responses(paths, tx_array, rx_array, params.carrier_freq)
     c = a_r * (paths.gain * (a_t.T @ np.asarray(w, dtype=complex)))        # (R, L)
@@ -237,7 +226,7 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
     power = parts[:, 0, :, 0].copy()
     for r in range(1, n_r):
         power += parts[:, r, :, 0]
-    return power[layout.select]
+    return power
 
 
 # PathSet -> {(tx_array, rx_array, carrier_freq): (a_r, a_t)}, dying with the path set;

@@ -106,7 +106,3 @@ def _dispatch(args) -> int:
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -509,7 +509,8 @@ def _direction_angles(d: np.ndarray) -> np.ndarray:
     """Read-only (M, 2) (azimuth, elevation) of unit vectors d (M, 3)."""
     angles = np.empty((len(d), 2))
     np.arctan2(d[:, 1], d[:, 0], out=angles[:, 0])
-    np.arcsin(np.clip(d[:, 2], -1.0, 1.0, out=angles[:, 1]), out=angles[:, 1])
+    # atan2 keeps a near-vertical elevation that asin(z) loses once z rounds to 1
+    np.arctan2(d[:, 2], np.hypot(d[:, 0], d[:, 1]), out=angles[:, 1])
     return _read_only(angles)[0]
 
 

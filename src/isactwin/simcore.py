@@ -79,7 +79,7 @@ from .network import (
     build_network,
     incoming_edges,
 )
-from .raytrace import Pose, trace_paths
+from .raytrace import Pose, trace_paths, wrap_angle
 from .scene import (Either, Optional, SceneError, _set_read_only, floor_grid, json_digest, load_scene,
                     read_document, scene_hash)
 
@@ -547,16 +547,13 @@ def build_db_for_scenario(config: ScenarioConfig):
 
 
 def _build_db(config: ScenarioConfig, scene, graph, grid) -> loc_mod.FingerprintDB:
-    """Fingerprint grid, db.build's _db_grid as validate_scenario built it, from every static AP;
-    saved to db.path unless it is None."""
+    """Fingerprint grid, db.build's _db_grid as validate_scenario built it, from every static AP
+    (validate_scenario refuses a db.build without one); saved to db.path unless it is None."""
     build = config.db.build
     if build is None:
         raise ConfigError("scenario has no db.build instructions")
-    aps = _static_aps(config, graph)
-    if not aps:
-        raise ConfigError("no static transmitter nodes to fingerprint")
     db = loc_mod.build_fingerprint_db(
-        scene, aps, grid, bin_width=build.bin_width, num_bins=build.num_bins,
+        scene, _static_aps(config, graph), grid, bin_width=build.bin_width, num_bins=build.num_bins,
         spacing=build.spacing, max_order=config.max_order, carrier_freq=config.ofdm.carrier_freq,
         scene_hash=scene_hash(scene), network_hash=db_signature(config, graph),
     )
@@ -595,7 +592,7 @@ def ensure_db(config: ScenarioConfig, scene, graph, grid) -> loc_mod.Fingerprint
 class _AgentRuntime:
     spec: AgentSpec
     pose: Pose
-    odom: Pose
+    heading: float              # the odometry yaw: the commands integrated without noise
     control: agent_mod.Control
     rng: np.random.Generator    # the state noise's generator
     progress: agent_mod.PathProgress
@@ -668,7 +665,7 @@ def init_world(config: ScenarioConfig) -> World:
         agents[spec.id] = _AgentRuntime(
             spec=spec,
             pose=spec.initial_pose,
-            odom=spec.initial_pose,
+            heading=spec.initial_pose.yaw,
             control=agent_mod.Control(0.0, 0.0),
             rng=np.random.default_rng([config.seed, 11, idx]),
             progress=agent_mod.PathProgress(index=0, done=False),
@@ -698,9 +695,9 @@ def sim_step(world: World, t: int) -> TraceRecord:
         rt = world.agents[aid]
         try:
             rt.pose = agent_mod.step_state(rt.pose, rt.control, cfg.noise.state_var, rt.rng, cfg.dt)
-            rt.odom = agent_mod.diff_drive_step(rt.odom, rt.control, cfg.dt)
         except ValueError as exc:
             raise ValueError(f"step {t} state phase failed for {aid!r}: {exc}") from exc
+        rt.heading = wrap_angle(rt.heading + rt.control.omega * cfg.dt)
         bus.publish(f"agent/{aid}/state", rt.pose, step=t)
 
     # phase 2: refresh propagation parameters for all links
@@ -778,7 +775,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
 
         # phase 6: next control command toward the active waypoint
         control, progress = agent_mod.waypoint_control(
-            est, rt.odom.yaw, rt.spec.waypoints, rt.progress.index, **rt.spec.gains)
+            est, rt.heading, rt.spec.waypoints, rt.progress.index, **rt.spec.gains)
         rt.control = control
         rt.progress = progress
         bus.publish(f"agent/{aid}/control", control, step=t)

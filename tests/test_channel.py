@@ -19,7 +19,6 @@ from isactwin.channel import (
     build_tx_signal,
     mrt_beamformer,
     phase_shift,
-    steering_vector,
     synthesize_channel,
 )
 from isactwin.network import ArrayConfig
@@ -54,19 +53,21 @@ def make_pathset(entries):
 
 
 class TestSteeringVector:
+    """_steering of the sine off broadside psi = sin(az) cos(el) of a direction at (az, el)."""
+
     def test_broadside_all_ones(self):
-        a = steering_vector(ArrayConfig(8, LAM / 2), 0.0, 0.0, FC)
+        a = _steering(ArrayConfig(8, LAM / 2), 0.0, FC)
         assert np.allclose(a, np.ones(8))
 
     def test_half_wavelength_thirty_degrees(self):
-        a = steering_vector(ArrayConfig(2, LAM / 2), math.radians(30), 0.0, FC)
+        a = _steering(ArrayConfig(2, LAM / 2), math.sin(math.radians(30)), FC)
         assert np.allclose(a, [1.0, 1j], atol=1e-12)
 
     @given(az=st.floats(-math.pi, math.pi), el=st.floats(-math.pi / 2, math.pi / 2),
            n=st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
     def test_unit_modulus(self, az, el, n):
-        a = steering_vector(ArrayConfig(n, LAM / 2), az, el, FC)
+        a = _steering(ArrayConfig(n, LAM / 2), math.sin(az) * math.cos(el), FC)
         assert np.allclose(np.abs(a), 1.0, atol=1e-12)
 
 
@@ -226,13 +227,13 @@ _PATH = st.tuples(_GAIN, st.floats(1e-9, 1e-7), st.floats(-500.0, 500.0), _ANGLE
 _ARRAY = st.builds(ArrayConfig, st.integers(1, 32), st.floats(0.3, 0.7).map(lambda f: f * LAM),
                    st.floats(0.05, math.pi) | st.floats(-math.pi, -0.05))
 # gapped sorted index sets that always hold 0 and one index >= 2048, so the
-# sub-carriers span many 32-wide phase blocks; or a single index; or indices
-# in any order and with repeats, whose gains must come back in input order
+# sub-carriers span many 32-wide phase blocks; or a single index; or any
+# ascending, distinct indices, the one grid format beamformed_gains takes
 _SUBCARRIERS = (
     st.integers(0, 4200).map(lambda n: [n])
     | st.tuples(st.integers(2048, 4200), st.sets(st.integers(0, 4200), max_size=60))
     .map(lambda t: sorted({0, t[0]} | t[1]))
-    | st.lists(st.integers(0, 4200), min_size=2, max_size=80)
+    | st.sets(st.integers(0, 4200), min_size=2, max_size=80).map(sorted)
 )
 _SYMBOLS = st.sets(st.integers(0, 14), min_size=1, max_size=14).map(sorted)
 
@@ -256,15 +257,8 @@ class TestRateKernelsAgainstOracle:
              subs=[2049], syms=[7], df=78125.0, w_seed=1)
     @example(entries=_EDGE_PATHS, tx=ArrayConfig(8, LAM / 2, 0.25), rx=ArrayConfig(2, LAM / 2),
              subs=[31, 32, 63, 64], syms=[1, 14], df=78125.0, w_seed=2)       # block edges
-    @example(entries=_EDGE_PATHS, tx=ArrayConfig(8, LAM / 2, 0.25), rx=ArrayConfig(2, LAM / 2),
-             subs=[64, 31, 63, 32], syms=[3], df=78125.0, w_seed=3)           # edges, shuffled
-    @example(entries=_EDGE_PATHS, tx=ArrayConfig(8, LAM / 2, 0.25), rx=ArrayConfig(3, LAM / 2),
-             subs=[100, 7, 2047, 7, 100, 100], syms=[2, 5], df=78125.0, w_seed=4)  # repeats
     @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
-             subs=[4100, 0, 167, 288], syms=[1, 2, 3], df=78125.0, w_seed=5)  # one index per block
-    @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
-             subs=np.random.default_rng(6).permutation(np.arange(1, 513)).tolist(), syms=[1, 14],
-             df=78125.0, w_seed=6)                                            # shuffled grid
+             subs=[0, 167, 288, 4100], syms=[1, 2, 3], df=78125.0, w_seed=5)  # one index per block
     @example(entries=_EDGE_PATHS, tx=ArrayConfig(32, LAM / 2), rx=ArrayConfig(2, LAM / 2),
              subs=list(range(513, 1025)), syms=[1, 14], df=78125.0, w_seed=7)  # shipped ap2 grid
     @example(entries=_EDGE_PATHS, tx=ArrayConfig(4, LAM / 2), rx=ArrayConfig(2, LAM / 2),
@@ -305,11 +299,16 @@ class TestRateKernelsAgainstOracle:
                 ref = channel_oracle.synthesize_channel(ps, tx, rx, n, k, p)
                 assert np.max(np.abs(h - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
-    def test_fractional_subcarrier_rejected(self):
+    @pytest.mark.parametrize("subs,message", [
+        ([1.5], "integers"),
+        ([64, 31, 63, 32], "ascending and distinct"),
+        ([7, 7, 100], "ascending and distinct"),
+    ], ids=["fractional", "unsorted", "repeated"])
+    def test_grid_outside_the_contract_rejected(self, subs, message):
         ps = make_pathset([(0.1, 1e-8, 0.0, (0.0, 0.0), (0.0, 0.0))])
         arr = ArrayConfig(1, LAM / 2)
-        with pytest.raises(ValueError, match="integers"):
-            beamformed_gains(ps, arr, arr, np.ones(1), params(), np.array([1.5]), np.array([1]))
+        with pytest.raises(ValueError, match=message):
+            beamformed_gains(ps, arr, arr, np.ones(1), params(), np.array(subs), np.array([1]))
 
 
 def test_path_responses_are_kept_per_path_set_and_array_pair():
@@ -388,11 +387,9 @@ def test_grid_layout_is_worked_out_once_per_link(tiny_scenario):
     assert (info.misses, info.hits) == (2, 10)          # two links, each with its own grid
 
     # a cached layout is shared by every later call, so none of its arrays may be written
-    for subs in (np.arange(1, 17), np.arange(45, 45 + 32 * 5 + 1), np.array([70, 3, 3, 40])):
-        layout = _grid_layout(subs.astype(np.int64).tobytes())
+    for subs in (np.arange(1, 17), np.arange(45, 45 + 32 * 5 + 1)):
+        layout = _grid_layout(subs.dtype.str, subs.tobytes())
         arrays = [layout.starts] + [a for *_, partial in layout.chunks for a in partial or ()]
-        if not isinstance(layout.select, slice):
-            arrays.append(layout.select)
         assert arrays and not any(a.flags.writeable for a in arrays)
 
 

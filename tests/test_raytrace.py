@@ -455,6 +455,14 @@ class TestPathSetColumns:
         assert ps.aoa.shape == ps.aod.shape == (0, 2)
         assert ps.gain.dtype == complex
 
+    def test_near_vertical_direction_keeps_its_angles(self):
+        # z rounds to 1 here, so asin(z) would give the elevation pi / 2 and lose the
+        # direction's 1.25e-8 horizontal part; atan2(z, hypot(x, y)) keeps it
+        d = np.array([[0.0, 1.25e-8, 1.0]])
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        back = raytrace._unit_directions(raytrace._direction_angles(d))
+        np.testing.assert_allclose(back, d, rtol=0.0, atol=1e-15)
+
 
 def box_image_lengths(lx, ly, lz, t, r, max_order):
     """Independent axis-aligned mirrored-source enumeration for an empty box."""
