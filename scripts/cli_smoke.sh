@@ -15,6 +15,12 @@ isactwin validate scenarios/desk_two_ap.json
 isactwin build-db scenarios/desk_two_ap.json --out "$tmp/desk.fpdb"
 isactwin run scenarios/desk_two_ap.json --max-steps 5 --out "$tmp/t.csv"
 isactwin eval "$tmp/t.csv"
+# the commands run on one BLAS thread unless the environment sets a count; a count the user sets
+# is kept, and it changes no bit of the database or the trace
+OPENBLAS_NUM_THREADS=2 isactwin build-db scenarios/desk_two_ap.json --out "$tmp/desk_threads.fpdb"
+OPENBLAS_NUM_THREADS=2 isactwin run scenarios/desk_two_ap.json --max-steps 5 --out "$tmp/t_threads.csv"
+cmp "$tmp/desk.fpdb" "$tmp/desk_threads.fpdb"
+cmp "$tmp/t.csv" "$tmp/t_threads.csv"
 
 # edit STATEMENTS: run the statements on the scenario (d) and scene (s) in $tmp/case
 # edited STATEMENTS: a fresh copy of the shipped scenario and scene in $tmp/case, edited
@@ -86,13 +92,16 @@ isactwin validate "$case/desk_two_ap.json"
 edited 's["bounds"]["max"][0] = 2.0; d["network"]["nodes"][0]["pose"]["position"] = [1.5, 0.07, 0.6]'
 refused validate "$case/desk_two_ap.json"
 # a db.build grid too large to build is counted, not allocated: terabytes at a spacing of 1e-7 m,
-# more points than numpy can index at 1e-300 m or with bounds out to 1e300 m
+# more points than numpy can index at 1e-300 m or, with no ROI, with bounds out to 1e300 m; with
+# an ROI only the floor lattice's block that spans it is counted and built
 edited 'd["db"]["build"]["spacing_m"] = 1e-7'
 refused validate "$case/desk_two_ap.json"
 edited 'd["db"]["build"]["spacing_m"] = 1e-300'
 refused validate "$case/desk_two_ap.json"
-edited 's["bounds"]["max"][0] = 1e300'
+edited 's["bounds"]["max"][0] = 1e300; del d["db"]["build"]["roi_m"]'
 refused build-db "$case/desk_two_ap.json"
+edited 's["bounds"]["max"][0] = 1e300'
+isactwin build-db "$case/desk_two_ap.json" --out "$tmp/wide.fpdb"
 # a vertex out at 1e300 m overflows its plane; the bounds check reports it, with no warning first
 edited 's["surfaces"][0]["vertices"][0][0] = 1e300'
 refused validate "$case/desk_two_ap.json"

@@ -2,6 +2,11 @@
 
 Exit code 0 on success; on failure a single machine-parseable line
 ``error: <message>`` goes to stderr and the exit code is nonzero.
+
+A command runs on one BLAS thread unless the environment sets a count
+(_BLAS_THREADS): the loop's products are small, and two threads wait on each
+other whenever another process holds a core. main sets the defaults before it
+imports numpy; a caller that loaded numpy first keeps its own setting.
 """
 
 from __future__ import annotations
@@ -9,12 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
-from . import metrics, simcore
-from .localization import DatabaseError
-from .scene import SceneError
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,6 +52,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
+        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    from . import simcore
+    from .localization import DatabaseError
+    from .scene import SceneError
+
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -60,6 +70,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    from . import metrics, simcore
+
     if args.command == "validate":
         config = simcore.ScenarioConfig.from_file(args.scenario)
         problems = simcore.validate_scenario(config)

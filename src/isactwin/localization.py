@@ -64,11 +64,11 @@ class Mdp:
         self.bins = np.asarray(self.bins, dtype=float)
         if self.bin_width <= 0.0:
             raise ValueError("bin_width must be positive")
-        finite = np.isfinite(self.bins)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise ValueError(f"bins must be finite: bin {bad} is {self.bins[bad]}")
-        if (self.bins < 0.0).any():
+        if not (self.bins.min(initial=0.0) >= 0.0 and self.bins.max(initial=0.0) < np.inf):   # NaN fails both
+            finite = np.isfinite(self.bins)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise ValueError(f"bins must be finite: bin {bad} is {self.bins[bad]}")
             raise ValueError("bins must be nonnegative")
 
     @property

@@ -16,10 +16,10 @@ builder makes the entries of R receivers with one stacked product each
 (_receivers): a trace builds its rx's on a cache miss, and receiver_poses
 builds a batch of grid points' before the fingerprint database traces them. A
 trace is one array pass over all M candidates (as Sionna RT does, arXiv
-2303.11103): one division places each bounce on its line, one leg rule drops
-the rows whose bounces are out of order or land on an end (_unfold), the real
-amplitude and containment run on the survivors only, and one mask of
-containment, the amplitude floor and occlusion selects the paths.
+2303.11103): one division places each bounce on its line, and the leg rule,
+containment and the real-amplitude floor run over the whole table and give
+one mask of the rows that hold a path (_unfold); occlusion then tests those
+rows only.
 
 Real bounce points are mapped back only where something reads them: the
 occlusion pass and a link's deferred columns. A wall (Scene.walls) has every
@@ -134,10 +134,10 @@ class PathSet:
     read; order (L,) and bounces (L, K, 3), each path's reflection points
     right-aligned behind K - order rows equal to the tx position (a list of paths
     pads K to its largest order), are the other group (_geometry). A traced
-    PathSet keeps the unfolded lines of the rows its trace kept through the leg
-    rule and its paths' indices among them in delay order; the first read of the
-    gain or of any column of a group takes its paths' lines (_unfolded) and
-    builds it, so powers and delays alone take nothing and evaluate no phase. A
+    PathSet keeps its trace's unfolded lines of every candidate row and its
+    paths' row indices in delay order; the first read of the gain or of any
+    column of a group takes its paths' lines (_unfolded) and builds it, so
+    powers and delays alone take nothing and evaluate no phase. A
     list of paths is sorted once and sets every column directly, its powers from
     its gains and its directions from its angles. Every column is read-only.
     Iteration and ``paths`` give the paths back as PropagationPaths.
@@ -163,10 +163,9 @@ class PathSet:
 
     @classmethod
     def _traced(cls, tx_pose, rx_pose, carrier_freq, power, delay, *untaken) -> "PathSet":
-        """trace_paths' route in: the paths' powers and delays in delay order, and (plan, paths,
-        rows, s, D, |D|), the unfolded lines of every row that passed the leg rule with the paths'
-        indices among them in delay order. The paths' own lines are taken from them on the first
-        read of a gain or a group."""
+        """trace_paths' route in: the paths' powers and delays in delay order, and (plan, rows, s, D,
+        |D|), the paths' plan rows in delay order and the unfolded lines of every plan row. The paths'
+        own lines are taken from them on the first read of a gain or a group."""
         ps = cls.__new__(cls)
         ps.tx_pose, ps.rx_pose, ps.carrier_freq = tx_pose, rx_pose, carrier_freq
         ps.power, ps.delay = _read_only(power, delay)
@@ -176,8 +175,8 @@ class PathSet:
     @cached_property
     def _unfolded(self) -> tuple:
         """(plan, rows, s, D, |D|) of a trace's paths, in delay order."""
-        plan, paths, rows, s, d, dist = self._untaken
-        return plan, rows.take(paths), s.take(paths, axis=1), d.take(paths, axis=0), dist.take(paths)
+        plan, rows, s, d, dist = self._untaken
+        return plan, rows, s.take(rows, axis=1), d.take(rows, axis=0), dist.take(rows)
 
     @cached_property
     def gain(self) -> np.ndarray:
@@ -282,18 +281,16 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
         end, pose = ("tx", tx) if tx_entry[0] else ("rx", rx)
         raise ValueError(f"{end} at {tuple(pose.position.tolist())} is behind a wall of the scene")
 
-    rows, s, d, dist, keep = _unfold(plan, tx_entry, rx_entry, rx.position)
-    amp = _amplitude(dist, plan.coeffs.take(rows), carrier_freq)
-    keep &= amp >= GAIN_PRUNE_THRESHOLD
+    s, d, dist, amp, keep = _unfold(plan, tx_entry, rx_entry, rx.position, carrier_freq)
+    rows = keep.nonzero()[0]
     if len(plan.occluders.offsets):
-        keep[keep] = ~_occluded(plan.occluders, _polylines(plan, tx.position, rx.position, rows[keep],
-                                                           s[:, keep], d[keep]))
-    keep = keep.nonzero()[0]
-    delay = dist.take(keep) / SPEED_OF_LIGHT
+        rows = rows[~_occluded(plan.occluders, _polylines(plan, tx.position, rx.position, rows,
+                                                          s.take(rows, axis=1), d.take(rows, axis=0)))]
+    delay = dist.take(rows) / SPEED_OF_LIGHT
     by_delay = np.argsort(delay, kind="stable")
-    keep = keep.take(by_delay)
-    power = np.minimum(amp.take(keep), 1.0) ** 2
-    return PathSet._traced(tx, rx, carrier_freq, power, delay.take(by_delay), plan, keep, rows, s, d, dist)
+    rows = rows.take(by_delay)
+    power = np.minimum(amp.take(rows), 1.0) ** 2
+    return PathSet._traced(tx, rx, carrier_freq, power, delay.take(by_delay), plan, rows, s, d, dist)
 
 
 def receiver_poses(scene: Scene, points, max_order: int = 2) -> list:
@@ -362,7 +359,7 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    plans = _PLANS.setdefault(scene, {})
+    plans = _PLANS.get(scene) or _PLANS.setdefault(scene, {})   # a weak-key setdefault makes a weakref per call
     plan = plans.get(max_order)
     if plan is None:
         usable = [s for s in scene.surfaces if s.unit_normal is not None]
@@ -442,14 +439,18 @@ def _receivers(plan: _Plan, walls, poses) -> list:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _unfold(plan: _Plan, tx_entry: tuple, rx_entry: tuple, rx_point: np.ndarray):
-    """The M' rows that pass the leg rule, their (K, M') line parameters s, (M', 3) D = I - rx,
-    (M',) |D| and (M',) containment mask, from the entries of tx (_image_chain) and rx (_receivers).
+def _unfold(plan: _Plan, tx_entry: tuple, rx_entry: tuple, rx_point: np.ndarray, carrier_freq: float):
+    """Every row's (K, M) line parameters s, (M, 3) D = I - rx, (M,) |D| and (M,) real amplitude
+    (_amplitude), and the (M,) mask of the rows that hold a path unless occluded, from the entries
+    of tx (_image_chain) and rx (_receivers).
 
     A row's path is rx + s D, and bounce i is at s = (o' - q) / (n' . I - q), q = n' . rx. A row
-    passes when each real leg (s[i - 1] - s[i]) |D|, image to rx, is >= 1e-9 m and each real
-    denominator >= 1e-15 in magnitude; padding, at s = 1, has zero-length legs that are no legs.
-    A height over an edge plane is linear along the line: (1 - s) h(rx) + s h(I) at rx + s D.
+    is kept when it passes three tests, each over the whole table. The leg rule: each real leg
+    (s[i - 1] - s[i]) |D|, image to rx, is >= 1e-9 m and each real denominator >= 1e-15 in
+    magnitude; padding, at s = 1, has zero-length legs that are no legs. Containment: each bounce
+    lies in its mirrored polygon, a height over an edge plane being linear along the line,
+    (1 - s) h(rx) + s h(I) at rx + s D. The floor: the amplitude is >= GAIN_PRUNE_THRESHOLD. A row
+    the leg rule drops may hold NaN or infinite heights or amplitudes, which fail the other tests.
     """
     _, image, n_dot_image, image_heights = tx_entry
     _, q, numerator, rx_heights = rx_entry
@@ -463,11 +464,11 @@ def _unfold(plan: _Plan, tx_entry: tuple, rx_entry: tuple, rx_point: np.ndarray)
     legs = (s[:-1] - s[1:]) * dist >= 1e-9
     legs[:-1] |= plan.padding
     legs[:-1] &= abs(denom) >= 1e-15
-    rows = legs.all(axis=0).nonzero()[0]
-    s = s[1:-1].take(rows, axis=1)   # take: 2-3x faster than fancy indexing on axis 1
-    rx_heights = rx_heights.take(rows, axis=2)
-    heights = rx_heights + s[:, None] * (image_heights.take(rows, axis=2) - rx_heights)
-    return rows, s, d.take(rows, axis=0), dist.take(rows), _inside(heights.reshape(k * v, len(rows)))
+    s = s[1:-1]
+    heights = rx_heights + s[:, None] * (image_heights - rx_heights)
+    amp = _amplitude(dist, plan.coeffs, carrier_freq)
+    keep = legs.all(axis=0) & _inside(heights.reshape(k * v, m)) & (amp >= GAIN_PRUNE_THRESHOLD)
+    return s, d, dist, amp, keep
 
 
 def _polylines(plan: _Plan, tx_point, rx_point, rows, s, d) -> np.ndarray:

@@ -306,27 +306,43 @@ def validate_scene(scene: Scene) -> list[str]:
     return violations
 
 
-def floor_grid(scene: Scene, spacing: float, height: float) -> np.ndarray:
-    """Row-major lattice over the floor footprint of the scene bounds.
+def lattice_span(scene: Scene, spacing: float, roi=None) -> tuple:
+    """(first, last), the (2,) x and y index blocks [first, last) of the floor lattice that
+    floor_grid builds, as floats so that a lattice too large to build is counted (inf past the
+    float range): every index of an axis, floor(extent / spacing + 1e-9) + 1 of them, or, with an
+    roi (xmin, ymin, xmax, ymax), those of its values within 1e-9 of the roi and one more each side."""
+    start, stop = scene.bounds_min[:2], scene.bounds_max[:2]
+    with np.errstate(over="ignore"):
+        count = np.floor((stop - start) / spacing + 1e-9) + 1
+        if roi is None:
+            return np.zeros(2), count
+        first = np.floor((np.array(roi[:2]) - 1e-9 - start) / spacing) - 1
+        last = np.floor((np.array(roi[2:]) + 1e-9 - start) / spacing) + 2
+    return np.clip(first, 0.0, count), np.clip(last, 0.0, count)
+
+
+def floor_grid(scene: Scene, spacing: float, height: float, roi=None) -> np.ndarray:
+    """Row-major lattice over the floor footprint of the scene bounds, or its points within 1e-9
+    of roi (xmin, ymin, xmax, ymax), of which it builds only the block that spans roi.
 
     Points are ordered with x varying fastest; per axis the count is
     floor(extent / spacing) + 1 (a small slack absorbs float division dust),
-    and no point passes the bounds, where a wall may stand (0.1 * 12 is 1.2 + 2e-16).
+    and no point passes the bounds, where a wall may stand (0.1 * 12 is 1.2 + 2e-16):
+    index i of an axis is min(start + spacing i, bound).
     """
     if spacing <= 0.0:
         raise ValueError(f"spacing must be > 0, got {spacing}")
     if not (scene.bounds_min[2] - 1e-9 <= height <= scene.bounds_max[2] + 1e-9):
         raise ValueError(f"height {height} outside scene bounds")
-    x0, y0 = scene.bounds_min[:2]
-    lx = scene.bounds_max[0] - x0
-    ly = scene.bounds_max[1] - y0
-    nx = int(np.floor(lx / spacing + 1e-9)) + 1
-    ny = int(np.floor(ly / spacing + 1e-9)) + 1
-    xs = np.minimum(x0 + spacing * np.arange(nx), scene.bounds_max[0])
-    ys = np.minimum(y0 + spacing * np.arange(ny), scene.bounds_max[1])
+    xs, ys = (np.minimum(start + spacing * np.arange(int(first), int(last)), stop)
+              for start, stop, first, last in zip(scene.bounds_min[:2], scene.bounds_max[:2],
+                                                  *lattice_span(scene, spacing, roi)))
+    if roi is not None:
+        xmin, ymin, xmax, ymax = roi
+        xs = xs[(xs >= xmin - 1e-9) & (xs <= xmax + 1e-9)]
+        ys = ys[(ys >= ymin - 1e-9) & (ys <= ymax + 1e-9)]
     gx, gy = np.meshgrid(xs, ys)  # rows indexed by y, x fastest within a row
-    points = np.column_stack([gx.ravel(), gy.ravel(), np.full(nx * ny, float(height))])
-    return points
+    return np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(height))])
 
 
 def serialize_scene(scene: Scene) -> dict:

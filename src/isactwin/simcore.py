@@ -80,8 +80,8 @@ from .network import (
     incoming_edges,
 )
 from .raytrace import Pose, trace_paths, wrap_angle
-from .scene import (Either, Optional, SceneError, _set_read_only, floor_grid, json_digest, load_scene,
-                    read_document, scene_hash)
+from .scene import (Either, Optional, SceneError, _set_read_only, floor_grid, json_digest, lattice_span,
+                    load_scene, read_document, scene_hash)
 
 
 class ConfigError(ValueError):
@@ -515,26 +515,24 @@ MAX_GRID_POINTS = 10**6
 
 def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
     """The fingerprint grid of db.build: the floor lattice at db.build.height_m, else the
-    first agent's z, cut to the ROI. Raises ConfigError for settings that give no grid."""
+    first agent's z, cut to the ROI. The lattice, or with an ROI its block that spans the ROI
+    (lattice_span), is counted before it is built. Raises ConfigError for settings that give
+    no grid or more than MAX_GRID_POINTS."""
     build = config.db.build
     if build.spacing <= 0.0:
         raise ConfigError(f"db.build.spacing_m must be > 0, got {build.spacing}")
     height = build.height if build.height is not None else float(config.agents[0].initial_pose.position[2])
     if not scene.bounds_min[2] - 1e-9 <= height <= scene.bounds_max[2] + 1e-9:
         raise ConfigError(f"db.build height {height} outside the scene's z bounds")
-    with np.errstate(over="ignore"):   # floor_grid's count, in floating point before it allocates
-        points = np.prod(np.floor((scene.bounds_max[:2] - scene.bounds_min[:2]) / build.spacing + 1e-9) + 1)
+    first, last = lattice_span(scene, build.spacing, build.roi)
+    with np.errstate(over="ignore"):
+        points = np.prod(last - first) if (last > first).all() else 0.0
     if not points <= MAX_GRID_POINTS:
-        raise ConfigError(f"db.build.spacing_m {build.spacing} gives a floor grid of {points:.3g} points over "
-                          f"the scene bounds; at most {MAX_GRID_POINTS} are allowed")
-    grid = floor_grid(scene, build.spacing, height)
-    if build.roi is None:
-        return grid
-    xmin, ymin, xmax, ymax = build.roi
-    grid = grid[
-        (grid[:, 0] >= xmin - 1e-9) & (grid[:, 0] <= xmax + 1e-9)
-        & (grid[:, 1] >= ymin - 1e-9) & (grid[:, 1] <= ymax + 1e-9)
-    ]
+        where = ("over the scene bounds" if build.roi is None
+                 else f"to span db.build.roi_m {list(build.roi)}")
+        raise ConfigError(f"db.build.spacing_m {build.spacing} gives a floor grid of {points:.3g} points "
+                          f"{where}; at most {MAX_GRID_POINTS} are allowed")
+    grid = floor_grid(scene, build.spacing, height, build.roi) if points else np.empty((0, 3))
     if len(grid) == 0:
         raise ConfigError(f"db.build.roi_m {list(build.roi)} holds no point of the floor grid")
     return grid

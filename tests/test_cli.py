@@ -1,12 +1,17 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isactwin
 from conftest import TINY_SCENE, rewrite_db_header, tiny_scenario_doc
 from isactwin import localization
-from isactwin.cli import main
+from isactwin.cli import _BLAS_THREADS, main
 from isactwin.localization import compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
 from isactwin.scene import load_scene
@@ -252,3 +257,58 @@ class TestUsage:
 
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2
+
+
+def fresh_python(code, *args, **env):
+    """Run code with args in a new interpreter that imports isactwin from this checkout, with no
+    BLAS thread variable set but those in env; returns its stdout."""
+    environ = {name: value for name, value in os.environ.items() if name not in _BLAS_THREADS}
+    environ.update(env, PYTHONPATH=str(Path(isactwin.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=environ, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# validate the scenario argv[1] through the CLI, then print the BLAS thread variables argv[2:]
+CLI_THREADS = """
+import contextlib, io, json, os, sys
+from isactwin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["validate", sys.argv[1]]) == 0
+assert "numpy" in sys.modules
+print(json.dumps({name: os.environ.get(name) for name in sys.argv[2:]}))
+"""
+
+
+class TestBlasThreads:
+    """The command line runs on one BLAS thread unless the environment names a thread count."""
+
+    def test_importing_the_package_loads_no_numpy(self):
+        assert fresh_python("import sys, isactwin; print('numpy' in sys.modules)") == "False\n"
+
+    def test_star_import_gives_every_exported_name(self):
+        names = ["ArrayConfig", "Bus", "Control", "FingerprintDB", "Material", "Mdp", "NetworkGraph",
+                 "OfdmParams", "PathSet", "Pose", "PropagationPath", "ResourceAllocation", "Scene",
+                 "ScenarioConfig", "Surface", "TraceRecord", "TxSignal", "run_simulation", "__version__"]
+        namespace = {}
+        exec("from isactwin import *", namespace)
+        del namespace["__builtins__"]
+        assert isactwin.__all__ == names and sorted(namespace) == sorted(names)
+        assert namespace["Pose"] is isactwin.raytrace.Pose
+        assert namespace["run_simulation"] is isactwin.simcore.run_simulation
+        with pytest.raises(AttributeError, match="has no attribute 'Nope'"):
+            isactwin.Nope
+
+    def test_a_command_sets_one_thread(self, scenario):
+        assert json.loads(fresh_python(CLI_THREADS, scenario, *_BLAS_THREADS)) == dict.fromkeys(_BLAS_THREADS, "1")
+
+    def test_a_thread_count_the_user_set_is_kept(self, scenario):
+        assert json.loads(fresh_python(CLI_THREADS, scenario, *_BLAS_THREADS, OMP_NUM_THREADS="3")) == {
+            "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+
+    def test_a_caller_that_loaded_numpy_keeps_its_setting(self, scenario, monkeypatch):
+        for name in _BLAS_THREADS:
+            monkeypatch.delenv(name, raising=False)
+        assert main(["validate", scenario]) == 0
+        assert not any(name in os.environ for name in _BLAS_THREADS)

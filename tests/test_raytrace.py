@@ -104,7 +104,7 @@ def inside_rows(monkeypatch):
     inside = raytrace._inside
 
     def counting(heights):
-        rows.append(heights.shape[-1])   # (K V, M') bounces, or (V, N) occlusion hits
+        rows.append(heights.shape[-1])   # (K V, M) bounces, or (V, N) occlusion hits
         return inside(heights)
 
     monkeypatch.setattr(raytrace, "_inside", counting)
@@ -112,15 +112,16 @@ def inside_rows(monkeypatch):
 
 
 class TestTracePaths:
-    def test_containment_runs_once_on_the_guard_survivors(self, box_scene, inside_rows):
-        # in a shoebox every candidate that passes the plane guards is a path, and no leg
-        # meets a plane between its ends, so occlusion has no hit to test for containment
+    def test_containment_runs_once_over_the_whole_table(self, box_scene, inside_rows):
+        # containment tests every candidate row in one call, beside the leg rule; in a shoebox
+        # the 63 rows that pass both are the paths, and no leg meets a plane between its ends,
+        # so occlusion has no hit to test for containment
         tx = Pose.at(1.23, 0.74, 1.31)
         for rx in np.random.default_rng(5).uniform(0.1, [3.9, 2.9, 2.4], size=(5, 3)):
             inside_rows.clear()
             ps = trace_paths(box_scene, tx, Pose(rx), 3, 2.4e9)
             assert len(ps) == 63
-            assert inside_rows == [63]
+            assert inside_rows == [187]
         assert len(raytrace._PLANS[box_scene][3].order) == 187
 
     def test_los_delay_three_meters(self):

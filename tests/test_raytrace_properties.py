@@ -381,13 +381,14 @@ def all_surfaces(scene):
 
 
 def occlusion_masks(scene, tx, rx, max_order):
-    """_occluded's masks for one trace's contained candidates, over the plan's occluders and over all
-    S surfaces, on the real polylines mapped back from the candidates' unfolded lines."""
+    """_occluded's masks for the candidates one trace keeps before occlusion, over the plan's occluders
+    and over all S surfaces, on the real polylines mapped back from the candidates' unfolded lines."""
     plan = raytrace._plan_for(scene, max_order)
     tx_entry = raytrace._image_chain(plan, scene.walls, tx.position)
     rx_entry = raytrace._receivers(plan, scene.walls, [rx])[0]
-    rows, s, d, _, inside = raytrace._unfold(plan, tx_entry, rx_entry, rx.position)
-    pts = raytrace._polylines(plan, tx.position, rx.position, rows[inside], s[:, inside], d[inside])
+    s, d, _, _, keep = raytrace._unfold(plan, tx_entry, rx_entry, rx.position, FC)
+    rows = keep.nonzero()[0]
+    pts = raytrace._polylines(plan, tx.position, rx.position, rows, s[:, rows], d[rows])
     return tuple(raytrace._occluded(surfaces, pts) for surfaces in (plan.occluders, all_surfaces(scene)))
 
 

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from isactwin.scene import (
     Material,
+    Scene,
     SceneError,
     Surface,
     floor_grid,
+    lattice_span,
     load_scene,
     scene_hash,
     serialize_scene,
@@ -251,6 +253,54 @@ class TestFloorGrid:
         # 0.1 * 12 is 1.2000000000000002: that point would stand behind a wall on the bound
         pts = floor_grid(load_scene(box_scene_doc(width, width, 1.0)), spacing, 0.0)
         assert pts[:, 0].max() == pts[:, 1].max() == width
+
+
+@st.composite
+def lattices_and_rois(draw):
+    """A scene footprint, a spacing giving at most 250 points per axis, and an ROI whose bounds
+    are random or lattice values nudged by up to 2e-9, either side of the 1e-9 tolerance or onto it."""
+    start = np.array([draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)), 0.0])
+    extent = np.array([draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0)), 1.0])
+    spacing = draw(st.floats(0.02, 6.0))
+    roi = []
+    for corner in range(4):
+        axis = corner % 2
+        if draw(st.booleans()):
+            nudge = draw(st.sampled_from([-1e-9, 1e-9]) | st.floats(-2e-9, 2e-9))
+            value = start[axis] + spacing * draw(st.integers(-1, int(extent[axis] / spacing) + 2)) + nudge
+        else:
+            value = draw(st.floats(start[axis] - 1.0, start[axis] + extent[axis] + 1.0))
+        roi.append(value)
+    scene = Scene(surfaces=[], materials={}, bounds_min=start, bounds_max=start + extent)
+    return scene, spacing, tuple(roi)
+
+
+class TestRoiGrid:
+    """floor_grid with an roi builds only the lattice's block that spans it, at today's values."""
+
+    @given(lattices_and_rois())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_the_roi_block_is_the_cut_of_the_whole_lattice(self, case):
+        scene, spacing, (xmin, ymin, xmax, ymax) = case
+        whole = floor_grid(scene, spacing, 0.5)
+        cut = whole[(whole[:, 0] >= xmin - 1e-9) & (whole[:, 0] <= xmax + 1e-9)
+                    & (whole[:, 1] >= ymin - 1e-9) & (whole[:, 1] <= ymax + 1e-9)]
+        grid = floor_grid(scene, spacing, 0.5, (xmin, ymin, xmax, ymax))
+        assert np.array_equal(grid, cut)
+        # the block it built: the ROI's indices, the 1e-9 slack and one more index each side
+        first, last = lattice_span(scene, spacing, (xmin, ymin, xmax, ymax))
+        assert np.all(last - first <= np.maximum((np.array([xmax, ymax]) - [xmin, ymin]) / spacing, 0) + 5)
+
+    def test_the_shipped_roi(self):
+        path = repo_scenario_dir() / "desk_two_ap.json"
+        build = json.loads(path.read_text())["db"]["build"]
+        scene = load_scene(path.parent / "desk_box.scene.json")
+        whole = floor_grid(scene, build["spacing_m"], build["height_m"])
+        xmin, ymin, xmax, ymax = build["roi_m"]
+        cut = whole[(whole[:, 0] >= xmin - 1e-9) & (whole[:, 0] <= xmax + 1e-9)
+                    & (whole[:, 1] >= ymin - 1e-9) & (whole[:, 1] <= ymax + 1e-9)]
+        grid = floor_grid(scene, build["spacing_m"], build["height_m"], build["roi_m"])
+        assert len(grid) == 195 and np.array_equal(grid, cut)
 
 
 class TestSerialization:

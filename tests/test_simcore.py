@@ -375,23 +375,29 @@ class TestScenarioConfig:
         assert capsys.readouterr().err == \
             "error: scene invalid: scene document has a non-finite number at .bounds.max[2]\n"
 
-    @pytest.mark.parametrize("key,value,message", [
-        ("spacing_m", 0, "db.build.spacing_m must be > 0, got 0.0"),
-        ("spacing_m", 1e-7, "db.build.spacing_m 1e-07 gives a floor grid of 1.2e+14 points over the "
-                            "scene bounds; at most 1000000 are allowed"),
-        ("spacing_m", 1e-300, "db.build.spacing_m 1e-300 gives a floor grid of inf points over the "
-                              "scene bounds; at most 1000000 are allowed"),
-        ("bin_width_s", 0.0, "db.build needs bin_width_s > 0 and num_bins >= 1"),
-        ("num_bins", 0, "db.build needs bin_width_s > 0 and num_bins >= 1"),
-        ("height_m", 5.0, "db.build height 5.0 outside the scene's z bounds"),
-        ("roi_m", [5, 5, 6, 6], "db.build.roi_m [5.0, 5.0, 6.0, 6.0] holds no point of the floor grid"),
-        ("roi_m", [0.1, 0.1, 0.5],
+    @pytest.mark.parametrize("settings,message", [
+        ({"spacing_m": 0}, "db.build.spacing_m must be > 0, got 0.0"),
+        # without an ROI the whole floor lattice is counted, with one the block that spans it
+        ({"spacing_m": 1e-7, "roi_m": None}, "db.build.spacing_m 1e-07 gives a floor grid of 1.2e+14 points "
+                                             "over the scene bounds; at most 1000000 are allowed"),
+        ({"spacing_m": 1e-300, "roi_m": None}, "db.build.spacing_m 1e-300 gives a floor grid of inf points "
+                                               "over the scene bounds; at most 1000000 are allowed"),
+        ({"spacing_m": 1e-7}, "db.build.spacing_m 1e-07 gives a floor grid of 3.25e+13 points to span "
+                              "db.build.roi_m [0.3, 0.25, 0.95, 0.75]; at most 1000000 are allowed"),
+        ({"bin_width_s": 0.0}, "db.build needs bin_width_s > 0 and num_bins >= 1"),
+        ({"num_bins": 0}, "db.build needs bin_width_s > 0 and num_bins >= 1"),
+        ({"height_m": 5.0}, "db.build height 5.0 outside the scene's z bounds"),
+        ({"roi_m": [5, 5, 6, 6]}, "db.build.roi_m [5.0, 5.0, 6.0, 6.0] holds no point of the floor grid"),
+        ({"roi_m": [0.42, 0.42, 0.48, 0.48]},
+         "db.build.roi_m [0.42, 0.42, 0.48, 0.48] holds no point of the floor grid"),
+        ({"roi_m": [0.1, 0.1, 0.5]},
          "scenario document has [0.1, 0.1, 0.5] at .db.build.roi_m, which must be a list of 4 numbers"),
-    ], ids=["zero-spacing", "spacing-1e-7", "spacing-1e-300", "zero-bin-width", "zero-bins",
-            "height-above-scene", "roi-off-the-grid", "roi-of-three-numbers"])
-    def test_db_build_settings_that_build_db_refuses_rejected(self, tmp_path, capsys, key, value, message):
+    ], ids=["zero-spacing", "spacing-1e-7", "spacing-1e-300", "spacing-1e-7-over-the-roi", "zero-bin-width",
+            "zero-bins", "height-above-scene", "roi-off-the-grid", "roi-between-grid-points",
+            "roi-of-three-numbers"])
+    def test_db_build_settings_that_build_db_refuses_rejected(self, tmp_path, capsys, settings, message):
         doc = tiny_scenario_doc()
-        doc["db"]["build"][key] = value
+        doc["db"]["build"].update(settings)
         (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
@@ -403,7 +409,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("edit,message", [
         # the floor grid is counted before anything is allocated: it would take terabytes, or more
         # points than numpy can index
-        (lambda doc, scene: scene["bounds"]["max"].__setitem__(0, 1e300),
+        (lambda doc, scene: (scene["bounds"]["max"].__setitem__(0, 1e300), doc["db"]["build"].pop("roi_m")),
          "db.build.spacing_m 0.1 gives a floor grid of 1.1e+302 points over the scene bounds; "
          "at most 1000000 are allowed"),
         (_agent_is_the_only_transmitter, "no static transmitter nodes to fingerprint"),
@@ -418,6 +424,28 @@ class TestScenarioConfig:
                      ["run", str(p), "--out", str(tmp_path / "t.csv")]):
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit,size", [
+        # 2 401 x 2 001 lattice points at 0.5 mm, 21 x 21 in the ROI
+        (lambda doc, scene: doc["db"]["build"].update(spacing_m=0.0005, roi_m=[0.5, 0.4, 0.51, 0.41]), (21, 21)),
+        # about 1e301 lattice points, the 7 x 5 of the tiny ROI
+        (lambda doc, scene: scene["bounds"]["max"].__setitem__(0, 1e300), (5, 7)),
+    ], ids=["spacing-0.5mm", "bounds-out-to-1e300"])
+    def test_a_lattice_past_the_bound_builds_the_roi(self, tmp_path, edit, size):
+        # only the lattice's block that spans the ROI is counted and built
+        doc, scene = tiny_scenario_doc(), _tiny_scene()
+        edit(doc, scene)
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(scene))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        config = ScenarioConfig.from_file(p)
+        assert validate_scenario(config) == []
+        db, _ = simcore.build_db_for_scenario(config)
+        spacing, (xmin, ymin, _, _) = config.db.build.spacing, config.db.build.roi
+        ys, xs = (np.ceil((lo - 1e-9) / spacing) + np.arange(n) for lo, n in zip((ymin, xmin), size))
+        assert np.array_equal(db.positions[:, :2].reshape(*size, 2),
+                              np.stack(np.meshgrid(xs * spacing, ys * spacing), axis=-1))
+        assert np.isfinite(db.bins).all() and db.bins.sum(axis=-1).min() > 0
 
     def test_missing_scene_file_flagged(self, tmp_path):
         doc = tiny_scenario_doc()
