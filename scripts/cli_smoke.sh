@@ -11,17 +11,6 @@ set -eu
 cd "$(dirname "$0")/.."
 tmp=${1:-$(mktemp -d)}
 
-isactwin validate scenarios/desk_two_ap.json
-isactwin build-db scenarios/desk_two_ap.json --out "$tmp/desk.fpdb"
-isactwin run scenarios/desk_two_ap.json --max-steps 5 --out "$tmp/t.csv"
-isactwin eval "$tmp/t.csv"
-# the commands run on one BLAS thread unless the environment sets a count; a count the user sets
-# is kept, and it changes no bit of the database or the trace
-OPENBLAS_NUM_THREADS=2 isactwin build-db scenarios/desk_two_ap.json --out "$tmp/desk_threads.fpdb"
-OPENBLAS_NUM_THREADS=2 isactwin run scenarios/desk_two_ap.json --max-steps 5 --out "$tmp/t_threads.csv"
-cmp "$tmp/desk.fpdb" "$tmp/desk_threads.fpdb"
-cmp "$tmp/t.csv" "$tmp/t_threads.csv"
-
 # edit STATEMENTS: run the statements on the scenario (d) and scene (s) in $tmp/case
 # edited STATEMENTS: a fresh copy of the shipped scenario and scene in $tmp/case, edited
 case=$tmp/case
@@ -41,6 +30,23 @@ edited() {
     cp scenarios/desk_two_ap.json scenarios/desk_box.scene.json "$case/"
     edit "$1"
 }
+
+# the four commands end to end on a fresh copy, so run builds and reads the scenario's database in
+# $tmp/case, never in the checkout
+shipped_db=scenarios/artifacts/desk_two_ap.fpdb
+[ -e "$shipped_db" ] && had_shipped_db=1 || had_shipped_db=0
+edited ''
+isactwin validate "$case/desk_two_ap.json"
+isactwin build-db "$case/desk_two_ap.json" --out "$tmp/desk.fpdb"
+isactwin run "$case/desk_two_ap.json" --max-steps 5 --out "$tmp/t.csv"
+isactwin eval "$tmp/t.csv"
+# the commands run on one BLAS thread unless the environment sets a count; a count the user sets
+# is kept, and it changes no bit of the database or the trace
+OPENBLAS_NUM_THREADS=2 isactwin build-db "$case/desk_two_ap.json" --out "$tmp/desk_threads.fpdb"
+OPENBLAS_NUM_THREADS=2 isactwin run "$case/desk_two_ap.json" --max-steps 5 --out "$tmp/t_threads.csv"
+cmp "$tmp/desk.fpdb" "$tmp/desk_threads.fpdb"
+cmp "$tmp/t.csv" "$tmp/t_threads.csv"
+
 # refused ARGS: isactwin ARGS fails with one stderr line "error: ...", which is passed on to stderr
 refused() {
     if isactwin "$@" 2> "$tmp/refused.err"; then
@@ -102,6 +108,15 @@ edited 's["bounds"]["max"][0] = 1e300; del d["db"]["build"]["roi_m"]'
 refused build-db "$case/desk_two_ap.json"
 edited 's["bounds"]["max"][0] = 1e300'
 isactwin build-db "$case/desk_two_ap.json" --out "$tmp/wide.fpdb"
+# so are a user's sub-carrier range, a circle's waypoints and a reflection order whose arrays
+# would take terabytes: each is counted before it is built, and no plan is built to count one
+edited 'd["network"]["resources"]["users"][0]["subcarriers"] = {"from": 1, "to": 1000000000}'
+refused validate "$case/desk_two_ap.json"
+edited 'd["agents"][0]["path"]["circle"]["waypoints"] = 1000000000000'
+refused validate "$case/desk_two_ap.json"
+edited 'd["raytrace"]["max_order"] = 12'
+refused validate "$case/desk_two_ap.json"
+refused build-db "$case/desk_two_ap.json"
 # a vertex out at 1e300 m overflows its plane; the bounds check reports it, with no warning first
 edited 's["surfaces"][0]["vertices"][0][0] = 1e300'
 refused validate "$case/desk_two_ap.json"
@@ -138,6 +153,10 @@ refused run "$case/desk_two_ap.json" --max-steps 2 --out "$tmp/outdir"
 refused build-db "$case/desk_two_ap.json" --out "$tmp/outdir"
 if [ -e "$case/artifacts" ] || [ -n "$(ls -A "$tmp/outdir")" ]; then
     echo "cli_smoke: a refused --out left files behind" >&2
+    exit 1
+fi
+if [ "$had_shipped_db" = 0 ] && [ -e "$shipped_db" ]; then
+    echo "cli_smoke: the smoke run wrote $shipped_db into the checkout" >&2
     exit 1
 fi
 echo "cli_smoke: ok"

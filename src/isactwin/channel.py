@@ -39,6 +39,7 @@ import numpy as np
 
 from .network import ArrayConfig
 from .raytrace import SPEED_OF_LIGHT, PathSet
+from .scene import _read_only
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,7 @@ def _grid_layout(dtype: str, data: bytes) -> _GridLayout:
     opens = np.diff(hi, prepend=hi[:1] - 1) != 0                           # row starts a block
     row_block = np.cumsum(opens) - 1
     starts = (n0 + _PHASE_BLOCK * hi[opens]).astype(float)
-    for a in (lo, row_block, starts):
-        a.flags.writeable = False
+    _read_only(lo, row_block, starts)
     bounds = np.append(np.flatnonzero(opens)[::_CHUNK_BLOCKS], len(idx))
     chunks = []
     for b, s, e in zip(range(0, len(starts), _CHUNK_BLOCKS), bounds[:-1], bounds[1:]):
@@ -243,8 +243,7 @@ def _path_responses(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig
         # a unit direction at (az, el) dotted with (-sin b, cos b, 0) is sin(az - b) cos(el), its sine off broadside
         a_r, a_t = (_steering(array, dirs @ (-math.sin(array.boresight), math.cos(array.boresight), 0.0), fc)
                     for array, dirs in ((rx_array, paths.aoa_dir), (tx_array, paths.aod_dir)))
-        a_r.flags.writeable = a_t.flags.writeable = False
-        pair = memo[(tx_array, rx_array, fc)] = (a_r, a_t)
+        pair = memo[(tx_array, rx_array, fc)] = _read_only(a_r, a_t)
     return pair
 
 

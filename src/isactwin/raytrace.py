@@ -1,46 +1,17 @@
-"""Image-method multipath solver.
+"""Image-method multipath solver: the specular paths of reflection order <= K between two Poses.
 
-Specular reflections only: candidate paths are the ordered surface sequences
-up to a maximum reflection order K with no surface repeated back to back (the
-image method of Allen & Berkley, JASA 1979). Unfolded through its bounces, a
-path is the straight line from rx to the last image I of tx, and it meets each
-bounce's plane mirrored through the row's later bounces (Borish, JASA 1984),
-which depend on neither end. One plan per read-only scene and K holds the
-occluders' planes and, for every sequence of order 0..K, its mirrored planes
-and edge planes, its coefficient product and its maps back to the real frame
-(_Plan). As beam tracing reuses a source's work across receivers (Funkhouser
-et al., SIGGRAPH 1998), the plan keeps one entry per read-only end Pose: a tx
-has its images and their products with those planes, an rx its products
-n' . rx and its heights over the edge planes, and each its wall check. One
-builder makes the entries of R receivers with one stacked product each
-(_receivers): a trace builds its rx's on a cache miss, and receiver_poses
-builds a batch of grid points' before the fingerprint database traces them. A
-trace is one array pass over all M candidates (as Sionna RT does, arXiv
-2303.11103): one division places each bounce on its line, and the leg rule,
-containment and the real-amplitude floor run over the whole table and give
-one mask of the rows that hold a path (_unfold); occlusion then tests those
-rows only.
-
-Real bounce points are mapped back only where something reads them: the
-occlusion pass and a link's deferred columns. A wall (Scene.walls) has every
-vertex of the scene on one closed side of its plane, so a segment between two
-points on that side cannot cross it (as in beam tracing's convex cells). A
-trace refuses an end strictly behind a wall, so the occluders are the other
-surfaces, and a closed room of walls alone, like the desk box, skips the pass.
-The survivors are sorted by delay once, and the PathSet builds each column
-but powers and delays on that column's first read (PathSet): a fingerprint
-evaluates no phase, and a link, whose channel reads gains and directions,
-never maps its bounces back or turns a direction into angles.
+trace_paths traces one link over its scene's plan for K (_plan_for), in one array pass over
+the plan's candidate table (_unfold), and returns the paths as a PathSet. receiver_poses builds
+the receiver entries of a batch of grid points before the fingerprint database traces them.
 
 Conventions:
   * a terminal's direction of a path is the local unit vector pointing from it
     toward the first/last bounce (or the far terminal for LoS), and its angles
     are that vector's (azimuth, elevation);
-  * a terminal's local frame is the global frame turned by yaw about z;
   * Doppler is (f_c / c) (u_dep . v_tx - u_arr . v_rx), u_dep leaving tx and u_arr reaching rx;
-  * the per-path amplitude is (lambda / (4 pi d)) * prod(reflection coeffs)
-    with phase -2 pi d / lambda, clamped to unit magnitude at sub-wavelength
-    ranges; a path's power is its clamped amplitude squared.
+  * a path of length d has the amplitude (lambda / (4 pi d)) * prod(reflection coeffs), clamped
+    to 1 at sub-wavelength ranges; its power is that amplitude squared, and its gain that
+    amplitude times exp(-j 2 pi d / lambda).
 """
 
 from __future__ import annotations
@@ -53,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scene import CONTAINS_TOL, Scene, _set_read_only
+from .scene import CONTAINS_TOL, Scene, _read_only, _set_read_only
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -61,10 +32,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 # measurable effect on delay profiles or channels at indoor ranges.
 GAIN_PRUNE_THRESHOLD = 1e-9
 
-# Occlusion hits closer than this to a segment endpoint are the segment touching
-# a surface it starts or ends on; this guard is the only filter for such touches.
-# It is sound because no trace has an end behind a wall: a leg from there could
-# meet a wall's plane only at its far end, on a seam, and pass the guard.
+# _occluded's endpoint guard, in metres
 _ENDPOINT_GUARD = 1e-9
 
 
@@ -101,9 +69,7 @@ class Pose:
     def rotation(self) -> np.ndarray:
         """Local-to-global rotation matrix Rz(yaw), built once, read-only."""
         c, s = math.cos(self.yaw), math.sin(self.yaw)
-        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        rotation.flags.writeable = False
-        return rotation
+        return _read_only(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))[0]
 
 
 @dataclass(eq=False)
@@ -127,20 +93,18 @@ class PropagationPath:
 class PathSet:
     """All resolvable paths of one link as columns, stably sorted by delay.
 
-    power (L,), |gain|^2, and delay (L,) exist from the start. gain (L,) complex
-    stands alone; doppler (L,) and aoa_dir and aod_dir (L, 3), the local unit
-    directions at the receiver and the transmitter, are one group (_motion), and
-    aoa and aod (L, 2), their (azimuth, elevation), are built from them on first
-    read; order (L,) and bounces (L, K, 3), each path's reflection points
-    right-aligned behind K - order rows equal to the tx position (a list of paths
-    pads K to its largest order), are the other group (_geometry). A traced
-    PathSet keeps its trace's unfolded lines of every candidate row and its
-    paths' row indices in delay order; the first read of the gain or of any
-    column of a group takes its paths' lines (_unfolded) and builds it, so
-    powers and delays alone take nothing and evaluate no phase. A
-    list of paths is sorted once and sets every column directly, its powers from
-    its gains and its directions from its angles. Every column is read-only.
-    Iteration and ``paths`` give the paths back as PropagationPaths.
+    power (L,), |gain|^2, and delay (L,) exist from the start. The other columns are two groups,
+    each one cached tuple built on the first read of any of its columns: the link group (_link),
+    gain (L,) complex, doppler (L,), and aoa_dir and aod_dir (L, 3), the local unit directions at
+    the receiver and the transmitter, which a channel reads together; and the geometry group
+    (_geometry), order (L,) and bounces (L, K, 3), each path's reflection points right-aligned
+    behind K - order rows equal to the tx position (a list of paths pads K to its largest order).
+    aoa and aod (L, 2), the directions' (azimuth, elevation), are built from them on first read.
+    A traced PathSet keeps its trace's unfolded lines of every candidate row, its paths' rows and
+    clamped amplitudes in delay order, and each group takes its paths' lines itself, so powers
+    and delays alone take nothing and evaluate no phase. A list of paths is sorted once and sets
+    every column directly, its powers from its gains and its directions from its angles. Every
+    column is read-only. Iteration and ``paths`` give the paths back as PropagationPaths.
     """
 
     def __init__(self, paths, tx_pose: Pose, rx_pose: Pose, carrier_freq: float):
@@ -150,64 +114,52 @@ class PathSet:
         self.tx_pose, self.rx_pose, self.carrier_freq = tx_pose, rx_pose, carrier_freq
         gain = np.array([p.gain for p in paths], dtype=complex)
         # hypot, then libm pow, round exactly as abs(complex) ** 2 does per path
-        self.gain, self.power, self.delay = _read_only(gain, np.float_power(np.hypot(gain.real, gain.imag), 2.0),
-                                                       np.array([p.delay for p in paths], dtype=float))
+        self.power, self.delay = _read_only(np.float_power(np.hypot(gain.real, gain.imag), 2.0),
+                                            np.array([p.delay for p in paths], dtype=float))
         self.aoa, self.aod = _read_only(np.array([p.aoa for p in paths], dtype=float).reshape(-1, 2),
                                         np.array([p.aod for p in paths], dtype=float).reshape(-1, 2))
-        self._motion = _read_only(np.array([p.doppler for p in paths], dtype=float),
-                                  _unit_directions(self.aoa), _unit_directions(self.aod))
+        self._link = _read_only(gain, np.array([p.doppler for p in paths], dtype=float),
+                                _unit_directions(self.aoa), _unit_directions(self.aod))
         self._geometry = _read_only(
             np.array([p.order for p in paths], dtype=int),
             np.array([np.vstack([tx_pose.position] * (k - p.order) + [p.reflection_points])
                       for p in paths]).reshape(len(paths), k, 3))
 
     @classmethod
-    def _traced(cls, tx_pose, rx_pose, carrier_freq, power, delay, *untaken) -> "PathSet":
-        """trace_paths' route in: the paths' powers and delays in delay order, and (plan, rows, s, D,
-        |D|), the paths' plan rows in delay order and the unfolded lines of every plan row. The paths'
-        own lines are taken from them on the first read of a gain or a group."""
+    def _traced(cls, tx_pose, rx_pose, carrier_freq, amp, delay, *lines) -> "PathSet":
+        """trace_paths' route in: the paths' clamped amplitudes and delays in delay order, and (plan,
+        rows, s, D, |D|), the paths' plan rows in delay order and the unfolded lines of every plan row."""
         ps = cls.__new__(cls)
         ps.tx_pose, ps.rx_pose, ps.carrier_freq = tx_pose, rx_pose, carrier_freq
-        ps.power, ps.delay = _read_only(power, delay)
-        ps._untaken = untaken
+        ps.power, ps.delay = _read_only(amp ** 2, delay)
+        ps._amp, ps._lines = amp, lines
         return ps
 
     @cached_property
-    def _unfolded(self) -> tuple:
-        """(plan, rows, s, D, |D|) of a trace's paths, in delay order."""
-        plan, rows, s, d, dist = self._untaken
-        return plan, rows, s.take(rows, axis=1), d.take(rows, axis=0), dist.take(rows)
-
-    @cached_property
-    def gain(self) -> np.ndarray:
-        """A trace's complex gains (_gain), clamped to unit modulus."""
-        plan, rows, _, _, dist = self._unfolded
-        gain = _gain(dist, plan.coeffs.take(rows), self.carrier_freq)
-        amp = abs(gain)
-        np.divide(gain, amp, out=gain, where=amp > 1.0)
-        return _read_only(gain)[0]
-
-    @cached_property
-    def _motion(self) -> tuple:
-        """(doppler, aoa_dir, aod_dir) of a trace: each path reaches rx along u_arr = -D / |D| and leaves
-        tx along u_dep, the row's composed mirror of it; its directions are -u_arr and u_dep in local frames."""
-        plan, rows, _, d, dist = self._unfolded
+    def _link(self) -> tuple:
+        """(gain, doppler, aoa_dir, aod_dir) of a trace: each path reaches rx along u_arr = -D / |D| and
+        leaves tx along u_dep, the row's composed mirror of it; its directions are -u_arr and u_dep in
+        local frames."""
+        plan, rows, _, d, dist = self._lines
         tx, rx = self.tx_pose, self.rx_pose
-        u_arr = d / -dist[:, None]
+        dist = dist.take(rows)
+        u_arr = d.take(rows, axis=0) / -dist[:, None]
         u_dep = np.vecdot(plan.linear[0].take(rows, axis=0), u_arr[:, None, :])
         doppler = self.carrier_freq / SPEED_OF_LIGHT * (np.vecdot(u_dep, tx.velocity) - np.vecdot(u_arr, rx.velocity))
-        return _read_only(doppler, -u_arr @ rx.rotation, u_dep @ tx.rotation)
+        return _read_only(_gain(dist, self._amp, self.carrier_freq), doppler, -u_arr @ rx.rotation,
+                          u_dep @ tx.rotation)
 
     @cached_property
     def _geometry(self) -> tuple:
         """(order, bounces) of a trace."""
-        plan, rows, s, d, _ = self._unfolded
+        plan, rows, s, d, _ = self._lines
         bounces = _polylines(plan, self.tx_pose.position, self.rx_pose.position, rows, s, d)[1:-1]
         return _read_only(plan.order.take(rows), bounces.transpose(1, 0, 2))
 
-    doppler = property(lambda self: self._motion[0])
-    aoa_dir = property(lambda self: self._motion[1])
-    aod_dir = property(lambda self: self._motion[2])
+    gain = property(lambda self: self._link[0])
+    doppler = property(lambda self: self._link[1])
+    aoa_dir = property(lambda self: self._link[2])
+    aod_dir = property(lambda self: self._link[3])
     aoa = cached_property(lambda self: _direction_angles(self.aoa_dir))
     aod = cached_property(lambda self: _direction_angles(self.aod_dir))
     order = property(lambda self: self._geometry[0])
@@ -227,23 +179,8 @@ class PathSet:
         return iter(self.paths)
 
 
-def _read_only(*arrays) -> tuple:
-    """The arrays, made read-only: the channel layer keeps steering computed from a PathSet's
-    directions, and a plan's entries are shared by every trace of their Pose."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _amplitude(d: np.ndarray, coeff: np.ndarray, carrier_freq: float) -> np.ndarray:
-    """Free-space amplitude with reflection losses of positive lengths d and coefficient products
-    coeff: (lambda / (4 pi d)) coeff."""
-    return SPEED_OF_LIGHT / carrier_freq / (4.0 * math.pi * d) * coeff
-
-
-def _gain(d: np.ndarray, coeff: np.ndarray, carrier_freq: float) -> np.ndarray:
-    """_amplitude with propagation phase: (lambda / (4 pi d)) coeff exp(-j 2 pi d / lambda)."""
-    amp = _amplitude(d, coeff, carrier_freq)
+def _gain(d: np.ndarray, amp: np.ndarray, carrier_freq: float) -> np.ndarray:
+    """The complex gains amp exp(-j 2 pi d / lambda) of paths of lengths d and real amplitudes amp."""
     phase = -2.0 * math.pi * d / (SPEED_OF_LIGHT / carrier_freq)
     gain = np.empty(d.shape, dtype=complex)
     np.cos(phase, out=gain.real)
@@ -254,23 +191,12 @@ def _gain(d: np.ndarray, coeff: np.ndarray, carrier_freq: float) -> np.ndarray:
 
 def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
                 carrier_freq: float = 2.4e9) -> PathSet:
-    """All unoccluded specular paths of reflection order <= max_order.
+    """All unoccluded specular paths of reflection order <= max_order, LoS being order 0.
 
-    LoS is order 0. Delays are total polyline length over c; directions are
-    rotated into each terminal's local frame; gains follow _gain with the
-    product of the bounces' material coefficients and are clamped to unit
-    magnitude. Paths whose real amplitude (_amplitude) is below
-    GAIN_PRUNE_THRESHOLD are dropped; a path's power is its amplitude, clamped
-    to 1, squared.
-    An end strictly behind a wall of the scene (Scene.walls) raises ValueError,
-    tx first.
-    Every candidate of every order is traced in one pass over the scene's
-    padded candidate table, whose rows run order by order, and the survivors
-    are stably sorted by delay once, so equal delays come in the same order on
-    every call. The returned PathSet holds powers and delays; its complex
-    gains, its Doppler shifts and directions, and its orders and bounces are
-    built on their first read, so a fingerprint, which bins powers by delay,
-    evaluates no phase.
+    Every candidate of every order is traced in one pass (_unfold), and the survivors are stably
+    sorted by delay, their total length over c, once, so equal delays come in the same order on
+    every call. An end strictly behind a wall of the scene (Scene.walls) raises ValueError, tx
+    first.
     """
     plan = _plan_for(scene, max_order)
     if math.dist(rx.position, tx.position) < 1e-12:
@@ -284,13 +210,12 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     s, d, dist, amp, keep = _unfold(plan, tx_entry, rx_entry, rx.position, carrier_freq)
     rows = keep.nonzero()[0]
     if len(plan.occluders.offsets):
-        rows = rows[~_occluded(plan.occluders, _polylines(plan, tx.position, rx.position, rows,
-                                                          s.take(rows, axis=1), d.take(rows, axis=0)))]
+        rows = rows[~_occluded(plan.occluders, _polylines(plan, tx.position, rx.position, rows, s, d))]
     delay = dist.take(rows) / SPEED_OF_LIGHT
     by_delay = np.argsort(delay, kind="stable")
     rows = rows.take(by_delay)
-    power = np.minimum(amp.take(rows), 1.0) ** 2
-    return PathSet._traced(tx, rx, carrier_freq, power, delay.take(by_delay), plan, rows, s, d, dist)
+    amp = np.minimum(amp.take(rows), 1.0)
+    return PathSet._traced(tx, rx, carrier_freq, amp, delay.take(by_delay), plan, rows, s, d, dist)
 
 
 def receiver_poses(scene: Scene, points, max_order: int = 2) -> list:
@@ -305,7 +230,7 @@ def receiver_poses(scene: Scene, points, max_order: int = 2) -> list:
 # internals
 
 class _Surfaces(NamedTuple):
-    """The occlusion tables of a scene's occluders: its planar surfaces that are not walls."""
+    """The occlusion tables of S planar surfaces."""
 
     normals: np.ndarray       # (S, 3)
     offsets: np.ndarray       # (S,), n . x = offset
@@ -317,17 +242,21 @@ class _Surfaces(NamedTuple):
 class _Plan:
     """What a trace over M candidates of order 0..K needs and no end changes, one per (scene, K).
 
-    Occlusion reads the occluders alone: both ends of a trace are on the scene side of every
-    wall, where no segment crosses one. Level i's plane and edge planes are mirrored into the
-    row's unfolded frame, which x -> linear[i + 1] x + shift[i + 1] maps back to the real one
-    (linear[0], shift[0] undo every bounce). Padding levels come first in a row and mirror
-    nothing: a zero normal with offset 1, zero edge planes. Every array is read-only.
+    Unfolded through its bounces, a row's path is the straight line from rx to the last image of
+    tx, and it meets level i's plane and edge planes mirrored through the row's later bounces
+    (Borish, JASA 1984), which depend on neither end; x -> linear[i + 1] x + shift[i + 1] maps
+    that unfolded frame back to the real one (linear[0], shift[0] undo every bounce). Padding
+    levels come first in a row and mirror nothing: a zero normal with offset 1, zero edge planes.
+    Occlusion reads the occluders alone: both ends of a trace are on the scene side of every wall,
+    where no segment crosses one (as in beam tracing's convex cells), so a closed room of walls
+    alone, like the desk box, has no occlusion pass. Every array is read-only.
 
-    An end's entry is cached under its Pose. _receivers builds the entries of R rx Poses at once:
-    trace_paths one on a cache miss, receiver_poses a batch of grid points.
+    As beam tracing reuses a source's work across receivers (Funkhouser et al., SIGGRAPH 1998),
+    an end's entry is cached under its read-only Pose: a tx's images (_image_chain), an rx's
+    products and heights (_receivers), and each its wall check.
     """
 
-    occluders: _Surfaces      # the usable surfaces that are not walls
+    occluders: _Surfaces      # the usable surfaces that Scene.walls does not name
     order: np.ndarray         # (M,) each row's reflection order, non-decreasing
     padding: np.ndarray       # (K, M) which levels mirror nothing
     normals: np.ndarray       # (K, M, 3) each bounce's mirrored plane n' . x = o'
@@ -342,20 +271,29 @@ class _Plan:
 
     def __post_init__(self):
         _set_read_only(self, **vars(self))
-        for table in self.occluders:
-            table.flags.writeable = False
+        _read_only(*self.occluders)
 
 
 _PLANS: "weakref.WeakKeyDictionary[Scene, dict]" = weakref.WeakKeyDictionary()  # scene -> {K: _Plan}
 
 
+def candidate_count(surfaces: int, max_order: int) -> float:
+    """The entries of _plan_for's first array, the (S + 1) ** K index table over S usable surfaces
+    at order K, as a float that is inf past its range, so that it can be refused unbuilt."""
+    try:
+        return (surfaces + 1.0) ** max_order
+    except OverflowError:
+        return math.inf
+
+
 def _plan_for(scene: Scene, max_order: int) -> _Plan:
     """The scene's plan for order K, built once per (scene, K); it dies with the scene.
 
-    Its rows are every sequence of order 0..K with no surface twice in a row, right-aligned
-    behind padding levels of -1, in lexicographic order, which puts the orders in turn. Level
-    i's map back mirrors through the row's bounces K - 1 down to i + 1. The occluders are the
-    usable surfaces that Scene.walls does not name.
+    Its rows are every sequence of order 0..K with no surface twice in a row (the image method of
+    Allen & Berkley, JASA 1979), right-aligned behind padding levels of -1, in lexicographic
+    order, which puts the orders in turn; they are cut from an index table of
+    candidate_count(S, K) entries over the S usable surfaces. Level i's map back mirrors through
+    the row's bounces K - 1 down to i + 1.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -440,12 +378,13 @@ def _receivers(plan: _Plan, walls, poses) -> list:
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _unfold(plan: _Plan, tx_entry: tuple, rx_entry: tuple, rx_point: np.ndarray, carrier_freq: float):
-    """Every row's (K, M) line parameters s, (M, 3) D = I - rx, (M,) |D| and (M,) real amplitude
-    (_amplitude), and the (M,) mask of the rows that hold a path unless occluded, from the entries
-    of tx (_image_chain) and rx (_receivers).
+    """Every row's (K, M) line parameters s, (M, 3) D = I - rx, (M,) |D| and (M,) unclamped
+    amplitude, and the (M,) mask of the rows that hold a path unless occluded, from the entries of
+    tx (_image_chain) and rx (_receivers).
 
     A row's path is rx + s D, and bounce i is at s = (o' - q) / (n' . I - q), q = n' . rx. A row
-    is kept when it passes three tests, each over the whole table. The leg rule: each real leg
+    is kept when it passes three tests, each over the whole table, as Sionna RT treats every
+    candidate as one tensor (arXiv 2303.11103). The leg rule: each real leg
     (s[i - 1] - s[i]) |D|, image to rx, is >= 1e-9 m and each real denominator >= 1e-15 in
     magnitude; padding, at s = 1, has zero-length legs that are no legs. Containment: each bounce
     lies in its mirrored polygon, a height over an edge plane being linear along the line,
@@ -466,16 +405,17 @@ def _unfold(plan: _Plan, tx_entry: tuple, rx_entry: tuple, rx_point: np.ndarray,
     legs[:-1] &= abs(denom) >= 1e-15
     s = s[1:-1]
     heights = rx_heights + s[:, None] * (image_heights - rx_heights)
-    amp = _amplitude(dist, plan.coeffs, carrier_freq)
+    amp = SPEED_OF_LIGHT / carrier_freq / (4.0 * math.pi * dist) * plan.coeffs
     keep = legs.all(axis=0) & _inside(heights.reshape(k * v, m)) & (amp >= GAIN_PRUNE_THRESHOLD)
     return s, d, dist, amp, keep
 
 
 def _polylines(plan: _Plan, tx_point, rx_point, rows, s, d) -> np.ndarray:
-    """The rows' real (K + 2, M', 3) polylines: tx, each bounce rx + s D mapped back (tx at padding), rx."""
+    """The real (K + 2, M', 3) polylines of M' rows of the (K, M) s and (M, 3) D: tx, each bounce
+    rx + s D mapped back (tx at padding), rx."""
     pts = np.empty((len(s) + 2, len(rows), 3))
     pts[0], pts[-1] = tx_point, rx_point
-    unfolded = rx_point + s[..., None] * d
+    unfolded = rx_point + s.take(rows, axis=1)[..., None] * d.take(rows, axis=0)
     np.add(np.vecdot(plan.linear[1:].take(rows, axis=1), unfolded[..., None, :]),
            plan.shift[1:].take(rows, axis=1), out=pts[1:-1])
     np.copyto(pts[1:-1], tx_point, where=plan.padding.take(rows, axis=1)[..., None])
@@ -487,7 +427,9 @@ def _occluded(surfaces: _Surfaces, pts) -> np.ndarray:
     """(M,) mask: a segment of the (K + 2, M, 3) polylines crosses one of the surfaces between its ends.
 
     The endpoint guard, t L and (1 - t) L >= 1e-9, is the only filter for the surfaces a segment
-    starts or ends on, whose planes it meets only there; zero-length padding legs hit nothing.
+    starts or ends on, whose planes it meets only there; zero-length padding legs hit nothing. It
+    is sound because no trace has an end behind a wall: a leg from there could meet a wall's plane
+    only at its far end, on a seam, and pass the guard.
     """
     occluded = np.zeros(pts.shape[1], dtype=bool)
     normals, offsets, edge_normals, edge_offsets = surfaces

@@ -143,17 +143,22 @@ class Scene:
         ahead = (heights >= 0.0).all(axis=1)
         mask = ahead != (heights <= 0.0).all(axis=1)
         facing = np.where(ahead, 1.0, -1.0)[mask]
-        walls = Walls(normals[mask] * facing[:, None], offsets[mask] * facing, mask)
-        for table in walls:
-            table.flags.writeable = False
-        return walls
+        return Walls(*_read_only(normals[mask] * facing[:, None], offsets[mask] * facing, mask))
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, each locked against writes: whoever keeps one, a cache or a reader of a shared
+    table, can rely on its values."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _set_read_only(obj, **values) -> None:
     """Set a frozen dataclass's fields; each array is the object's own copy and is locked first."""
     for name, value in values.items():
         if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+            _read_only(value)
         object.__setattr__(obj, name, value)
 
 

@@ -79,7 +79,7 @@ from .network import (
     build_network,
     incoming_edges,
 )
-from .raytrace import Pose, trace_paths, wrap_angle
+from .raytrace import Pose, candidate_count, trace_paths, wrap_angle
 from .scene import (Either, Optional, SceneError, _set_read_only, floor_grid, json_digest, lattice_span,
                     load_scene, read_document, scene_hash)
 
@@ -270,13 +270,13 @@ class ScenarioConfig:
 
         requests = tuple(
             ResourceRequest(user=user["id"], power_budget=_number(user, "power_w", 1.0),
-                            subcarriers=_parse_index_set(user.get("subcarriers"), ofdm.n_subcarriers),
-                            symbols=_parse_index_set(user.get("symbols"), ofdm.n_symbols))
+                            subcarriers=_parse_index_set(user, "subcarriers", ofdm.n_subcarriers),
+                            symbols=_parse_index_set(user, "symbols", ofdm.n_symbols))
             for user in _get(_get(net, "resources", {}), "users", []))
 
         agents = tuple(
             AgentSpec(id=ag["id"], initial_pose=_parse_pose(ag["initial_pose"]),
-                      waypoints=_parse_path(ag["path"]),
+                      waypoints=_parse_path(ag),
                       gains={_CONTROLLER_KEYS[key]: float(value)
                              for key, value in _get(ag, "controller", {}).items() if value is not None})
             for ag in doc["agents"])
@@ -340,21 +340,36 @@ def _parse_pose(doc: dict) -> Pose:
     return Pose.at(x, y, z, yaw=math.radians(_number(doc, "yaw_deg", 0.0)))
 
 
-def _parse_index_set(spec, upper: int) -> frozenset:
+def _parse_index_set(user: dict, key: str, upper: int) -> frozenset:
+    """A user's indices under key: a list, a {from, to} range, or all of 1..upper where the key is
+    left out. A range, or the whole axis, is counted before it is built."""
+    spec = user.get(key)
     if spec is None:
-        return frozenset(range(1, upper + 1))
-    if isinstance(spec, dict):
-        return frozenset(range(spec["from"], spec["to"] + 1))
-    return frozenset(spec)
+        first, last, given = 1, upper, f"left out, all of 1..{upper},"
+    elif isinstance(spec, dict):
+        first, last = spec["from"], spec["to"]
+        given = f"{first}..{last}"
+    else:
+        return frozenset(spec)
+    _counted(last - first + 1, f"resources user {user['id']!r}: {key} {given}")
+    return frozenset(range(first, last + 1))
 
 
-def _parse_path(spec) -> np.ndarray:
+def _parse_path(agent: dict) -> np.ndarray:
+    spec = agent["path"]
     if isinstance(spec, dict):
         c = spec["circle"]
-        return agent_mod.circle_waypoints(center=c["center"], radius=float(c["radius"]),
-                                          count=_get(c, "waypoints", 16),
+        count = _counted(_get(c, "waypoints", 16), f"agent {agent['id']!r}: path.circle.waypoints")
+        return agent_mod.circle_waypoints(center=c["center"], radius=float(c["radius"]), count=count,
                                           start_angle=math.radians(_number(c, "start_angle_deg", 0.0)))
     return np.asarray(spec, dtype=float).reshape(-1, 2)
+
+
+def _counted(count: int, what: str) -> int:
+    """count, the entries of an array a document asks for, checked before the array is built."""
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"{what} gives {count} entries; at most {MAX_GRID_POINTS} are allowed")
+    return count
 
 
 def _misplaced(scene, position) -> str | None:
@@ -396,6 +411,12 @@ def validate_scenario(config: ScenarioConfig) -> list:
             scene = load_scene(config.scene_path)
         except SceneError as exc:
             problems.append(f"scene invalid: {exc}")
+    if scene is not None and config.max_order >= 0:
+        surfaces = sum(s.unit_normal is not None for s in scene.surfaces)
+        if (count := candidate_count(surfaces, config.max_order)) > MAX_GRID_POINTS:
+            problems.append(f"raytrace.max_order {config.max_order} over the scene's {surfaces} planar surfaces "
+                            f"gives a candidate table of ({surfaces} + 1) ** {config.max_order} = {count:.3g} "
+                            f"entries; at most {MAX_GRID_POINTS} are allowed")
 
     nodes = {n.id: n for n in config.nodes}
     agent_ids = {a.id for a in config.agents}
@@ -509,7 +530,9 @@ def db_signature(config: ScenarioConfig, graph) -> str:
     return json_digest({"aps": aps, "carrier_hz": config.ofdm.carrier_freq, "max_order": config.max_order})
 
 
-# about 5 000 times the shipped grid's 195 points; at about 0.2 ms per fingerprint, minutes per AP
+# the most entries a document may ask of an array, counted before it is built: a db.build grid,
+# a user's index range, a circle's waypoints, the tracer's candidate table (candidate_count). About
+# 5 000 times the shipped grid's 195 points; at about 0.2 ms per fingerprint, minutes per AP
 MAX_GRID_POINTS = 10**6
 
 

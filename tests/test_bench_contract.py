@@ -164,18 +164,20 @@ def test_run_call_counts_per_step(tiny_scenario, chain_builds, receiver_builds, 
 
 @pytest.fixture
 def line_takes(monkeypatch):
-    """Traced PathSets that take their paths' unfolded lines, which a read of a Doppler shift,
-    an angle, an order or a bounce point needs and a read of gains and delays does not."""
+    """The groups traced PathSets build, each from its own take of its paths' lines: "_link" on
+    the first read of a gain, a Doppler shift, a direction or an angle, "_geometry" on the first
+    read of an order or a bounce point, and none on a read of powers and delays."""
     takes = []
-    unfolded = raytrace.PathSet.__dict__["_unfolded"]
+    for name in ("_link", "_geometry"):
+        build = raytrace.PathSet.__dict__[name].func
 
-    def counting(paths):
-        takes.append(1)
-        return unfolded.func(paths)
+        def counting(paths, name=name, build=build):
+            takes.append(name)
+            return build(paths)
 
-    prop = functools.cached_property(counting)
-    prop.__set_name__(raytrace.PathSet, "_unfolded")
-    monkeypatch.setattr(raytrace.PathSet, "_unfolded", prop)
+        prop = functools.cached_property(counting)
+        prop.__set_name__(raytrace.PathSet, name)
+        monkeypatch.setattr(raytrace.PathSet, name, prop)
     return takes
 
 
@@ -196,7 +198,7 @@ def angle_calls(monkeypatch):
 
 @pytest.fixture
 def gain_builds(monkeypatch):
-    """Calls of raytrace._gain: a traced PathSet makes one on its first read of a gain, and none
+    """Calls of raytrace._gain: a traced PathSet makes one when it builds its link group, and none
     if only its powers and delays are read."""
     calls = []
     gain = raytrace._gain
@@ -214,7 +216,7 @@ def test_fingerprint_traces_build_no_path_geometry(tiny_scenario, angle_calls, l
     db, _ = simcore.build_db_for_scenario(config)
     assert len(db.positions) * len(db.ap_ids) == 70
     assert len(angle_calls) == 0
-    assert len(line_takes) == 0     # no deferred column is taken
+    assert line_takes == []         # no group is built
     assert len(gain_builds) == 0    # the MDPs bin powers: no phase is evaluated
 
 
@@ -231,7 +233,8 @@ def test_only_link_traces_build_path_geometry(tiny_scenario, angle_calls, line_t
     assert len(records) == 6
     # the channel steers from the link traces' directions; fingerprint traces read none
     assert len(angle_calls) == 0
-    assert len(line_takes) == 2 * len(records)   # once per link trace, for the gains and directions
+    # the link group once per link trace, and no geometry: no layer of the loop reads a bounce
+    assert line_takes == ["_link"] * 2 * len(records)
     assert len(gain_builds) == 2 * len(records)  # once per link trace; none per fingerprint trace
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import isactwin
-from conftest import TINY_SCENE, rewrite_db_header, tiny_scenario_doc
-from isactwin import localization
+from conftest import TINY_SCENE, repo_scenario_dir, rewrite_db_header, tiny_scenario_doc
+from isactwin import localization, raytrace
 from isactwin.cli import _BLAS_THREADS, main
 from isactwin.localization import compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
@@ -42,6 +43,42 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "gone.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["network"]["resources"]["users"][0].update(subcarriers={"from": 1, "to": 10**9}),
+         "resources user 'ap1': subcarriers 1..1000000000 gives 1000000000 entries"),
+        (lambda d: (d["network"]["resources"]["users"][1].pop("symbols"), d["ofdm"].update(n_symbols=10**12)),
+         "resources user 'ap2': symbols left out, all of 1..1000000000000, gives 1000000000000 entries"),
+        (lambda d: d["agents"][0]["path"]["circle"].update(waypoints=10**12),
+         "agent 'robot': path.circle.waypoints gives 1000000000000 entries"),
+        (lambda d: d["raytrace"].update(max_order=12),
+         "raytrace.max_order 12 over the scene's 6 planar surfaces gives a candidate table of "
+         "(6 + 1) ** 12 = 1.38e+10 entries"),
+    ], ids=["subcarrier-range", "left-out-symbols", "circle-waypoints", "max-order"])
+    def test_a_count_too_large_to_build_is_one_error_line(self, tmp_path, capsys, monkeypatch, edit, message):
+        # each array is counted before it is built: on the shipped scenario these asked for up to
+        # terabytes (the order-12 plan's index table alone 1.21 TiB) and ended in a MemoryError
+        plans = []
+        monkeypatch.setattr(raytrace, "_plan_for", lambda *args: plans.append(args))
+        path = shipped_copy(tmp_path, edit)
+        assert main(["validate", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}; at most 1000000 are allowed\n"
+        assert plans == []
+        assert main(["validate", shipped_copy(tmp_path, lambda d: None)]) == 0
+        assert plans == []   # validate builds no plan, of the shipped order 3 either
+
+
+def shipped_copy(tmp_path, edit) -> str:
+    """The path of a copy of the shipped scenario and scene in tmp_path, the scenario edited in place
+    by edit(doc)."""
+    for name in ("desk_two_ap.json", "desk_box.scene.json"):
+        shutil.copy(repo_scenario_dir() / name, tmp_path / name)
+    path = tmp_path / "desk_two_ap.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestBuildDb:

@@ -21,9 +21,10 @@ from isactwin.scene import Material, Scene, Surface, load_scene
 from conftest import box_scene_doc, repo_scenario_dir
 
 
-# the PathSet columns a trace builds on first read: each group on the first read of any of its columns
-MOTION = ("doppler", "aoa_dir", "aod_dir", "aoa", "aod")
-GEOMETRY = MOTION + ("order", "bounces")
+# the PathSet columns a trace builds on first read: each group on the first read of any of its
+# columns, the link group's angles from its directions
+LINK = ("gain", "doppler", "aoa_dir", "aod_dir", "aoa", "aod")
+DEFERRED = LINK + ("order", "bounces")
 
 
 def empty_scene():
@@ -74,7 +75,8 @@ class TestGain:
     def test_inverse_distance_law(self):
         assert abs(self.los_gain(2.0)) == pytest.approx(2 * abs(self.los_gain(4.0)), rel=1e-12)
 
-    def test_absorber_kills_path(self):
+    def test_gain_is_the_given_amplitude_times_the_phase(self):
+        # _gain takes the amplitude the trace already clamped and pruned
         gain = raytrace._gain(np.array([1.0, 1.0]), np.array([0.0, 0.5]), 2.4e9)
         assert gain[0] == 0 and gain[1] == 0.5 * raytrace._gain(np.array([1.0]), 1.0, 2.4e9)[0]
 
@@ -124,6 +126,16 @@ class TestTracePaths:
             assert inside_rows == [187]
         assert len(raytrace._PLANS[box_scene][3].order) == 187
 
+    def test_candidate_count_is_the_size_of_the_plans_index_table(self, monkeypatch):
+        # validate_scenario counts the table with candidate_count and refuses one too large to build
+        sizes, indices = [], np.indices
+        monkeypatch.setattr(np, "indices", lambda shape: sizes.append(math.prod(shape)) or indices(shape))
+        scene = load_scene(box_scene_doc())
+        for max_order in (1, 2, 3):
+            raytrace._plan_for(scene, max_order)
+        assert sizes == [raytrace.candidate_count(6, k) for k in (1, 2, 3)] == [7, 49, 343]
+        assert raytrace.candidate_count(6, 10**12) == raytrace.candidate_count(6, 10**400) == math.inf
+
     def test_los_delay_three_meters(self):
         ps = trace_paths(empty_scene(), Pose.at(0, 0, 1), Pose.at(3, 0, 1), 0, 2.4e9)
         assert len(ps) == 1
@@ -169,7 +181,10 @@ class TestTracePaths:
             seen = delays
 
     def test_gain_clamped_to_unity_at_close_range(self):
+        # one clamp rule for power and gain: the amplitude 1 / (0.04 pi) is cut to 1 before either
         ps = trace_paths(empty_scene(), Pose.at(0, 0, 0), Pose.at(0.001, 0, 0), 0, 2.4e9)
+        assert ps.power.tolist() == [1.0]
+        assert ps.gain[0] == raytrace._gain(np.array([0.001]), 1.0, 2.4e9)[0]
         assert abs(ps.paths[0].gain) == pytest.approx(1.0, rel=1e-12)
 
     def test_absorbing_walls_prune_everything_but_los(self):
@@ -297,11 +312,11 @@ class TestBounces:
         assert np.array_equal(ps.bounces, want)
 
     def test_directions_are_built_once_on_first_read(self, box_scene, monkeypatch):
-        # not by the trace: the directions on the first read of a Doppler shift, a direction or
-        # an angle, and never again; each angle column from its direction on its own first read
-        # (the channel steers from the directions and reads none); an order or a bounce point
-        # needs neither. u_arr is D / |D| and u_dep its composed mirror, so both directions are
-        # unit vectors with no second norm
+        # not by the trace: the gains and directions on the first read of a gain, a Doppler
+        # shift, a direction or an angle, and never again; each angle column from its direction
+        # on its own first read (the channel steers from the directions and reads none); an order
+        # or a bounce point needs neither. u_arr is D / |D| and u_dep its composed mirror, so
+        # both directions are unit vectors with no second norm
         calls, polylines = [], []
         angles, lines = raytrace._direction_angles, raytrace._polylines
 
@@ -316,17 +331,18 @@ class TestBounces:
 
         monkeypatch.setattr(raytrace, "_direction_angles", counting_angles)
         monkeypatch.setattr(raytrace, "_polylines", counting_lines)
-        for max_order, first_read in itertools.product((0, 2, 3), GEOMETRY):
+        for max_order, first_read in itertools.product((0, 2, 3), DEFERRED):
             calls.clear()
             polylines.clear()
             ps = trace_paths(box_scene, self.TX, self.RX, max_order, 2.4e9)
-            assert len(ps) > 0 and ps.gain.shape == ps.delay.shape == (len(ps),)
+            assert len(ps) > 0 and ps.power.shape == ps.delay.shape == (len(ps),)
             assert calls == [] and polylines == []   # all a fingerprint reads
             getattr(ps, first_read)
-            assert ("_motion" in vars(ps)) == (first_read in MOTION)
+            assert ("_link" in vars(ps)) == (first_read in LINK)
+            assert ("_geometry" in vars(ps)) == (first_read not in LINK)
             assert calls == [(len(ps), 3)] * (first_read in ("aoa", "aod"))
-            assert polylines == [1] * (first_read not in MOTION)
-            for name in GEOMETRY + ("paths",):
+            assert polylines == [1] * (first_read not in LINK)
+            for name in DEFERRED + ("paths",):
                 getattr(ps, name)
             assert calls == [(len(ps), 3)] * 2 and polylines == [1]
 
@@ -444,9 +460,9 @@ class TestPathSetColumns:
         # and each group is one cached tuple of arrays
         for max_order in (0, 2, 3):
             ps = trace_paths(box_scene, self.TX, self.RX, max_order, 2.4e9)
-            assert "_motion" not in vars(ps) and "_geometry" not in vars(ps)
+            assert "_link" not in vars(ps) and "_geometry" not in vars(ps)
             assert np.all(np.diff(ps.delay) >= 0.0)
-            for names in (MOTION, ("order", "bounces")):
+            for names in (LINK, ("order", "bounces")):
                 first = [getattr(ps, name) for name in names]
                 assert all(a is b for a, b in zip(first, [getattr(ps, name) for name in names]))
 

@@ -388,7 +388,7 @@ def occlusion_masks(scene, tx, rx, max_order):
     rx_entry = raytrace._receivers(plan, scene.walls, [rx])[0]
     s, d, _, _, keep = raytrace._unfold(plan, tx_entry, rx_entry, rx.position, FC)
     rows = keep.nonzero()[0]
-    pts = raytrace._polylines(plan, tx.position, rx.position, rows, s[:, rows], d[rows])
+    pts = raytrace._polylines(plan, tx.position, rx.position, rows, s, d)
     return tuple(raytrace._occluded(surfaces, pts) for surfaces in (plan.occluders, all_surfaces(scene)))
 
 
@@ -628,9 +628,10 @@ class TestReceiverBatches:
 
 
 class TestTracedPowers:
-    """A trace hands each path's power min(amp, 1)^2 to the PathSet and forms its complex gains
-    only on their first read; a fingerprint bins the powers. The two agree with |gain|^2 to the
-    last bits, and an MDP occupies the same bins and overflows by the same count either way."""
+    """A trace hands each path's amplitude min(amp, 1) to the PathSet, whose powers are its squares
+    and whose complex gains it forms from it only on their first read; a fingerprint bins the
+    powers. The two agree with |gain|^2 to the last bits, and an MDP occupies the same bins and
+    overflows by the same count either way."""
 
     @given(receiver_batches(), st.integers(0, 3), st.sampled_from([(5e-10, 64), (1e-9, 8), (2e-10, 3)]))
     @example((panel_box(1.0), Pose.at(0.5, _FLOAT_MIN, 0.0), [np.zeros(3)]), 3, (5e-10, 64))   # occlusion
