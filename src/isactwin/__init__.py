@@ -28,12 +28,7 @@ _EXPORTS = {
     "Bus": "simcore", "ScenarioConfig": "simcore", "TraceRecord": "simcore", "run_simulation": "simcore",
 }
 
-__all__ = [
-    "ArrayConfig", "Bus", "Control", "FingerprintDB", "Material", "Mdp",
-    "NetworkGraph", "OfdmParams", "PathSet", "Pose", "PropagationPath", "ResourceAllocation", "Scene",
-    "ScenarioConfig", "Surface", "TraceRecord", "TxSignal", "run_simulation",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
 
 
 def __getattr__(name):

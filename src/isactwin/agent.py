@@ -61,12 +61,6 @@ def observe(mdps: dict, snr_db: float | None, rng: np.random.Generator) -> dict:
     return {ap_id: add_fingerprint_noise(mdp, snr_db, rng) for ap_id, mdp in mdps.items()}
 
 
-@dataclass(frozen=True)
-class PathProgress:
-    index: int
-    done: bool
-
-
 def waypoint_control(
     position,
     heading: float,
@@ -77,12 +71,12 @@ def waypoint_control(
     w_max: float = 1.5,
     tol: float = 0.05,
 ) -> tuple:
-    """Proportional steering toward the active waypoint.
+    """(Control, index): proportional steering toward the active waypoint, and its index.
 
-    Waypoints within the tolerance radius are marked reached and skipped;
-    past the terminal waypoint the command is zero. Linear speed is cut back
-    when the heading error exceeds pi/4 (scaled by cos of the error, floored
-    at zero) so the robot pivots before driving.
+    Waypoints within the tolerance radius are reached and skipped; past the
+    terminal waypoint the index is len(waypoints) and the command is zero.
+    Linear speed is cut back when the heading error exceeds pi/4 (scaled by
+    cos of the error, floored at zero) so the robot pivots before driving.
     """
     wp = np.asarray(waypoints, dtype=float).reshape(-1, 2)
     if len(wp) == 0:
@@ -92,7 +86,7 @@ def waypoint_control(
     while i < len(wp) and float(np.hypot(*(wp[i] - pos))) <= tol:
         i += 1
     if i >= len(wp):
-        return Control(0.0, 0.0), PathProgress(index=len(wp), done=True)
+        return Control(0.0, 0.0), len(wp)
     target = wp[i]
     err = wrap_angle(math.atan2(target[1] - pos[1], target[0] - pos[0]) - heading)
     omega = min(w_max, max(-w_max, k_ang * err))
@@ -100,7 +94,7 @@ def waypoint_control(
         v = v_max
     else:
         v = v_max * max(0.0, math.cos(err))
-    return Control(v, omega), PathProgress(index=i, done=False)
+    return Control(v, omega), i
 
 
 def circle_waypoints(center, radius: float, count: int, start_angle: float = 0.0) -> np.ndarray:

@@ -15,17 +15,11 @@ per-resource-element frequency domain; no waveform simulation.
 The rate kernels are array code over all L paths of a link at once. The
 steering matrices of a path set are built from its local unit directions, as
 Sionna RT forms array phases (arXiv 2303.11103), once per array pair, and
-shared by synthesize_channel and beamformed_gains while the path set lives.
-They and beamformed_gains' in-block factor are tables z ** m, built by
-doubling (_powers) from one complex exponential per path. Over the
-(sub-carrier, symbol) grid, beamformed_gains fills up to 128 sub-carriers
-(four 32-wide blocks, anchored at the grid's first sub-carrier) at a time:
-a (rows, L) table of per-sub-carrier phases, built from a per-block and a
-within-block factor, times one (L, N_R * K) right-hand side in one BLAS
-matmul. A grid is checked and split into blocks and chunks once, not once
-per call. No (N, L) table over all sub-carriers is built. The per-path
-forms and the einsum they replaced live on as the test oracle in
-tests/channel_oracle.py.
+shared by synthesize_channel and beamformed_gains while the path set lives
+(_path_responses). They and beamformed_gains' in-block factor are tables
+z ** m, built by doubling (_powers) from one complex exponential per path.
+beamformed_gains' docstring describes how it walks a (sub-carrier, symbol)
+grid in blocks and chunks.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import ArrayConfig
-from .raytrace import SPEED_OF_LIGHT, PathSet
+from .raytrace import SPEED_OF_LIGHT, PathSet, _cis
 from .scene import _read_only
 
 
@@ -87,15 +81,6 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _cis(x) -> np.ndarray:
-    """exp(j x) of real x from one cos and one sin: half the time of numpy's complex exp."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape, dtype=complex)
-    np.cos(x, out=out.real)
-    np.sin(x, out=out.imag)
-    return out
-
-
 def phase_shift(n, k, nu, tau, params: OfdmParams):
     """omega_nk = k nu T_s - n tau df (dimensionless); elementwise over arrays."""
     return k * nu * params.symbol_duration - n * tau * params.delta_f
@@ -115,13 +100,8 @@ def synthesize_channel(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayCon
     return (a_r * coeff) @ a_t.T
 
 
-# Sub-carrier n = n0 + _PHASE_BLOCK * h + m, with n0 the grid's smallest:
-# exp(-j 2 pi tau df n) is the product of a per-block factor and a within-block
-# factor, so a grid of N sub-carriers costs (distinct blocks + _PHASE_BLOCK)
-# complex exponentials per path, not N.
+# beamformed_gains' sub-carriers per phase block, and blocks per phase table
 _PHASE_BLOCK = 32
-# beamformed_gains builds its phase table over this many distinct blocks at a
-# time, so the table never exceeds (_CHUNK_BLOCKS * _PHASE_BLOCK, L)
 _CHUNK_BLOCKS = 4
 
 
@@ -174,7 +154,9 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
 
     Blocks are anchored at the grid's smallest sub-carrier n0: the sub-carrier
     factor of n = n0 + 32 h + m is a per-block factor P[h, l] times a
-    within-block factor Q[m, l], so a contiguous grid is all whole blocks.
+    within-block factor Q[m, l], so a contiguous grid is all whole blocks, and
+    a grid of N sub-carriers costs (distinct blocks + 32) complex exponentials
+    per path, not N.
     The sub-carriers are taken four blocks (at most 128 rows) at a time:
     their (rows, L) table P[h] * Q[m] is built in one buffer, by one
     broadcast product when the rows are whole blocks and row by row when

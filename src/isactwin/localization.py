@@ -9,19 +9,8 @@ circular-shift each profile so its first nonzero bin is bin 0
 take the RMS bin difference. One alignment over the last axis serves the
 cached database and the query, and every grid point and AP scores at once.
 
-Database file layout (version 2, little-endian, deterministic bytes):
-
-    magic   b"ITFPDB01"
-    u32     header length in bytes
-    bytes   UTF-8 JSON header {version, scene_hash, network_hash, spacing_m,
-            bin_width_s, num_bins, ap_ids, n_points}
-    f64     positions, (n_points, 3), C order
-    f64     bins, (n_points, n_aps, num_bins), C order
-
-A scenario stamps scene_hash with scene.scene_hash and network_hash with
-simcore.db_signature, which covers the static APs, the carrier and the
-reflection order; the grid is not hashed, since the file holds it. Version 1
-files, whose network_hash also covered the db.build settings, are refused.
+README.md ("Fingerprint database file") describes the database file and its
+stamps; save_db writes it, load_db reads it, and _DB_HEADER is its header's schema.
 """
 
 from __future__ import annotations
@@ -230,7 +219,7 @@ def add_fingerprint_noise(mdp: Mdp, snr_db: float, rng: np.random.Generator) -> 
 
 
 def save_db(db: FingerprintDB, path) -> Path:
-    """Write the database file (see module docstring for the layout); refuses non-finite bins."""
+    """Write the database file; refuses non-finite bins."""
     path = Path(path)
     _finite(db, f"{path}: not written")
     header = {
@@ -280,7 +269,9 @@ def load_db(path) -> FingerprintDB:
     n_points, num_bins, ap_ids = header["n_points"], header["num_bins"], header["ap_ids"]
     spacing, bin_width = header["spacing_m"], header["bin_width_s"]
     scene_hash, network_hash = header["scene_hash"], header["network_hash"]
-    for key, ok, rule in (("n_points", n_points >= 0, ">= 0"), ("num_bins", num_bins >= 0, ">= 0"),
+    # build_fingerprint_db writes no database without a point, a bin or an AP, and localize needs all three
+    for key, ok, rule in (("n_points", n_points >= 1, ">= 1"), ("num_bins", num_bins >= 1, ">= 1"),
+                          ("ap_ids", ap_ids != [], "a non-empty list"),
                           ("spacing_m", spacing > 0, "> 0"), ("bin_width_s", bin_width > 0, "> 0")):
         if not ok:
             raise DatabaseError(f"{path}: corrupt header: has {header[key]!r} at .{key}, which must be {rule}")

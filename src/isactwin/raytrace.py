@@ -179,12 +179,18 @@ class PathSet:
         return iter(self.paths)
 
 
+def _cis(x) -> np.ndarray:
+    """exp(j x) of real x from one cos and one sin: half the time of numpy's complex exp."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def _gain(d: np.ndarray, amp: np.ndarray, carrier_freq: float) -> np.ndarray:
     """The complex gains amp exp(-j 2 pi d / lambda) of paths of lengths d and real amplitudes amp."""
-    phase = -2.0 * math.pi * d / (SPEED_OF_LIGHT / carrier_freq)
-    gain = np.empty(d.shape, dtype=complex)
-    np.cos(phase, out=gain.real)
-    np.sin(phase, out=gain.imag)
+    gain = _cis(-2.0 * math.pi * d / (SPEED_OF_LIGHT / carrier_freq))
     gain *= amp   # (amp cos, amp sin) for a real amp
     return gain
 

@@ -4,20 +4,10 @@ The scene is a flat list of convex polygons, each tagged with a material whose
 single amplitude reflection coefficient conditions the multipath solver.
 A surface's plane is its Newell plane (unit_normal . x = plane_offset): the
 tracer reflects in it and validation measures planarity from it.
-Scenes are loaded from a structured JSON document (schema below). A loaded
+Scenes are loaded from a JSON document, whose schema is README.md's "Scene
+documents" (_SCENE_KEYS, as read_document checks it). A loaded
 scene is a value, like a Pose: it, its surfaces, materials and arrays are
 read-only. A changed scene is built with dataclasses.replace.
-
-Scene document schema (every key is required; any other key is an error)::
-
-    {
-      "materials":    [{"name": string, "reflection_coeff": number}, ...],
-      "surfaces":     [{"vertices": [[x, y, z], ...], "material": string}, ...],
-      "bounds":       {"min": [x, y, z], "max": [x, y, z]}
-    }
-
-x, y and z are numbers, all coordinates in meters. A number is finite and
-not a boolean.
 """
 
 from __future__ import annotations

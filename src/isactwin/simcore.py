@@ -11,48 +11,11 @@ exactly the observation, agent.observe's noisy MDPs. The phases publish
 their results on the world's Bus, where a subscriber is a callable given each
 matching Message(topic, step, payload): it observes the run, never steers it.
 
-Scenario file schema (JSON; paths name files, relative to the scenario's). Each
-field names its JSON type; "?" marks an optional key, which may also be null::
+A phase that fails raises one ValueError that names its step and phase (_Phase).
 
-    {
-      "scene": string,
-      "network": {
-        "nodes": [{"id": string, "role": "tx|rx|txrx",
-                   "array"?: {"elements": integer, "spacing_wavelengths"?: number, "boresight_deg"?: number},
-                   "pose"?: {"position": [x, y, z], "yaw_deg"?: number}}, ...],
-        "edges": [[string, string], ...],
-        "resources"?: {"users"?: [{"id": string, "subcarriers"?: indices, "symbols"?: indices,
-                                   "power_w"?: number}, ...]}
-      },
-      "ofdm":   {"n_subcarriers": integer, "delta_f_hz": number, "n_symbols": integer, "carrier_hz": number},
-      "agents": [{"id": string, "initial_pose": {"position": [x, y, z], "yaw_deg"?: number}, "path": path,
-                  "controller"?: {"k_ang"?, "v_max"?, "w_max"?, "waypoint_tol_m"?: number}}, ...],
-      "noise"?: {"state_var"?, "noise_power_w"?, "fingerprint_snr_db"?: number,
-                 "map_offset_m"?: [dx, dy]},
-      "sim":    {"dt_s": number, "max_steps": integer, "seed"?: integer},
-      "raytrace"?: {"max_order"?: integer},
-      "db"?:    {"path"?: string, "build"?: {"spacing_m"?, "bin_width_s"?, "height_m"?: number,
-                 "num_bins"?: integer, "roi_m"?: [xmin, ymin, xmax, ymax]}},
-      "output"?: {"trace_csv"?: string}
-    }
-
-A node's pose is for static transmitters: an agent drives its own node. A run
-links only into agents and reads only transmitters' resources, so an rx node is
-an agent's and a resources user is a transmitter. Coordinates are numbers.
-indices (1-based) is a list of integers or {"from": integer, "to": integer},
-inclusive; path is a waypoint list [[x, y], ...] or {"circle": {"center":
-[x, y], "radius": number, "waypoints"?: integer, "start_angle_deg"?: number}}.
-A number is finite and not a boolean; an integer is not a boolean nor a float
-such as 64.0. A key the schema does not list is an error. A parsed scenario is
-a value, like a Scene: it and its parts are frozen; a changed one is built with
-dataclasses.replace.
-
-Trace CSV columns, in order: step, time_s, agent_id, the fields of
-AgentTrace, then one rate_<v>_<q> column per communication link. Agent ids
-may not contain "_", so that the receiver v can be read back from the column
-name. Node ids are bus topic segments (agent/<id>/state, sim/channel/<v>/<q>),
-so they may not contain whitespace, "/", or the wildcard characters "*", "?"
-and "[": validate_scenario's check of them is the only check of a topic.
+README.md describes the scenario file ("Scenario file format"; _SCENARIO_KEYS is its schema as
+read_document checks it) and the trace CSV ("Trace CSV"; AGENT_COLUMNS). A parsed scenario is a
+value, like a Scene: it and its parts are frozen; a changed one is built with dataclasses.replace.
 """
 
 from __future__ import annotations
@@ -100,7 +63,9 @@ class Message(NamedTuple):
 class Bus:
     """Each publish calls, in subscription order, every subscriber whose fnmatch
     pattern matches the topic; nothing is queued, so a late subscriber sees no
-    earlier message. A subscriber that wants a queue passes list.append."""
+    earlier message. A subscriber that wants a queue passes list.append.
+    publish checks no topic: the loop builds them from node ids, which
+    validate_scenario checks (agent/<id>/state, sim/channel/<v>/<q>)."""
 
     def __init__(self):
         self._subs: list = []   # (fnmatch pattern, deliver callable)
@@ -616,7 +581,7 @@ class _AgentRuntime:
     heading: float              # the odometry yaw: the commands integrated without noise
     control: agent_mod.Control
     rng: np.random.Generator    # the state noise's generator
-    progress: agent_mod.PathProgress
+    index: int = 0              # the active waypoint's; len(spec.waypoints) once the path is done
 
 
 @dataclass(eq=False)
@@ -624,14 +589,12 @@ class World:
     config: ScenarioConfig
     scene: object
     graph: object
-    allocation: object
     db: loc_mod.FingerprintDB
     bus: Bus
     agents: dict
     fp_rng: np.random.Generator
     links: list           # (receiver agent, transmitter) pairs carrying data, sorted
     rate_plan: dict       # link -> _LinkPlan, or None without resources
-    finished: bool = False
 
 
 @dataclass(eq=False)
@@ -689,14 +652,12 @@ def init_world(config: ScenarioConfig) -> World:
             heading=spec.initial_pose.yaw,
             control=agent_mod.Control(0.0, 0.0),
             rng=np.random.default_rng([config.seed, 11, idx]),
-            progress=agent_mod.PathProgress(index=0, done=False),
         )
     links = [(v, q) for v in sorted(agents) for q in sorted(incoming_edges(graph, v))]
     return World(
         config=config,
         scene=scene,
         graph=graph,
-        allocation=allocation,
         db=db,
         bus=Bus(),
         agents=agents,
@@ -704,6 +665,25 @@ def init_world(config: ScenarioConfig) -> World:
         links=links,
         rate_plan=_rate_plan(links, allocation),
     )
+
+
+class _Phase:
+    """with _Phase(t, phase[, agent]): a ValueError raised inside is raised again as
+    "step <t> <phase> phase failed[ for '<agent>']: <message>". A class, not a generator
+    context manager, which costs about three times as much per use."""
+
+    __slots__ = ("t", "phase", "agent")
+
+    def __init__(self, t: int, phase: str, agent: str | None = None):
+        self.t, self.phase, self.agent = t, phase, agent
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, ValueError):
+            who = "" if self.agent is None else f" for {self.agent!r}"
+            raise ValueError(f"step {self.t} {self.phase} phase failed{who}: {exc}") from exc
 
 
 def sim_step(world: World, t: int) -> TraceRecord:
@@ -714,16 +694,14 @@ def sim_step(world: World, t: int) -> TraceRecord:
     # phase 1: state update with the past control command
     for aid in sorted(world.agents):
         rt = world.agents[aid]
-        try:
+        with _Phase(t, "state", aid):
             rt.pose = agent_mod.step_state(rt.pose, rt.control, cfg.noise.state_var, rt.rng, cfg.dt)
-        except ValueError as exc:
-            raise ValueError(f"step {t} state phase failed for {aid!r}: {exc}") from exc
         rt.heading = wrap_angle(rt.heading + rt.control.omega * cfg.dt)
         bus.publish(f"agent/{aid}/state", rt.pose, step=t)
 
     # phase 2: refresh propagation parameters for all links
     pathsets = {}
-    try:
+    with _Phase(t, "raytrace"):
         for v, q in world.links:
             tx_pose = world.agents[q].pose if q in world.agents else world.graph.nodes[q].pose
             rx_pose = world.agents[v].pose
@@ -732,8 +710,6 @@ def sim_step(world: World, t: int) -> TraceRecord:
                 max_order=cfg.max_order, carrier_freq=cfg.ofdm.carrier_freq,
             )
             bus.publish(f"sim/channel/{v}/{q}", pathsets[(v, q)], step=t)
-    except ValueError as exc:
-        raise ValueError(f"step {t} raytrace phase failed: {exc}") from exc
 
     # phase 3: signal generation: each link's MRT beamformer and received power
     # on its own cells, then its rate with the other links' received power on
@@ -741,7 +717,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
     # The beamformer and the gains share the step's steering of the link's paths.
     received = {}
     rates = {}
-    try:
+    with _Phase(t, "signal"):
         for (v, q), plan in world.rate_plan.items():
             paths = pathsets[(v, q)]
             if plan is None or len(paths) == 0:
@@ -760,8 +736,6 @@ def sim_step(world: World, t: int) -> TraceRecord:
                 snr = received[(v, q)] / (cfg.noise.noise_power_w + interference)
                 rates[(v, q)] = float(np.mean(np.log2(1.0 + snr)))
             bus.publish(f"metrics/rate/{v}/{q}", rates[(v, q)], step=t)
-    except ValueError as exc:
-        raise ValueError(f"step {t} signal phase failed: {exc}") from exc
 
     # phases 4-6 per agent: observation, estimation, control
     agent_traces = {}
@@ -774,7 +748,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
         # phase 4: observation: the MDP of every AP at the fingerprint pose, the agent's own or its
         # map-offset copy; a link trace ends at the agent's own pose, so it is reused without offset
         fp_pose = Pose(position=pose.position + (dx, dy, 0.0)) if has_offset else pose
-        try:
+        with _Phase(t, "observation", aid):
             mdps = {}
             for ap_id in world.db.ap_ids:
                 paths = None if has_offset else pathsets.get((aid, ap_id))
@@ -784,22 +758,16 @@ def sim_step(world: World, t: int) -> TraceRecord:
                 mdps[ap_id] = loc_mod.compute_mdp(paths, world.db.bin_width, world.db.num_bins)
             obs = agent_mod.observe(mdps, cfg.noise.fingerprint_snr_db, world.fp_rng)
             bus.publish(f"agent/{aid}/obs", obs, step=t)
-        except ValueError as exc:
-            raise ValueError(f"step {t} observation phase failed for {aid!r}: {exc}") from exc
 
         # phase 5: state estimation by fingerprint matching
-        try:
+        with _Phase(t, "estimation", aid):
             est, score = loc_mod.localize(obs, world.db)
-        except loc_mod.DatabaseError as exc:
-            raise ValueError(f"step {t} estimation phase failed for {aid!r}: {exc}") from exc
         bus.publish(f"agent/{aid}/estimate", (est, score), step=t)
 
         # phase 6: next control command toward the active waypoint
-        control, progress = agent_mod.waypoint_control(
-            est, rt.heading, rt.spec.waypoints, rt.progress.index, **rt.spec.gains)
-        rt.control = control
-        rt.progress = progress
-        bus.publish(f"agent/{aid}/control", control, step=t)
+        rt.control, rt.index = agent_mod.waypoint_control(
+            est, rt.heading, rt.spec.waypoints, rt.index, **rt.spec.gains)
+        bus.publish(f"agent/{aid}/control", rt.control, step=t)
 
         agent_traces[aid] = AgentTrace(
             true_x=float(pose.position[0]),
@@ -808,11 +776,10 @@ def sim_step(world: World, t: int) -> TraceRecord:
             est_x=float(est[0]),
             est_y=float(est[1]),
             loc_score=score,
-            v_cmd=control.v,
-            w_cmd=control.omega,
+            v_cmd=rt.control.v,
+            w_cmd=rt.control.omega,
         )
 
-    world.finished = all(rt.progress.done for rt in world.agents.values())
     record = TraceRecord(step=t, time_s=t * cfg.dt, agents=agent_traces, rates=rates)
     bus.publish("sim/trace", record, step=t)
     return record
@@ -833,7 +800,7 @@ def run_simulation(config: ScenarioConfig, trace_path=None) -> list:
             record = sim_step(world, t)
             writer.write_record(record)
             records.append(record)
-            if world.finished:
+            if all(rt.index == len(rt.spec.waypoints) for rt in world.agents.values()):
                 break
     return records
 

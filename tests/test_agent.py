@@ -129,15 +129,15 @@ class TestObserve:
 
 class TestWaypointControl:
     def test_at_goal_zero_control(self):
-        ctrl, prog = waypoint_control([1.0, 1.0], 0.0, [[1.0, 1.02]], tol=0.05)
+        ctrl, index = waypoint_control([1.0, 1.0], 0.0, [[1.0, 1.02]], tol=0.05)
         assert (ctrl.v, ctrl.omega) == (0.0, 0.0)
-        assert prog.done
+        assert index == 1   # past the terminal waypoint
 
     def test_goal_straight_ahead(self):
-        ctrl, prog = waypoint_control([0.0, 0.0], 0.0, [[1.0, 0.0]], v_max=0.2)
+        ctrl, index = waypoint_control([0.0, 0.0], 0.0, [[1.0, 0.0]], v_max=0.2)
         assert ctrl.omega == pytest.approx(0.0, abs=1e-12)
         assert ctrl.v == 0.2
-        assert not prog.done
+        assert index == 0
 
     def test_goal_directly_behind(self):
         ctrl, _ = waypoint_control([0.0, 0.0], 0.0, [[-1.0, 0.0]], k_ang=2.0, v_max=0.2, w_max=1.5)
@@ -148,9 +148,8 @@ class TestWaypointControl:
 
     def test_reached_waypoints_are_skipped(self):
         wps = [[0.0, 0.01], [0.5, 0.0], [1.0, 0.0]]
-        ctrl, prog = waypoint_control([0.0, 0.0], 0.0, wps, index=0, tol=0.05)
-        assert prog.index == 1
-        assert not prog.done
+        ctrl, index = waypoint_control([0.0, 0.0], 0.0, wps, index=0, tol=0.05)
+        assert index == 1
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -155,8 +155,8 @@ def test_run_call_counts_per_step(tiny_scenario, chain_builds, receiver_builds, 
     cmac = 0
     for paths in paths_per_step:
         for (v, q), n_paths in paths.items():
-            alloc = world.allocation.users[q]
-            cmac += (n_paths * len(alloc.subcarriers) * len(alloc.symbols)
+            plan = world.rate_plan[(v, q)]
+            cmac += (n_paths * len(plan.subcarriers) * len(plan.symbols)
                      * world.graph.nodes[v].array.num_elements)
     assert cmac > 0
     assert tracer.counts["channel.cmac"] == cmac

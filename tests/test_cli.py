@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isactwin
@@ -16,7 +17,7 @@ from isactwin.cli import _BLAS_THREADS, main
 from isactwin.localization import compute_mdp, load_db, save_db
 from isactwin.raytrace import Pose, trace_paths
 from isactwin.scene import load_scene
-from isactwin.simcore import ScenarioConfig, build_db_for_scenario, run_simulation
+from isactwin.simcore import ScenarioConfig, build_db_for_scenario, read_trace_csv, run_simulation
 
 
 @pytest.fixture
@@ -61,9 +62,10 @@ class TestValidate:
         plans = []
         monkeypatch.setattr(raytrace, "_plan_for", lambda *args: plans.append(args))
         path = shipped_copy(tmp_path, edit)
-        assert main(["validate", path]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {message}; at most 1000000 are allowed\n"
+        for command in ("validate", "build-db"):
+            assert main([command, path]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {message}; at most 1000000 are allowed\n"
         assert plans == []
         assert main(["validate", shipped_copy(tmp_path, lambda d: None)]) == 0
         assert plans == []   # validate builds no plan, of the shipped order 3 either
@@ -117,6 +119,17 @@ class TestBuildDb:
         assert dropped > 0
         assert int(match.group(1)) == dropped
 
+
+    def test_scenario_without_build_instructions_is_one_error_line(self, scenario, tiny_scenario, capsys):
+        # a path-only scenario runs on its database file, but build-db has nothing to build it from
+        assert main(["build-db", scenario]) == 0
+        doc = json.loads(tiny_scenario.read_text())
+        del doc["db"]["build"]
+        tiny_scenario.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", scenario]) == 0
+        assert main(["build-db", scenario]) == 1
+        assert capsys.readouterr().err == "error: scenario has no db.build instructions\n"
 
     def test_carrier_without_a_finite_wavelength_is_one_error_line(self, tmp_path, capsys):
         # 299792458 / 1e-300 overflows to an infinite wavelength, which once gave NaN bins
@@ -227,6 +240,41 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "error: step 0 raytrace phase failed: coincident endpoints\n"
 
+    def test_stale_database_is_refused_before_a_trace_is_written(self, scenario, tiny_scenario, capsys):
+        # the stored grid is no longer the one db.build gives
+        assert main(["build-db", scenario]) == 0
+        doc = json.loads(tiny_scenario.read_text())
+        doc["db"]["build"]["roi_m"][0] = 0.2
+        tiny_scenario.write_text(json.dumps(doc))
+        capsys.readouterr()
+        trace = tiny_scenario.parent / "t.csv"
+        assert main(["run", scenario, "--max-steps", "2", "--out", str(trace)]) == 1
+        assert capsys.readouterr().err == (f"error: database {tiny_scenario.parent / 'artifacts' / 'tiny.fpdb'} "
+                                           "was built with different db.build settings (spacing, bins, ROI "
+                                           "or height); rebuild it\n")
+        assert not trace.exists()
+
+    def test_a_scene_with_an_occluder_builds_and_runs(self, tmp_path, capsys):
+        # a free-standing panel is not a wall, so every trace runs the occlusion pass, which no
+        # benchmark workload does; build-db writes the scenario's database and run loads it
+        scene = json.loads(json.dumps(TINY_SCENE))
+        scene["surfaces"].append({"vertices": [[1.0, 0.3, 0.05], [1.0, 0.5, 0.05], [1.0, 0.5, 0.45],
+                                               [1.0, 0.3, 0.45]], "material": "metal"})
+        assert load_scene(scene).walls.mask.tolist() == [True] * 6 + [False]
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(scene))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(tiny_scenario_doc()))
+        assert main(["validate", str(path)]) == 0
+        assert main(["build-db", str(path)]) == 0
+        trace = tmp_path / "t.csv"
+        assert main(["run", str(path), "--max-steps", "5", "--out", str(trace)]) == 0
+        assert [r.step for r in read_trace_csv(trace)] == list(range(5))
+        panel_db = load_db(tmp_path / "artifacts" / "tiny.fpdb")
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(TINY_SCENE))
+        config = ScenarioConfig.from_file(path)
+        db, _ = build_db_for_scenario(dataclasses.replace(config, db=dataclasses.replace(config.db, path=None)))
+        assert not np.array_equal(panel_db.bins, db.bins)   # the panel reflects and shadows
+
     def test_mistyped_database_header_is_one_error_line(self, scenario, tiny_scenario, capsys):
         assert main(["build-db", scenario]) == 0
         db_path = tiny_scenario.parent / "artifacts" / "tiny.fpdb"
@@ -282,6 +330,12 @@ class TestEval:
         assert main(["eval", str(cut), "--out", str(tmp_path / "summary.json")]) == 0
         assert json.loads((tmp_path / "summary.json").read_text())["steps"] == 2
 
+    def test_trace_with_foreign_columns_is_one_error_line(self, tmp_path, capsys):
+        trace = tmp_path / "other.csv"
+        trace.write_text("step,time_s,robot,x\n0,0.0,robot,1.0\n")
+        assert main(["eval", str(trace)]) == 1
+        assert capsys.readouterr().err == f"error: {trace}: unexpected trace columns\n"
+
     def test_eval_missing_trace(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "none.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -325,9 +379,9 @@ class TestBlasThreads:
         assert fresh_python("import sys, isactwin; print('numpy' in sys.modules)") == "False\n"
 
     def test_star_import_gives_every_exported_name(self):
-        names = ["ArrayConfig", "Bus", "Control", "FingerprintDB", "Material", "Mdp", "NetworkGraph",
-                 "OfdmParams", "PathSet", "Pose", "PropagationPath", "ResourceAllocation", "Scene",
-                 "ScenarioConfig", "Surface", "TraceRecord", "TxSignal", "run_simulation", "__version__"]
+        names = ["Control", "OfdmParams", "TxSignal", "FingerprintDB", "Mdp", "ArrayConfig", "NetworkGraph",
+                 "ResourceAllocation", "PathSet", "Pose", "PropagationPath", "Material", "Scene", "Surface",
+                 "Bus", "ScenarioConfig", "TraceRecord", "run_simulation", "__version__"]
         namespace = {}
         exec("from isactwin import *", namespace)
         del namespace["__builtins__"]

@@ -244,6 +244,18 @@ class TestFingerprintDB:
         with pytest.raises(DatabaseError, match=f"^{re.escape(str(p))}: corrupt header: .* at \\.{field}\\b"):
             load_db(p)
 
+    @pytest.mark.parametrize("field,edit,value", [
+        ("n_points", lambda db: dict(positions=db.positions[:0], bins=db.bins[:0]), 0),
+        ("num_bins", lambda db: dict(bins=db.bins[..., :0]), 0),
+        ("ap_ids", lambda db: dict(ap_ids=[], bins=db.bins[:, :0]), []),
+    ], ids=["no-point", "no-bin", "no-ap"])
+    def test_database_that_cannot_localize_is_refused(self, small_db, tmp_path, field, edit, value):
+        # save_db writes such a file, whose size matches its header; localize could not use it
+        p = save_db(dataclasses.replace(small_db[0], **edit(small_db[0])), tmp_path / "db.fpdb")
+        with pytest.raises(DatabaseError, match=f"^{re.escape(str(p))}: corrupt header: has "
+                                                f"{re.escape(repr(value))} at \\.{field}, which must be "):
+            load_db(p)
+
     def test_trailing_bytes_rejected(self, small_db, tmp_path):
         db, _, _ = small_db
         p = save_db(db, tmp_path / "db.fpdb")

@@ -10,7 +10,7 @@ import pytest
 from isactwin import channel, metrics, simcore
 from isactwin.cli import main
 from isactwin.channel import mrt_beamformer, synthesize_channel
-from isactwin.network import ArrayConfig
+from isactwin.network import ArrayConfig, allocate_resources
 from isactwin.localization import DatabaseError, compute_mdp, load_db, localize, save_db
 from isactwin.raytrace import Pose, trace_paths
 from isactwin.scene import load_scene
@@ -209,12 +209,28 @@ class TestScenarioConfig:
          "receiver 'probe' is driven by no agent: a run would ignore it"),
         (lambda doc: doc["network"]["resources"]["users"].append({"id": "robot", "power_w": 1.0}),
          "resources user 'robot' is not a transmitter: a run would ignore it"),
+        (lambda doc: doc["network"]["resources"]["users"].append({"id": "ghost"}),
+         "resources reference unknown node 'ghost'"),
+        (lambda doc: doc["noise"].update(noise_power_w=0.0), "noise.noise_power_w must be > 0"),
+        (lambda doc: doc["noise"].update(state_var=-1e-6), "noise.state_var must be nonnegative"),
+        (lambda doc: doc["raytrace"].update(max_order=-1), "raytrace.max_order must be >= 0"),
+        (lambda doc: doc["network"]["edges"].append(["ap_a", "ghost"]),
+         "network invalid: edge references unknown node 'ghost'"),
+        (lambda doc: (doc.update(agents=[]), doc["network"]["nodes"].pop(2), doc["network"].update(edges=[])),
+         "no agents configured"),
+        (lambda doc: doc["agents"][0].update(path=[]), "agent 'robot' has an empty path"),
+        (lambda doc: doc.update(db={}), "db section needs a path or build instructions"),
+        (lambda doc: doc["db"].pop("build"),
+         "database file not found and no build instructions: <dir>/artifacts/tiny.fpdb"),
     ], ids=["role-case", "link-end-without-array", "transmitter-without-pose",
             "transmitter-outside-bounds", "zero-carrier",
             "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position",
             "four-number-node-position", "list-as-edge-end", "three-node-edge", "id-as-edge",
             "one-number-circle-center", "negative-seed", "fractional-seed", "boolean-seed",
-            "empty-db-path", "empty-trace-path", "receiver-without-agent", "resources-of-a-receiver"])
+            "empty-db-path", "empty-trace-path", "receiver-without-agent", "resources-of-a-receiver",
+            "resources-of-an-unknown-node", "zero-noise-power", "negative-state-var", "negative-max-order",
+            "edge-to-an-unknown-node", "no-agents", "empty-path", "db-without-path-or-build",
+            "missing-database-without-build"])
     def test_scenario_that_would_fail_in_run_rejected(self, tmp_path, capsys, edit, message):
         # validate, build-db and run all set up through validate_scenario
         doc = tiny_scenario_doc()
@@ -413,7 +429,10 @@ class TestScenarioConfig:
          "db.build.spacing_m 0.1 gives a floor grid of 1.1e+302 points over the scene bounds; "
          "at most 1000000 are allowed"),
         (_agent_is_the_only_transmitter, "no static transmitter nodes to fingerprint"),
-    ], ids=["bounds-out-to-1e300", "no-static-ap"])
+        # its Newell norm overflows, with no warning: the surface gets no plane, and the bounds check reports it
+        (lambda doc, scene: scene["surfaces"][0]["vertices"][0].__setitem__(0, 1e300),
+         "scene invalid: surface#0: vertices outside scene bounds"),
+    ], ids=["bounds-out-to-1e300", "no-static-ap", "vertex-out-at-1e300"])
     def test_scenes_and_networks_that_build_db_refuses_rejected(self, tmp_path, capsys, edit, message):
         doc, scene = tiny_scenario_doc(), _tiny_scene()
         edit(doc, scene)
@@ -556,6 +575,25 @@ class TestSimulationLoop:
         step, x = int(failed.group(1)), float(failed.group(2).split(",")[0])
         assert step > 0 and x > 1.2
         assert [r.step for r in read_trace_csv(out)] == list(range(step))
+
+    @pytest.mark.parametrize("target,message", [
+        ("isactwin.agent.step_state", "step 0 state phase failed for 'robot': boom"),
+        ("isactwin.simcore.trace_paths", "step 0 raytrace phase failed: boom"),
+        ("isactwin.simcore.beamformed_gains", "step 0 signal phase failed: boom"),
+        ("isactwin.agent.observe", "step 0 observation phase failed for 'robot': boom"),
+        ("isactwin.localization.localize", "step 0 estimation phase failed for 'robot': boom"),
+    ], ids=["state", "raytrace", "signal", "observation", "estimation"])
+    def test_a_failing_phase_names_its_step_and_phase(self, tiny_scenario, tmp_path, capsys, monkeypatch,
+                                                      target, message):
+        # any ValueError inside a phase, not only the error types its callees document, names the step
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(target, boom)
+        out = tmp_path / "t.csv"
+        assert main(["run", str(tiny_scenario), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read_trace_csv(out) == []
 
     def test_phase_ordering_on_bus(self, tmp_path):
         # a "*" subscriber sees each step's 9 messages in phase order, and observes without steering
@@ -786,7 +824,7 @@ class TestSetUpOnce:
                    *config.nodes[1:]))
         world = init_world(config)
         assert len(loads) == 2
-        assert set(world.allocation.users) == {"ap_a"}
+        assert world.rate_plan[("robot", "ap_b")] is None and world.rate_plan[("robot", "ap_a")] is not None
         # the graph validation built holds handed_over; only a rebuilt one holds its replacement
         assert world.graph.nodes["ap_a"] is config.nodes[0]
 
@@ -982,7 +1020,7 @@ class TestInterference:
         cfg = world.config
         rx = world.graph.nodes["robot"].array
         arrays = {q: world.graph.nodes[q].array for _, q in paths}
-        allocs = {q: world.allocation.users[q] for _, q in paths}
+        allocs = allocate_resources(cfg.requests, cfg.ofdm.n_subcarriers, cfg.ofdm.n_symbols).users
         beams = {}
         for (_, q), ps in paths.items():
             subs, syms = sorted(allocs[q].subcarriers), sorted(allocs[q].symbols)
