@@ -264,7 +264,9 @@ def mrt_beamformer(h: np.ndarray) -> np.ndarray:
     """Unit-norm beamformer maximizing ||H w||: the dominant right singular direction.
 
     Phase convention: the first nonzero entry is made real positive, so the
-    result is deterministic.
+    result is deterministic. A nonzero one-column channel (one transmit
+    antenna) gives exactly [1+0j], so sim_step's phase 3 uses [1] for a
+    one-element transmitter without the channel or the SVD.
     """
     h = np.asarray(h, dtype=complex)
     if not np.any(np.abs(h) > 0.0):

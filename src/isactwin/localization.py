@@ -31,6 +31,11 @@ _VERSION = 2
 # the header's schema, in the shapes of scene.read_document
 _DB_HEADER = {"version": int, "scene_hash": str, "network_hash": str, "spacing_m": float,
               "bin_width_s": float, "num_bins": int, "ap_ids": [str], "n_points": int}
+# the header values localize can use, which save_db and load_db both hold to: (key, test, rule);
+# build_fingerprint_db makes no database without a point, a bin or an AP
+_HEADER_RULES = (("n_points", lambda n: n >= 1, ">= 1"), ("num_bins", lambda n: n >= 1, ">= 1"),
+                 ("ap_ids", lambda ids: len(ids) > 0, "a non-empty list"),
+                 ("spacing_m", lambda x: x > 0, "> 0"), ("bin_width_s", lambda x: x > 0, "> 0"))
 
 # grid points whose receiver entries build_fingerprint_db builds in one batch; one chunk's entries,
 # about 430 KB on the shipped grid at reflection order 3, are alive at a time
@@ -219,9 +224,8 @@ def add_fingerprint_noise(mdp: Mdp, snr_db: float, rng: np.random.Generator) -> 
 
 
 def save_db(db: FingerprintDB, path) -> Path:
-    """Write the database file; refuses non-finite bins."""
+    """Write the database file; refuses, writing nothing, a header load_db would refuse and non-finite bins."""
     path = Path(path)
-    _finite(db, f"{path}: not written")
     header = {
         "version": _VERSION,
         "scene_hash": db.scene_hash,
@@ -232,6 +236,8 @@ def save_db(db: FingerprintDB, path) -> Path:
         "ap_ids": list(db.ap_ids),
         "n_points": int(len(db.positions)),
     }
+    _check_header(header, f"{path}: not written")
+    _finite(db, f"{path}: not written")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as f:
@@ -269,12 +275,7 @@ def load_db(path) -> FingerprintDB:
     n_points, num_bins, ap_ids = header["n_points"], header["num_bins"], header["ap_ids"]
     spacing, bin_width = header["spacing_m"], header["bin_width_s"]
     scene_hash, network_hash = header["scene_hash"], header["network_hash"]
-    # build_fingerprint_db writes no database without a point, a bin or an AP, and localize needs all three
-    for key, ok, rule in (("n_points", n_points >= 1, ">= 1"), ("num_bins", num_bins >= 1, ">= 1"),
-                          ("ap_ids", ap_ids != [], "a non-empty list"),
-                          ("spacing_m", spacing > 0, "> 0"), ("bin_width_s", bin_width > 0, "> 0")):
-        if not ok:
-            raise DatabaseError(f"{path}: corrupt header: has {header[key]!r} at .{key}, which must be {rule}")
+    _check_header(header, f"{path}: corrupt header")
     expected = off + 8 * n_points * (3 + len(ap_ids) * num_bins)
     if len(raw) != expected:
         raise DatabaseError(
@@ -288,6 +289,13 @@ def load_db(path) -> FingerprintDB:
     return _finite(FingerprintDB(positions=positions.copy(), spacing=spacing, ap_ids=ap_ids, bins=bins.copy(),
                                  bin_width=bin_width, scene_hash=scene_hash, network_hash=network_hash),
                    f"{path}: not loaded")
+
+
+def _check_header(header: dict, refusal: str):
+    """Refuse, with a DatabaseError, the first header value that breaks _HEADER_RULES."""
+    for key, ok, rule in _HEADER_RULES:
+        if not ok(header[key]):
+            raise DatabaseError(f"{refusal}: has {header[key]!r} at .{key}, which must be {rule}")
 
 
 def _finite(db: FingerprintDB, refusal: str) -> FingerprintDB:

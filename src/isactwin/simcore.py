@@ -191,8 +191,8 @@ class ScenarioConfig:
     max_order: int
     db: DbSpec
     trace_csv: Path
-    # (scene file bytes, scene, graph, allocation, db.build grid) of a problem-free validate_scenario,
-    # for _world_parts
+    # (scene file bytes, db file key, scene, graph, allocation, db.build grid, database) of a
+    # problem-free validate_scenario, for _world_parts; the key and database are None unless path-only
     _validated_parts: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -348,10 +348,10 @@ def _misplaced(scene, position) -> str | None:
 def validate_scenario(config: ScenarioConfig) -> list:
     """Total validation pass; returns human-readable violation strings.
 
-    When it finds no problem, the scene, network graph, resource allocation
-    and db.build grid (None without db.build) it built on the way are kept on
-    the config, so that the next init_world or build_db_for_scenario of it
-    need not build them again.
+    When it finds no problem, the scene, network graph, resource allocation,
+    db.build grid (None without db.build) and a path-only scenario's database
+    it built or loaded on the way are kept on the config, so that the next
+    init_world or build_db_for_scenario of it need not build them again.
     """
     problems = []
     if config.dt <= 0.0:
@@ -367,7 +367,7 @@ def validate_scenario(config: ScenarioConfig) -> list:
     if config.max_order < 0:
         problems.append("raytrace.max_order must be >= 0")
 
-    scene = graph = allocation = scene_bytes = grid = None
+    scene = graph = allocation = scene_bytes = grid = db = db_key = None
     if not config.scene_path.is_file():
         problems.append(f"scene file not found: {config.scene_path}")
     else:
@@ -419,7 +419,12 @@ def validate_scenario(config: ScenarioConfig) -> list:
 
     if not config.agents:
         problems.append("no agents configured")
-    for spec in config.agents:
+    for i, spec in enumerate(config.agents):
+        for key, kwarg in _CONTROLLER_KEYS.items():
+            # a negative k_ang, v_max or w_max turns waypoint_control's command around; no waypoint lies
+            # within a negative waypoint_tol_m
+            if spec.gains.get(kwarg, 0.0) < 0.0:
+                problems.append(f"agents[{i}].controller.{key} must be >= 0, got {spec.gains[kwarg]}")
         if "_" in spec.id:
             # trace columns are rate_<agent>_<transmitter>, split at the first "_"
             problems.append(f"agent id {spec.id!r} must not contain '_'")
@@ -438,6 +443,15 @@ def validate_scenario(config: ScenarioConfig) -> list:
     if config.db.path is not None and not config.db.path.exists() and config.db.build is None:
         problems.append(f"database file not found and no build instructions: {config.db.path}")
     build = config.db.build
+    if (build is None and config.db.path is not None and config.db.path.is_file() and scene is not None
+            and graph is not None):
+        # a path-only scenario runs on its file, so what ensure_db would refuse at set-up is refused here.
+        # With db.build the file is not opened: build-db validates through here and overwrites a stale one.
+        db_key = _file_key(config.db.path)   # before the load: a rewrite makes init_world load again
+        try:
+            db = ensure_db(config, scene, graph, None)
+        except loc_mod.DatabaseError as exc:
+            problems.append(str(exc))
     if build is not None:
         if build.bin_width <= 0.0 or build.num_bins < 1:
             problems.append("db.build needs bin_width_s > 0 and num_bins >= 1")
@@ -455,22 +469,35 @@ def validate_scenario(config: ScenarioConfig) -> list:
                                     f"a wall of the scene ({behind.sum()} of its {len(grid)} points are)")
 
     if not problems:
-        object.__setattr__(config, "_validated_parts", (scene_bytes, scene, graph, allocation, grid))
+        object.__setattr__(config, "_validated_parts", (scene_bytes, db_key, scene, graph, allocation, grid, db))
     return problems
 
 
+def _file_key(path: Path) -> tuple | None:
+    """A file's inode, size and modification time, which a rewrite changes; None if it is gone."""
+    try:
+        st = path.stat()
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def _world_parts(config: ScenarioConfig) -> tuple:
-    """(scene, graph, allocation, grid) of a valid config: the parts validate_scenario
-    handed over if the scene file's bytes are unchanged since, else those of a
-    new validate_scenario, whose problems are raised as one ConfigError."""
+    """(scene, graph, allocation, grid, db) of a valid config: the parts validate_scenario
+    handed over if the scene file's bytes and a path-only database file's key are
+    unchanged since, else those of a new validate_scenario, whose problems are
+    raised as one ConfigError. db is None unless the scenario is path-only. It was
+    checked against the handed-over scene and network, so a rewrite that keeps the
+    key still runs on a database that matches them: a stat suffices, not the bytes."""
     handed = config._validated_parts
-    if handed is None or handed[0] != config.scene_path.read_bytes():
+    if (handed is None or handed[0] != config.scene_path.read_bytes()
+            or (handed[1] is not None and handed[1] != _file_key(config.db.path))):
         problems = validate_scenario(config)
         if problems:
             raise ConfigError("; ".join(problems))
         handed = config._validated_parts
     object.__setattr__(config, "_validated_parts", None)   # the hand-over is used once
-    return handed[1:]
+    return handed[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +555,7 @@ def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
 
 def build_db_for_scenario(config: ScenarioConfig):
     """Build the fingerprint database of a valid scenario, saved to db.path if set; returns (db, db.path)."""
-    scene, graph, _, grid = _world_parts(config)
+    scene, graph, _, grid, _ = _world_parts(config)
     return _build_db(config, scene, graph, grid), config.db.path
 
 
@@ -552,7 +579,8 @@ def ensure_db(config: ScenarioConfig, scene, graph, grid) -> loc_mod.Fingerprint
     """Load the scenario database, or build it if absent. A file is stale when its scene or
     network stamp differs from the scenario's (an empty one matches none) or, with db.build,
     when its bin width, bin count or positions differ from db.build's. grid is db.build's
-    _db_grid, as validate_scenario built it; None without db.build."""
+    _db_grid, as validate_scenario built it; None without db.build. validate_scenario runs it
+    on a path-only scenario's file and hands the database on to init_world."""
     path = config.db.path
     if path is None or not path.is_file():
         return _build_db(config, scene, graph, grid)
@@ -642,8 +670,9 @@ def _rate_plan(links: list, allocation) -> dict:
 
 
 def init_world(config: ScenarioConfig) -> World:
-    scene, graph, allocation, grid = _world_parts(config)
-    db = ensure_db(config, scene, graph, grid)
+    scene, graph, allocation, grid, db = _world_parts(config)
+    if db is None:
+        db = ensure_db(config, scene, graph, grid)
     agents = {}
     for idx, spec in enumerate(sorted(config.agents, key=lambda a: a.id)):
         agents[spec.id] = _AgentRuntime(
@@ -665,6 +694,11 @@ def init_world(config: ScenarioConfig) -> World:
         links=links,
         rate_plan=_rate_plan(links, allocation),
     )
+
+
+# the MRT beamformer of every one-element transmitter, read-only
+_SINGLE_ANTENNA_MRT = np.ones(1, dtype=complex)
+_SINGLE_ANTENNA_MRT.flags.writeable = False
 
 
 class _Phase:
@@ -715,6 +749,8 @@ def sim_step(world: World, t: int) -> TraceRecord:
     # on its own cells, then its rate with the other links' received power on
     # the cells they share with it as interference; the plan holds those cells.
     # The beamformer and the gains share the step's steering of the link's paths.
+    # A one-element transmitter's MRT beamformer is [1] (mrt_beamformer), so its
+    # link synthesizes no channel and takes no SVD.
     received = {}
     rates = {}
     with _Phase(t, "signal"):
@@ -723,7 +759,8 @@ def sim_step(world: World, t: int) -> TraceRecord:
             if plan is None or len(paths) == 0:
                 continue
             tx_array, rx_array = world.graph.nodes[q].array, world.graph.nodes[v].array
-            w = mrt_beamformer(synthesize_channel(paths, tx_array, rx_array, *plan.rep, cfg.ofdm))
+            w = _SINGLE_ANTENNA_MRT if tx_array.num_elements == 1 else mrt_beamformer(
+                synthesize_channel(paths, tx_array, rx_array, *plan.rep, cfg.ofdm))
             received[(v, q)] = plan.power * beamformed_gains(
                 paths, tx_array, rx_array, w, cfg.ofdm, plan.subcarriers, plan.symbols)
         for (v, q), plan in world.rate_plan.items():

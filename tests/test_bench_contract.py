@@ -147,6 +147,9 @@ def test_run_call_counts_per_step(tiny_scenario, chain_builds, receiver_builds, 
     assert tracer.calls("simcore.sim_step") == steps
     assert tracer.calls("raytrace.trace_paths") == traces_per_step * steps
     assert tracer.calls("channel.beamformed_gains") == 2 * steps
+    # ap_b has one element, whose MRT beamformer is [1]: only ap_a's link synthesizes a channel and takes its SVD
+    assert tracer.calls("channel.synthesize_channel") == steps
+    assert tracer.calls("channel.mrt_beamformer") == steps
     assert tracer.calls("localization.localize") == steps
     assert tracer.calls("localization.build_fingerprint_db") == 0
     # L * N * K * N_R per link and step over the link's own grid, with L from an

@@ -23,7 +23,7 @@ from isactwin.channel import (
 )
 from isactwin.network import ArrayConfig
 from isactwin.raytrace import GAIN_PRUNE_THRESHOLD, SPEED_OF_LIGHT as C, PathSet, Pose, PropagationPath
-from isactwin.simcore import ScenarioConfig, run_simulation
+from isactwin.simcore import _SINGLE_ANTENNA_MRT, ScenarioConfig, run_simulation
 import channel_oracle
 
 
@@ -454,6 +454,16 @@ class TestMrtBeamformer:
     def test_zero_channel_rejected(self):
         with pytest.raises(ValueError, match="zero channel"):
             mrt_beamformer(np.zeros((2, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.just(0j) | st.builds(lambda exponent, phase: 10.0 ** exponent * cmath.exp(1j * phase),
+                                            st.floats(-150.0, 150.0), st.floats(0.0, 2.0 * math.pi)),
+                    min_size=1, max_size=8).filter(any))
+    def test_one_transmit_antenna_gives_exactly_one(self, column):
+        # sim_step's phase 3 uses its constant for a one-element transmitter in place of this SVD
+        w = mrt_beamformer(np.array(column).reshape(-1, 1))
+        assert w.dtype == _SINGLE_ANTENNA_MRT.dtype
+        assert w.tobytes() == _SINGLE_ANTENNA_MRT.tobytes() == np.array([1 + 0j]).tobytes()
 
 
 def eq3_oracle(ps, tx_array, rx_array, n, k, p):

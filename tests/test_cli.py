@@ -41,6 +41,25 @@ class TestValidate:
             assert err.startswith("error:")
             assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda header: {**header, "n_points": 0}, "<db>: corrupt header: has 0 at .n_points, which must be >= 1"),
+        (lambda header: {**header, "scene_hash": ""}, "database <db> was built for a different scene"),
+        (lambda header: {**header, "network_hash": ""}, "database <db> was built for a different network setup"),
+    ], ids=["zero-points", "scene-stamp", "network-stamp"])
+    def test_path_only_database_that_run_refuses_is_one_error_line(self, scenario, tiny_scenario, capsys,
+                                                                   edit, message):
+        # a scenario without db.build runs on its file, so validate opens it as run's set-up would
+        assert main(["build-db", scenario]) == 0
+        doc = json.loads(tiny_scenario.read_text())
+        del doc["db"]["build"]
+        tiny_scenario.write_text(json.dumps(doc))
+        db_path = tiny_scenario.parent / "artifacts" / "tiny.fpdb"
+        rewrite_db_header(db_path, edit)
+        capsys.readouterr()
+        for command in ("validate", "run"):
+            assert main([command, scenario]) == 1
+            assert capsys.readouterr().err == f"error: {message.replace('<db>', str(db_path))}\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "gone.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -248,12 +250,24 @@ class TestFingerprintDB:
         ("n_points", lambda db: dict(positions=db.positions[:0], bins=db.bins[:0]), 0),
         ("num_bins", lambda db: dict(bins=db.bins[..., :0]), 0),
         ("ap_ids", lambda db: dict(ap_ids=[], bins=db.bins[:, :0]), []),
-    ], ids=["no-point", "no-bin", "no-ap"])
+        ("spacing_m", lambda db: dict(spacing=0.0), 0.0),
+        ("bin_width_s", lambda db: dict(bin_width=-5e-10), -5e-10),
+    ], ids=["no-point", "no-bin", "no-ap", "zero-spacing", "negative-bin-width"])
     def test_database_that_cannot_localize_is_refused(self, small_db, tmp_path, field, edit, value):
-        # save_db writes such a file, whose size matches its header; localize could not use it
-        p = save_db(dataclasses.replace(small_db[0], **edit(small_db[0])), tmp_path / "db.fpdb")
-        with pytest.raises(DatabaseError, match=f"^{re.escape(str(p))}: corrupt header: has "
-                                                f"{re.escape(repr(value))} at \\.{field}, which must be "):
+        # localize could not use such a database: save_db writes no file of it, and load_db refuses
+        # the file written byte by byte in save_db's format, whose size matches its header
+        db = dataclasses.replace(small_db[0], **edit(small_db[0]))
+        p = tmp_path / "db.fpdb"
+        rule = f"has {re.escape(repr(value))} at \\.{field}, which must be "
+        with pytest.raises(DatabaseError, match=f"^{re.escape(str(p))}: not written: {rule}"):
+            save_db(db, p)
+        assert not p.exists()
+        header = json.dumps({"version": 2, "scene_hash": "s", "network_hash": "n", "spacing_m": db.spacing,
+                             "bin_width_s": db.bin_width, "num_bins": db.num_bins, "ap_ids": db.ap_ids,
+                             "n_points": len(db.positions)}).encode()
+        p.write_bytes(b"ITFPDB01" + struct.pack("<I", len(header)) + header
+                      + db.positions.astype("<f8").tobytes() + db.bins.astype("<f8").tobytes())
+        with pytest.raises(DatabaseError, match=f"^{re.escape(str(p))}: corrupt header: {rule}"):
             load_db(p)
 
     def test_trailing_bytes_rejected(self, small_db, tmp_path):

@@ -219,6 +219,15 @@ class TestScenarioConfig:
         (lambda doc: (doc.update(agents=[]), doc["network"]["nodes"].pop(2), doc["network"].update(edges=[])),
          "no agents configured"),
         (lambda doc: doc["agents"][0].update(path=[]), "agent 'robot' has an empty path"),
+        # a negative gain or limit turns the command around, and a negative radius reaches no waypoint
+        (lambda doc: doc["agents"][0]["controller"].update(k_ang=-2.0),
+         "agents[0].controller.k_ang must be >= 0, got -2.0"),
+        (lambda doc: doc["agents"][0]["controller"].update(v_max=-0.08),
+         "agents[0].controller.v_max must be >= 0, got -0.08"),
+        (lambda doc: doc["agents"][0]["controller"].update(w_max=-1.5),
+         "agents[0].controller.w_max must be >= 0, got -1.5"),
+        (lambda doc: doc["agents"][0]["controller"].update(waypoint_tol_m=-0.06),
+         "agents[0].controller.waypoint_tol_m must be >= 0, got -0.06"),
         (lambda doc: doc.update(db={}), "db section needs a path or build instructions"),
         (lambda doc: doc["db"].pop("build"),
          "database file not found and no build instructions: <dir>/artifacts/tiny.fpdb"),
@@ -229,7 +238,8 @@ class TestScenarioConfig:
             "one-number-circle-center", "negative-seed", "fractional-seed", "boolean-seed",
             "empty-db-path", "empty-trace-path", "receiver-without-agent", "resources-of-a-receiver",
             "resources-of-an-unknown-node", "zero-noise-power", "negative-state-var", "negative-max-order",
-            "edge-to-an-unknown-node", "no-agents", "empty-path", "db-without-path-or-build",
+            "edge-to-an-unknown-node", "no-agents", "empty-path", "negative-k-ang", "negative-v-max",
+            "negative-w-max", "negative-waypoint-tol", "db-without-path-or-build",
             "missing-database-without-build"])
     def test_scenario_that_would_fail_in_run_rejected(self, tmp_path, capsys, edit, message):
         # validate, build-db and run all set up through validate_scenario
@@ -776,7 +786,8 @@ class TestSimulationLoop:
         assert np.array_equal(world.db.bins, db.bins)
         doc["network"]["nodes"][0]["pose"]["position"] = [0.3, 0.1, 0.7]
         p.write_text(json.dumps(doc))
-        with pytest.raises(DatabaseError, match="different network"):
+        # the file is the run's only database, so validation opens it and refuses it
+        with pytest.raises(ConfigError, match="^database .* was built for a different network setup$"):
             init_world(ScenarioConfig.from_file(p))
 
     def test_invalid_config_rejected_at_run(self, tmp_path):
@@ -791,9 +802,10 @@ class TestSimulationLoop:
 
 class TestSetUpOnce:
     """validate_scenario hands the scene, graph and allocation it built from a
-    valid config to the next init_world of it, unless the scene file changed;
-    init_world then validates again. A changed config is a new object, built
-    with dataclasses.replace, and has nothing handed over."""
+    valid config, and a path-only config's database, to the next init_world of
+    it, unless the scene file or that database file changed; init_world then
+    validates again. A changed config is a new object, built with
+    dataclasses.replace, and has nothing handed over."""
 
     @pytest.fixture
     def config(self, tiny_scenario, monkeypatch):
@@ -847,6 +859,30 @@ class TestSetUpOnce:
         after = config.scene_path.stat()
         assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
         with pytest.raises(DatabaseError, match="different scene"):
+            init_world(config)
+        assert len(loads) == 2
+
+    @pytest.fixture
+    def path_only(self, config, monkeypatch):
+        """The config without db.build, on the database the config fixture built, and its db loads."""
+        config, _ = config
+        loads = []
+        load = simcore.loc_mod.load_db
+        monkeypatch.setattr(simcore.loc_mod, "load_db", lambda path: loads.append(path) or load(path))
+        return dataclasses.replace(config, db=dataclasses.replace(config.db, build=None)), loads
+
+    def test_path_only_database_is_loaded_once(self, path_only):
+        config, loads = path_only
+        assert validate_scenario(config) == []
+        world = init_world(config)
+        assert len(loads) == 1
+        assert np.array_equal(world.db.bins, simcore.loc_mod.load_db(config.db.path).bins)
+
+    def test_rewritten_database_file_is_loaded_again(self, path_only):
+        config, loads = path_only
+        assert validate_scenario(config) == []
+        rewrite_db_header(config.db.path, lambda header: {**header, "n_points": 0})
+        with pytest.raises(ConfigError, match=r"corrupt header: has 0 at \.n_points"):
             init_world(config)
         assert len(loads) == 2
 
