@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .raytrace import PathSet, receiver_poses, trace_paths
+from .raytrace import PathSet, Pose, trace_paths
 from .scene import Scene, _bad_field
 
 _MAGIC = b"ITFPDB01"
@@ -36,10 +36,6 @@ _DB_HEADER = {"version": int, "scene_hash": str, "network_hash": str, "spacing_m
 _HEADER_RULES = (("n_points", lambda n: n >= 1, ">= 1"), ("num_bins", lambda n: n >= 1, ">= 1"),
                  ("ap_ids", lambda ids: len(ids) > 0, "a non-empty list"),
                  ("spacing_m", lambda x: x > 0, "> 0"), ("bin_width_s", lambda x: x > 0, "> 0"))
-
-# grid points whose receiver entries build_fingerprint_db builds in one batch; one chunk's entries,
-# about 430 KB on the shipped grid at reflection order 3, are alive at a time
-_CHUNK = 16
 
 
 class DatabaseError(ValueError):
@@ -152,9 +148,8 @@ def build_fingerprint_db(
     aps is a list of (ap_id, Pose) pairs. Deterministic: same inputs, same
     database. Paths whose delay falls past the num_bins * bin_width window
     are dropped; the database's ``overflow`` counts them over the whole grid.
-    The receiver entries of _CHUNK grid points are built in one batch
-    (receiver_poses) before their pairs are traced, each through trace_paths
-    and compute_mdp.
+    Each grid point is one still Pose, traced from every AP through
+    trace_paths and compute_mdp, so its APs share its receiver entry.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1, 3)
     if len(grid) == 0:
@@ -164,14 +159,13 @@ def build_fingerprint_db(
         raise ValueError("no APs")
     bins = np.zeros((len(grid), len(ap_list), num_bins))
     overflow = 0
-    for start in range(0, len(grid), _CHUNK):
-        receivers = receiver_poses(scene, grid[start:start + _CHUNK], max_order)
-        for pi, rx in enumerate(receivers, start):
-            for ai, (ap_id, ap_pose) in enumerate(ap_list):
-                paths = trace_paths(scene, ap_pose, rx, max_order=max_order, carrier_freq=carrier_freq)
-                mdp = compute_mdp(paths, bin_width, num_bins)
-                bins[pi, ai] = mdp.bins
-                overflow += mdp.overflow
+    for pi, point in enumerate(grid):
+        rx = Pose(point)
+        for ai, (ap_id, ap_pose) in enumerate(ap_list):
+            paths = trace_paths(scene, ap_pose, rx, max_order=max_order, carrier_freq=carrier_freq)
+            mdp = compute_mdp(paths, bin_width, num_bins)
+            bins[pi, ai] = mdp.bins
+            overflow += mdp.overflow
     return FingerprintDB(
         positions=grid,
         spacing=spacing,

@@ -1,8 +1,7 @@
 """Image-method multipath solver: the specular paths of reflection order <= K between two Poses.
 
 trace_paths traces one link over its scene's plan for K (_plan_for), in one array pass over
-the plan's candidate table (_unfold), and returns the paths as a PathSet. receiver_poses builds
-the receiver entries of a batch of grid points before the fingerprint database traces them.
+the plan's candidate table (_unfold), and returns the paths as a PathSet.
 
 Conventions:
   * a terminal's direction of a path is the local unit vector pointing from it
@@ -208,7 +207,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     if math.dist(rx.position, tx.position) < 1e-12:
         raise ValueError("coincident endpoints")
     tx_entry = plan.images.get(tx) or plan.images.setdefault(tx, _image_chain(plan, scene.walls, tx.position))
-    rx_entry = plan.receivers.get(rx) or _receivers(plan, scene.walls, [rx])[0]
+    rx_entry = plan.receivers.get(rx) or plan.receivers.setdefault(rx, _receiver(plan, scene.walls, rx.position))
     if tx_entry[0] or rx_entry[0]:
         end, pose = ("tx", tx) if tx_entry[0] else ("rx", rx)
         raise ValueError(f"{end} at {tuple(pose.position.tolist())} is behind a wall of the scene")
@@ -222,14 +221,6 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     rows = rows.take(by_delay)
     amp = np.minimum(amp.take(rows), 1.0)
     return PathSet._traced(tx, rx, carrier_freq, amp, delay.take(by_delay), plan, rows, s, d, dist)
-
-
-def receiver_poses(scene: Scene, points, max_order: int = 2) -> list:
-    """Still Poses at points (R, 3), each with its receiver entry for trace_paths at max_order
-    built: one batch (_receivers) instead of R cache misses, at identical bits."""
-    poses = [Pose(position=point) for point in points]
-    _receivers(_plan_for(scene, max_order), scene.walls, poses)
-    return poses
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +250,8 @@ class _Plan:
 
     As beam tracing reuses a source's work across receivers (Funkhouser et al., SIGGRAPH 1998),
     an end's entry is cached under its read-only Pose: a tx's images (_image_chain), an rx's
-    products and heights (_receivers), and each its wall check.
+    products and heights (_receiver), and each its wall check. An rx entry is one product with
+    planes, every mirrored plane's, mirrored edge plane's and wall's normal as a column.
     """
 
     occluders: _Surfaces      # the usable surfaces that Scene.walls does not name
@@ -272,8 +264,9 @@ class _Plan:
     coeffs: np.ndarray        # (M,) each row's product of reflection coefficients, 1.0 for LoS
     linear: np.ndarray        # (K + 1, M, 3, 3) the maps back to the real frame
     shift: np.ndarray         # (K + 1, M, 3)
+    planes: np.ndarray        # (3, K M + K V M + W) normals, edge_normals and Scene.walls' normals
     images: weakref.WeakKeyDictionary     # tx Pose -> _image_chain's entry, dying with the pose
-    receivers: weakref.WeakKeyDictionary  # rx Pose -> _receivers' entry, dying with the pose
+    receivers: weakref.WeakKeyDictionary  # rx Pose -> _receiver's entry, dying with the pose
 
     def __post_init__(self):
         _set_read_only(self, **vars(self))
@@ -335,12 +328,13 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
         mirrored = o - np.vecdot(n, shift[1:])
         mirrored[seqs < 0] = 1.0
         edge_major = lambda a: np.ascontiguousarray(np.moveaxis(a, 2, 1))   # (K, M, V, ...) -> (K, V, M, ...)
+        n_mirrored, e_mirrored = (n[..., None, :] @ linear[1:])[..., 0, :], edge_major(e @ linear[1:])
         plans[max_order] = plan = _Plan(
             _Surfaces(normals[:-1][occluders], offsets[:-1][occluders], edge_normals[:-1][occluders],
-                      edge_offsets[:-1][occluders]), (seqs >= 0).sum(axis=0), seqs < 0,
-            (n[..., None, :] @ linear[1:])[..., 0, :], mirrored, edge_major(e @ linear[1:]),
-            edge_major(edge_offsets[seqs] - np.vecdot(e, shift[1:, :, None, :])), coeffs[seqs].prod(axis=0),
-            linear, shift, weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary())
+                      edge_offsets[:-1][occluders]), (seqs >= 0).sum(axis=0), seqs < 0, n_mirrored, mirrored,
+            e_mirrored, edge_major(edge_offsets[seqs] - np.vecdot(e, shift[1:, :, None, :])), coeffs[seqs].prod(axis=0),
+            linear, shift, np.concatenate([a.reshape(-1, 3) for a in (n_mirrored, e_mirrored, scene.walls.normals)]).T,
+            weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary())
     return plan
 
 
@@ -361,32 +355,24 @@ def _image_chain(plan: _Plan, walls, tx_point: np.ndarray) -> tuple:
     return bool(walls.behind(tx_point[None])[0]), *_read_only(image, n_dot_image, heights)
 
 
-def _receivers(plan: _Plan, walls, poses) -> list:
-    """The entries of R rx Poses, each stored under its Pose in plan.receivers and returned in order:
-    whether it is behind a wall, and its read-only products q = n' . rx (K, M) with the mirrored
-    planes, the numerators o' - q of its line parameters and its heights h(rx) (K, V, M) over the
-    mirrored edge planes. One stacked (R, 1, 3) x (3, K M) product gives every q, one (R, 1, 3) x
-    (3, K V M) product every height, and one Scene.walls.behind every wall check. A stacked
-    product is one BLAS call per pose, so a pose gets the same bits in any batch; one (R, 3)
-    product does not. An entry's arrays are views of the batch's: they live while one of its
-    Poses does."""
+def _receiver(plan: _Plan, walls, rx_point: np.ndarray) -> tuple:
+    """One rx's entry: whether it is behind a wall, and its read-only products q = n' . rx (K, M)
+    with the mirrored planes, the numerators o' - q of its line parameters and its heights h(rx)
+    (K, V, M) over the mirrored edge planes, all from one product rx . plan.planes. It is one
+    matrix-vector call, which rounds each column as one point's product with that table alone
+    would; a matrix product of many points does not."""
     k, v, m = plan.edge_offsets.shape
-    points = np.array([pose.position for pose in poses])[:, None, :]
-    q = (points @ plan.normals.reshape(k * m, 3).T).reshape(len(poses), k, m)
-    numerator = plan.offsets - q
-    heights = (points @ plan.edge_normals.reshape(k * v * m, 3).T).reshape(len(poses), k, v, m)
+    row = rx_point @ plan.planes
+    q, heights = row[:k * m].reshape(k, m), row[k * m:k * m + k * v * m].reshape(k, v, m)
     heights -= plan.edge_offsets
-    _read_only(q, numerator, heights)
-    entries = list(zip(walls.behind(points[:, 0]).tolist(), q, numerator, heights))
-    plan.receivers.update(zip(poses, entries))
-    return entries
+    return bool((row[k * m + k * v * m:] < walls.offsets).any()), *_read_only(q, plan.offsets - q, heights)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _unfold(plan: _Plan, tx_entry: tuple, rx_entry: tuple, rx_point: np.ndarray, carrier_freq: float):
     """Every row's (K, M) line parameters s, (M, 3) D = I - rx, (M,) |D| and (M,) unclamped
     amplitude, and the (M,) mask of the rows that hold a path unless occluded, from the entries of
-    tx (_image_chain) and rx (_receivers).
+    tx (_image_chain) and rx (_receiver).
 
     A row's path is rx + s D, and bounce i is at s = (o' - q) / (n' . I - q), q = n' . rx. A row
     is kept when it passes three tests, each over the whole table, as Sionna RT treats every

@@ -176,3 +176,14 @@ def _direction_angles(pose: Pose, direction) -> tuple:
 
 def _unit(v):
     return v / np.linalg.norm(v)
+
+
+def receiver_entry(plan, walls, point) -> tuple:
+    """The entry ``trace_paths`` caches for a receiver at point, from two stacked products of its own:
+    whether Walls.behind puts it behind a wall, q = n' . rx (K, M) with the plan's mirrored planes,
+    o' - q, and its heights (K, V, M) over the mirrored edge planes."""
+    k, v, m = plan.edge_offsets.shape
+    stacked = np.asarray(point, dtype=float).reshape(1, 1, 3)
+    q = (stacked @ plan.normals.reshape(k * m, 3).T).reshape(k, m)
+    heights = (stacked @ plan.edge_normals.reshape(k * v * m, 3).T).reshape(k, v, m) - plan.edge_offsets
+    return bool(walls.behind(stacked[0])[0]), q, plan.offsets - q, heights

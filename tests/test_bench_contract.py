@@ -10,8 +10,7 @@ with a map offset) and two ``beamformed_gains`` calls. Its multiply-
 accumulate count reads ``beamformed_gains``' arguments by position, and its
 set-up time assumes the world is set up once per run and per database build.
 Two traces share each receiver's cached products: a grid point's from both
-APs, and per step the agent's pose (and its map-offset copy); the database
-build makes 16 grid points' at once, still one per point. Only link traces
+APs, and per step the agent's pose (and its map-offset copy). Only link traces
 build their paths' gains or directions or take their paths' unfolded lines;
 fingerprint traces bin powers and do none of these. The channel steers from
 the directions, so no trace of a run turns them into angles. The
@@ -77,16 +76,15 @@ def chain_builds(monkeypatch):
 
 @pytest.fixture
 def receiver_builds(monkeypatch):
-    """The receiver entries the tracer builds, one per rx Pose (it caches each under its Pose):
-    trace_paths builds one on a cache miss, receiver_poses a batch of grid points' at once."""
+    """The number of receiver entries the tracer builds (it caches one per rx Pose)."""
     builds = []
-    build = raytrace._receivers
+    build = raytrace._receiver
 
-    def counting(plan, walls, poses):
-        builds.extend([1] * len(poses))
-        return build(plan, walls, poses)
+    def counting(*args):
+        builds.append(1)
+        return build(*args)
 
-    monkeypatch.setattr(raytrace, "_receivers", counting)
+    monkeypatch.setattr(raytrace, "_receiver", counting)
     return builds
 
 

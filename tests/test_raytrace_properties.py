@@ -29,7 +29,7 @@ from isactwin.raytrace import SPEED_OF_LIGHT as C, Pose, trace_paths, wrap_angle
 from isactwin.scene import load_scene
 from isactwin.simcore import ScenarioConfig
 from conftest import box_scene_doc, repo_scenario_dir
-from raytrace_oracle import contains, trace_paths_scalar
+from raytrace_oracle import contains, receiver_entry, trace_paths_scalar
 
 FC = 2.4e9
 
@@ -385,7 +385,7 @@ def occlusion_masks(scene, tx, rx, max_order):
     and over all S surfaces, on the real polylines mapped back from the candidates' unfolded lines."""
     plan = raytrace._plan_for(scene, max_order)
     tx_entry = raytrace._image_chain(plan, scene.walls, tx.position)
-    rx_entry = raytrace._receivers(plan, scene.walls, [rx])[0]
+    rx_entry = raytrace._receiver(plan, scene.walls, rx.position)
     s, d, _, _, keep = raytrace._unfold(plan, tx_entry, rx_entry, rx.position, FC)
     rows = keep.nonzero()[0]
     pts = raytrace._polylines(plan, tx.position, rx.position, rows, s, d)
@@ -484,7 +484,7 @@ class TestReusedTransmitter:
         plan = raytrace._PLANS[scene][3]
         cached = [a for a in [*vars(plan).values(), *plan.occluders, *plan.images[tx], *plan.receivers[rx],
                               *scene.walls] if isinstance(a, np.ndarray)]
-        assert len(cached) == 22
+        assert len(cached) == 23
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -600,31 +600,39 @@ def receiver_batches(draw):
     return scene, tx, points
 
 
-class TestReceiverBatches:
-    """build_fingerprint_db builds 16 grid points' receiver entries in one batch (receiver_poses);
-    trace_paths builds one Pose's on a cache miss. Either way a Pose gets the same entry and the
-    same trace, bit for bit, and an end behind a wall the same refusal, tx first."""
+class TestReceiverEntries:
+    """trace_paths builds an rx Pose's entry (_receiver) from one product with the plan's planes
+    table. Its arrays equal, byte for byte, the two stacked products of the oracle's entry, and
+    its wall flag the oracle's Walls.behind, for every drawn point and for each one moved onto a
+    wall's plane, to within rounding. A trace from either entry gives the same paths, bit for bit,
+    and an end behind a wall the same refusal, tx first."""
 
     @given(receiver_batches(), st.integers(0, 3))
     @example((panel_box(1.0), Pose.at(0.0, 0.0, 1.0), [np.array([0.0, 5e-324, 0.0])]), 0)   # occlusion
     @example((desk_box(), Pose.at(0.0, 0.0, 0.0), [np.array([0.0, 0.8, 5e-324])]), 3)      # leg rule
     @settings(max_examples=60, deadline=None)
-    def test_a_batch_gives_the_entries_and_traces_of_one_pose_at_a_time(self, batch, max_order):
+    def test_entries_match_the_two_product_oracle(self, batch, max_order):
         scene, tx, points = batch
-        plan = raytrace._plan_for(scene, max_order)
-        batched = raytrace.receiver_poses(scene, points, max_order)
-        tx_behind = scene.walls.behind(tx.position[None])[0]
-        for rx, alone in zip(batched, (Pose(p) for p in points)):
-            got, want = (traced_or_refused(scene, tx, end, max_order) for end in (rx, alone))
-            (behind, *arrays), (want_behind, *want_arrays) = plan.receivers[rx], plan.receivers[alone]
-            assert type(behind) is bool and behind == want_behind
-            for a, b in zip(arrays, want_arrays):
+        plan, walls = raytrace._plan_for(scene, max_order), scene.walls
+        tx_behind = walls.behind(tx.position[None])[0]
+        n, o = walls.normals, walls.offsets
+        on_walls = [p - (n[i % len(o)] @ p - o[i % len(o)]) * n[i % len(o)] for i, p in enumerate(points)]
+        for point in points + on_walls:
+            want = receiver_entry(plan, walls, point)
+            behind, *arrays = raytrace._receiver(plan, walls, point)
+            assert type(behind) is bool and behind == want[0]
+            for a, b in zip(arrays, want[1:]):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes() and not a.flags.writeable
-            if tx_behind or behind:
+            rx, seeded = Pose(point), Pose(point)
+            plan.receivers[seeded] = want
+            got, ref = (traced_or_refused(scene, tx, end, max_order) for end in (rx, seeded))
+            if math.dist(point, tx.position) < 1e-12:   # a point moved onto tx's wall plane
+                assert got == ref == "coincident endpoints"
+            elif tx_behind or behind:
                 end, pose = ("tx", tx) if tx_behind else ("rx", rx)
-                assert got == want == f"{end} at {tuple(pose.position.tolist())} is behind a wall of the scene"
+                assert got == ref == f"{end} at {tuple(pose.position.tolist())} is behind a wall of the scene"
             else:
-                same_columns(got, want)
+                same_columns(got, ref)
 
 
 class TestTracedPowers:
