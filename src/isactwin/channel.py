@@ -12,21 +12,17 @@ noise enters the rates as a power. Transmit vectors x = alpha * sqrt(p) * w * d
 are available for one element at a time. Everything here is
 per-resource-element frequency domain; no waveform simulation.
 
-The rate kernels are array code over all L paths of a link at once. The
-steering matrices of a path set are built from its local unit directions, as
-Sionna RT forms array phases (arXiv 2303.11103), once per array pair, and
-shared by synthesize_channel and beamformed_gains while the path set lives
-(_path_responses). They and beamformed_gains' in-block factor are tables
-z ** m, built by doubling (_powers) from one complex exponential per path.
-beamformed_gains' docstring describes how it walks a (sub-carrier, symbol)
-grid in blocks and chunks.
+The rate kernels are array code over all L paths of a link at once. Each
+kernel call steers the path set from its local unit directions, as Sionna RT
+forms array phases (arXiv 2303.11103), and keeps nothing (_path_responses).
+The steering and beamformed_gains' in-block factor are tables z ** m, built
+by doubling (_powers) from one complex exponential per path. beamformed_gains
+walks a sub-carrier grid in the blocks and chunks of its _grid_layout.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,44 +103,44 @@ _CHUNK_BLOCKS = 4
 
 @dataclass(frozen=True, eq=False)
 class _GridLayout:
-    """How beamformed_gains walks one sub-carrier grid; its arrays are read-only."""
+    """How beamformed_gains walks a grid of len() sub-carriers; a rate plan shares it, so its arrays are read-only."""
 
     rows: int            # sub-carriers
     starts: np.ndarray   # (B,) first sub-carrier n0 + 32 h of each distinct block
     chunks: tuple        # (first block, end block, first row, end row, and None for whole
                          #  blocks or (block of each row, offset in its block) for partial ones)
 
+    def __len__(self):
+        return self.rows
 
-@functools.lru_cache(maxsize=32)
-def _grid_layout(dtype: str, data: bytes) -> _GridLayout:
-    """The layout of the sub-carrier indices whose dtype string and bytes are given: checked
-    against beamformed_gains' grid contract and worked out once per grid, since a link's
-    grid does not change between steps. A refused grid raises ValueError."""
-    given = np.frombuffer(data, dtype=dtype)
+
+def _grid_layout(subcarriers) -> _GridLayout:
+    """The layout of a sub-carrier index grid, checked against beamformed_gains' grid
+    contract: integer indices, ascending and distinct. A refused grid raises ValueError."""
+    given = np.asarray(subcarriers)
     idx = given.astype(np.int64)
-    if np.any(idx != given):
+    if (idx != given).any():
         raise ValueError("subcarrier indices must be integers")
-    if np.any(idx[1:] <= idx[:-1]):
+    if (idx[1:] <= idx[:-1]).any():
         raise ValueError("subcarrier indices must be ascending and distinct")
     # the rows ascend, so each block's rows are one slice
     n0 = idx[:1].sum()                                                     # 0 for an empty grid
     hi, lo = np.divmod(idx - n0, _PHASE_BLOCK)
-    opens = np.diff(hi, prepend=hi[:1] - 1) != 0                           # row starts a block
-    row_block = np.cumsum(opens) - 1
-    starts = (n0 + _PHASE_BLOCK * hi[opens]).astype(float)
-    _read_only(lo, row_block, starts)
-    bounds = np.append(np.flatnonzero(opens)[::_CHUNK_BLOCKS], len(idx))
+    opens = hi != np.concatenate((hi[:1] - 1, hi[:-1]))                    # row starts a block
+    starts = _read_only((n0 + _PHASE_BLOCK * hi[opens]).astype(float))[0]
+    bounds = [*np.flatnonzero(opens)[::_CHUNK_BLOCKS].tolist(), len(idx)]
     chunks = []
     for b, s, e in zip(range(0, len(starts), _CHUNK_BLOCKS), bounds[:-1], bounds[1:]):
         b_end = min(b + _CHUNK_BLOCKS, len(starts))
         whole = e - s == (b_end - b) * _PHASE_BLOCK
-        chunks.append((b, b_end, int(s), int(e), None if whole else (row_block[s:e], lo[s:e])))
+        # a chunk's first row opens block b, so its rows' blocks count up from there
+        chunks.append((b, b_end, s, e, None if whole else _read_only(np.cumsum(opens[s:e]) + (b - 1), lo[s:e])))
     return _GridLayout(rows=len(idx), starts=starts, chunks=tuple(chunks))
 
 
 def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig,
                      w: np.ndarray, params: OfdmParams,
-                     subcarriers: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+                     layout: _GridLayout, symbols: np.ndarray) -> np.ndarray:
     """|H_nk w|^2 over a whole (subcarrier, symbol) grid.
 
     The phase exp(j 2 pi (k nu T_s - n tau df)) separates into a sub-carrier
@@ -161,21 +157,16 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
     their (rows, L) table P[h] * Q[m] is built in one buffer, by one
     broadcast product when the rows are whole blocks and row by row when
     they are not, and times the (L, R*K) right-hand side in one BLAS matmul.
-    A grid is checked and its blocks and chunks are worked out on its first
-    call and kept (_grid_layout). No (N, L) sub-carrier table is built: the
-    largest arrays are the (N, R*K) result and the (B, L) table of the B
-    distinct blocks' factors, which has N / 32 rows on a contiguous grid
-    and up to N on a sparse one. Equal to calling synthesize_channel per
-    element up to float accumulation order; the three-operand einsum this
-    replaced is kept as the test oracle in tests/channel_oracle.py.
-    subcarriers must be integer indices, ascending and distinct, as a rate
-    plan holds them; any other grid raises ValueError. Returns an array of
-    shape (len(subcarriers), len(symbols)) whose row i belongs to
-    subcarriers[i].
+    The grid comes as _grid_layout(subcarriers), which a rate plan works out
+    once per link. No (N, L) sub-carrier table is built: the largest arrays
+    are the (N, R*K) result and the (B, L) table of the B distinct blocks'
+    factors, which has N / 32 rows on a contiguous grid and up to N on a
+    sparse one. Equal to calling synthesize_channel per element up to float
+    accumulation order; the three-operand einsum this replaced is kept as the
+    test oracle in tests/channel_oracle.py. Returns an array of shape
+    (len(layout), len(symbols)) whose row i belongs to subcarriers[i].
     """
     _check_frame(paths, params)
-    n = np.asarray(subcarriers)
-    layout = _grid_layout(n.dtype.str, n.tobytes())
     ks = np.asarray(symbols, dtype=float)
     a_r, a_t = _path_responses(paths, tx_array, rx_array, params.carrier_freq)
     c = a_r * (paths.gain * (a_t.T @ np.asarray(w, dtype=complex)))        # (R, L)
@@ -211,22 +202,11 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
     return power
 
 
-# PathSet -> {(tx_array, rx_array, carrier_freq): (a_r, a_t)}, dying with the path set;
-# its columns are read-only, so the steering stays valid while it lives
-_STEERING: "weakref.WeakKeyDictionary[PathSet, dict]" = weakref.WeakKeyDictionary()
-
-
 def _path_responses(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfig, fc: float):
-    """Read-only steering matrices a_R (N_R, L) and a_T (N_T, L) of the paths' arrival and
-    departure directions, computed once per path set and array pair."""
-    memo = _STEERING.setdefault(paths, {})
-    pair = memo.get((tx_array, rx_array, fc))
-    if pair is None:
-        # a unit direction at (az, el) dotted with (-sin b, cos b, 0) is sin(az - b) cos(el), its sine off broadside
-        a_r, a_t = (_steering(array, dirs @ (-math.sin(array.boresight), math.cos(array.boresight), 0.0), fc)
-                    for array, dirs in ((rx_array, paths.aoa_dir), (tx_array, paths.aod_dir)))
-        pair = memo[(tx_array, rx_array, fc)] = _read_only(a_r, a_t)
-    return pair
+    """Steering matrices a_R (N_R, L) and a_T (N_T, L) of the paths' arrival and departure directions."""
+    # a unit direction at (az, el) dotted with (-sin b, cos b, 0) is sin(az - b) cos(el), its sine off broadside
+    return tuple(_steering(array, dirs @ (-math.sin(array.boresight), math.cos(array.boresight), 0.0), fc)
+                 for array, dirs in ((rx_array, paths.aoa_dir), (tx_array, paths.aod_dir)))
 
 
 def _check_frame(paths: PathSet, params: OfdmParams):

@@ -208,13 +208,25 @@ def add_fingerprint_noise(mdp: Mdp, snr_db: float, rng: np.random.Generator) -> 
     SNR, clipped at zero. Empty bins stay empty so the first-nonzero delay
     alignment remains meaningful.
     """
+    snr = snr_power(snr_db)
     occupied = mdp.bins > 0.0
     if not np.any(occupied):
         return Mdp(bins=mdp.bins.copy(), bin_width=mdp.bin_width, overflow=mdp.overflow)
-    sigma = np.sqrt(np.mean(mdp.bins[occupied] ** 2) / 10.0 ** (snr_db / 10.0))
+    sigma = np.sqrt(np.mean(mdp.bins[occupied] ** 2) / snr)
     noisy = mdp.bins.copy()
     noisy[occupied] = np.clip(noisy[occupied] + rng.normal(0.0, sigma, int(occupied.sum())), 0.0, None)
     return Mdp(bins=noisy, bin_width=mdp.bin_width, overflow=mdp.overflow)
+
+
+def snr_power(snr_db: float) -> float:
+    """10 ** (snr_db / 10), an SNR's linear power; ValueError unless it and its inverse are finite positive floats."""
+    try:
+        power = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        power = np.inf
+    if not (0.0 < power < np.inf and 1.0 / power < np.inf):   # NaN fails too
+        raise ValueError(f"an SNR of {snr_db} dB gives a linear power 10 ** (x / 10) out of float range")
+    return power
 
 
 def save_db(db: FingerprintDB, path) -> Path:

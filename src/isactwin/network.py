@@ -30,8 +30,8 @@ class ArrayConfig:
     def __post_init__(self):
         if self.num_elements < 1:
             raise NetworkError(f"num_elements must be >= 1, got {self.num_elements}")
-        if self.spacing <= 0.0:
-            raise NetworkError(f"spacing must be > 0, got {self.spacing}")
+        if not 0.0 < self.spacing < float("inf"):   # an infinite spacing steers to NaN
+            raise NetworkError(f"spacing must be finite and > 0, got {self.spacing}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import agent as agent_mod
 from . import localization as loc_mod
-from .channel import OfdmParams, beamformed_gains, mrt_beamformer, synthesize_channel
+from .channel import OfdmParams, _GridLayout, _grid_layout, beamformed_gains, mrt_beamformer, synthesize_channel
 from .network import (
     ArrayConfig,
     NetworkError,
@@ -227,7 +227,7 @@ class ScenarioConfig:
                 raise ConfigError(f"node {nd['id']!r}: role {nd['role']!r} is not tx, rx or txrx")
             array = arr = nd.get("array")
             if arr is not None:
-                array = ArrayConfig(num_elements=arr["elements"],
+                array = ArrayConfig(num_elements=_counted(arr["elements"], f"node {nd['id']!r}: array.elements"),
                                     spacing=_number(arr, "spacing_wavelengths", 0.5) * ofdm.wavelength,
                                     boresight=math.radians(_number(arr, "boresight_deg", 0.0)))
             pose = _parse_pose(nd["pose"]) if nd.get("pose") is not None else None
@@ -262,7 +262,7 @@ class ScenarioConfig:
             build = DbBuildSpec(
                 spacing=_number(b, "spacing_m", 0.05),
                 bin_width=_number(b, "bin_width_s", 12.5e-9),
-                num_bins=_get(b, "num_bins", 64),
+                num_bins=_counted(_get(b, "num_bins", 64), "db.build.num_bins"),
                 roi=tuple(float(x) for x in b["roi_m"]) if b.get("roi_m") is not None else None,
                 height=_number(b, "height_m", None),
             )
@@ -364,6 +364,11 @@ def validate_scenario(config: ScenarioConfig) -> list:
         problems.append("noise.noise_power_w must be > 0")
     if config.noise.state_var < 0.0:
         problems.append("noise.state_var must be nonnegative")
+    if config.noise.fingerprint_snr_db is not None:
+        try:
+            loc_mod.snr_power(config.noise.fingerprint_snr_db)
+        except ValueError as exc:
+            problems.append(f"noise.fingerprint_snr_db: {exc}")
     if config.max_order < 0:
         problems.append("raytrace.max_order must be >= 0")
 
@@ -438,6 +443,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
     for key, path in (("db.path", config.db.path), ("output.trace_csv", config.trace_csv)):
         if path is not None and path.is_dir():   # "" resolves to the scenario's own directory
             problems.append(f"{key} names a directory, not a file: {path}")
+    if len(ends := [p.absolute() for p in (config.scene_path, config.db.path, config.trace_csv) if p]) > len(set(ends)):
+        problems.append("scene, db.path and output.trace_csv name one file twice: build-db and run would overwrite it")
     if config.db.path is None and config.db.build is None:
         problems.append("db section needs a path or build instructions")
     if config.db.path is not None and not config.db.path.exists() and config.db.build is None:
@@ -522,9 +529,9 @@ def db_signature(config: ScenarioConfig, graph) -> str:
     return json_digest({"aps": aps, "carrier_hz": config.ofdm.carrier_freq, "max_order": config.max_order})
 
 
-# the most entries a document may ask of an array, counted before it is built: a db.build grid,
-# a user's index range, a circle's waypoints, the tracer's candidate table (candidate_count). About
-# 5 000 times the shipped grid's 195 points; at about 0.2 ms per fingerprint, minutes per AP
+# the most entries a document may ask of an array, counted before it is built: a db.build grid, a user's
+# index range, a circle's waypoints, an antenna array, a profile's bins, the tracer's candidate table
+# (candidate_count). About 5 000 times the shipped grid's 195 points; at 0.2 ms per fingerprint, minutes per AP
 MAX_GRID_POINTS = 10**6
 
 
@@ -629,7 +636,7 @@ class World:
 class _LinkPlan:
     """What phase 3 needs of one link that does not change after init_world."""
 
-    subcarriers: np.ndarray   # the transmitter's sub-carriers, sorted
+    layout: _GridLayout       # the grid layout of the transmitter's sub-carriers, sorted
     symbols: np.ndarray       # its symbols, sorted
     rep: tuple                # (n, k) at which the MRT beamformer is computed
     power: float              # the transmitter's uniform_power
@@ -662,7 +669,7 @@ def _rate_plan(links: list, allocation) -> dict:
             _, here_k, there_k = np.intersect1d(syms, grids[qq][1], assume_unique=True, return_indices=True)
             interferers.append((qq, np.ix_(here_n, here_k), np.ix_(there_n, there_k)))
         plan[(v, q)] = _LinkPlan(
-            subcarriers=subs, symbols=syms,
+            layout=_grid_layout(subs), symbols=syms,
             rep=(subs[len(subs) // 2], syms[0]), power=alloc.uniform_power,
             interferers=interferers,
         )
@@ -747,10 +754,9 @@ def sim_step(world: World, t: int) -> TraceRecord:
 
     # phase 3: signal generation: each link's MRT beamformer and received power
     # on its own cells, then its rate with the other links' received power on
-    # the cells they share with it as interference; the plan holds those cells.
-    # The beamformer and the gains share the step's steering of the link's paths.
-    # A one-element transmitter's MRT beamformer is [1] (mrt_beamformer), so its
-    # link synthesizes no channel and takes no SVD.
+    # the cells they share with it as interference; the plan holds those cells
+    # and the grid's layout. A one-element transmitter's MRT beamformer is [1]
+    # (mrt_beamformer), so its link synthesizes no channel and takes no SVD.
     received = {}
     rates = {}
     with _Phase(t, "signal"):
@@ -762,7 +768,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
             w = _SINGLE_ANTENNA_MRT if tx_array.num_elements == 1 else mrt_beamformer(
                 synthesize_channel(paths, tx_array, rx_array, *plan.rep, cfg.ofdm))
             received[(v, q)] = plan.power * beamformed_gains(
-                paths, tx_array, rx_array, w, cfg.ofdm, plan.subcarriers, plan.symbols)
+                paths, tx_array, rx_array, w, cfg.ofdm, plan.layout, plan.symbols)
         for (v, q), plan in world.rate_plan.items():
             rates[(v, q)] = 0.0
             if (v, q) in received:

@@ -157,7 +157,7 @@ def test_run_call_counts_per_step(tiny_scenario, chain_builds, receiver_builds, 
     for paths in paths_per_step:
         for (v, q), n_paths in paths.items():
             plan = world.rate_plan[(v, q)]
-            cmac += (n_paths * len(plan.subcarriers) * len(plan.symbols)
+            cmac += (n_paths * len(plan.layout) * len(plan.symbols)
                      * world.graph.nodes[v].array.num_elements)
     assert cmac > 0
     assert tracer.counts["channel.cmac"] == cmac

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import tracemalloc
 
@@ -23,7 +22,8 @@ from isactwin.channel import (
 )
 from isactwin.network import ArrayConfig
 from isactwin.raytrace import GAIN_PRUNE_THRESHOLD, SPEED_OF_LIGHT as C, PathSet, Pose, PropagationPath
-from isactwin.simcore import _SINGLE_ANTENNA_MRT, ScenarioConfig, run_simulation
+from isactwin import simcore
+from isactwin.simcore import _SINGLE_ANTENNA_MRT, ScenarioConfig
 import channel_oracle
 
 
@@ -210,7 +210,7 @@ class TestBeamformedGains:
         w = mrt_beamformer(synthesize_channel(ps, tx, rx, 1, 1, p))
         subs = np.arange(1, 33)
         syms = np.arange(1, 5)
-        gains = beamformed_gains(ps, tx, rx, w, p, subs, syms)
+        gains = beamformed_gains(ps, tx, rx, w, p, _grid_layout(subs), syms)
         for i, n in enumerate([1, 7, 32]):
             for k in [1, 4]:
                 h = synthesize_channel(ps, tx, rx, n, k, p)
@@ -292,7 +292,7 @@ class TestRateKernelsAgainstOracle:
         w /= np.linalg.norm(w)
         subs, syms = np.array(subs), np.array(syms)
 
-        fast = beamformed_gains(ps, tx, rx, w, p, subs, syms)
+        fast = beamformed_gains(ps, tx, rx, w, p, _grid_layout(subs), syms)
         slow = channel_oracle.beamformed_gains(ps, tx, rx, w, p, subs, syms)
         assert fast.shape == (len(subs), len(syms))
         # a cell is |sum_l b_l (a_T^T w)_l ...|^2 summed over N_R elements of unit-modulus steering:
@@ -312,23 +312,18 @@ class TestRateKernelsAgainstOracle:
         ([7, 7, 100], "ascending and distinct"),
     ], ids=["fractional", "unsorted", "repeated"])
     def test_grid_outside_the_contract_rejected(self, subs, message):
-        ps = make_pathset([(0.1, 1e-8, 0.0, (0.0, 0.0), (0.0, 0.0))])
-        arr = ArrayConfig(1, LAM / 2)
         with pytest.raises(ValueError, match=message):
-            beamformed_gains(ps, arr, arr, np.ones(1), params(), np.array(subs), np.array([1]))
+            _grid_layout(np.array(subs))
 
 
-def test_path_responses_are_kept_per_path_set_and_array_pair():
+def test_path_responses_steer_each_array_along_its_path_directions():
     ps = make_pathset(_EDGE_PATHS)
     pairs = [(ArrayConfig(8, LAM / 2, 0.25), ArrayConfig(2, LAM / 2)),
              (ArrayConfig(4, 0.6 * LAM, -0.4), ArrayConfig(3, LAM / 2, 1.1))]
-    kept = [_path_responses(ps, tx, rx, FC) for tx, rx in pairs]
-    for (tx, rx), (a_r, a_t) in zip(pairs, kept):
-        again = _path_responses(ps, tx, rx, FC)
-        assert again[0] is a_r and again[1] is a_t
+    for tx, rx in pairs:
+        a_r, a_t = _path_responses(ps, tx, rx, FC)
         np.testing.assert_array_equal(a_r, _steering(rx, broadside_sines(rx, ps.aoa_dir), FC))
         np.testing.assert_array_equal(a_t, _steering(tx, broadside_sines(tx, ps.aod_dir), FC))
-        assert not a_r.flags.writeable and not a_t.flags.writeable
 
 
 def test_beamformed_gains_builds_no_subcarrier_by_path_table():
@@ -347,12 +342,12 @@ def test_beamformed_gains_builds_no_subcarrier_by_path_table():
     p = params(n=1024, k=n_sym)
     syms = np.arange(1, n_sym + 1)
     for first in (1, 513):                              # the shipped scenario's two grids
-        subs = np.arange(first, first + n_sub)
-        beamformed_gains(make_pathset(entries), tx, rx, w, p, subs, syms)   # warm up imports
-        ps = make_pathset(entries)                      # a path set whose steering is not kept yet
+        layout = _grid_layout(np.arange(first, first + n_sub))   # a rate plan's, worked out at set-up
+        beamformed_gains(make_pathset(entries), tx, rx, w, p, layout, syms)   # warm up imports
+        ps = make_pathset(entries)
         tracemalloc.start()
         try:
-            beamformed_gains(ps, tx, rx, w, p, subs, syms)
+            beamformed_gains(ps, tx, rx, w, p, layout, syms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -373,29 +368,32 @@ def test_beamformed_gains_on_a_sparse_grid_builds_no_subcarrier_by_path_table():
     w = np.ones(32) / math.sqrt(32)
     p, syms = params(n=16384, k=n_sym), np.arange(1, n_sym + 1)
     for first in (0, 5):
-        subs = np.arange(first, 16384, 32)
-        beamformed_gains(make_pathset(entries), tx, rx, w, p, subs, syms)   # warm up imports and layout
+        layout = _grid_layout(np.arange(first, 16384, 32))
+        beamformed_gains(make_pathset(entries), tx, rx, w, p, layout, syms)   # warm up imports
         ps = make_pathset(entries)
         tracemalloc.start()
         try:
-            beamformed_gains(ps, tx, rx, w, p, subs, syms)
+            beamformed_gains(ps, tx, rx, w, p, layout, syms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (len(subs) * rx.num_elements * n_sym + 2 * len(subs) * n_paths) * 16, first
+        assert peak < (len(layout) * rx.num_elements * n_sym + 2 * len(layout) * n_paths) * 16, first
 
 
-def test_grid_layout_is_worked_out_once_per_link(tiny_scenario):
-    config = dataclasses.replace(ScenarioConfig.from_file(tiny_scenario), max_steps=6)
-    _grid_layout.cache_clear()
-    records = run_simulation(config)
-    assert len(records) == 6
-    info = _grid_layout.cache_info()
-    assert (info.misses, info.hits) == (2, 10)          # two links, each with its own grid
+def test_grid_layout_is_worked_out_once_per_link(tiny_scenario, monkeypatch):
+    config = ScenarioConfig.from_file(tiny_scenario)
+    laid_out = []
+    monkeypatch.setattr(simcore, "_grid_layout", lambda subs: laid_out.append(subs) or _grid_layout(subs))
+    world = simcore.init_world(config)
+    assert [sub.tolist() for sub in laid_out] == [list(range(1, 17)), list(range(17, 33))]   # two links
+    laid_out.clear()
+    for t in range(3):
+        simcore.sim_step(world, t)
+    assert laid_out == []
 
-    # a cached layout is shared by every later call, so none of its arrays may be written
-    for subs in (np.arange(1, 17), np.arange(45, 45 + 32 * 5 + 1)):
-        layout = _grid_layout(subs.dtype.str, subs.tobytes())
+    # the plan shares each layout across steps, so none of its arrays may be written
+    layouts = [plan.layout for plan in world.rate_plan.values()] + [_grid_layout(np.arange(45, 45 + 32 * 5 + 1))]
+    for layout in layouts:
         arrays = [layout.starts] + [a for *_, partial in layout.chunks for a in partial or ()]
         assert arrays and not any(a.flags.writeable for a in arrays)
 

@@ -74,7 +74,11 @@ class TestValidate:
         (lambda d: d["raytrace"].update(max_order=12),
          "raytrace.max_order 12 over the scene's 6 planar surfaces gives a candidate table of "
          "(6 + 1) ** 12 = 1.38e+10 entries"),
-    ], ids=["subcarrier-range", "left-out-symbols", "circle-waypoints", "max-order"])
+        (lambda d: d["network"]["nodes"][0]["array"].update(elements=2**31),
+         "node 'ap1': array.elements gives 2147483648 entries"),
+        (lambda d: d["db"]["build"].update(num_bins=2**31), "db.build.num_bins gives 2147483648 entries"),
+    ], ids=["subcarrier-range", "left-out-symbols", "circle-waypoints", "max-order", "array-elements",
+            "profile-bins"])
     def test_a_count_too_large_to_build_is_one_error_line(self, tmp_path, capsys, monkeypatch, edit, message):
         # each array is counted before it is built: on the shipped scenario these asked for up to
         # terabytes (the order-12 plan's index table alone 1.21 TiB) and ended in a MemoryError
@@ -88,6 +92,18 @@ class TestValidate:
         assert plans == []
         assert main(["validate", shipped_copy(tmp_path, lambda d: None)]) == 0
         assert plans == []   # validate builds no plan, of the shipped order 3 either
+
+
+    @pytest.mark.parametrize("snr_db", [3090.0, -4000.0])
+    def test_fingerprint_snr_that_run_cannot_use_is_one_error_line(self, tmp_path, capsys, snr_db):
+        # validate used to print ok here; run then died in the observation phase, at 3090 dB with
+        # an OverflowError traceback
+        path = shipped_copy(tmp_path, lambda d: d["noise"].update(fingerprint_snr_db=snr_db))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == (f"error: noise.fingerprint_snr_db: an SNR of {snr_db} dB gives a "
+                                         "linear power 10 ** (x / 10) out of float range\n")
 
 
 def shipped_copy(tmp_path, edit) -> str:

@@ -394,6 +394,14 @@ class TestFingerprintNoise:
         assert out.bins[0] == 0.0 and out.bins[2] == 0.0
         assert np.all(out.bins >= 0)
 
+    @pytest.mark.parametrize("snr_db", [3090.0, -4000.0, -3200.0, float("nan")])
+    def test_snr_out_of_float_range_rejected(self, snr_db):
+        # 10 ** 309 overflows a float and 10 ** -400 is 0. 10 ** -320 is a positive float, but its
+        # reciprocal overflows, and the noise's deviation with it; the profile is refused before it is read
+        for m in (mdp_from([0.0, 4.0, 0.0, 1.0]), mdp_from([0.0] * 4)):
+            with pytest.raises(ValueError, match="out of float range"):
+                add_fingerprint_noise(m, snr_db, np.random.default_rng(0))
+
     def test_deterministic_given_seed(self):
         m = mdp_from([0.0, 4.0, 0.0, 1.0])
         a = add_fingerprint_noise(m, 20.0, np.random.default_rng(5))

@@ -202,6 +202,11 @@ class TestScenarioConfig:
         (lambda doc: doc["db"].update(path=""), "db.path names a directory, not a file: <dir>"),
         (lambda doc: doc["output"].update(trace_csv=""),
          "output.trace_csv names a directory, not a file: <dir>"),
+        # build-db would write the database over the scene, and run the trace over the database
+        (lambda doc: doc["db"].update(path="tiny.scene.json"),
+         "scene, db.path and output.trace_csv name one file twice: build-db and run would overwrite it"),
+        (lambda doc: doc["output"].update(trace_csv="artifacts/tiny.fpdb"),
+         "scene, db.path and output.trace_csv name one file twice: build-db and run would overwrite it"),
         # the loop builds links only into agents and reads only transmitters' resources
         (lambda doc: (doc["network"]["nodes"].append({"id": "probe", "role": "rx", "array": {"elements": 2},
                                                       "pose": {"position": [0.3, 0.3, 0.08]}}),
@@ -214,6 +219,11 @@ class TestScenarioConfig:
         (lambda doc: doc["noise"].update(noise_power_w=0.0), "noise.noise_power_w must be > 0"),
         (lambda doc: doc["noise"].update(state_var=-1e-6), "noise.state_var must be nonnegative"),
         (lambda doc: doc["raytrace"].update(max_order=-1), "raytrace.max_order must be >= 0"),
+        # 10 ** 309 overflows a float and 10 ** -400 is 0: fingerprint noise has no variance to draw at either
+        (lambda doc: doc["noise"].update(fingerprint_snr_db=3090.0),
+         "noise.fingerprint_snr_db: an SNR of 3090.0 dB gives a linear power 10 ** (x / 10) out of float range"),
+        (lambda doc: doc["noise"].update(fingerprint_snr_db=-4000.0),
+         "noise.fingerprint_snr_db: an SNR of -4000.0 dB gives a linear power 10 ** (x / 10) out of float range"),
         (lambda doc: doc["network"]["edges"].append(["ap_a", "ghost"]),
          "network invalid: edge references unknown node 'ghost'"),
         (lambda doc: (doc.update(agents=[]), doc["network"]["nodes"].pop(2), doc["network"].update(edges=[])),
@@ -236,8 +246,10 @@ class TestScenarioConfig:
             "nan-dt", "nan-noise-power", "one-number-map-offset", "two-number-position",
             "four-number-node-position", "list-as-edge-end", "three-node-edge", "id-as-edge",
             "one-number-circle-center", "negative-seed", "fractional-seed", "boolean-seed",
-            "empty-db-path", "empty-trace-path", "receiver-without-agent", "resources-of-a-receiver",
+            "empty-db-path", "empty-trace-path", "database-over-the-scene", "trace-over-the-database",
+            "receiver-without-agent", "resources-of-a-receiver",
             "resources-of-an-unknown-node", "zero-noise-power", "negative-state-var", "negative-max-order",
+            "overflowing-fingerprint-snr", "underflowing-fingerprint-snr",
             "edge-to-an-unknown-node", "no-agents", "empty-path", "negative-k-ang", "negative-v-max",
             "negative-w-max", "negative-waypoint-tol", "db-without-path-or-build",
             "missing-database-without-build"])
@@ -1113,8 +1125,9 @@ class TestInterference:
             assert record.rates[("robot", "ap_a")] == reference.rates[("robot", "ap_a")]
 
 
-def test_phase_three_steers_each_array_once_per_link(case_study_dir, monkeypatch):
-    # the MRT beamformer and beamformed_gains share one steering pair per link and step
+def test_phase_three_steers_each_array_once_per_kernel_call(case_study_dir, monkeypatch):
+    # nothing keeps a steering pair: the MRT channel and beamformed_gains each steer the link's
+    # paths, and a one-element transmitter's link synthesizes no channel
     world = init_world(ScenarioConfig.from_file(case_study_dir / "desk_two_ap.json"))
     steer, steered = channel._steering, []
     monkeypatch.setattr(channel, "_steering",
@@ -1124,4 +1137,6 @@ def test_phase_three_steers_each_array_once_per_link(case_study_dir, monkeypatch
         sim_step(world, t)
         links = [link for link, plan in world.rate_plan.items() if plan is not None]
         assert len(links) == 2
-        assert steered == [world.graph.nodes[end].array for v, q in links for end in (v, q)]
+        nodes = world.graph.nodes
+        assert steered == [nodes[end].array for v, q in links
+                           for _ in range(1 + (nodes[q].array.num_elements > 1)) for end in (v, q)]
