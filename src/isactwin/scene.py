@@ -174,9 +174,12 @@ def read_document(source, error: type, name: str, shape: dict) -> dict:
     doc = source
     if isinstance(source, (str, Path)):
         try:
-            doc = json.loads(Path(source).read_text())
+            doc = json.loads(Path(source).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise error(f"{name} file not found: {source}") from None
+        except UnicodeDecodeError as exc:
+            raise error(f"{name} document is not valid UTF-8: byte {exc.object[exc.start]:#04x} at offset "
+                        f"{exc.start} of {source}") from exc
         except json.JSONDecodeError as exc:
             raise error(f"{name} document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

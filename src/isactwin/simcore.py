@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field, fields
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -191,8 +192,9 @@ class ScenarioConfig:
     max_order: int
     db: DbSpec
     trace_csv: Path
-    # (scene file bytes, db file key, scene, graph, allocation, db.build grid, database) of a
-    # problem-free validate_scenario, for _world_parts; the key and database are None unless path-only
+    scenario_path: Path | None = None   # the file the document was read from; None for from_dict
+    # (scene file bytes, scene, graph, allocation, db.build grid) of a problem-free validate_scenario,
+    # for _world_parts
     _validated_parts: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -207,14 +209,14 @@ class ScenarioConfig:
     def _from_document(cls, source, base_dir: Path) -> "ScenarioConfig":
         doc = read_document(source, ConfigError, "scenario", _SCENARIO_KEYS)
         try:
-            return cls._parse(doc, base_dir)
+            return cls._parse(doc, base_dir, source if isinstance(source, Path) else None)
         except ConfigError:
             raise
         except ValueError as exc:   # a constructor's range check
             raise ConfigError(f"malformed scenario document: {exc}") from exc
 
     @classmethod
-    def _parse(cls, doc: dict, base_dir: Path) -> "ScenarioConfig":
+    def _parse(cls, doc: dict, base_dir: Path, scenario_path: Path | None) -> "ScenarioConfig":
         """The config of a document that fits _SCENARIO_KEYS."""
         ofdm_doc = doc["ofdm"]
         ofdm = OfdmParams(n_subcarriers=ofdm_doc["n_subcarriers"], n_symbols=ofdm_doc["n_symbols"],
@@ -285,6 +287,7 @@ class ScenarioConfig:
             max_order=_get(_get(doc, "raytrace", {}), "max_order", 2),
             db=db,
             trace_csv=base_dir / _get(_get(doc, "output", {}), "trace_csv", "trace.csv"),
+            scenario_path=scenario_path,
         )
 
 
@@ -348,10 +351,10 @@ def _misplaced(scene, position) -> str | None:
 def validate_scenario(config: ScenarioConfig) -> list:
     """Total validation pass; returns human-readable violation strings.
 
-    When it finds no problem, the scene, network graph, resource allocation,
-    db.build grid (None without db.build) and a path-only scenario's database
-    it built or loaded on the way are kept on the config, so that the next
-    init_world or build_db_for_scenario of it need not build them again.
+    When it finds no problem, the scene, network graph, resource allocation and
+    db.build grid (None without db.build) it built on the way are kept on the
+    config for the next init_world or build_db_for_scenario of it. A path-only
+    scenario's database is checked, not kept: init_world loads its file again.
     """
     problems = []
     if config.dt <= 0.0:
@@ -372,7 +375,7 @@ def validate_scenario(config: ScenarioConfig) -> list:
     if config.max_order < 0:
         problems.append("raytrace.max_order must be >= 0")
 
-    scene = graph = allocation = scene_bytes = grid = db = db_key = None
+    scene = graph = allocation = scene_bytes = grid = paths = None
     if not config.scene_path.is_file():
         problems.append(f"scene file not found: {config.scene_path}")
     else:
@@ -387,12 +390,19 @@ def validate_scenario(config: ScenarioConfig) -> list:
             problems.append(f"raytrace.max_order {config.max_order} over the scene's {surfaces} planar surfaces "
                             f"gives a candidate table of ({surfaces} + 1) ** {config.max_order} = {count:.3g} "
                             f"entries; at most {MAX_GRID_POINTS} are allowed")
+        else:
+            paths = count   # a trace returns at most one path per candidate
 
     nodes = {n.id: n for n in config.nodes}
     agent_ids = {a.id for a in config.agents}
+    wavelength = config.ofdm.wavelength
     for node in config.nodes:
         if any(c.isspace() or c in "/*?[" for c in node.id):
             problems.append(f"node id {node.id!r} must not contain whitespace, '/', '*', '?' or '['")
+        # channel._steering's phase step, which overflows before the spacing does
+        if node.array is not None and not math.isfinite(2.0 * math.pi * (ratio := node.array.spacing / wavelength)):
+            problems.append(f"node {node.id!r}: array spacing {ratio:.3g} wavelengths gives a steering phase "
+                            "2 pi d / lambda out of float range")
         if node.id in agent_ids:
             if node.pose is not None:   # its agent's pose is the one that is read
                 problems.append(f"node {node.id!r} is driven by its agent: pose is for static transmitters only")
@@ -421,6 +431,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
         allocation = allocate_resources(config.requests, config.ofdm.n_subcarriers, config.ofdm.n_symbols)
     except NetworkError as exc:
         problems.append(f"resource allocation invalid: {exc}")
+    if None not in (graph, allocation, paths) and config.noise.noise_power_w > 0.0:
+        problems += _snr_overflows(config, graph, allocation, paths)
 
     if not config.agents:
         problems.append("no agents configured")
@@ -440,10 +452,15 @@ def validate_scenario(config: ScenarioConfig) -> list:
         if scene is not None and (where := _misplaced(scene, spec.initial_pose.position)):
             problems.append(f"agent {spec.id!r} starts {where}")
 
+    own = config.scenario_path
     for key, path in (("db.path", config.db.path), ("output.trace_csv", config.trace_csv)):
         if path is not None and path.is_dir():   # "" resolves to the scenario's own directory
             problems.append(f"{key} names a directory, not a file: {path}")
-    if len(ends := [p.absolute() for p in (config.scene_path, config.db.path, config.trace_csv) if p]) > len(set(ends)):
+        elif path is not None and own and path.is_file() and own.is_file() and os.path.samefile(path, own):
+            problems.append(f"{key} names the scenario file itself, which build-db or run would overwrite: {path}")
+    # abspath folds "..", which Path.absolute keeps; resolve() would follow links too, at about 30 us a path
+    ends = [os.path.abspath(p) for p in (config.scene_path, config.db.path, config.trace_csv) if p]
+    if len(ends) > len(set(ends)):
         problems.append("scene, db.path and output.trace_csv name one file twice: build-db and run would overwrite it")
     if config.db.path is None and config.db.build is None:
         problems.append("db section needs a path or build instructions")
@@ -454,9 +471,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
             and graph is not None):
         # a path-only scenario runs on its file, so what ensure_db would refuse at set-up is refused here.
         # With db.build the file is not opened: build-db validates through here and overwrites a stale one.
-        db_key = _file_key(config.db.path)   # before the load: a rewrite makes init_world load again
         try:
-            db = ensure_db(config, scene, graph, None)
+            ensure_db(config, scene, graph, None)
         except loc_mod.DatabaseError as exc:
             problems.append(str(exc))
     if build is not None:
@@ -476,35 +492,44 @@ def validate_scenario(config: ScenarioConfig) -> list:
                                     f"a wall of the scene ({behind.sum()} of its {len(grid)} points are)")
 
     if not problems:
-        object.__setattr__(config, "_validated_parts", (scene_bytes, db_key, scene, graph, allocation, grid, db))
+        object.__setattr__(config, "_validated_parts", (scene_bytes, scene, graph, allocation, grid))
     return problems
 
 
-def _file_key(path: Path) -> tuple | None:
-    """A file's inode, size and modification time, which a rewrite changes; None if it is gone."""
-    try:
-        st = path.stat()
-    except OSError:
-        return None
-    return st.st_ino, st.st_size, st.st_mtime_ns
+def _snr_overflows(config: ScenarioConfig, graph, allocation, paths: float) -> list:
+    """One problem per receiver agent whose rates could overflow, naming its largest transmitter.
+    A traced amplitude is at most 1 and |a_T^T w| <= sqrt(N_T), so a link of at most `paths` paths
+    receives at most (power per cell) N_T N_R paths ** 2 on a cell. Summed over the receiver's
+    links, that bounds each link's received power and its co-channel interference, so a finite
+    (sum + noise) / noise keeps sim_step's SNRs and rates finite."""
+    problems, noise = [], config.noise.noise_power_w
+    for v in sorted({a.id for a in config.agents} & graph.nodes.keys()):
+        ends = {q: graph.nodes[q].array for q in sorted(incoming_edges(graph, v)) if q in allocation.users}
+        rx = graph.nodes[v].array
+        if rx is None or None in ends.values():   # refused as a link end without an array
+            continue
+        terms = {q: allocation.users[q].uniform_power * tx.num_elements * rx.num_elements * paths * paths
+                 for q, tx in ends.items()}
+        if not math.isfinite((sum(terms.values()) + noise) / noise):
+            q = max(terms, key=terms.get)
+            problems.append(f"transmitter {q!r}: power_w {allocation.users[q].power_budget:g} can give receiver "
+                            f"{v!r} an SNR past float range over noise.noise_power_w {noise:g} (bound: up to "
+                            f"{paths:g} paths, {ends[q].num_elements} transmit and {rx.num_elements} receive elements)")
+    return problems
 
 
 def _world_parts(config: ScenarioConfig) -> tuple:
-    """(scene, graph, allocation, grid, db) of a valid config: the parts validate_scenario
-    handed over if the scene file's bytes and a path-only database file's key are
-    unchanged since, else those of a new validate_scenario, whose problems are
-    raised as one ConfigError. db is None unless the scenario is path-only. It was
-    checked against the handed-over scene and network, so a rewrite that keeps the
-    key still runs on a database that matches them: a stat suffices, not the bytes."""
+    """(scene, graph, allocation, grid) of a valid config: the parts validate_scenario
+    handed over if the scene file's bytes are unchanged since, else those of a new
+    validate_scenario, whose problems are raised as one ConfigError."""
     handed = config._validated_parts
-    if (handed is None or handed[0] != config.scene_path.read_bytes()
-            or (handed[1] is not None and handed[1] != _file_key(config.db.path))):
+    if handed is None or handed[0] != config.scene_path.read_bytes():
         problems = validate_scenario(config)
         if problems:
             raise ConfigError("; ".join(problems))
         handed = config._validated_parts
     object.__setattr__(config, "_validated_parts", None)   # the hand-over is used once
-    return handed[2:]
+    return handed[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +587,7 @@ def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
 
 def build_db_for_scenario(config: ScenarioConfig):
     """Build the fingerprint database of a valid scenario, saved to db.path if set; returns (db, db.path)."""
-    scene, graph, _, grid, _ = _world_parts(config)
+    scene, graph, _, grid = _world_parts(config)
     return _build_db(config, scene, graph, grid), config.db.path
 
 
@@ -587,7 +612,7 @@ def ensure_db(config: ScenarioConfig, scene, graph, grid) -> loc_mod.Fingerprint
     network stamp differs from the scenario's (an empty one matches none) or, with db.build,
     when its bin width, bin count or positions differ from db.build's. grid is db.build's
     _db_grid, as validate_scenario built it; None without db.build. validate_scenario runs it
-    on a path-only scenario's file and hands the database on to init_world."""
+    on a path-only scenario's file to refuse what init_world would, and keeps nothing of it."""
     path = config.db.path
     if path is None or not path.is_file():
         return _build_db(config, scene, graph, grid)
@@ -628,8 +653,7 @@ class World:
     bus: Bus
     agents: dict
     fp_rng: np.random.Generator
-    links: list           # (receiver agent, transmitter) pairs carrying data, sorted
-    rate_plan: dict       # link -> _LinkPlan, or None without resources
+    rate_plan: dict       # (receiver agent, transmitter) link, sorted -> _LinkPlan, or None without resources
 
 
 @dataclass(eq=False)
@@ -677,9 +701,7 @@ def _rate_plan(links: list, allocation) -> dict:
 
 
 def init_world(config: ScenarioConfig) -> World:
-    scene, graph, allocation, grid, db = _world_parts(config)
-    if db is None:
-        db = ensure_db(config, scene, graph, grid)
+    scene, graph, allocation, grid = _world_parts(config)
     agents = {}
     for idx, spec in enumerate(sorted(config.agents, key=lambda a: a.id)):
         agents[spec.id] = _AgentRuntime(
@@ -694,11 +716,10 @@ def init_world(config: ScenarioConfig) -> World:
         config=config,
         scene=scene,
         graph=graph,
-        db=db,
+        db=ensure_db(config, scene, graph, grid),
         bus=Bus(),
         agents=agents,
         fp_rng=np.random.default_rng([config.seed, 13]),
-        links=links,
         rate_plan=_rate_plan(links, allocation),
     )
 
@@ -743,7 +764,7 @@ def sim_step(world: World, t: int) -> TraceRecord:
     # phase 2: refresh propagation parameters for all links
     pathsets = {}
     with _Phase(t, "raytrace"):
-        for v, q in world.links:
+        for v, q in world.rate_plan:
             tx_pose = world.agents[q].pose if q in world.agents else world.graph.nodes[q].pose
             rx_pose = world.agents[v].pose
             pathsets[(v, q)] = trace_paths(
@@ -838,7 +859,7 @@ def run_simulation(config: ScenarioConfig, trace_path=None) -> list:
     world = init_world(config)
     out_path = Path(trace_path) if trace_path is not None else config.trace_csv
     records = []
-    with TraceWriter(out_path, world.links) as writer:
+    with TraceWriter(out_path, world.rate_plan) as writer:
         for t in range(config.max_steps):
             record = sim_step(world, t)
             writer.write_record(record)

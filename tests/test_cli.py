@@ -64,6 +64,16 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "gone.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("name", ["scene", "scenario"])
+    def test_document_that_is_not_utf8_is_one_error_line(self, tiny_scenario, capsys, name):
+        # the bare codec message named neither the document nor its file
+        target = tiny_scenario.parent / "tiny.scene.json" if name == "scene" else tiny_scenario
+        target.write_bytes(b'{"bounds": "\xd3"}')
+        assert main(["validate", str(tiny_scenario)]) == 1
+        where = "scene invalid: " if name == "scene" else ""
+        assert capsys.readouterr().err == (f"error: {where}{name} document is not valid UTF-8: "
+                                           f"byte 0xd3 at offset 12 of {target}\n")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["network"]["resources"]["users"][0].update(subcarriers={"from": 1, "to": 10**9}),
          "resources user 'ap1': subcarriers 1..1000000000 gives 1000000000 entries"),
@@ -154,6 +164,34 @@ class TestBuildDb:
         assert dropped > 0
         assert int(match.group(1)) == dropped
 
+    @pytest.mark.parametrize("command, key, edit", [
+        ("build-db", "db.path", lambda doc: doc["db"].update(path="s.json")),
+        ("run", "output.trace_csv", lambda doc: doc["output"].update(trace_csv="s.json")),
+        ("build-db", "db.path", None),
+        ("run", "output.trace_csv", None),
+    ], ids=["db-path", "trace-csv", "build-db-out", "run-out"])
+    def test_a_path_naming_the_scenario_file_is_one_error_line(self, tmp_path, capsys, command, key, edit):
+        # build-db wrote the database over its own scenario and exited 0; the next validate could not decode it.
+        # Without an edit the path is the command's --out, a link to the scenario file
+        doc = tiny_scenario_doc()
+        if edit is not None:
+            edit(doc)
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(TINY_SCENE))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        before = path.read_bytes()
+        named = path
+        if edit is None:
+            named = tmp_path / "link.json"
+            named.symlink_to(path)
+        calls = ([["validate", str(path)], [command, str(path)]] if edit is not None
+                 else [[command, str(path), "--out", str(named)]])
+        for argv in calls:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (f"error: {key} names the scenario file itself, which build-db "
+                                               f"or run would overwrite: {named}\n")
+        assert path.read_bytes() == before
+        assert not (tmp_path / "artifacts").exists()
 
     def test_scenario_without_build_instructions_is_one_error_line(self, scenario, tiny_scenario, capsys):
         # a path-only scenario runs on its database file, but build-db has nothing to build it from

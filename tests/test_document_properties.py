@@ -139,6 +139,11 @@ _SNR = ("noise", "fingerprint_snr_db")
 @example(edits=[("scenario", _SNR, -3200.0)])
 # build-db wrote the database over the scene, which the run then could not read
 @example(edits=[("scenario", ("db", "path"), "tiny.scene.json")])
+# a received power of 1e300 W over 1e-300 W of noise made an infinite SNR, and the rates inf
+@example(edits=[("scenario", ("network", "resources", "users", 0, "power_w"), 1e300),
+                ("scenario", ("noise", "noise_power_w"), 1e-300)])
+# 2 pi x 1e308 wavelengths overflowed the steering phase, and its cos was NaN
+@example(edits=[("scenario", ("network", "nodes", 0, "array", "spacing_wavelengths"), 1e308)])
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_what_validate_accepts_builds_and_runs(edits):
     docs = _documents()

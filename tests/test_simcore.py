@@ -224,6 +224,14 @@ class TestScenarioConfig:
          "noise.fingerprint_snr_db: an SNR of 3090.0 dB gives a linear power 10 ** (x / 10) out of float range"),
         (lambda doc: doc["noise"].update(fingerprint_snr_db=-4000.0),
          "noise.fingerprint_snr_db: an SNR of -4000.0 dB gives a linear power 10 ** (x / 10) out of float range"),
+        # run wrote inf into both rate columns and exited 0
+        (lambda doc: (doc["network"]["resources"]["users"][0].update(power_w=1e300),
+                      doc["noise"].update(noise_power_w=1e-300)),
+         "transmitter 'ap_a': power_w 1e+300 can give receiver 'robot' an SNR past float range over "
+         "noise.noise_power_w 1e-300 (bound: up to 49 paths, 4 transmit and 2 receive elements)"),
+        # the spacing is finite, but 2 pi d / lambda is not: an invalid value in cos at the first step
+        (lambda doc: doc["network"]["nodes"][0]["array"].update(spacing_wavelengths=1e308),
+         "node 'ap_a': array spacing 1e+308 wavelengths gives a steering phase 2 pi d / lambda out of float range"),
         (lambda doc: doc["network"]["edges"].append(["ap_a", "ghost"]),
          "network invalid: edge references unknown node 'ghost'"),
         (lambda doc: (doc.update(agents=[]), doc["network"]["nodes"].pop(2), doc["network"].update(edges=[])),
@@ -249,7 +257,8 @@ class TestScenarioConfig:
             "empty-db-path", "empty-trace-path", "database-over-the-scene", "trace-over-the-database",
             "receiver-without-agent", "resources-of-a-receiver",
             "resources-of-an-unknown-node", "zero-noise-power", "negative-state-var", "negative-max-order",
-            "overflowing-fingerprint-snr", "underflowing-fingerprint-snr",
+            "overflowing-fingerprint-snr", "underflowing-fingerprint-snr", "overflowing-rate-snr",
+            "overflowing-steering-phase",
             "edge-to-an-unknown-node", "no-agents", "empty-path", "negative-k-ang", "negative-v-max",
             "negative-w-max", "negative-waypoint-tol", "db-without-path-or-build",
             "missing-database-without-build"])
@@ -813,10 +822,11 @@ class TestSimulationLoop:
 
 
 class TestSetUpOnce:
-    """validate_scenario hands the scene, graph and allocation it built from a
-    valid config, and a path-only config's database, to the next init_world of
-    it, unless the scene file or that database file changed; init_world then
-    validates again. A changed config is a new object, built with
+    """validate_scenario hands the scene, graph, allocation and db.build grid it
+    built from a valid config to the next init_world of it, unless the scene
+    file's bytes changed; init_world then validates again. A path-only config's
+    database is checked by validation and not handed over: init_world loads the
+    file it runs on. A changed config is a new object, built with
     dataclasses.replace, and has nothing handed over."""
 
     @pytest.fixture
@@ -883,18 +893,26 @@ class TestSetUpOnce:
         monkeypatch.setattr(simcore.loc_mod, "load_db", lambda path: loads.append(path) or load(path))
         return dataclasses.replace(config, db=dataclasses.replace(config.db, build=None)), loads
 
-    def test_path_only_database_is_loaded_once(self, path_only):
+    def test_same_size_database_rewrite_under_the_old_mtime_is_loaded(self, path_only, tmp_path):
+        # a stat key (inode, size, mtime) would hand over the bins validation loaded
         config, loads = path_only
         assert validate_scenario(config) == []
+        db = load_db(config.db.path)
+        before = config.db.path.stat()
+        save_db(dataclasses.replace(db, bins=db.bins / 2), tmp_path / "halved.fpdb")
+        config.db.path.write_bytes((tmp_path / "halved.fpdb").read_bytes())   # in place: the same inode
+        os.utime(config.db.path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = config.db.path.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, before.st_size, before.st_mtime_ns)
         world = init_world(config)
-        assert len(loads) == 1
-        assert np.array_equal(world.db.bins, simcore.loc_mod.load_db(config.db.path).bins)
+        assert len(loads) == 2
+        assert np.array_equal(world.db.bins, db.bins / 2)
 
     def test_rewritten_database_file_is_loaded_again(self, path_only):
         config, loads = path_only
         assert validate_scenario(config) == []
         rewrite_db_header(config.db.path, lambda header: {**header, "n_points": 0})
-        with pytest.raises(ConfigError, match=r"corrupt header: has 0 at \.n_points"):
+        with pytest.raises(DatabaseError, match=r"corrupt header: has 0 at \.n_points"):
             init_world(config)
         assert len(loads) == 2
 
