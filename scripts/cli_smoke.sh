@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke checks of the installed isactwin console script on the shipped scenario: the four commands
-# run end to end, a BLAS thread count the user sets changes no output bit, a refused scenario is
-# exit 1 with exactly one stderr line, "error: ...", and nothing is written into the checkout.
+# run end to end and leave the scenario and scene files as they were, a BLAS thread count the user
+# sets changes no output bit, a refused scenario is exit 1 with exactly one stderr line,
+# "error: ...", and nothing is written into the checkout.
 # Each refusal case itself is a Tier-1 test through isactwin.cli.main.
 #
 #   scripts/cli_smoke.sh [scratch dir]
@@ -32,10 +33,15 @@ json.dump(d, open(path, "w"))
 shipped_db=scenarios/artifacts/desk_two_ap.fpdb
 [ -e "$shipped_db" ] && had_shipped_db=1 || had_shipped_db=0
 edited ''
+rm -rf "$tmp/inputs"
+cp -R "$case" "$tmp/inputs"
 isactwin validate "$case/desk_two_ap.json"
 isactwin build-db "$case/desk_two_ap.json" --out "$tmp/desk.fpdb"
 isactwin run "$case/desk_two_ap.json" --max-steps 5 --out "$tmp/t.csv"
 isactwin eval "$tmp/t.csv"
+for name in desk_two_ap.json desk_box.scene.json; do
+    cmp "$tmp/inputs/$name" "$case/$name"
+done
 # the commands run on one BLAS thread unless the environment sets a count; a count the user sets
 # is kept, and it changes no bit of the database or the trace
 OPENBLAS_NUM_THREADS=2 isactwin build-db "$case/desk_two_ap.json" --out "$tmp/desk_threads.fpdb"

@@ -107,6 +107,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "eval":
+        if args.out and simcore.file_identity(args.out) == simcore.file_identity(args.trace):
+            raise ValueError(f"--out names the trace file itself, which eval would overwrite: {args.out}")
         records = simcore.read_trace_csv(args.trace)
         summary = metrics.summarize_run(records)
         print(summary.format_table())

@@ -348,6 +348,21 @@ def _misplaced(scene, position) -> str | None:
     return "behind a wall of the scene" if scene.walls.behind(position[None])[0] else None
 
 
+def file_identity(path):
+    """One file by any path, link or hard link to it: os.stat's (inode, device) once it exists,
+    else its os.path.realpath, which a write would create (the writers make missing parents)."""
+    try:
+        return os.stat(path)[1:3]   # (st_ino, st_dev)
+    except ValueError:   # a name holding a NUL byte, which no file has, is its own
+        return str(path)
+    except OSError:   # `..` past a parent the writers would make can still reach a file
+        real = os.path.realpath(path)
+    try:
+        return os.stat(real)[1:3]
+    except OSError:
+        return real
+
+
 def validate_scenario(config: ScenarioConfig) -> list:
     """Total validation pass; returns human-readable violation strings.
 
@@ -355,6 +370,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
     db.build grid (None without db.build) it built on the way are kept on the
     config for the next init_world or build_db_for_scenario of it. A path-only
     scenario's database is checked, not kept: init_world loads its file again.
+    With db.build the database file is not opened (build-db validates through
+    here and overwrites a stale one), so run refuses a stale one at set-up.
     """
     problems = []
     if config.dt <= 0.0:
@@ -452,16 +469,15 @@ def validate_scenario(config: ScenarioConfig) -> list:
         if scene is not None and (where := _misplaced(scene, spec.initial_pose.position)):
             problems.append(f"agent {spec.id!r} starts {where}")
 
-    own = config.scenario_path
-    for key, path in (("db.path", config.db.path), ("output.trace_csv", config.trace_csv)):
+    # build-db and run write the two outputs, so neither may be the scenario, the scene or the other output
+    seen = {file_identity(p): role for role, p in (("the scene file", config.scene_path),
+                                                   ("the scenario file itself", config.scenario_path)) if p}
+    for key, role, path in (("db.path", "the database file", config.db.path),
+                            ("output.trace_csv", "the trace file", config.trace_csv)):
         if path is not None and path.is_dir():   # "" resolves to the scenario's own directory
             problems.append(f"{key} names a directory, not a file: {path}")
-        elif path is not None and own and path.is_file() and own.is_file() and os.path.samefile(path, own):
-            problems.append(f"{key} names the scenario file itself, which build-db or run would overwrite: {path}")
-    # abspath folds "..", which Path.absolute keeps; resolve() would follow links too, at about 30 us a path
-    ends = [os.path.abspath(p) for p in (config.scene_path, config.db.path, config.trace_csv) if p]
-    if len(ends) > len(set(ends)):
-        problems.append("scene, db.path and output.trace_csv name one file twice: build-db and run would overwrite it")
+        elif path is not None and (named := seen.setdefault(file_identity(path), role)) != role:
+            problems.append(f"{key} names {named}, which build-db or run would overwrite: {path}")
     if config.db.path is None and config.db.build is None:
         problems.append("db section needs a path or build instructions")
     if config.db.path is not None and not config.db.path.exists() and config.db.build is None:
@@ -469,8 +485,7 @@ def validate_scenario(config: ScenarioConfig) -> list:
     build = config.db.build
     if (build is None and config.db.path is not None and config.db.path.is_file() and scene is not None
             and graph is not None):
-        # a path-only scenario runs on its file, so what ensure_db would refuse at set-up is refused here.
-        # With db.build the file is not opened: build-db validates through here and overwrites a stale one.
+        # a path-only scenario runs on its file, so what ensure_db would refuse at set-up is refused here
         try:
             ensure_db(config, scene, graph, None)
         except loc_mod.DatabaseError as exc:
@@ -610,18 +625,20 @@ def _build_db(config: ScenarioConfig, scene, graph, grid) -> loc_mod.Fingerprint
 def ensure_db(config: ScenarioConfig, scene, graph, grid) -> loc_mod.FingerprintDB:
     """Load the scenario database, or build it if absent. A file is stale when its scene or
     network stamp differs from the scenario's (an empty one matches none) or, with db.build,
-    when its bin width, bin count or positions differ from db.build's. grid is db.build's
-    _db_grid, as validate_scenario built it; None without db.build. validate_scenario runs it
-    on a path-only scenario's file to refuse what init_world would, and keeps nothing of it."""
+    when its bin width, bin count or positions differ from db.build's; with db.build each
+    refusal ends "; rebuild it", which build-db does. grid is db.build's _db_grid, as
+    validate_scenario built it; None without db.build. validate_scenario runs it on a
+    path-only scenario's file to refuse what init_world would, and keeps nothing of it."""
     path = config.db.path
     if path is None or not path.is_file():
         return _build_db(config, scene, graph, grid)
     db = loc_mod.load_db(path)
-    if db.scene_hash != scene_hash(scene):
-        raise loc_mod.DatabaseError(f"database {path} was built for a different scene")
-    if db.network_hash != db_signature(config, graph):
-        raise loc_mod.DatabaseError(f"database {path} was built for a different network setup")
     build = config.db.build
+    rebuild = "" if build is None else "; rebuild it"
+    if db.scene_hash != scene_hash(scene):
+        raise loc_mod.DatabaseError(f"database {path} was built for a different scene{rebuild}")
+    if db.network_hash != db_signature(config, graph):
+        raise loc_mod.DatabaseError(f"database {path} was built for a different network setup{rebuild}")
     if build is not None and not (db.bin_width == build.bin_width and db.num_bins == build.num_bins
                                   and np.array_equal(db.positions, grid)):
         raise loc_mod.DatabaseError(

@@ -164,33 +164,43 @@ class TestBuildDb:
         assert dropped > 0
         assert int(match.group(1)) == dropped
 
-    @pytest.mark.parametrize("command, key, edit", [
-        ("build-db", "db.path", lambda doc: doc["db"].update(path="s.json")),
-        ("run", "output.trace_csv", lambda doc: doc["output"].update(trace_csv="s.json")),
-        ("build-db", "db.path", None),
-        ("run", "output.trace_csv", None),
-    ], ids=["db-path", "trace-csv", "build-db-out", "run-out"])
-    def test_a_path_naming_the_scenario_file_is_one_error_line(self, tmp_path, capsys, command, key, edit):
-        # build-db wrote the database over its own scenario and exited 0; the next validate could not decode it.
-        # Without an edit the path is the command's --out, a link to the scenario file
-        doc = tiny_scenario_doc()
-        if edit is not None:
-            edit(doc)
-        (tmp_path / "tiny.scene.json").write_text(json.dumps(TINY_SCENE))
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
-        before = path.read_bytes()
-        named = path
-        if edit is None:
-            named = tmp_path / "link.json"
-            named.symlink_to(path)
-        calls = ([["validate", str(path)], [command, str(path)]] if edit is not None
-                 else [[command, str(path), "--out", str(named)]])
+    @pytest.mark.parametrize("command, key, target, name", [
+        ("build-db", "db.path", "s.json", "s.json"),
+        ("run", "output.trace_csv", "s.json", "s.json"),
+        ("build-db", "db.path", "s.json", "--out link.json"),
+        ("run", "output.trace_csv", "s.json", "--out link.json"),
+        ("build-db", "db.path", "tiny.scene.json", "link.json"),
+        ("build-db", "db.path", "s.json", "hard.json"),
+        ("run", "output.trace_csv", "tiny.scene.json", "hard.json"),
+        ("build-db", "db.path", "tiny.scene.json", "artifacts/../tiny.scene.json"),
+    ], ids=["db-path", "trace-csv", "build-db-out", "run-out", "db-path-symlink-to-scene",
+            "db-path-hard-link-to-scenario", "trace-csv-hard-link-to-scene", "db-path-through-dotdot"])
+    def test_an_output_naming_an_input_is_one_error_line(self, tmp_path, capsys, command, key, target, name):
+        # build-db wrote the database over its own scenario and exited 0, and the next validate could not
+        # decode it; through a link, build-db wrote it over the scene and run the trace. A name is not a
+        # file: link.json is a symbolic link to the target, hard.json a hard link, and artifacts/ does not exist
+        scene, path = tmp_path / "tiny.scene.json", tmp_path / "s.json"
+        scene.write_text(json.dumps(TINY_SCENE))
+        path.write_text(json.dumps(tiny_scenario_doc()))
+        out = name.startswith("--out ")
+        named = tmp_path / name.removeprefix("--out ")
+        if named.name == "link.json":
+            named.symlink_to(tmp_path / target)
+        elif named.name == "hard.json":
+            named.hardlink_to(tmp_path / target)
+        if not out:
+            doc = tiny_scenario_doc()
+            doc["db" if key == "db.path" else "output"][key.split(".")[1]] = name
+            path.write_text(json.dumps(doc))   # in place, so hard.json stays a link to it
+        before = scene.read_bytes(), path.read_bytes()
+        calls = ([[command, str(path), "--out", str(named)]] if out
+                 else [["validate", str(path)], ["build-db", str(path)], ["run", str(path)]])
+        role = "the scenario file itself" if target == "s.json" else "the scene file"
         for argv in calls:
             assert main(argv) == 1
-            assert capsys.readouterr().err == (f"error: {key} names the scenario file itself, which build-db "
-                                               f"or run would overwrite: {named}\n")
-        assert path.read_bytes() == before
+            assert capsys.readouterr().err == (f"error: {key} names {role}, which build-db or run would "
+                                               f"overwrite: {named}\n")
+        assert (scene.read_bytes(), path.read_bytes()) == before
         assert not (tmp_path / "artifacts").exists()
 
     def test_scenario_without_build_instructions_is_one_error_line(self, scenario, tiny_scenario, capsys):
@@ -362,7 +372,24 @@ class TestRun:
         db, path = build_db_for_scenario(config)
         save_db(dataclasses.replace(db, scene_hash="", network_hash=""), path)
         assert main(["run", scenario, "--max-steps", "3", "--out", str(path.parent / "t.csv")]) == 1
-        assert capsys.readouterr().err == f"error: database {path} was built for a different scene\n"
+        assert capsys.readouterr().err == f"error: database {path} was built for a different scene; rebuild it\n"
+
+    def test_stale_built_database_passes_validate_and_build_db_replaces_it(self, scenario, tiny_scenario, capsys):
+        # with db.build, validate does not open the database file: build-db validates first and must
+        # overwrite a stale one, so only run refuses it
+        assert main(["build-db", scenario]) == 0
+        scene_file = tiny_scenario.parent / "tiny.scene.json"
+        scene = json.loads(scene_file.read_text())
+        scene["materials"][0]["reflection_coeff"] = 0.8
+        scene_file.write_text(json.dumps(scene))
+        run = ["run", scenario, "--max-steps", "3", "--out", str(tiny_scenario.parent / "t.csv")]
+        capsys.readouterr()
+        assert main(["validate", scenario]) == 0
+        assert main(run) == 1
+        db_path = tiny_scenario.parent / "artifacts" / "tiny.fpdb"
+        assert capsys.readouterr().err == f"error: database {db_path} was built for a different scene; rebuild it\n"
+        assert main(["build-db", scenario]) == 0
+        assert main(run) == 0
 
 
 class TestEval:
@@ -383,6 +410,21 @@ class TestEval:
         assert main(["eval", str(trace), "--out", str(summary)]) == 0
         doc = json.loads(summary.read_text())
         assert doc["steps"] == 5
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_out_naming_the_trace_is_one_error_line(self, scenario, tmp_path, capsys, link):
+        # eval wrote its JSON summary over the trace it read, and the next eval refused the file
+        trace = tmp_path / "t.csv"
+        main(["run", scenario, "--max-steps", "3", "--out", str(trace)])
+        before = trace.read_bytes()
+        out = tmp_path / "link.csv" if link else trace
+        if link:
+            out.symlink_to(trace)
+        capsys.readouterr()
+        assert main(["eval", str(trace), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --out names the trace file itself, which eval would overwrite: {out}\n"
+        assert trace.read_bytes() == before
 
     def test_trace_cut_mid_row_is_one_error_line(self, scenario, tmp_path, capsys):
         trace = tmp_path / "t.csv"

@@ -1,5 +1,6 @@
 """Mutations of the tiny scenario and its scene, drawn from their schemas: what validate_scenario
-accepts builds and runs, and every refusal is one error line.
+accepts builds and runs and leaves the scene and scenario files as they were, and every refusal
+is one error line.
 
 A mutation edits the document at one place that simcore._SCENARIO_KEYS or scene._SCENE_KEYS
 types: a number or string gets another value of its JSON type, extremes included (+-1e300,
@@ -95,9 +96,11 @@ def _values(shape, original):
         near = [] if original is None else [original + 1, 2 * original]
         return st.sampled_from([0, -1, 2**31, -2**31, 10**18, -10**18, *near]) | st.integers(-2, 4)
     # ids, roles, material names and file names; none holds "." or starts with "/", so every
-    # file a run writes stays in its scenario's directory
+    # file a run writes stays in its scenario's directory. scenelink.json and scenehard.json are
+    # a symbolic and a hard link to the scene
     return st.sampled_from(["", "ap_a", "ap_b", "robot", "tx", "rx", "txrx", "metal", "board", "a/b",
-                            "tiny.scene.json"]) | st.text("ab_ *?[", max_size=3)
+                            "tiny.scene.json", "scenelink.json", "scenehard.json"]) \
+        | st.text("ab_ *?[", max_size=3)
 
 
 @st.composite
@@ -137,8 +140,11 @@ _SNR = ("noise", "fingerprint_snr_db")
                 ("scenario", ("ofdm", "carrier_hz"), 1e-3)])
 # 10 ** -320 is a positive float, but the noise's deviation divided by it overflowed
 @example(edits=[("scenario", _SNR, -3200.0)])
-# build-db wrote the database over the scene, which the run then could not read
+# build-db wrote the database over the scene, which the run then could not read; through a
+# link to the scene, validate accepted it, build-db wrote over the scene, and run the trace
 @example(edits=[("scenario", ("db", "path"), "tiny.scene.json")])
+@example(edits=[("scenario", ("db", "path"), "scenelink.json")])
+@example(edits=[("scenario", ("output", "trace_csv"), "scenehard.json")])
 # a received power of 1e300 W over 1e-300 W of noise made an infinite SNR, and the rates inf
 @example(edits=[("scenario", ("network", "resources", "users", 0, "power_w"), 1e300),
                 ("scenario", ("noise", "noise_power_w"), 1e-300)])
@@ -150,7 +156,10 @@ def test_what_validate_accepts_builds_and_runs(edits):
     for name, path, value in edits:
         _apply(docs[name], path, value)
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "tiny.scene.json").write_text(json.dumps(docs["scene"]))
+        scene = Path(tmp) / "tiny.scene.json"
+        scene.write_text(json.dumps(docs["scene"]))
+        (Path(tmp) / "scenelink.json").symlink_to(scene)
+        (Path(tmp) / "scenehard.json").hardlink_to(scene)
         scenario = Path(tmp) / "tiny.json"
         scenario.write_text(json.dumps(docs["scenario"]))
         try:
@@ -164,6 +173,7 @@ def test_what_validate_accepts_builds_and_runs(edits):
             _cli_error("validate", str(scenario))
             return
 
+        inputs = scene.read_bytes(), scenario.read_bytes()
         db, _ = build_db_for_scenario(config)
         assert np.isfinite(db.bins).all()
         steps = min(config.max_steps, 3)
@@ -173,6 +183,8 @@ def test_what_validate_accepts_builds_and_runs(edits):
             assert re.match(r"step \d+ \w+ phase failed", str(exc)), exc
             assert _cli_error("run", str(scenario), "--max-steps", str(steps)) == f"error: {exc}\n"
             return
+        finally:
+            assert (scene.read_bytes(), scenario.read_bytes()) == inputs   # neither output was an input
         assert records
         for record in records:
             assert all(np.isfinite(rate) for rate in record.rates.values())

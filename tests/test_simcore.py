@@ -204,9 +204,10 @@ class TestScenarioConfig:
          "output.trace_csv names a directory, not a file: <dir>"),
         # build-db would write the database over the scene, and run the trace over the database
         (lambda doc: doc["db"].update(path="tiny.scene.json"),
-         "scene, db.path and output.trace_csv name one file twice: build-db and run would overwrite it"),
+         "db.path names the scene file, which build-db or run would overwrite: <dir>/tiny.scene.json"),
         (lambda doc: doc["output"].update(trace_csv="artifacts/tiny.fpdb"),
-         "scene, db.path and output.trace_csv name one file twice: build-db and run would overwrite it"),
+         "output.trace_csv names the database file, which build-db or run would overwrite: "
+         "<dir>/artifacts/tiny.fpdb"),
         # the loop builds links only into agents and reads only transmitters' resources
         (lambda doc: (doc["network"]["nodes"].append({"id": "probe", "role": "rx", "array": {"elements": 2},
                                                       "pose": {"position": [0.3, 0.3, 0.08]}}),
@@ -496,6 +497,26 @@ class TestScenarioConfig:
         assert np.array_equal(db.positions[:, :2].reshape(*size, 2),
                               np.stack(np.meshgrid(xs * spacing, ys * spacing), axis=-1))
         assert np.isfinite(db.bins).all() and db.bins.sum(axis=-1).min() > 0
+
+    def test_file_identity_is_the_file_not_the_name(self, tmp_path):
+        f = tmp_path / "f.json"
+        f.write_text("{}")
+        (tmp_path / "link.json").symlink_to(f)
+        (tmp_path / "hard.json").hardlink_to(f)
+        (tmp_path / "dir_link").symlink_to(tmp_path)
+        same = ["link.json", "hard.json", "gone/../f.json", "dir_link/f.json"]
+        assert [simcore.file_identity(tmp_path / name) == simcore.file_identity(f) for name in same] == [True] * 4
+        # a file not yet written is its realpath, which the writers' missing parents do not change
+        unwritten = simcore.file_identity(tmp_path / "new.fpdb")
+        assert simcore.file_identity(tmp_path / "dir_link" / "gone" / ".." / "new.fpdb") == unwritten
+        assert simcore.file_identity(tmp_path / "other.fpdb") != unwritten
+        # a NUL byte names no file, so validation cannot stat it; it is its own name
+        assert simcore.file_identity(tmp_path / "a\0b") == f"{tmp_path}/a\0b"
+        doc = tiny_scenario_doc()
+        doc["db"]["path"] = "a\0b"
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert isinstance(validate_scenario(ScenarioConfig.from_file(p)), list)
 
     def test_missing_scene_file_flagged(self, tmp_path):
         doc = tiny_scenario_doc()
