@@ -49,17 +49,23 @@ OPENBLAS_NUM_THREADS=2 isactwin run "$case/desk_two_ap.json" --max-steps 5 --out
 cmp "$tmp/desk.fpdb" "$tmp/desk_threads.fpdb"
 cmp "$tmp/t.csv" "$tmp/t_threads.csv"
 
-# a refusal is exit 1 and one stderr line: a misspelled key is an error, not a silent default
-edited 'd["noise"]["fingerprint_snr"] = 20'
-if isactwin validate "$case/desk_two_ap.json" 2> "$tmp/refused.err"; then
-    echo "cli_smoke: a misspelled key was not refused" >&2
-    exit 1
-fi
-if [ "$(wc -l < "$tmp/refused.err")" -ne 1 ] || ! grep -q '^error: ' "$tmp/refused.err"; then
-    echo "cli_smoke: a misspelled key was not refused with exactly one error: line:" >&2
-    cat "$tmp/refused.err" >&2
-    exit 1
-fi
+# refused EDIT WHAT: the scenario edited by EDIT must be refused by validate with exit 1 and exactly
+# one stderr line, "error: ..."
+refused() {
+    edited "$1"
+    if isactwin validate "$case/desk_two_ap.json" 2> "$tmp/refused.err"; then
+        echo "cli_smoke: $2 was not refused" >&2
+        exit 1
+    fi
+    if [ "$(wc -l < "$tmp/refused.err")" -ne 1 ] || ! grep -q '^error: ' "$tmp/refused.err"; then
+        echo "cli_smoke: $2 was not refused with exactly one error: line:" >&2
+        cat "$tmp/refused.err" >&2
+        exit 1
+    fi
+}
+# a misspelled key is an error, not a silent default; a value outside its schema rule is refused
+refused 'd["noise"]["fingerprint_snr"] = 20' "a misspelled key"
+refused 'd["sim"]["dt_s"] = 0' "a zero dt_s"
 
 if [ "$had_shipped_db" = 0 ] && [ -e "$shipped_db" ]; then
     echo "cli_smoke: the smoke run wrote $shipped_db into the checkout" >&2

@@ -84,6 +84,7 @@ def _dispatch(args) -> int:
     if args.command == "build-db":
         config = simcore.ScenarioConfig.from_file(args.scenario)
         if args.out is not None:
+            simcore.check_overrides({"db.path": args.out})
             config = dataclasses.replace(config, db=dataclasses.replace(config.db, path=Path(args.out)))
         db, path = simcore.build_db_for_scenario(config)
         where = path if path is not None else "(not persisted: no db path configured)"
@@ -96,6 +97,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "run":
+        simcore.check_overrides({"sim.seed": args.seed, "sim.max_steps": args.max_steps,
+                                 "output.trace_csv": args.out})
         overrides = {"seed": args.seed, "max_steps": args.max_steps,
                      "trace_csv": None if args.out is None else Path(args.out)}
         config = dataclasses.replace(simcore.ScenarioConfig.from_file(args.scenario),

@@ -24,18 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from .raytrace import PathSet, Pose, trace_paths
-from .scene import Scene, _bad_field
+from .scene import _AT_LEAST_ONE, _POSITIVE, Rule, Scene, _bad_field
 
 _MAGIC = b"ITFPDB01"
 _VERSION = 2
-# the header's schema, in the shapes of scene.read_document
-_DB_HEADER = {"version": int, "scene_hash": str, "network_hash": str, "spacing_m": float,
-              "bin_width_s": float, "num_bins": int, "ap_ids": [str], "n_points": int}
-# the header values localize can use, which save_db and load_db both hold to: (key, test, rule);
-# build_fingerprint_db makes no database without a point, a bin or an AP
-_HEADER_RULES = (("n_points", lambda n: n >= 1, ">= 1"), ("num_bins", lambda n: n >= 1, ">= 1"),
-                 ("ap_ids", lambda ids: len(ids) > 0, "a non-empty list"),
-                 ("spacing_m", lambda x: x > 0, "> 0"), ("bin_width_s", lambda x: x > 0, "> 0"))
+# the header's schema, in the shapes of scene.read_document, which save_db and load_db both hold to:
+# the values localize can use. build_fingerprint_db makes no database without a point, a bin or an AP
+_DB_HEADER = {"version": int, "scene_hash": str, "network_hash": str, "spacing_m": _POSITIVE,
+              "bin_width_s": _POSITIVE, "num_bins": _AT_LEAST_ONE, "ap_ids": Rule([str], bool, "a non-empty list"),
+              "n_points": _AT_LEAST_ONE}
 
 
 class DatabaseError(ValueError):
@@ -242,7 +239,9 @@ def save_db(db: FingerprintDB, path) -> Path:
         "ap_ids": list(db.ap_ids),
         "n_points": int(len(db.positions)),
     }
-    _check_header(header, f"{path}: not written")
+    bad = _bad_field(header, _DB_HEADER)
+    if bad is not None:
+        raise DatabaseError(f"{path}: not written: {bad[0]} {bad[1]}{bad[2]}")
     _finite(db, f"{path}: not written")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -256,7 +255,7 @@ def save_db(db: FingerprintDB, path) -> Path:
 
 
 def load_db(path) -> FingerprintDB:
-    """Read a database file written by save_db; refuses a corrupt file and non-finite bins."""
+    """Read a database file written by save_db into read-only arrays; refuses a corrupt file and non-finite bins."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(_MAGIC)] != _MAGIC:
@@ -281,7 +280,6 @@ def load_db(path) -> FingerprintDB:
     n_points, num_bins, ap_ids = header["n_points"], header["num_bins"], header["ap_ids"]
     spacing, bin_width = header["spacing_m"], header["bin_width_s"]
     scene_hash, network_hash = header["scene_hash"], header["network_hash"]
-    _check_header(header, f"{path}: corrupt header")
     expected = off + 8 * n_points * (3 + len(ap_ids) * num_bins)
     if len(raw) != expected:
         raise DatabaseError(
@@ -292,16 +290,9 @@ def load_db(path) -> FingerprintDB:
     off += n_points * 3 * 8
     bins = np.frombuffer(raw, dtype="<f8", count=n_points * len(ap_ids) * num_bins, offset=off)
     bins = bins.reshape(n_points, len(ap_ids), num_bins)
-    return _finite(FingerprintDB(positions=positions.copy(), spacing=spacing, ap_ids=ap_ids, bins=bins.copy(),
+    return _finite(FingerprintDB(positions=positions, spacing=spacing, ap_ids=ap_ids, bins=bins,
                                  bin_width=bin_width, scene_hash=scene_hash, network_hash=network_hash),
                    f"{path}: not loaded")
-
-
-def _check_header(header: dict, refusal: str):
-    """Refuse, with a DatabaseError, the first header value that breaks _HEADER_RULES."""
-    for key, ok, rule in _HEADER_RULES:
-        if not ok(header[key]):
-            raise DatabaseError(f"{refusal}: has {header[key]!r} at .{key}, which must be {rule}")
 
 
 def _finite(db: FingerprintDB, refusal: str) -> FingerprintDB:

@@ -43,10 +43,24 @@ class Either(NamedTuple):
     fields: dict
 
 
+class Rule(NamedTuple):
+    """A value of shape that must also pass test: a predicate, or a function that raises ValueError
+    for a value it refuses. text states the rule, as in "has 0.0 at .sim.dt_s, which must be > 0"."""
+    shape: object
+    test: object
+    text: str
+
+
+# rules that more than one document's schema states
+_POSITIVE = Rule(float, lambda x: x > 0, "> 0")
+_AT_LEAST_ONE = Rule(int, lambda n: n >= 1, ">= 1")
+
 # the scene document's schema, in the shapes read_document checks
 _XYZ = (float, float, float)
-_SCENE_KEYS = {"materials": [{"name": str, "reflection_coeff": float}],
-               "surfaces": [{"vertices": [_XYZ], "material": str}], "bounds": {"min": _XYZ, "max": _XYZ}}
+_SCENE_KEYS = {"materials": [{"name": Rule(str, bool, "a non-empty string"),
+                              "reflection_coeff": Rule(float, lambda x: 0 <= x <= 1, "in [0, 1]")}],
+               "surfaces": Rule([{"vertices": [_XYZ], "material": str}], bool, "a non-empty list"),
+               "bounds": {"min": _XYZ, "max": _XYZ}}
 
 
 class Walls(NamedTuple):
@@ -156,9 +170,9 @@ def load_scene(source) -> Scene:
     """Load and validate a scene from a JSON file path (str or Path) or a parsed dict.
 
     Raises SceneError on a missing file, parse failure, a value that does not
-    fit _SCENE_KEYS, unknown material references, or any type-invariant violation
-    (non-planar surfaces, out-of-range coefficients, surfaces outside bounds,
-    empty scenes).
+    fit _SCENE_KEYS (an out-of-range coefficient, an empty material name or
+    no surface included), unknown material references, or any type-invariant
+    violation (non-planar surfaces, surfaces outside bounds).
     """
     doc = read_document(source, SceneError, "scene", _SCENE_KEYS)
     scene = _scene_from_document(doc)
@@ -199,12 +213,19 @@ def _bad_field(doc, shape) -> tuple | None:
     """(fault, jq-style path, rest) of the first value of a parsed JSON document that does not fit
     shape, or None. A shape is int (an integer: not a bool, nor an integral float such as 64.0),
     float (a finite number, not a bool), str, a tuple of shapes (a list of exactly those), [shape]
-    (a list of any length), {key: shape} (an object: its keys are required unless Optional) or an
-    Either. Python's json reads NaN, Infinity and 1e999 as floats, past every range check."""
+    (a list of any length), {key: shape} (an object: its keys are required unless Optional), an
+    Either or a Rule. Python's json reads NaN, Infinity and 1e999 as floats, past every range check."""
     kind = type(shape)
     if kind is Either and isinstance(doc, (dict, list, tuple)):
         shape = shape.fields if type(doc) is dict else shape.items
         kind = type(shape)
+    if kind is Rule:
+        found = _bad_field(doc, shape.shape)
+        try:
+            passed = found is not None or shape.test(doc)
+        except ValueError:
+            passed = False
+        return found if passed else (f"has {doc!r} at", "", f", which must be {shape.text}")
     if kind is type:
         if shape is float and isinstance(doc, float):
             return None if math.isfinite(doc) else ("has a non-finite number at", "", "")
@@ -257,19 +278,8 @@ def _scene_from_document(doc: dict) -> Scene:
 
 
 def validate_scene(scene: Scene) -> list[str]:
-    """Return violation descriptors for every broken invariant (empty list = valid)."""
+    """Violations of the scene's invariants (empty list = valid); a rule of one field is _SCENE_KEYS'."""
     violations: list[str] = []
-
-    for mat in scene.materials.values():
-        if not mat.name:
-            violations.append("material with empty name")
-        if not (0.0 <= mat.reflection_coeff <= 1.0):
-            violations.append(
-                f"material {mat.name!r}: reflection_coeff {mat.reflection_coeff} outside [0, 1]"
-            )
-
-    if not scene.surfaces:
-        violations.append("scene has no surfaces")
 
     if np.any(scene.bounds_max < scene.bounds_min):
         violations.append("bounds max < min")

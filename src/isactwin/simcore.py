@@ -44,8 +44,8 @@ from .network import (
     incoming_edges,
 )
 from .raytrace import Pose, candidate_count, trace_paths, wrap_angle
-from .scene import (Either, Optional, SceneError, _set_read_only, floor_grid, json_digest, lattice_span,
-                    load_scene, read_document, scene_hash)
+from .scene import (_AT_LEAST_ONE, _POSITIVE, Either, Optional, Rule, SceneError, _bad_field, _set_read_only,
+                    floor_grid, json_digest, lattice_span, load_scene, read_document, scene_hash)
 
 
 class ConfigError(ValueError):
@@ -66,7 +66,7 @@ class Bus:
     pattern matches the topic; nothing is queued, so a late subscriber sees no
     earlier message. A subscriber that wants a queue passes list.append.
     publish checks no topic: the loop builds them from node ids, which
-    validate_scenario checks (agent/<id>/state, sim/channel/<v>/<q>)."""
+    the scenario schema checks (agent/<id>/state, sim/channel/<v>/<q>)."""
 
     def __init__(self):
         self._subs: list = []   # (fnmatch pattern, deliver callable)
@@ -117,28 +117,47 @@ TRACE_BASE_COLUMNS = ["step", "time_s", "agent_id", *AGENT_COLUMNS]
 # a scenario "controller" key -> the agent.waypoint_control keyword argument it sets
 _CONTROLLER_KEYS = {"k_ang": "k_ang", "v_max": "v_max", "w_max": "w_max", "waypoint_tol_m": "tol"}
 
-# the scenario document's schema, in the shapes read_document checks
+# the most entries a document may ask of an array, bounded before it is built: a db.build grid, a user's
+# index range or whole axis, a circle's waypoints, an antenna array, a profile's bins, the tracer's candidate
+# table (candidate_count). About 5 000 times the shipped grid's 195 points; at 0.2 ms per fingerprint, minutes per AP
+MAX_GRID_POINTS = 10**6
+
+# the scenario document's schema, in the shapes read_document checks. A negative k_ang, v_max or w_max turns
+# waypoint_control's command around, and no waypoint lies within a negative waypoint_tol_m; trace columns are
+# rate_<agent>_<transmitter>, split at the first "_"; node ids are bus topic segments; numpy refuses a negative seed
+_NON_NEGATIVE = Rule(float, lambda x: x >= 0, ">= 0")
+_NON_NEGATIVE_INT = Rule(int, lambda n: n >= 0, ">= 0")
+_COUNT = Rule(int, lambda n: n <= MAX_GRID_POINTS, f"<= {MAX_GRID_POINTS}")
+_FILE_NAME = Rule(str, lambda name: "\0" not in name, "a string without a NUL byte")
 _POSE = {"position": (float, float, float), "yaw_deg": Optional(float)}
-_ARRAY = {"elements": int, "spacing_wavelengths": Optional(float), "boresight_deg": Optional(float)}
+_ARRAY = {"elements": _COUNT, "spacing_wavelengths": Optional(float), "boresight_deg": Optional(float)}
 _INDEX_SET = Optional(Either([int], {"from": int, "to": int}))
 _USER = {"id": str, "subcarriers": _INDEX_SET, "symbols": _INDEX_SET, "power_w": Optional(float)}
-_CIRCLE = {"center": (float, float), "radius": float, "waypoints": Optional(int),
+_CIRCLE = {"center": (float, float), "radius": float, "waypoints": Optional(_COUNT),
            "start_angle_deg": Optional(float)}
 _SCENARIO_KEYS = {
-    "scene": str,
-    "network": {"nodes": [{"id": str, "role": str, "pose": Optional(_POSE), "array": Optional(_ARRAY)}],
+    "scene": _FILE_NAME,
+    "network": {"nodes": [{"id": Rule(str, lambda i: not any(c.isspace() or c in "/*?[" for c in i),
+                                      "a string without whitespace, '/', '*', '?' or '['"),
+                           "role": Rule(str, ("tx", "rx", "txrx").__contains__, "'tx', 'rx' or 'txrx'"),
+                           "pose": Optional(_POSE), "array": Optional(_ARRAY)}],
                 "edges": [(str, str)], "resources": Optional({"users": Optional([_USER])})},
-    "ofdm": {"n_subcarriers": int, "delta_f_hz": float, "n_symbols": int, "carrier_hz": float},
-    "agents": [{"id": str, "initial_pose": _POSE, "path": Either([(float, float)], {"circle": _CIRCLE}),
-                "controller": Optional(dict.fromkeys(_CONTROLLER_KEYS, Optional(float)))}],
-    "noise": Optional({**dict.fromkeys(("state_var", "noise_power_w", "fingerprint_snr_db"),
-                                       Optional(float)), "map_offset_m": Optional((float, float))}),
-    "sim": {"dt_s": float, "max_steps": int, "seed": Optional(int)},
-    "raytrace": Optional({"max_order": Optional(int)}),
-    "db": Optional({"path": Optional(str), "build": Optional({
-        **dict.fromkeys(("spacing_m", "bin_width_s", "height_m"), Optional(float)),
-        "num_bins": Optional(int), "roi_m": Optional((float,) * 4)})}),
-    "output": Optional({"trace_csv": Optional(str)}),
+    "ofdm": {"n_subcarriers": _COUNT, "delta_f_hz": float, "n_symbols": _COUNT, "carrier_hz": float},
+    "agents": Rule([{"id": Rule(str, lambda i: "_" not in i, "a string without '_'"), "initial_pose": _POSE,
+                     "path": Either(Rule([(float, float)], bool, "a non-empty list"), {"circle": _CIRCLE}),
+                     "controller": Optional(dict.fromkeys(_CONTROLLER_KEYS, Optional(_NON_NEGATIVE)))}],
+                   bool, "a non-empty list"),
+    "noise": Optional({"state_var": Optional(_NON_NEGATIVE), "noise_power_w": Optional(_POSITIVE),
+                       "fingerprint_snr_db": Optional(Rule(float, loc_mod.snr_power, "a dB value whose linear "
+                                                           "power 10 ** (x / 10) and its inverse are finite")),
+                       "map_offset_m": Optional((float, float))}),
+    "sim": {"dt_s": _POSITIVE, "max_steps": _AT_LEAST_ONE, "seed": Optional(_NON_NEGATIVE_INT)},
+    "raytrace": Optional({"max_order": Optional(_NON_NEGATIVE_INT)}),
+    "db": Optional({"path": Optional(_FILE_NAME), "build": Optional({
+        "spacing_m": Optional(_POSITIVE), "bin_width_s": Optional(_POSITIVE), "height_m": Optional(float),
+        "num_bins": Optional(Rule(int, lambda n: 1 <= n <= MAX_GRID_POINTS, f"in 1..{MAX_GRID_POINTS}")),
+        "roi_m": Optional((float,) * 4)})}),
+    "output": Optional({"trace_csv": Optional(_FILE_NAME)}),
 }
 
 
@@ -225,11 +244,9 @@ class ScenarioConfig:
         net = doc["network"]
         nodes = []
         for nd in net["nodes"]:
-            if nd["role"] not in ("tx", "rx", "txrx"):
-                raise ConfigError(f"node {nd['id']!r}: role {nd['role']!r} is not tx, rx or txrx")
             array = arr = nd.get("array")
             if arr is not None:
-                array = ArrayConfig(num_elements=_counted(arr["elements"], f"node {nd['id']!r}: array.elements"),
+                array = ArrayConfig(num_elements=arr["elements"],
                                     spacing=_number(arr, "spacing_wavelengths", 0.5) * ofdm.wavelength,
                                     boresight=math.radians(_number(arr, "boresight_deg", 0.0)))
             pose = _parse_pose(nd["pose"]) if nd.get("pose") is not None else None
@@ -264,7 +281,7 @@ class ScenarioConfig:
             build = DbBuildSpec(
                 spacing=_number(b, "spacing_m", 0.05),
                 bin_width=_number(b, "bin_width_s", 12.5e-9),
-                num_bins=_counted(_get(b, "num_bins", 64), "db.build.num_bins"),
+                num_bins=_get(b, "num_bins", 64),
                 roi=tuple(float(x) for x in b["roi_m"]) if b.get("roi_m") is not None else None,
                 height=_number(b, "height_m", None),
             )
@@ -309,17 +326,17 @@ def _parse_pose(doc: dict) -> Pose:
 
 
 def _parse_index_set(user: dict, key: str, upper: int) -> frozenset:
-    """A user's indices under key: a list, a {from, to} range, or all of 1..upper where the key is
-    left out. A range, or the whole axis, is counted before it is built."""
+    """A user's indices under key: a list, a {from, to} range, counted before it is built, or all
+    of 1..upper where the key is left out."""
     spec = user.get(key)
     if spec is None:
-        first, last, given = 1, upper, f"left out, all of 1..{upper},"
-    elif isinstance(spec, dict):
-        first, last = spec["from"], spec["to"]
-        given = f"{first}..{last}"
-    else:
+        return frozenset(range(1, upper + 1))
+    if not isinstance(spec, dict):
         return frozenset(spec)
-    _counted(last - first + 1, f"resources user {user['id']!r}: {key} {given}")
+    first, last = spec["from"], spec["to"]
+    if last - first + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"resources user {user['id']!r}: {key} {first}..{last} gives {last - first + 1} "
+                          f"entries; at most {MAX_GRID_POINTS} are allowed")
     return frozenset(range(first, last + 1))
 
 
@@ -327,17 +344,22 @@ def _parse_path(agent: dict) -> np.ndarray:
     spec = agent["path"]
     if isinstance(spec, dict):
         c = spec["circle"]
-        count = _counted(_get(c, "waypoints", 16), f"agent {agent['id']!r}: path.circle.waypoints")
-        return agent_mod.circle_waypoints(center=c["center"], radius=float(c["radius"]), count=count,
+        return agent_mod.circle_waypoints(center=c["center"], radius=float(c["radius"]),
+                                          count=_get(c, "waypoints", 16),
                                           start_angle=math.radians(_number(c, "start_angle_deg", 0.0)))
     return np.asarray(spec, dtype=float).reshape(-1, 2)
 
 
-def _counted(count: int, what: str) -> int:
-    """count, the entries of an array a document asks for, checked before the array is built."""
-    if count > MAX_GRID_POINTS:
-        raise ConfigError(f"{what} gives {count} entries; at most {MAX_GRID_POINTS} are allowed")
-    return count
+def check_overrides(values: dict) -> None:
+    """Refuse, with a ConfigError, the first command-line value for a scenario document key ("sim.seed": -1)
+    that the document's own value would be refused for (_SCENARIO_KEYS); None is a value not given."""
+    for key, value in values.items():
+        shape = _SCENARIO_KEYS
+        for part in key.split("."):
+            shape = shape[part].shape if type(shape[part]) is Optional else shape[part]
+        bad = None if value is None else _bad_field(value, shape)
+        if bad is not None:
+            raise ConfigError(f"command line {bad[0]} .{key}{bad[2]}")
 
 
 def _misplaced(scene, position) -> str | None:
@@ -353,8 +375,6 @@ def file_identity(path):
     else its os.path.realpath, which a write would create (the writers make missing parents)."""
     try:
         return os.stat(path)[1:3]   # (st_ino, st_dev)
-    except ValueError:   # a name holding a NUL byte, which no file has, is its own
-        return str(path)
     except OSError:   # `..` past a parent the writers would make can still reach a file
         real = os.path.realpath(path)
     try:
@@ -364,7 +384,8 @@ def file_identity(path):
 
 
 def validate_scenario(config: ScenarioConfig) -> list:
-    """Total validation pass; returns human-readable violation strings.
+    """Total validation pass over the rules that read several fields or files (_SCENARIO_KEYS holds
+    one field's, checked when the document is read); returns human-readable violation strings.
 
     When it finds no problem, the scene, network graph, resource allocation and
     db.build grid (None without db.build) it built on the way are kept on the
@@ -374,24 +395,6 @@ def validate_scenario(config: ScenarioConfig) -> list:
     here and overwrites a stale one), so run refuses a stale one at set-up.
     """
     problems = []
-    if config.dt <= 0.0:
-        problems.append(f"sim.dt_s must be > 0, got {config.dt}")
-    if config.max_steps < 1:
-        problems.append(f"sim.max_steps must be >= 1, got {config.max_steps}")
-    if config.seed < 0:   # numpy's generators refuse it; a run --seed override is not parsed
-        problems.append(f"sim.seed must be a non-negative integer, got {config.seed}")
-    if config.noise.noise_power_w <= 0.0:
-        problems.append("noise.noise_power_w must be > 0")
-    if config.noise.state_var < 0.0:
-        problems.append("noise.state_var must be nonnegative")
-    if config.noise.fingerprint_snr_db is not None:
-        try:
-            loc_mod.snr_power(config.noise.fingerprint_snr_db)
-        except ValueError as exc:
-            problems.append(f"noise.fingerprint_snr_db: {exc}")
-    if config.max_order < 0:
-        problems.append("raytrace.max_order must be >= 0")
-
     scene = graph = allocation = scene_bytes = grid = paths = None
     if not config.scene_path.is_file():
         problems.append(f"scene file not found: {config.scene_path}")
@@ -401,7 +404,7 @@ def validate_scenario(config: ScenarioConfig) -> list:
             scene = load_scene(config.scene_path)
         except SceneError as exc:
             problems.append(f"scene invalid: {exc}")
-    if scene is not None and config.max_order >= 0:
+    if scene is not None:
         surfaces = sum(s.unit_normal is not None for s in scene.surfaces)
         if (count := candidate_count(surfaces, config.max_order)) > MAX_GRID_POINTS:
             problems.append(f"raytrace.max_order {config.max_order} over the scene's {surfaces} planar surfaces "
@@ -414,8 +417,6 @@ def validate_scenario(config: ScenarioConfig) -> list:
     agent_ids = {a.id for a in config.agents}
     wavelength = config.ofdm.wavelength
     for node in config.nodes:
-        if any(c.isspace() or c in "/*?[" for c in node.id):
-            problems.append(f"node id {node.id!r} must not contain whitespace, '/', '*', '?' or '['")
         # channel._steering's phase step, which overflows before the spacing does
         if node.array is not None and not math.isfinite(2.0 * math.pi * (ratio := node.array.spacing / wavelength)):
             problems.append(f"node {node.id!r}: array spacing {ratio:.3g} wavelengths gives a steering phase "
@@ -448,24 +449,12 @@ def validate_scenario(config: ScenarioConfig) -> list:
         allocation = allocate_resources(config.requests, config.ofdm.n_subcarriers, config.ofdm.n_symbols)
     except NetworkError as exc:
         problems.append(f"resource allocation invalid: {exc}")
-    if None not in (graph, allocation, paths) and config.noise.noise_power_w > 0.0:
+    if None not in (graph, allocation, paths):
         problems += _snr_overflows(config, graph, allocation, paths)
 
-    if not config.agents:
-        problems.append("no agents configured")
-    for i, spec in enumerate(config.agents):
-        for key, kwarg in _CONTROLLER_KEYS.items():
-            # a negative k_ang, v_max or w_max turns waypoint_control's command around; no waypoint lies
-            # within a negative waypoint_tol_m
-            if spec.gains.get(kwarg, 0.0) < 0.0:
-                problems.append(f"agents[{i}].controller.{key} must be >= 0, got {spec.gains[kwarg]}")
-        if "_" in spec.id:
-            # trace columns are rate_<agent>_<transmitter>, split at the first "_"
-            problems.append(f"agent id {spec.id!r} must not contain '_'")
+    for spec in config.agents:
         if spec.id not in nodes:
             problems.append(f"agent {spec.id!r} has no matching network node")
-        if len(spec.waypoints) == 0:
-            problems.append(f"agent {spec.id!r} has an empty path")
         if scene is not None and (where := _misplaced(scene, spec.initial_pose.position)):
             problems.append(f"agent {spec.id!r} starts {where}")
 
@@ -491,11 +480,9 @@ def validate_scenario(config: ScenarioConfig) -> list:
         except loc_mod.DatabaseError as exc:
             problems.append(str(exc))
     if build is not None:
-        if build.bin_width <= 0.0 or build.num_bins < 1:
-            problems.append("db.build needs bin_width_s > 0 and num_bins >= 1")
         if graph is not None and not _static_aps(config, graph):
             problems.append("no static transmitter nodes to fingerprint")
-        if scene is not None and config.agents:
+        if scene is not None:
             try:
                 grid = _db_grid(config, scene)
             except ConfigError as exc:
@@ -569,20 +556,12 @@ def db_signature(config: ScenarioConfig, graph) -> str:
     return json_digest({"aps": aps, "carrier_hz": config.ofdm.carrier_freq, "max_order": config.max_order})
 
 
-# the most entries a document may ask of an array, counted before it is built: a db.build grid, a user's
-# index range, a circle's waypoints, an antenna array, a profile's bins, the tracer's candidate table
-# (candidate_count). About 5 000 times the shipped grid's 195 points; at 0.2 ms per fingerprint, minutes per AP
-MAX_GRID_POINTS = 10**6
-
-
 def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
     """The fingerprint grid of db.build: the floor lattice at db.build.height_m, else the
     first agent's z, cut to the ROI. The lattice, or with an ROI its block that spans the ROI
     (lattice_span), is counted before it is built. Raises ConfigError for settings that give
     no grid or more than MAX_GRID_POINTS."""
     build = config.db.build
-    if build.spacing <= 0.0:
-        raise ConfigError(f"db.build.spacing_m must be > 0, got {build.spacing}")
     height = build.height if build.height is not None else float(config.agents[0].initial_pose.position[2])
     if not scene.bounds_min[2] - 1e-9 <= height <= scene.bounds_max[2] + 1e-9:
         raise ConfigError(f"db.build height {height} outside the scene's z bounds")

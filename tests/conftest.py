@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -24,6 +26,38 @@ def rewrite_db_header(path, edit):
     (hlen,) = struct.unpack_from("<I", raw, 8)
     blob = json.dumps(edit(json.loads(raw[12 : 12 + hlen]))).encode()
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+
+
+# the values just outside and just inside each scene.Rule that states no numeric bound, by its text, as
+# functions of the value the document set. The SNR bound is 10 * log10 of the largest float, about 3082.5 dB
+_NAMED_RULES = {
+    "a non-empty list": lambda original: ([[]], [original[:1]]),
+    "a non-empty string": lambda original: ([""], ["x"]),
+    "a string without '_'": lambda original: (["a_b"], ["ab"]),
+    "a string without whitespace, '/', '*', '?' or '['": lambda original: (["a b", "a/b", "a*", "a?", "a["],
+                                                                            ["ab", "a]b"]),
+    "'tx', 'rx' or 'txrx'": lambda original: (["TX", "tx "], ["tx", "rx", "txrx"]),
+    "a string without a NUL byte": lambda original: (["a\0b"], ["a\x01b"]),
+    "a dB value whose linear power 10 ** (x / 10) and its inverse are finite":
+        lambda original: ([3083.0, -3083.0], [3082.0, -3082.0]),
+}
+
+
+def rule_boundaries(rule, original) -> tuple:
+    """([values just outside rule], [values just inside it]) for a scene.Rule whose value the document
+    set to original (None where it leaves the key out). A numeric bound is read from rule.text
+    ("> 0", ">= 1", "<= 1000000", "in 1..1000000", "in [0, 1]") and stepped by one integer, or to the
+    next float; other rules are listed in _NAMED_RULES."""
+    if rule.text in _NAMED_RULES:
+        return _NAMED_RULES[rule.text](original)
+    step = (lambda x, d: x + d) if rule.shape is int else (lambda x, d: math.nextafter(x, d * math.inf))
+    one_sided = re.fullmatch(r"(>|>=|<=) (\d+)", rule.text)
+    if one_sided:
+        bound = rule.shape(one_sided[2])
+        return {">": ([bound], [step(bound, 1)]), ">=": ([step(bound, -1)], [bound]),
+                "<=": ([step(bound, 1)], [bound])}[one_sided[1]]
+    low, high = map(rule.shape, re.fullmatch(r"in \[?(\d+)(?:\.\.|, )(\d+)\]?", rule.text).groups())
+    return [step(low, -1), step(high, 1)], [low, high]
 
 
 def box_scene_doc(lx=4.0, ly=3.0, lz=2.5, coeff=0.7):

@@ -4,9 +4,10 @@ is one error line.
 
 A mutation edits the document at one place that simcore._SCENARIO_KEYS or scene._SCENE_KEYS
 types: a number or string gets another value of its JSON type, extremes included (+-1e300,
-+-1e-300, 0, +-10**18); an Optional key gets null; a list is emptied or gets a copy of its first
-item. Optional keys that the document leaves out are set too, where their value is a number, a
-string or a list of numbers (noise.fingerprint_snr_db, noise.map_offset_m).
++-1e-300, 0, +-10**18), and a value that a Rule states a range for also the values just outside
+and just inside it (conftest.rule_boundaries); an Optional key gets null; a list is emptied or gets
+a copy of its first item. Optional keys that the document leaves out are set too, where their value
+is a number, a string or a list of numbers (noise.fingerprint_snr_db, noise.map_offset_m).
 
 The test is derandomized, so every run, the weekly seed sweep's included, draws the same examples.
 """
@@ -24,9 +25,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY_SCENE, tiny_scenario_doc
+from conftest import TINY_SCENE, rule_boundaries, tiny_scenario_doc
 from isactwin.cli import main
-from isactwin.scene import _SCENE_KEYS, Either, Optional
+from isactwin.scene import _SCENE_KEYS, Either, Optional, Rule
 from isactwin.simcore import _SCENARIO_KEYS, ConfigError, ScenarioConfig, build_db_for_scenario, run_simulation, \
     validate_scenario
 
@@ -46,12 +47,17 @@ def _slots(doc, shape, path=()):
         shape = shape.shape
     if type(shape) is Either:
         shape = shape.fields if isinstance(doc, dict) else shape.items
+    rule = shape if type(shape) is Rule else None
+    if rule is not None:
+        shape = shape.shape
     if doc is None:   # an Optional key left out
         if shape in _SCALARS or (type(shape) is tuple and all(s in _SCALARS for s in shape)):
-            yield path, shape
+            yield path, rule or shape
         return
     if optional:
         yield path, None
+    if rule is not None and shape not in _SCALARS:   # a scalar's rule is its slot, below
+        yield path, rule
     if type(shape) is dict:
         for key, sub in shape.items():
             yield from _slots(doc.get(key), sub, (*path, key))
@@ -63,7 +69,7 @@ def _slots(doc, shape, path=()):
         for i, item in enumerate(doc):
             yield from _slots(item, shape[0], (*path, i))
     else:
-        yield path, shape
+        yield path, rule or shape
 
 
 def _at(doc, path):
@@ -82,7 +88,14 @@ def _apply(doc, path, value):
 
 
 def _values(shape, original):
-    """Values of a slot's JSON type: extremes, small values, and the original scaled or stepped."""
+    """Values of a slot's JSON type: extremes, small values, and the original scaled or stepped; for a
+    Rule also the values just outside and just inside it, but a count at MAX_GRID_POINTS, which the
+    run below would build arrays of that many entries per path for."""
+    if type(shape) is Rule:
+        outside, inside = rule_boundaries(shape, original)
+        boundary = outside + [v for v in inside if not (type(v) is int and v > 10**4)]
+        return st.sampled_from(boundary) | _values(shape.shape, original) if shape.shape in _SCALARS \
+            else st.sampled_from(boundary)   # a list's other values are its list slot's
     if shape is None:
         return st.none()
     if shape is list:

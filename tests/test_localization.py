@@ -206,6 +206,13 @@ class TestFingerprintDB:
         assert back.bin_width == db.bin_width
         assert back.scene_hash == "s" and back.network_hash == "n"
 
+    def test_loaded_arrays_are_read_only(self, small_db, tmp_path):
+        # the views of the bytes read: no write can leave the cached aligned_unit stale
+        back = load_db(save_db(small_db[0], tmp_path / "db.fpdb"))
+        assert not back.bins.flags.writeable and not back.positions.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.bins[0, 0, 0] = 1.0
+
     def test_corrupt_file_rejected(self, tmp_path):
         p = tmp_path / "bogus.fpdb"
         p.write_bytes(b"NOTADB00" + b"\x00" * 64)

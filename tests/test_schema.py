@@ -1,9 +1,12 @@
-"""The scene and scenario schemas: every typed value refuses a value of another JSON type.
+"""The scene and scenario schemas: every typed value refuses a value of another JSON type, and
+every Rule a value just outside it.
 
-The wrong-type cases are generated from scene._SCENE_KEYS and simcore._SCENARIO_KEYS. Every
-value that the shipped scene, the shipped scenario or the tiny test scenario sets gets a value of
-the wrong type (lists at their first item), and `isactwin validate` must then print exactly one
-error line, naming that value's jq path.
+The cases are generated from scene._SCENE_KEYS and simcore._SCENARIO_KEYS. Every value that the
+shipped scene, the shipped scenario or the tiny test scenario sets gets a value of the wrong type
+(lists at their first item), and `isactwin validate` must then print exactly one error line, naming
+that value's jq path. Every Rule gets the values just outside it (conftest.rule_boundaries), which
+validate, build-db and run each refuse with exactly that line, and the values just inside it, which
+the schema accepts.
 """
 
 import copy
@@ -11,9 +14,10 @@ import json
 
 import pytest
 
-from conftest import TINY_SCENE, repo_scenario_dir, tiny_scenario_doc
+from conftest import TINY_SCENE, repo_scenario_dir, rule_boundaries, tiny_scenario_doc
 from isactwin.cli import main
-from isactwin.scene import _SCENE_KEYS, Either, Optional
+from isactwin.localization import _DB_HEADER
+from isactwin.scene import _SCENE_KEYS, Either, Optional, Rule, _bad_field
 from isactwin.simcore import _SCENARIO_KEYS
 
 
@@ -34,6 +38,8 @@ def _typed_values(doc, shape, path=()):
         yield path, shape
     if type(shape) is Either:   # the form doc takes; its own value is not then one of another kind
         shape = shape.fields if isinstance(doc, dict) else shape.items
+    if type(shape) is Rule:
+        shape = shape.shape
     if type(shape) is dict:
         for key, sub in shape.items():
             if doc.get(key) is not None:
@@ -48,6 +54,8 @@ def _typed_values(doc, shape, path=()):
 def _wrong_values(shape, value):
     """A string or true for a number, 2.5 or true for an integer, a number for a string, an n-list
     one item short, an object for a list of any length and a number for a list-or-object."""
+    if type(shape) is Rule:
+        shape = shape.shape
     if type(shape) is tuple:
         return [value[:-1]]
     if type(shape) is list:
@@ -82,13 +90,18 @@ def _validate(tmp_path, scenario, scene, scene_name):
     return main(["validate", str(p)])
 
 
-@pytest.mark.parametrize("document,base,path,wrong", _cases())
-def test_wrong_type_is_one_error_naming_its_path(tmp_path, capsys, document, base, path, wrong):
+def _edited(document, base, path, value):
     scenario, scene, scene_name = copy.deepcopy(base)
     owner = scenario if document == "scenario" else scene
     for key in path[:-1]:
         owner = owner[key]
-    owner[path[-1]] = wrong
+    owner[path[-1]] = value
+    return scenario, scene, scene_name
+
+
+@pytest.mark.parametrize("document,base,path,wrong", _cases())
+def test_wrong_type_is_one_error_naming_its_path(tmp_path, capsys, document, base, path, wrong):
+    scenario, scene, scene_name = _edited(document, base, path, wrong)
     assert _validate(tmp_path, scenario, scene, scene_name) == 1
     err = capsys.readouterr().err
     prefix = "error: scene invalid: scene" if document == "scene" else "error: scenario"
@@ -151,3 +164,93 @@ def test_optional_key_may_be_null(tmp_path, capsys):
     scenario["network"]["nodes"][2]["pose"] = None
     scenario["agents"][0]["controller"]["v_max"] = None
     assert _validate(tmp_path, scenario, scene, scene_name) == 0
+
+
+def _rules(doc, shape, path=()):
+    """(path, rule, value) of every Rule in shape where doc sets a value, or where an object doc sets
+    leaves out an Optional key (value None); a list is followed into its first item."""
+    if type(shape) is Optional:
+        shape = shape.shape
+    if type(shape) is Either:
+        shape = shape.fields if isinstance(doc, dict) else shape.items
+    if type(shape) is Rule:
+        yield path, shape, doc
+        shape = shape.shape
+    if type(shape) is dict and doc is not None:
+        for key, sub in shape.items():
+            yield from _rules(doc.get(key), sub, (*path, key))
+    elif type(shape) is list and doc:
+        yield from _rules(doc[0], shape[0], (*path, 0))
+
+
+def _schema_rules(shape, path=()):
+    """The path, without list indices, of every Rule in shape."""
+    if type(shape) is Optional:
+        shape = shape.shape
+    if type(shape) is Rule:
+        yield path
+        shape = shape.shape
+    if type(shape) is Either:
+        for sub in (shape.items, shape.fields):
+            yield from _schema_rules(sub, path)
+    elif type(shape) is dict:
+        for key, sub in shape.items():
+            yield from _schema_rules(sub, (*path, key))
+    elif type(shape) is list:
+        yield from _schema_rules(shape[0], path)
+
+
+def _boundary_cases(side):
+    """One case per value just outside (side 0) or just inside (side 1) each Rule of the schemas, at its
+    first place in the shipped scenario, the tiny scenario or the shipped scene."""
+    cases = {}
+    for document, base in (("scenario", SHIPPED), ("scenario", TINY), ("scene", SHIPPED)):
+        doc, shape = (base[0], _SCENARIO_KEYS) if document == "scenario" else (base[1], _SCENE_KEYS)
+        for path, rule, value in _rules(doc, shape):
+            for i, edge in enumerate(rule_boundaries(rule, value)[side]):
+                cases.setdefault((document, _jq(path), i), (document, base, path, rule, edge))
+    return [pytest.param(*case, id=f"{document}{path}={case[4]!r}") for (document, path, _), case in cases.items()]
+
+
+@pytest.mark.parametrize("document,base,path,rule,outside", _boundary_cases(0))
+def test_value_just_outside_a_rule_is_one_error_naming_its_path(tmp_path, capsys, document, base, path, rule,
+                                                                outside):
+    scenario, scene, scene_name = _edited(document, base, path, outside)
+    assert _validate(tmp_path, scenario, scene, scene_name) == 1
+    prefix = "scene invalid: scene" if document == "scene" else "scenario"
+    message = f"error: {prefix} document has {outside!r} at {_jq(path)}, which must be {rule.text}\n"
+    assert capsys.readouterr().err == message
+    for argv in (["build-db", str(tmp_path / "s.json")], ["run", str(tmp_path / "s.json")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "artifacts").exists()
+
+
+@pytest.mark.parametrize("document,base,path,rule,inside", _boundary_cases(1))
+def test_value_just_inside_a_rule_is_accepted(tmp_path, capsys, document, base, path, rule, inside):
+    scenario, scene, scene_name = _edited(document, base, path, inside)
+    assert _bad_field(scene if document == "scene" else scenario,
+                      _SCENE_KEYS if document == "scene" else _SCENARIO_KEYS) is None
+    # validate may refuse the edited document for a rule of several fields or files, never for this value
+    _validate(tmp_path, scenario, scene, scene_name)
+    assert "document has" not in capsys.readouterr().err
+
+
+def test_boundary_cases_cover_every_rule():
+    for side in (0, 1):
+        covered = {(case.values[0], tuple(k for k in case.values[2] if not isinstance(k, int)))
+                   for case in _boundary_cases(side)}
+        assert covered == {*(("scenario", path) for path in _schema_rules(_SCENARIO_KEYS)),
+                           *(("scene", path) for path in _schema_rules(_SCENE_KEYS))}
+    # every single-field rule, so that none is lost from a schema unseen
+    assert {".".join(path) for path in _schema_rules(_SCENARIO_KEYS)} == {
+        "scene", "network.nodes.id", "network.nodes.role", "network.nodes.array.elements", "ofdm.n_subcarriers",
+        "ofdm.n_symbols", "agents", "agents.id", "agents.path", "agents.path.circle.waypoints",
+        *(f"agents.controller.{key}" for key in ("k_ang", "v_max", "w_max", "waypoint_tol_m")),
+        "noise.state_var", "noise.noise_power_w", "noise.fingerprint_snr_db", "sim.dt_s", "sim.max_steps",
+        "sim.seed", "raytrace.max_order", "db.path", "db.build.spacing_m", "db.build.bin_width_s",
+        "db.build.num_bins", "output.trace_csv"}
+    assert set(_schema_rules(_SCENE_KEYS)) == {("materials", "name"), ("materials", "reflection_coeff"),
+                                               ("surfaces",)}
+    assert set(_schema_rules(_DB_HEADER)) == {("spacing_m",), ("bin_width_s",), ("num_bins",), ("ap_ids",),
+                                              ("n_points",)}
