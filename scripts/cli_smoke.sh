@@ -66,6 +66,8 @@ refused() {
 # a misspelled key is an error, not a silent default; a value outside its schema rule is refused
 refused 'd["noise"]["fingerprint_snr"] = 20' "a misspelled key"
 refused 'd["sim"]["dt_s"] = 0' "a zero dt_s"
+# a bin window that ends before the shortest line-of-sight delay would give an all-zero database
+refused 'd["db"]["build"]["bin_width_s"] = 1e-15' "an empty bin window"
 
 if [ "$had_shipped_db" = 0 ] && [ -e "$shipped_db" ]; then
     echo "cli_smoke: the smoke run wrote $shipped_db into the checkout" >&2

@@ -70,7 +70,9 @@ def compute_mdp(paths: PathSet, bin_width: float, num_bins: int) -> Mdp:
     """
     if bin_width <= 0.0 or num_bins < 1:
         raise ValueError("invalid bin parameters")
-    idx = np.floor(paths.delay / bin_width)
+    top = bin_width * 2.0 ** 1023   # a delay past it would overflow delay / bin_width; it is past the window too
+    delay = np.minimum(paths.delay, top) if len(paths.delay) and paths.delay[-1] > top else paths.delay
+    idx = np.floor(delay / bin_width)
     power = paths.power
     if len(idx) and idx[-1] >= num_bins:   # delays ascend: only the last can tell of an overflow
         inside = idx < num_bins

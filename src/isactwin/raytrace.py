@@ -19,11 +19,12 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
-from .scene import CONTAINS_TOL, Scene, _read_only, _set_read_only
+from .scene import CONTAINS_TOL, Scene, Stack, _read_only, _set_read_only
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -226,15 +227,6 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
 # ---------------------------------------------------------------------------
 # internals
 
-class _Surfaces(NamedTuple):
-    """The occlusion tables of S planar surfaces."""
-
-    normals: np.ndarray       # (S, 3)
-    offsets: np.ndarray       # (S,), n . x = offset
-    edge_normals: np.ndarray  # (S, V, 3) in-plane edge normals n x edge, zero-padded to V
-    edge_offsets: np.ndarray  # (S, V), inside is edge_normal . x >= edge_offset
-
-
 @dataclass(eq=False)
 class _Plan:
     """What a trace over M candidates of order 0..K needs and no end changes, one per (scene, K).
@@ -254,7 +246,7 @@ class _Plan:
     planes, every mirrored plane's, mirrored edge plane's and wall's normal as a column.
     """
 
-    occluders: _Surfaces      # the usable surfaces that Scene.walls does not name
+    occluders: Stack          # the rows of the usable surfaces that Scene.walls does not name
     order: np.ndarray         # (M,) each row's reflection order, non-decreasing
     padding: np.ndarray       # (K, M) which levels mirror nothing
     normals: np.ndarray       # (K, M, 3) each bounce's mirrored plane n' . x = o'
@@ -299,17 +291,13 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
     plans = _PLANS.get(scene) or _PLANS.setdefault(scene, {})   # a weak-key setdefault makes a weakref per call
     plan = plans.get(max_order)
     if plan is None:
-        usable = [s for s in scene.surfaces if s.unit_normal is not None]
-        num_edges = max((len(s.vertices) for s in usable), default=0)
-        normals, offsets = np.zeros((len(usable) + 1, 3)), np.zeros(len(usable) + 1)
-        edge_normals, edge_offsets = np.zeros((len(usable) + 1, num_edges, 3)), np.zeros((len(usable) + 1, num_edges))
-        for i, s in enumerate(usable):
-            normals[i], offsets[i] = s.unit_normal, s.plane_offset
-            edge_normals[i, : len(s.vertices)] = s.edge_normals
-            edge_offsets[i, : len(s.vertices)] = s.edge_offsets
-        occluders = ~scene.walls.mask
-        coeffs = np.array([s.material.reflection_coeff for s in usable] + [1.0])
-        side = len(usable) + 1   # indices -1..S-1, columns in lexicographic order
+        t = scene.stack   # its usable rows, cut to their largest vertex count, and a zero row for index -1
+        num_edges = int(t.counts[t.usable].max(initial=0))
+        normals, offsets, edge_normals, edge_offsets = (np.concatenate((a, np.zeros((1, *a.shape[1:])))) for a in (
+            t.normals[t.usable], t.offsets[t.usable], t.edge_normals[t.usable, :num_edges],
+            t.edge_offsets[t.usable, :num_edges]))
+        coeffs = np.array([s.material.reflection_coeff for s in compress(scene.surfaces, t.usable)] + [1.0])
+        side = len(coeffs)   # indices -1..S-1, columns in lexicographic order
         seqs = np.indices((side,) * max_order).reshape(max_order, side ** max_order) - 1
         prev, cur = seqs[:-1], seqs[1:]
         seqs = seqs[:, ((prev < 0) | ((cur >= 0) & (cur != prev))).all(axis=0)]
@@ -330,10 +318,10 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
         edge_major = lambda a: np.ascontiguousarray(np.moveaxis(a, 2, 1))   # (K, M, V, ...) -> (K, V, M, ...)
         n_mirrored, e_mirrored = (n[..., None, :] @ linear[1:])[..., 0, :], edge_major(e @ linear[1:])
         plans[max_order] = plan = _Plan(
-            _Surfaces(normals[:-1][occluders], offsets[:-1][occluders], edge_normals[:-1][occluders],
-                      edge_offsets[:-1][occluders]), (seqs >= 0).sum(axis=0), seqs < 0, n_mirrored, mirrored,
-            e_mirrored, edge_major(edge_offsets[seqs] - np.vecdot(e, shift[1:, :, None, :])), coeffs[seqs].prod(axis=0),
-            linear, shift, np.concatenate([a.reshape(-1, 3) for a in (n_mirrored, e_mirrored, scene.walls.normals)]).T,
+            Stack(*(a[np.flatnonzero(t.usable)[~scene.walls.mask]] for a in t)), (seqs >= 0).sum(axis=0), seqs < 0,
+            n_mirrored, mirrored, e_mirrored, edge_major(edge_offsets[seqs] - np.vecdot(e, shift[1:, :, None, :])),
+            coeffs[seqs].prod(axis=0), linear, shift,
+            np.concatenate([a.reshape(-1, 3) for a in (n_mirrored, e_mirrored, scene.walls.normals)]).T,
             weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary())
     return plan
 
@@ -415,7 +403,7 @@ def _polylines(plan: _Plan, tx_point, rx_point, rows, s, d) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _occluded(surfaces: _Surfaces, pts) -> np.ndarray:
+def _occluded(surfaces: Stack, pts) -> np.ndarray:
     """(M,) mask: a segment of the (K + 2, M, 3) polylines crosses one of the surfaces between its ends.
 
     The endpoint guard, t L and (1 - t) L >= 1e-9, is the only filter for the surfaces a segment
@@ -424,7 +412,7 @@ def _occluded(surfaces: _Surfaces, pts) -> np.ndarray:
     only at its far end, on a seam, and pass the guard.
     """
     occluded = np.zeros(pts.shape[1], dtype=bool)
-    normals, offsets, edge_normals, edge_offsets = surfaces
+    normals, offsets, edge_normals, edge_offsets = surfaces[3:]   # the plane tables
     starts, segs = pts[:-1], pts[1:] - pts[:-1]
     shape = segs.shape[:2] + (len(offsets),)   # (K + 1, M, S)
     denom = (segs.reshape(-1, 3) @ normals.T).reshape(shape)

@@ -4,6 +4,9 @@ The scene is a flat list of convex polygons, each tagged with a material whose
 single amplitude reflection coefficient conditions the multipath solver.
 A surface's plane is its Newell plane (unit_normal . x = plane_offset): the
 tracer reflects in it and validation measures planarity from it.
+The geometry is one (S, V, 3) vertex stack (Stack), each polygon padded to the largest
+vertex count V with copies of its first vertex; one array pass (_planes) derives every
+plane and edge table from it, and validation, the walls and the tracer's plan read them.
 Scenes are loaded from a JSON document, whose schema is README.md's "Scene
 documents" (_SCENE_KEYS, as read_document checks it). A loaded
 scene is a value, like a Pose: it, its surfaces, materials and arrays are
@@ -59,7 +62,8 @@ _AT_LEAST_ONE = Rule(int, lambda n: n >= 1, ">= 1")
 _XYZ = (float, float, float)
 _SCENE_KEYS = {"materials": [{"name": Rule(str, bool, "a non-empty string"),
                               "reflection_coeff": Rule(float, lambda x: 0 <= x <= 1, "in [0, 1]")}],
-               "surfaces": Rule([{"vertices": [_XYZ], "material": str}], bool, "a non-empty list"),
+               "surfaces": Rule([{"vertices": Rule([_XYZ], bool, "a non-empty list"), "material": str}], bool,
+                                "a non-empty list"),
                "bounds": {"min": _XYZ, "max": _XYZ}}
 
 
@@ -87,6 +91,20 @@ class Material:
     reflection_coeff: float
 
 
+class Stack(NamedTuple):
+    """Every surface's tables, row s for surface s, read-only (a row not usable has no plane). A polygon
+    of n < V vertices is padded with copies of its first vertex: edge i runs from vertex i to i + 1, the
+    closing edge is row n - 1, and a padding edge has zero length: zero Newell term, normal and offset."""
+
+    vertices: np.ndarray      # (S, V, 3) the padded polygons
+    counts: np.ndarray        # (S,) vertex counts
+    usable: np.ndarray        # (S,) which have a plane: >= 3 vertices, a finite nonzero Newell normal
+    normals: np.ndarray       # (S, 3) Newell unit normals n; the plane is n . x = offset
+    offsets: np.ndarray       # (S,)
+    edge_normals: np.ndarray  # (S, V, 3) n x edge; x is inside edge i if edge_normals[i] . x >= edge_offsets[i]
+    edge_offsets: np.ndarray  # (S, V)
+
+
 @dataclass(frozen=True, eq=False)
 class Surface:
     """Convex planar polygon with an attached material.
@@ -102,29 +120,33 @@ class Surface:
     name: str = ""
     unit_normal: np.ndarray | None = field(init=False, default=None, repr=False)
     plane_offset: float = field(init=False, default=0.0, repr=False)
-    # edge i runs from vertex i to i + 1; x is inside it if edge_normals[i] . x >= edge_offsets[i]
-    edge_normals: np.ndarray | None = field(init=False, default=None, repr=False)  # (V, 3), n x edge
+    edge_normals: np.ndarray | None = field(init=False, default=None, repr=False)  # (V, 3), as Stack's
     edge_offsets: np.ndarray | None = field(init=False, default=None, repr=False)  # (V,)
 
     def __post_init__(self):
-        v = np.atleast_2d(np.array(self.vertices, dtype=float))
-        if v.ndim != 2 or v.shape[1] != 3:
+        v = np.array(np.atleast_2d(self.vertices), dtype=float)
+        if v.ndim != 2 or v.shape[1] != 3 or not len(v):
             raise SceneError(f"surface {self.name!r}: vertices must be an (n, 3) array")
-        _set_read_only(self, vertices=v)
-        # a vertex near the float limit overflows the plane's products; validate_scene's
-        # bounds check, not a RuntimeWarning, reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            n = _newell_normal(v)
-            if n is not None:
-                x, y, z = (np.concatenate((v[1:], v[:1])) - v).T
-                n0, n1, n2 = n.tolist()   # n x edge, with np.cross's products in its order
-                edges = np.column_stack((n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x))
-                _set_read_only(self, unit_normal=n, plane_offset=float(n @ v[0]), edge_normals=edges,
-                               edge_offsets=np.vecdot(edges, v))
+        _take_row(self, _planes([v.tolist()]), 0)
+
+
+def _take_row(surface: Surface, stack: Stack, i: int, **fields) -> Surface:
+    """surface with fields, and its vertices and plane fields as views of row i of stack (None without a plane)."""
+    n, planar = int(stack.counts[i]), bool(stack.usable[i])
+    fields.update(vertices=stack.vertices[i, :n], unit_normal=stack.normals[i] if planar else None,
+                  plane_offset=float(stack.offsets[i]) if planar else 0.0,
+                  edge_normals=stack.edge_normals[i, :n] if planar else None,
+                  edge_offsets=stack.edge_offsets[i, :n] if planar else None)
+    for name, value in fields.items():
+        object.__setattr__(surface, name, value)
+    return surface
 
 
 @dataclass(frozen=True, eq=False)
 class Scene:
+    """Surfaces, materials and bounds. Its stack (Stack) is its surfaces' padded vertices and tables: a
+    loaded scene's is its document's, and one built in code derives its own with the same formula."""
+
     surfaces: tuple[Surface, ...]
     materials: MappingProxyType   # material name -> Material
     bounds_min: np.ndarray
@@ -136,18 +158,43 @@ class Scene:
                        bounds_max=np.array(self.bounds_max, dtype=float))
 
     @cached_property
+    def stack(self) -> Stack:
+        """The surfaces' plane and edge tables (see Stack), read-only."""
+        return _planes([s.vertices.tolist() for s in self.surfaces])
+
+    @cached_property
     def walls(self) -> Walls:
         """The walls, found once with zero tolerance on the computed vertex heights, read-only. A plane
         that holds every vertex makes no wall: a flat scene has no side."""
-        usable = [s for s in self.surfaces if s.unit_normal is not None]
-        normals = np.array([s.unit_normal for s in usable]).reshape(-1, 3)
-        offsets = np.array([s.plane_offset for s in usable])
-        vertices = np.concatenate([np.empty((0, 3)), *(s.vertices for s in usable)])
+        t = self.stack
+        normals, offsets = t.normals[t.usable], t.offsets[t.usable]
+        vertices = t.vertices[t.usable[:, None] & (np.arange(t.vertices.shape[1]) < t.counts[:, None])]
         heights = normals @ vertices.T - offsets[:, None]   # (S, all vertices)
         ahead = (heights >= 0.0).all(axis=1)
         mask = ahead != (heights <= 0.0).all(axis=1)
         facing = np.where(ahead, 1.0, -1.0)[mask]
         return Walls(*_read_only(normals[mask] * facing[:, None], offsets[mask] * facing, mask))
+
+
+def _planes(polygons: list) -> Stack:
+    """The Stack of polygons given as lists of [x, y, z], in one array pass: the one formula for every
+    surface's tables. numpy sums a Newell row of fewer than 8 terms in order, so while V < 8 padding's
+    zero terms leave it the polygon's own sum; 8 or more it sums pairwise, in blocks set by V."""
+    counts = np.array([len(p) for p in polygons], dtype=np.intp)
+    width = max(counts, default=1)
+    vertices = np.array([p + p[:1] * (width - len(p)) for p in polygons] or np.empty((0, 1, 3)), dtype=float)
+    ahead = np.concatenate((vertices[:, 1:], vertices[:, :1]), axis=1)   # vertex i + 1
+    with np.errstate(over="ignore", invalid="ignore"):   # past the float limit: validate_scene's bounds check
+        # (y - y')(z + z'), (z - z')(x + x') and (x - x')(y + y'), each summed over a contiguous row
+        d, s = vertices - ahead, vertices + ahead
+        newell = (d[..., [1, 2, 0]] * s[..., [2, 0, 1]]).transpose(0, 2, 1).copy().sum(axis=2)
+        norm = np.sqrt(np.vecdot(newell, newell))
+        usable = (counts >= 3) & (norm >= 1e-15) & (norm < math.inf)   # not zero area, nor overflowed
+        normals = newell / norm[:, None]
+        n, e = normals[:, None], ahead - vertices   # n x edge, with np.cross's products in its order
+        edge_normals = n[..., [1, 2, 0]] * e[..., [2, 0, 1]] - n[..., [2, 0, 1]] * e[..., [1, 2, 0]]
+        return Stack(*_read_only(vertices, counts, usable, normals, np.vecdot(normals, vertices[:, 0]),
+                                 edge_normals, np.vecdot(edge_normals, vertices)))
 
 
 def _read_only(*arrays) -> tuple:
@@ -175,7 +222,21 @@ def load_scene(source) -> Scene:
     violation (non-planar surfaces, surfaces outside bounds).
     """
     doc = read_document(source, SceneError, "scene", _SCENE_KEYS)
-    scene = _scene_from_document(doc)
+    materials: dict[str, Material] = {}
+    for entry in doc["materials"]:
+        mat = Material(name=entry["name"], reflection_coeff=float(entry["reflection_coeff"]))
+        if mat.name in materials:
+            raise SceneError(f"duplicate material name {mat.name!r}")
+        materials[mat.name] = mat
+    stack = _planes([entry["vertices"] for entry in doc["surfaces"]])   # one pass over every polygon
+    surfaces = []
+    for i, entry in enumerate(doc["surfaces"]):   # each surface is its row of the stack, not derived again
+        if (material := materials.get(entry["material"])) is None:
+            raise SceneError(f"surface #{i} references unknown material {entry['material']!r}")
+        surfaces.append(_take_row(object.__new__(Surface), stack, i, material=material, name=f"surface#{i}"))
+    scene = Scene(surfaces=surfaces, materials=materials, bounds_min=doc["bounds"]["min"],
+                  bounds_max=doc["bounds"]["max"])
+    object.__setattr__(scene, "stack", stack)   # fills the cached property
     violations = validate_scene(scene)
     if violations:
         raise SceneError("; ".join(violations))
@@ -259,58 +320,34 @@ def _bad_field(doc, shape) -> tuple | None:
     return f"has {doc!r} at", "", f", which must be {what}"
 
 
-def _scene_from_document(doc: dict) -> Scene:
-    materials: dict[str, Material] = {}
-    for entry in doc["materials"]:
-        mat = Material(name=entry["name"], reflection_coeff=float(entry["reflection_coeff"]))
-        if mat.name in materials:
-            raise SceneError(f"duplicate material name {mat.name!r}")
-        materials[mat.name] = mat
-
-    surfaces = []
-    for i, entry in enumerate(doc["surfaces"]):
-        if entry["material"] not in materials:
-            raise SceneError(f"surface #{i} references unknown material {entry['material']!r}")
-        surfaces.append(Surface(vertices=entry["vertices"], material=materials[entry["material"]],
-                                name=f"surface#{i}"))
-    return Scene(surfaces=surfaces, materials=materials, bounds_min=doc["bounds"]["min"],
-                 bounds_max=doc["bounds"]["max"])
-
-
 def validate_scene(scene: Scene) -> list[str]:
-    """Violations of the scene's invariants (empty list = valid); a rule of one field is _SCENE_KEYS'."""
-    violations: list[str] = []
-
-    if np.any(scene.bounds_max < scene.bounds_min):
-        violations.append("bounds max < min")
-
-    lo = scene.bounds_min - 1e-9
-    hi = scene.bounds_max + 1e-9
-    for surf in scene.surfaces:
-        label = surf.name or "surface"
-        if scene.materials.get(surf.material.name) != surf.material:   # by value: name and coefficient
-            violations.append(f"{label}: {surf.material} not in scene materials")
-        if len(surf.vertices) < 3:
-            violations.append(f"{label}: fewer than 3 vertices")
-            continue
-        if np.any(surf.vertices < lo) or np.any(surf.vertices > hi):
-            # its one report: a vertex near the float limit leaves it no plane to check
-            violations.append(f"{label}: vertices outside scene bounds")
-            continue
-        if surf.unit_normal is None:
-            violations.append(f"{label}: polygon has zero area")
-        else:
-            if np.max(np.abs(surf.vertices @ surf.unit_normal - surf.plane_offset)) > PLANARITY_TOL:
-                violations.append(f"{label}: vertices not coplanar within {PLANARITY_TOL} m")
-            # inside[j, i]: how far vertex j lies inside edge i, times the edge's
-            # length; at vertex i + 2 that is the turn at vertex i + 1
-            inside = surf.vertices @ surf.edge_normals.T - surf.edge_offsets
-            if np.any(np.abs(np.diagonal(np.concatenate((inside[2:], inside[:2])))) <= 1e-12):
-                violations.append(f"{label}: consecutive vertices collinear")
-            elif np.any(inside < -CONTAINS_TOL):
-                # a turn-sign test alone passes a pentagram, whose tips lie outside other edges
-                violations.append(f"{label}: polygon not convex")
-
+    """Violations of the scene's invariants (empty list = valid); a rule of one field is _SCENE_KEYS'.
+    Each check is one mask over the scene's stack, and only a flagged surface gets messages, in order:
+    a foreign material, then fewer than 3 vertices, vertices outside the bounds (a vertex near the float
+    limit leaves no plane to check) or zero area, else non-coplanar and collinear or non-convex."""
+    t = scene.stack
+    violations = ["bounds max < min"] if np.any(scene.bounds_max < scene.bounds_min) else []
+    edges = np.arange(t.vertices.shape[1])
+    few = t.counts < 3
+    outside = ~few & ((t.vertices < scene.bounds_min - 1e-9) | (t.vertices > scene.bounds_max + 1e-9)).any(axis=(1, 2))
+    planar = t.usable & ~outside
+    with np.errstate(over="ignore", invalid="ignore"):   # the rows of surfaces with no plane
+        off_plane = np.abs(np.vecdot(t.vertices, t.normals[:, None]) - t.offsets[:, None]).max(axis=1)
+        # inside[s, j, i]: how far vertex j is inside edge i, times its length; at j = i + 2, the turn at i + 1
+        inside = t.vertices @ t.edge_normals.transpose(0, 2, 1) - t.edge_offsets[:, None]
+        turns = inside[np.arange(len(inside))[:, None], (edges + 2) % t.counts[:, None], edges]
+        collinear = planar & ((np.abs(turns) <= 1e-12) & (edges < t.counts[:, None])).any(axis=1)
+        # a turn-sign test alone passes a pentagram, whose tips lie outside other edges
+        convex = (inside >= -CONTAINS_TOL).all(axis=(1, 2))
+    foreign = [scene.materials.get(s.material.name) != s.material for s in scene.surfaces]   # by value
+    flags = np.array((foreign, few, outside, ~few & ~outside & ~t.usable, planar & (off_plane > PLANARITY_TOL),
+                      collinear, planar & ~collinear & ~convex))
+    for i, j in zip(*np.nonzero(flags.T)):   # surface by surface
+        s = scene.surfaces[i]
+        violations.append(f"{s.name or 'surface'}: " + (
+            f"{s.material} not in scene materials", "fewer than 3 vertices", "vertices outside scene bounds",
+            "polygon has zero area", f"vertices not coplanar within {PLANARITY_TOL} m",
+            "consecutive vertices collinear", "polygon not convex")[j])
     return violations
 
 
@@ -376,19 +413,3 @@ def scene_hash(scene: Scene) -> str:
 def json_digest(payload) -> str:
     """sha256 of canonical JSON (sorted keys, no spaces): the rule for every database stamp."""
     return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-
-
-def _newell_normal(vertices: np.ndarray) -> np.ndarray | None:
-    if len(vertices) < 3:
-        return None
-    v = vertices
-    rolled = np.concatenate((v[1:], v[:1]))
-    n = np.array([
-        np.sum((v[:, 1] - rolled[:, 1]) * (v[:, 2] + rolled[:, 2])),
-        np.sum((v[:, 2] - rolled[:, 2]) * (v[:, 0] + rolled[:, 0])),
-        np.sum((v[:, 0] - rolled[:, 0]) * (v[:, 1] + rolled[:, 1])),
-    ])
-    norm = np.linalg.norm(n)
-    if not 1e-15 <= norm < math.inf:   # zero area, or a vertex near the float limit overflowed it
-        return None
-    return n / norm

@@ -43,7 +43,7 @@ from .network import (
     build_network,
     incoming_edges,
 )
-from .raytrace import Pose, candidate_count, trace_paths, wrap_angle
+from .raytrace import SPEED_OF_LIGHT as C, Pose, candidate_count, trace_paths, wrap_angle
 from .scene import (_AT_LEAST_ONE, _POSITIVE, Either, Optional, Rule, SceneError, _bad_field, _set_read_only,
                     floor_grid, json_digest, lattice_span, load_scene, read_document, scene_hash)
 
@@ -362,14 +362,6 @@ def check_overrides(values: dict) -> None:
             raise ConfigError(f"command line {bad[0]} .{key}{bad[2]}")
 
 
-def _misplaced(scene, position) -> str | None:
-    """Why a point cannot end a trace: it lies more than 1e-9 m outside the scene's bounds, or
-    strictly behind a wall (the test trace_paths makes); None if it can."""
-    if np.any(position < scene.bounds_min - 1e-9) or np.any(position > scene.bounds_max + 1e-9):
-        return "outside the scene bounds"
-    return "behind a wall of the scene" if scene.walls.behind(position[None])[0] else None
-
-
 def file_identity(path):
     """One file by any path, link or hard link to it: os.stat's (inode, device) once it exists,
     else its os.path.realpath, which a write would create (the writers make missing parents)."""
@@ -405,7 +397,7 @@ def validate_scenario(config: ScenarioConfig) -> list:
         except SceneError as exc:
             problems.append(f"scene invalid: {exc}")
     if scene is not None:
-        surfaces = sum(s.unit_normal is not None for s in scene.surfaces)
+        surfaces = int(scene.stack.usable.sum())
         if (count := candidate_count(surfaces, config.max_order)) > MAX_GRID_POINTS:
             problems.append(f"raytrace.max_order {config.max_order} over the scene's {surfaces} planar surfaces "
                             f"gives a candidate table of ({surfaces} + 1) ** {config.max_order} = {count:.3g} "
@@ -416,7 +408,14 @@ def validate_scenario(config: ScenarioConfig) -> list:
     nodes = {n.id: n for n in config.nodes}
     agent_ids = {a.id for a in config.agents}
     wavelength = config.ofdm.wavelength
-    for node in config.nodes:
+    # why each trace end, all in one pass, cannot end a trace: it lies more than 1e-9 m outside the scene's
+    # bounds, or strictly behind a wall (the test trace_paths makes); a node without a pose ends none
+    ends = np.array([n.pose.position if n.pose else np.zeros(3) for n in config.nodes]
+                    + [a.initial_pose.position for a in config.agents]).reshape(-1, 3)
+    misplaced = [""] * len(ends) if scene is None else np.where(
+        ((ends < scene.bounds_min - 1e-9) | (ends > scene.bounds_max + 1e-9)).any(axis=1), "outside the scene bounds",
+        np.where(scene.walls.behind(ends), "behind a wall of the scene", "")).tolist()
+    for node, at in zip(config.nodes, misplaced):
         # channel._steering's phase step, which overflows before the spacing does
         if node.array is not None and not math.isfinite(2.0 * math.pi * (ratio := node.array.spacing / wavelength)):
             problems.append(f"node {node.id!r}: array spacing {ratio:.3g} wavelengths gives a steering phase "
@@ -428,8 +427,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
             problems.append(f"receiver {node.id!r} is driven by no agent: a run would ignore it")
         elif node.pose is None:
             problems.append(f"transmitter {node.id!r} has no pose")
-        elif scene is not None and (where := _misplaced(scene, node.pose.position)):
-            problems.append(f"transmitter {node.id!r} is {where}")
+        elif at:
+            problems.append(f"transmitter {node.id!r} is {at}")
     try:
         graph = build_network(config.nodes, config.edges)
     except NetworkError as exc:
@@ -452,11 +451,11 @@ def validate_scenario(config: ScenarioConfig) -> list:
     if None not in (graph, allocation, paths):
         problems += _snr_overflows(config, graph, allocation, paths)
 
-    for spec in config.agents:
+    for spec, at in zip(config.agents, misplaced[len(config.nodes):]):
         if spec.id not in nodes:
             problems.append(f"agent {spec.id!r} has no matching network node")
-        if scene is not None and (where := _misplaced(scene, spec.initial_pose.position)):
-            problems.append(f"agent {spec.id!r} starts {where}")
+        if at:
+            problems.append(f"agent {spec.id!r} starts {at}")
 
     # build-db and run write the two outputs, so neither may be the scenario, the scene or the other output
     seen = {file_identity(p): role for role, p in (("the scene file", config.scene_path),
@@ -492,6 +491,16 @@ def validate_scenario(config: ScenarioConfig) -> list:
                 if behind.any():
                     problems.append(f"db.build grid point {tuple(grid[behind.argmax()].tolist())} is behind "
                                     f"a wall of the scene ({behind.sum()} of its {len(grid)} points are)")
+                # no path is shorter than the straight line from a placed static transmitter (inf past any window)
+                aps = [n.pose.position for n, at in zip(config.nodes, misplaced)
+                       if n.is_tx and n.id not in agent_ids and n.pose and not at]
+                with np.errstate(over="ignore"):
+                    shortest = np.linalg.norm(grid[:, None] - np.array(aps), axis=-1).min() / C if aps else 0.0
+                if (window := build.num_bins * build.bin_width) <= shortest:
+                    problems.append(f"db.build bin window num_bins x bin_width_s = {build.num_bins} x "
+                                    f"{build.bin_width:g} s = {window:.4g} s ends at or before the shortest line-"
+                                    f"of-sight delay {shortest:.4g} s from a static transmitter to a db.build grid "
+                                    "point: every fingerprint path would land past it")
 
     if not problems:
         object.__setattr__(config, "_validated_parts", (scene_bytes, scene, graph, allocation, grid))

@@ -61,6 +61,14 @@ class TestComputeMdp:
         assert mdp.overflow == 1
         assert mdp.bins.sum() == pytest.approx(0.25, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_delay_past_the_float_range_of_the_quotient_is_overflow(self):
+        # 900 ns / 5e-324 s overflows the float range: the path is past the window, with no warning;
+        # 1e-321 s is 202 steps of 2 ** -1074 s, the smallest float
+        mdp = compute_mdp(pathset([(0.5, 1e-321), (0.1, 900e-9)]), 5e-324, 1000)
+        assert mdp.overflow == 1
+        assert mdp.bins[202] == pytest.approx(0.25, rel=1e-15) and np.count_nonzero(mdp.bins) == 1
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             compute_mdp(pathset([]), 0.0, 64)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from isactwin import raytrace, simcore
 from isactwin.localization import compute_mdp
 from isactwin.raytrace import SPEED_OF_LIGHT as C, Pose, trace_paths, wrap_angle
-from isactwin.scene import load_scene
+from isactwin.scene import Stack, load_scene
 from isactwin.simcore import ScenarioConfig
 from conftest import box_scene_doc, repo_scenario_dir
 from raytrace_oracle import contains, receiver_entry, trace_paths_scalar
@@ -369,15 +369,8 @@ class TestPaddedCandidates:
 
 def all_surfaces(scene):
     """The occlusion tables of every planar surface of the scene, walls included, laid out as the
-    plan lays out its occluders'."""
-    usable = [s for s in scene.surfaces if s.unit_normal is not None]
-    num_edges = max(len(s.vertices) for s in usable)
-    edge_normals, edge_offsets = np.zeros((len(usable), num_edges, 3)), np.zeros((len(usable), num_edges))
-    for i, s in enumerate(usable):
-        edge_normals[i, : len(s.vertices)] = s.edge_normals
-        edge_offsets[i, : len(s.vertices)] = s.edge_offsets
-    return raytrace._Surfaces(np.array([s.unit_normal for s in usable]),
-                              np.array([s.plane_offset for s in usable]), edge_normals, edge_offsets)
+    plan lays out its occluders': the usable rows of the scene's stack."""
+    return Stack(*(a[scene.stack.usable] for a in scene.stack))
 
 
 def occlusion_masks(scene, tx, rx, max_order):
@@ -484,7 +477,7 @@ class TestReusedTransmitter:
         plan = raytrace._PLANS[scene][3]
         cached = [a for a in [*vars(plan).values(), *plan.occluders, *plan.images[tx], *plan.receivers[rx],
                               *scene.walls] if isinstance(a, np.ndarray)]
-        assert len(cached) == 23
+        assert len(cached) == 26   # the occluders are a Stack of 7 arrays
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -694,7 +687,7 @@ def assert_plan_layout(plan, scene, max_order):
     edge_normals = np.vecdot(linear[:, :, None], np.moveaxis(plan.edge_normals, 1, 2)[..., None, :])
     edge_offsets = np.moveaxis(plan.edge_offsets, 1, 2) + np.vecdot(edge_normals, shift[:, :, None])
     every, own = all_surfaces(scene), seqs[real]
-    for got, want in zip((normals, offsets, edge_normals, edge_offsets), every):
+    for got, want in zip((normals, offsets, edge_normals, edge_offsets), every[3:]):   # its plane tables
         assert np.allclose(got[real], want[own], rtol=0.0, atol=1e-12)
     assert not plan.normals[~real].any() and (plan.offsets[~real] == 1.0).all()
     padding = plan.padding[:, None, :].repeat(plan.edge_offsets.shape[1], axis=1)

@@ -21,6 +21,7 @@ from isactwin.scene import (
     validate_scene,
 )
 from conftest import box_scene_doc, repo_scenario_dir
+import scene_oracle
 
 
 class TestLoadScene:
@@ -213,6 +214,145 @@ class TestSurfacePlanes:
             assert np.array_equal(s.edge_offsets, np.vecdot(edges, s.vertices))
             checked += 1
         assert checked >= 1990
+
+
+@st.composite
+def convex_polygons(draw, counts=st.integers(3, 7)):
+    """A convex planar polygon as a list of [x, y, z]: its vertices on a circle at angles at least
+    0.05 rad apart, turned by three Euler angles (multiples of pi / 2 for an axis-aligned one, whose
+    products hold exact zeros) and moved."""
+    n = draw(counts)
+    gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    angles = np.cumsum(gaps) * (2.0 * np.pi - 0.05) / gaps.sum()
+    ring = np.column_stack((np.cos(angles), np.sin(angles), np.zeros(n)))
+    turn = draw(st.lists(st.sampled_from([0.0, np.pi / 2, np.pi]) | st.floats(-np.pi, np.pi), min_size=3, max_size=3))
+    basis = np.eye(3)
+    for axis, angle in zip((2, 0, 2), turn):
+        c, s = np.cos(angle), np.sin(angle)
+        i, j = [k for k in range(3) if k != axis]
+        step = np.eye(3)
+        step[i, i], step[i, j], step[j, i], step[j, j] = c, -s, s, c
+        basis = basis @ step
+    center = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)))
+    return (draw(st.floats(0.1, 5.0)) * ring @ basis + center).tolist()
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _document(polygons, materials=("wall",)):
+    points = np.concatenate([np.array(p) for p in polygons])
+    return {"materials": [{"name": m, "reflection_coeff": 0.5} for m in materials],
+            "surfaces": [{"vertices": p, "material": materials[i % len(materials)]} for i, p in enumerate(polygons)],
+            "bounds": {"min": (points.min(axis=0) - 1.0).tolist(), "max": (points.max(axis=0) + 1.0).tolist()}}
+
+
+class TestStackOracle:
+    """The stacked tables and validate_scene's masks against the per-surface formulas of
+    tests/scene_oracle.py. numpy sums a row of fewer than 8 terms in order and a longer one
+    pairwise, in blocks set by its length, so a Newell sum over a padded row is the polygon's own,
+    bit for bit, while the stack is at most 7 vertices wide or the polygon fills its row; a polygon
+    padded into a wider stack is held to 1e-12."""
+
+    @given(st.lists(convex_polygons(), min_size=1, max_size=6),
+           st.lists(convex_polygons(st.integers(8, 12)), max_size=1))
+    @settings(max_examples=60, deadline=None)
+    def test_tables_match_the_per_surface_formulas(self, polygons, large):
+        polygons = polygons + large
+        width = max(map(len, polygons))
+        loaded = load_scene(_document(polygons))
+        built = Scene(surfaces=[Surface(vertices=p, material=Material("wall", 0.5)) for p in polygons],
+                      materials={"wall": Material("wall", 0.5)}, bounds_min=loaded.bounds_min,
+                      bounds_max=loaded.bounds_max)
+        for scene in (loaded, built):
+            t = scene.stack
+            assert t.vertices.shape == (len(polygons), width, 3)
+            for i, (p, surf) in enumerate(zip(polygons, scene.surfaces)):
+                n = len(p)
+                normal, offset, edge_normals, edge_offsets = scene_oracle.surface_planes(p)
+                assert normal is not None and t.usable[i] and t.counts[i] == n
+                assert _same_bits(surf.vertices, np.array(p)) and _same_bits(t.vertices[i, :n], np.array(p))
+                assert (t.vertices[i, n:] == t.vertices[i, 0]).all()   # padded with the first vertex
+                assert not t.edge_normals[i, n:].any() and not t.edge_offsets[i, n:].any()
+                got = (t.normals[i], t.offsets[i], t.edge_normals[i, :n], t.edge_offsets[i, :n])
+                want = (normal, np.float64(offset), edge_normals, edge_offsets)
+                if width <= 7 or n == width:
+                    assert all(_same_bits(g, w) for g, w in zip(got, want))
+                else:
+                    for g, w in zip(got, want):
+                        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+                # a surface's fields are its row of the stack, and a lone surface's its own stack's
+                assert _same_bits(surf.unit_normal, t.normals[i]) or surf is built.surfaces[i]
+                lone = Surface(vertices=p, material=Material("wall", 0.5))
+                assert all(_same_bits(g, w) for g, w in zip(
+                    (lone.unit_normal, np.float64(lone.plane_offset), lone.edge_normals, lone.edge_offsets), want))
+        assert all(_same_bits(a, b) for a, b in zip(loaded.stack, built.stack))
+
+    @given(st.lists(convex_polygons(), min_size=2, max_size=5),
+           st.lists(st.sampled_from(["few", "outside", "zero-area", "non-planar", "collinear", "non-convex",
+                                     "foreign"]), min_size=1, max_size=4),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_validate_scene_gives_the_oracles_messages(self, polygons, defects, data):
+        """Each defect, far from its threshold, on a drawn surface: validate_scene's messages are the
+        per-surface loop's, in its order, for a scene built in code and for a loaded one."""
+        polygons = [list(p) for p in polygons]
+        bounds = _document(polygons)["bounds"]
+        materials = ["wall"] * len(polygons)
+        for defect in defects:
+            i = data.draw(st.integers(0, len(polygons) - 1))
+            p = np.array(polygons[i])
+            centroid = p.mean(axis=0)
+            if defect == "few":
+                p = p[:data.draw(st.integers(1, 2))]
+            elif defect == "outside":
+                p = p + [0.0, 0.0, 100.0]
+            elif defect == "zero-area":
+                p = np.repeat(p[:1], len(p), axis=0)
+            elif defect == "non-planar" and len(p) >= 4:
+                normal = scene_oracle.newell_normal(p)
+                if normal is not None:
+                    p[-1] += data.draw(st.floats(1e-6, 1e-2)) * normal
+            elif defect == "collinear" and len(p) >= 2:
+                p = np.insert(p, 1, (p[0] + p[1]) / 2, axis=0)
+            elif defect == "non-convex" and len(p) >= 4:
+                p[1] = centroid + 0.3 * (centroid - p[1])   # past the center: a dart
+            elif defect == "foreign":
+                materials[i] = "glass"
+            polygons[i] = p.tolist()
+        library = {"wall": Material("wall", 0.5), "glass": Material("glass", 0.3)}
+        built = Scene(surfaces=[Surface(vertices=p, material=library[m], name=f"surface#{i}")
+                                for i, (p, m) in enumerate(zip(polygons, materials))],
+                      materials={"wall": library["wall"]}, bounds_min=bounds["min"], bounds_max=bounds["max"])
+        want = scene_oracle.validate_scene(built)
+        assert validate_scene(built) == want
+        if "glass" not in materials:   # a document cannot name a material it does not hold
+            doc = _document(polygons) | {"bounds": bounds}
+            if want:
+                with pytest.raises(SceneError) as refused:
+                    load_scene(doc)
+                assert str(refused.value) == "; ".join(want)
+            else:
+                assert validate_scene(load_scene(doc)) == []
+
+    def test_every_defect_kind_is_reported(self, box_scene):
+        """The messages of each kind, as the oracle words them."""
+        wall = box_scene.materials["wall"]
+        cases = {"few": [[0, 0, 0], [1, 0, 0]], "outside": [[0, 0, 0], [9, 0, 0], [9, 1, 0]],
+                 "flat": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+                 "lifted": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0.01]],
+                 "notched": [[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 2, 0], [0, 2, 0]],
+                 "dart": [[0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 0.5, 0], [0, 2, 0]]}
+        scene = replace(box_scene, surfaces=box_scene.surfaces + tuple(
+            Surface(vertices=v, material=wall, name=name) for name, v in cases.items()) + (
+            Surface(vertices=cases["dart"], material=Material("glass", 0.2), name="odd"),))
+        assert validate_scene(scene) == scene_oracle.validate_scene(scene) == [
+            "few: fewer than 3 vertices", "outside: vertices outside scene bounds", "flat: polygon has zero area",
+            "lifted: vertices not coplanar within 1e-09 m", "notched: consecutive vertices collinear",
+            "dart: polygon not convex", "odd: Material(name='glass', reflection_coeff=0.2) not in scene materials",
+            "odd: polygon not convex"]
 
 
 class TestFloorGrid:

@@ -251,6 +251,6 @@ def test_boundary_cases_cover_every_rule():
         "sim.seed", "raytrace.max_order", "db.path", "db.build.spacing_m", "db.build.bin_width_s",
         "db.build.num_bins", "output.trace_csv"}
     assert set(_schema_rules(_SCENE_KEYS)) == {("materials", "name"), ("materials", "reflection_coeff"),
-                                               ("surfaces",)}
+                                               ("surfaces",), ("surfaces", "vertices")}
     assert set(_schema_rules(_DB_HEADER)) == {("spacing_m",), ("bin_width_s",), ("num_bins",), ("ap_ids",),
                                               ("n_points",)}

@@ -39,3 +39,25 @@ def test_run_case_study_on_a_tiny_scenario(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "building fingerprint database" in done.stdout
     assert (tmp_path / "artifacts" / "tiny_trace.csv").is_file()
+
+
+def test_bench_record_writes_a_bench_file(tmp_path):
+    # the shortest recording: one round of each workload at one op, no Tier-1 wall (about 8 s, most of
+    # it the benchmark's six processes and the ten timed CLI processes)
+    out = tmp_path / "BENCH_0.json"
+    done = run_script("bench_record.py", "--pr", "0", "--out", str(out), "--seconds", "0", "--rounds", "1",
+                      "--no-tier1")
+    assert done.returncode == 0, done.stderr
+    bench = json.loads(out.read_text())
+    assert set(bench) == {"pr", "context", "correct", "attempted", "failed", "rounds", "seconds", "end_to_end",
+                          "per_layer", "cli_wall_s", "tier1_wall_s"}
+    assert bench["correct"] is True and bench["failed"] == 0 and bench["pr"] == 0
+    assert {"git_sha", "source_sha256", "numpy", "thread_pins"} <= set(bench["context"])
+    for workload in ("build_db", "run_clean", "run_degraded"):
+        for metric in ("setup_s", "op_s", "step_ms_p50", "step_ms_p90", "peak_rss_mb"):
+            assert bench["end_to_end"][f"{workload}.{metric}"]["value"] > 0
+    assert bench["per_layer"]["build_db.raytrace.trace_paths.calls"]["value"] == 390
+    for command in ("build-db", "run"):
+        walls = bench["cli_wall_s"][command]
+        assert len(walls["runs"]) == 5 and walls["median"] == sorted(walls["runs"])[2]
+    assert bench["tier1_wall_s"] is None

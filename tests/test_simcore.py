@@ -456,6 +456,13 @@ class TestScenarioConfig:
                               "db.build.roi_m [0.3, 0.25, 0.95, 0.75]; at most 1000000 are allowed"),
         ({"bin_width_s": 0.0}, "scenario document has 0.0 at .db.build.bin_width_s, which must be > 0"),
         ({"num_bins": 0}, "scenario document has 0 at .db.build.num_bins, which must be in 1..1000000"),
+        # a bin window shorter than every path: build-db would write an all-zero database
+        ({"bin_width_s": 5e-324}, "db.build bin window num_bins x bin_width_s = 48 x 4.94066e-324 s = 2.372e-322 s "
+                                  "ends at or before the shortest line-of-sight delay 1.916e-09 s from a static "
+                                  "transmitter to a db.build grid point: every fingerprint path would land past it"),
+        ({"bin_width_s": 1e-15}, "db.build bin window num_bins x bin_width_s = 48 x 1e-15 s = 4.8e-14 s ends at or "
+                                 "before the shortest line-of-sight delay 1.916e-09 s from a static transmitter to "
+                                 "a db.build grid point: every fingerprint path would land past it"),
         ({"height_m": 5.0}, "db.build height 5.0 outside the scene's z bounds"),
         ({"roi_m": [5, 5, 6, 6]}, "db.build.roi_m [5.0, 5.0, 6.0, 6.0] holds no point of the floor grid"),
         ({"roi_m": [0.42, 0.42, 0.48, 0.48]},
@@ -463,7 +470,7 @@ class TestScenarioConfig:
         ({"roi_m": [0.1, 0.1, 0.5]},
          "scenario document has [0.1, 0.1, 0.5] at .db.build.roi_m, which must be a list of 4 numbers"),
     ], ids=["zero-spacing", "spacing-1e-7", "spacing-1e-300", "spacing-1e-7-over-the-roi", "zero-bin-width",
-            "zero-bins", "height-above-scene", "roi-off-the-grid", "roi-between-grid-points",
+            "zero-bins", "bin-window-5e-324", "bin-window-1e-15", "height-above-scene", "roi-off-the-grid", "roi-between-grid-points",
             "roi-of-three-numbers"])
     def test_db_build_settings_that_build_db_refuses_rejected(self, tmp_path, capsys, settings, message):
         doc = tiny_scenario_doc()
@@ -475,6 +482,7 @@ class TestScenarioConfig:
                      ["run", str(p), "--out", str(tmp_path / "t.csv")]):
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "artifacts").exists() and not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("edit,message", [
         # the floor grid is counted before anything is allocated: it would take terabytes, or more
