@@ -7,7 +7,9 @@ It runs the benchmark as it is, perfbench/run.py, twice: --rounds R --seconds S 
 medians, then --rounds 1 --seconds S --trace 1 for the per-layer numbers. It times CLI_REPEATS fresh
 `python -m isactwin build-db` and `run` processes on a temporary copy of the shipped scenario, with
 the BLAS thread counts unset as a user gets them, and the Tier-1 command once. One file per change,
-made on one machine class, gives the trajectory that a pair of parent and change runs cannot show.
+made on one machine class, gives the trajectory that a pair of parent and change runs cannot show;
+each gated metric's ratio to the earliest BENCH_*.json at the repo root reads that trajectory off
+(reported, not gated).
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ def cli_walls() -> dict:
                 for cmd in ("build-db", "run")}
 
 
+def ratios_to_earliest(end_to_end: dict, out: Path) -> dict | None:
+    """{"file", "ratios"}: each gated metric's value over the earliest BENCH_<N>.json's at the repo root,
+    the file being written left out, for the metrics both hold; None when there is no such file."""
+    numbered = [(int(p.stem.removeprefix("BENCH_")), p) for p in ROOT.glob("BENCH_*.json")
+                if p.stem.removeprefix("BENCH_").isdigit() and p.resolve() != out.resolve()]
+    if not numbered:
+        return None
+    earliest = min(numbered)[1]
+    base = json.loads(earliest.read_text())["end_to_end"]
+    return {"file": earliest.name, "ratios": {name: metric["value"] / base[name]["value"]
+                                              for name, metric in end_to_end.items() if name in base}}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="the change's number N, for BENCH_<N>.json")
@@ -94,6 +109,7 @@ def main(argv=None) -> int:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))}
         record["tier1_wall_s"] = walls(TIER1, env, ROOT, 1)["median"]
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    record["ratio_to_earliest"] = ratios_to_earliest(record["end_to_end"], out)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"bench_record: wrote {out}, correct: {str(record['correct']).lower()}")
     return 0 if record["correct"] else 1

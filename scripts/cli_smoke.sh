@@ -66,6 +66,8 @@ refused() {
 # a misspelled key is an error, not a silent default; a value outside its schema rule is refused
 refused 'd["noise"]["fingerprint_snr"] = 20' "a misspelled key"
 refused 'd["sim"]["dt_s"] = 0' "a zero dt_s"
+# an integer too large for a float fits the number shape, and float() of it would raise
+refused 'd["sim"]["dt_s"] = 10**400' "an integer dt_s past the float range"
 # a bin window that ends before the shortest line-of-sight delay would give an all-zero database
 refused 'd["db"]["build"]["bin_width_s"] = 1e-15' "an empty bin window"
 

@@ -4,6 +4,7 @@ The topology is an undirected graph without self-loops over transmitter and
 receiver nodes. Resource allocation assigns each transmitting user a set of
 subcarriers and symbols (1-based indices, matching the usual resource-grid
 numbering) and splits the user's power budget uniformly over that set.
+Each index set is a sorted, read-only int array without duplicates (index_array).
 Overlapping user allocations are allowed; interference handling is the
 receiver's problem.
 """
@@ -12,7 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .raytrace import Pose
+from .scene import _set_read_only
 
 
 class NetworkError(ValueError):
@@ -84,20 +88,40 @@ def incoming_edges(graph: NetworkGraph, v: str) -> set:
     return {q for q in graph.neighbors(v) if graph.nodes[q].is_tx}
 
 
-@dataclass(frozen=True)
+# the ends a range may have for np.arange to count it in int64, not float
+_INT64 = range(-2**63, 2**63)
+
+
+def index_array(indices) -> np.ndarray:
+    """indices, any iterable of ints, as a sorted int64 array without duplicates: a range of step 1
+    whose ends fit int64 is one np.arange, anything else its sorted set. Where that is no int64 array
+    (an int past int64, or a value that is no int) it is an object array, whose values stay exact for
+    allocate_resources' bounds and _grid_layout's integer check to refuse."""
+    if type(indices) is range and indices.step == 1 and indices.start in _INT64 and indices.stop in _INT64:
+        return np.arange(indices.start, indices.stop)
+    values = sorted(set(indices))
+    array = np.array(values, dtype=None if values else np.int64)
+    return array if array.dtype == np.int64 else np.array(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
 class ResourceRequest:
-    """One user's ask: subcarrier/symbol sets and a power budget."""
+    """One user's ask: subcarrier/symbol index sets, each any iterable of ints, kept as
+    index_array's sorted, read-only array, and a power budget."""
 
     user: str
-    subcarriers: frozenset
-    symbols: frozenset
+    subcarriers: np.ndarray
+    symbols: np.ndarray
     power_budget: float
+
+    def __post_init__(self):
+        _set_read_only(self, subcarriers=index_array(self.subcarriers), symbols=index_array(self.symbols))
 
 
 @dataclass(eq=False)
 class UserAllocation:
-    subcarriers: frozenset
-    symbols: frozenset
+    subcarriers: np.ndarray   # a ResourceRequest's, sorted and read-only
+    symbols: np.ndarray
     power_budget: float
     uniform_power: float  # watts on each occupied resource element
 
@@ -122,12 +146,12 @@ def allocate_resources(requests, n_subcarriers: int, n_symbols: int) -> Resource
     for req in requests:
         if req.user in users:
             raise NetworkError(f"duplicate user {req.user!r}")
-        subs, syms = frozenset(req.subcarriers), frozenset(req.symbols)
-        if not subs or not syms:
+        subs, syms = req.subcarriers, req.symbols
+        if not len(subs) or not len(syms):
             raise NetworkError(f"user {req.user!r}: empty resource set")
         for name, indices, size in (("subcarrier", subs, n_subcarriers), ("symbol", syms, n_symbols)):
-            if min(indices) < 1 or max(indices) > size:
-                bad = min(i for i in indices if not 1 <= i <= size)
+            if indices[0] < 1 or indices[-1] > size:   # the smallest index outside 1..size
+                bad = indices[0] if indices[0] < 1 else indices[np.searchsorted(indices, size, side="right")]
                 raise NetworkError(f"user {req.user!r}: {name} {bad} outside 1..{size}")
         if req.power_budget < 0.0:
             raise NetworkError(f"user {req.user!r}: negative power budget")

@@ -44,8 +44,8 @@ from .network import (
     incoming_edges,
 )
 from .raytrace import SPEED_OF_LIGHT as C, Pose, candidate_count, trace_paths, wrap_angle
-from .scene import (_AT_LEAST_ONE, _POSITIVE, Either, Optional, Rule, SceneError, _bad_field, _set_read_only,
-                    floor_grid, json_digest, lattice_span, load_scene, read_document, scene_hash)
+from .scene import (_AT_LEAST_ONE, _POSITIVE, Either, Optional, Rule, SceneError, _bad_field, _lattice,
+                    _set_read_only, json_digest, lattice_span, load_scene, read_document, scene_hash)
 
 
 class ConfigError(ValueError):
@@ -325,19 +325,19 @@ def _parse_pose(doc: dict) -> Pose:
     return Pose.at(x, y, z, yaw=math.radians(_number(doc, "yaw_deg", 0.0)))
 
 
-def _parse_index_set(user: dict, key: str, upper: int) -> frozenset:
-    """A user's indices under key: a list, a {from, to} range, counted before it is built, or all
-    of 1..upper where the key is left out."""
+def _parse_index_set(user: dict, key: str, upper: int) -> range | list:
+    """A user's indices under key, as ResourceRequest takes them (network.index_array): a list, a
+    {from, to} range, counted before it is built, or all of 1..upper where the key is left out."""
     spec = user.get(key)
     if spec is None:
-        return frozenset(range(1, upper + 1))
+        return range(1, upper + 1)
     if not isinstance(spec, dict):
-        return frozenset(spec)
+        return spec
     first, last = spec["from"], spec["to"]
     if last - first + 1 > MAX_GRID_POINTS:
         raise ConfigError(f"resources user {user['id']!r}: {key} {first}..{last} gives {last - first + 1} "
                           f"entries; at most {MAX_GRID_POINTS} are allowed")
-    return frozenset(range(first, last + 1))
+    return range(first, last + 1)
 
 
 def _parse_path(agent: dict) -> np.ndarray:
@@ -494,8 +494,10 @@ def validate_scenario(config: ScenarioConfig) -> list:
                 # no path is shorter than the straight line from a placed static transmitter (inf past any window)
                 aps = [n.pose.position for n, at in zip(config.nodes, misplaced)
                        if n.is_tx and n.id not in agent_ids and n.pose and not at]
-                with np.errstate(over="ignore"):
-                    shortest = np.linalg.norm(grid[:, None] - np.array(aps), axis=-1).min() / C if aps else 0.0
+                shortest = 0.0
+                if aps:   # the root of the least square, np.linalg.norm's least bit for bit
+                    with np.errstate(over="ignore"):
+                        shortest = np.sqrt(np.square(grid[:, None] - np.array(aps)).sum(axis=-1).min()) / C
                 if (window := build.num_bins * build.bin_width) <= shortest:
                     problems.append(f"db.build bin window num_bins x bin_width_s = {build.num_bins} x "
                                     f"{build.bin_width:g} s = {window:.4g} s ends at or before the shortest line-"
@@ -574,15 +576,15 @@ def _db_grid(config: ScenarioConfig, scene) -> np.ndarray:
     height = build.height if build.height is not None else float(config.agents[0].initial_pose.position[2])
     if not scene.bounds_min[2] - 1e-9 <= height <= scene.bounds_max[2] + 1e-9:
         raise ConfigError(f"db.build height {height} outside the scene's z bounds")
-    first, last = lattice_span(scene, build.spacing, build.roi)
-    with np.errstate(over="ignore"):
-        points = np.prod(last - first) if (last > first).all() else 0.0
+    span = lattice_span(scene, build.spacing, build.roi)   # counted here, built from it
+    (x0, y0), (x1, y1) = (end.tolist() for end in span)
+    points = (x1 - x0) * (y1 - y0) if x1 > x0 and y1 > y0 else 0.0   # inf past the float range
     if not points <= MAX_GRID_POINTS:
         where = ("over the scene bounds" if build.roi is None
                  else f"to span db.build.roi_m {list(build.roi)}")
         raise ConfigError(f"db.build.spacing_m {build.spacing} gives a floor grid of {points:.3g} points "
                           f"{where}; at most {MAX_GRID_POINTS} are allowed")
-    grid = floor_grid(scene, build.spacing, height, build.roi) if points else np.empty((0, 3))
+    grid = _lattice(scene, build.spacing, height, build.roi, *span) if points else np.empty((0, 3))
     if len(grid) == 0:
         raise ConfigError(f"db.build.roi_m {list(build.roi)} holds no point of the floor grid")
     return grid
@@ -676,33 +678,42 @@ class _LinkPlan:
 def _rate_plan(links: list, allocation) -> dict:
     """One _LinkPlan per communication link, None for a transmitter without resources.
 
-    Interferers keep the order of `links`. A pair whose sub-carrier or symbol
-    sets are disjoint shares no cell and is left out before any array is built.
+    Interferers keep the order of `links`; a pair that shares no cell is left out.
+    The allocation's sorted index sets are taken as they are.
     """
-    grids = {q: (np.array(sorted(a.subcarriers)), np.array(sorted(a.symbols)))
-             for q, a in allocation.users.items()}
     plan = {}
     for v, q in links:
         alloc = allocation.users.get(q)
         if alloc is None:
             plan[(v, q)] = None
             continue
-        subs, syms = grids[q]
         interferers = []
         for vv, qq in links:
-            other = allocation.users.get(qq)
-            if (vv != v or qq == q or other is None or alloc.subcarriers.isdisjoint(other.subcarriers)
-                    or alloc.symbols.isdisjoint(other.symbols)):
+            if vv != v or qq == q or (other := allocation.users.get(qq)) is None:
                 continue
-            _, here_n, there_n = np.intersect1d(subs, grids[qq][0], assume_unique=True, return_indices=True)
-            _, here_k, there_k = np.intersect1d(syms, grids[qq][1], assume_unique=True, return_indices=True)
-            interferers.append((qq, np.ix_(here_n, here_k), np.ix_(there_n, there_k)))
+            if (cells := _shared_cells(alloc, other)) is not None:
+                interferers.append((qq, *cells))
+        subs, syms = alloc.subcarriers, alloc.symbols
         plan[(v, q)] = _LinkPlan(
             layout=_grid_layout(subs), symbols=syms,
             rep=(subs[len(subs) // 2], syms[0]), power=alloc.uniform_power,
             interferers=interferers,
         )
     return plan
+
+
+def _shared_cells(alloc, other) -> tuple | None:
+    """(np.ix_ of the cells in alloc's grid that other's holds too, np.ix_ of them in other's grid),
+    or None if they share none. The index sets are sorted, so two whose sub-carrier spans do not
+    overlap share none, and the symbols are intersected only where a sub-carrier is shared."""
+    ours, theirs = alloc.subcarriers, other.subcarriers
+    if ours[-1] < theirs[0] or theirs[-1] < ours[0]:   # users on separate sub-bands, the usual plan
+        return None
+    _, here_n, there_n = np.intersect1d(ours, theirs, assume_unique=True, return_indices=True)
+    if not len(here_n):
+        return None
+    _, here_k, there_k = np.intersect1d(alloc.symbols, other.symbols, assume_unique=True, return_indices=True)
+    return (np.ix_(here_n, here_k), np.ix_(there_n, there_k)) if len(here_k) else None
 
 
 def init_world(config: ScenarioConfig) -> World:

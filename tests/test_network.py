@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,13 +99,14 @@ class TestAllocateResources:
         ]
         alloc = allocate_resources(reqs, 4, 1)
         a, b = alloc.users["a"], alloc.users["b"]
-        assert 2 in a.subcarriers & b.subcarriers and 1 in a.symbols & b.symbols
+        assert np.intersect1d(a.subcarriers, b.subcarriers).tolist() == [2]
+        assert np.intersect1d(a.symbols, b.symbols).tolist() == [1]
 
     def test_occupancy_indicator(self):
         req = ResourceRequest(user="u", subcarriers=frozenset({1, 3}), symbols=frozenset({2}),
                               power_budget=1.0)
         ua = allocate_resources([req], 4, 4).users["u"]
-        assert ua.subcarriers == {1, 3} and ua.symbols == {2}
+        assert ua.subcarriers.tolist() == [1, 3] and ua.symbols.tolist() == [2]
         assert ua.uniform_power == 0.5
 
     @st.composite
@@ -138,7 +140,7 @@ class TestAllocateResources:
         rev = allocate_resources(list(reversed(reqs)), n, k)
         for user in fwd.users:
             assert fwd.users[user].uniform_power == rev.users[user].uniform_power
-            assert fwd.users[user].subcarriers == rev.users[user].subcarriers
+            assert np.array_equal(fwd.users[user].subcarriers, rev.users[user].subcarriers)
 
 
 class TestArrayConfig:

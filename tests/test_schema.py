@@ -254,3 +254,48 @@ def test_boundary_cases_cover_every_rule():
                                                ("surfaces",), ("surfaces", "vertices")}
     assert set(_schema_rules(_DB_HEADER)) == {("spacing_m",), ("bin_width_s",), ("num_bins",), ("ap_ids",),
                                               ("n_points",)}
+
+
+# an integer of 401 digits: json reads it as an int, and float() of it raises OverflowError
+_PAST_FLOAT = 10**400
+
+
+@pytest.mark.parametrize("document,path,value,message", [
+    ("scenario", ("sim", "dt_s"), _PAST_FLOAT, "scenario document has an integer out of float range at .sim.dt_s"),
+    ("scenario", ("noise", "noise_power_w"), _PAST_FLOAT,
+     "scenario document has an integer out of float range at .noise.noise_power_w"),
+    ("scenario", ("network", "nodes", 0, "pose", "position", 0), -_PAST_FLOAT,
+     "scenario document has an integer out of float range at .network.nodes[0].pose.position[0]"),
+    ("scene", ("surfaces", 0, "vertices", 1, 0), _PAST_FLOAT,
+     "scene invalid: scene document has an integer out of float range at .surfaces[0].vertices[1][0]"),
+    ("scene", ("materials", 0, "reflection_coeff"), _PAST_FLOAT,
+     "scene invalid: scene document has an integer out of float range at .materials[0].reflection_coeff"),
+], ids=["dt", "noise-power", "negative-position", "vertex", "reflection-coeff"])
+def test_an_integer_past_the_float_range_is_one_error_naming_its_path(tmp_path, capsys, document, path, value,
+                                                                      message):
+    # it fit the number shape, and float() raised OverflowError: a traceback instead of an error line
+    scenario, scene, scene_name = _edited(document, SHIPPED, path, value)
+    assert _validate(tmp_path, scenario, scene, scene_name) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    for argv in (["build-db", str(tmp_path / "s.json")], ["run", str(tmp_path / "s.json")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "artifacts").exists()
+
+
+@pytest.mark.parametrize("document", ["scenario", "scene"])
+def test_an_integer_past_the_digit_limit_is_not_valid_json(tmp_path, capsys, document):
+    # json.loads raises a plain ValueError for an integer of more than 4 300 digits, not a JSONDecodeError
+    scenario, scene, scene_name = copy.deepcopy(SHIPPED)
+    texts = {"scenario": json.dumps(scenario), "scene": json.dumps(scene)}
+    number = {"scenario": '"dt_s": 0.1', "scene": '"reflection_coeff": 0.95'}[document]
+    texts[document] = texts[document].replace(number, number.split()[0] + " 1" + "0" * 5000, 1)
+    (tmp_path / scene_name).write_text(texts["scene"])
+    (tmp_path / "s.json").write_text(texts["scenario"])
+    prefix = "scene invalid: scene" if document == "scene" else "scenario"
+    for command in ("validate", "build-db", "run"):
+        assert main([command, str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix} document is not valid JSON: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "artifacts").exists()

@@ -50,7 +50,7 @@ def test_bench_record_writes_a_bench_file(tmp_path):
     assert done.returncode == 0, done.stderr
     bench = json.loads(out.read_text())
     assert set(bench) == {"pr", "context", "correct", "attempted", "failed", "rounds", "seconds", "end_to_end",
-                          "per_layer", "cli_wall_s", "tier1_wall_s"}
+                          "per_layer", "cli_wall_s", "tier1_wall_s", "ratio_to_earliest"}
     assert bench["correct"] is True and bench["failed"] == 0 and bench["pr"] == 0
     assert {"git_sha", "source_sha256", "numpy", "thread_pins"} <= set(bench["context"])
     for workload in ("build_db", "run_clean", "run_degraded"):
@@ -61,3 +61,11 @@ def test_bench_record_writes_a_bench_file(tmp_path):
         walls = bench["cli_wall_s"][command]
         assert len(walls["runs"]) == 5 and walls["median"] == sorted(walls["runs"])[2]
     assert bench["tier1_wall_s"] is None
+    # each gated metric over the earliest BENCH file at the repo root, the trajectory's first point
+    root = SCRIPTS.parent
+    earliest = min(root.glob("BENCH_*.json"), key=lambda p: int(p.stem.removeprefix("BENCH_")))
+    base = json.loads(earliest.read_text())["end_to_end"]
+    ratio = bench["ratio_to_earliest"]
+    assert ratio["file"] == earliest.name and set(ratio["ratios"]) == set(bench["end_to_end"]) == set(base)
+    for name, value in ratio["ratios"].items():
+        assert value == bench["end_to_end"][name]["value"] / base[name]["value"] > 0
