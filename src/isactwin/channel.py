@@ -68,7 +68,7 @@ def _steering(array: ArrayConfig, psi, carrier_freq: float) -> np.ndarray:
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
     """The (n,) + z.shape table z ** m, m = 0..n-1, by doubling: with rows 0..k filled, rows k+1..2k
     are rows 1..k times row k, so at most ceil(log2 n) in-place products and no cos or sin."""
-    out = np.empty((n,) + np.shape(z), dtype=complex)
+    out = np.empty((n,) + z.shape, dtype=complex)
     out[:1], out[1:2] = 1.0, z
     k = 1
     while k < n - 1:
@@ -172,12 +172,12 @@ def beamformed_gains(paths: PathSet, tx_array: ArrayConfig, rx_array: ArrayConfi
     ks = np.asarray(symbols, dtype=float)
     a_r, a_t = _path_responses(paths, tx_array, rx_array, params.carrier_freq)
     c = a_r * (paths.gain * (a_t.T @ np.asarray(w, dtype=complex)))        # (R, L)
-    sym_phase = _cis(2.0 * math.pi * np.outer(paths.doppler * params.symbol_duration, ks))  # (L, K)
+    sym_phase = _cis(2.0 * math.pi * np.multiply.outer(paths.doppler * params.symbol_duration, ks))  # (L, K)
     n_l, n_r, n_k = len(paths), len(c), len(ks)
     rhs = (c.T[:, :, None] * sym_phase[:, None, :]).reshape(n_l, n_r * n_k)
 
     rate = -2.0 * math.pi * params.delta_f * paths.delay                   # (L,)
-    per_block = _cis(np.outer(layout.starts, rate))                        # (B, L)
+    per_block = _cis(np.multiply.outer(layout.starts, rate))               # (B, L)
     in_block = _powers(_cis(rate), _PHASE_BLOCK)                           # (32, L)
     table = np.empty((min(layout.rows, _CHUNK_BLOCKS * _PHASE_BLOCK), n_l), dtype=complex)
     hw = np.empty((layout.rows, n_r * n_k), dtype=complex)
@@ -251,7 +251,7 @@ def mrt_beamformer(h: np.ndarray) -> np.ndarray:
     one-element transmitter without the channel or the SVD.
     """
     h = np.asarray(h, dtype=complex)
-    if not np.any(np.abs(h) > 0.0):
+    if not np.logical_or.reduce(np.abs(h) > 0.0, axis=None):
         raise ValueError("zero channel has no MRT beamformer")
     _, _, vh = np.linalg.svd(h)
     w = vh[0].conj()

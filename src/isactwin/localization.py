@@ -6,8 +6,13 @@ building it evaluates no path phase; online, measured profiles are matched
 by a delay-aligned, power-normalized RMS distance summed over APs:
 circular-shift each profile so its first nonzero bin is bin 0
 (kills the unknown absolute sync offset), scale it to unit total power, and
-take the RMS bin difference. One alignment over the last axis serves the
-cached database and the query, and every grid point and AP scores at once.
+take the RMS bin difference. The database is aligned once over its last
+axis and cached; a query row is sliced from its first nonzero bin. Every grid
+point and AP scores at once, over the occupied window only: the first W bins,
+W the smallest multiple of 8 covering every nonzero aligned bin of the table
+and the query (all bins when that is not fewer, or past 128). numpy sums a
+row of at most 128 float64 values in 8 interleaved accumulators, to which the
+exact zeros past W add nothing, so each score keeps the full-width sum's bits.
 
 README.md ("Fingerprint database file") describes the database file and its
 stamps; save_db writes it, load_db reads it, and _DB_HEADER is its header's schema.
@@ -51,7 +56,8 @@ class Mdp:
         self.bins = np.asarray(self.bins, dtype=float)
         if self.bin_width <= 0.0:
             raise ValueError("bin_width must be positive")
-        if not (self.bins.min(initial=0.0) >= 0.0 and self.bins.max(initial=0.0) < np.inf):   # NaN fails both
+        if not (np.minimum.reduce(self.bins, axis=None, initial=0.0) >= 0.0
+                and np.maximum.reduce(self.bins, axis=None, initial=0.0) < np.inf):   # NaN fails both
             finite = np.isfinite(self.bins)
             if not finite.all():
                 bad = int(np.argmin(finite))
@@ -125,9 +131,12 @@ class FingerprintDB:
             raise DatabaseError(f"AP {ap_id!r} not in database") from None
 
     @cached_property
-    def aligned_unit(self) -> np.ndarray:
-        """Aligned+normalized profiles, shape (P, A, num_bins), computed on first use."""
-        return _aligned_unit(self.bins)
+    def aligned_unit(self) -> tuple:
+        """Aligned+normalized profiles, shape (P, A, num_bins), computed on first use, and the
+        number of leading bins that hold every nonzero one of them."""
+        table = _aligned_unit(self.bins)
+        occupied = np.logical_or.reduce(table != 0.0, axis=(0, 1)).nonzero()[0]
+        return table, int(occupied[-1]) + 1 if len(occupied) else 0
 
 
 def build_fingerprint_db(
@@ -181,20 +190,34 @@ def localize(measured, db: FingerprintDB) -> tuple:
     """Grid point minimizing the summed per-AP profile distance, plus the score.
 
     Ties resolve to the lowest grid index. Every measured AP must exist in
-    the database with matching bin parameters.
+    the database with matching bin parameters. Only the first W bins are
+    scored, W the smallest multiple of 8 covering every nonzero aligned bin
+    (all bins past 128): numpy sums up to 128 float64 values in 8 accumulators,
+    and the exact zeros past W leave each sum's bits as they are.
     """
     if not measured:
         raise DatabaseError("no measured fingerprints")
-    columns = [db._ap_index(ap_id) for ap_id in sorted(measured)]
-    for ap_id, mdp in sorted(measured.items()):
-        if mdp.num_bins != db.num_bins or abs(mdp.bin_width - db.bin_width) > 1e-18:
+    aps = sorted(measured)
+    columns = [db._ap_index(ap_id) for ap_id in aps]
+    n = db.num_bins
+    query = np.zeros((len(aps), n))
+    width = 0
+    for row, ap_id in zip(query, aps):
+        mdp = measured[ap_id]
+        if mdp.num_bins != n or abs(mdp.bin_width - db.bin_width) > 1e-18:
             raise DatabaseError(f"bin parameters of AP {ap_id!r} do not match database")
-    query = _aligned_unit(np.stack([mdp.bins for _, mdp in sorted(measured.items())]))
+        occupied = mdp.bins.nonzero()[0]
+        if len(occupied):   # shifted to bin 0 over its total; an all-zero row stays zero
+            first = occupied[0]
+            np.divide(mdp.bins[first:], np.add.reduce(mdp.bins), out=row[:n - first])
+            width = max(width, occupied[-1] - first + 1)
+    table, table_width = db.aligned_unit
+    window = min(-(-max(width, table_width) // 8) * 8, n) if n <= 128 else n
     # every AP in database order, as each step measures them, needs no copy of the table
-    table = db.aligned_unit if columns == list(range(len(db.ap_ids))) else db.aligned_unit[:, columns, :]
-    diff = table - query                                                      # (P, A', num_bins)
-    scores = np.sqrt(np.mean(np.square(diff, out=diff), axis=-1)).sum(axis=-1)
-    best = int(np.argmin(scores))
+    table = table[:, :, :window] if columns == list(range(len(db.ap_ids))) else table[:, columns, :window]
+    diff = table - query[:, :window]                                          # (P, A', window)
+    scores = np.add.reduce(np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=-1) / n), axis=-1)
+    best = int(scores.argmin())
     return db.positions[best].copy(), float(scores[best])
 
 
@@ -208,12 +231,14 @@ def add_fingerprint_noise(mdp: Mdp, snr_db: float, rng: np.random.Generator) -> 
     alignment remains meaningful.
     """
     snr = snr_power(snr_db)
-    occupied = mdp.bins > 0.0
-    if not np.any(occupied):
-        return Mdp(bins=mdp.bins.copy(), bin_width=mdp.bin_width, overflow=mdp.overflow)
-    sigma = np.sqrt(np.mean(mdp.bins[occupied] ** 2) / snr)
     noisy = mdp.bins.copy()
-    noisy[occupied] = np.clip(noisy[occupied] + rng.normal(0.0, sigma, int(occupied.sum())), 0.0, None)
+    occupied = (noisy > 0.0).nonzero()[0]
+    k = len(occupied)
+    if k:
+        power = noisy.take(occupied)
+        sigma = np.sqrt(np.add.reduce(power * power) / k / snr)
+        power += rng.normal(0.0, sigma, k)
+        noisy[occupied] = np.maximum(power, 0.0, out=power)
     return Mdp(bins=noisy, bin_width=mdp.bin_width, overflow=mdp.overflow)
 
 

@@ -218,7 +218,7 @@ def trace_paths(scene: Scene, tx: Pose, rx: Pose, max_order: int = 2,
     if len(plan.occluders.offsets):
         rows = rows[~_occluded(plan.occluders, _polylines(plan, tx.position, rx.position, rows, s, d))]
     delay = dist.take(rows) / SPEED_OF_LIGHT
-    by_delay = np.argsort(delay, kind="stable")
+    by_delay = delay.argsort(kind="stable")
     rows = rows.take(by_delay)
     amp = np.minimum(amp.take(rows), 1.0)
     return PathSet._traced(tx, rx, carrier_freq, amp, delay.take(by_delay), plan, rows, s, d, dist)
@@ -329,7 +329,7 @@ def _plan_for(scene: Scene, max_order: int) -> _Plan:
 def _inside(heights):
     """Polygon containment (edges included) of N points from their (E, N) heights over the edge
     planes of their polygons, edge_normal . x - edge_offset; zero padding is always inside."""
-    return (heights >= -CONTAINS_TOL).all(axis=0)
+    return np.logical_and.reduce(heights >= -CONTAINS_TOL, axis=0)
 
 
 def _image_chain(plan: _Plan, walls, tx_point: np.ndarray) -> tuple:
@@ -353,7 +353,8 @@ def _receiver(plan: _Plan, walls, rx_point: np.ndarray) -> tuple:
     row = rx_point @ plan.planes
     q, heights = row[:k * m].reshape(k, m), row[k * m:k * m + k * v * m].reshape(k, v, m)
     heights -= plan.edge_offsets
-    return bool((row[k * m + k * v * m:] < walls.offsets).any()), *_read_only(q, plan.offsets - q, heights)
+    behind = np.logical_or.reduce(row[k * m + k * v * m:] < walls.offsets)
+    return bool(behind), *_read_only(q, plan.offsets - q, heights)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -386,7 +387,7 @@ def _unfold(plan: _Plan, tx_entry: tuple, rx_entry: tuple, rx_point: np.ndarray,
     s = s[1:-1]
     heights = rx_heights + s[:, None] * (image_heights - rx_heights)
     amp = SPEED_OF_LIGHT / carrier_freq / (4.0 * math.pi * dist) * plan.coeffs
-    keep = legs.all(axis=0) & _inside(heights.reshape(k * v, m)) & (amp >= GAIN_PRUNE_THRESHOLD)
+    keep = np.logical_and.reduce(legs, axis=0) & _inside(heights.reshape(k * v, m)) & (amp >= GAIN_PRUNE_THRESHOLD)
     return s, d, dist, amp, keep
 
 

@@ -127,7 +127,7 @@ MAX_GRID_POINTS = 10**6
 # rate_<agent>_<transmitter>, split at the first "_"; node ids are bus topic segments; numpy refuses a negative seed
 _NON_NEGATIVE = Rule(float, lambda x: x >= 0, ">= 0")
 _NON_NEGATIVE_INT = Rule(int, lambda n: n >= 0, ">= 0")
-_COUNT = Rule(int, lambda n: n <= MAX_GRID_POINTS, f"<= {MAX_GRID_POINTS}")
+_COUNT = Rule(int, lambda n: 1 <= n <= MAX_GRID_POINTS, f"in 1..{MAX_GRID_POINTS}")
 _FILE_NAME = Rule(str, lambda name: "\0" not in name, "a string without a NUL byte")
 _POSE = {"position": (float, float, float), "yaw_deg": Optional(float)}
 _ARRAY = {"elements": _COUNT, "spacing_wavelengths": Optional(float), "boresight_deg": Optional(float)}
@@ -155,7 +155,7 @@ _SCENARIO_KEYS = {
     "raytrace": Optional({"max_order": Optional(_NON_NEGATIVE_INT)}),
     "db": Optional({"path": Optional(_FILE_NAME), "build": Optional({
         "spacing_m": Optional(_POSITIVE), "bin_width_s": Optional(_POSITIVE), "height_m": Optional(float),
-        "num_bins": Optional(Rule(int, lambda n: 1 <= n <= MAX_GRID_POINTS, f"in 1..{MAX_GRID_POINTS}")),
+        "num_bins": Optional(_COUNT),
         "roi_m": Optional((float,) * 4)})}),
     "output": Optional({"trace_csv": Optional(_FILE_NAME)}),
 }
@@ -804,17 +804,20 @@ def sim_step(world: World, t: int) -> TraceRecord:
             tx_array, rx_array = world.graph.nodes[q].array, world.graph.nodes[v].array
             w = _SINGLE_ANTENNA_MRT if tx_array.num_elements == 1 else mrt_beamformer(
                 synthesize_channel(paths, tx_array, rx_array, *plan.rep, cfg.ofdm))
-            received[(v, q)] = plan.power * beamformed_gains(
+            received[(v, q)] = gains = beamformed_gains(
                 paths, tx_array, rx_array, w, cfg.ofdm, plan.layout, plan.symbols)
+            gains *= plan.power
         for (v, q), plan in world.rate_plan.items():
             rates[(v, q)] = 0.0
             if (v, q) in received:
-                interference = np.zeros_like(received[(v, q)])
+                # one buffer, in place: the interference, noise + it, the SNR, 1 + the SNR, its log2
+                buf = np.zeros(received[(v, q)].shape)
                 for qq, here, there in plan.interferers:
                     if (v, qq) in received:
-                        interference[here] += received[(v, qq)][there]
-                snr = received[(v, q)] / (cfg.noise.noise_power_w + interference)
-                rates[(v, q)] = float(np.mean(np.log2(1.0 + snr)))
+                        buf[here] += received[(v, qq)][there]
+                buf += cfg.noise.noise_power_w
+                np.log2(np.add(np.divide(received[(v, q)], buf, out=buf), 1.0, out=buf), out=buf)
+                rates[(v, q)] = float(np.add.reduce(buf, axis=None) / buf.size)
             bus.publish(f"metrics/rate/{v}/{q}", rates[(v, q)], step=t)
 
     # phases 4-6 per agent: observation, estimation, control

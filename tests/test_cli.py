@@ -79,14 +79,14 @@ class TestValidate:
          "resources user 'ap1': subcarriers 1..1000000000 gives 1000000000 entries; at most 1000000 are allowed"),
         # a left-out index set is the whole axis, which the schema counts
         (lambda d: (d["network"]["resources"]["users"][1].pop("symbols"), d["ofdm"].update(n_symbols=10**12)),
-         "scenario document has 1000000000000 at .ofdm.n_symbols, which must be <= 1000000"),
+         "scenario document has 1000000000000 at .ofdm.n_symbols, which must be in 1..1000000"),
         (lambda d: d["agents"][0]["path"]["circle"].update(waypoints=10**12),
-         "scenario document has 1000000000000 at .agents[0].path.circle.waypoints, which must be <= 1000000"),
+         "scenario document has 1000000000000 at .agents[0].path.circle.waypoints, which must be in 1..1000000"),
         (lambda d: d["raytrace"].update(max_order=12),
          "raytrace.max_order 12 over the scene's 6 planar surfaces gives a candidate table of "
          "(6 + 1) ** 12 = 1.38e+10 entries; at most 1000000 are allowed"),
         (lambda d: d["network"]["nodes"][0]["array"].update(elements=2**31),
-         "scenario document has 2147483648 at .network.nodes[0].array.elements, which must be <= 1000000"),
+         "scenario document has 2147483648 at .network.nodes[0].array.elements, which must be in 1..1000000"),
         (lambda d: d["db"]["build"].update(num_bins=2**31),
          "scenario document has 2147483648 at .db.build.num_bins, which must be in 1..1000000"),
     ], ids=["subcarrier-range", "left-out-symbols", "circle-waypoints", "max-order", "array-elements",
@@ -104,6 +104,18 @@ class TestValidate:
         assert plans == []
         assert main(["validate", shipped_copy(tmp_path, lambda d: None)]) == 0
         assert plans == []   # validate builds no plan, of the shipped order 3 either
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d: d["network"]["nodes"][0]["array"].update(elements=0), ".network.nodes[0].array.elements"),
+        (lambda d: d["agents"][0]["path"]["circle"].update(waypoints=0), ".agents[0].path.circle.waypoints"),
+    ], ids=["array-elements", "circle-waypoints"])
+    def test_a_zero_count_is_one_error_naming_its_path(self, tmp_path, capsys, edit, where):
+        # a constructor refused these, in a line that named no jq path
+        path = shipped_copy(tmp_path, edit)
+        for command in ("validate", "build-db", "run"):
+            assert main([command, path]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: scenario document has 0 at {where}, which must be in 1..1000000\n"
 
 
     @pytest.mark.parametrize("snr_db", [3090.0, -4000.0])

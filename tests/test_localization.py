@@ -23,7 +23,12 @@ from isactwin.localization import (
 from isactwin.raytrace import PathSet, Pose, PropagationPath, trace_paths
 from isactwin.scene import load_scene, floor_grid
 from conftest import box_scene_doc, rewrite_db_header
-from localization_oracle import compute_mdp_per_path, mdp_distance
+from localization_oracle import (
+    add_fingerprint_noise_masked,
+    compute_mdp_per_path,
+    localize_full_width,
+    mdp_distance,
+)
 
 
 def pathset(entries, fc=2.4e9):
@@ -454,3 +459,69 @@ class TestFingerprintNoise:
         m_low, s_low = mean_error(3.0, 4)
         assert m_mid >= m_clean - (s_clean + s_mid)
         assert m_low >= m_mid - (s_mid + s_low)
+
+
+def _profiles(rng, rows, n, widest):
+    """rows profiles of n bins, each occupying a run of at most widest bins at a random start, with
+    zeros inside the run, magnitudes over 16 decades and, at width 0, all-zero rows."""
+    bins = np.zeros((rows, n))
+    for row in bins:
+        width = int(rng.integers(0, widest + 1))
+        start = int(rng.integers(0, n - width + 1))
+        row[start:start + width] = 10.0 ** rng.uniform(-14.0, 2.0, width) * (rng.random(width) < 0.8)
+    return bins
+
+
+class TestOccupiedWindow:
+    """localize scores only the occupied window of bins and add_fingerprint_noise gathers the occupied
+    bins once; both must keep the bits of the full-width forms in localization_oracle."""
+
+    @given(n=st.integers(1, 300), points=st.integers(1, 8), num_aps=st.integers(1, 3),
+           widest=st.data(), subset=st.lists(st.booleans(), min_size=3, max_size=3),
+           query_from=st.sampled_from(["table", "fresh", "zero"]), snr_db=st.none() | st.floats(0.0, 40.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_localize_keeps_the_full_width_bits(self, n, points, num_aps, widest, subset, query_from, snr_db,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        table_widest, query_widest = widest.draw(st.integers(0, n)), widest.draw(st.integers(0, n))
+        ap_ids = ["c", "a", "b"][:num_aps]   # sorted order is not database order: the columns path
+        db = FingerprintDB(positions=rng.uniform(0.0, 2.0, (points, 3)), spacing=0.1, ap_ids=ap_ids,
+                           bins=_profiles(rng, points * num_aps, n, table_widest).reshape(points, num_aps, n),
+                           bin_width=1e-9)
+        measured_ids = [ap for ap, keep in zip(ap_ids, subset) if keep] or ap_ids[-1:]
+        if query_from == "table":   # a stored point's profiles, scaled
+            point = int(rng.integers(points))
+            query = {ap: db.bins[point, ap_ids.index(ap)] * rng.uniform(0.5, 2.0) for ap in measured_ids}
+        else:
+            widths = query_widest if query_from == "fresh" else 0
+            query = dict(zip(measured_ids, _profiles(rng, len(measured_ids), n, widths)))
+        measured = {ap: Mdp(bins=bins, bin_width=1e-9) for ap, bins in query.items()}
+        if snr_db is not None:
+            measured = {ap: add_fingerprint_noise(mdp, snr_db, rng) for ap, mdp in measured.items()}
+        est, score = localize(measured, db)
+        ref_est, ref_score = localize_full_width(measured, db)
+        assert est.tobytes() == ref_est.tobytes() and score.hex() == ref_score.hex()
+
+    def test_traced_queries_keep_the_full_width_bits(self, small_db):
+        db, scene, aps = small_db
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            p = Pose.at(rng.uniform(0.3, 1.7), rng.uniform(0.3, 1.3), 0.2)
+            measured = {ap_id: compute_mdp(trace_paths(scene, pose, p, 2, 2.4e9), db.bin_width, db.num_bins)
+                        for ap_id, pose in aps}
+            for query in (measured, {ap: add_fingerprint_noise(m, 20.0, rng) for ap, m in measured.items()}):
+                est, score = localize(query, db)
+                ref_est, ref_score = localize_full_width(query, db)
+                assert est.tobytes() == ref_est.tobytes() and score.hex() == ref_score.hex()
+
+    @given(n=st.integers(1, 300), widest=st.data(), snr_db=st.floats(-30.0, 60.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_noise_keeps_the_masked_formulas_bits_and_draws(self, n, widest, snr_db, seed):
+        bins = _profiles(np.random.default_rng(seed), 1, n, widest.draw(st.integers(0, n)))[0]
+        mdp = Mdp(bins=bins, bin_width=1e-9, overflow=3)
+        rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        noisy, ref = add_fingerprint_noise(mdp, snr_db, rng), add_fingerprint_noise_masked(mdp, snr_db, ref_rng)
+        assert noisy.bins.tobytes() == ref.bins.tobytes() and noisy.overflow == ref.overflow == 3
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert bins.tobytes() == mdp.bins.tobytes()   # the input is left as it was

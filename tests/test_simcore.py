@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -717,6 +719,45 @@ class TestSimulationLoop:
         clean = compute_mdp(trace_paths(world.scene, world.graph.nodes["ap_a"].pose, pose,
                                         max_order=2, carrier_freq=2.4e9), world.db.bin_width, world.db.num_bins)
         assert not np.array_equal(obs[-1].payload["ap_a"].bins, clean.bins)
+
+    @pytest.mark.parametrize("noise", [{}, {"map_offset_m": [0.0, -0.05]}, {"fingerprint_snr_db": 20.0}],
+                             ids=["clean", "map-offset", "fingerprint-noise"])
+    def test_step_path_enters_no_python_level_numpy_wrapper(self, tmp_path, noise):
+        # a step calls ufuncs, ufunc reductions and C-level methods, not numpy functions written in
+        # Python; a denylist, as which others are written in Python depends on the numpy version
+        denied = {"mean", "stack", "clip", "outer", "zeros_like", "take_along_axis", "argsort", "argmin", "where",
+                  "flatnonzero"}
+        denied_methods = {"_all", "_any", "_sum", "_amin", "_amax"}
+        numpy_dir, package_dir = Path(np.__file__).parent, Path(simcore.__file__).parent
+        doc = tiny_scenario_doc()
+        doc["noise"].update(noise)
+        (tmp_path / "tiny.scene.json").write_text(json.dumps(_tiny_scene()))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        world = init_world(ScenarioConfig.from_file(p))
+        sim_step(world, 0)   # fills the database's cached aligned table
+        entered, stepped = [], set()
+
+        def hook(frame, event, arg):
+            if event != "call" or frame.f_back is None:
+                return
+            code, caller = frame.f_code, Path(frame.f_back.f_code.co_filename)
+            if Path(code.co_filename).parent == package_dir:
+                stepped.add(code.co_name)
+            elif caller.parent == package_dir and numpy_dir in Path(code.co_filename).parents and (
+                    code.co_name in denied
+                    or (code.co_name in denied_methods and code.co_filename.endswith("_methods.py"))):
+                entered.append(f"{code.co_name} from {caller.name}:{frame.f_back.f_lineno}")
+
+        sys.setprofile(hook)
+        try:
+            for t in range(1, 4):
+                sim_step(world, t)
+        finally:
+            sys.setprofile(None)
+        assert {"trace_paths", "beamformed_gains", "mrt_beamformer", "localize"} <= stepped
+        assert ("add_fingerprint_noise" in stepped) == ("fingerprint_snr_db" in noise)
+        assert entered == []
 
     def test_state_noise_draws_three_normals_per_step(self, tmp_path):
         # the agent generator, seeded [seed, 11, agent index], feeds only the x, y and yaw noise
