@@ -42,11 +42,7 @@ class OfdmParams:
     def __post_init__(self):
         if self.delta_f <= 0.0:
             raise ValueError("delta_f must be > 0")
-        if self.carrier_freq <= 0.0:
-            raise ValueError("carrier_freq must be > 0")
-        if not 0.0 < self.wavelength < math.inf:   # a near-zero carrier overflows it
-            raise ValueError(f"carrier_freq {self.carrier_freq!r} Hz gives a wavelength of "
-                             f"{self.wavelength!r} m; it must be finite and > 0")
+        carrier_wavelength(self.carrier_freq)
 
     @property
     def symbol_duration(self) -> float:
@@ -56,6 +52,13 @@ class OfdmParams:
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq
+
+
+def carrier_wavelength(carrier_freq: float) -> float:
+    """SPEED_OF_LIGHT / carrier_freq in m; ValueError unless it is finite and > 0 (a near-zero carrier overflows it)."""
+    if not (carrier_freq > 0.0 and 0.0 < SPEED_OF_LIGHT / carrier_freq < math.inf):   # NaN fails too
+        raise ValueError(f"carrier_freq {carrier_freq!r} Hz gives no wavelength that is finite and > 0")
+    return SPEED_OF_LIGHT / carrier_freq
 
 
 def _steering(array: ArrayConfig, psi, carrier_freq: float) -> np.ndarray:

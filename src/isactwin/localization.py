@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .raytrace import PathSet, Pose, trace_paths
-from .scene import _AT_LEAST_ONE, _POSITIVE, Rule, Scene, _bad_field
+from .scene import _AT_LEAST_ONE, _POSITIVE, Rule, Scene, _conform
 
 _MAGIC = b"ITFPDB01"
 _VERSION = 2
@@ -266,7 +266,7 @@ def save_db(db: FingerprintDB, path) -> Path:
         "ap_ids": list(db.ap_ids),
         "n_points": int(len(db.positions)),
     }
-    bad = _bad_field(header, _DB_HEADER)
+    bad = _conform(header, _DB_HEADER)[1]
     if bad is not None:
         raise DatabaseError(f"{path}: not written: {bad[0]} {bad[1]}{bad[2]}")
     _finite(db, f"{path}: not written")
@@ -301,12 +301,10 @@ def load_db(path) -> FingerprintDB:
         raise DatabaseError(f"{path}: corrupt header: not a JSON object")
     if header.get("version") != _VERSION:
         raise DatabaseError(f"{path}: unsupported version {header.get('version')}")
-    bad = _bad_field(header, _DB_HEADER)
+    header, bad = _conform(header, _DB_HEADER)
     if bad is not None:
         raise DatabaseError(f"{path}: corrupt header: {bad[0]} {bad[1]}{bad[2]}")
     n_points, num_bins, ap_ids = header["n_points"], header["num_bins"], header["ap_ids"]
-    spacing, bin_width = header["spacing_m"], header["bin_width_s"]
-    scene_hash, network_hash = header["scene_hash"], header["network_hash"]
     expected = off + 8 * n_points * (3 + len(ap_ids) * num_bins)
     if len(raw) != expected:
         raise DatabaseError(
@@ -317,9 +315,9 @@ def load_db(path) -> FingerprintDB:
     off += n_points * 3 * 8
     bins = np.frombuffer(raw, dtype="<f8", count=n_points * len(ap_ids) * num_bins, offset=off)
     bins = bins.reshape(n_points, len(ap_ids), num_bins)
-    return _finite(FingerprintDB(positions=positions, spacing=spacing, ap_ids=ap_ids, bins=bins,
-                                 bin_width=bin_width, scene_hash=scene_hash, network_hash=network_hash),
-                   f"{path}: not loaded")
+    return _finite(FingerprintDB(positions=positions, spacing=header["spacing_m"], ap_ids=ap_ids, bins=bins,
+                                 bin_width=header["bin_width_s"], scene_hash=header["scene_hash"],
+                                 network_hash=header["network_hash"]), f"{path}: not loaded")
 
 
 def _finite(db: FingerprintDB, refusal: str) -> FingerprintDB:

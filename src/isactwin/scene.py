@@ -37,8 +37,9 @@ CONTAINS_TOL = 1e-9
 
 
 class Optional(NamedTuple):
-    """A key that an object may leave out or set to null; either way it takes its default."""
+    """A key that an object may leave out or set to null; either way it takes default (None stays None)."""
     shape: object
+    default: object = None
 
 
 class Either(NamedTuple):
@@ -225,7 +226,7 @@ def load_scene(source) -> Scene:
     doc = read_document(source, SceneError, "scene", _SCENE_KEYS)
     materials: dict[str, Material] = {}
     for entry in doc["materials"]:
-        mat = Material(name=entry["name"], reflection_coeff=float(entry["reflection_coeff"]))
+        mat = Material(name=entry["name"], reflection_coeff=entry["reflection_coeff"])
         if mat.name in materials:
             raise SceneError(f"duplicate material name {mat.name!r}")
         materials[mat.name] = mat
@@ -245,8 +246,8 @@ def load_scene(source) -> Scene:
 
 
 def read_document(source, error: type, name: str, shape: dict) -> dict:
-    """The JSON object of a scene or scenario document, given as a file path (str or Path) or parsed.
-    Whatever makes it no such document raises error, naming the document: "scene" or "scenario"."""
+    """The JSON object of a document, "scene" or "scenario" by name, given as a file path (str or Path) or parsed,
+    as the new document _conform returns for shape. What makes it no such document raises error, naming it."""
     doc = source
     if isinstance(source, (str, Path)):
         try:
@@ -260,7 +261,7 @@ def read_document(source, error: type, name: str, shape: dict) -> dict:
             raise error(f"{name} document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{name} document must be a JSON object")
-    bad = _bad_field(doc, shape)
+    doc, bad = _conform(doc, shape)
     if bad is not None:
         raise error(f"{name} document {bad[0]} {bad[1]}{bad[2]}")
     return doc
@@ -271,57 +272,64 @@ _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
           dict: "an object", Either: "a list or an object"}
 
 
-def _bad_field(doc, shape) -> tuple | None:
-    """(fault, jq-style path, rest) of the first value of a parsed JSON document that does not fit
-    shape, or None. A shape is int (an integer: not a bool, nor an integral float such as 64.0),
-    float (a finite number, not a bool, nor an integer past the float range), str, a tuple of shapes
-    (a list of exactly those), [shape] (a list of any length), {key: shape} (an object: its keys are
-    required unless Optional), an Either or a Rule. Python's json reads NaN, Infinity and 1e999 as
-    floats, past every range check, and an integer of any size as an int."""
+def _conform(doc, shape) -> tuple:
+    """(value, None) for a parsed JSON document that fits shape, or (None, (fault, jq-style path, rest)) for its
+    first value that does not. value is a new document: each float is a float, a tuple shape's value a tuple,
+    and an object holds every key of its shape. A shape is int (an integer: not a bool, nor an integral float
+    such as 64.0), float (a finite number, not a bool, nor an integer past the float range), str, a tuple of
+    shapes (a list of exactly those), [shape] (a list of any length), {key: shape} (an object: its keys are
+    required unless Optional, and a left-out or null one takes its default), an Either or a Rule. Python's
+    json reads NaN, Infinity and 1e999 as floats, past every range check, and an integer of any size as an int."""
     kind = type(shape)
+    if kind is type:   # a leaf, the most common shape
+        if shape is float and isinstance(doc, float):
+            return (doc, None) if math.isfinite(doc) else (None, ("has a non-finite number at", "", ""))
+        if shape is float and type(doc) is int:   # float() of an int past the float range raises
+            if abs(doc) <= sys.float_info.max:
+                return float(doc), None
+            return None, ("has an integer out of float range at", "", "")
+        if type(doc) is shape:
+            return doc, None
     if kind is Either and isinstance(doc, (dict, list, tuple)):
         shape = shape.fields if type(doc) is dict else shape.items
         kind = type(shape)
     if kind is Rule:
-        found = _bad_field(doc, shape.shape)
+        value, found = _conform(doc, shape.shape)
         try:
-            passed = found is not None or shape.test(doc)
+            passed = found is not None or shape.test(value)
         except ValueError:
             passed = False
-        return found if passed else (f"has {doc!r} at", "", f", which must be {shape.text}")
-    if kind is type:
-        if shape is float and isinstance(doc, float):
-            return None if math.isfinite(doc) else ("has a non-finite number at", "", "")
-        if shape is float and type(doc) is int:   # float() of an int past the float range raises
-            return None if abs(doc) <= sys.float_info.max else ("has an integer out of float range at", "", "")
-        if type(doc) is shape:
-            return None
-    elif kind is dict:
-        if type(doc) is dict:
-            if not doc.keys() <= shape.keys():
-                return "has an unknown key", "." + next(key for key in doc if key not in shape), ""
-            for key, sub in shape.items():
-                value = doc.get(key)
-                if type(sub) is Optional:
-                    if value is None:
-                        continue
-                    sub = sub.shape
-                elif key not in doc:
-                    return "is missing", f".{key}", ""
-                found = _bad_field(value, sub)
-                if found is not None:   # the path is built only on the way back from a hit
-                    return found[0], f".{key}{found[1]}", found[2]
-            return None
-    elif isinstance(doc, (list, tuple)) and (kind is list or len(doc) == len(shape)):
+        return (value, found) if passed else (None, (f"has {doc!r} at", "", f", which must be {shape.text}"))
+    if kind is dict and type(doc) is dict:
+        if not doc.keys() <= shape.keys():
+            return None, ("has an unknown key", "." + next(key for key in doc if key not in shape), "")
+        fields = {}
+        for key, sub in shape.items():
+            value = doc.get(key)
+            if type(sub) is Optional:
+                value = sub.default if value is None else value
+                if value is None:
+                    fields[key] = None
+                    continue
+                sub = sub.shape
+            elif key not in doc:
+                return None, ("is missing", f".{key}", "")
+            fields[key], found = _conform(value, sub)
+            if found is not None:   # the path is built only on the way back from a hit
+                return None, (found[0], f".{key}{found[1]}", found[2])
+        return fields, None
+    elif kind in (list, tuple) and isinstance(doc, (list, tuple)) and (kind is list or len(doc) == len(shape)):
+        items = []
         for i, item in enumerate(doc):
-            found = _bad_field(item, shape[i] if kind is tuple else shape[0])
+            value, found = _conform(item, shape[i] if kind is tuple else shape[0])
             if found is not None:
-                return found[0], f"[{i}]{found[1]}", found[2]
-        return None
+                return None, (found[0], f"[{i}]{found[1]}", found[2])
+            items.append(value)
+        return (items if kind is list else tuple(items)), None
     what = _KINDS[shape if kind is type else kind]   # doc is of another JSON kind, or length
     if kind is tuple:   # a tuple's items are leaves
         what += f" of {len(shape)} {_KINDS[shape[0]].split()[1]}s"
-    return f"has {doc!r} at", "", f", which must be {what}"
+    return None, (f"has {doc!r} at", "", f", which must be {what}")
 
 
 def validate_scene(scene: Scene) -> list[str]:

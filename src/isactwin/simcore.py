@@ -33,7 +33,8 @@ import numpy as np
 
 from . import agent as agent_mod
 from . import localization as loc_mod
-from .channel import OfdmParams, _GridLayout, _grid_layout, beamformed_gains, mrt_beamformer, synthesize_channel
+from .channel import (OfdmParams, _GridLayout, _grid_layout, beamformed_gains, carrier_wavelength, mrt_beamformer,
+                      synthesize_channel)
 from .network import (
     ArrayConfig,
     NetworkError,
@@ -44,7 +45,7 @@ from .network import (
     incoming_edges,
 )
 from .raytrace import SPEED_OF_LIGHT as C, Pose, candidate_count, trace_paths, wrap_angle
-from .scene import (_AT_LEAST_ONE, _POSITIVE, Either, Optional, Rule, SceneError, _bad_field, _lattice,
+from .scene import (_AT_LEAST_ONE, _POSITIVE, Either, Optional, Rule, SceneError, _conform, _lattice,
                     _set_read_only, json_digest, lattice_span, load_scene, read_document, scene_hash)
 
 
@@ -122,42 +123,45 @@ _CONTROLLER_KEYS = {"k_ang": "k_ang", "v_max": "v_max", "w_max": "w_max", "waypo
 # table (candidate_count). About 5 000 times the shipped grid's 195 points; at 0.2 ms per fingerprint, minutes per AP
 MAX_GRID_POINTS = 10**6
 
-# the scenario document's schema, in the shapes read_document checks. A negative k_ang, v_max or w_max turns
-# waypoint_control's command around, and no waypoint lies within a negative waypoint_tol_m; trace columns are
-# rate_<agent>_<transmitter>, split at the first "_"; node ids are bus topic segments; numpy refuses a negative seed
+# the scenario document's schema, in the shapes read_document checks, with each key's default. A negative k_ang,
+# v_max or w_max turns waypoint_control's command around, and no waypoint lies within a negative waypoint_tol_m;
+# trace columns are rate_<agent>_<transmitter>, split at the first "_"; node ids are bus topic segments; numpy
+# refuses a negative seed. A default of None is worked out from other fields: a left-out index set is the whole
+# axis, height_m the first agent's z, and a left-out controller gain waypoint_control's own default
 _NON_NEGATIVE = Rule(float, lambda x: x >= 0, ">= 0")
 _NON_NEGATIVE_INT = Rule(int, lambda n: n >= 0, ">= 0")
 _COUNT = Rule(int, lambda n: 1 <= n <= MAX_GRID_POINTS, f"in 1..{MAX_GRID_POINTS}")
 _FILE_NAME = Rule(str, lambda name: "\0" not in name, "a string without a NUL byte")
-_POSE = {"position": (float, float, float), "yaw_deg": Optional(float)}
-_ARRAY = {"elements": _COUNT, "spacing_wavelengths": Optional(float), "boresight_deg": Optional(float)}
+_POSE = {"position": (float, float, float), "yaw_deg": Optional(float, 0.0)}
+_ARRAY = {"elements": _COUNT, "spacing_wavelengths": Optional(_POSITIVE, 0.5), "boresight_deg": Optional(float, 0.0)}
 _INDEX_SET = Optional(Either([int], {"from": int, "to": int}))
-_USER = {"id": str, "subcarriers": _INDEX_SET, "symbols": _INDEX_SET, "power_w": Optional(float)}
-_CIRCLE = {"center": (float, float), "radius": float, "waypoints": Optional(_COUNT),
-           "start_angle_deg": Optional(float)}
+_USER = {"id": str, "subcarriers": _INDEX_SET, "symbols": _INDEX_SET, "power_w": Optional(_NON_NEGATIVE, 1.0)}
+_CIRCLE = {"center": (float, float), "radius": float, "waypoints": Optional(_COUNT, 16),
+           "start_angle_deg": Optional(float, 0.0)}
 _SCENARIO_KEYS = {
     "scene": _FILE_NAME,
     "network": {"nodes": [{"id": Rule(str, lambda i: not any(c.isspace() or c in "/*?[" for c in i),
                                       "a string without whitespace, '/', '*', '?' or '['"),
                            "role": Rule(str, ("tx", "rx", "txrx").__contains__, "'tx', 'rx' or 'txrx'"),
                            "pose": Optional(_POSE), "array": Optional(_ARRAY)}],
-                "edges": [(str, str)], "resources": Optional({"users": Optional([_USER])})},
-    "ofdm": {"n_subcarriers": _COUNT, "delta_f_hz": float, "n_symbols": _COUNT, "carrier_hz": float},
+                "edges": [(str, str)], "resources": Optional({"users": Optional([_USER], [])}, {})},
+    "ofdm": {"n_subcarriers": _COUNT, "delta_f_hz": _POSITIVE, "n_symbols": _COUNT,
+             "carrier_hz": Rule(float, carrier_wavelength, "a frequency whose wavelength c / x is finite and > 0")},
     "agents": Rule([{"id": Rule(str, lambda i: "_" not in i, "a string without '_'"), "initial_pose": _POSE,
                      "path": Either(Rule([(float, float)], bool, "a non-empty list"), {"circle": _CIRCLE}),
-                     "controller": Optional(dict.fromkeys(_CONTROLLER_KEYS, Optional(_NON_NEGATIVE)))}],
+                     "controller": Optional(dict.fromkeys(_CONTROLLER_KEYS, Optional(_NON_NEGATIVE)), {})}],
                    bool, "a non-empty list"),
-    "noise": Optional({"state_var": Optional(_NON_NEGATIVE), "noise_power_w": Optional(_POSITIVE),
+    "noise": Optional({"state_var": Optional(_NON_NEGATIVE, 0.0), "noise_power_w": Optional(_POSITIVE, 1e-12),
                        "fingerprint_snr_db": Optional(Rule(float, loc_mod.snr_power, "a dB value whose linear "
                                                            "power 10 ** (x / 10) and its inverse are finite")),
-                       "map_offset_m": Optional((float, float))}),
-    "sim": {"dt_s": _POSITIVE, "max_steps": _AT_LEAST_ONE, "seed": Optional(_NON_NEGATIVE_INT)},
-    "raytrace": Optional({"max_order": Optional(_NON_NEGATIVE_INT)}),
+                       "map_offset_m": Optional((float, float), [0.0, 0.0])}, {}),
+    "sim": {"dt_s": _POSITIVE, "max_steps": _AT_LEAST_ONE, "seed": Optional(_NON_NEGATIVE_INT, 0)},
+    "raytrace": Optional({"max_order": Optional(_NON_NEGATIVE_INT, 2)}, {}),
     "db": Optional({"path": Optional(_FILE_NAME), "build": Optional({
-        "spacing_m": Optional(_POSITIVE), "bin_width_s": Optional(_POSITIVE), "height_m": Optional(float),
-        "num_bins": Optional(_COUNT),
-        "roi_m": Optional((float,) * 4)})}),
-    "output": Optional({"trace_csv": Optional(_FILE_NAME)}),
+        "spacing_m": Optional(_POSITIVE, 0.05), "bin_width_s": Optional(_POSITIVE, 12.5e-9),
+        "height_m": Optional(float), "num_bins": Optional(_COUNT, 64),
+        "roi_m": Optional((float,) * 4)})}, {}),
+    "output": Optional({"trace_csv": Optional(_FILE_NAME, "trace.csv")}, {}),
 }
 
 
@@ -218,117 +222,80 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        return cls._from_document(Path(path), Path(path).parent)
+        return cls._parse(path := Path(path), path.parent)
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir=Path(".")) -> "ScenarioConfig":
-        return cls._from_document(doc, Path(base_dir))
+        return cls._parse(doc, Path(base_dir))
 
     @classmethod
-    def _from_document(cls, source, base_dir: Path) -> "ScenarioConfig":
+    def _parse(cls, source, base_dir: Path) -> "ScenarioConfig":
+        """The config of a scenario document, a file path or parsed, from the new document read_document returns
+        for _SCENARIO_KEYS: every value fits its shape, every float is a float, a left-out key holds its default."""
         doc = read_document(source, ConfigError, "scenario", _SCENARIO_KEYS)
-        try:
-            return cls._parse(doc, base_dir, source if isinstance(source, Path) else None)
-        except ConfigError:
-            raise
-        except ValueError as exc:   # a constructor's range check
-            raise ConfigError(f"malformed scenario document: {exc}") from exc
-
-    @classmethod
-    def _parse(cls, doc: dict, base_dir: Path, scenario_path: Path | None) -> "ScenarioConfig":
-        """The config of a document that fits _SCENARIO_KEYS."""
         ofdm_doc = doc["ofdm"]
         ofdm = OfdmParams(n_subcarriers=ofdm_doc["n_subcarriers"], n_symbols=ofdm_doc["n_symbols"],
-                          delta_f=float(ofdm_doc["delta_f_hz"]), carrier_freq=float(ofdm_doc["carrier_hz"]))
+                          delta_f=ofdm_doc["delta_f_hz"], carrier_freq=ofdm_doc["carrier_hz"])
 
         net = doc["network"]
         nodes = []
         for nd in net["nodes"]:
-            array = arr = nd.get("array")
+            array = arr = nd["array"]
             if arr is not None:
-                array = ArrayConfig(num_elements=arr["elements"],
-                                    spacing=_number(arr, "spacing_wavelengths", 0.5) * ofdm.wavelength,
-                                    boresight=math.radians(_number(arr, "boresight_deg", 0.0)))
-            pose = _parse_pose(nd["pose"]) if nd.get("pose") is not None else None
-            nodes.append(Node(id=nd["id"], is_tx=nd["role"] != "rx", array=array, pose=pose))
+                try:
+                    array = ArrayConfig(num_elements=arr["elements"],
+                                        spacing=arr["spacing_wavelengths"] * ofdm.wavelength,
+                                        boresight=math.radians(arr["boresight_deg"]))
+                except NetworkError as exc:   # spacing_wavelengths x the wavelength past float range, or 0
+                    raise ConfigError(f"malformed scenario document: {exc}") from exc
+            nodes.append(Node(id=nd["id"], is_tx=nd["role"] != "rx", array=array, pose=_parse_pose(nd["pose"])))
 
         requests = tuple(
-            ResourceRequest(user=user["id"], power_budget=_number(user, "power_w", 1.0),
+            ResourceRequest(user=user["id"], power_budget=user["power_w"],
                             subcarriers=_parse_index_set(user, "subcarriers", ofdm.n_subcarriers),
                             symbols=_parse_index_set(user, "symbols", ofdm.n_symbols))
-            for user in _get(_get(net, "resources", {}), "users", []))
+            for user in net["resources"]["users"])
 
         agents = tuple(
             AgentSpec(id=ag["id"], initial_pose=_parse_pose(ag["initial_pose"]),
-                      waypoints=_parse_path(ag),
-                      gains={_CONTROLLER_KEYS[key]: float(value)
-                             for key, value in _get(ag, "controller", {}).items() if value is not None})
+                      waypoints=_parse_path(ag["path"]),
+                      gains={_CONTROLLER_KEYS[key]: value for key, value in ag["controller"].items()
+                             if value is not None})
             for ag in doc["agents"])
 
-        noise_doc = _get(doc, "noise", {})
-        noise = NoiseSpec(
-            state_var=_number(noise_doc, "state_var", 0.0),
-            noise_power_w=_number(noise_doc, "noise_power_w", 1e-12),
-            fingerprint_snr_db=_number(noise_doc, "fingerprint_snr_db", None),
-            map_offset=tuple(float(x) for x in _get(noise_doc, "map_offset_m", (0.0, 0.0))),
-        )
-
-        sim = doc["sim"]
-        db_doc = _get(doc, "db", {})
-        build = None
-        if db_doc.get("build") is not None:
-            b = db_doc["build"]
-            build = DbBuildSpec(
-                spacing=_number(b, "spacing_m", 0.05),
-                bin_width=_number(b, "bin_width_s", 12.5e-9),
-                num_bins=_get(b, "num_bins", 64),
-                roi=tuple(float(x) for x in b["roi_m"]) if b.get("roi_m") is not None else None,
-                height=_number(b, "height_m", None),
-            )
-        db = DbSpec(
-            path=None if db_doc.get("path") is None else base_dir / db_doc["path"],
-            build=build,
-        )
+        noise = doc["noise"]
+        sim, db_doc, build = doc["sim"], doc["db"], doc["db"]["build"]
+        if build is not None:
+            build = DbBuildSpec(spacing=build["spacing_m"], bin_width=build["bin_width_s"], num_bins=build["num_bins"],
+                                roi=build["roi_m"], height=build["height_m"])
 
         return cls(
             scene_path=base_dir / doc["scene"],
             nodes=tuple(nodes),
-            edges=tuple(tuple(edge) for edge in net["edges"]),
+            edges=tuple(net["edges"]),
             requests=requests,
             ofdm=ofdm,
             agents=agents,
-            noise=noise,
-            dt=float(sim["dt_s"]),
+            noise=NoiseSpec(state_var=noise["state_var"], noise_power_w=noise["noise_power_w"],
+                            fingerprint_snr_db=noise["fingerprint_snr_db"], map_offset=noise["map_offset_m"]),
+            dt=sim["dt_s"],
             max_steps=sim["max_steps"],
-            seed=_get(sim, "seed", 0),
-            max_order=_get(_get(doc, "raytrace", {}), "max_order", 2),
-            db=db,
-            trace_csv=base_dir / _get(_get(doc, "output", {}), "trace_csv", "trace.csv"),
-            scenario_path=scenario_path,
+            seed=sim["seed"],
+            max_order=doc["raytrace"]["max_order"],
+            db=DbSpec(path=None if db_doc["path"] is None else base_dir / db_doc["path"], build=build),
+            trace_csv=base_dir / doc["output"]["trace_csv"],
+            scenario_path=source if isinstance(source, Path) else None,
         )
 
 
-def _get(doc: dict, key: str, default):
-    """The value of an Optional key, or default where the document leaves it out or sets it to null."""
-    value = doc.get(key)
-    return default if value is None else value
-
-
-def _number(doc: dict, key: str, default):
-    """An Optional number key's value as a float, or default."""
-    value = doc.get(key)
-    return default if value is None else float(value)
-
-
-def _parse_pose(doc: dict) -> Pose:
-    x, y, z = (float(v) for v in doc["position"])
-    return Pose.at(x, y, z, yaw=math.radians(_number(doc, "yaw_deg", 0.0)))
+def _parse_pose(doc: dict | None) -> Pose | None:
+    return None if doc is None else Pose.at(*doc["position"], yaw=math.radians(doc["yaw_deg"]))
 
 
 def _parse_index_set(user: dict, key: str, upper: int) -> range | list:
     """A user's indices under key, as ResourceRequest takes them (network.index_array): a list, a
     {from, to} range, counted before it is built, or all of 1..upper where the key is left out."""
-    spec = user.get(key)
+    spec = user[key]
     if spec is None:
         return range(1, upper + 1)
     if not isinstance(spec, dict):
@@ -340,13 +307,11 @@ def _parse_index_set(user: dict, key: str, upper: int) -> range | list:
     return range(first, last + 1)
 
 
-def _parse_path(agent: dict) -> np.ndarray:
-    spec = agent["path"]
+def _parse_path(spec) -> np.ndarray:
     if isinstance(spec, dict):
         c = spec["circle"]
-        return agent_mod.circle_waypoints(center=c["center"], radius=float(c["radius"]),
-                                          count=_get(c, "waypoints", 16),
-                                          start_angle=math.radians(_number(c, "start_angle_deg", 0.0)))
+        return agent_mod.circle_waypoints(center=c["center"], radius=c["radius"], count=c["waypoints"],
+                                          start_angle=math.radians(c["start_angle_deg"]))
     return np.asarray(spec, dtype=float).reshape(-1, 2)
 
 
@@ -357,7 +322,7 @@ def check_overrides(values: dict) -> None:
         shape = _SCENARIO_KEYS
         for part in key.split("."):
             shape = shape[part].shape if type(shape[part]) is Optional else shape[part]
-        bad = None if value is None else _bad_field(value, shape)
+        bad = None if value is None else _conform(value, shape)[1]
         if bad is not None:
             raise ConfigError(f"command line {bad[0]} .{key}{bad[2]}")
 

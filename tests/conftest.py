@@ -29,7 +29,8 @@ def rewrite_db_header(path, edit):
 
 
 # the values just outside and just inside each scene.Rule that states no numeric bound, by its text, as
-# functions of the value the document set. The SNR bound is 10 * log10 of the largest float, about 3082.5 dB
+# functions of the value the document set. The SNR bound is 10 * log10 of the largest float, about 3082.5 dB;
+# a carrier's, c / the largest float, about 1.67e-300 Hz
 _NAMED_RULES = {
     "a non-empty list": lambda original: ([[]], [original[:1]]),
     "a non-empty string": lambda original: ([""], ["x"]),
@@ -40,6 +41,7 @@ _NAMED_RULES = {
     "a string without a NUL byte": lambda original: (["a\0b"], ["a\x01b"]),
     "a dB value whose linear power 10 ** (x / 10) and its inverse are finite":
         lambda original: ([3083.0, -3083.0], [3082.0, -3082.0]),
+    "a frequency whose wavelength c / x is finite and > 0": lambda original: ([0.0, -1.0, 1e-300], [1e-299]),
 }
 
 

@@ -16,6 +16,7 @@ from isactwin.channel import (
     _steering,
     beamformed_gains,
     build_tx_signal,
+    carrier_wavelength,
     mrt_beamformer,
     phase_shift,
     synthesize_channel,
@@ -185,8 +186,11 @@ class TestSynthesizeChannel:
         h2 = synthesize_channel(ps, tx, rx, 700, 3, params())
         assert np.allclose(h1, h2, rtol=1e-10)
 
-    @pytest.mark.parametrize("carrier", [1e-300, 5e-309, float("inf"), float("nan")])
+    @pytest.mark.parametrize("carrier", [0, 0.0, -1.0, 1e-300, 5e-309, float("inf"), float("nan")])
     def test_carrier_without_a_finite_wavelength_rejected(self, carrier):
+        # the scenario schema's carrier rule is carrier_wavelength, and its walker catches only ValueError
+        with pytest.raises(ValueError, match="carrier_freq"):
+            carrier_wavelength(carrier)
         with pytest.raises(ValueError, match="carrier_freq"):
             OfdmParams(n_subcarriers=8, n_symbols=2, delta_f=1e5, carrier_freq=carrier)
 

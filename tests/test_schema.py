@@ -10,15 +10,20 @@ the schema accepts.
 """
 
 import copy
+import dataclasses
 import json
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 
 from conftest import TINY_SCENE, repo_scenario_dir, rule_boundaries, tiny_scenario_doc
+from isactwin.agent import circle_waypoints
 from isactwin.cli import main
 from isactwin.localization import _DB_HEADER
-from isactwin.scene import _SCENE_KEYS, Either, Optional, Rule, _bad_field
-from isactwin.simcore import _SCENARIO_KEYS
+from isactwin.raytrace import SPEED_OF_LIGHT
+from isactwin.scene import _SCENE_KEYS, Either, Optional, Rule, _conform
+from isactwin.simcore import _SCENARIO_KEYS, ScenarioConfig
 
 
 def _shipped(name):
@@ -229,8 +234,8 @@ def test_value_just_outside_a_rule_is_one_error_naming_its_path(tmp_path, capsys
 @pytest.mark.parametrize("document,base,path,rule,inside", _boundary_cases(1))
 def test_value_just_inside_a_rule_is_accepted(tmp_path, capsys, document, base, path, rule, inside):
     scenario, scene, scene_name = _edited(document, base, path, inside)
-    assert _bad_field(scene if document == "scene" else scenario,
-                      _SCENE_KEYS if document == "scene" else _SCENARIO_KEYS) is None
+    assert _conform(scene if document == "scene" else scenario,
+                    _SCENE_KEYS if document == "scene" else _SCENARIO_KEYS)[1] is None
     # validate may refuse the edited document for a rule of several fields or files, never for this value
     _validate(tmp_path, scenario, scene, scene_name)
     assert "document has" not in capsys.readouterr().err
@@ -244,8 +249,10 @@ def test_boundary_cases_cover_every_rule():
                            *(("scene", path) for path in _schema_rules(_SCENE_KEYS))}
     # every single-field rule, so that none is lost from a schema unseen
     assert {".".join(path) for path in _schema_rules(_SCENARIO_KEYS)} == {
-        "scene", "network.nodes.id", "network.nodes.role", "network.nodes.array.elements", "ofdm.n_subcarriers",
-        "ofdm.n_symbols", "agents", "agents.id", "agents.path", "agents.path.circle.waypoints",
+        "scene", "network.nodes.id", "network.nodes.role", "network.nodes.array.elements",
+        "network.nodes.array.spacing_wavelengths", "network.resources.users.power_w", "ofdm.n_subcarriers",
+        "ofdm.delta_f_hz", "ofdm.n_symbols", "ofdm.carrier_hz", "agents", "agents.id", "agents.path",
+        "agents.path.circle.waypoints",
         *(f"agents.controller.{key}" for key in ("k_ang", "v_max", "w_max", "waypoint_tol_m")),
         "noise.state_var", "noise.noise_power_w", "noise.fingerprint_snr_db", "sim.dt_s", "sim.max_steps",
         "sim.seed", "raytrace.max_order", "db.path", "db.build.spacing_m", "db.build.bin_width_s",
@@ -299,3 +306,138 @@ def test_an_integer_past_the_digit_limit_is_not_valid_json(tmp_path, capsys, doc
         assert err.startswith(f"error: {prefix} document is not valid JSON: Exceeds the limit (4300 digits)")
         assert err.count("\n") == 1
     assert not (tmp_path / "artifacts").exists()
+
+
+# a scenario document with only its required keys; its numbers are JSON integers where the schema asks for floats
+_BARE = {"scene": "tiny.scene.json",
+         "network": {"nodes": [{"id": "ap", "role": "tx", "array": {"elements": 2},
+                                "pose": {"position": [1, 1, 2]}},
+                               {"id": "robot", "role": "rx"}],
+                     "edges": [["ap", "robot"]]},
+         "ofdm": {"n_subcarriers": 8, "delta_f_hz": 312500, "n_symbols": 2, "carrier_hz": 2400000000},
+         "agents": [{"id": "robot", "initial_pose": {"position": [1, 2, 0]},
+                     "path": {"circle": {"center": [1, 1], "radius": 1}}}],
+         "sim": {"dt_s": 1, "max_steps": 1}}
+
+
+def _sections(doc):
+    """doc with each optional section present and empty, and one user that sets only its id."""
+    doc = copy.deepcopy(doc)
+    doc["network"]["resources"] = {"users": [{"id": "ap"}]}
+    doc["agents"][0]["controller"] = {}
+    doc.update(noise={}, raytrace={}, db={"build": {}}, output={})
+    return doc
+
+
+def _nulls(doc, shape):
+    """doc with every Optional key it leaves out, in every object it sets, set to null."""
+    if type(shape) is Optional:
+        shape = shape.shape
+    if type(shape) is Either:
+        shape = shape.fields if isinstance(doc, dict) else shape.items
+    if type(shape) is Rule:
+        shape = shape.shape
+    if type(shape) is dict:
+        for key, sub in shape.items():
+            if key in doc:
+                _nulls(doc[key], sub)
+            elif type(sub) is Optional:
+                doc[key] = None
+    elif type(shape) is list:
+        for item in doc:
+            _nulls(item, shape[0])
+    return doc
+
+
+@pytest.mark.parametrize("doc", [_BARE, _sections(_BARE), _nulls(copy.deepcopy(_BARE), _SCENARIO_KEYS),
+                                 _nulls(_sections(_BARE), _SCENARIO_KEYS)],
+                         ids=["left-out", "empty-sections", "null", "null-in-sections"])
+def test_a_left_out_or_null_key_takes_its_default(tmp_path, doc):
+    config = ScenarioConfig.from_dict(doc, tmp_path)
+    ap, robot = config.nodes
+    assert (ap.array.num_elements, ap.array.spacing, ap.array.boresight) == (2, 0.5 * SPEED_OF_LIGHT / 2.4e9, 0.0)
+    assert ap.pose.position.tolist() == [1.0, 1.0, 2.0] and ap.pose.yaw == 0.0
+    assert robot.array is None and robot.pose is None
+    agent, = config.agents
+    assert agent.initial_pose.yaw == 0.0 and dict(agent.gains) == {}
+    assert np.array_equal(agent.waypoints, circle_waypoints((1.0, 1.0), 1.0, count=16, start_angle=0.0))
+    if "resources" in doc["network"] and doc["network"]["resources"] is not None:
+        user, = config.requests
+        assert (user.user, user.power_budget) == ("ap", 1.0)
+        assert user.subcarriers.tolist() == list(range(1, 9)) and user.symbols.tolist() == [1, 2]
+    else:
+        assert config.requests == ()
+    noise = config.noise
+    assert (noise.state_var, noise.noise_power_w, noise.fingerprint_snr_db, noise.map_offset) == (0.0, 1e-12, None,
+                                                                                               (0.0, 0.0))
+    assert (config.dt, config.max_steps, config.seed, config.max_order) == (1.0, 1, 0, 2)
+    assert config.db.path is None and config.trace_csv == tmp_path / "trace.csv"
+    build = config.db.build
+    if doc.get("db") is not None:
+        assert (build.spacing, build.bin_width, build.num_bins, build.roi, build.height) == (0.05, 12.5e-9, 64,
+                                                                                            None, None)
+    else:
+        assert build is None
+    floats = [ap.array.spacing, ap.array.boresight, ap.pose.yaw, agent.initial_pose.yaw, noise.state_var,
+              noise.noise_power_w, *noise.map_offset, config.dt, config.ofdm.delta_f, config.ofdm.carrier_freq,
+              *(r.power_budget for r in config.requests), *((build.spacing, build.bin_width) if build else ())]
+    assert all(type(x) is float for x in floats)
+    assert all(type(x) is int for x in (config.seed, config.max_order, config.max_steps))
+
+
+def _defaults(shape, path=()):
+    """(path, Optional) of every Optional in shape that states a default other than None."""
+    if type(shape) is Optional:
+        if shape.default is not None:
+            yield path, shape
+        shape = shape.shape
+    if type(shape) is Rule:
+        shape = shape.shape
+    if type(shape) is Either:
+        for sub in (shape.items, shape.fields):
+            yield from _defaults(sub, path)
+    elif type(shape) is dict:
+        for key, sub in shape.items():
+            yield from _defaults(sub, (*path, key))
+    elif type(shape) is list:
+        yield from _defaults(shape[0], path)
+
+
+def test_every_default_fits_its_own_shape():
+    defaults = list(_defaults(_SCENARIO_KEYS))
+    assert {".".join(path) for path, _ in defaults} == {
+        "network.nodes.pose.yaw_deg", "network.nodes.array.spacing_wavelengths", "network.nodes.array.boresight_deg",
+        "network.resources", "network.resources.users", "network.resources.users.power_w",
+        "agents.initial_pose.yaw_deg", "agents.path.circle.waypoints", "agents.path.circle.start_angle_deg",
+        "agents.controller", "noise", "noise.state_var", "noise.noise_power_w", "noise.map_offset_m", "sim.seed",
+        "raytrace", "raytrace.max_order", "db", "db.build.spacing_m", "db.build.bin_width_s", "db.build.num_bins",
+        "output", "output.trace_csv"}
+    for path, optional in defaults:
+        assert _conform(optional.default, optional.shape)[1] is None, path
+    assert not list(_defaults(_SCENE_KEYS)) and not list(_defaults(_DB_HEADER))
+
+
+def _containers(value, found):
+    """found, with the id of every list, dict and array reachable from value through dataclass fields,
+    tuples, lists, dicts and read-only mappings."""
+    if isinstance(value, (list, dict, np.ndarray)):
+        found.add(id(value))
+    if dataclasses.is_dataclass(value):
+        items = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, (list, tuple)):
+        items = value
+    elif isinstance(value, (dict, MappingProxyType)):
+        items = value.values()
+    else:
+        items = ()
+    for item in items:
+        _containers(item, found)
+    return found
+
+
+@pytest.mark.parametrize("doc", [_BARE, _sections(_BARE)], ids=["left-out", "empty-sections"])
+def test_a_parse_neither_edits_the_document_nor_shares_a_default(tmp_path, doc):
+    before = copy.deepcopy(doc)
+    first, second = ScenarioConfig.from_dict(doc, tmp_path), ScenarioConfig.from_dict(doc, tmp_path)
+    assert doc == before
+    assert not _containers(first, set()) & _containers(second, set())

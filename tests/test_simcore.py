@@ -181,7 +181,8 @@ class TestScenarioConfig:
         (lambda doc: doc["network"]["nodes"][1]["pose"].update(position=[1.5, 0.07, 0.6]),
          "transmitter 'ap_b' is outside the scene bounds"),
         (lambda doc: doc["ofdm"].update(carrier_hz=0.0),
-         "malformed scenario document: carrier_freq must be > 0"),
+         "scenario document has 0.0 at .ofdm.carrier_hz, which must be a frequency whose wavelength c / x is "
+         "finite and > 0"),
         (lambda doc: doc["sim"].update(dt_s=float("nan")),
          "scenario document has a non-finite number at .sim.dt_s"),
         (lambda doc: doc["noise"].update(noise_power_w=float("nan")),
